@@ -6,9 +6,9 @@ from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     QuadraticTrackingSystem, TerminalCost, build_instance,
                     config_hash, controllability_matrix,
                     min_singular_controllability, validate_assumptions)
-from .ftocp import (FtocpSolution, FtocpSpec, Infeasible, SingularKKT,
-                    clairvoyant_action, solve, solve_inventory,
-                    solve_quadratic)
+from .ftocp import (ContinuationLaw, FtocpSolution, FtocpSpec, Infeasible,
+                    SingularKKT, clairvoyant_action, continuation_law, solve,
+                    solve_inventory, solve_quadratic)
 from .kkt import (DecayFit, GainTables, SaddleBounds, SpectrumBounds,
                   TrackingDecayConstants, assemble, block_inverse_profile,
                   general_decay_constants, measure_gain_tables,

@@ -102,6 +102,10 @@ def _instance_options(fn):
 @click.group()
 def main():
     """Receding-horizon control experiments and certifications."""
+    try:
+        regret.worker_count()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @main.command()
@@ -140,8 +144,10 @@ def mpc(preset, instance_file, T, seed, out, k, noise_scale):
     hdr = _headers("mpc", cfg)
     stream = PredictionStream(inst.truth, k, noise_scale, seed=inst.seed)
     try:
-        opt = engine.solve_opt(inst)
-        run = engine.run_mpc(inst, stream, k, _default_rule(inst), opt=opt)
+        law = ftocp.truth_law(inst)
+        opt = engine.solve_opt(inst, law)
+        run = engine.run_mpc(inst, stream, k, _default_rule(inst), opt=opt,
+                             law=law)
     except (ftocp.Infeasible, ftocp.SingularKKT) as exc:
         click.echo(f"solver failure: {exc}", err=True)
         sys.exit(EXIT_SOLVER)

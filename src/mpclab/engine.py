@@ -47,12 +47,16 @@ class TerminalRule:
         sys = instance.system
         zero_params = [np.zeros_like(instance.truth[t])
                        for t in range(sys.T + 1)]
-        terminal = (TerminalCost.indicator(instance.terminal_param)
-                    if sys.kind == "inventory"
-                    else sys.terminal_cost(zero_params[-1]))
-        spec = ftocp.FtocpSpec(0, sys.T, np.atleast_1d(instance.x0),
-                               zero_params, terminal)
-        self.reference_states = ftocp.solve(spec, sys).states
+        x0 = np.atleast_1d(instance.x0)
+        if sys.kind == "inventory":
+            spec = ftocp.FtocpSpec(
+                0, sys.T, x0, zero_params,
+                TerminalCost.indicator(instance.terminal_param))
+            self.reference_states = ftocp.solve_inventory(spec, sys).states
+            return
+        law = ftocp.continuation_law(sys, zero_params,
+                                     sys.terminal_cost(zero_params[-1]))
+        self.reference_states = law.solution(0, x0).states
 
     def build(self, instance: Instance, t: int, t2: int,
               params: Sequence[Array]) -> TerminalCost:
@@ -129,15 +133,22 @@ def _stage_costs_and_total(instance: Instance, states: Array,
     return costs, total
 
 
-def solve_opt(instance: Instance) -> TrajectoryRecord:
+def solve_opt(instance: Instance,
+              law: ftocp.ContinuationLaw | None = None) -> TrajectoryRecord:
     """Hindsight-optimal trajectory: the full-horizon solve under the true
-    parameters."""
+    parameters.  ``law`` is the instance's ``ftocp.truth_law``, built here
+    when not given."""
     sys = instance.system
     T = sys.T
-    params = [instance.truth[t] for t in range(T + 1)]
-    spec = ftocp.FtocpSpec(0, T, np.atleast_1d(instance.x0), params,
-                           instance.terminal_cost())
-    sol = ftocp.solve(spec, sys)
+    if law is None:
+        law = ftocp.truth_law(instance)
+    if law is not None:
+        sol = law.solution(0, instance.x0)
+    else:
+        params = [instance.truth[t] for t in range(T + 1)]
+        spec = ftocp.FtocpSpec(0, T, np.atleast_1d(instance.x0), params,
+                               instance.terminal_cost())
+        sol = ftocp.solve_inventory(spec, sys)
     stage, total = _stage_costs_and_total(instance, sol.states, sol.actions)
     return TrajectoryRecord(sol.states, sol.actions, np.zeros(T),
                             np.zeros(T + 1), stage, total, k=None,
@@ -145,15 +156,16 @@ def solve_opt(instance: Instance) -> TrajectoryRecord:
 
 
 def run_mpc(instance: Instance, stream: PredictionStream, k: int,
-            rule: TerminalRule, opt: TrajectoryRecord | None = None
-            ) -> TrajectoryRecord:
+            rule: TerminalRule, opt: TrajectoryRecord | None = None,
+            law: ftocp.ContinuationLaw | None = None) -> TrajectoryRecord:
     """Closed-loop receding-horizon run.
 
     At each step t the controller solves the window [t, min(t+k, T)] on the
     forecasts, commits the first action, and the true dynamics advance the
     state.  Per-step errors compare the committed action with the optimal
-    continuation from the same state under the true parameters.  Constrained
-    infeasibility aborts the run with the step index attached.
+    continuation from the same state under the true parameters, read off
+    the instance's continuation law (``law``, built here when not given).
+    Constrained infeasibility aborts the run with the step index attached.
     """
     if k < 1:
         raise ValueError("window length k must be >= 1")
@@ -162,8 +174,10 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     sys = instance.system
     T = sys.T
     rule.prepare(instance)
+    if law is None:
+        law = ftocp.truth_law(instance)
     if opt is None:
-        opt = solve_opt(instance)
+        opt = solve_opt(instance, law)
 
     states = np.zeros((T + 1, sys.n))
     actions = np.zeros((T, sys.m))
@@ -181,7 +195,10 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
                                    step=t) from exc
         u = sol.first_action
         actions[t] = u
-        best, _ = ftocp.clairvoyant_action(t, states[t], instance)
+        if law is not None:
+            best = law.action(t, states[t])
+        else:
+            best, _ = ftocp.clairvoyant_action(t, states[t], instance)
         errors[t] = float(np.linalg.norm(u - best))
         states[t + 1] = np.atleast_1d(
             sys.dynamics(t, states[t], u, instance.truth[t]))

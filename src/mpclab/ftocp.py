@@ -5,12 +5,16 @@ Two problem classes are supported exactly:
 - time-varying linear dynamics with quadratic costs (saddle-point solve on
   the permuted block-tridiagonal system), and
 - the constrained scalar stock chain (primal active-set QP).
+
+The tail of a linear-quadratic problem under fixed parameters and a quadratic
+(or zero) terminal cost has a structured solution: one backward Riccati pass
+gives the affine optimal law u_t = K_t x + k_t for every step
+(``continuation_law``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 from typing import Sequence
 
 import numpy as np
@@ -122,14 +126,19 @@ def solve_quadratic(spec: FtocpSpec, system) -> FtocpSolution:
         states = states + [last]
     states = np.array(states)
     actions = np.array(actions)
-    value = 0.0
-    for i in range(spec.K):
-        d = states[i] - wm.xbar[i]
-        value += float(d @ wm.Q[i] @ d + actions[i] @ wm.R[i] @ actions[i])
-    if spec.terminal.kind == "quadratic":
-        value += spec.terminal.value(states[-1])
+    value = _lq_value(np.array(wm.Q), np.array(wm.R), np.array(wm.xbar),
+                      spec.terminal, states, actions)
     return FtocpSolution(spec.t1, spec.t2, states, actions,
                          np.array(duals), value, residual)
+
+
+def _lq_value(Q: Array, R: Array, xbar: Array, terminal: TerminalCost,
+              states: Array, actions: Array) -> float:
+    """Objective of a trajectory; Q, R, xbar are stacked per step."""
+    d = states[:-1] - xbar
+    value = float(np.einsum("ti,tij,tj->", d, Q, d)
+                  + np.einsum("ti,tij,tj->", actions, R, actions))
+    return value + terminal.value(states[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +306,120 @@ def solve_inventory(spec: FtocpSpec, system: InventorySystem) -> FtocpSolution:
 
 
 # ---------------------------------------------------------------------------
+# continuation law (backward Riccati pass)
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class ContinuationLaw:
+    """Optimal affine feedback u_t = K_t x + k_t of a linear-quadratic problem
+    on steps 0..T with fixed parameters and a quadratic or zero terminal.
+
+    The cost-to-go from x at step t is x'P_t x - 2 p_t'x + const, and the
+    multipliers of the saddle system of the window [t, T] are
+    eta_s = p_s - P_s y_s.  Step data are stacked per step: A (T, n, n),
+    B (T, n, m), w (T, n), Q (T, n, n), R (T, m, m), xbar (T, n).
+    """
+
+    A: Array
+    B: Array
+    w: Array
+    Q: Array
+    R: Array
+    xbar: Array
+    terminal: TerminalCost
+    P: Array            # (T+1, n, n)
+    p: Array            # (T+1, n)
+    K: Array            # (T, m, n)
+    k: Array            # (T, m)
+    closed_loop: Array  # (T, n, n), A_t + B_t K_t
+
+    @property
+    def T(self) -> int:
+        return self.K.shape[0]
+
+    def action(self, t: int, x: Array) -> Array:
+        """Optimal action at step t from state x."""
+        return self.K[t] @ x + self.k[t]
+
+    def solution(self, t: int, x: Array) -> FtocpSolution:
+        """Optimal continuation of the window [t, T] from x, with the same
+        duals and KKT residual as the saddle solve of that window."""
+        T, n = self.T, self.P.shape[1]
+        states = np.empty((T - t + 1, n))
+        actions = np.empty((T - t, self.K.shape[1]))
+        states[0] = np.atleast_1d(np.asarray(x, float))
+        for i, s in enumerate(range(t, T)):
+            actions[i] = self.K[s] @ states[i] + self.k[s]
+            states[i + 1] = (self.A[s] @ states[i] + self.B[s] @ actions[i]
+                             + self.w[s])
+        duals = self.p[t:] - np.einsum("tij,tj->ti", self.P[t:], states)
+        value = _lq_value(self.Q[t:], self.R[t:], self.xbar[t:],
+                          self.terminal, states, actions)
+        return FtocpSolution(t, T, states, actions, duals, value,
+                             self._kkt_residual(t, states, actions, duals))
+
+    def _kkt_residual(self, t, states, actions, duals) -> float:
+        """||H chi - b|| of the window [t, T], block by block: stationarity
+        in y_s, v_s and y_T, then the dynamics rows (the initial-state pin
+        holds exactly)."""
+        A, B, Q = self.A[t:], self.B[t:], self.Q[t:]
+        y, nxt = states[:-1], duals[1:]
+        r_y = (np.einsum("tij,tj->ti", Q, y - self.xbar[t:]) + duals[:-1]
+               - np.einsum("tji,tj->ti", A, nxt))
+        r_v = (np.einsum("tij,tj->ti", self.R[t:], actions)
+               - np.einsum("tji,tj->ti", B, nxt))
+        r_T = self.P[-1] @ states[-1] + duals[-1] - self.p[-1]
+        r_dyn = (states[1:] - np.einsum("tij,tj->ti", A, y)
+                 - np.einsum("tij,tj->ti", B, actions) - self.w[t:])
+        return float(np.sqrt(sum(float(np.sum(r * r))
+                                  for r in (r_y, r_v, r_T, r_dyn))))
+
+
+def continuation_law(system, params: Sequence[Array],
+                     terminal: TerminalCost) -> ContinuationLaw:
+    """One backward Riccati pass over steps 0..T = len(params) - 1.
+
+    Raises SingularKKT when some R_t + B_t'P_{t+1}B_t is singular or a gain
+    is not finite.
+    """
+    if terminal.kind == "indicator":
+        raise ValueError("continuation law needs a quadratic or zero terminal")
+    T = len(params) - 1
+    n, m = system.n, system.m
+    wm = window_matrices(FtocpSpec(0, T, np.zeros(n), params, terminal),
+                         system)
+    A, B, w = np.array(wm.A), np.array(wm.B), np.array(wm.w)
+    Q, R, xbar = np.array(wm.Q), np.array(wm.R), np.array(wm.xbar)
+    P = np.empty((T + 1, n, n))
+    p = np.empty((T + 1, n))
+    K = np.empty((T, m, n))
+    k = np.empty((T, m))
+    closed = np.empty((T, n, n))
+    if terminal.kind == "quadratic":
+        P[T], p[T] = terminal.P, terminal.P @ terminal.xbar
+    else:
+        P[T], p[T] = 0.0, 0.0
+    for t in reversed(range(T)):
+        PB = P[t + 1] @ B[t]
+        S = R[t] + B[t].T @ PB
+        rhs = np.column_stack([PB.T @ A[t],
+                               B[t].T @ (P[t + 1] @ w[t] - p[t + 1])])
+        try:
+            gains = -np.linalg.solve(S, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularKKT(f"singular R + B'PB at step {t}") from exc
+        if not np.all(np.isfinite(gains)):
+            raise SingularKKT(f"non-finite gain at step {t}")
+        K[t], k[t] = gains[:, :n], gains[:, n]
+        closed[t] = A[t] + B[t] @ K[t]
+        Pt = Q[t] + A[t].T @ P[t + 1] @ closed[t]
+        P[t] = 0.5 * (Pt + Pt.T)
+        p[t] = Q[t] @ xbar[t] + A[t].T @ (p[t + 1]
+                                          - P[t + 1] @ (B[t] @ k[t] + w[t]))
+    return ContinuationLaw(A, B, w, Q, R, xbar, terminal, P, p, K, k, closed)
+
+
+# ---------------------------------------------------------------------------
 # dispatch and the exact-hindsight solve
 # ---------------------------------------------------------------------------
 
@@ -306,42 +429,28 @@ def solve(spec: FtocpSpec, system) -> FtocpSolution:
     return solve_quadratic(spec, system)
 
 
+def truth_law(instance: Instance) -> ContinuationLaw | None:
+    """Continuation law under the instance's true parameters, or None for the
+    stock chain, whose continuation needs the active-set solver."""
+    if instance.system.kind == "inventory":
+        return None
+    params = [instance.truth[s] for s in range(instance.T + 1)]
+    return continuation_law(instance.system, params, instance.terminal_cost())
+
+
 def clairvoyant_action(t: int, x_t: Array, instance: Instance):
     """Optimal continuation from x_t under the true parameters.
 
     Returns (first action, full solution) of the window [t, T] with the
     instance's own terminal cost.
     """
+    law = truth_law(instance)
+    if law is not None:
+        sol = law.solution(t, x_t)
+        return sol.first_action, sol
     T = instance.T
     params = [instance.truth[s] for s in range(t, T + 1)]
     spec = FtocpSpec(t, T, np.atleast_1d(x_t), params,
                      instance.terminal_cost())
-    sol = solve(spec, instance.system)
+    sol = solve_inventory(spec, instance.system)
     return sol.first_action, sol
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def solution_to_csv(sol: FtocpSolution, header_lines: Sequence[str] = ()) -> str:
-    """Per-step rows (t, y_t, v_t, eta_t) at 17 significant digits."""
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    n = sol.states.shape[1]
-    m = sol.actions.shape[1] if sol.actions.size else sol.actions.shape[1]
-    cols = (["t"] + [f"y{i}" for i in range(n)] + [f"v{i}" for i in range(m)]
-            + [f"eta{i}" for i in range(n)])
-    buf.write(",".join(cols) + "\n")
-    K = sol.t2 - sol.t1
-    for i in range(K + 1):
-        row = [str(sol.t1 + i)]
-        row += [f"{v:.17g}" for v in sol.states[i]]
-        if i < K:
-            row += [f"{v:.17g}" for v in sol.actions[i]]
-        else:
-            row += [""] * m
-        row += [f"{v:.17g}" for v in sol.duals[i]]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()

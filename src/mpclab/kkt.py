@@ -59,8 +59,8 @@ class DecayFit:
     def __post_init__(self):
         # the reported envelope must dominate every measured value
         slack = self.C * self.lam ** self.offsets * (1 + 1e-9) - self.profile
-        assert np.all(slack >= -1e-12 * max(1.0, self.profile.max())), \
-            "envelope does not dominate the profile"
+        if not np.all(slack >= -1e-12 * max(1.0, self.profile.max())):
+            raise ValueError("envelope does not dominate the profile")
 
 
 def fit_decay(offsets: Array, maxima: Array, floor: float = 1e-300) -> DecayFit:
@@ -321,36 +321,21 @@ def _window_action_jacobians(instance, t, t2, z, terminal_builder,
     return out
 
 
-def _init_state_jacobians(instance, t, opt_state):
-    """Per-offset spectral norms of d(y_h, v_h)/dz for the window [t, T]."""
-    sys = instance.system
-    T = sys.T
-    params = [instance.truth[s] for s in range(t, T + 1)]
-    terminal = instance.terminal_cost()
-    z = np.atleast_1d(opt_state)
-    step = 1e-5 * (1.0 + float(np.linalg.norm(z)))
-    sols_hi, sols_lo = [], []
-    for i in range(z.shape[0]):
-        hi = z.copy()
-        lo = z.copy()
-        hi[i] += step
-        lo[i] -= step
-        sols_hi.append(ftocp.solve(ftocp.FtocpSpec(t, T, hi, params, terminal),
-                                   sys))
-        sols_lo.append(ftocp.solve(ftocp.FtocpSpec(t, T, lo, params, terminal),
-                                   sys))
-    out = {}
-    K = T - t
-    for h in range(K + 1):
-        Jy = np.stack([(sols_hi[i].states[h] - sols_lo[i].states[h])
-                       / (2 * step) for i in range(z.shape[0])], axis=-1)
-        nrm = float(np.linalg.norm(Jy, 2))
-        if h < K:
-            Jv = np.stack([(sols_hi[i].actions[h] - sols_lo[i].actions[h])
-                           / (2 * step) for i in range(z.shape[0])], axis=-1)
-            nrm = max(nrm, float(np.linalg.norm(Jv, 2)))
-        out[h] = max(out.get(h, 0.0), nrm)
-    return out
+def _init_state_jacobians(law: ftocp.ContinuationLaw, t: int) -> Array:
+    """Spectral norms of d(y_h, v_h)/dz for the window [t, T], by offset h.
+
+    The continuation is affine in z, so the Jacobians are the closed-loop
+    transition products Phi_h = (A + BK)_{t+h-1} ... (A + BK)_t and
+    K_{t+h} Phi_h.
+    """
+    Phi = [np.eye(law.closed_loop.shape[1])]
+    for s in range(t, law.T):
+        Phi.append(law.closed_loop[s] @ Phi[-1])
+    Phi = np.array(Phi)
+    norms = np.linalg.norm(Phi, 2, axis=(1, 2))
+    norms[:-1] = np.maximum(
+        norms[:-1], np.linalg.norm(law.K[t:] @ Phi[:-1], 2, axis=(1, 2)))
+    return norms
 
 
 def _monotone_envelope(table: Array) -> Array:
@@ -365,12 +350,17 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     """Measure sensitivity envelopes on the family of solves the controller
     actually performs.
 
-    The windowed solution of a linear-quadratic problem is affine in the
-    stacked parameters, so per-coordinate central differences recover the
-    exact Jacobians; the envelopes then upper-bound any realized deviation by
-    the triangle inequality.
+    The parameter tables gain_param and gain_state are per-coordinate
+    central differences of window re-solves.  The windowed solution of a
+    linear-quadratic problem is affine in the stacked parameters, so these
+    recover the exact Jacobians; the envelopes then upper-bound any realized
+    deviation by the triangle inequality.  The gain_init table is exact: the
+    products of the closed-loop matrices A_t + B_t K_t of the instance's
+    continuation law.
     """
     sys = instance.system
+    if sys.kind == "inventory":
+        raise ValueError("gain tables need a linear-quadratic system")
     T = sys.T
     rng = np.random.default_rng(seed)
     gp = np.zeros(k + 1)
@@ -407,14 +397,11 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
             for off, val in jac.items():
                 gs[off] = max(gs[off], max(0.0, val - base_jac.get(off, 0.0))
                               / znorm)
-    gi_map = {}
-    for t in range(0, T + 1, t_stride):
-        jac = _init_state_jacobians(instance, t, opt_states[t])
-        for off, val in jac.items():
-            gi_map[off] = max(gi_map.get(off, 0.0), val)
+    law = ftocp.truth_law(instance)
     gi = np.zeros(T + 1)
-    for off, val in gi_map.items():
-        gi[off] = val
+    for t in range(0, T + 1, t_stride):
+        gi[:T - t + 1] = np.maximum(gi[:T - t + 1],
+                                    _init_state_jacobians(law, t))
     gi[0] = max(gi[0], 1.0)
     return GainTables(_monotone_envelope(gs), _monotone_envelope(gp),
                       _monotone_envelope(gi), mode="measured")

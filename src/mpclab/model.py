@@ -509,6 +509,6 @@ def build_instance(desc: dict, T: int | None = None,
     if seed is not None:
         desc["seed"] = seed
     kind = desc.pop("kind", None)
-    if kind not in presets.BUILDERS:
+    if kind not in presets.PRESETS:
         raise ModelError(f"unknown instance kind {kind!r}")
-    return presets.BUILDERS[kind](**desc)
+    return presets.PRESETS[kind](**desc)

@@ -400,8 +400,6 @@ PRESETS = {
     "grid": grid,
 }
 
-BUILDERS = dict(PRESETS)
-
 
 def build_preset(name: str, T: int | None = None,
                  seed: int | None = None) -> Instance:

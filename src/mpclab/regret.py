@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import engine, kkt
+from . import engine, ftocp, kkt
 from .engine import TrajectoryRecord, solve_opt  # noqa: F401  (re-export)
 from .model import Instance, ParamSeq, PredictionStream
 
@@ -23,11 +23,17 @@ REGRET_FLOOR = 1e-10  # regrets below this are solver noise; excluded from fits
 
 
 def worker_count() -> int:
+    """Sweep worker threads from MPCLAB_THREADS (default 1); a value that is
+    not an integer >= 1 raises ValueError."""
     raw = os.environ.get("MPCLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"MPCLAB_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +162,15 @@ def _map(fn, args_list):
 def sweep_horizon(instance: Instance, k_values: Sequence[int],
                   rule: engine.TerminalRule, seed: int = 0) -> SweepResult:
     """Zero-noise regret as a function of the window length."""
-    opt = solve_opt(instance)
+    law = ftocp.truth_law(instance)
+    opt = solve_opt(instance, law)
     T = instance.T
 
     def one(k):
         stream = PredictionStream(instance.truth, min(k, T), 0.0, seed=seed)
         run = engine.run_mpc(instance, stream, k,
-                             engine.TerminalRule(rule.kind), opt=opt)
+                             engine.TerminalRule(rule.kind), opt=opt,
+                             law=law)
         return run.total_cost - opt.total_cost
 
     regrets = np.array(_map(one, list(k_values)), float)
@@ -179,7 +187,8 @@ def sweep_noise(instance: Instance, base_rho, scales: Sequence[float],
     ``admission`` carries the pipeline inputs (gain tables, R, C3, D_xstar,
     L_g), scales failing the smallness condition are excluded from the fit.
     """
-    opt = solve_opt(instance)
+    law = ftocp.truth_law(instance)
+    opt = solve_opt(instance, law)
     T = instance.T
     excluded = []
     if admission is not None:
@@ -197,7 +206,8 @@ def sweep_noise(instance: Instance, base_rho, scales: Sequence[float],
             instance.truth, min(k, T),
             lambda t, tau: s * float(base_rho(t, tau)), seed=seed)
         run = engine.run_mpc(instance, stream, k,
-                             engine.TerminalRule(rule.kind), opt=opt)
+                             engine.TerminalRule(rule.kind), opt=opt,
+                             law=law)
         return run.total_cost - opt.total_cost
 
     regrets = np.array(_map(one, list(scales)), float)

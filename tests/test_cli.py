@@ -83,6 +83,16 @@ class TestConfigErrors:
                                        "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_invalid_threads_env(self, runner, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("MPCLAB_THREADS", value)
+        res = runner.invoke(cli.main, ["sweep-horizon", "--preset",
+                                       "disturbance", "--T", "10",
+                                       "--k", "4", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "MPCLAB_THREADS" in res.output
+        assert not os.path.exists(tmp_path / "sweep_horizon.csv")
+
 
 class TestSolverFailures:
     def test_infeasible_chain_run_exits_3(self, runner, tmp_path):

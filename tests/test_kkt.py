@@ -2,6 +2,9 @@
 sensitivity envelopes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +121,26 @@ class TestSaddleBounds:
 
 
 class TestDecayFits:
+    def test_non_dominating_envelope_raises(self):
+        offs = np.arange(3, dtype=float)
+        with pytest.raises(ValueError, match="dominate"):
+            kkt.DecayFit(1.0, 0.5, 1.0, offs, np.ones(3))
+
+    def test_domination_check_survives_optimize_flag(self):
+        code = ("import numpy as np\n"
+                "from mpclab import kkt\n"
+                "try:\n"
+                "    kkt.DecayFit(1.0, 0.5, 1.0, np.arange(3.0), np.ones(3))\n"
+                "except ValueError:\n"
+                "    print('raised')\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kkt.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "raised"
+
     def test_loglinear_exact_geometric(self):
         x = np.arange(8, dtype=float)
         y = 3.0 * 0.6 ** x

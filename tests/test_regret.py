@@ -98,8 +98,10 @@ class TestWorkers:
     def test_env_var_parsing(self, monkeypatch):
         monkeypatch.setenv("MPCLAB_THREADS", "4")
         assert regret.worker_count() == 4
-        monkeypatch.setenv("MPCLAB_THREADS", "bogus")
-        assert regret.worker_count() == 1
+        for bad in ("bogus", "0", "-2", "1.5"):
+            monkeypatch.setenv("MPCLAB_THREADS", bad)
+            with pytest.raises(ValueError, match="MPCLAB_THREADS"):
+                regret.worker_count()
         monkeypatch.delenv("MPCLAB_THREADS")
         assert regret.worker_count() == 1
 
