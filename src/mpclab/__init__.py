@@ -2,8 +2,8 @@
 saddle-matrix sensitivity analysis, and dynamic-regret certification."""
 
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    ModelError, ParamBox, ParamSeq, PredictionStream,
-                    QuadraticTrackingSystem, TerminalCost, build_instance,
+                    LinearQuadraticSystem, ModelError, ParamBox, ParamSeq,
+                    PredictionStream, TerminalCost, build_instance,
                     config_hash, controllability_matrix,
                     min_singular_controllability, validate_assumptions)
 from .ftocp import (ContinuationLaw, FtocpSolution, FtocpSpec, Infeasible,

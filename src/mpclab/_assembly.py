@@ -1,14 +1,15 @@
 """Saddle-point assembly for windowed linear-quadratic problems.
 
-Builds the cost block M, the dynamics block N, the right-hand side b, the
-saddle matrix H = [[M, N'], [N, 0]], and the per-step permutation that turns
-H into a block-tridiagonal matrix.  Two variants:
+Builds the cost block M, the dynamics block N, the saddle matrix
+H = [[M, N'], [N, 0]], and the per-step permutation that turns H into a
+block-tridiagonal matrix.  The assembly is analysed, not solved: the inverse
+block-decay profile and the spectrum of N are read from it, while windows are
+solved by the backward Riccati pass in ``ftocp``.  Two variants:
 
 - "full": variables (y_0, v_0, ..., v_{K-1}, y_K) with a quadratic (possibly
   zero) terminal cost; constraints pin y_0 and propagate the dynamics.
 - "hat": the final state is pinned to a target and eliminated; N drops its
-  last column block and the last right-hand-side entry becomes
-  w_{K-1} - target.  The last permuted block is the final multiplier alone.
+  last column block.  The last permuted block is the final multiplier alone.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ Array = np.ndarray
 
 @dataclasses.dataclass
 class WindowMatrices:
-    """Per-step data of a window of length K (steps t1 .. t1+K-1)."""
+    """Per-step data of a window of length K (steps t1 .. t1+K-1), stacked:
+    A (K, n, n), B (K, n, m), w (K, n), Q (K, n, n), R (K, m, m),
+    xbar (K, n)."""
 
-    A: list
-    B: list
-    w: list
-    Q: list
-    R: list
-    xbar: list
+    A: Array
+    B: Array
+    w: Array
+    Q: Array
+    R: Array
+    xbar: Array
     terminal: TerminalCost
     n: int
     m: int
@@ -46,7 +49,6 @@ class KktAssembly:
     variant: str
     M: Array
     N: Array
-    b: Array
     perm: Array
     block_slices: list
     n: int
@@ -63,14 +65,6 @@ class KktAssembly:
     def Upsilon(self) -> Array:
         H = self.H
         return H[np.ix_(self.perm, self.perm)]
-
-    def permuted_rhs(self) -> Array:
-        return self.b[self.perm]
-
-    def unpermute(self, chi_perm: Array) -> Array:
-        chi = np.empty_like(chi_perm)
-        chi[self.perm] = chi_perm
-        return chi
 
     @property
     def n_blocks(self) -> int:
@@ -93,31 +87,21 @@ def assemble_window(wm: WindowMatrices) -> KktAssembly:
     nc = (K + 1) * n
     M = np.zeros((nv, nv))
     N = np.zeros((nc, nv))
-    b_top = np.zeros(nv)
-    b_bot = np.zeros(nc)
 
     for t in range(K):
         M[yi(t):yi(t) + n, yi(t):yi(t) + n] = wm.Q[t]
         M[vi(t):vi(t) + m, vi(t):vi(t) + m] = wm.R[t]
-        b_top[yi(t):yi(t) + n] = wm.Q[t] @ wm.xbar[t]
     if not hat:
-        if wm.terminal.kind == "quadratic":
-            PT, xbT = wm.terminal.P, wm.terminal.xbar
-        else:  # zero terminal
-            PT, xbT = np.zeros((n, n)), np.zeros(n)
-        M[yi(K):yi(K) + n, yi(K):yi(K) + n] = PT
-        b_top[yi(K):yi(K) + n] = PT @ xbT
+        # the zero terminal carries P = 0
+        M[yi(K):yi(K) + n, yi(K):yi(K) + n] = wm.terminal.P
 
-    N[0:n, 0:n] = np.eye(n)  # initial-state pin; b_bot[0:n] set by caller
+    N[0:n, 0:n] = np.eye(n)  # initial-state pin
     for t in range(K):
         r = (t + 1) * n
         N[r:r + n, yi(t):yi(t) + n] = -wm.A[t]
         N[r:r + n, vi(t):vi(t) + m] = -wm.B[t]
-        b_bot[r:r + n] = wm.w[t]
         if t < K - 1 or not hat:
             N[r:r + n, yi(t + 1):yi(t + 1) + n] = np.eye(n)
-    if hat:
-        b_bot[K * n:] = wm.w[K - 1] - wm.terminal.target
 
     # permutation to per-step blocks (y_i, v_i, eta_i), final block
     # (y_K, eta_K) for the full variant or (eta_K) alone for the hat variant
@@ -135,50 +119,5 @@ def assemble_window(wm: WindowMatrices) -> KktAssembly:
     perm.extend(range(nv + K * n, nv + (K + 1) * n))
     block_slices.append(slice(s, len(perm)))
 
-    b = np.concatenate([b_top, b_bot])
-    return KktAssembly("hat" if hat else "full", M, N, b,
-                       np.array(perm), block_slices, n, m, K)
-
-
-def set_initial_state(asm: KktAssembly, z: Array) -> None:
-    asm.b[asm.M.shape[0]:asm.M.shape[0] + asm.n] = z
-
-
-DENSE_CUTOFF = 200
-
-
-def solve_assembly(asm: KktAssembly) -> tuple[Array, float]:
-    """Solve H chi = b; returns (chi, residual norm).
-
-    Uses a banded factorization of the permuted block-tridiagonal matrix,
-    falling back to a dense solve for small systems.
-    """
-    U = asm.Upsilon
-    rhs = asm.permuted_rhs()
-    size = U.shape[0]
-    if size < DENSE_CUTOFF:
-        chi_p = np.linalg.solve(U, rhs)
-    else:
-        import scipy.linalg
-
-        nz = np.nonzero(U)
-        bw = int(np.max(np.abs(nz[0] - nz[1]))) if nz[0].size else 0
-        ab = np.zeros((2 * bw + 1, size))
-        for i, j in zip(*nz):
-            ab[bw + i - j, j] = U[i, j]
-        chi_p = scipy.linalg.solve_banded((bw, bw), ab, rhs)
-    chi = asm.unpermute(chi_p)
-    residual = float(np.linalg.norm(asm.H @ chi - asm.b))
-    return chi, residual
-
-
-def extract_primal_dual(asm: KktAssembly, chi: Array):
-    """Split chi into states (K+1 or K), actions, and multipliers."""
-    n, m, K = asm.n, asm.m, asm.K
-    nv = asm.M.shape[0]
-    states = [chi[i * (n + m):i * (n + m) + n] for i in range(K)]
-    if asm.variant == "full":
-        states.append(chi[K * (n + m):K * (n + m) + n])
-    actions = [chi[i * (n + m) + n:(i + 1) * (n + m)] for i in range(K)]
-    duals = [chi[nv + i * n:nv + (i + 1) * n] for i in range(K + 1)]
-    return states, actions, duals
+    return KktAssembly("hat" if hat else "full", M, N, np.array(perm),
+                       block_slices, n, m, K)

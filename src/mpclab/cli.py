@@ -8,6 +8,7 @@ Exit codes: 0 success; 2 configuration error; 3 solver failure;
 from __future__ import annotations
 
 import fractions
+import functools
 import json
 import os
 import sys
@@ -82,6 +83,19 @@ def _json_body(doc: dict, headers: list[str]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _solver_errors(fn):
+    """Report a numerical failure of any solver as exit 3 with a message."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ftocp.Infeasible, ftocp.SingularKKT,
+                np.linalg.LinAlgError) as exc:
+            click.echo(f"solver failure: {exc}", err=True)
+            sys.exit(EXIT_SOLVER)
+    return run
+
+
 # shared options
 def _instance_options(fn):
     fn = click.option("--preset", type=str, default=None,
@@ -110,17 +124,14 @@ def main():
 
 @main.command()
 @_instance_options
+@_solver_errors
 def solve(preset, instance_file, T, seed, out):
     """Solve the full-horizon problem under the true parameters."""
     inst = _load(preset, instance_file, T, seed)
     cfg = {"cmd": "solve", "preset": preset, "instance": instance_file,
            "T": T, "seed": seed}
     hdr = _headers("solve", cfg)
-    try:
-        opt = engine.solve_opt(inst)
-    except (ftocp.Infeasible, ftocp.SingularKKT) as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    opt = engine.solve_opt(inst)
     _write(out, "solve_trajectory.csv", engine.trajectory_to_csv(opt, hdr))
     _write(out, "solve_summary.json", _json_body(
         {"total_cost": opt.total_cost,
@@ -134,6 +145,7 @@ def solve(preset, instance_file, T, seed, out):
 @click.option("--k", type=int, default=8, help="window length")
 @click.option("--noise-scale", type=NUMBER, default=0.0,
               help="constant forecast-error magnitude")
+@_solver_errors
 def mpc(preset, instance_file, T, seed, out, k, noise_scale):
     """Run the receding-horizon controller and report regret."""
     inst = _load(preset, instance_file, T, seed)
@@ -143,14 +155,10 @@ def mpc(preset, instance_file, T, seed, out, k, noise_scale):
            "T": T, "seed": seed, "k": k, "noise_scale": noise_scale}
     hdr = _headers("mpc", cfg)
     stream = PredictionStream(inst.truth, k, noise_scale, seed=inst.seed)
-    try:
-        law = ftocp.truth_law(inst)
-        opt = engine.solve_opt(inst, law)
-        run = engine.run_mpc(inst, stream, k, _default_rule(inst), opt=opt,
-                             law=law)
-    except (ftocp.Infeasible, ftocp.SingularKKT) as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    law = ftocp.truth_law(inst)
+    opt = engine.solve_opt(inst, law)
+    run = engine.run_mpc(inst, stream, k, _default_rule(inst), opt=opt,
+                         law=law)
     _write(out, "mpc_trajectory.csv", engine.trajectory_to_csv(run, hdr))
     _write(out, "mpc_report.json", _json_body(
         {"cost_alg": run.total_cost, "cost_opt": opt.total_cost,
@@ -164,6 +172,7 @@ def mpc(preset, instance_file, T, seed, out, k, noise_scale):
 @_instance_options
 @click.option("--k", "k_max", type=int, default=12,
               help="largest window length in the sweep")
+@_solver_errors
 def sweep_horizon(preset, instance_file, T, seed, out, k_max):
     """Zero-noise regret as a function of the window length."""
     inst = _load(preset, instance_file, T, seed)
@@ -173,12 +182,8 @@ def sweep_horizon(preset, instance_file, T, seed, out, k_max):
     cfg = {"cmd": "sweep-horizon", "preset": preset,
            "instance": instance_file, "T": T, "seed": seed, "k_max": k_max}
     hdr = _headers("sweep-horizon", cfg)
-    try:
-        res = regret.sweep_horizon(inst, ks, _default_rule(inst),
-                                   seed=inst.seed)
-    except (ftocp.Infeasible, ftocp.SingularKKT) as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    res = regret.sweep_horizon(inst, ks, _default_rule(inst),
+                               seed=inst.seed)
     _write(out, "sweep_horizon.csv", res.to_csv(hdr))
     _write(out, "sweep_horizon.json", _json_body(
         {"slope": res.slope, "r2": res.r2}, hdr))
@@ -190,6 +195,7 @@ def sweep_horizon(preset, instance_file, T, seed, out, k_max):
 @click.option("--k", type=int, default=8, help="window length")
 @click.option("--noise-scale", type=NUMBER, default=0.2,
               help="base noise magnitude; swept over fixed multiples")
+@_solver_errors
 def sweep_noise(preset, instance_file, T, seed, out, k, noise_scale):
     """Regret as a function of the forecast-noise scale."""
     inst = _load(preset, instance_file, T, seed)
@@ -200,13 +206,9 @@ def sweep_noise(preset, instance_file, T, seed, out, k, noise_scale):
     cfg = {"cmd": "sweep-noise", "preset": preset, "instance": instance_file,
            "T": T, "seed": seed, "k": k, "noise_scale": noise_scale}
     hdr = _headers("sweep-noise", cfg)
-    try:
-        res = regret.sweep_noise(inst, lambda t, tau: 1.0 if tau > 0 else 0.0,
-                                 scales, k, _default_rule(inst),
-                                 seed=inst.seed)
-    except (ftocp.Infeasible, ftocp.SingularKKT) as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    res = regret.sweep_noise(inst, lambda t, tau: 1.0 if tau > 0 else 0.0,
+                             scales, k, _default_rule(inst),
+                             seed=inst.seed)
     _write(out, "sweep_noise.csv", res.to_csv(hdr))
     _write(out, "sweep_noise.json", _json_body(
         {"slope": res.slope, "r2": res.r2}, hdr))
@@ -215,6 +217,7 @@ def sweep_noise(preset, instance_file, T, seed, out, k, noise_scale):
 
 @main.command("certify-decay")
 @_instance_options
+@_solver_errors
 def certify_decay(preset, instance_file, T, seed, out):
     """Check the closed-form geometric bound on the inverse saddle blocks."""
     inst = _load(preset, instance_file, T, seed)
@@ -227,17 +230,13 @@ def certify_decay(preset, instance_file, T, seed, out):
     params = [inst.truth[t] for t in range(sys_.T + 1)]
     spec = ftocp.FtocpSpec(0, sys_.T, np.zeros(sys_.n), params,
                            inst.terminal_cost())
-    try:
-        asm = kkt.assemble(spec, sys_)
-        norms, maxima, fit = kkt.block_inverse_profile(asm)
-        sigma = kkt.measured_sigma(inst)
-        bb = sys_.bounds
-        consts = kkt.tracking_decay_constants(
-            bb.mu, bb.ell, bb.a, bb.b, sigma, bb.L_A, bb.L_B, bb.L_Q,
-            bb.L_R, bb.L_P)
-    except (ftocp.SingularKKT, np.linalg.LinAlgError) as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    asm = kkt.assemble(spec, sys_)
+    norms, maxima, fit = kkt.block_inverse_profile(asm)
+    sigma = kkt.measured_sigma(inst)
+    bb = sys_.bounds
+    consts = kkt.tracking_decay_constants(
+        bb.mu, bb.ell, bb.a, bb.b, sigma, bb.L_A, bb.L_B, bb.L_Q,
+        bb.L_R, bb.L_P)
     offsets = np.arange(maxima.shape[0])
     theory = consts.decay_coef * consts.decay_rate ** offsets
     _write(out, "decay_profile.csv",
@@ -260,16 +259,13 @@ def certify_decay(preset, instance_file, T, seed, out):
 @click.option("--eps", type=NUMBER, default=None,
               help="terminal perturbation (fractions like 2/35 accepted)")
 @click.option("--out", type=click.Path(), default="out")
+@_solver_errors
 def inventory_suite(p_values, eps, out):
     """Terminal-perturbation response table for the alternating chain."""
     ps = list(p_values) or [4, 5, 6, 7, 8]
     cfg = {"cmd": "inventory-suite", "p": ps, "eps": eps}
     hdr = _headers("inventory-suite", cfg)
-    try:
-        rows = presets.inventory_counterexample_suite(ps, eps)
-    except (ftocp.Infeasible, ftocp.SingularKKT) as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    rows = presets.inventory_counterexample_suite(ps, eps)
     _write(out, "inventory_suite.csv", presets.suite_to_csv(rows, hdr))
     worst = max(max(abs(r.diff_minus_eps), r.closed_form_err) for r in rows)
     click.echo(f"worst_deviation={worst:.3g}")
@@ -282,6 +278,7 @@ def inventory_suite(p_values, eps, out):
 @click.option("--k", type=int, default=8, help="window length")
 @click.option("--mode", type=click.Choice(["theory", "measured"]),
               default="theory")
+@_solver_errors
 def constants(preset, instance_file, T, seed, out, k, mode):
     """Report the decay/sensitivity constants of an instance."""
     inst = _load(preset, instance_file, T, seed)
@@ -293,38 +290,34 @@ def constants(preset, instance_file, T, seed, out, k, mode):
     cfg = {"cmd": "constants", "preset": preset, "instance": instance_file,
            "T": T, "seed": seed, "k": k, "mode": mode}
     hdr = _headers("constants", cfg)
-    try:
-        sigma = kkt.measured_sigma(inst, k)
-        bb = sys_.bounds
-        consts = kkt.tracking_decay_constants(
-            bb.mu, bb.ell, bb.a, bb.b, sigma, bb.L_A, bb.L_B, bb.L_Q,
-            bb.L_R, bb.L_P)
-        values = {"mode": mode, "sigma": sigma,
-                  "sigma_lo": consts.sigma_lo, "sigma_hi": consts.sigma_hi,
-                  "decay_rate": consts.decay_rate,
-                  "decay_coef": consts.decay_coef,
-                  "diff_coef": consts.diff_coef}
-        if mode == "measured":
-            opt = engine.solve_opt(inst)
-            tables = kkt.measure_gain_tables(
-                inst, k, _default_rule(inst), opt.states,
-                R=max(opt.max_state_norm, 1.0), seed=inst.seed)
-        else:
-            opt = engine.solve_opt(inst)
-            tables = kkt.theory_gain_tables(
-                inst, k, R=max(opt.max_state_norm, 1.0),
-                D_xstar=opt.max_state_norm, sigma=sigma)
-        values["C3"] = tables.C3
-        for tau in range(k + 1):
-            values[f"gain_state_{tau}"] = float(tables.gain_state[tau])
-            values[f"gain_param_{tau}"] = float(tables.gain_param[tau])
-        gen = kkt.general_decay_constants(consts.sigma_lo, consts.sigma_hi,
-                                          bb.ell)
-        values["general_coef"] = gen.coef
-        values["general_rate"] = gen.rate
-    except (ftocp.Infeasible, ftocp.SingularKKT) as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    sigma = kkt.measured_sigma(inst, k)
+    bb = sys_.bounds
+    consts = kkt.tracking_decay_constants(
+        bb.mu, bb.ell, bb.a, bb.b, sigma, bb.L_A, bb.L_B, bb.L_Q,
+        bb.L_R, bb.L_P)
+    values = {"mode": mode, "sigma": sigma,
+              "sigma_lo": consts.sigma_lo, "sigma_hi": consts.sigma_hi,
+              "decay_rate": consts.decay_rate,
+              "decay_coef": consts.decay_coef,
+              "diff_coef": consts.diff_coef}
+    if mode == "measured":
+        opt = engine.solve_opt(inst)
+        tables = kkt.measure_gain_tables(
+            inst, k, _default_rule(inst), opt.states,
+            R=max(opt.max_state_norm, 1.0), seed=inst.seed)
+    else:
+        opt = engine.solve_opt(inst)
+        tables = kkt.theory_gain_tables(
+            inst, k, R=max(opt.max_state_norm, 1.0),
+            D_xstar=opt.max_state_norm, sigma=sigma)
+    values["C3"] = tables.C3
+    for tau in range(k + 1):
+        values[f"gain_state_{tau}"] = float(tables.gain_state[tau])
+        values[f"gain_param_{tau}"] = float(tables.gain_param[tau])
+    gen = kkt.general_decay_constants(consts.sigma_lo, consts.sigma_hi,
+                                      bb.ell)
+    values["general_coef"] = gen.coef
+    values["general_rate"] = gen.rate
     body = kkt.constants_to_text(values, hdr)
     _write(out, "constants.txt", body)
     click.echo(body, nl=False)

@@ -2,14 +2,11 @@
 
 Two problem classes are supported exactly:
 
-- time-varying linear dynamics with quadratic costs (saddle-point solve on
-  the permuted block-tridiagonal system), and
+- time-varying linear dynamics with quadratic costs: one backward Riccati
+  pass (``continuation_law``) gives the optimal affine feedback of a window
+  with a quadratic, zero or pinned terminal, and a forward rollout gives the
+  solution, its multipliers and its KKT residual;
 - the constrained scalar stock chain (primal active-set QP).
-
-The tail of a linear-quadratic problem under fixed parameters and a quadratic
-(or zero) terminal cost has a structured solution: one backward Riccati pass
-gives the affine optimal law u_t = K_t x + k_t for every step
-(``continuation_law``).
 """
 
 from __future__ import annotations
@@ -26,7 +23,8 @@ Array = np.ndarray
 
 
 class SingularKKT(RuntimeError):
-    """The saddle system is singular (e.g. the instance is uncontrollable)."""
+    """The window's optimality system is singular, or its pinned terminal
+    state is unreachable (e.g. the instance is uncontrollable)."""
 
 
 class Infeasible(RuntimeError):
@@ -90,46 +88,19 @@ class FtocpSolution:
 # ---------------------------------------------------------------------------
 
 def window_matrices(spec: FtocpSpec, system) -> _assembly.WindowMatrices:
-    A, B, w, Q, R, xbar = [], [], [], [], [], []
-    for i in range(spec.K):
-        Ai, Bi, wi, Qi, Ri, xbi = system.step_data(spec.t1 + i, spec.params[i])
-        A.append(np.atleast_2d(Ai))
-        B.append(np.atleast_2d(Bi))
-        w.append(np.atleast_1d(wi))
-        Q.append(np.atleast_2d(Qi))
-        R.append(np.atleast_2d(Ri))
-        xbar.append(np.atleast_1d(xbi))
-    return _assembly.WindowMatrices(A, B, w, Q, R, xbar, spec.terminal,
-                                    system.n, system.m)
+    n, m, K = system.n, system.m, spec.K
+    A, B, Q = np.empty((K, n, n)), np.empty((K, n, m)), np.empty((K, n, n))
+    R, w, xbar = np.empty((K, m, m)), np.empty((K, n)), np.empty((K, n))
+    for i in range(K):
+        A[i], B[i], w[i], Q[i], R[i], xbar[i] = system.step_data(
+            spec.t1 + i, spec.params[i])
+    return _assembly.WindowMatrices(A, B, w, Q, R, xbar, spec.terminal, n, m)
 
 
 def solve_quadratic(spec: FtocpSpec, system) -> FtocpSolution:
     """Exact minimizer of the windowed linear-quadratic problem."""
-    n = system.n
-    if spec.K == 0:
-        return FtocpSolution(
-            spec.t1, spec.t2, np.array([spec.z]),
-            np.zeros((0, system.m)), np.zeros((1, n)),
-            spec.terminal.value(spec.z), 0.0)
-    wm = window_matrices(spec, system)
-    asm = _assembly.assemble_window(wm)
-    _assembly.set_initial_state(asm, spec.z)
-    try:
-        chi, residual = _assembly.solve_assembly(asm)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKKT(str(exc)) from exc
-    if not np.all(np.isfinite(chi)):
-        raise SingularKKT("non-finite solution")
-    states, actions, duals = _assembly.extract_primal_dual(asm, chi)
-    if asm.variant == "hat":
-        last = wm.A[-1] @ states[-1] + wm.B[-1] @ actions[-1] + wm.w[-1]
-        states = states + [last]
-    states = np.array(states)
-    actions = np.array(actions)
-    value = _lq_value(np.array(wm.Q), np.array(wm.R), np.array(wm.xbar),
-                      spec.terminal, states, actions)
-    return FtocpSolution(spec.t1, spec.t2, states, actions,
-                         np.array(duals), value, residual)
+    law = continuation_law(system, spec.params, spec.terminal, spec.t1)
+    return law.solution(0, spec.z)
 
 
 def _lq_value(Q: Array, R: Array, xbar: Array, terminal: TerminalCost,
@@ -311,112 +282,160 @@ def solve_inventory(spec: FtocpSpec, system: InventorySystem) -> FtocpSolution:
 
 @dataclasses.dataclass(frozen=True)
 class ContinuationLaw:
-    """Optimal affine feedback u_t = K_t x + k_t of a linear-quadratic problem
-    on steps 0..T with fixed parameters and a quadratic or zero terminal.
+    """Optimal feedback of a linear-quadratic problem on the steps
+    t1 .. t1 + T with fixed parameters and a quadratic, zero or pinned
+    terminal.  Offsets t = 0 .. T count from t1.
 
-    The cost-to-go from x at step t is x'P_t x - 2 p_t'x + const, and the
-    multipliers of the saddle system of the window [t, T] are
-    eta_s = p_s - P_s y_s.  Step data are stacked per step: A (T, n, n),
-    B (T, n, m), w (T, n), Q (T, n, n), R (T, m, m), xbar (T, n).
+    The state is lifted to s = (x, 1), or s = (x, 1, nu) for a pinned
+    terminal x_T = target, where nu is the multiplier of the pin and stays
+    constant along the window.  Then the stage cost, the dynamics and the
+    terminal data (2 nu'(x_T - target) for a pin) are quadratic and linear
+    in s, the cost-to-go from offset t is s'P_t s, the optimal action is
+    u_t = G_t s_t and the optimal lifted state follows
+    s_{t+1} = closed_loop_t s_t.  For a pin, nu maximizes s'P_t s, which is
+    a solve with the n x n nu-block of P_t.  The multipliers of the saddle
+    system of the window are eta_t = -(P_t s_t)[:n].
     """
 
-    A: Array
-    B: Array
-    w: Array
-    Q: Array
-    R: Array
-    xbar: Array
-    terminal: TerminalCost
-    P: Array            # (T+1, n, n)
-    p: Array            # (T+1, n)
-    K: Array            # (T, m, n)
-    k: Array            # (T, m)
-    closed_loop: Array  # (T, n, n), A_t + B_t K_t
+    t1: int
+    data: _assembly.WindowMatrices   # step data by offset, and the terminal
+    P: Array            # (T+1, d, d)
+    G: Array            # (T, m, d)
+    closed_loop: Array  # (T, d, d)
 
     @property
     def T(self) -> int:
-        return self.K.shape[0]
+        return self.G.shape[0]
 
     def action(self, t: int, x: Array) -> Array:
-        """Optimal action at step t from state x."""
-        return self.K[t] @ x + self.k[t]
+        """Optimal action at offset t from state x.  A pinned window is
+        rolled out, so that an unreachable target raises SingularKKT."""
+        if self.data.terminal.kind == "indicator":
+            return self.G[t] @ self._rollout(t, x)[0]
+        return self.G[t] @ self._lift(t, x)
+
+    def _lift(self, t: int, x: Array) -> Array:
+        """Lifted state (x, 1) at offset t, or (x, 1, nu) for a pin."""
+        n, d = self.data.n, self.P.shape[1]
+        s = np.concatenate((x, [1.0], np.zeros(d - n - 1)))
+        if d > n + 1:
+            Pt = self.P[t]
+            try:
+                s[n + 1:] = np.linalg.solve(Pt[n + 1:, n + 1:],
+                                            -Pt[n + 1:, :n + 1] @ s[:n + 1])
+            except np.linalg.LinAlgError as exc:
+                raise SingularKKT(
+                    f"pinned terminal unreachable from step {self.t1 + t}"
+                ) from exc
+        return s
+
+    def _rollout(self, t: int, x: Array) -> Array:
+        """Lifted optimal states s_t .. s_T from x at offset t."""
+        x = np.atleast_1d(np.asarray(x, float))
+        lifted = np.empty((self.T - t + 1, self.P.shape[1]))
+        lifted[0] = self._lift(t, x)
+        for i, step in enumerate(self.closed_loop[t:]):
+            lifted[i + 1] = step @ lifted[i]
+        term, n = self.data.terminal, self.data.n
+        if term.kind == "indicator":
+            miss = float(np.linalg.norm(lifted[-1, :n] - term.target))
+            if not miss <= 1e-6 * (1.0 + np.linalg.norm(term.target)
+                                   + np.linalg.norm(x)):
+                raise SingularKKT(
+                    f"pinned terminal unreachable from step {self.t1 + t}: "
+                    f"the rollout misses it by {miss:.3g}")
+        return lifted
 
     def solution(self, t: int, x: Array) -> FtocpSolution:
-        """Optimal continuation of the window [t, T] from x, with the same
-        duals and KKT residual as the saddle solve of that window."""
-        T, n = self.T, self.P.shape[1]
-        states = np.empty((T - t + 1, n))
-        actions = np.empty((T - t, self.K.shape[1]))
-        states[0] = np.atleast_1d(np.asarray(x, float))
-        for i, s in enumerate(range(t, T)):
-            actions[i] = self.K[s] @ states[i] + self.k[s]
-            states[i + 1] = (self.A[s] @ states[i] + self.B[s] @ actions[i]
-                             + self.w[s])
-        duals = self.p[t:] - np.einsum("tij,tj->ti", self.P[t:], states)
-        value = _lq_value(self.Q[t:], self.R[t:], self.xbar[t:],
-                          self.terminal, states, actions)
-        return FtocpSolution(t, T, states, actions, duals, value,
+        """Optimal solution of the window [t, T] from x, with the saddle
+        system's multipliers and KKT residual."""
+        lifted = self._rollout(t, x)
+        wm = self.data
+        states = lifted[:, :wm.n].copy()
+        actions = np.einsum("tij,tj->ti", self.G[t:], lifted[:-1])
+        duals = -np.einsum("tij,tj->ti", self.P[t:, :wm.n], lifted)
+        value = _lq_value(wm.Q[t:], wm.R[t:], wm.xbar[t:], wm.terminal,
+                          states, actions)
+        return FtocpSolution(self.t1 + t, self.t1 + self.T, states, actions,
+                             duals, value,
                              self._kkt_residual(t, states, actions, duals))
 
     def _kkt_residual(self, t, states, actions, duals) -> float:
         """||H chi - b|| of the window [t, T], block by block: stationarity
-        in y_s, v_s and y_T, then the dynamics rows (the initial-state pin
-        holds exactly)."""
-        A, B, Q = self.A[t:], self.B[t:], self.Q[t:]
+        in y_s and v_s, the terminal row (stationarity in y_T, or the pin),
+        then the dynamics rows (the initial-state pin holds exactly)."""
+        wm = self.data
+        A, B, term = wm.A[t:], wm.B[t:], wm.terminal
         y, nxt = states[:-1], duals[1:]
-        r_y = (np.einsum("tij,tj->ti", Q, y - self.xbar[t:]) + duals[:-1]
-               - np.einsum("tji,tj->ti", A, nxt))
-        r_v = (np.einsum("tij,tj->ti", self.R[t:], actions)
+        r_y = (np.einsum("tij,tj->ti", wm.Q[t:], y - wm.xbar[t:])
+               + duals[:-1] - np.einsum("tji,tj->ti", A, nxt))
+        r_v = (np.einsum("tij,tj->ti", wm.R[t:], actions)
                - np.einsum("tji,tj->ti", B, nxt))
-        r_T = self.P[-1] @ states[-1] + duals[-1] - self.p[-1]
+        if term.kind == "indicator":
+            r_T = states[-1] - term.target
+        else:
+            r_T = term.P @ (states[-1] - term.xbar) + duals[-1]
         r_dyn = (states[1:] - np.einsum("tij,tj->ti", A, y)
-                 - np.einsum("tij,tj->ti", B, actions) - self.w[t:])
+                 - np.einsum("tij,tj->ti", B, actions) - wm.w[t:])
         return float(np.sqrt(sum(float(np.sum(r * r))
                                   for r in (r_y, r_v, r_T, r_dyn))))
 
 
-def continuation_law(system, params: Sequence[Array],
-                     terminal: TerminalCost) -> ContinuationLaw:
-    """One backward Riccati pass over steps 0..T = len(params) - 1.
+def _lifted_cost(Q: Array, xbar: Array, d: int) -> Array:
+    """C with s'C s = (x - xbar)'Q(x - xbar) for s = (x, 1, ...); Q and xbar
+    may be stacked."""
+    n = xbar.shape[-1]
+    Qx = np.einsum("...ij,...j->...i", Q, xbar)
+    C = np.zeros(Q.shape[:-2] + (d, d))
+    C[..., :n, :n] = Q
+    C[..., :n, n] = C[..., n, :n] = -Qx
+    C[..., n, n] = np.einsum("...i,...i->...", xbar, Qx)
+    return C
+
+
+def continuation_law(system, params: Sequence[Array], terminal: TerminalCost,
+                     t1: int = 0) -> ContinuationLaw:
+    """One backward Riccati pass over the steps t1 .. t1 + T, where
+    T = len(params) - 1 and params[i] parameterizes step t1 + i.
 
     Raises SingularKKT when some R_t + B_t'P_{t+1}B_t is singular or a gain
     is not finite.
     """
-    if terminal.kind == "indicator":
-        raise ValueError("continuation law needs a quadratic or zero terminal")
     T = len(params) - 1
-    n, m = system.n, system.m
-    wm = window_matrices(FtocpSpec(0, T, np.zeros(n), params, terminal),
-                         system)
-    A, B, w = np.array(wm.A), np.array(wm.B), np.array(wm.w)
-    Q, R, xbar = np.array(wm.Q), np.array(wm.R), np.array(wm.xbar)
-    P = np.empty((T + 1, n, n))
-    p = np.empty((T + 1, n))
-    K = np.empty((T, m, n))
-    k = np.empty((T, m))
-    closed = np.empty((T, n, n))
-    if terminal.kind == "quadratic":
-        P[T], p[T] = terminal.P, terminal.P @ terminal.xbar
+    wm = window_matrices(FtocpSpec(t1, t1 + T, np.zeros(system.n), params,
+                                   terminal), system)
+    n, m = wm.n, wm.m
+    d = 2 * n + 1 if terminal.kind == "indicator" else n + 1
+    # lifted dynamics s_{t+1} = F_t (s_t, u_t) and stage cost
+    # (s_t, u_t)'C_t (s_t, u_t)
+    F = np.zeros((T, d, d + m))
+    F[:, :n, :n] = wm.A
+    F[:, :n, n] = wm.w
+    F[:, n:, n:d] = np.eye(d - n)
+    F[:, :n, d:] = wm.B
+    C = np.zeros((T, d + m, d + m))
+    C[:, :d, :d] = _lifted_cost(wm.Q, wm.xbar, d)
+    C[:, d:, d:] = wm.R
+    P = np.zeros((T + 1, d, d))
+    if terminal.kind == "indicator":
+        P[T, :n, n + 1:] = P[T, n + 1:, :n] = np.eye(n)
+        P[T, n, n + 1:] = P[T, n + 1:, n] = -terminal.target
     else:
-        P[T], p[T] = 0.0, 0.0
+        P[T] = _lifted_cost(terminal.P, terminal.xbar, d)
+    G = np.empty((T, m, d))
     for t in reversed(range(T)):
-        PB = P[t + 1] @ B[t]
-        S = R[t] + B[t].T @ PB
-        rhs = np.column_stack([PB.T @ A[t],
-                               B[t].T @ (P[t + 1] @ w[t] - p[t + 1])])
+        W = C[t] + F[t].T @ P[t + 1] @ F[t]
         try:
-            gains = -np.linalg.solve(S, rhs)
+            G[t] = -np.linalg.solve(W[d:, d:], W[d:, :d])
         except np.linalg.LinAlgError as exc:
-            raise SingularKKT(f"singular R + B'PB at step {t}") from exc
-        if not np.all(np.isfinite(gains)):
-            raise SingularKKT(f"non-finite gain at step {t}")
-        K[t], k[t] = gains[:, :n], gains[:, n]
-        closed[t] = A[t] + B[t] @ K[t]
-        Pt = Q[t] + A[t].T @ P[t + 1] @ closed[t]
+            raise SingularKKT(f"singular R + B'PB at step {t1 + t}") from exc
+        Pt = W[:d, :d] + W[:d, d:] @ G[t]
         P[t] = 0.5 * (Pt + Pt.T)
-        p[t] = Q[t] @ xbar[t] + A[t].T @ (p[t + 1]
-                                          - P[t + 1] @ (B[t] @ k[t] + w[t]))
-    return ContinuationLaw(A, B, w, Q, R, xbar, terminal, P, p, K, k, closed)
+    bad = np.flatnonzero(~np.isfinite(G).all(axis=(1, 2)))
+    if bad.size:
+        raise SingularKKT(f"non-finite gain at step {t1 + int(bad.max())}")
+    closed_loop = F[:, :, :d] + F[:, :, d:] @ G
+    return ContinuationLaw(t1, wm, P, G, closed_loop)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,8 @@ KktAssembly = _assembly.KktAssembly
 
 
 def assemble(spec: ftocp.FtocpSpec, system) -> KktAssembly:
-    """Assembled saddle system of a windowed problem, with initial state set."""
-    wm = ftocp.window_matrices(spec, system)
-    asm = _assembly.assemble_window(wm)
-    _assembly.set_initial_state(asm, spec.z)
-    return asm
+    """Assembled saddle matrix of a windowed problem."""
+    return _assembly.assemble_window(ftocp.window_matrices(spec, system))
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +257,14 @@ class GainTables:
                 "gain_init": self.gain_init.tolist()}
 
 
-def _fd_first_action(spec_builder, base, idx, step, system):
-    hi = base.copy()
-    lo = base.copy()
-    hi[idx] += step
-    lo[idx] -= step
-    sol_hi = ftocp.solve(spec_builder(hi), system)
-    sol_lo = ftocp.solve(spec_builder(lo), system)
-    return (sol_hi.first_action - sol_lo.first_action) / (2 * step)
+def _window_action_jacobians(instance, t, t2, zs, terminal_builder,
+                             include_terminal_target=True) -> Array:
+    """Spectral norms of the Jacobians of the committed action w.r.t. each
+    window parameter (and, for pinned terminals, the terminal target), by
+    offset; row i is taken at the initial state zs[i].
 
-
-def _window_action_jacobians(instance, t, t2, z, terminal_builder,
-                             include_terminal_target=True):
-    """Jacobians of the committed action w.r.t. each window parameter (and,
-    for pinned terminals, the terminal target), as a dict offset -> norm.
-
+    The continuation law of a window does not depend on its initial state,
+    so each perturbed window's law is built once and read at every state.
     ``terminal_builder(params)`` rebuilds the terminal cost from the window
     parameters, so terminal data that depends on the forecast is
     differentiated through.
@@ -284,40 +274,39 @@ def _window_action_jacobians(instance, t, t2, z, terminal_builder,
     base = np.concatenate([truth[s] for s in range(t, t2 + 1)])
     dims = [truth[s].shape[0] for s in range(t, t2 + 1)]
     splits = np.cumsum(dims)[:-1]
-
-    def spec_from_params(flat):
-        params = np.split(flat, splits)
-        return ftocp.FtocpSpec(t, t2, z, params, terminal_builder(params))
-
-    step = 1e-5 * (1.0 + float(np.linalg.norm(base)))
-    out = {}
-    pos = 0
-    for tau, d in enumerate(dims):
-        cols = [_fd_first_action(spec_from_params, base, pos + i, step, sys)
-                for i in range(d)]
-        J = np.stack(cols, axis=-1)
-        out[tau] = max(out.get(tau, 0.0), float(np.linalg.norm(J, 2)))
-        pos += d
     base_params = np.split(base, splits)
+
+    def first_actions(params, terminal):
+        law = ftocp.continuation_law(sys, params, terminal, t)
+        return np.array([law.action(0, z) for z in zs])
+
+    def from_flat(flat):
+        params = np.split(flat, splits)
+        return first_actions(params, terminal_builder(params))
+
+    def norms(f, x0, idx, step):
+        cols = []
+        for i in idx:
+            hi = x0.copy()
+            lo = x0.copy()
+            hi[i] += step
+            lo[i] -= step
+            cols.append((f(hi) - f(lo)) / (2 * step))
+        return np.linalg.norm(np.stack(cols, axis=-1), 2, axis=(1, 2))
+
+    out = np.zeros((len(zs), t2 - t + 1))
+    step = 1e-5 * (1.0 + float(np.linalg.norm(base)))
+    for tau, stop in enumerate(np.cumsum(dims)):
+        out[:, tau] = norms(from_flat, base, range(stop - dims[tau], stop),
+                            step)
     terminal = terminal_builder(base_params)
     if include_terminal_target and terminal.kind == "indicator":
         # the pinned target itself is a perturbable datum at the far offset
         tgt = terminal.target
-        stepz = 1e-5 * (1.0 + float(np.linalg.norm(tgt)))
-        cols = []
-        for i in range(tgt.shape[0]):
-            hi = tgt.copy()
-            lo = tgt.copy()
-            hi[i] += stepz
-            lo[i] -= stepz
-            sh = ftocp.solve(ftocp.FtocpSpec(t, t2, z, base_params,
-                                             TerminalCost.indicator(hi)), sys)
-            sl = ftocp.solve(ftocp.FtocpSpec(t, t2, z, base_params,
-                                             TerminalCost.indicator(lo)), sys)
-            cols.append((sh.first_action - sl.first_action) / (2 * stepz))
-        J = np.stack(cols, axis=-1)
-        off = t2 - t
-        out[off] = max(out.get(off, 0.0), float(np.linalg.norm(J, 2)))
+        step_tgt = 1e-5 * (1.0 + float(np.linalg.norm(tgt)))
+        out[:, -1] = np.maximum(out[:, -1], norms(
+            lambda v: first_actions(base_params, TerminalCost.indicator(v)),
+            tgt, range(tgt.shape[0]), step_tgt))
     return out
 
 
@@ -326,15 +315,18 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw, t: int) -> Array:
 
     The continuation is affine in z, so the Jacobians are the closed-loop
     transition products Phi_h = (A + BK)_{t+h-1} ... (A + BK)_t and
-    K_{t+h} Phi_h.
+    K_{t+h} Phi_h, the state blocks of the law's lifted closed loop and
+    gains.
     """
-    Phi = [np.eye(law.closed_loop.shape[1])]
-    for s in range(t, law.T):
-        Phi.append(law.closed_loop[s] @ Phi[-1])
+    n = law.data.n
+    Phi = [np.eye(n)]
+    for closed in law.closed_loop[t:, :n, :n]:
+        Phi.append(closed @ Phi[-1])
     Phi = np.array(Phi)
+    K = law.G[t:, :, :n]
     norms = np.linalg.norm(Phi, 2, axis=(1, 2))
     norms[:-1] = np.maximum(
-        norms[:-1], np.linalg.norm(law.K[t:] @ Phi[:-1], 2, axis=(1, 2)))
+        norms[:-1], np.linalg.norm(K @ Phi[:-1], 2, axis=(1, 2)))
     return norms
 
 
@@ -351,12 +343,14 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     actually performs.
 
     The parameter tables gain_param and gain_state are per-coordinate
-    central differences of window re-solves.  The windowed solution of a
-    linear-quadratic problem is affine in the stacked parameters, so these
-    recover the exact Jacobians; the envelopes then upper-bound any realized
-    deviation by the triangle inequality.  The gain_init table is exact: the
-    products of the closed-loop matrices A_t + B_t K_t of the instance's
-    continuation law.
+    central differences of the window's first action.  For the disturbance
+    family the windowed solution is affine in the stacked parameters, so the
+    differences are its exact Jacobians and the envelopes upper-bound any
+    realized deviation by the triangle inequality.  The other families put
+    the parameters inside A and B, where the map is not affine: there the
+    differences measure its local slope at the true parameters.  The
+    gain_init table is exact: the products of the closed-loop matrices
+    A_t + B_t K_t of the instance's continuation law.
     """
     sys = instance.system
     if sys.kind == "inventory":
@@ -371,32 +365,24 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
         def terminal_builder(params, _t=t, _t2=t2):
             return terminal_rule.build(instance, _t, _t2, params)
 
-        z0 = np.zeros(sys.n)
-        base_jac = _window_action_jacobians(instance, t, t2, z0,
-                                            terminal_builder,
-                                            include_terminal_target)
-        for off, val in base_jac.items():
-            gp[off] = max(gp[off], val)
-        if sys.kind == "disturbance":
-            # the solution map is affine with a state-independent parameter
-            # Jacobian, so the state-coupled envelope is identically zero
-            continue
-        xstar = np.atleast_1d(opt_states[t])
-        z_list = [xstar] if np.linalg.norm(xstar) > 1e-12 else []
-        for _ in range(max(0, state_samples - len(z_list))):
-            d = rng.normal(size=sys.n)
-            d *= R / max(np.linalg.norm(d), 1e-12)
-            z_list.append(xstar + d)
-        for z in z_list:
-            znorm = float(np.linalg.norm(z))
-            if znorm < 1e-12:
-                continue
-            jac = _window_action_jacobians(instance, t, t2, z,
-                                           terminal_builder,
-                                           include_terminal_target)
-            for off, val in jac.items():
-                gs[off] = max(gs[off], max(0.0, val - base_jac.get(off, 0.0))
-                              / znorm)
+        zs = [np.zeros(sys.n)]
+        # the disturbance family's parameter Jacobian does not depend on the
+        # state, so its state-coupled envelope is identically zero
+        if sys.kind != "disturbance":
+            xstar = np.atleast_1d(opt_states[t])
+            z_list = [xstar] if np.linalg.norm(xstar) > 1e-12 else []
+            for _ in range(max(0, state_samples - len(z_list))):
+                d = rng.normal(size=sys.n)
+                d *= R / max(np.linalg.norm(d), 1e-12)
+                z_list.append(xstar + d)
+            zs += [z for z in z_list if np.linalg.norm(z) >= 1e-12]
+        jac = _window_action_jacobians(instance, t, t2, zs, terminal_builder,
+                                       include_terminal_target)
+        width = t2 - t + 1
+        gp[:width] = np.maximum(gp[:width], jac[0])
+        for z, row in zip(zs[1:], jac[1:]):
+            gs[:width] = np.maximum(gs[:width], np.maximum(0.0, row - jac[0])
+                                    / float(np.linalg.norm(z)))
     law = ftocp.truth_law(instance)
     gi = np.zeros(T + 1)
     for t in range(0, T + 1, t_stride):

@@ -278,12 +278,6 @@ class LinearQuadraticSystem:
         return float(np.hypot(self.bounds.a, self.bounds.b))
 
 
-class QuadraticTrackingSystem(LinearQuadraticSystem):
-    """General family: dynamics, costs and references all parameter-dependent."""
-
-    kind = "tracking"
-
-
 class DisturbanceOnlySystem(LinearQuadraticSystem):
     """Fixed known dynamics and costs minimized at 0; only the additive
     disturbance depends on the parameter."""

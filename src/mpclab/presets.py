@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ftocp, kkt
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    ParamBox, ParamSeq, QuadraticTrackingSystem, TerminalCost)
+                    LinearQuadraticSystem, ParamBox, ParamSeq, TerminalCost)
 
 Array = np.ndarray
 
@@ -55,7 +55,7 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
     def dev(xi):
         return float(np.atleast_1d(xi)[0]) - 0.5
 
-    system = QuadraticTrackingSystem(
+    system = LinearQuadraticSystem(
         n, m, T,
         A=lambda t, xi: A0[t] + dev(xi) * 0.2 * Ad[t],
         B=lambda t, xi: B0[t] + dev(xi) * 0.2 * Bd[t],
@@ -171,7 +171,7 @@ def _norm_bounds_over_box(mat_fn, box: ParamBox, grid: int = 50):
 
 
 def pendulum_system(M_lo: float = 0.4, M_hi: float = 0.6, T: int = 30,
-                    **phys) -> QuadraticTrackingSystem:
+                    **phys) -> LinearQuadraticSystem:
     p = {**PENDULUM_DEFAULTS, **phys}
     box = ParamBox(np.array([M_lo]), np.array([M_hi]))
 
@@ -184,7 +184,7 @@ def pendulum_system(M_lo: float = 0.4, M_hi: float = 0.6, T: int = 30,
     a, L_A = _norm_bounds_over_box(Afn, box)
     b, L_B = _norm_bounds_over_box(Bfn, box)
     eye4 = np.eye(4)
-    return QuadraticTrackingSystem(
+    return LinearQuadraticSystem(
         4, 1, T,
         A=lambda t, xi: Afn(xi), B=lambda t, xi: Bfn(xi),
         w=lambda t, xi: np.zeros(4),
@@ -230,7 +230,7 @@ def grid_matrices(m_val: float, *, L: Array, D: Array,
 
 
 def grid_system(n_nodes: int = 3, delta: float = 0.1, m_lo: float = 1.0,
-                m_hi: float = 2.0, T: int = 30) -> QuadraticTrackingSystem:
+                m_hi: float = 2.0, T: int = 30) -> LinearQuadraticSystem:
     L = path_laplacian(n_nodes)
     D = np.eye(n_nodes)
     box = ParamBox(np.array([m_lo]), np.array([m_hi]))
@@ -247,7 +247,7 @@ def grid_system(n_nodes: int = 3, delta: float = 0.1, m_lo: float = 1.0,
     b, L_B = _norm_bounds_over_box(Bfn, box)
     n2 = 2 * n_nodes
     eyeN = np.eye(n2)
-    return QuadraticTrackingSystem(
+    return LinearQuadraticSystem(
         n2, n_nodes, T,
         A=lambda t, xi: Afn(xi), B=lambda t, xi: Bfn(xi),
         w=lambda t, xi: np.zeros(n2),

@@ -42,7 +42,10 @@ def lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal):
 
     ``terminal`` is ("quadratic", P, xbar), ("indicator", target) or ("zero",).
     Variables are stacked (x_0, u_0, x_1, u_1, ..., x_K).  Returns the stacked
-    states (K+1, n) and actions (K, m).
+    states (K+1, n), actions (K, m) and the multipliers of the constraint rows
+    (K+1, n), or (K+2, n) with the terminal pin: the initial pin, the dynamics
+    rows x_{t+1} - A_t x_t - B_t u_t = w_t, then the pin, in the scaling of
+    ``qp_equality_oracle`` (the gradient of the full cost).
     """
     K = len(As)
     n = z.shape[0]
@@ -82,10 +85,10 @@ def lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal):
         rhs.append(np.asarray(terminal[1], float))
     G = np.vstack(rows)
     h = np.concatenate(rhs)
-    sol, _ = qp_equality_oracle(P, q, G, h)
+    sol, lam = qp_equality_oracle(P, q, G, h)
     states = np.array([sol[xi(i):xi(i) + n] for i in range(K + 1)])
     actions = np.array([sol[ui(i):ui(i) + m] for i in range(K)])
-    return states, actions
+    return states, actions, lam.reshape(-1, n)
 
 
 def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,

@@ -3,10 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mpclab import cli
+from mpclab import cli, engine, ftocp
 
 
 @pytest.fixture
@@ -101,6 +102,28 @@ class TestSolverFailures:
                                        "--out", str(tmp_path)])
         assert res.exit_code == 3
         assert "solver failure" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ["mpc", "--preset", "pendulum", "--T", "20", "--k", "2"],
+        ["mpc", "--preset", "tracking-rand", "--T", "20", "--k", "1"],
+        ["sweep-horizon", "--preset", "pendulum", "--T", "12", "--k", "6"]])
+    def test_unreachable_pinned_window_exits_3(self, runner, tmp_path, args):
+        res = runner.invoke(cli.main, args + ["--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "solver failure: pinned terminal unreachable" in res.output
+
+    @pytest.mark.parametrize("error", [ftocp.Infeasible, ftocp.SingularKKT,
+                                       np.linalg.LinAlgError])
+    def test_every_solver_error_exits_3(self, runner, tmp_path, monkeypatch,
+                                        error):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(engine, "solve_opt", fail)
+        res = runner.invoke(cli.main, ["solve", "--preset", "pendulum",
+                                       "--T", "10", "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "solver failure: boom" in res.output
 
 
 class TestInstanceFiles:

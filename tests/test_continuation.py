@@ -41,42 +41,66 @@ def random_system(rng, n, m, T, R=None):
         param_box=ParamBox(np.zeros(1), np.ones(1)))
 
 
-def oracle_continuation(system, params, terminal, t, z):
-    """States and actions of the window [t, T] from the null-space oracle."""
+def oracle_continuation(system, params, terminal, t, z, t1=0):
+    """States, actions and multipliers of the window [t1 + t, t1 + T] from
+    the null-space oracle; params[i] parameterizes step t1 + i."""
     T = len(params) - 1
-    data = [system.step_data(s, params[s]) for s in range(t, T)]
-    term = (("quadratic", terminal.P, terminal.xbar)
-            if terminal.kind == "quadratic" else ("zero",))
+    data = [system.step_data(t1 + s, params[s]) for s in range(t, T)]
+    if terminal.kind == "quadratic":
+        term = ("quadratic", terminal.P, terminal.xbar)
+    elif terminal.kind == "indicator":
+        term = ("indicator", terminal.target)
+    else:
+        term = ("zero",)
     return oracles.lq_ocp_oracle(*[[d[i] for d in data] for i in range(6)],
                                  np.asarray(z, float), term)
+
+
+def trajectory_cost(system, params, terminal, t, t1, states, actions):
+    """Objective of a trajectory of the window [t1 + t, t1 + T]."""
+    value = terminal.value(states[-1]) if terminal.kind != "indicator" else 0.0
+    for i, s in enumerate(range(t, len(params) - 1)):
+        _, _, _, Q, R, xbar = system.step_data(t1 + s, params[s])
+        d = states[i] - xbar
+        value += float(d @ Q @ d + actions[i] @ R @ actions[i])
+    return value
 
 
 def rel_err(got, want):
     return float(np.max(np.abs(got - want))) / max(1.0, np.abs(want).max())
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), m=st.integers(1, 2), T=st.integers(2, 30),
-       quadratic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-       data=st.data())
-def test_law_matches_oracle(n, m, T, quadratic, seed, data):
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 2),
+       kind=st.sampled_from(["quadratic", "zero", "indicator"]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_law_matches_oracle(n, m, kind, seed, data):
+    # a pinned window needs K*m >= n steps to reach its target
+    need = -(-n // m) if kind == "indicator" else 1
+    T = data.draw(st.integers(max(2, need), 30), label="T")
+    t1 = data.draw(st.integers(0, T - need), label="t1")
+    t = data.draw(st.integers(0, T - t1 - need), label="t")
     rng = np.random.default_rng(seed)
     system = random_system(rng, n, m, T)
-    params = [np.zeros(1)] * (T + 1)
-    terminal = (TerminalCost.quadratic(_spd(rng, n), rng.normal(size=n))
-                if quadratic else TerminalCost.zero(n))
-    t = data.draw(st.integers(0, T - 1), label="t")
+    params = [np.zeros(1)] * (T - t1 + 1)
+    terminal = {"quadratic": lambda: TerminalCost.quadratic(
+                    _spd(rng, n), rng.normal(size=n)),
+                "zero": lambda: TerminalCost.zero(n),
+                "indicator": lambda: TerminalCost.indicator(
+                    rng.normal(size=n))}[kind]()
     x = rng.normal(size=n)
-    sol = ftocp.continuation_law(system, params, terminal).solution(t, x)
-    so, ao = oracle_continuation(system, params, terminal, t, x)
-    assert (sol.t1, sol.t2) == (t, T)
+    law = ftocp.continuation_law(system, params, terminal, t1)
+    sol = law.solution(t, x)
+    so, ao, lam = oracle_continuation(system, params, terminal, t, x, t1)
+    assert (sol.t1, sol.t2) == (t1 + t, T)
     assert rel_err(sol.states, so) <= 1e-9
     assert rel_err(sol.actions, ao) <= 1e-9
+    assert rel_err(law.action(t, x), ao[0]) <= 1e-9
+    # saddle multipliers are half the oracle's (initial pin, dynamics rows)
+    assert rel_err(sol.duals, lam[:T - t1 - t + 1] / 2) <= 1e-9
     assert sol.kkt_residual <= 1e-8
-    saddle = ftocp.solve_quadratic(FtocpSpec(t, T, x, params[t:], terminal),
-                                   system)
-    assert rel_err(sol.duals, saddle.duals) <= 1e-9
-    assert sol.value == pytest.approx(saddle.value, rel=1e-9, abs=1e-12)
+    want = trajectory_cost(system, params, terminal, t, t1, so, ao)
+    assert sol.value == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_run_errors_match_oracle_continuation():
@@ -88,7 +112,8 @@ def test_run_errors_match_oracle_continuation():
     run = engine.run_mpc(inst, stream, 3, TerminalRule("predicted_tracking"))
     assert np.any(run.errors > 1e-6)
     for t in range(inst.T):
-        _, ao = oracle_continuation(sys_, params, terminal, t, run.states[t])
+        _, ao, _ = oracle_continuation(sys_, params, terminal, t,
+                                       run.states[t])
         want = float(np.linalg.norm(run.actions[t] - ao[0]))
         assert run.errors[t] == pytest.approx(want, rel=1e-8, abs=1e-11)
 
@@ -99,13 +124,14 @@ def test_gain_init_matches_oracle_jacobians():
     T, n = inst.T, sys_.n
     params = [inst.truth[s] for s in range(T + 1)]
     terminal = inst.terminal_cost()
-    opt_states, _ = oracle_continuation(sys_, params, terminal, 0, inst.x0)
+    opt_states, *_ = oracle_continuation(sys_, params, terminal, 0,
+                                         inst.x0)
     want = np.zeros(T + 1)
     for t in range(T):
         K = T - t
 
         def flat(z, _t=t):
-            s, a = oracle_continuation(sys_, params, terminal, _t, z)
+            s, a, _ = oracle_continuation(sys_, params, terminal, _t, z)
             return np.concatenate([s.ravel(), a.ravel()])
 
         J = oracles.fd_jacobian(flat, opt_states[t])
@@ -136,9 +162,70 @@ def test_zero_terminal_with_zero_last_action_weight_is_singular():
         engine.solve_opt(inst)
 
 
-def test_pinned_terminal_rejected():
-    rng = np.random.default_rng(1)
-    system = random_system(rng, 2, 1, 3)
-    with pytest.raises(ValueError):
-        ftocp.continuation_law(system, [np.zeros(1)] * 4,
-                               TerminalCost.indicator(np.zeros(2)))
+@pytest.mark.parametrize("kind", ["quadratic", "zero", "indicator"])
+def test_kkt_residual_matches_dense_saddle_residual(kind):
+    rng = np.random.default_rng(4)
+    n, m, K = 2, 1, 5
+    system = random_system(rng, n, m, K)
+    params = [np.zeros(1)] * (K + 1)
+    terminal = {"quadratic": TerminalCost.quadratic(_spd(rng, n),
+                                                    rng.normal(size=n)),
+                "zero": TerminalCost.zero(n),
+                "indicator": TerminalCost.indicator(rng.normal(size=n))}[kind]
+    z = rng.normal(size=n)
+    law = ftocp.continuation_law(system, params, terminal)
+    sol = law.solution(0, z)
+    # a point off the optimum, with the initial pin held
+    states = sol.states + 0.01 * rng.normal(size=sol.states.shape)
+    actions = sol.actions + 0.01 * rng.normal(size=sol.actions.shape)
+    duals = sol.duals + 0.01 * rng.normal(size=sol.duals.shape)
+    states[0] = z
+    data = [system.step_data(t, params[t]) for t in range(K)]
+    primal, b_top, b_bot = [], [], [z]
+    for t, (A, B, w, Q, R, xbar) in enumerate(data):
+        primal += [states[t], actions[t]]
+        b_top += [Q @ xbar, np.zeros(m)]
+        b_bot.append(w)
+    if kind == "indicator":
+        # the saddle system eliminates y_K; keep it on the dynamics
+        A, B, w = data[-1][:3]
+        states[-1] = A @ states[-2] + B @ actions[-1] + w
+        b_bot[-1] = w - terminal.target
+    else:
+        primal.append(states[-1])
+        b_top.append(terminal.P @ terminal.xbar)
+    chi = np.concatenate(primal + list(duals))
+    b = np.concatenate(b_top + b_bot)
+    asm = kkt.assemble(FtocpSpec(0, K, z, params, terminal), system)
+    want = float(np.linalg.norm(oracles.saddle_matrix(asm.M, asm.N) @ chi
+                                - b))
+    got = law._kkt_residual(0, states, actions, duals)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [5, 6, 8])
+def test_pendulum_pinned_windows_match_oracle(k):
+    inst = presets.pendulum(T=30)
+    sys_ = inst.system
+    rule = TerminalRule("predicted_tracking")
+    z = np.array([0.1, -0.2, 0.05, 0.3])
+    for t in range(0, inst.T - k, 4):
+        params = [inst.truth[s] for s in range(t, t + k + 1)]
+        terminal = rule.build(inst, t, t + k, params)
+        sol = ftocp.solve(FtocpSpec(t, t + k, z, params, terminal), sys_)
+        so, ao, _ = oracle_continuation(sys_, params, terminal, 0, z, t)
+        assert rel_err(sol.states, so) <= 1e-9
+        assert rel_err(sol.actions, ao) <= 1e-9
+        assert rel_err(sol.states[-1], terminal.target) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_unreachable_pinned_window_raises(k):
+    # the pendulum has n = 4 states and m = 1 action: k < 4 steps cannot
+    # reach an arbitrary target
+    inst = presets.pendulum(T=10)
+    params = [inst.truth[s] for s in range(k + 1)]
+    spec = FtocpSpec(0, k, np.array([0.1, -0.2, 0.05, 0.3]), params,
+                     TerminalCost.indicator(np.array([0.3, 0.0, -0.1, 0.2])))
+    with pytest.raises(SingularKKT, match="unreachable"):
+        ftocp.solve(spec, inst.system)

@@ -6,13 +6,13 @@ import pytest
 from mpclab import engine, ftocp, presets
 from mpclab.engine import (TerminalRule, per_step_error_bound_rhs,
                            pipeline_admission_check)
-from mpclab.model import (Bounds, Instance, ParamBox, ParamSeq,
-                          PredictionStream, QuadraticTrackingSystem)
+from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
+                          ParamSeq, PredictionStream)
 
 
 def quiet_instance(T=6):
     """Stable system with zero disturbance/reference: the origin is optimal."""
-    system = QuadraticTrackingSystem(
+    system = LinearQuadraticSystem(
         2, 1, T,
         A=lambda t, xi: np.array([[0.5, 0.2], [0.0, 0.5]]),
         B=lambda t, xi: np.array([[1.0], [0.5]]),

@@ -39,7 +39,7 @@ class TestQuadraticSolver:
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         term = inst.system.terminal_cost(params[-1])
         sol = ftocp.solve(FtocpSpec(t1, t2, z, params, term), inst.system)
-        so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
+        so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                        ("quadratic", term.P, term.xbar))
         assert np.allclose(sol.states, so, atol=1e-8)
         assert np.allclose(sol.actions, ao, atol=1e-8)
@@ -52,7 +52,7 @@ class TestQuadraticSolver:
         sol = ftocp.solve(FtocpSpec(t1, t2, z, params,
                                     TerminalCost.indicator(target)),
                           inst.system)
-        so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
+        so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                        ("indicator", target))
         assert np.allclose(sol.states, so, atol=1e-8)
         assert np.allclose(sol.actions, ao, atol=1e-8)
@@ -64,7 +64,8 @@ class TestQuadraticSolver:
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         sol = ftocp.solve(FtocpSpec(t1, t2, z, params, TerminalCost.zero(2)),
                           inst.system)
-        so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, ("zero",))
+        so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
+                                          ("zero",))
         assert np.allclose(sol.states, so, atol=1e-8)
         assert np.allclose(sol.actions, ao, atol=1e-8)
 
@@ -171,7 +172,7 @@ class TestChainSolver:
                                 x_lo=-10.0, x_hi=10.0, action_weight=gam)
         params = [np.array([v]) for v in targets]
         import mpclab.model as model
-        lq = model.QuadraticTrackingSystem(
+        lq = model.LinearQuadraticSystem(
             1, 1, T,
             A=lambda t, xi: np.eye(1), B=lambda t, xi: np.eye(1),
             w=lambda t, xi: np.zeros(1),

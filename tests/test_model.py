@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mpclab import model, presets
-from mpclab.model import (Bounds, InventorySystem, ModelError, ParamBox,
-                          ParamSeq, PredictionStream, QuadraticTrackingSystem,
+from mpclab.model import (Bounds, InventorySystem, LinearQuadraticSystem,
+                          ModelError, ParamBox, ParamSeq, PredictionStream,
                           build_instance, config_hash, controllability_matrix,
                           min_singular_controllability, transition_matrix,
                           validate_assumptions)
@@ -15,7 +15,7 @@ from mpclab.model import (Bounds, InventorySystem, ModelError, ParamBox,
 def const_system(n=1, m=1, T=4, a=0.5, b=1.0):
     A = a * np.eye(n)
     B = b * np.eye(n)[:, :m]
-    return QuadraticTrackingSystem(
+    return LinearQuadraticSystem(
         n, m, T,
         A=lambda t, xi: A, B=lambda t, xi: B,
         w=lambda t, xi: np.zeros(n),

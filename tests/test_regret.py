@@ -18,7 +18,7 @@ class TestSolveOpt:
         params = [inst.truth[t] for t in range(11)]
         data = [sys.step_data(t, params[t]) for t in range(10)]
         term = inst.terminal_cost()
-        so, ao = oracles.lq_ocp_oracle(
+        so, ao, _ = oracles.lq_ocp_oracle(
             [d[0] for d in data], [d[1] for d in data],
             [d[2] for d in data], [d[3] for d in data],
             [d[4] for d in data], [d[5] for d in data],
