@@ -9,11 +9,10 @@ from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
 from .ftocp import (ContinuationLaw, FtocpSolution, FtocpSpec, Infeasible,
                     SingularKKT, clairvoyant_action, continuation_law, solve,
                     solve_inventory, solve_quadratic)
-from .kkt import (DecayFit, GainTables, SaddleBounds, SpectrumBounds,
-                  TrackingDecayConstants, assemble, block_inverse_profile,
-                  general_decay_constants, measure_gain_tables,
-                  saddle_spectrum_bounds, theory_gain_tables,
-                  tracking_decay_constants)
+from .kkt import (DecayFit, GainTables, SaddleBounds, TrackingDecayConstants,
+                  assemble, block_inverse_profile, general_decay_constants,
+                  measure_gain_tables, saddle_spectrum_bounds,
+                  theory_gain_tables, tracking_decay_constants)
 from .engine import (TerminalRule, TrajectoryRecord,
                      per_step_error_bound_rhs, pipeline_admission_check,
                      run_mpc, solve_opt)

@@ -1,5 +1,7 @@
 """Command-line front end: load presets or instance files, run solves, MPC,
-sweeps, and certifications, and emit reproducible CSV/JSON artifacts.
+sweeps, and certifications, and emit reproducible CSV, text and JSON
+artifacts.  This is the only module that writes artifacts, so their format
+lives here alone.
 
 Exit codes: 0 success; 2 configuration error; 3 solver failure;
 4 certification failure (a tested inequality did not hold).
@@ -7,9 +9,11 @@ Exit codes: 0 success; 2 configuration error; 3 solver failure;
 
 from __future__ import annotations
 
+import dataclasses
 import fractions
 import functools
 import json
+import math
 import os
 import sys
 
@@ -77,10 +81,59 @@ def _write(out: str, name: str, body: str) -> str:
     return path
 
 
+# Artifact format: CSV and text artifacts open with "# " header lines, JSON
+# carries them under "_headers"; floats are written at full precision.
+
+def _cell(value) -> str:
+    """One artifact value: floats as .17g, None as an empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _text_body(lines, headers: list[str]) -> str:
+    return "".join([f"# {h}\n" for h in headers]
+                   + [f"{line}\n" for line in lines])
+
+
+def _csv_body(columns, rows, headers: list[str]) -> str:
+    return _text_body([",".join(columns)]
+                      + [",".join(map(_cell, row)) for row in rows], headers)
+
+
+def _key_value_body(values: dict, headers: list[str]) -> str:
+    return _text_body([f"{key} = {_cell(val)}" for key, val in values.items()],
+                      headers)
+
+
 def _json_body(doc: dict, headers: list[str]) -> str:
     doc = dict(doc)
     doc["_headers"] = headers
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _trajectory_body(rec: engine.TrajectoryRecord, headers: list[str]) -> str:
+    """One row per step t = 0..T; the last row has no action or error, and
+    no stage cost unless the run counts a terminal stage."""
+    n, m = rec.states.shape[1], rec.actions.shape[1]
+    columns = (["t"] + [f"x{i}" for i in range(n)]
+               + [f"u{i}" for i in range(m)] + ["e", "dist_opt", "stage_cost"])
+    rows = []
+    for t in range(rec.T + 1):
+        acted = t < rec.T
+        rows.append([t, *rec.states[t],
+                     *(rec.actions[t] if acted else [None] * m),
+                     rec.errors[t] if acted else None, rec.distances[t],
+                     rec.stage_costs[t] if t < len(rec.stage_costs) else None])
+    return _csv_body(columns, rows, headers)
+
+
+def _sweep_body(res: regret.SweepResult, headers: list[str]) -> str:
+    rows = [(v, r, int(v in res.excluded))
+            for v, r in zip(res.values, res.regrets)]
+    return _csv_body([res.variable, "regret", "excluded"], rows, headers)
 
 
 def _solver_errors(fn):
@@ -132,7 +185,7 @@ def solve(preset, instance_file, T, seed, out):
            "T": T, "seed": seed}
     hdr = _headers("solve", cfg)
     opt = engine.solve_opt(inst)
-    _write(out, "solve_trajectory.csv", engine.trajectory_to_csv(opt, hdr))
+    _write(out, "solve_trajectory.csv", _trajectory_body(opt, hdr))
     _write(out, "solve_summary.json", _json_body(
         {"total_cost": opt.total_cost,
          "max_state_norm": opt.max_state_norm,
@@ -159,7 +212,7 @@ def mpc(preset, instance_file, T, seed, out, k, noise_scale):
     opt = engine.solve_opt(inst, law)
     run = engine.run_mpc(inst, stream, k, _default_rule(inst), opt=opt,
                          law=law)
-    _write(out, "mpc_trajectory.csv", engine.trajectory_to_csv(run, hdr))
+    _write(out, "mpc_trajectory.csv", _trajectory_body(run, hdr))
     _write(out, "mpc_report.json", _json_body(
         {"cost_alg": run.total_cost, "cost_opt": opt.total_cost,
          "regret": run.total_cost - opt.total_cost,
@@ -176,7 +229,9 @@ def mpc(preset, instance_file, T, seed, out, k, noise_scale):
 def sweep_horizon(preset, instance_file, T, seed, out, k_max):
     """Zero-noise regret as a function of the window length."""
     inst = _load(preset, instance_file, T, seed)
-    ks = list(range(2, min(k_max, inst.T) + 1))
+    # a window shorter than n/m steps cannot reach a pinned terminal target
+    k_min = max(2, math.ceil(inst.system.n / inst.system.m))
+    ks = list(range(k_min, min(k_max, inst.T) + 1))
     if not ks:
         raise click.UsageError("sweep range is empty")
     cfg = {"cmd": "sweep-horizon", "preset": preset,
@@ -184,7 +239,7 @@ def sweep_horizon(preset, instance_file, T, seed, out, k_max):
     hdr = _headers("sweep-horizon", cfg)
     res = regret.sweep_horizon(inst, ks, _default_rule(inst),
                                seed=inst.seed)
-    _write(out, "sweep_horizon.csv", res.to_csv(hdr))
+    _write(out, "sweep_horizon.csv", _sweep_body(res, hdr))
     _write(out, "sweep_horizon.json", _json_body(
         {"slope": res.slope, "r2": res.r2}, hdr))
     click.echo(f"slope={res.slope:.6g} r2={res.r2:.6g}")
@@ -209,7 +264,7 @@ def sweep_noise(preset, instance_file, T, seed, out, k, noise_scale):
     res = regret.sweep_noise(inst, lambda t, tau: 1.0 if tau > 0 else 0.0,
                              scales, k, _default_rule(inst),
                              seed=inst.seed)
-    _write(out, "sweep_noise.csv", res.to_csv(hdr))
+    _write(out, "sweep_noise.csv", _sweep_body(res, hdr))
     _write(out, "sweep_noise.json", _json_body(
         {"slope": res.slope, "r2": res.r2}, hdr))
     click.echo(f"loglog_slope={res.slope:.6g} r2={res.r2:.6g}")
@@ -239,9 +294,10 @@ def certify_decay(preset, instance_file, T, seed, out):
         bb.L_R, bb.L_P)
     offsets = np.arange(maxima.shape[0])
     theory = consts.decay_coef * consts.decay_rate ** offsets
-    _write(out, "decay_profile.csv",
-           kkt.profile_to_csv(offsets, maxima, theory, hdr))
-    _write(out, "decay_constants.txt", kkt.constants_to_text(
+    _write(out, "decay_profile.csv", _csv_body(
+        ["offset", "max_block_norm", "theory_bound"],
+        zip(offsets, maxima, theory), hdr))
+    _write(out, "decay_constants.txt", _key_value_body(
         {"sigma": sigma, "sigma_lo": consts.sigma_lo,
          "sigma_hi": consts.sigma_hi, "decay_rate": consts.decay_rate,
          "decay_coef": consts.decay_coef, "diff_coef": consts.diff_coef,
@@ -266,7 +322,9 @@ def inventory_suite(p_values, eps, out):
     cfg = {"cmd": "inventory-suite", "p": ps, "eps": eps}
     hdr = _headers("inventory-suite", cfg)
     rows = presets.inventory_counterexample_suite(ps, eps)
-    _write(out, "inventory_suite.csv", presets.suite_to_csv(rows, hdr))
+    _write(out, "inventory_suite.csv", _csv_body(
+        ["p", "eps", "h", "diff", "diff_minus_eps", "closed_form_err"],
+        map(dataclasses.astuple, rows), hdr))
     worst = max(max(abs(r.diff_minus_eps), r.closed_form_err) for r in rows)
     click.echo(f"worst_deviation={worst:.3g}")
     if worst > 1e-6:
@@ -318,7 +376,7 @@ def constants(preset, instance_file, T, seed, out, k, mode):
                                       bb.ell)
     values["general_coef"] = gen.coef
     values["general_rate"] = gen.rate
-    body = kkt.constants_to_text(values, hdr)
+    body = _key_value_body(values, hdr)
     _write(out, "constants.txt", body)
     click.echo(body, nl=False)
 

@@ -5,7 +5,6 @@ closed-loop rollout on the true dynamics, and per-step error accounting.
 from __future__ import annotations
 
 import dataclasses
-import io
 from typing import Sequence
 
 import numpy as np
@@ -261,32 +260,3 @@ def pipeline_admission_check(k: int, T: int, rho, gain_state, gain_param,
             worst, worst_t = rhs, t
     return AdmissionReport(worst <= threshold, float(worst), threshold,
                            worst_t)
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def trajectory_to_csv(rec: TrajectoryRecord,
-                      header_lines: Sequence[str] = ()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    n = rec.states.shape[1]
-    m = rec.actions.shape[1]
-    cols = (["t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-            + ["e", "dist_opt", "stage_cost"])
-    buf.write(",".join(cols) + "\n")
-    for t in range(rec.T + 1):
-        row = [str(t)]
-        row += [f"{v:.17g}" for v in rec.states[t]]
-        if t < rec.T:
-            row += [f"{v:.17g}" for v in rec.actions[t]]
-            row += [f"{rec.errors[t]:.17g}"]
-        else:
-            row += [""] * (m + 1)
-        row += [f"{rec.distances[t]:.17g}"]
-        row += [f"{rec.stage_costs[t]:.17g}"
-                if t < rec.stage_costs.shape[0] else ""]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()

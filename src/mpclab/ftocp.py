@@ -133,15 +133,6 @@ def _active_set_qp(Hm, g, G, h, x, max_iter, tol=1e-9):
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         p = sol[:x.size]
         lam_w = sol[x.size:]
-        if np.linalg.norm(p) <= tol:
-            lam[:] = 0.0
-            for idx, i in enumerate(work):
-                lam[i] = lam_w[idx]
-            if all(lam_w >= -tol):
-                return x, lam, list(work)
-            drop = work[int(np.argmin(lam_w))]
-            work.remove(drop)
-            continue
         alpha = 1.0
         blocking = None
         for i in range(nc):
@@ -156,6 +147,15 @@ def _active_set_qp(Hm, g, G, h, x, max_iter, tol=1e-9):
         x = x + alpha * p
         if blocking is not None:
             work.append(blocking)
+        elif np.linalg.norm(p) <= tol:
+            # x is the minimizer on the working set and lam_w its multipliers
+            lam[:] = 0.0
+            for idx, i in enumerate(work):
+                lam[i] = lam_w[idx]
+            if all(lam_w >= -tol):
+                return x, lam, list(work)
+            drop = work[int(np.argmin(lam_w))]
+            work.remove(drop)
     raise Infeasible("active-set iteration cap exceeded")
 
 
@@ -293,8 +293,9 @@ class ContinuationLaw:
     in s, the cost-to-go from offset t is s'P_t s, the optimal action is
     u_t = G_t s_t and the optimal lifted state follows
     s_{t+1} = closed_loop_t s_t.  For a pin, nu maximizes s'P_t s, which is
-    a solve with the n x n nu-block of P_t.  The multipliers of the saddle
-    system of the window are eta_t = -(P_t s_t)[:n].
+    a solve with the n x n nu-block of P_t, refined once (see _rollout).
+    The multipliers of the saddle system of the window are
+    eta_t = -(P_t s_t)[:n].
     """
 
     t1: int
@@ -311,48 +312,65 @@ class ContinuationLaw:
         """Optimal action at offset t from state x.  A pinned window is
         rolled out, so that an unreachable target raises SingularKKT."""
         if self.data.terminal.kind == "indicator":
-            return self.G[t] @ self._rollout(t, x)[0]
-        return self.G[t] @ self._lift(t, x)
+            return self._rollout(t, x)[1][0]
+        return self.G[t] @ np.append(x, 1.0)
 
-    def _lift(self, t: int, x: Array) -> Array:
-        """Lifted state (x, 1) at offset t, or (x, 1, nu) for a pin."""
-        n, d = self.data.n, self.P.shape[1]
-        s = np.concatenate((x, [1.0], np.zeros(d - n - 1)))
-        if d > n + 1:
-            Pt = self.P[t]
-            try:
-                s[n + 1:] = np.linalg.solve(Pt[n + 1:, n + 1:],
-                                            -Pt[n + 1:, :n + 1] @ s[:n + 1])
-            except np.linalg.LinAlgError as exc:
-                raise SingularKKT(
-                    f"pinned terminal unreachable from step {self.t1 + t}"
-                ) from exc
-        return s
+    def _rollout(self, t: int, x: Array) -> tuple[Array, Array]:
+        """Lifted optimal states s_t .. s_T and actions u_t .. u_{T-1} from
+        x at offset t.
 
-    def _rollout(self, t: int, x: Array) -> Array:
-        """Lifted optimal states s_t .. s_T from x at offset t."""
+        A pin's multiplier nu adds the actions v_i = G_i[:, n+1:] nu to the
+        unpinned closed loop (the (x, 1)-blocks), which move x_T by
+        sum_i P_{i+1}[nu, :n] B_i v_i.  nu solves S nu = -r for the nu-block
+        S of P_t and the miss r of the unpinned rollout.  S has about the
+        squared condition number of the reachability map, so one step of
+        iterative refinement follows, against the miss that the actions v
+        predict.  The states are rolled out from v rather than from the
+        lifted (x, 1, nu): a large nu would cancel digits there.
+        """
         x = np.atleast_1d(np.asarray(x, float))
-        lifted = np.empty((self.T - t + 1, self.P.shape[1]))
-        lifted[0] = self._lift(t, x)
-        for i, step in enumerate(self.closed_loop[t:]):
-            lifted[i + 1] = step @ lifted[i]
-        term, n = self.data.terminal, self.data.n
-        if term.kind == "indicator":
-            miss = float(np.linalg.norm(lifted[-1, :n] - term.target))
-            if not miss <= 1e-6 * (1.0 + np.linalg.norm(term.target)
-                                   + np.linalg.norm(x)):
-                raise SingularKKT(
-                    f"pinned terminal unreachable from step {self.t1 + t}: "
-                    f"the rollout misses it by {miss:.3g}")
-        return lifted
+        wm, n, K = self.data, self.data.n, self.T - t
+        lifted = np.zeros((K + 1, self.P.shape[1]))
+        lifted[:, n] = 1.0
+        lifted[0, :n] = x
+        if wm.terminal.kind != "indicator":
+            for i, step in enumerate(self.closed_loop[t:]):
+                lifted[i + 1] = step @ lifted[i]
+            return lifted, np.einsum("tij,tj->ti", self.G[t:], lifted[:-1])
+        try:
+            S_inv = np.linalg.inv(self.P[t, n + 1:, n + 1:])
+        except np.linalg.LinAlgError as exc:
+            raise SingularKKT(
+                f"pinned terminal unreachable from step {self.t1 + t}"
+            ) from exc
+        G_nu, B = self.G[t:, :, n + 1:], wm.B[t:]
+        r = self.P[t, n + 1:, :n + 1] @ lifted[0, :n + 1]
+        nu = -S_inv @ r
+        nu -= S_inv @ (r + np.einsum("tij,tjk,tk->i",
+                                     self.P[t + 1:, n + 1:, :n], B, G_nu @ nu))
+        lifted[:, n + 1:] = nu
+        v = G_nu @ nu
+        loop = self.closed_loop[t:, :n, :n]
+        shift = self.closed_loop[t:, :n, n] + np.einsum("tij,tj->ti", B, v)
+        states = lifted[:, :n]
+        for i in range(K):
+            states[i + 1] = loop[i] @ states[i] + shift[i]
+        actions = np.einsum("tij,tj->ti", self.G[t:, :, :n + 1],
+                            lifted[:-1, :n + 1]) + v
+        miss = float(np.linalg.norm(states[-1] - wm.terminal.target))
+        if not miss <= 1e-6 * (1.0 + np.linalg.norm(wm.terminal.target)
+                               + np.linalg.norm(x)):
+            raise SingularKKT(
+                f"pinned terminal unreachable from step {self.t1 + t}: "
+                f"the rollout misses it by {miss:.3g}")
+        return lifted, actions
 
     def solution(self, t: int, x: Array) -> FtocpSolution:
         """Optimal solution of the window [t, T] from x, with the saddle
         system's multipliers and KKT residual."""
-        lifted = self._rollout(t, x)
+        lifted, actions = self._rollout(t, x)
         wm = self.data
         states = lifted[:, :wm.n].copy()
-        actions = np.einsum("tij,tj->ti", self.G[t:], lifted[:-1])
         duals = -np.einsum("tij,tj->ti", self.P[t:, :wm.n], lifted)
         value = _lq_value(wm.Q[t:], wm.R[t:], wm.xbar[t:], wm.terminal,
                           states, actions)

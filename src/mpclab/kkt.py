@@ -5,9 +5,7 @@ decay constants, and empirical sensitivity envelopes.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -92,15 +90,20 @@ def block_inverse_profile(asm: KktAssembly):
     except np.linalg.LinAlgError as exc:
         raise ftocp.SingularKKT(str(exc)) from exc
     nb = asm.n_blocks
-    norms = np.zeros((nb, nb))
-    for i, si in enumerate(asm.block_slices):
-        for j, sj in enumerate(asm.block_slices):
-            norms[i, j] = np.linalg.norm(Uinv[si, sj], 2)
+    # The blocks partition Upsilon in order.  Place block i at offset i*b so
+    # that every block pair is one b x b tile; zero padding leaves a block's
+    # spectral norm unchanged.
+    sizes = [s.stop - s.start for s in asm.block_slices]
+    b = max(sizes)
+    pos = np.concatenate([i * b + np.arange(size)
+                          for i, size in enumerate(sizes)])
+    tiles = np.zeros((nb * b, nb * b))
+    tiles[np.ix_(pos, pos)] = Uinv
+    norms = np.linalg.norm(tiles.reshape(nb, b, nb, b).transpose(0, 2, 1, 3),
+                           2, axis=(-2, -1))
     offsets = np.arange(nb)
-    maxima = np.array([
-        max(norms[i, j] for i in range(nb) for j in range(nb)
-            if abs(i - j) == off)
-        for off in offsets])
+    maxima = np.array([max(np.diagonal(norms, off).max(),
+                           np.diagonal(norms, -off).max()) for off in offsets])
     return norms, maxima, fit_decay(offsets, maxima)
 
 
@@ -132,18 +135,6 @@ def saddle_spectrum_bounds(sM_lo: float, sM_hi: float,
              * math.sqrt(sM_lo / (2 * sM_lo * sM_hi + sM_hi * sN_hi ** 2)))
     upper = math.sqrt(2.0) * (sM_hi + sN_hi)
     return SaddleBounds(statement, proof, upper)
-
-
-@dataclasses.dataclass(frozen=True)
-class SpectrumBounds:
-    sigma_lo: float
-    sigma_hi: float
-    sigma_R_hi: float
-    source: str  # "declared" | "measured"
-
-    def __post_init__(self):
-        if not (0 < self.sigma_lo <= self.sigma_hi):
-            raise ValueError("need 0 < sigma_lo <= sigma_hi")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,17 +235,10 @@ class GainTables:
     gain_state: Array
     gain_param: Array
     gain_init: Array
-    mode: str = "measured"
 
     @property
     def C3(self) -> float:
         return float(max(np.sum(self.gain_init), 1.0))
-
-    def as_dict(self) -> dict:
-        return {"mode": self.mode,
-                "gain_state": self.gain_state.tolist(),
-                "gain_param": self.gain_param.tolist(),
-                "gain_init": self.gain_init.tolist()}
 
 
 def _window_action_jacobians(instance, t, t2, zs, terminal_builder,
@@ -390,7 +374,7 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                                     _init_state_jacobians(law, t))
     gi[0] = max(gi[0], 1.0)
     return GainTables(_monotone_envelope(gs), _monotone_envelope(gp),
-                      _monotone_envelope(gi), mode="measured")
+                      _monotone_envelope(gi))
 
 
 def theory_gain_tables(instance: Instance, k: int, *, R: float,
@@ -413,31 +397,4 @@ def theory_gain_tables(instance: Instance, k: int, *, R: float,
         gs = H * lam ** (2 * taus)
     gi = H * lam ** np.arange(sys.T + 1)
     gi[0] = max(gi[0], 1.0)
-    return GainTables(gs, gp, gi, mode="theory")
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def profile_to_csv(offsets: Sequence[int], measured: Sequence[float],
-                   theory: Sequence[float] | None,
-                   header_lines: Sequence[str] = ()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write("offset,max_block_norm,theory_bound\n")
-    for i, off in enumerate(offsets):
-        tb = "" if theory is None else f"{theory[i]:.17g}"
-        buf.write(f"{off},{measured[i]:.17g},{tb}\n")
-    return buf.getvalue()
-
-
-def constants_to_text(values: dict, header_lines: Sequence[str] = ()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    for key, val in values.items():
-        buf.write(f"{key} = {val:.17g}\n" if isinstance(val, float)
-                  else f"{key} = {val}\n")
-    return buf.getvalue()
+    return GainTables(gs, gp, gi)

@@ -60,9 +60,6 @@ class ParamBox:
     def sample(self, rng: np.random.Generator) -> Array:
         return rng.uniform(self.lo, self.hi)
 
-    def center(self) -> Array:
-        return (self.lo + self.hi) / 2.0
-
     def contains(self, xi: Array, tol: float = 1e-12) -> bool:
         xi = np.atleast_1d(xi)
         return bool(np.all(xi >= self.lo - tol) and np.all(xi <= self.hi + tol))
@@ -390,20 +387,6 @@ def controllability_matrix(As: Sequence[Array], Bs: Sequence[Array],
     cols = [transition_matrix(As, t + p, t + j + 1) @ Bs[t + j]
             for j in range(p)]
     return np.hstack(cols)
-
-
-def system_matrices(instance: Instance) -> tuple[list[Array], list[Array]]:
-    """True dynamics matrices A_t, B_t, t = 0..T-1, of an instance."""
-    sys = instance.system
-    if sys.kind == "inventory":
-        ones = [np.eye(1) for _ in range(sys.T)]
-        return ones, [np.eye(1) for _ in range(sys.T)]
-    As, Bs = [], []
-    for t in range(sys.T):
-        A, B, *_ = sys.step_data(t, instance.truth[t])
-        As.append(A)
-        Bs.append(B)
-    return As, Bs
 
 
 def min_singular_controllability(As, Bs, d: int) -> float:

@@ -335,19 +335,6 @@ def inventory_counterexample_suite(ps=(4, 5, 6, 7, 8),
     return rows
 
 
-def suite_to_csv(rows, header_lines=()) -> str:
-    import io
-
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write("p,eps,h,diff,diff_minus_eps,closed_form_err\n")
-    for r in rows:
-        buf.write(f"{r.p},{r.eps:.17g},{r.h},{r.diff:.17g},"
-                  f"{r.diff_minus_eps:.17g},{r.closed_form_err:.17g}\n")
-    return buf.getvalue()
-
-
 def inventory_sensitivity_profile(p: int = 12, one_sided: bool = True,
                                   step: float = 1e-5,
                                   action_weight: float | None = None):

@@ -6,16 +6,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import io
-import json
 import os
 from typing import Sequence
 
 import numpy as np
 
 from . import engine, ftocp, kkt
-from .engine import TrajectoryRecord, solve_opt  # noqa: F401  (re-export)
-from .model import Instance, ParamSeq, PredictionStream
+from .model import Instance, PredictionStream
 
 Array = np.ndarray
 
@@ -54,24 +51,9 @@ class RegretReport:
     distance_ok: bool
     aggregate_E: float | None = None
 
-    def to_json(self) -> str:
-        doc = {
-            "cost_alg": self.cost_alg,
-            "cost_opt": self.cost_opt,
-            "regret": self.regret,
-            "sum_sq_errors": self.sum_sq_errors,
-            "constant_c": self.constant_c,
-            "regret_bound": self.regret_bound,
-            "regret_ok": self.regret_ok,
-            "distance_worst_violation": float(
-                np.max(self.distance_lhs - self.distance_rhs, initial=0.0)),
-            "distance_ok": self.distance_ok,
-            "aggregate_E": self.aggregate_E,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
-
-def regret_inequalities(run: TrajectoryRecord, opt: TrajectoryRecord,
+def regret_inequalities(run: engine.TrajectoryRecord,
+                        opt: engine.TrajectoryRecord,
                         ell: float, L_g: float, C3: float,
                         gain_init: Array, tol: float = 1e-9) -> RegretReport:
     """Evaluate the explicit-constant regret inequality and the state-distance
@@ -132,16 +114,6 @@ class SweepResult:
     excluded: list
     log_x: bool = False
 
-    def to_csv(self, header_lines: Sequence[str] = ()) -> str:
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        buf.write(f"{self.variable},regret,excluded\n")
-        for v, r in zip(self.values, self.regrets):
-            flag = int(v in self.excluded)
-            buf.write(f"{v:.17g},{r:.17g},{flag}\n")
-        return buf.getvalue()
-
 
 def _fit_positive(xs: Array, regrets: Array, log_x: bool):
     mask = regrets > REGRET_FLOOR
@@ -163,7 +135,7 @@ def sweep_horizon(instance: Instance, k_values: Sequence[int],
                   rule: engine.TerminalRule, seed: int = 0) -> SweepResult:
     """Zero-noise regret as a function of the window length."""
     law = ftocp.truth_law(instance)
-    opt = solve_opt(instance, law)
+    opt = engine.solve_opt(instance, law)
     T = instance.T
 
     def one(k):
@@ -188,7 +160,7 @@ def sweep_noise(instance: Instance, base_rho, scales: Sequence[float],
     L_g), scales failing the smallness condition are excluded from the fit.
     """
     law = ftocp.truth_law(instance)
-    opt = solve_opt(instance, law)
+    opt = engine.solve_opt(instance, law)
     T = instance.T
     excluded = []
     if admission is not None:

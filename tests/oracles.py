@@ -136,7 +136,8 @@ def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,
             options={"maxiter": 500, "ftol": 1e-14})
         if res.success and (best is None or res.fun < best.fun - 1e-12):
             best = res
-    assert best is not None, "oracle failed to converge"
+    if best is None:
+        raise RuntimeError("oracle failed to converge")
     return full(best.x)
 
 

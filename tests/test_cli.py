@@ -105,8 +105,7 @@ class TestSolverFailures:
 
     @pytest.mark.parametrize("args", [
         ["mpc", "--preset", "pendulum", "--T", "20", "--k", "2"],
-        ["mpc", "--preset", "tracking-rand", "--T", "20", "--k", "1"],
-        ["sweep-horizon", "--preset", "pendulum", "--T", "12", "--k", "6"]])
+        ["mpc", "--preset", "tracking-rand", "--T", "20", "--k", "1"]])
     def test_unreachable_pinned_window_exits_3(self, runner, tmp_path, args):
         res = runner.invoke(cli.main, args + ["--out", str(tmp_path)])
         assert res.exit_code == 3
@@ -151,6 +150,21 @@ class TestSweeps:
         assert (tmp_path / "sweep_horizon.csv").exists()
         assert "slope=" in res.output
 
+    def test_sweep_horizon_starts_at_reachable_window(self, runner,
+                                                       tmp_path):
+        # pendulum: n=4, m=1, so windows shorter than 4 cannot reach their
+        # pinned targets and the sweep starts at k=4
+        args = ["sweep-horizon", "--preset", "pendulum", "--T", "12",
+                "--out", str(tmp_path)]
+        res = runner.invoke(cli.main, args + ["--k", "6"])
+        assert res.exit_code == 0, res.output
+        body = read(tmp_path / "sweep_horizon.csv").decode()
+        lines = [ln for ln in body.splitlines() if not ln.startswith("#")]
+        assert [ln.split(",")[0] for ln in lines] == ["k", "4", "5", "6"]
+        res = runner.invoke(cli.main, args + ["--k", "3"])
+        assert res.exit_code == 2
+        assert "sweep range is empty" in res.output
+
     def test_sweep_noise(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["sweep-noise", "--preset",
                                        "disturbance", "--T", "10",
@@ -167,7 +181,8 @@ class TestCertifications:
                                        "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         assert "dominated=True" in res.output
-        assert (tmp_path / "decay_profile.csv").exists()
+        profile = read(tmp_path / "decay_profile.csv").decode()
+        assert profile.splitlines()[2] == "offset,max_block_norm,theory_bound"
         assert (tmp_path / "decay_constants.txt").exists()
 
     def test_inventory_suite_fraction_eps(self, runner, tmp_path):
@@ -177,6 +192,8 @@ class TestCertifications:
         assert res.exit_code == 0, res.output
         body = read(tmp_path / "inventory_suite.csv").decode()
         assert f"{2.0 / 35.0:.17g}" in body
+        assert (body.splitlines()[2]
+                == "p,eps,h,diff,diff_minus_eps,closed_form_err")
 
     def test_constants_theory_mode(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["constants", "--preset",

@@ -103,6 +103,24 @@ def test_law_matches_oracle(n, m, kind, seed, data):
     assert sol.value == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def test_ill_conditioned_pin_matches_oracle():
+    # two steps pin two states through nearly parallel inputs: the
+    # reachability map has condition number ~1.8e3 and its Gramian, the
+    # nu-block of P_0, ~3e6, so solving with the Gramian alone is off by
+    # ~5e-10 in the actions and ~1e-9 in the value
+    rng = np.random.default_rng(12380)
+    system = random_system(rng, 2, 1, 2)
+    params = [np.zeros(1)] * 3
+    terminal = TerminalCost.indicator(rng.normal(size=2))
+    x = rng.normal(size=2)
+    sol = ftocp.continuation_law(system, params, terminal).solution(0, x)
+    so, ao, _ = oracle_continuation(system, params, terminal, 0, x)
+    assert np.abs(ao).max() > 1e3
+    assert rel_err(sol.actions, ao) <= 1e-12
+    want = trajectory_cost(system, params, terminal, 0, 0, so, ao)
+    assert sol.value == pytest.approx(want, rel=1e-11)
+
+
 def test_run_errors_match_oracle_continuation():
     inst = presets.tracking_rand(T=10, seed=3)
     sys_ = inst.system

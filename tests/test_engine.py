@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mpclab import engine, ftocp, presets
+from mpclab import cli, engine, ftocp, presets
 from mpclab.engine import (TerminalRule, per_step_error_bound_rhs,
                            pipeline_admission_check)
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
@@ -170,8 +170,12 @@ class TestCsvExport:
         inst = quiet_instance(T=4)
         stream = PredictionStream(inst.truth, 2, 0.0)
         run = engine.run_mpc(inst, stream, 2, TerminalRule("zero"))
-        text = engine.trajectory_to_csv(run, ["command=test"])
+        text = cli._trajectory_body(run, ["command=test"])
         lines = text.strip().split("\n")
         assert lines[0] == "# command=test"
         assert lines[1].startswith("t,x0,x1,u0,e,dist_opt")
         assert len(lines) == 2 + 5  # header + T+1 rows
+        # the last row has no action, error or stage cost
+        last = lines[-1].split(",")
+        assert len(last) == len(lines[1].split(","))
+        assert last[3:5] == ["", ""] and last[-1] == ""

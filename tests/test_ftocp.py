@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from mpclab import engine, ftocp, presets
@@ -186,6 +187,17 @@ class TestChainSolver:
         b = ftocp.solve(FtocpSpec(0, T, np.array([0.2]), params, pin), lq)
         assert np.allclose(a.states, b.states, atol=1e-8)
 
+    def test_last_small_step_is_taken(self):
+        # the optimum is 9e-10 from the straight-line start: the solver must
+        # still move there rather than stop within its step tolerance
+        targets = np.array([0.0, 0.0, 9e-10, 0.0, 0.0])
+        system = InventorySystem(T=4, targets=targets)
+        params = [np.array([v]) for v in targets]
+        sol = ftocp.solve(FtocpSpec(0, 4, np.zeros(1), params,
+                                    TerminalCost.indicator([0.0])), system)
+        assert sol.states[2, 0] == pytest.approx(9e-10, rel=1e-9)
+        assert sol.kkt_residual <= 1e-15
+
     def test_unreachable_terminal_infeasible(self):
         system = InventorySystem(T=2, targets=np.zeros(3), x_lo=-2.0,
                                  x_hi=2.0)
@@ -225,6 +237,36 @@ class TestChainSolver:
             ftocp.solve_inventory(
                 FtocpSpec(0, 3, np.zeros(1), [np.zeros(1)] * 4,
                           TerminalCost.zero(1)), system)
+
+
+# values at which the chain's state and action bounds tie with a target
+TIES = [-1.0, -0.8, 0.0, 0.8, 1.0]
+CHAIN_VALUES = st.one_of(st.sampled_from(TIES), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 8),
+       u_hi=st.one_of(st.none(), st.just(0.8), st.floats(0.2, 1.2)),
+       action_weight=st.sampled_from([0.0, 0.5, 2.0]),
+       z=CHAIN_VALUES, target=CHAIN_VALUES, data=st.data())
+def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
+                                     data):
+    u_lo = -0.8
+    # only windows whose straight line from z to the target is feasible
+    step = (target - z) / K
+    assume(step >= u_lo and (u_hi is None or step <= u_hi))
+    targets = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(TIES), st.floats(-1.5, 1.5)),
+        min_size=K + 1, max_size=K + 1)))
+    system = InventorySystem(T=K, targets=targets, u_lo=u_lo, u_hi=u_hi,
+                             action_weight=action_weight)
+    params = [np.array([v]) for v in targets]
+    sol = ftocp.solve(FtocpSpec(0, K, np.array([z]), params,
+                                TerminalCost.indicator([target])), system)
+    xo = oracles.inventory_oracle(z, targets[:K], target, u_lo, u_hi,
+                                  action_weight=action_weight)
+    assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
+    assert sol.kkt_residual <= 1e-9
 
 
 class TestClairvoyant:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mpclab import engine, ftocp, kkt, presets
+from mpclab import cli, engine, ftocp, kkt, presets
 from mpclab.ftocp import FtocpSpec
 from mpclab.model import TerminalCost
 
@@ -187,6 +187,22 @@ class TestMeasuredQuantities:
                 bound = c.decay_coef * c.decay_rate ** abs(i - j)
                 assert norms[i, j] <= bound * (1 + 1e-9)
 
+    @pytest.mark.parametrize("terminal", ["quadratic", "indicator"])
+    def test_block_profile_matches_per_block_norms(self, terminal):
+        # the last block is 2n wide (full) or n wide (hat), the others 2n+m
+        _, asm = tracking_assembly(T=12, seed=5, terminal=terminal, K=9)
+        norms, maxima, _ = kkt.block_inverse_profile(asm)
+        Uinv = np.linalg.inv(asm.Upsilon)
+        nb = asm.n_blocks
+        ref = np.array([[np.linalg.norm(Uinv[si, sj], 2)
+                         for sj in asm.block_slices]
+                        for si in asm.block_slices])
+        ref_max = [max(ref[i, j] for i in range(nb) for j in range(nb)
+                       if abs(i - j) == off) for off in range(nb)]
+        assert norms.shape == (nb, nb)
+        assert np.allclose(norms, ref, rtol=1e-10, atol=0.0)
+        assert np.allclose(maxima, ref_max, rtol=1e-10, atol=0.0)
+
     def test_disturbance_state_envelope_identically_zero(self):
         inst = presets.disturbance(T=12, seed=0)
         opt = engine.solve_opt(inst)
@@ -234,16 +250,16 @@ class TestMeasuredQuantities:
 
 class TestExports:
     def test_profile_csv_headers_and_rows(self):
-        text = kkt.profile_to_csv([0, 1], [1.0, 0.5], [2.0, 1.0],
-                                  ["config_hash=abc"])
+        text = cli._csv_body(["offset", "max_block_norm", "theory_bound"],
+                             zip([0, 1], [1.0, 0.5], [2.0, 1.0]),
+                             ["config_hash=abc"])
         lines = text.strip().split("\n")
         assert lines[0] == "# config_hash=abc"
         assert lines[1] == "offset,max_block_norm,theory_bound"
         assert len(lines) == 4
 
     def test_constants_text(self):
-        text = kkt.constants_to_text({"sigma": 1.5, "mode": "theory"},
-                                     ["h1"])
+        text = cli._key_value_body({"sigma": 1.5, "mode": "theory"}, ["h1"])
         assert text.startswith("# h1\n")
         assert "sigma = 1.5" in text
         assert "mode = theory" in text

@@ -1,9 +1,11 @@
 """Preset instances, physical examples, and chain perturbation studies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mpclab import presets
+from mpclab import cli, presets
 from mpclab.model import controllability_matrix, validate_assumptions
 
 
@@ -73,7 +75,9 @@ class TestChainStudies:
 
     def test_suite_csv(self):
         rows = presets.inventory_counterexample_suite(ps=(4,))
-        text = presets.suite_to_csv(rows, ["h"])
+        text = cli._csv_body(
+            ["p", "eps", "h", "diff", "diff_minus_eps", "closed_form_err"],
+            map(dataclasses.astuple, rows), ["h"])
         lines = text.strip().split("\n")
         assert lines[0] == "# h"
         assert lines[1] == "p,eps,h,diff,diff_minus_eps,closed_form_err"

@@ -1,12 +1,10 @@
 """Regret accounting, aggregate error budgets, and sweeps."""
 
-import json
-
 import numpy as np
 import pytest
 
 import oracles
-from mpclab import engine, presets, regret
+from mpclab import cli, engine, presets, regret
 from mpclab.engine import TerminalRule
 from mpclab.model import PredictionStream
 
@@ -23,7 +21,7 @@ class TestSolveOpt:
             [d[2] for d in data], [d[3] for d in data],
             [d[4] for d in data], [d[5] for d in data],
             inst.x0, ("quadratic", term.P, term.xbar))
-        opt = regret.solve_opt(inst)
+        opt = engine.solve_opt(inst)
         assert np.allclose(opt.states, so, atol=1e-7)
         assert np.allclose(opt.actions, ao, atol=1e-7)
 
@@ -32,7 +30,7 @@ class TestSolveOpt:
         targets = np.array([float(inst.truth[t][0]) for t in range(9)])
         terminal = float(inst.terminal_param[0])
         xo = oracles.inventory_oracle(0.0, targets[:8], terminal, -0.8, 0.8)
-        opt = regret.solve_opt(inst)
+        opt = engine.solve_opt(inst)
         assert np.allclose(opt.states[:, 0], xo, atol=1e-6)
         # reported cost adds the (constant) stage cost of the pinned terminal
         obj = float(np.sum((xo[:8] - targets[:8]) ** 2))
@@ -43,7 +41,7 @@ class TestSolveOpt:
 class TestRegretInequalities:
     def test_zero_error_run_passes(self):
         inst = presets.tracking_rand(T=8, seed=2)
-        opt = regret.solve_opt(inst)
+        opt = engine.solve_opt(inst)
         stream = PredictionStream(inst.truth, 8, 0.0)
         run = engine.run_mpc(inst, stream, 8, TerminalRule("true"), opt=opt)
         rep = regret.regret_inequalities(
@@ -54,7 +52,7 @@ class TestRegretInequalities:
 
     def test_constant_formula(self):
         inst = presets.tracking_rand(T=8, seed=2)
-        opt = regret.solve_opt(inst)
+        opt = engine.solve_opt(inst)
         stream = PredictionStream(inst.truth, 8, 0.0)
         run = engine.run_mpc(inst, stream, 8, TerminalRule("true"), opt=opt)
         ell, L_g, C3 = 2.0, 1.5, 1.3
@@ -64,17 +62,9 @@ class TestRegretInequalities:
 
     def test_short_gain_table_rejected(self):
         inst = presets.tracking_rand(T=8, seed=2)
-        opt = regret.solve_opt(inst)
+        opt = engine.solve_opt(inst)
         with pytest.raises(ValueError):
             regret.regret_inequalities(opt, opt, 2.0, 1.0, 1.0, np.ones(3))
-
-    def test_report_json_roundtrip(self):
-        rep = regret.RegretReport(1.0, 0.5, 0.5, 0.1, 2.0, 3.0, True,
-                                  np.zeros(3), np.ones(3), True, 0.4)
-        doc = json.loads(rep.to_json())
-        assert doc["regret"] == 0.5
-        assert doc["distance_ok"] is True
-        assert doc["aggregate_E"] == 0.4
 
 
 class TestAggregateBudget:
@@ -144,7 +134,7 @@ class TestSweeps:
         res = regret.SweepResult("noise_scale", np.array([0.1, 0.2]),
                                  np.array([1.0, 2.0]), 1.0, 0.0, 1.0,
                                  [0.2], log_x=True)
-        lines = res.to_csv(["h"]).strip().split("\n")
+        lines = cli._sweep_body(res, ["h"]).strip().split("\n")
         assert lines[1] == "noise_scale,regret,excluded"
         assert lines[2].endswith(",0")
         assert lines[3].endswith(",1")
