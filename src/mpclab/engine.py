@@ -1,5 +1,11 @@
 """Receding-horizon controller: per-step windowed solves on forecasts,
 closed-loop rollout on the true dynamics, and per-step error accounting.
+
+The controller is the same for every problem class: ``ftocp.solve`` solves
+each window, the instance's ``ftocp.truth_law`` gives the optimal
+continuation that the per-step errors and the hindsight optimum are read
+from, and ``Instance.terminal_cost`` caps the windows that reach the final
+step.
 """
 
 from __future__ import annotations
@@ -46,29 +52,18 @@ class TerminalRule:
         sys = instance.system
         zero_params = [np.zeros_like(instance.truth[t])
                        for t in range(sys.T + 1)]
-        x0 = np.atleast_1d(instance.x0)
-        if sys.kind == "inventory":
-            spec = ftocp.FtocpSpec(
-                0, sys.T, x0, zero_params,
-                TerminalCost.indicator(instance.terminal_param))
-            self.reference_states = ftocp.solve_inventory(spec, sys).states
-            return
-        law = ftocp.continuation_law(sys, zero_params,
-                                     sys.terminal_cost(zero_params[-1]))
-        self.reference_states = law.solution(0, x0).states
+        spec = ftocp.FtocpSpec(0, sys.T, instance.x0, zero_params,
+                               instance.terminal_cost(zero_params[-1]))
+        self.reference_states = ftocp.solve(spec, sys).states
 
     def build(self, instance: Instance, t: int, t2: int,
               params: Sequence[Array]) -> TerminalCost:
         sys = instance.system
         if t2 == sys.T or self.kind == "true":
-            if sys.kind == "inventory":
-                return TerminalCost.indicator(instance.terminal_param)
-            return sys.terminal_cost(params[-1])
+            return instance.terminal_cost(params[-1])
         if self.kind == "zero":
             return TerminalCost.indicator(np.zeros(sys.n))
         if self.kind == "predicted_tracking":
-            if sys.kind == "inventory":
-                return TerminalCost.indicator(np.atleast_1d(params[-1]))
             return TerminalCost.indicator(sys.xbar(t2, params[-1]))
         if self.reference_states is None:
             raise RuntimeError("reference rule not prepared")
@@ -115,39 +110,27 @@ def _stage_costs_and_total(instance: Instance, states: Array,
                            actions: Array) -> tuple[Array, float]:
     sys = instance.system
     T = sys.T
-    if sys.kind == "inventory":
-        top = T + 1 if sys.include_terminal_stage else T
-        costs = np.array([sys.stage_cost(t, float(states[t, 0]),
-                                         float(instance.truth[t][0]))
-                          for t in range(top)])
-        if sys.action_weight > 0.0:
-            costs[:T] += sys.action_weight * actions[:, 0] ** 2
-        return costs, float(costs.sum())
-    costs = np.zeros(T)
-    for t in range(T):
+    costs = np.zeros(T + 1 if sys.include_terminal_stage else T)
+    for t in range(costs.shape[0]):
         _, _, _, Q, R, xbar = sys.step_data(t, instance.truth[t])
         d = states[t] - xbar
-        costs[t] = float(d @ Q @ d + actions[t] @ R @ actions[t])
+        costs[t] = float(d @ Q @ d)
+        if t < T:
+            costs[t] += float(actions[t] @ R @ actions[t])
     total = float(costs.sum()) + instance.terminal_cost().value(states[T])
     return costs, total
 
 
 def solve_opt(instance: Instance,
-              law: ftocp.ContinuationLaw | None = None) -> TrajectoryRecord:
+              law: ftocp.ContinuationLaw | ftocp.ChainContinuation
+              | None = None) -> TrajectoryRecord:
     """Hindsight-optimal trajectory: the full-horizon solve under the true
     parameters.  ``law`` is the instance's ``ftocp.truth_law``, built here
     when not given."""
-    sys = instance.system
-    T = sys.T
+    T = instance.T
     if law is None:
         law = ftocp.truth_law(instance)
-    if law is not None:
-        sol = law.solution(0, instance.x0)
-    else:
-        params = [instance.truth[t] for t in range(T + 1)]
-        spec = ftocp.FtocpSpec(0, T, np.atleast_1d(instance.x0), params,
-                               instance.terminal_cost())
-        sol = ftocp.solve_inventory(spec, sys)
+    sol = law.solution(0, instance.x0)
     stage, total = _stage_costs_and_total(instance, sol.states, sol.actions)
     return TrajectoryRecord(sol.states, sol.actions, np.zeros(T),
                             np.zeros(T + 1), stage, total, k=None,
@@ -156,7 +139,8 @@ def solve_opt(instance: Instance,
 
 def run_mpc(instance: Instance, stream: PredictionStream, k: int,
             rule: TerminalRule, opt: TrajectoryRecord | None = None,
-            law: ftocp.ContinuationLaw | None = None) -> TrajectoryRecord:
+            law: ftocp.ContinuationLaw | ftocp.ChainContinuation
+            | None = None) -> TrajectoryRecord:
     """Closed-loop receding-horizon run.
 
     At each step t the controller solves the window [t, min(t+k, T)] on the
@@ -194,11 +178,7 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
                                    step=t) from exc
         u = sol.first_action
         actions[t] = u
-        if law is not None:
-            best = law.action(t, states[t])
-        else:
-            best, _ = ftocp.clairvoyant_action(t, states[t], instance)
-        errors[t] = float(np.linalg.norm(u - best))
+        errors[t] = float(np.linalg.norm(u - law.action(t, states[t])))
         states[t + 1] = np.atleast_1d(
             sys.dynamics(t, states[t], u, instance.truth[t]))
     distances = np.array([float(np.linalg.norm(states[t] - opt.states[t]))

@@ -7,6 +7,11 @@ Two problem classes are supported exactly:
   with a quadratic, zero or pinned terminal, and a forward rollout gives the
   solution, its multipliers and its KKT residual;
 - the constrained scalar stock chain (primal active-set QP).
+
+``solve`` picks the solver of a window and ``truth_law`` the optimal
+continuation under an instance's true parameters (a ``ContinuationLaw`` or a
+``ChainContinuation``, both read with ``action(t, x)`` and
+``solution(t, x)``); no other module branches on the problem class to solve.
 """
 
 from __future__ import annotations
@@ -457,8 +462,28 @@ def continuation_law(system, params: Sequence[Array], terminal: TerminalCost,
 
 
 # ---------------------------------------------------------------------------
-# dispatch and the exact-hindsight solve
+# dispatch and the optimal continuation under the true parameters
 # ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class ChainContinuation:
+    """Optimal continuation of the stock chain on the steps 0 .. T with fixed
+    parameters and a pinned terminal; the same interface as
+    ContinuationLaw, where t counts from step 0.  Each window [t, T] is one
+    active-set solve."""
+
+    system: InventorySystem
+    params: Sequence[Array]
+    terminal: TerminalCost
+
+    def action(self, t: int, x: Array) -> Array:
+        return self.solution(t, x).first_action
+
+    def solution(self, t: int, x: Array) -> FtocpSolution:
+        T = len(self.params) - 1
+        return solve_inventory(FtocpSpec(t, T, x, self.params[t:],
+                                         self.terminal), self.system)
+
 
 def solve(spec: FtocpSpec, system) -> FtocpSolution:
     if getattr(system, "kind", None) == "inventory":
@@ -466,28 +491,12 @@ def solve(spec: FtocpSpec, system) -> FtocpSolution:
     return solve_quadratic(spec, system)
 
 
-def truth_law(instance: Instance) -> ContinuationLaw | None:
-    """Continuation law under the instance's true parameters, or None for the
-    stock chain, whose continuation needs the active-set solver."""
-    if instance.system.kind == "inventory":
-        return None
+def truth_law(instance: Instance) -> ContinuationLaw | ChainContinuation:
+    """Optimal continuation under the instance's true parameters and its own
+    terminal cost: the reference of every per-step error and the hindsight
+    optimum."""
     params = [instance.truth[s] for s in range(instance.T + 1)]
+    if instance.system.kind == "inventory":
+        return ChainContinuation(instance.system, params,
+                                 instance.terminal_cost())
     return continuation_law(instance.system, params, instance.terminal_cost())
-
-
-def clairvoyant_action(t: int, x_t: Array, instance: Instance):
-    """Optimal continuation from x_t under the true parameters.
-
-    Returns (first action, full solution) of the window [t, T] with the
-    instance's own terminal cost.
-    """
-    law = truth_law(instance)
-    if law is not None:
-        sol = law.solution(t, x_t)
-        return sol.first_action, sol
-    T = instance.T
-    params = [instance.truth[s] for s in range(t, T + 1)]
-    spec = FtocpSpec(t, T, np.atleast_1d(x_t), params,
-                     instance.terminal_cost())
-    sol = solve_inventory(spec, instance.system)
-    return sol.first_action, sol

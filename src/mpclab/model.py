@@ -235,10 +235,11 @@ class LinearQuadraticSystem:
     """Time-varying linear dynamics with quadratic tracking costs.
 
     Every per-step quantity is a map of (t, xi); the terminal data is a map of
-    the final parameter alone.
+    the final parameter alone, and the final state pays no stage cost.
     """
 
     kind = "tracking"
+    include_terminal_stage = False
 
     def __init__(self, n: int, m: int, T: int, *,
                  A: Callable[[int, Array], Array],
@@ -332,6 +333,17 @@ class InventorySystem:
     def param_box(self) -> ParamBox:
         return ParamBox(np.array([-0.5]), np.array([0.5]))
 
+    def xbar(self, t: int, xi: Array) -> Array:
+        """The stock target of step t, which is the parameter itself."""
+        return np.atleast_1d(np.asarray(xi, float))
+
+    def step_data(self, t: int, xi: Array):
+        """(A, B, w, Q, R, xbar) of step t: the stage cost
+        (x - xi)^2 + action_weight * u^2 of the chain x_{t+1} = x_t + u_t."""
+        one = np.ones((1, 1))
+        return (one, one, np.zeros(1), one, np.array([[self.action_weight]]),
+                self.xbar(t, xi))
+
     def dynamics(self, t, x, u, xi) -> Array:
         return np.atleast_1d(x) + np.atleast_1d(u)
 
@@ -357,13 +369,17 @@ class Instance:
     def T(self) -> int:
         return self.system.T
 
-    def terminal_cost(self) -> TerminalCost:
+    def terminal_cost(self, xi_T: Array | None = None) -> TerminalCost:
+        """Terminal cost with the terminal data of xi_T (by default the true
+        final parameter).  The stock chain's final state is pinned to
+        ``terminal_param`` whatever xi_T is."""
         if self.system.kind == "inventory":
             tgt = self.terminal_param
             if tgt is None:
                 raise ModelError("inventory instance needs a terminal target")
             return TerminalCost.indicator(tgt)
-        return self.system.terminal_cost(self.truth[self.T])
+        return self.system.terminal_cost(self.truth[self.T] if xi_T is None
+                                         else xi_T)
 
 
 # ---------------------------------------------------------------------------

@@ -170,29 +170,37 @@ def _norm_bounds_over_box(mat_fn, box: ParamBox, grid: int = 50):
     return a, lip
 
 
-def pendulum_system(M_lo: float = 0.4, M_hi: float = 0.6, T: int = 30,
-                    **phys) -> LinearQuadraticSystem:
-    p = {**PENDULUM_DEFAULTS, **phys}
-    box = ParamBox(np.array([M_lo]), np.array([M_hi]))
+def _parametric_system(matrices, n: int, m: int, T: int,
+                       box: ParamBox) -> LinearQuadraticSystem:
+    """Regulation to the origin with identity costs, where the scalar
+    parameter enters the dynamics through ``matrices(xi) -> (A, B)``; the
+    declared bounds on A and B are measured over the box."""
 
     def Afn(xi):
-        return pendulum_matrices(float(np.atleast_1d(xi)[0]), **p)[0]
+        return matrices(float(np.atleast_1d(xi)[0]))[0]
 
     def Bfn(xi):
-        return pendulum_matrices(float(np.atleast_1d(xi)[0]), **p)[1]
+        return matrices(float(np.atleast_1d(xi)[0]))[1]
 
     a, L_A = _norm_bounds_over_box(Afn, box)
     b, L_B = _norm_bounds_over_box(Bfn, box)
-    eye4 = np.eye(4)
+    eye = np.eye(n)
     return LinearQuadraticSystem(
-        4, 1, T,
+        n, m, T,
         A=lambda t, xi: Afn(xi), B=lambda t, xi: Bfn(xi),
-        w=lambda t, xi: np.zeros(4),
-        Q=lambda t, xi: eye4, R=lambda t, xi: np.eye(1),
-        xbar=lambda t, xi: np.zeros(4),
-        P_T=lambda xi: eye4, xbar_T=lambda xi: np.zeros(4),
+        w=lambda t, xi: np.zeros(n),
+        Q=lambda t, xi: eye, R=lambda t, xi: np.eye(m),
+        xbar=lambda t, xi: np.zeros(n),
+        P_T=lambda xi: eye, xbar_T=lambda xi: np.zeros(n),
         bounds=Bounds(mu=1.0, ell=1.0, a=a, b=b, L_A=L_A, L_B=L_B),
         param_box=box)
+
+
+def pendulum_system(M_lo: float = 0.4, M_hi: float = 0.6, T: int = 30,
+                    **phys) -> LinearQuadraticSystem:
+    p = {**PENDULUM_DEFAULTS, **phys}
+    return _parametric_system(lambda M: pendulum_matrices(M, **p), 4, 1, T,
+                              ParamBox(np.array([M_lo]), np.array([M_hi])))
 
 
 def pendulum(T: int = 30, seed: int = 0, M: float = 0.5) -> Instance:
@@ -233,29 +241,9 @@ def grid_system(n_nodes: int = 3, delta: float = 0.1, m_lo: float = 1.0,
                 m_hi: float = 2.0, T: int = 30) -> LinearQuadraticSystem:
     L = path_laplacian(n_nodes)
     D = np.eye(n_nodes)
-    box = ParamBox(np.array([m_lo]), np.array([m_hi]))
-
-    def Afn(xi):
-        return grid_matrices(float(np.atleast_1d(xi)[0]), L=L, D=D,
-                             delta=delta)[0]
-
-    def Bfn(xi):
-        return grid_matrices(float(np.atleast_1d(xi)[0]), L=L, D=D,
-                             delta=delta)[1]
-
-    a, L_A = _norm_bounds_over_box(Afn, box)
-    b, L_B = _norm_bounds_over_box(Bfn, box)
-    n2 = 2 * n_nodes
-    eyeN = np.eye(n2)
-    return LinearQuadraticSystem(
-        n2, n_nodes, T,
-        A=lambda t, xi: Afn(xi), B=lambda t, xi: Bfn(xi),
-        w=lambda t, xi: np.zeros(n2),
-        Q=lambda t, xi: eyeN, R=lambda t, xi: np.eye(n_nodes),
-        xbar=lambda t, xi: np.zeros(n2),
-        P_T=lambda xi: eyeN, xbar_T=lambda xi: np.zeros(n2),
-        bounds=Bounds(mu=1.0, ell=1.0, a=a, b=b, L_A=L_A, L_B=L_B),
-        param_box=box)
+    return _parametric_system(
+        lambda m_val: grid_matrices(m_val, L=L, D=D, delta=delta),
+        2 * n_nodes, n_nodes, T, ParamBox(np.array([m_lo]), np.array([m_hi])))
 
 
 def grid(T: int = 30, seed: int = 0, n_nodes: int = 3) -> Instance:

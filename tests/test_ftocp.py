@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from mpclab import engine, ftocp, presets
 from mpclab.ftocp import FtocpSpec, Infeasible
-from mpclab.model import InventorySystem, TerminalCost
+from mpclab.model import InventorySystem, PredictionStream, TerminalCost
 
 
 def window_data(inst, t1, t2):
@@ -231,6 +231,35 @@ class TestChainSolver:
         assert sol.active_set
         assert any(name.startswith("u") for name in sol.active_set)
 
+    def test_degenerate_working_set_is_solved(self, monkeypatch):
+        # the only feasible path runs on u_hi at both steps: both bounds on
+        # the one free state are active, the working-set KKT matrix is
+        # singular and the step comes from the least-squares solve
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        system = InventorySystem(T=2, targets=np.zeros(3))
+        sol = ftocp.solve(FtocpSpec(0, 2, np.array([-0.8]), [np.zeros(1)] * 3,
+                                    TerminalCost.indicator([0.8])), system)
+        assert calls
+        assert np.array_equal(sol.states[:, 0], [-0.8, 0.0, 0.8])
+        assert sol.kkt_residual == 0.0
+
+    def test_active_set_iteration_cap(self):
+        # min (x - 2)^2 s.t. x <= 1 from x = 0: the first iteration stops at
+        # the bound, the second finds its multiplier 2
+        args = (2.0 * np.eye(1), np.array([-4.0]), np.eye(1), np.ones(1),
+                np.zeros(1))
+        with pytest.raises(Infeasible, match="iteration cap"):
+            ftocp._active_set_qp(*args, max_iter=1)
+        x, lam, work = ftocp._active_set_qp(*args, max_iter=2)
+        assert (x.tolist(), lam.tolist(), work) == ([1.0], [2.0], [0])
+
     def test_requires_pinned_terminal(self):
         system = InventorySystem(T=3, targets=np.zeros(4))
         with pytest.raises(ValueError):
@@ -272,7 +301,35 @@ def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
 class TestClairvoyant:
     def test_first_step_matches_full_solve(self):
         inst = presets.tracking_rand(T=8, seed=4)
-        u, sol = ftocp.clairvoyant_action(0, inst.x0, inst)
+        law = ftocp.truth_law(inst)
+        sol = law.solution(0, inst.x0)
         opt = engine.solve_opt(inst)
-        assert np.allclose(u, opt.actions[0], atol=1e-9)
+        assert np.allclose(law.action(0, inst.x0), opt.actions[0], atol=1e-9)
         assert np.allclose(sol.states, opt.states, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["inventory-two-sided",
+                                      "inventory-one-sided"])
+    def test_chain_continuation_matches_oracle(self, name):
+        inst = presets.build_preset(name)
+        sys, T = inst.system, inst.T
+        law = ftocp.truth_law(inst)
+        opt = engine.solve_opt(inst, law)
+        terminal = float(inst.terminal_param[0])
+        for t in range(0, T - 1, 3):
+            x = opt.states[t]
+            sol = law.solution(t, x)
+            xo = oracles.inventory_oracle(float(x[0]), sys.targets[t:T],
+                                          terminal, sys.u_lo, sys.u_hi)
+            assert (sol.t1, sol.t2) == (t, T)
+            assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
+            assert np.array_equal(law.action(t, x), sol.first_action)
+
+    @pytest.mark.parametrize("name", ["inventory-two-sided",
+                                      "inventory-one-sided"])
+    def test_chain_full_horizon_controller_is_exact(self, name):
+        inst = presets.build_preset(name)
+        stream = PredictionStream(inst.truth, inst.T, 0.0)
+        run = engine.run_mpc(inst, stream, inst.T, engine.TerminalRule("true"))
+        assert np.array_equal(run.errors, np.zeros(inst.T))
+        assert run.total_cost == pytest.approx(
+            engine.solve_opt(inst).total_cost, rel=1e-12)
