@@ -368,6 +368,7 @@ def constants(preset, instance_file, T, seed, out, k, mode):
         tables = kkt.theory_gain_tables(
             inst, k, R=max(opt.max_state_norm, 1.0),
             D_xstar=opt.max_state_norm, sigma=sigma)
+    values["gain_tables"] = tables.basis
     values["C3"] = tables.C3
     for tau in range(k + 1):
         values[f"gain_state_{tau}"] = float(tables.gain_state[tau])

@@ -27,7 +27,9 @@ class TerminalRule:
 
     kinds:
       - "zero": pin the window's final state to the origin;
-      - "predicted_tracking": pin it to the forecast reference point;
+      - "predicted_tracking": pin it to the forecast reference point
+        (``pin_target`` of the system: clipped to the stock chain's state
+        interval);
       - "reference": pin it to a precomputed nominal trajectory (the solve of
         the full horizon under all-zero parameters);
       - "true": always use the instance's own terminal cost.
@@ -64,7 +66,7 @@ class TerminalRule:
         if self.kind == "zero":
             return TerminalCost.indicator(np.zeros(sys.n))
         if self.kind == "predicted_tracking":
-            return TerminalCost.indicator(sys.xbar(t2, params[-1]))
+            return TerminalCost.indicator(sys.pin_target(t2, params[-1]))
         if self.reference_states is None:
             raise RuntimeError("reference rule not prepared")
         return TerminalCost.indicator(self.reference_states[t2])

@@ -230,67 +230,161 @@ class GainTables:
     response to a parameter change at offset tau; gain_param(tau): the
     state-independent part; gain_init(tau): response of states/actions at
     offset tau to an initial-state change.
+
+    ``basis`` says what the tables bound.  "exact": measured Jacobians of a
+    first action that is affine in the parameters, which bound every finite
+    perturbation; "local": measured slopes at the true parameters, which
+    bound only infinitesimal ones; "theory": closed forms of the declared
+    system bounds.
     """
 
     gain_state: Array
     gain_param: Array
     gain_init: Array
+    basis: str
 
     @property
     def C3(self) -> float:
         return float(max(np.sum(self.gain_init), 1.0))
 
 
-def _window_action_jacobians(instance, t, t2, zs, terminal_builder,
-                             include_terminal_target=True) -> Array:
-    """Spectral norms of the Jacobians of the committed action w.r.t. each
-    window parameter (and, for pinned terminals, the terminal target), by
-    offset; row i is taken at the initial state zs[i].
+def _central_slopes(fn, xi: Array) -> list[Array]:
+    """Central differences of the arrays returned by fn(xi), one trailing
+    axis per coordinate of xi.  The step balances truncation and rounding
+    error; data affine in xi come out exact to rounding."""
+    xi = np.asarray(xi, float)
+    cols = []
+    for i in range(xi.size):
+        hi, lo = xi.copy(), xi.copy()
+        h = np.cbrt(np.finfo(float).eps) * max(1.0, abs(xi[i]))
+        hi[i] += h
+        lo[i] -= h
+        step = hi[i] - lo[i]
+        cols.append([(np.asarray(a, float) - np.asarray(b, float)) / step
+                     for a, b in zip(fn(hi), fn(lo))])
+    return [np.stack(col, axis=-1) for col in zip(*cols)]
 
-    The continuation law of a window does not depend on its initial state,
-    so each perturbed window's law is built once and read at every state.
-    ``terminal_builder(params)`` rebuilds the terminal cost from the window
-    parameters, so terminal data that depends on the forecast is
-    differentiated through.
+
+def _step_data_slopes(instance: Instance) -> list[Array]:
+    """d(A, B, w, Q, R, xbar)/dxi at the true parameters for the steps
+    0..T-1, each stacked by step with a trailing axis over the parameter
+    coordinates (zero-padded to the widest parameter, which leaves every
+    Jacobian norm unchanged)."""
+    sys, truth = instance.system, instance.truth
+    per_step = [_central_slopes(lambda xi, _s=s: sys.step_data(_s, xi),
+                                truth[s]) for s in range(sys.T)]
+    p = max(data[0].shape[-1] for data in per_step)
+    stacked = [np.zeros((sys.T,) + a.shape[:-1] + (p,)) for a in per_step[0]]
+    for s, data in enumerate(per_step):
+        for out, a in zip(stacked, data):
+            out[s, ..., :a.shape[-1]] = a
+    return stacked
+
+
+def _terminal_data(terminal: TerminalCost) -> tuple[Array, ...]:
+    """The parameter-dependent arrays of a terminal: the pin's target, or
+    the quadratic's P and xbar."""
+    if terminal.kind == "indicator":
+        return (terminal.target,)
+    return terminal.P, terminal.xbar
+
+
+def _first_action_adjoint(law: ftocp.ContinuationLaw):
+    """lam = H^{-1} e_{u_0} for the saddle matrix H of the law's window, one
+    column per component of the first action.
+
+    lam is the solution of the window with zero affine data (w, xbar, pin
+    target), zero initial state and the linear cost -u_0[j].  After step 0
+    that is the law's homogeneous continuation, so no second Riccati pass
+    runs: step 0 is one solve with R_0 + B_0'P_1 B_0 (the "kick", the
+    action of the unit cost), and a pin's multiplier nu cancels the kick's
+    terminal miss P_1[nu, x] B_0 kick through the nu-block of P_0, as in
+    the law's rollout.
+
+    Returns y (K+1, n, m) and v (K, m, m) by offset, eta (K, n, m), the
+    multipliers of the dynamics rows into offsets 1..K (the initial pin
+    carries no parameter), and nu (n, m), or None without a pin.  Both
+    solves succeed wherever the law reads a solution at offset 0, which
+    factors the same matrices.
     """
-    sys = instance.system
-    truth = instance.truth
-    base = np.concatenate([truth[s] for s in range(t, t2 + 1)])
-    dims = [truth[s].shape[0] for s in range(t, t2 + 1)]
-    splits = np.cumsum(dims)[:-1]
-    base_params = np.split(base, splits)
+    wm, n, K = law.data, law.data.n, law.T
+    B, P = wm.B, law.P
+    kick = np.linalg.inv(wm.R[0] + B[0].T @ P[1, :n, :n] @ B[0])
+    extra = np.zeros((K, wm.m, wm.m))   # actions beyond the state feedback
+    nu = None
+    if wm.terminal.kind == "indicator":
+        nu = -np.linalg.solve(P[0, n + 1:, n + 1:],
+                              P[1, n + 1:, :n] @ B[0] @ kick)
+        extra += law.G[:, :, n + 1:] @ nu
+    extra[0] += kick
+    y = np.zeros((K + 1, n, wm.m))
+    for t, loop in enumerate(law.closed_loop[:, :n, :n]):
+        y[t + 1] = loop @ y[t] + B[t] @ extra[t]
+    v = law.G[:, :, :n] @ y[:-1] + extra
+    eta = -P[1:, :n, :n] @ y[1:]
+    if nu is not None:
+        eta -= P[1:, :n, n + 1:] @ nu
+    return y, v, eta, nu
 
-    def first_actions(params, terminal):
-        law = ftocp.continuation_law(sys, params, terminal, t)
-        return np.array([law.action(0, z) for z in zs])
 
-    def from_flat(flat):
-        params = np.split(flat, splits)
-        return first_actions(params, terminal_builder(params))
+def _window_action_jacobians(instance: Instance, t: int, t2: int, zs,
+                             terminal_rule, step_slopes,
+                             include_terminal_target=True) -> Array:
+    """Spectral norms of the Jacobians of the committed action of the
+    window [t, t2] with respect to each window parameter (and, for a pin,
+    its target), by offset; row i is taken at the initial state zs[i].
 
-    def norms(f, x0, idx, step):
-        cols = []
-        for i in idx:
-            hi = x0.copy()
-            lo = x0.copy()
-            hi[i] += step
-            lo[i] -= step
-            cols.append((f(hi) - f(lo)) / (2 * step))
-        return np.linalg.norm(np.stack(cols, axis=-1), 2, axis=(1, 2))
-
-    out = np.zeros((len(zs), t2 - t + 1))
-    step = 1e-5 * (1.0 + float(np.linalg.norm(base)))
-    for tau, stop in enumerate(np.cumsum(dims)):
-        out[:, tau] = norms(from_flat, base, range(stop - dims[tau], stop),
-                            step)
-    terminal = terminal_builder(base_params)
-    if include_terminal_target and terminal.kind == "indicator":
-        # the pinned target itself is a perturbable datum at the far offset
-        tgt = terminal.target
-        step_tgt = 1e-5 * (1.0 + float(np.linalg.norm(tgt)))
-        out[:, -1] = np.maximum(out[:, -1], norms(
-            lambda v: first_actions(base_params, TerminalCost.indicator(v)),
-            tgt, range(tgt.shape[0]), step_tgt))
+    By the implicit-function theorem on the saddle system H chi = b of the
+    window, du_0/dxi = -lam'(dH/dxi chi - db/dxi) with H lam = e_{u_0}, so
+    the window costs one continuation law, read at every state, and one
+    adjoint.  The parameter of offset tau < K enters only the rows of step
+    tau (the stationarity in y_tau and v_tau and the dynamics row to
+    tau + 1), and the last one only the terminal rows, so each offset is
+    one contraction of the slopes of its own data with lam and chi(z):
+    ``step_slopes`` are those of ``_step_data_slopes``, and the terminal
+    built by ``terminal_rule`` is differentiated through the last
+    parameter.  The derivative with respect to the pin's target is lam's
+    pin component.
+    """
+    params = [instance.truth[s] for s in range(t, t2 + 1)]
+    law = ftocp.continuation_law(
+        instance.system, params, terminal_rule.build(instance, t, t2, params),
+        t)
+    terminal_slopes = _central_slopes(
+        lambda xi: _terminal_data(
+            terminal_rule.build(instance, t, t2, params[:-1] + [xi])),
+        params[-1])
+    wm, K = law.data, law.T
+    sols = [law.solution(0, z) for z in zs]
+    lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law)
+    states = np.array([sol.states for sol in sols])
+    y, v = states[:, :-1], np.array([sol.actions for sol in sols])
+    eta = np.array([sol.duals[1:] for sol in sols])
+    dA, dB, dw, dQ, dR, dxbar = (d[t:t2] for d in step_slopes)
+    row_y = (np.einsum("tabi,ztb->ztai", dQ, y - wm.xbar)
+             - np.einsum("tab,tbi->tai", wm.Q, dxbar)
+             - np.einsum("tbai,ztb->ztai", dA, eta))
+    row_v = (np.einsum("tabi,ztb->ztai", dR, v)
+             - np.einsum("tbai,ztb->ztai", dB, eta))
+    row_dyn = -(np.einsum("tabi,ztb->ztai", dA, y)
+                + np.einsum("tabi,ztb->ztai", dB, v) + dw)
+    jac = -(np.einsum("taj,ztai->ztji", lam_y[:-1], row_y)
+            + np.einsum("taj,ztai->ztji", lam_v, row_v)
+            + np.einsum("taj,ztai->ztji", lam_eta, row_dyn))
+    out = np.empty((len(zs), K + 1))
+    out[:, :K] = np.linalg.norm(jac, 2, axis=(-2, -1))
+    terminal = wm.terminal
+    if terminal.kind == "indicator":
+        (d_target,) = terminal_slopes
+        out[:, K] = np.linalg.norm(lam_nu.T @ d_target, 2)
+        if include_terminal_target:
+            out[:, K] = np.maximum(out[:, K], np.linalg.norm(lam_nu, 2))
+    else:
+        dP, d_xbar_T = terminal_slopes
+        row_T = (np.einsum("abi,zb->zai", dP, states[:, -1] - terminal.xbar)
+                 - terminal.P @ d_xbar_T)
+        out[:, K] = np.linalg.norm(
+            np.einsum("aj,zai->zji", lam_y[-1], row_T), 2, axis=(-2, -1))
     return out
 
 
@@ -326,14 +420,17 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     """Measure sensitivity envelopes on the family of solves the controller
     actually performs.
 
-    The parameter tables gain_param and gain_state are per-coordinate
-    central differences of the window's first action.  For the disturbance
-    family the windowed solution is affine in the stacked parameters, so the
-    differences are its exact Jacobians and the envelopes upper-bound any
-    realized deviation by the triangle inequality.  The other families put
-    the parameters inside A and B, where the map is not affine: there the
-    differences measure its local slope at the true parameters.  The
-    gain_init table is exact: the products of the closed-loop matrices
+    The parameter tables gain_param and gain_state are the Jacobians of
+    each window's first action, by implicit differentiation of the window's
+    saddle system: one continuation law and one adjoint per window (see
+    ``_window_action_jacobians``), with the slopes of the step and terminal
+    data taken once per step by central differences of the system's maps.
+    For the disturbance family the first action is affine in the
+    parameters, so the Jacobians bound any realized deviation by the
+    triangle inequality (basis "exact").  The other families put the
+    parameters inside A and B, where the map is not affine: there the
+    Jacobians are its local slope at the true parameters (basis "local").
+    The gain_init table is exact: the products of the closed-loop matrices
     A_t + B_t K_t of the instance's continuation law.
     """
     sys = instance.system
@@ -341,14 +438,11 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
         raise ValueError("gain tables need a linear-quadratic system")
     T = sys.T
     rng = np.random.default_rng(seed)
+    step_slopes = _step_data_slopes(instance)
     gp = np.zeros(k + 1)
     gs = np.zeros(k + 1)
     for t in range(0, T, t_stride):
         t2 = min(t + k, T)
-
-        def terminal_builder(params, _t=t, _t2=t2):
-            return terminal_rule.build(instance, _t, _t2, params)
-
         zs = [np.zeros(sys.n)]
         # the disturbance family's parameter Jacobian does not depend on the
         # state, so its state-coupled envelope is identically zero
@@ -360,8 +454,8 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                 d *= R / max(np.linalg.norm(d), 1e-12)
                 z_list.append(xstar + d)
             zs += [z for z in z_list if np.linalg.norm(z) >= 1e-12]
-        jac = _window_action_jacobians(instance, t, t2, zs, terminal_builder,
-                                       include_terminal_target)
+        jac = _window_action_jacobians(instance, t, t2, zs, terminal_rule,
+                                       step_slopes, include_terminal_target)
         width = t2 - t + 1
         gp[:width] = np.maximum(gp[:width], jac[0])
         for z, row in zip(zs[1:], jac[1:]):
@@ -374,7 +468,8 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                                     _init_state_jacobians(law, t))
     gi[0] = max(gi[0], 1.0)
     return GainTables(_monotone_envelope(gs), _monotone_envelope(gp),
-                      _monotone_envelope(gi))
+                      _monotone_envelope(gi),
+                      "exact" if sys.kind == "disturbance" else "local")
 
 
 def theory_gain_tables(instance: Instance, k: int, *, R: float,
@@ -397,4 +492,4 @@ def theory_gain_tables(instance: Instance, k: int, *, R: float,
         gs = H * lam ** (2 * taus)
     gi = H * lam ** np.arange(sys.T + 1)
     gi[0] = max(gi[0], 1.0)
-    return GainTables(gs, gp, gi)
+    return GainTables(gs, gp, gi, "theory")

@@ -267,6 +267,11 @@ class LinearQuadraticSystem:
     def terminal_cost(self, xi_T: Array) -> TerminalCost:
         return TerminalCost.quadratic(self.P_T(xi_T), self.xbar_T(xi_T))
 
+    def pin_target(self, t: int, xi: Array) -> Array:
+        """The state a window ending at step t is pinned to on the forecast
+        xi: the reference point of step t."""
+        return self.xbar(t, xi)
+
     def dynamics(self, t: int, x: Array, u: Array, xi: Array) -> Array:
         A, B, w, *_ = self.step_data(t, xi)
         return A @ x + B @ u + w
@@ -336,6 +341,12 @@ class InventorySystem:
     def xbar(self, t: int, xi: Array) -> Array:
         """The stock target of step t, which is the parameter itself."""
         return np.atleast_1d(np.asarray(xi, float))
+
+    def pin_target(self, t: int, xi: Array) -> Array:
+        """The state a window ending at step t is pinned to on the forecast
+        xi: the stock target, clipped to the state interval, since a pin
+        outside it is infeasible."""
+        return np.clip(self.xbar(t, xi), self.x_lo, self.x_hi)
 
     def step_data(self, t: int, xi: Array):
         """(A, B, w, Q, R, xbar) of step t: the stage cost

@@ -105,7 +105,9 @@ class TestSolverFailures:
 
     @pytest.mark.parametrize("args", [
         ["mpc", "--preset", "pendulum", "--T", "20", "--k", "2"],
-        ["mpc", "--preset", "tracking-rand", "--T", "20", "--k", "1"]])
+        ["mpc", "--preset", "tracking-rand", "--T", "20", "--k", "1"],
+        ["constants", "--preset", "pendulum", "--T", "20", "--k", "2",
+         "--mode", "measured"]])
     def test_unreachable_pinned_window_exits_3(self, runner, tmp_path, args):
         res = runner.invoke(cli.main, args + ["--out", str(tmp_path)])
         assert res.exit_code == 3
@@ -123,6 +125,18 @@ class TestSolverFailures:
                                        "--T", "10", "--out", str(tmp_path)])
         assert res.exit_code == 3
         assert "solver failure: boom" in res.output
+
+
+class TestChainForecastPins:
+    # forecasts of the +-0.8 stock targets with noise above 0.2 lie outside
+    # the state interval [-1, 1]; the pin is clipped back into it
+    @pytest.mark.parametrize("args", [
+        ["sweep-noise", "--preset", "inventory-one-sided"],
+        ["mpc", "--preset", "inventory-one-sided", "--k", "2", "--T", "13",
+         "--noise-scale", "0.3"]])
+    def test_noisy_chain_runs_succeed(self, runner, tmp_path, args):
+        res = runner.invoke(cli.main, args + ["--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
 
 
 class TestInstanceFiles:

@@ -56,6 +56,20 @@ class TestTerminalRule:
         assert np.allclose(term.target, inst.system.xbar(4, params[-1]))
 
 
+    def test_predicted_tracking_clips_chain_pin_to_state_interval(self):
+        inst = presets.inventory_one_sided(T=12)
+        rule = TerminalRule("predicted_tracking")
+        params = [inst.truth[t] for t in range(5)]
+        inside = rule.build(inst, 0, 4, params)
+        assert np.array_equal(inside.target, params[-1])
+        for forecast in (1.3, -1.7):
+            term = rule.build(inst, 0, 4, params[:-1] + [np.array([forecast])])
+            assert term.target[0] == np.clip(forecast, -1.0, 1.0)
+            # the pin is no farther from the truth than the forecast was
+            assert (abs(term.target[0] - params[-1][0])
+                    <= abs(forecast - params[-1][0]))
+
+
 class TestRunMpc:
     def test_quiet_system_stays_at_origin(self):
         inst = quiet_instance(T=6)
