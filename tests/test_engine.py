@@ -55,7 +55,6 @@ class TestTerminalRule:
         assert term.kind == "indicator"
         assert np.allclose(term.target, inst.system.xbar(4, params[-1]))
 
-
     def test_predicted_tracking_clips_chain_pin_to_state_interval(self):
         inst = presets.inventory_one_sided(T=12)
         rule = TerminalRule("predicted_tracking")
