@@ -6,8 +6,8 @@ from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     PredictionStream, TerminalCost, build_instance,
                     config_hash, controllability_matrix,
                     min_singular_controllability, validate_assumptions)
-from .ftocp import (ChainContinuation, ContinuationLaw, FtocpSolution,
-                    FtocpSpec, Infeasible, SingularKKT, continuation_law,
+from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, FtocpSpec,
+                    Infeasible, SingularKKT, chain_law, continuation_law,
                     solve, solve_inventory, solve_quadratic, truth_law)
 from .kkt import (DecayFit, GainTables, SaddleBounds, TrackingDecayConstants,
                   assemble, block_inverse_profile, general_decay_constants,

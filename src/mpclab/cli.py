@@ -358,13 +358,13 @@ def constants(preset, instance_file, T, seed, out, k, mode):
               "decay_rate": consts.decay_rate,
               "decay_coef": consts.decay_coef,
               "diff_coef": consts.diff_coef}
+    law = ftocp.truth_law(inst)
+    opt = engine.solve_opt(inst, law)
     if mode == "measured":
-        opt = engine.solve_opt(inst)
         tables = kkt.measure_gain_tables(
             inst, k, _default_rule(inst), opt.states,
-            R=max(opt.max_state_norm, 1.0), seed=inst.seed)
+            R=max(opt.max_state_norm, 1.0), seed=inst.seed, law=law)
     else:
-        opt = engine.solve_opt(inst)
         tables = kkt.theory_gain_tables(
             inst, k, R=max(opt.max_state_norm, 1.0),
             D_xstar=opt.max_state_norm, sigma=sigma)

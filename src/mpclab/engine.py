@@ -124,7 +124,7 @@ def _stage_costs_and_total(instance: Instance, states: Array,
 
 
 def solve_opt(instance: Instance,
-              law: ftocp.ContinuationLaw | ftocp.ChainContinuation
+              law: ftocp.ContinuationLaw | ftocp.ChainLaw
               | None = None) -> TrajectoryRecord:
     """Hindsight-optimal trajectory: the full-horizon solve under the true
     parameters.  ``law`` is the instance's ``ftocp.truth_law``, built here
@@ -141,7 +141,7 @@ def solve_opt(instance: Instance,
 
 def run_mpc(instance: Instance, stream: PredictionStream, k: int,
             rule: TerminalRule, opt: TrajectoryRecord | None = None,
-            law: ftocp.ContinuationLaw | ftocp.ChainContinuation
+            law: ftocp.ContinuationLaw | ftocp.ChainLaw
             | None = None) -> TrajectoryRecord:
     """Closed-loop receding-horizon run.
 

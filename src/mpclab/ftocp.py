@@ -6,12 +6,13 @@ Two problem classes are supported exactly:
   pass (``continuation_law``) gives the optimal affine feedback of a window
   with a quadratic, zero or pinned terminal, and a forward rollout gives the
   solution, its multipliers and its KKT residual;
-- the constrained scalar stock chain (primal active-set QP).
+- the constrained scalar stock chain: one backward pass (``chain_law``)
+  over the knots of the derivatives of its value functions, then a rollout.
 
 ``solve`` picks the solver of a window and ``truth_law`` the optimal
 continuation under an instance's true parameters (a ``ContinuationLaw`` or a
-``ChainContinuation``, both read with ``action(t, x)`` and
-``solution(t, x)``); no other module branches on the problem class to solve.
+``ChainLaw``, both read with ``action(t, x)`` and ``solution(t, x)``); no
+other module branches on the problem class to solve.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class FtocpSolution:
     duals: Array       # (K+1, n)
     value: float
     kkt_residual: float
-    active_set: list | None = None
 
     @property
     def first_action(self) -> Array:
@@ -115,170 +115,6 @@ def _lq_value(Q: Array, R: Array, xbar: Array, terminal: TerminalCost,
     value = float(np.einsum("ti,tij,tj->", d, Q, d)
                   + np.einsum("ti,tij,tj->", actions, R, actions))
     return value + terminal.value(states[-1])
-
-
-# ---------------------------------------------------------------------------
-# stock-chain solver (primal active set)
-# ---------------------------------------------------------------------------
-
-def _active_set_qp(Hm, g, G, h, x, max_iter, tol=1e-9):
-    """Primal active-set method for min 0.5 x'Hx + g'x s.t. Gx <= h, with a
-    feasible start.  Returns (x, lam, working_set)."""
-    nc = G.shape[0]
-    work = [i for i in range(nc) if G[i] @ x >= h[i] - tol]
-    lam = np.zeros(nc)
-    for _ in range(max_iter):
-        GW = G[work] if work else np.zeros((0, x.size))
-        kkt = np.block([[Hm, GW.T],
-                        [GW, np.zeros((len(work), len(work)))]])
-        rhs = np.concatenate([-(Hm @ x + g), np.zeros(len(work))])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        p = sol[:x.size]
-        lam_w = sol[x.size:]
-        alpha = 1.0
-        blocking = None
-        for i in range(nc):
-            if i in work:
-                continue
-            gi_p = G[i] @ p
-            if gi_p > tol:
-                a_i = (h[i] - G[i] @ x) / gi_p
-                if a_i < alpha - tol:
-                    alpha = max(a_i, 0.0)
-                    blocking = i
-        x = x + alpha * p
-        if blocking is not None:
-            work.append(blocking)
-        elif np.linalg.norm(p) <= tol:
-            # x is the minimizer on the working set and lam_w its multipliers
-            lam[:] = 0.0
-            for idx, i in enumerate(work):
-                lam[i] = lam_w[idx]
-            if all(lam_w >= -tol):
-                return x, lam, list(work)
-            drop = work[int(np.argmin(lam_w))]
-            work.remove(drop)
-    raise Infeasible("active-set iteration cap exceeded")
-
-
-def solve_inventory(spec: FtocpSpec, system: InventorySystem) -> FtocpSolution:
-    """Exact minimizer of the constrained scalar chain window.
-
-    Requires an indicator terminal; states are pinned at both ends and the
-    problem is solved over the interior states.
-    """
-    if spec.terminal.kind != "indicator":
-        raise ValueError("chain solver requires a pinned terminal state")
-    K = spec.K
-    z = float(spec.z[0])
-    target = float(spec.terminal.target[0])
-    targets = np.array([float(np.atleast_1d(p)[0]) for p in spec.params])
-    u_lo, u_hi = system.u_lo, system.u_hi
-    x_lo, x_hi = system.x_lo, system.x_hi
-    gam = system.action_weight
-    if K == 0:
-        if abs(z - target) > 1e-9:
-            raise Infeasible("empty window cannot move the state", spec.t1)
-        val = system.stage_cost(0, z, targets[0]) if system.include_terminal_stage else 0.0
-        return FtocpSolution(spec.t1, spec.t2, np.array([[z]]),
-                             np.zeros((0, 1)), np.zeros((1, 1)), val, 0.0)
-    lo_needed = (target - z) / K
-    if lo_needed < u_lo - 1e-12 or (u_hi is not None and lo_needed > u_hi + 1e-12):
-        raise Infeasible("terminal state unreachable under action bounds",
-                         spec.t1)
-    if not (x_lo - 1e-12 <= z <= x_hi + 1e-12) or not (
-            x_lo - 1e-12 <= target <= x_hi + 1e-12):
-        raise Infeasible("endpoint outside the state interval", spec.t1)
-
-    nfree = K - 1
-    if nfree == 0:
-        x_full = np.array([z, target])
-        lam = np.zeros(0)
-        work = []
-        G = np.zeros((0, 0))
-        h = np.zeros(0)
-        resid = 0.0
-    else:
-        Hm = 2.0 * np.eye(nfree)
-        g = -2.0 * targets[1:K]
-        if gam > 0.0:
-            # smooth action cost gam * (x_{t+1} - x_t)^2 couples the chain
-            Hm += 4.0 * gam * np.eye(nfree)
-            idx = np.arange(nfree - 1)
-            Hm[idx, idx + 1] -= 2.0 * gam
-            Hm[idx + 1, idx] -= 2.0 * gam
-            g = g.copy()
-            g[0] -= 2.0 * gam * z
-            g[-1] -= 2.0 * gam * target
-        rows, rhs, names = [], [], []
-        for t in range(1, K):
-            r = np.zeros(nfree)
-            r[t - 1] = 1.0
-            rows.append(r.copy())
-            rhs.append(x_hi)
-            names.append(f"x{t}<=hi")
-            rows.append(-r)
-            rhs.append(-x_lo)
-            names.append(f"x{t}>=lo")
-        for t in range(K):
-            r = np.zeros(nfree)
-            c = 0.0
-            if t >= 1:
-                r[t - 1] = -1.0
-            else:
-                c -= z
-            if t + 1 <= K - 1:
-                r[t] = 1.0
-            else:
-                c += target
-            # u_t = x_{t+1} - x_t = r @ xfree + c
-            if u_hi is not None:
-                rows.append(r.copy())
-                rhs.append(u_hi - c)
-                names.append(f"u{t}<=hi")
-            rows.append(-r)
-            rhs.append(-(u_lo - c))
-            names.append(f"u{t}>=lo")
-        G = np.array(rows)
-        h = np.array(rhs)
-        x0 = np.linspace(z, target, K + 1)[1:K]
-        x_free, lam, work = _active_set_qp(Hm, g, G, h, x0,
-                                           max_iter=10 * K * K)
-        x_full = np.concatenate([[z], x_free, [target]])
-        grad = Hm @ x_free + g
-        resid = float(np.linalg.norm(grad + G.T @ lam))
-        feas = float(np.max(G @ x_free - h, initial=0.0))
-        comp = float(np.max(np.abs(lam * (G @ x_free - h)), initial=0.0))
-        resid = max(resid, feas, comp)
-        name_index = {nm: i for i, nm in enumerate(names)}
-        work = [names[i] for i in sorted(work)]
-
-    actions = np.diff(x_full)
-    # multipliers of the dynamics equalities, reconstructed from the
-    # action-bound multipliers (stationarity in u)
-    duals = np.zeros((K + 1, 1))
-    if nfree > 0:
-        for t in range(K):
-            hi_i = name_index.get(f"u{t}<=hi")
-            lo_i = name_index.get(f"u{t}>=lo")
-            val = 0.0
-            if hi_i is not None:
-                val += lam[hi_i]
-            if lo_i is not None:
-                val -= lam[lo_i]
-            duals[t + 1, 0] = val
-    value = 0.0
-    top = K + 1 if system.include_terminal_stage else K
-    for t in range(min(top, targets.shape[0])):
-        value += system.stage_cost(spec.t1 + t, x_full[t], targets[t])
-    if gam > 0.0:
-        value += gam * float(np.sum(actions ** 2))
-    return FtocpSolution(spec.t1, spec.t2, x_full.reshape(-1, 1),
-                         actions.reshape(-1, 1), duals, value, resid,
-                         active_set=work)
 
 
 # ---------------------------------------------------------------------------
@@ -462,28 +298,194 @@ def continuation_law(system, params: Sequence[Array], terminal: TerminalCost,
 
 
 # ---------------------------------------------------------------------------
-# dispatch and the optimal continuation under the true parameters
+# chain law (backward pass over the knots of the value functions)
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class ChainContinuation:
-    """Optimal continuation of the stock chain on the steps 0 .. T with fixed
-    parameters and a pinned terminal; the same interface as
-    ContinuationLaw, where t counts from step 0.  Each window [t, T] is one
-    active-set solve."""
+class ChainLaw:
+    """Optimal feedback of the stock chain on the steps t1 .. t1 + T with
+    targets r_t and the final state pinned, read like ContinuationLaw.  The
+    least cost V_t(x) of the offsets t .. T is convex and piecewise
+    quadratic where the pin is reachable, so pieces[t] = (knots, slope,
+    intercept) gives V_t' = slope[j] x + intercept[j] between knots[j] and
+    knots[j + 1]; V_t' may jump at a knot, and the end knots bound dom V_t."""
 
     system: InventorySystem
-    params: Sequence[Array]
-    terminal: TerminalCost
+    t1: int
+    T: int
+    targets: tuple      # r_t by offset
+    pin: float
+    pieces: tuple       # (knots, slope, intercept) by offset; None at 0
 
     def action(self, t: int, x: Array) -> Array:
-        return self.solution(t, x).first_action
+        states = self._rollout(t, self._check(t, x), t + 1)
+        return np.clip(np.diff(states), self.system.u_lo, self.system.u_hi)
 
     def solution(self, t: int, x: Array) -> FtocpSolution:
-        T = len(self.params) - 1
-        return solve_inventory(FtocpSpec(t, T, x, self.params[t:],
-                                         self.terminal), self.system)
+        """Optimal solution of the window [t, T] from x, with the multipliers
+        of its dynamics rows and its KKT residual."""
+        states = np.array(self._rollout(t, self._check(t, x), self.T))
+        actions = np.clip(np.diff(states), self.system.u_lo, self.system.u_hi)
+        duals = self._duals(t, states, actions)
+        top = states.size - (not self.system.include_terminal_stage)
+        value = float(np.sum((states[:top] - self.targets[t:t + top]) ** 2)
+                      + self.system.action_weight * np.sum(actions ** 2))
+        return FtocpSolution(self.t1 + t, self.t1 + self.T, states[:, None],
+                             actions[:, None], duals[:, None], value,
+                             self._kkt_residual(t, states, actions, duals))
 
+    def _check(self, t: int, x: Array) -> float:
+        """x as a float, once the window [t, T] from x is known feasible:
+        the bounds are convex and the same at every step, so it is if and
+        only if its straight line is.  Raises Infeasible otherwise."""
+        sys, K, step = self.system, self.T - t, self.t1 + t
+        z = float(np.atleast_1d(x)[0])
+        u_hi = np.inf if sys.u_hi is None else sys.u_hi
+        if K == 0 and abs(z - self.pin) > 1e-9:
+            raise Infeasible("empty window cannot move the state", step)
+        if K and not sys.u_lo - 1e-12 <= (self.pin - z) / K <= u_hi + 1e-12:
+            raise Infeasible("terminal state unreachable under action bounds",
+                             step)
+        if K and not (sys.x_lo - 1e-12 <= min(z, self.pin)
+                      and max(z, self.pin) <= sys.x_hi + 1e-12):
+            raise Infeasible("endpoint outside the state interval", step)
+        return z
+
+    def _rollout(self, t: int, x: float, stop: int) -> list:
+        """Optimal states from offset t to stop: each next state minimizes
+        gam (y - x)^2 + V(y) over dom V, clipped to the action bounds."""
+        sys, states = self.system, [x]
+        u_hi = np.inf if sys.u_hi is None else sys.u_hi
+        for knots, slope, icpt in self.pieces[t + 1:stop + 1]:
+            alpha, beta = _descent(knots, slope, icpt, sys.action_weight, x)
+            y = min(max(alpha * x + beta, x + sys.u_lo), x + u_hi)
+            x = min(max(y, knots[0]), knots[-1])
+            states.append(x)
+        return states
+
+    def _duals(self, t: int, states: Array, actions: Array) -> Array:
+        """Multipliers eta of the dynamics rows (as in ContinuationLaw) of a
+        primal solution.  The multipliers l_s = eta_{s+1} - gam u_s of the
+        bounds on u_s and m_s = eta_{s+1} - eta_s - (x_s - r_s) of those on
+        x_s may be nonzero only towards a bound met to within 1e-12.  A
+        forward pass keeps the interval of eta_{s+1} this allows (its
+        nearest point if empty), a backward one picks eta_s nearest m_s = 0."""
+        sys, gam, K = self.system, self.system.action_weight, actions.size
+        dev, tol, inf = states - self.targets[t:], 1e-12, np.inf
+        bands, lo, hi = [], -inf, inf       # eta_0 is free: x_0 is given
+        for s, (x, u) in enumerate(zip(states, actions)):
+            a = lo + dev[s] - (inf if s == 0 or x <= sys.x_lo + tol else 0.0)
+            b = hi + dev[s] + (inf if s == 0 or x >= sys.x_hi - tol else 0.0)
+            lo = gam * u - (inf if u <= sys.u_lo + tol else 0.0)
+            hi = gam * u + (inf if sys.u_hi is not None
+                            and u >= sys.u_hi - tol else 0.0)
+            lo, hi = min(max(a, lo), hi), max(min(b, hi), lo)
+            bands.append((lo, hi))      # interval of eta_{s+1}
+        eta = np.empty(K + 1)
+        nearest = gam * actions[-1] if K else 0.0
+        for s in range(K, 0, -1):
+            eta[s] = min(max(nearest, bands[s - 1][0]), bands[s - 1][1])
+            nearest = eta[s] - dev[s - 1]
+        eta[0] = nearest
+        return eta
+
+    def _kkt_residual(self, t, states, actions, duals) -> float:
+        """Norm of the KKT violations of the window [t, T]: the initial
+        state's stationarity row, the dynamics rows, the pin, and the natural
+        residuals v - clip(v + l, lo, hi) of the bounds on each action and
+        state v, zero iff v is feasible and its multiplier l complementary."""
+        sys, eta, x = self.system, np.ravel(duals), states[1:-1]
+        dev = states - self.targets[t:]
+        u_hi = np.inf if sys.u_hi is None else sys.u_hi
+        ell = eta[1:] - sys.action_weight * actions
+        m = eta[2:] - eta[1:-1] - dev[1:-1]
+        return float(np.linalg.norm(np.concatenate([
+            dev[:1] + eta[:1] - eta[1:2], np.diff(states) - actions,
+            states[-1:] - self.pin,
+            actions - np.clip(actions + ell, sys.u_lo, u_hi),
+            x - np.clip(x + m, sys.x_lo, sys.x_hi)])))
+
+
+def _descent(knots, slope, icpt, gam: float, x: float):
+    """(alpha, beta) with y = alpha x + beta near x, for the y in dom V
+    that minimizes gam (y - x)^2 + V(y), V' given by its pieces: y is a
+    knot, or V'(y) + 2 gam (y - x) = 0 on a piece s y + c."""
+    level = 2.0 * gam * x
+    for a, b, s, c in zip(knots, knots[1:], slope, icpt):
+        if s * b + c + 2.0 * gam * b >= level:
+            if s * a + c + 2.0 * gam * a > level:
+                return 0.0, a
+            return 2.0 * gam / (s + 2.0 * gam), -c / (s + 2.0 * gam)
+    return 0.0, knots[-1]
+
+
+def _chain_step(system: InventorySystem, nxt, r: float):
+    """Pieces of V_t' = W' + 2 (x - r) from those of V' = V_{t+1}', where
+    W(x) = min gam (y - x)^2 + V(y) over the y in dom V that the action
+    bounds allow.  Between the x where the optimal y changes case, W' is
+    V'(x + u) where the action bound u binds, 2 gam (s x + c) / (s + 2 gam)
+    where y is free on a piece s y + c, and 2 gam (x - b) where y sits on a
+    knot or domain end b; each interval between candidate breakpoints takes
+    the case of its midpoint, and equal adjacent pieces are merged."""
+    knots, slope, icpt = nxt
+    gam, u_lo = system.action_weight, system.u_lo
+    u_hi = np.inf if system.u_hi is None else system.u_hi
+    lo = max(system.x_lo, knots[0] - u_hi)
+    hi = min(system.x_hi, knots[-1] - u_lo)
+    if hi <= lo:
+        return (lo,), (), ()
+    cuts = {lo, hi}
+    for u in (u_lo, u_hi):
+        if u < np.inf:  # the bound meets a knot, or starts or stops binding
+            cuts.update(b - u for b in knots)
+            cuts.update((-2.0 * gam * u - c) / s - u
+                        for s, c in zip(slope, icpt))
+    if gam > 0.0:       # the free next state reaches or leaves a knot
+        cuts.update(b + (slope[i] * b + icpt[i]) / (2.0 * gam)
+                    for j, b in enumerate(knots)
+                    for i in (j - 1, j) if 0 <= i < len(slope))
+    xs = sorted(c for c in cuts if lo <= c <= hi)
+    new = []            # (right end, slope, intercept) of each piece
+    for a, b in zip(xs, xs[1:]):
+        mid = 0.5 * (a + b)
+        alpha, beta = _descent(knots, slope, icpt, gam, mid)
+        y = alpha * mid + beta
+        u = u_hi if y > mid + u_hi else u_lo if y < mid + u_lo else None
+        if u is None:
+            s, c = 2.0 * gam * (1.0 - alpha), -2.0 * gam * beta
+        else:
+            j = sum(k <= mid + u for k in knots[1:-1])
+            s, c = slope[j], slope[j] * u + icpt[j]
+        if new and new[-1][1:] == (s + 2.0, c - 2.0 * r):
+            new.pop()
+        new.append((b, s + 2.0, c - 2.0 * r))
+    ends, slopes, icpts = zip(*new)
+    return (lo,) + ends, slopes, icpts
+
+
+def chain_law(system: InventorySystem, params: Sequence[Array],
+              terminal: TerminalCost, t1: int = 0) -> ChainLaw:
+    """One backward pass over the steps t1 .. t1 + T of the stock chain,
+    where T = len(params) - 1 and params[i] is the target of step t1 + i."""
+    if terminal.kind != "indicator":
+        raise ValueError("chain solver requires a pinned terminal state")
+    targets = tuple(float(np.atleast_1d(p)[0]) for p in params)
+    pin = float(terminal.target[0])
+    pieces = [None] * (len(targets) - 1) + [((pin,), (), ())]
+    for t in range(len(targets) - 2, 0, -1):
+        pieces[t] = _chain_step(system, pieces[t + 1], targets[t])
+    return ChainLaw(system, t1, len(targets) - 1, targets, pin, tuple(pieces))
+
+
+def solve_inventory(spec: FtocpSpec, system: InventorySystem) -> FtocpSolution:
+    """Exact minimizer of a stock-chain window with a pinned final state."""
+    return chain_law(system, spec.params, spec.terminal,
+                     spec.t1).solution(0, spec.z)
+
+
+# ---------------------------------------------------------------------------
+# dispatch and the optimal continuation under the true parameters
+# ---------------------------------------------------------------------------
 
 def solve(spec: FtocpSpec, system) -> FtocpSolution:
     if getattr(system, "kind", None) == "inventory":
@@ -491,12 +493,11 @@ def solve(spec: FtocpSpec, system) -> FtocpSolution:
     return solve_quadratic(spec, system)
 
 
-def truth_law(instance: Instance) -> ContinuationLaw | ChainContinuation:
+def truth_law(instance: Instance) -> ContinuationLaw | ChainLaw:
     """Optimal continuation under the instance's true parameters and its own
     terminal cost: the reference of every per-step error and the hindsight
     optimum."""
     params = [instance.truth[s] for s in range(instance.T + 1)]
-    if instance.system.kind == "inventory":
-        return ChainContinuation(instance.system, params,
-                                 instance.terminal_cost())
-    return continuation_law(instance.system, params, instance.terminal_cost())
+    build = (chain_law if instance.system.kind == "inventory"
+             else continuation_law)
+    return build(instance.system, params, instance.terminal_cost())

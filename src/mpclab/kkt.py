@@ -416,7 +416,8 @@ def _monotone_envelope(table: Array) -> Array:
 def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                         opt_states: Array, R: float, seed: int = 0,
                         t_stride: int = 1, state_samples: int = 1,
-                        include_terminal_target: bool = True) -> GainTables:
+                        include_terminal_target: bool = True,
+                        law: ftocp.ContinuationLaw | None = None) -> GainTables:
     """Measure sensitivity envelopes on the family of solves the controller
     actually performs.
 
@@ -431,7 +432,7 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     parameters inside A and B, where the map is not affine: there the
     Jacobians are its local slope at the true parameters (basis "local").
     The gain_init table is exact: the products of the closed-loop matrices
-    A_t + B_t K_t of the instance's continuation law.
+    A_t + B_t K_t of ``law``, the instance's truth law (built if not given).
     """
     sys = instance.system
     if sys.kind == "inventory":
@@ -461,7 +462,7 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
         for z, row in zip(zs[1:], jac[1:]):
             gs[:width] = np.maximum(gs[:width], np.maximum(0.0, row - jac[0])
                                     / float(np.linalg.norm(z)))
-    law = ftocp.truth_law(instance)
+    law = ftocp.truth_law(instance) if law is None else law
     gi = np.zeros(T + 1)
     for t in range(0, T + 1, t_stride):
         gi[:T - t + 1] = np.maximum(gi[:T - t + 1],

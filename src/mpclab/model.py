@@ -358,9 +358,6 @@ class InventorySystem:
     def dynamics(self, t, x, u, xi) -> Array:
         return np.atleast_1d(x) + np.atleast_1d(u)
 
-    def stage_cost(self, t: int, x: float, target: float) -> float:
-        return float((x - target) ** 2)
-
     def lipschitz_dynamics(self) -> float:
         return float(np.sqrt(2.0))  # norm of [1 1]
 

@@ -219,6 +219,24 @@ class TestCertifications:
         assert "C3 =" in body
         assert "gain_param_0 =" in body
 
+    def test_constants_measured_mode_builds_each_law_once(
+            self, runner, tmp_path, monkeypatch):
+        # one truth law and one law per window [t, t + k], t = 0 .. T - 1
+        built = []
+        law = ftocp.continuation_law
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return law(*args, **kwargs)
+
+        monkeypatch.setattr(ftocp, "continuation_law", counted)
+        res = runner.invoke(cli.main, ["constants", "--preset",
+                                       "tracking-rand", "--T", "24",
+                                       "--k", "8", "--mode", "measured",
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert len(built) == 25
+
     def test_constants_measured_mode(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["constants", "--preset",
                                        "disturbance", "--T", "12",

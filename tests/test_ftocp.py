@@ -223,42 +223,63 @@ class TestChainSolver:
                                     TerminalCost.indicator([0.0])), system)
         assert sol.states.shape == (1, 1)
 
-    def test_active_set_reports_bound_names(self):
-        inst = presets.inventory_two_sided(T=8)
-        params = [inst.truth[t] for t in range(9)]
-        sol = ftocp.solve(FtocpSpec(0, 8, np.zeros(1), params,
-                                    inst.terminal_cost()), inst.system)
-        assert sol.active_set
-        assert any(name.startswith("u") for name in sol.active_set)
-
-    def test_degenerate_working_set_is_solved(self, monkeypatch):
+    @pytest.mark.parametrize("targets, z, pin, states, on_bounds, kw", [
+        # from x_1 = -0.8 the step to x_2 runs on u_hi; the target 1e-10
+        # above x_2 = 0 must not pull it over the bound
+        ([0.0, -1.0, 1e-10, 0.0, -1.0], 0.0, -1.0,
+         [0.0, -0.8, 0.0, -0.2, -1.0], 2, {}),
         # the only feasible path runs on u_hi at both steps: both bounds on
-        # the one free state are active, the working-set KKT matrix is
-        # singular and the step comes from the least-squares solve
-        calls = []
-        lstsq = np.linalg.lstsq
+        # the one free state are active
+        ([0.0, 0.0, 0.0], -0.8, 0.8, [-0.8, 0.0, 0.8], 1, {}),
+        # with u >= 0 and x_0 = x_T the only feasible path is constant: every
+        # action bound is active
+        ([0.8, 1.2, 0.7, -0.45, 0.08, 1.08, -1.39, -1.41, -1.5, -1.4, 0.12],
+         -1.0, -1.0, [-1.0] * 11, slice(None),
+         {"u_lo": 0.0, "u_hi": None, "action_weight": 2.0}),
+        # x_1 = -0.65 - 0.2 rounds to -0.8500000000000001, so the state
+        # difference to the pin is 0.20000000000000007: the action is u_hi
+        ([0.0, -1.0, 0.0], -0.8, -0.65, [-0.8, -0.85, -0.65], 2,
+         {"u_hi": 0.2}),
+    ], ids=["bound-overshoot", "both-bounds", "constant-path",
+            "rounded-step"])
+    def test_active_bounds_are_met_exactly(self, targets, z, pin, states,
+                                           on_bounds, kw):
+        system = InventorySystem(T=len(targets) - 1, targets=targets, **kw)
+        params = [np.array([v]) for v in targets]
+        sol = ftocp.solve(FtocpSpec(0, system.T, np.array([z]), params,
+                                    TerminalCost.indicator([pin])), system)
+        assert np.array_equal(sol.states[on_bounds, 0],
+                              np.array(states)[on_bounds])
+        assert np.allclose(sol.states[:, 0], states, rtol=0.0, atol=1e-15)
+        assert np.all(sol.actions >= system.u_lo)
+        assert system.u_hi is None or np.all(sol.actions <= system.u_hi)
+        assert sol.kkt_residual <= 1e-15
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return lstsq(*args, **kwargs)
+    def test_window_ends_on_its_pin(self):
+        # the pin lies one rounding step past u_lo from z, within the
+        # feasibility tolerance: the last state must still be the pin
+        z = 0.3
+        pin = float(np.nextafter(z - 0.8, -np.inf))
+        system = InventorySystem(T=1, targets=np.zeros(2))
+        sol = ftocp.solve(FtocpSpec(0, 1, np.array([z]), [np.zeros(1)] * 2,
+                                    TerminalCost.indicator([pin])), system)
+        assert sol.states[-1, 0] == pin
 
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
-        system = InventorySystem(T=2, targets=np.zeros(3))
-        sol = ftocp.solve(FtocpSpec(0, 2, np.array([-0.8]), [np.zeros(1)] * 3,
-                                    TerminalCost.indicator([0.8])), system)
-        assert calls
-        assert np.array_equal(sol.states[:, 0], [-0.8, 0.0, 0.8])
-        assert sol.kkt_residual == 0.0
-
-    def test_active_set_iteration_cap(self):
-        # min (x - 2)^2 s.t. x <= 1 from x = 0: the first iteration stops at
-        # the bound, the second finds its multiplier 2
-        args = (2.0 * np.eye(1), np.array([-4.0]), np.eye(1), np.ones(1),
-                np.zeros(1))
-        with pytest.raises(Infeasible, match="iteration cap"):
-            ftocp._active_set_qp(*args, max_iter=1)
-        x, lam, work = ftocp._active_set_qp(*args, max_iter=2)
-        assert (x.tolist(), lam.tolist(), work) == ([1.0], [2.0], [0])
+    def test_kkt_residual_flags_a_perturbed_state(self):
+        targets = ALTERNATING(8)
+        system = InventorySystem(T=8, targets=targets, action_weight=0.5)
+        law = ftocp.chain_law(system, [np.array([v]) for v in targets],
+                              TerminalCost.indicator([-0.4]))
+        sol = law.solution(0, np.array([0.1]))
+        assert sol.kkt_residual <= 1e-15
+        states = sol.states[:, 0].copy()
+        j = int(np.argmin(np.abs(states[1:-1]))) + 1
+        assert abs(states[j]) < 0.5
+        states[j] += 1e-6
+        actions = np.diff(states)
+        # the optimum's multipliers, and the best ones for the new states
+        for duals in (sol.duals[:, 0], law._duals(0, states, actions)):
+            assert law._kkt_residual(0, states, actions, duals) > 1e-9
 
     def test_requires_pinned_terminal(self):
         system = InventorySystem(T=3, targets=np.zeros(4))
@@ -323,6 +344,23 @@ class TestClairvoyant:
             assert (sol.t1, sol.t2) == (t, T)
             assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
             assert np.array_equal(law.action(t, x), sol.first_action)
+
+    @pytest.mark.parametrize("name", ["inventory-two-sided",
+                                      "inventory-one-sided"])
+    def test_chain_continuation_from_perturbed_states(self, name):
+        inst = presets.build_preset(name, T=40)
+        sys, T = inst.system, inst.T
+        law = ftocp.truth_law(inst)
+        opt = engine.solve_opt(inst, law)
+        terminal = float(inst.terminal_param[0])
+        rng = np.random.default_rng(3)
+        for t in (1, 14, 27, 35):
+            x = np.clip(opt.states[t] + rng.uniform(-0.3, 0.3),
+                        sys.x_lo, sys.x_hi)
+            sol = law.solution(t, x)
+            xo = oracles.inventory_oracle(float(x[0]), sys.targets[t:T],
+                                          terminal, sys.u_lo, sys.u_hi)
+            assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("name", ["inventory-two-sided",
                                       "inventory-one-sided"])

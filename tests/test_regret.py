@@ -95,8 +95,10 @@ class TestWorkers:
         monkeypatch.delenv("MPCLAB_THREADS")
         assert regret.worker_count() == 1
 
-    def test_threaded_sweep_matches_serial(self, monkeypatch):
-        inst = presets.disturbance(T=15, seed=1)
+    # the sweep's pool threads share one truth law
+    @pytest.mark.parametrize("name", ["disturbance", "inventory-two-sided"])
+    def test_threaded_sweep_matches_serial(self, monkeypatch, name):
+        inst = presets.build_preset(name, T=15, seed=1)
         rule = TerminalRule("zero")
         monkeypatch.setenv("MPCLAB_THREADS", "1")
         serial = regret.sweep_horizon(inst, [2, 4, 6], rule)
