@@ -169,10 +169,6 @@ def _instance_options(fn):
 @click.group()
 def main():
     """Receding-horizon control experiments and certifications."""
-    try:
-        regret.worker_count()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
 
 
 @main.command()

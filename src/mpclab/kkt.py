@@ -415,7 +415,7 @@ def _monotone_envelope(table: Array) -> Array:
 
 def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                         opt_states: Array, R: float, seed: int = 0,
-                        t_stride: int = 1, state_samples: int = 1,
+                        state_samples: int = 1,
                         include_terminal_target: bool = True,
                         law: ftocp.ContinuationLaw | None = None) -> GainTables:
     """Measure sensitivity envelopes on the family of solves the controller
@@ -442,7 +442,7 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     step_slopes = _step_data_slopes(instance)
     gp = np.zeros(k + 1)
     gs = np.zeros(k + 1)
-    for t in range(0, T, t_stride):
+    for t in range(T):
         t2 = min(t + k, T)
         zs = [np.zeros(sys.n)]
         # the disturbance family's parameter Jacobian does not depend on the
@@ -464,7 +464,7 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                                     / float(np.linalg.norm(z)))
     law = ftocp.truth_law(instance) if law is None else law
     gi = np.zeros(T + 1)
-    for t in range(0, T + 1, t_stride):
+    for t in range(T + 1):
         gi[:T - t + 1] = np.maximum(gi[:T - t + 1],
                                     _init_state_jacobians(law, t))
     gi[0] = max(gi[0], 1.0)

@@ -43,10 +43,6 @@ class ParamBox:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
@@ -76,9 +72,6 @@ class ParamSeq:
     @property
     def T(self) -> int:
         return len(self.values) - 1
-
-    def dim(self, t: int) -> int:
-        return self.values[t].shape[0]
 
     def __getitem__(self, t: int) -> Array:
         return self.values[t]
@@ -177,7 +170,8 @@ class PredictionStream:
 
 @dataclasses.dataclass(frozen=True)
 class TerminalCost:
-    """Terminal cost: quadratic, a hard state pin (indicator), or zero."""
+    """Terminal cost: quadratic (``zero`` is the quadratic with P = 0) or a
+    hard state pin (indicator)."""
 
     kind: str
     P: Array | None = None
@@ -196,15 +190,13 @@ class TerminalCost:
 
     @staticmethod
     def zero(n: int) -> "TerminalCost":
-        return TerminalCost("zero", P=np.zeros((n, n)), xbar=np.zeros(n))
+        return TerminalCost.quadratic(np.zeros((n, n)), np.zeros(n))
 
     def value(self, x: Array) -> float:
         x = np.atleast_1d(x)
         if self.kind == "quadratic":
             d = x - self.xbar
             return float(d @ self.P @ d)
-        if self.kind == "zero":
-            return 0.0
         return 0.0  # indicator: zero at the (enforced) target
 
 

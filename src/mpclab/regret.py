@@ -4,9 +4,7 @@ regret inequalities, aggregate error budgets, and horizon/noise sweeps.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import os
 from typing import Sequence
 
 import numpy as np
@@ -17,20 +15,6 @@ from .model import Instance, PredictionStream
 Array = np.ndarray
 
 REGRET_FLOOR = 1e-10  # regrets below this are solver noise; excluded from fits
-
-
-def worker_count() -> int:
-    """Sweep worker threads from MPCLAB_THREADS (default 1); a value that is
-    not an integer >= 1 raises ValueError."""
-    raw = os.environ.get("MPCLAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(
-            f"MPCLAB_THREADS must be an integer >= 1, got {raw!r}")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -123,30 +107,32 @@ def _fit_positive(xs: Array, regrets: Array, log_x: bool):
     return kkt.loglinear_fit(x, regrets[mask])
 
 
-def _map(fn, args_list):
-    nw = worker_count()
-    if nw == 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=nw) as ex:
-        return list(ex.map(fn, args_list))
+def _sweep_regrets(instance: Instance, points, rule: engine.TerminalRule,
+                   seed: int) -> Array:
+    """Regret of one closed-loop run per ``(k, rho)`` point against the
+    hindsight optimum, which is solved once for the whole sweep."""
+    law = ftocp.truth_law(instance)
+    opt = engine.solve_opt(instance, law)
+    T = instance.T
+    regrets = []
+    for k, rho in points:
+        stream = PredictionStream(instance.truth, min(k, T), rho, seed=seed)
+        run = engine.run_mpc(instance, stream, k, rule, opt=opt, law=law)
+        regrets.append(run.total_cost - opt.total_cost)
+    return np.array(regrets, float)
+
+
+def _scaled(base_rho, s: float):
+    return lambda t, tau: s * float(base_rho(t, tau))
 
 
 def sweep_horizon(instance: Instance, k_values: Sequence[int],
                   rule: engine.TerminalRule, seed: int = 0) -> SweepResult:
     """Zero-noise regret as a function of the window length."""
-    law = ftocp.truth_law(instance)
-    opt = engine.solve_opt(instance, law)
-    T = instance.T
-
-    def one(k):
-        stream = PredictionStream(instance.truth, min(k, T), 0.0, seed=seed)
-        run = engine.run_mpc(instance, stream, k,
-                             engine.TerminalRule(rule.kind), opt=opt,
-                             law=law)
-        return run.total_cost - opt.total_cost
-
-    regrets = np.array(_map(one, list(k_values)), float)
-    ks = np.asarray(list(k_values), float)
+    k_values = list(k_values)
+    regrets = _sweep_regrets(instance, [(k, 0.0) for k in k_values], rule,
+                             seed)
+    ks = np.asarray(k_values, float)
     slope, intercept, r2 = _fit_positive(ks, regrets, log_x=False)
     return SweepResult("k", ks, regrets, slope, intercept, r2, [])
 
@@ -159,30 +145,19 @@ def sweep_noise(instance: Instance, base_rho, scales: Sequence[float],
     ``admission`` carries the pipeline inputs (gain tables, R, C3, D_xstar,
     L_g), scales failing the smallness condition are excluded from the fit.
     """
-    law = ftocp.truth_law(instance)
-    opt = engine.solve_opt(instance, law)
-    T = instance.T
     excluded = []
     if admission is not None:
         for s in scales:
             rep = engine.pipeline_admission_check(
-                k, T, lambda t, tau: s * float(base_rho(t, tau)),
+                k, instance.T, _scaled(base_rho, s),
                 admission["gain_state"], admission["gain_param"],
                 admission["R"], admission["C3"], admission["D_xstar"],
                 admission["L_g"])
             if not rep.ok:
                 excluded.append(float(s))
-
-    def one(s):
-        stream = PredictionStream(
-            instance.truth, min(k, T),
-            lambda t, tau: s * float(base_rho(t, tau)), seed=seed)
-        run = engine.run_mpc(instance, stream, k,
-                             engine.TerminalRule(rule.kind), opt=opt,
-                             law=law)
-        return run.total_cost - opt.total_cost
-
-    regrets = np.array(_map(one, list(scales)), float)
+    regrets = _sweep_regrets(instance,
+                             [(k, _scaled(base_rho, s)) for s in scales],
+                             rule, seed)
     xs = np.asarray(list(scales), float)
     keep = np.array([s not in excluded and s > 0 for s in xs])
     slope, intercept, r2 = _fit_positive(xs[keep], regrets[keep], log_x=True)

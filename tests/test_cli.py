@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -83,16 +82,6 @@ class TestConfigErrors:
                                        "inventory-two-sided",
                                        "--out", str(tmp_path)])
         assert res.exit_code == 2
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_invalid_threads_env(self, runner, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("MPCLAB_THREADS", value)
-        res = runner.invoke(cli.main, ["sweep-horizon", "--preset",
-                                       "disturbance", "--T", "10",
-                                       "--k", "4", "--out", str(tmp_path)])
-        assert res.exit_code == 2
-        assert "MPCLAB_THREADS" in res.output
-        assert not os.path.exists(tmp_path / "sweep_horizon.csv")
 
 
 class TestSolverFailures:
@@ -245,12 +234,3 @@ class TestCertifications:
         assert res.exit_code == 0, res.output
         body = read(tmp_path / "constants.txt").decode()
         assert "mode = measured" in body
-
-
-class TestEnvironment:
-    def test_threads_env_reaches_sweeps(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setenv("MPCLAB_THREADS", "2")
-        res = runner.invoke(cli.main, ["sweep-horizon", "--preset",
-                                       "disturbance", "--T", "10",
-                                       "--k", "4", "--out", str(tmp_path)])
-        assert res.exit_code == 0, res.output

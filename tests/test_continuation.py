@@ -46,12 +46,10 @@ def oracle_continuation(system, params, terminal, t, z, t1=0):
     the null-space oracle; params[i] parameterizes step t1 + i."""
     T = len(params) - 1
     data = [system.step_data(t1 + s, params[s]) for s in range(t, T)]
-    if terminal.kind == "quadratic":
-        term = ("quadratic", terminal.P, terminal.xbar)
-    elif terminal.kind == "indicator":
+    if terminal.kind == "indicator":
         term = ("indicator", terminal.target)
     else:
-        term = ("zero",)
+        term = ("quadratic", terminal.P, terminal.xbar)
     return oracles.lq_ocp_oracle(*[[d[i] for d in data] for i in range(6)],
                                  np.asarray(z, float), term)
 

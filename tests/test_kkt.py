@@ -208,7 +208,7 @@ class TestMeasuredQuantities:
         opt = engine.solve_opt(inst)
         tables = kkt.measure_gain_tables(
             inst, 4, engine.TerminalRule("zero"), opt.states,
-            R=max(opt.max_state_norm, 1.0), t_stride=3)
+            R=max(opt.max_state_norm, 1.0))
         assert np.all(tables.gain_state == 0.0)
         assert np.all(np.diff(tables.gain_param) <= 1e-15)  # non-increasing
         assert tables.C3 >= 1.0

@@ -84,35 +84,29 @@ class TestAggregateBudget:
             regret.aggregate_E(4, np.zeros(5), np.zeros(5), [0.0] * 2, 10)
 
 
-class TestWorkers:
-    def test_env_var_parsing(self, monkeypatch):
-        monkeypatch.setenv("MPCLAB_THREADS", "4")
-        assert regret.worker_count() == 4
-        for bad in ("bogus", "0", "-2", "1.5"):
-            monkeypatch.setenv("MPCLAB_THREADS", bad)
-            with pytest.raises(ValueError, match="MPCLAB_THREADS"):
-                regret.worker_count()
-        monkeypatch.delenv("MPCLAB_THREADS")
-        assert regret.worker_count() == 1
-
-    # the sweep's pool threads share one truth law
-    @pytest.mark.parametrize("name", ["disturbance", "inventory-two-sided"])
-    def test_threaded_sweep_matches_serial(self, monkeypatch, name):
-        inst = presets.build_preset(name, T=15, seed=1)
-        rule = TerminalRule("zero")
-        monkeypatch.setenv("MPCLAB_THREADS", "1")
-        serial = regret.sweep_horizon(inst, [2, 4, 6], rule)
-        monkeypatch.setenv("MPCLAB_THREADS", "3")
-        threaded = regret.sweep_horizon(inst, [2, 4, 6], rule)
-        assert np.array_equal(serial.regrets, threaded.regrets)
-
-
 class TestSweeps:
     def test_horizon_sweep_nonincreasing(self):
         inst = presets.disturbance(T=20, seed=0)
         res = regret.sweep_horizon(inst, range(2, 7), TerminalRule("zero"))
         assert np.all(np.diff(res.regrets) <= 1e-9)
         assert res.slope < 0.0
+
+    def test_horizon_sweep_keeps_caller_reference(self):
+        inst = presets.disturbance(T=15, seed=1)
+        opt = engine.solve_opt(inst)
+        # pinning each window to the hindsight states reproduces them (zero
+        # regret); a constant target does not
+        for states, zero in ((opt.states, True),
+                             (np.full_like(opt.states, 0.5), False)):
+            rule = TerminalRule("reference", reference_states=states)
+            res = regret.sweep_horizon(inst, [3, 5], rule, seed=inst.seed)
+            for k, got in zip((3, 5), res.regrets):
+                stream = PredictionStream(inst.truth, k, 0.0, seed=inst.seed)
+                run = engine.run_mpc(inst, stream, k, TerminalRule(
+                    "reference", reference_states=states))
+                assert got == pytest.approx(run.total_cost - opt.total_cost,
+                                            rel=1e-12, abs=1e-15)
+                assert (abs(got) <= 1e-12) == zero
 
     def test_noise_sweep_monotone(self):
         inst = presets.disturbance(T=20, seed=0)
