@@ -2,7 +2,7 @@
 saddle-matrix sensitivity analysis, and dynamic-regret certification."""
 
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    LinearQuadraticSystem, ModelError, ParamBox, ParamSeq,
+                    LinearQuadraticSystem, ModelError, ParamBox,
                     PredictionStream, TerminalCost, build_instance,
                     config_hash, controllability_matrix,
                     min_singular_controllability, validate_assumptions)

@@ -278,16 +278,12 @@ def certify_decay(preset, instance_file, T, seed, out):
     cfg = {"cmd": "certify-decay", "preset": preset,
            "instance": instance_file, "T": T, "seed": seed}
     hdr = _headers("certify-decay", cfg)
-    params = [inst.truth[t] for t in range(sys_.T + 1)]
-    spec = ftocp.FtocpSpec(0, sys_.T, np.zeros(sys_.n), params,
+    spec = ftocp.FtocpSpec(0, sys_.T, np.zeros(sys_.n), inst.truth,
                            inst.terminal_cost())
     asm = kkt.assemble(spec, sys_)
     norms, maxima, fit = kkt.block_inverse_profile(asm)
     sigma = kkt.measured_sigma(inst)
-    bb = sys_.bounds
-    consts = kkt.tracking_decay_constants(
-        bb.mu, bb.ell, bb.a, bb.b, sigma, bb.L_A, bb.L_B, bb.L_Q,
-        bb.L_R, bb.L_P)
+    consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
     offsets = np.arange(maxima.shape[0])
     theory = consts.decay_coef * consts.decay_rate ** offsets
     _write(out, "decay_profile.csv", _csv_body(
@@ -346,9 +342,7 @@ def constants(preset, instance_file, T, seed, out, k, mode):
     hdr = _headers("constants", cfg)
     sigma = kkt.measured_sigma(inst, k)
     bb = sys_.bounds
-    consts = kkt.tracking_decay_constants(
-        bb.mu, bb.ell, bb.a, bb.b, sigma, bb.L_A, bb.L_B, bb.L_Q,
-        bb.L_R, bb.L_P)
+    consts = kkt.tracking_decay_constants(bb, sigma)
     values = {"mode": mode, "sigma": sigma,
               "sigma_lo": consts.sigma_lo, "sigma_hi": consts.sigma_hi,
               "decay_rate": consts.decay_rate,

@@ -21,17 +21,21 @@ from .model import Instance, PredictionStream, TerminalCost
 Array = np.ndarray
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class TerminalRule:
-    """How the controller caps each window.
+    """How the controller caps each window.  A rule is an immutable value:
+    running it on any instance leaves it unchanged.
 
     kinds:
       - "zero": pin the window's final state to the origin;
       - "predicted_tracking": pin it to the forecast reference point
         (``pin_target`` of the system: clipped to the stock chain's state
         interval);
-      - "reference": pin it to a precomputed nominal trajectory (the solve of
-        the full horizon under all-zero parameters);
+      - "reference": pin it to the state of step t2 of a given trajectory,
+        ``reference_states``, with one row per step 0..T of the instance it
+        runs on (``TerminalRule.reference(instance)`` gives the instance's
+        nominal trajectory: the solve of the full horizon under all-zero
+        parameters);
       - "true": always use the instance's own terminal cost.
 
     Whenever the window reaches the final step, the instance's terminal cost
@@ -46,17 +50,21 @@ class TerminalRule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown terminal rule {self.kind!r}")
+        if self.kind == "reference":
+            if self.reference_states is None:
+                raise ValueError("the reference rule needs reference states")
+            states = np.array(self.reference_states, float)
+            states.flags.writeable = False
+            object.__setattr__(self, "reference_states", states)
 
-    def prepare(self, instance: Instance) -> None:
-        """Precompute the nominal trajectory for the "reference" kind."""
-        if self.kind != "reference" or self.reference_states is not None:
-            return
+    @staticmethod
+    def reference(instance: Instance) -> "TerminalRule":
+        """The "reference" rule of the instance's nominal trajectory."""
         sys = instance.system
-        zero_params = [np.zeros_like(instance.truth[t])
-                       for t in range(sys.T + 1)]
+        zero_params = np.zeros_like(instance.truth)
         spec = ftocp.FtocpSpec(0, sys.T, instance.x0, zero_params,
                                instance.terminal_cost(zero_params[-1]))
-        self.reference_states = ftocp.solve(spec, sys).states
+        return TerminalRule("reference", ftocp.solve(spec, sys).states)
 
     def build(self, instance: Instance, t: int, t2: int,
               params: Sequence[Array]) -> TerminalCost:
@@ -67,8 +75,6 @@ class TerminalRule:
             return TerminalCost.indicator(np.zeros(sys.n))
         if self.kind == "predicted_tracking":
             return TerminalCost.indicator(sys.pin_target(t2, params[-1]))
-        if self.reference_states is None:
-            raise RuntimeError("reference rule not prepared")
         return TerminalCost.indicator(self.reference_states[t2])
 
 
@@ -154,11 +160,12 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     """
     if k < 1:
         raise ValueError("window length k must be >= 1")
-    if stream.k < min(k, stream.base.T):
-        raise ValueError("forecast stream shorter than the window")
     sys = instance.system
     T = sys.T
-    rule.prepare(instance)
+    if stream.k < min(k, T):
+        raise ValueError("forecast stream shorter than the window")
+    if rule.kind == "reference" and len(rule.reference_states) != T + 1:
+        raise ValueError("reference states need one row per step 0..T")
     if law is None:
         law = ftocp.truth_law(instance)
     if opt is None:

@@ -497,7 +497,6 @@ def truth_law(instance: Instance) -> ContinuationLaw | ChainLaw:
     """Optimal continuation under the instance's true parameters and its own
     terminal cost: the reference of every per-step error and the hindsight
     optimum."""
-    params = [instance.truth[s] for s in range(instance.T + 1)]
     build = (chain_law if instance.system.kind == "inventory"
              else continuation_law)
-    return build(instance.system, params, instance.terminal_cost())
+    return build(instance.system, instance.truth, instance.terminal_cost())

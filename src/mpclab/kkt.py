@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import _assembly, ftocp
-from .model import Instance, TerminalCost
+from .model import Bounds, Instance, TerminalCost
 
 Array = np.ndarray
 
@@ -149,10 +149,11 @@ class TrackingDecayConstants:
     degenerate: bool = False
 
 
-def tracking_decay_constants(mu: float, ell: float, a: float, b: float,
-                             sigma: float, L_A: float = 0.0, L_B: float = 0.0,
-                             L_Q: float = 0.0, L_R: float = 0.0,
-                             L_P: float = 0.0) -> TrackingDecayConstants:
+def tracking_decay_constants(bounds: Bounds,
+                             sigma: float) -> TrackingDecayConstants:
+    """Decay constants of the declared system bounds and the measured (or
+    declared) smallest singular value sigma of the dynamics blocks."""
+    mu, ell, a, b = bounds.mu, bounds.ell, bounds.a, bounds.b
     if min(mu, ell, a, b, sigma) <= 0:
         raise ValueError("inputs must be positive")
     if mu > ell:
@@ -165,7 +166,8 @@ def tracking_decay_constants(mu: float, ell: float, a: float, b: float,
                                       math.inf, degenerate=True)
     rate = math.sqrt((sigma_hi - sigma_lo) / (sigma_hi + sigma_lo))
     coef = 4.0 * (ell + 1.0 + a + b) / (sigma_lo ** 2 * rate)
-    diff = coef ** 2 * (max(L_Q + L_R, L_P) + (2.0 / rate) * (L_A + L_B))
+    diff = coef ** 2 * (max(bounds.L_Q + bounds.L_R, bounds.L_P)
+                        + (2.0 / rate) * (bounds.L_A + bounds.L_B))
     return TrackingDecayConstants(sigma_lo, sigma_hi, rate, coef, diff)
 
 
@@ -204,13 +206,12 @@ def measured_sigma(instance: Instance, k: int | None = None) -> float:
     given, the pinned-terminal window), minimized over both."""
     sys = instance.system
     T = sys.T
-    params = [instance.truth[t] for t in range(T + 1)]
-    spec = ftocp.FtocpSpec(0, T, np.zeros(sys.n), params,
+    spec = ftocp.FtocpSpec(0, T, np.zeros(sys.n), instance.truth,
                            TerminalCost.zero(sys.n))
     asm = assemble(spec, sys)
     smin = float(np.linalg.svd(asm.N, compute_uv=False).min())
     if k is not None and k < T:
-        spec_h = ftocp.FtocpSpec(0, k, np.zeros(sys.n), params[:k + 1],
+        spec_h = ftocp.FtocpSpec(0, k, np.zeros(sys.n), instance.truth[:k + 1],
                                  TerminalCost.indicator(np.zeros(sys.n)))
         asm_h = assemble(spec_h, sys)
         smin = min(smin,
@@ -346,13 +347,13 @@ def _window_action_jacobians(instance: Instance, t: int, t2: int, zs,
     parameter.  The derivative with respect to the pin's target is lam's
     pin component.
     """
-    params = [instance.truth[s] for s in range(t, t2 + 1)]
+    params = instance.truth[t:t2 + 1]
     law = ftocp.continuation_law(
         instance.system, params, terminal_rule.build(instance, t, t2, params),
         t)
     terminal_slopes = _central_slopes(
         lambda xi: _terminal_data(
-            terminal_rule.build(instance, t, t2, params[:-1] + [xi])),
+            terminal_rule.build(instance, t, t2, [*params[:-1], xi])),
         params[-1])
     wm, K = law.data, law.T
     sols = [law.solution(0, z) for z in zs]
@@ -480,8 +481,7 @@ def theory_gain_tables(instance: Instance, k: int, *, R: float,
     bb = sys.bounds
     if sigma is None:
         sigma = measured_sigma(instance, k)
-    consts = tracking_decay_constants(bb.mu, bb.ell, bb.a, bb.b, sigma,
-                                      bb.L_A, bb.L_B, bb.L_Q, bb.L_R, bb.L_P)
+    consts = tracking_decay_constants(bb, sigma)
     H = tracking_sensitivity_coef(consts, bb.ell, bb.D_xbar, bb.D_w, D_xstar,
                                   R, bb.L_w, bb.L_xbar, bb.L_Q)
     lam = consts.decay_rate

@@ -1,7 +1,8 @@
-"""Problem instances: parameter sequences, forecast streams, and system families.
+"""Problem instances: true parameters, forecast streams, and system families.
 
 A system maps a per-step parameter vector to cost/dynamics data.  Instances
-are immutable after construction and safe to share across workers.
+are immutable after construction; their true parameters and the forecasts
+of a stream are read-only arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class ModelError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# parameter sequences and forecast streams
+# parameter boxes and forecast streams
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -61,107 +62,74 @@ class ParamBox:
         return bool(np.all(xi >= self.lo - tol) and np.all(xi <= self.hi + tol))
 
 
-class ParamSeq:
-    """Sequence of per-step parameter vectors for steps 0..T."""
-
-    def __init__(self, values: Sequence[Array]):
-        if len(values) < 2:
-            raise ModelError("need at least steps 0 and 1")
-        self.values = [np.atleast_1d(np.asarray(v, float)) for v in values]
-
-    @property
-    def T(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, t: int) -> Array:
-        return self.values[t]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _unit_direction(rng: np.random.Generator, d: int) -> Array:
-    """Uniform direction on the unit sphere of R^d (the two points of S^0
-    for d == 1)."""
-    while True:
-        v = rng.normal(size=d)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            return v / nrm
+def _read_only(a: Array) -> Array:
+    a.flags.writeable = False
+    return a
 
 
 class PredictionStream:
     """Forecasts of future parameters with exactly prescribed error magnitudes.
 
     ``rho(t, tau)`` is the distance between the forecast of step t+tau made at
-    step t and the true value; directions are drawn uniformly on the unit
-    sphere with a dedicated generator so that rescaling magnitudes keeps the
-    directions fixed.  rho is forced to 0 whenever t + tau > T.
+    step t and the true value: a constant (for every tau > 0) or a callable.
+    It is forced to 0 whenever t + tau > T.  The directions are drawn
+    uniformly on the unit sphere (the two points of S^0 for one parameter)
+    with a dedicated generator, one draw per valid (t, tau) in t-major
+    order, so rescaling magnitudes keeps the directions fixed.
+
+    ``forecasts[t, tau]`` is the forecast of step t+tau made at step t, a
+    read-only (T+1, k+1, p) array; entries with t + tau > T are NaN.
     """
 
-    def __init__(self, base: ParamSeq, k: int,
-                 rho: Callable[[int, int], float] | Array | float,
-                 seed: int = 0):
+    def __init__(self, base: Array, k: int,
+                 rho: Callable[[int, int], float] | float, seed: int = 0):
         if k < 1:
             raise ModelError("forecast horizon k must be >= 1")
-        self.base = base
-        self.k = k
-        self.seed = seed
-        T = base.T
+        base = np.asarray(base, float)
+        T, p = base.shape[0] - 1, base.shape[1]
+        self.T, self.k = T, k
+        # the valid (t, tau), t-major
+        ts, taus = np.nonzero(np.add.outer(np.arange(T + 1),
+                                           np.arange(k + 1)) <= T)
         table = np.zeros((T + 1, k + 1))
-        for t in range(T + 1):
-            for tau in range(k + 1):
-                if t + tau > T:
-                    continue
-                if callable(rho):
-                    table[t, tau] = float(rho(t, tau))
-                elif np.ndim(rho) == 0:
-                    table[t, tau] = float(rho) if tau > 0 else 0.0
-                else:
-                    table[t, tau] = float(np.asarray(rho)[t, tau])
+        if callable(rho):
+            table[ts, taus] = [float(rho(int(t), int(tau)))
+                               for t, tau in zip(ts, taus)]
+        else:
+            table[ts[taus > 0], taus[taus > 0]] = float(rho)
         if np.any(table < 0):
             raise ModelError("error magnitudes must be nonnegative")
-        self.rho_table = table
+        self.rho_table = _read_only(table)
         rng = np.random.default_rng(seed)
-        self._pred: list[list[Array]] = []
-        for t in range(T + 1):
-            row = []
-            for tau in range(k + 1):
-                if t + tau > T:
-                    row.append(None)
-                    continue
-                truth = base[t + tau]
-                direction = _unit_direction(rng, truth.shape[0])
-                row.append(truth + table[t, tau] * direction)
-            self._pred.append(row)
+        directions = rng.normal(size=(ts.size, p))
+        norms = np.linalg.norm(directions, axis=1)
+        # redraws come after the batch, so only a near-zero draw (which has
+        # probability about 1e-12) departs from one draw at a time
+        for i in np.flatnonzero(norms <= 1e-12):
+            while norms[i] <= 1e-12:
+                directions[i] = rng.normal(size=p)
+                norms[i] = np.linalg.norm(directions[i])
+        forecasts = np.full((T + 1, k + 1, p), np.nan)
+        forecasts[ts, taus] = (base[ts + taus] + table[ts, taus][:, None]
+                               * (directions / norms[:, None]))
+        self.forecasts = _read_only(forecasts)
 
     def rho(self, t: int, tau: int) -> float:
-        if t + tau > self.base.T or tau > self.k:
+        if t + tau > self.T or tau > self.k:
             return 0.0
         return float(self.rho_table[t, tau])
 
-    def predicted(self, t: int, tau: int) -> Array:
-        if t + tau > self.base.T:
-            raise ModelError("forecast beyond the final step")
-        if tau > self.k:
-            raise ModelError("forecast beyond the horizon k")
-        return self._pred[t][tau]
-
-    def window(self, t: int, t2: int) -> list[Array]:
+    def window(self, t: int, t2: int) -> Array:
         """Forecasts xi_{t..t2} made at step t (inclusive of both ends)."""
-        return [self.predicted(t, tau) for tau in range(t2 - t + 1)]
+        if t2 > self.T:
+            raise ModelError("forecast beyond the final step")
+        if t2 - t > self.k:
+            raise ModelError("forecast beyond the horizon k")
+        return self.forecasts[t, :t2 - t + 1]
 
     def power(self, tau: int) -> float:
         """Sum over t of the squared tau-step forecast error."""
-        T = self.base.T
-        return float(sum(self.rho_table[t, tau] ** 2 for t in range(T - tau + 1)))
-
-    def power_measured(self, tau: int) -> float:
-        T = self.base.T
-        acc = 0.0
-        for t in range(T - tau + 1):
-            acc += float(np.linalg.norm(self._pred[t][tau] - self.base[t + tau]) ** 2)
-        return acc
+        return float(np.sum(self.rho_table[:, tau] ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +324,24 @@ class InventorySystem:
 
 @dataclasses.dataclass(frozen=True)
 class Instance:
-    """A fully realized problem: system + true parameters + initial state."""
+    """A fully realized problem: system + true parameters + initial state.
+
+    ``truth[t]`` is the true parameter of step t, a read-only (T+1, p)
+    array built from any sequence of T+1 parameter vectors.
+    """
 
     system: object
-    truth: ParamSeq
+    truth: Array
     x0: Array
     name: str = "instance"
     seed: int = 0
     terminal_param: Array | None = None
+
+    def __post_init__(self):
+        truth = np.array(self.truth, float)
+        if truth.ndim != 2 or truth.shape[0] != self.T + 1:
+            raise ModelError("need one parameter vector per step 0..T")
+        object.__setattr__(self, "truth", _read_only(truth))
 
     @property
     def T(self) -> int:

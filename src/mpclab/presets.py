@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ftocp, kkt
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    LinearQuadraticSystem, ParamBox, ParamSeq, TerminalCost)
+                    LinearQuadraticSystem, ParamBox, TerminalCost)
 
 Array = np.ndarray
 
@@ -66,7 +66,7 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
         bounds=Bounds(mu=0.5, ell=2.0, a=1.0, b=1.0, D_w=0.1, D_xbar=0.1,
                       L_A=0.2, L_B=0.2, L_xbar=0.2, L_w=0.2),
         param_box=ParamBox(np.array([0.0]), np.array([1.0])))
-    truth = ParamSeq([rng.uniform(0.0, 1.0, size=1) for _ in range(T + 1)])
+    truth = rng.uniform(0.0, 1.0, size=(T + 1, 1))
     x0 = 0.3 * _unit_vec(rng, n)
     return Instance(system, truth, x0, name="tracking-rand", seed=seed)
 
@@ -95,7 +95,7 @@ def disturbance(T: int = 60, seed: int = 0) -> Instance:
         Q=lambda t: eye2, R=lambda t: eye2, P_T=lambda: eye2,
         bounds=Bounds(mu=1.0, ell=1.0, a=0.7, b=1.0, D_w=0.2, L_w=0.4),
         param_box=ParamBox(np.array([0.0]), np.array([1.0])))
-    truth = ParamSeq([rng.uniform(0.0, 1.0, size=1) for _ in range(T + 1)])
+    truth = rng.uniform(0.0, 1.0, size=(T + 1, 1))
     return Instance(system, truth, np.zeros(2), name="disturbance", seed=seed)
 
 
@@ -112,10 +112,9 @@ def _inventory_instance(T: int, u_hi: float | None, name: str,
                         seed: int) -> Instance:
     targets = _alternating_targets(T)
     system = InventorySystem(T=T, targets=targets, u_lo=-0.8, u_hi=u_hi)
-    truth = ParamSeq([np.array([v]) for v in targets])
     terminal = np.array([2.0 / 5.0 if T % 2 else -2.0 / 5.0])
-    return Instance(system, truth, np.zeros(1), name=name, seed=seed,
-                    terminal_param=terminal)
+    return Instance(system, targets[:, None], np.zeros(1), name=name,
+                    seed=seed, terminal_param=terminal)
 
 
 def inventory_two_sided(T: int = 8, seed: int = 0) -> Instance:
@@ -205,7 +204,7 @@ def pendulum_system(M_lo: float = 0.4, M_hi: float = 0.6, T: int = 30,
 
 def pendulum(T: int = 30, seed: int = 0, M: float = 0.5) -> Instance:
     system = pendulum_system(T=T)
-    truth = ParamSeq([np.array([M]) for _ in range(T + 1)])
+    truth = np.full((T + 1, 1), M)
     x0 = np.array([0.1, 0.0, 0.05, 0.0])
     return Instance(system, truth, x0, name="pendulum", seed=seed)
 
@@ -249,9 +248,8 @@ def grid_system(n_nodes: int = 3, delta: float = 0.1, m_lo: float = 1.0,
 def grid(T: int = 30, seed: int = 0, n_nodes: int = 3) -> Instance:
     system = grid_system(n_nodes=n_nodes, T=T)
     rng = np.random.default_rng(seed)
-    truth = ParamSeq([rng.uniform(GRID_DEFAULTS["m_lo"],
-                                  GRID_DEFAULTS["m_hi"], size=1)
-                      for _ in range(T + 1)])
+    truth = rng.uniform(GRID_DEFAULTS["m_lo"], GRID_DEFAULTS["m_hi"],
+                        size=(T + 1, 1))
     x0 = np.zeros(2 * n_nodes)
     x0[:n_nodes] = 0.1
     return Instance(system, truth, x0, name="grid", seed=seed)

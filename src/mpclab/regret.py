@@ -57,9 +57,7 @@ def regret_inequalities(run: engine.TrajectoryRecord,
     bound = float(np.sqrt(c * max(opt.total_cost, 0.0) * ssq) + c * ssq)
     lhs = run.distances.copy()
     rhs = np.zeros(T + 1)
-    for t in range(1, T + 1):
-        rhs[t] = L_g * float(
-            sum(gain_init[i] * run.errors[t - 1 - i] for i in range(t)))
+    rhs[1:] = L_g * np.convolve(gain_init[:T], run.errors)[:T]
     dist_ok = bool(np.all(lhs <= rhs + tol))
     return RegretReport(run.total_cost, opt.total_cost, float(regret), ssq,
                         c, bound, bool(regret <= bound + tol),

@@ -141,6 +141,34 @@ def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,
     return full(best.x)
 
 
+def forecast_oracle(truth, k, rho, seed):
+    """Forecasts of a prediction stream, one entry at a time.
+
+    For t = 0..T and then tau = 0..k with t + tau <= T, draws one standard
+    normal direction of the parameter's dimension (redrawn while its norm is
+    at most 1e-12), normalizes it, and returns the map (t, tau) ->
+    truth[t + tau] + rho(t, tau) * direction.  A constant rho applies to
+    every tau > 0; tau = 0 is exact.
+    """
+    truth = [np.atleast_1d(np.asarray(x, float)) for x in truth]
+    T = len(truth) - 1
+    rng = np.random.default_rng(seed)
+    out = {}
+    for t in range(T + 1):
+        for tau in range(min(k, T - t) + 1):
+            if callable(rho):
+                mag = float(rho(t, tau))
+            else:
+                mag = float(rho) if tau > 0 else 0.0
+            while True:
+                v = rng.normal(size=truth[t + tau].shape[0])
+                nrm = np.linalg.norm(v)
+                if nrm > 1e-12:
+                    break
+            out[t, tau] = truth[t + tau] + mag * (v / nrm)
+    return out
+
+
 def fd_jacobian(f, x, step=None):
     """Central-difference Jacobian of f at x (both 1-D arrays)."""
     x = np.asarray(x, float)

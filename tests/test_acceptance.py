@@ -90,9 +90,7 @@ def test_kkt_inverse_block_decay():
             norms, _, _ = kkt.block_inverse_profile(asm)
             bb = inst.system.bounds
             sigma = kkt.measured_sigma(inst)
-            c = kkt.tracking_decay_constants(
-                bb.mu, bb.ell, bb.a, bb.b, sigma,
-                bb.L_A, bb.L_B, bb.L_Q, bb.L_R, bb.L_P)
+            c = kkt.tracking_decay_constants(bb, sigma)
             nb = asm.n_blocks
             offs = np.abs(np.arange(nb)[:, None] - np.arange(nb)[None, :])
             bound = c.decay_coef * c.decay_rate ** offs

@@ -10,7 +10,7 @@ from mpclab import engine, ftocp, kkt, presets
 from mpclab.engine import TerminalRule
 from mpclab.ftocp import FtocpSpec, SingularKKT
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
-                          ParamSeq, PredictionStream, TerminalCost)
+                          PredictionStream, TerminalCost)
 
 
 def _spd(rng, d, lo=0.5, hi=2.0):
@@ -186,7 +186,7 @@ def test_zero_terminal_with_zero_last_action_weight_is_singular():
     with pytest.raises(SingularKKT):
         ftocp.continuation_law(system, params, TerminalCost.zero(2))
     system.P_T = lambda xi: np.zeros((2, 2))
-    inst = Instance(system, ParamSeq(params), np.ones(2))
+    inst = Instance(system, params, np.ones(2))
     with pytest.raises(SingularKKT):
         engine.solve_opt(inst)
 

@@ -7,7 +7,7 @@ from mpclab import cli, engine, ftocp, presets
 from mpclab.engine import (TerminalRule, per_step_error_bound_rhs,
                            pipeline_admission_check)
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
-                          ParamSeq, PredictionStream)
+                          PredictionStream)
 
 
 def quiet_instance(T=6):
@@ -22,8 +22,7 @@ def quiet_instance(T=6):
         P_T=lambda xi: np.eye(2), xbar_T=lambda xi: np.zeros(2),
         bounds=Bounds(mu=1.0, ell=1.0, a=0.7, b=1.2),
         param_box=ParamBox(np.zeros(1), np.ones(1)))
-    truth = ParamSeq([np.zeros(1) for _ in range(T + 1)])
-    return Instance(system, truth, np.zeros(2), name="quiet")
+    return Instance(system, np.zeros((T + 1, 1)), np.zeros(2), name="quiet")
 
 
 class TestTerminalRule:
@@ -31,26 +30,40 @@ class TestTerminalRule:
         with pytest.raises(ValueError):
             TerminalRule("nonsense")
 
-    def test_reference_rule_needs_preparation(self):
+    def test_reference_rule_needs_states(self):
         inst = quiet_instance()
-        rule = TerminalRule("reference")
-        with pytest.raises(RuntimeError):
-            rule.build(inst, 0, 3, [inst.truth[t] for t in range(4)])
-        rule.prepare(inst)
+        with pytest.raises(ValueError):
+            TerminalRule("reference")
+        rule = TerminalRule.reference(inst)
+        assert rule.kind == "reference"
         assert rule.reference_states.shape == (7, 2)
-        term = rule.build(inst, 0, 3, [inst.truth[t] for t in range(4)])
+        term = rule.build(inst, 0, 3, inst.truth[:4])
         assert term.kind == "indicator"
+        assert np.array_equal(term.target, rule.reference_states[3])
+
+    def test_rule_is_unchanged_by_a_run(self):
+        inst = quiet_instance()
+        states = np.ones((7, 2))
+        rule = TerminalRule("reference", reference_states=states)
+        states[3] = 5.0   # the rule holds its own copy
+        stream = PredictionStream(inst.truth, 3, 0.0)
+        engine.run_mpc(inst, stream, 3, rule)
+        assert np.array_equal(rule.reference_states, np.ones((7, 2)))
+        with pytest.raises(AttributeError):
+            rule.kind = "zero"
+        with pytest.raises(ValueError):
+            rule.reference_states[0] = 0.0
 
     def test_final_window_uses_instance_terminal(self):
         inst = quiet_instance()
         rule = TerminalRule("zero")
-        term = rule.build(inst, 2, inst.T, [inst.truth[t] for t in range(5)])
+        term = rule.build(inst, 2, inst.T, inst.truth[:5])
         assert term.kind == "quadratic"
 
     def test_predicted_tracking_pins_forecast_reference(self):
         inst = presets.tracking_rand(T=8, seed=1)
         rule = TerminalRule("predicted_tracking")
-        params = [inst.truth[t] for t in range(5)]
+        params = inst.truth[:5]
         term = rule.build(inst, 0, 4, params)
         assert term.kind == "indicator"
         assert np.allclose(term.target, inst.system.xbar(4, params[-1]))
@@ -58,11 +71,11 @@ class TestTerminalRule:
     def test_predicted_tracking_clips_chain_pin_to_state_interval(self):
         inst = presets.inventory_one_sided(T=12)
         rule = TerminalRule("predicted_tracking")
-        params = [inst.truth[t] for t in range(5)]
+        params = inst.truth[:5]
         inside = rule.build(inst, 0, 4, params)
         assert np.array_equal(inside.target, params[-1])
         for forecast in (1.3, -1.7):
-            term = rule.build(inst, 0, 4, params[:-1] + [np.array([forecast])])
+            term = rule.build(inst, 0, 4, [*params[:-1], np.array([forecast])])
             assert term.target[0] == np.clip(forecast, -1.0, 1.0)
             # the pin is no farther from the truth than the forecast was
             assert (abs(term.target[0] - params[-1][0])

@@ -10,7 +10,7 @@ import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
 from mpclab.engine import TerminalRule
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
-                          ParamSeq, TerminalCost)
+                          TerminalCost)
 from test_continuation import oracle_continuation
 
 # The oracle's null-space solve of a nearly unreachable pendulum pin loses
@@ -107,7 +107,7 @@ def all_maps_instance(T, seed):
         xbar_T=lambda xi: np.array([xi[0], xi[0] * xi[1]]),
         bounds=Bounds(mu=1.0, ell=2.0, a=1.0, b=1.0),
         param_box=ParamBox(np.zeros(2), np.ones(2)))
-    truth = ParamSeq([rng.uniform(0.0, 1.0, size=2) for _ in range(T + 1)])
+    truth = [rng.uniform(0.0, 1.0, size=2) for _ in range(T + 1)]
     return Instance(system, truth, rng.normal(size=n))
 
 

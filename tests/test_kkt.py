@@ -12,7 +12,11 @@ import pytest
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
 from mpclab.ftocp import FtocpSpec
-from mpclab.model import TerminalCost
+from mpclab.model import Bounds, TerminalCost
+
+
+def unit_bounds(**changes):
+    return Bounds(**{"mu": 1.0, "ell": 1.0, "a": 1.0, "b": 1.0, **changes})
 
 
 def tracking_assembly(T=12, seed=5, terminal="quadratic", K=None):
@@ -68,7 +72,7 @@ class TestAssemblyStructure:
 
 class TestClosedFormConstants:
     def test_tracking_spot_values(self):
-        c = kkt.tracking_decay_constants(1.0, 1.0, 1.0, 1.0, 1.0)
+        c = kkt.tracking_decay_constants(unit_bounds(), 1.0)
         assert c.sigma_hi == pytest.approx(4.0 * math.sqrt(2.0))
         assert c.sigma_lo == pytest.approx(math.sqrt(3.0))
         assert 0.0 < c.decay_rate < 1.0
@@ -76,9 +80,9 @@ class TestClosedFormConstants:
 
     def test_tracking_validation(self):
         with pytest.raises(ValueError):
-            kkt.tracking_decay_constants(2.0, 1.0, 1.0, 1.0, 1.0)  # mu > ell
+            kkt.tracking_decay_constants(unit_bounds(mu=2.0), 1.0)  # mu > ell
         with pytest.raises(ValueError):
-            kkt.tracking_decay_constants(1.0, 1.0, 0.0, 1.0, 1.0)
+            kkt.tracking_decay_constants(unit_bounds(a=0.0), 1.0)
 
     def test_general_spot_values(self):
         g = kkt.general_decay_constants(1.0, 1.0, 2.0)
@@ -94,7 +98,8 @@ class TestClosedFormConstants:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_sensitivity_coef_monotone_in_radius(self):
-        c = kkt.tracking_decay_constants(0.5, 2.0, 1.0, 1.0, 0.8, L_A=0.2)
+        c = kkt.tracking_decay_constants(
+            Bounds(mu=0.5, ell=2.0, a=1.0, b=1.0, L_A=0.2), 0.8)
         lo = kkt.tracking_sensitivity_coef(c, 2.0, 0.1, 0.1, 0.2, 1.0,
                                            0.2, 0.2, 0.0)
         hi = kkt.tracking_sensitivity_coef(c, 2.0, 0.1, 0.1, 0.2, 2.0,
@@ -178,9 +183,7 @@ class TestMeasuredQuantities:
         norms, maxima, fit = kkt.block_inverse_profile(asm)
         bb = inst.system.bounds
         sigma = kkt.measured_sigma(inst)
-        c = kkt.tracking_decay_constants(bb.mu, bb.ell, bb.a, bb.b, sigma,
-                                         bb.L_A, bb.L_B, bb.L_Q, bb.L_R,
-                                         bb.L_P)
+        c = kkt.tracking_decay_constants(bb, sigma)
         nb = asm.n_blocks
         for i in range(nb):
             for j in range(nb):

@@ -4,12 +4,13 @@ bound validation."""
 import numpy as np
 import pytest
 
+import oracles
 from mpclab import model, presets
-from mpclab.model import (Bounds, InventorySystem, LinearQuadraticSystem,
-                          ModelError, ParamBox, ParamSeq, PredictionStream,
-                          build_instance, config_hash, controllability_matrix,
-                          min_singular_controllability, transition_matrix,
-                          validate_assumptions)
+from mpclab.model import (Bounds, Instance, InventorySystem,
+                          LinearQuadraticSystem, ModelError, ParamBox,
+                          PredictionStream, build_instance, config_hash,
+                          controllability_matrix, min_singular_controllability,
+                          transition_matrix, validate_assumptions)
 
 
 def const_system(n=1, m=1, T=4, a=0.5, b=1.0):
@@ -49,48 +50,120 @@ class TestParamBox:
             assert box.contains(box.sample(rng))
 
 
+RHOS = {"constant": 0.3, "zero": 0.0,
+        "callable": lambda t, tau: 0.05 * (t + tau) + 0.01 * (t % 3)}
+
+
+def assert_matches_oracle(stream, truth, k, rho, seed, atol=0.0):
+    expected = oracles.forecast_oracle(truth, k, rho, seed)
+    T = len(truth) - 1
+    for t in range(T + 1):
+        for tau in range(k + 1):
+            got = stream.forecasts[t, tau]
+            if (t, tau) in expected:
+                if atol == 0.0:
+                    assert np.array_equal(got, expected[t, tau]), (t, tau)
+                else:
+                    assert np.max(np.abs(got - expected[t, tau])) <= atol
+            else:
+                assert np.all(np.isnan(got)), (t, tau)
+
+
 class TestPredictionStream:
+    @pytest.mark.parametrize("rho", sorted(RHOS))
+    @pytest.mark.parametrize("preset", sorted(presets.PRESETS))
+    def test_one_parameter_matches_oracle_bitwise(self, preset, rho):
+        inst = presets.build_preset(preset, T=12, seed=4)
+        stream = PredictionStream(inst.truth, 5, RHOS[rho], seed=11)
+        assert stream.forecasts.shape == (13, 6, 1)
+        assert_matches_oracle(stream, inst.truth, 5, RHOS[rho], 11)
+
+    @pytest.mark.parametrize("rho", sorted(RHOS))
+    def test_two_parameters_match_oracle(self, rho):
+        truth = np.random.default_rng(2).uniform(-1.0, 1.0, size=(10, 2))
+        stream = PredictionStream(truth, 4, RHOS[rho], seed=3)
+        assert_matches_oracle(stream, truth, 4, RHOS[rho], 3, atol=1e-15)
+
     def test_zero_schedule_is_bitwise_exact(self):
-        base = ParamSeq([np.array([0.3 * t]) for t in range(6)])
+        base = np.array([[0.3 * t] for t in range(6)])
         stream = PredictionStream(base, 3, 0.0, seed=5)
         for t in range(6):
             for tau in range(min(3, 5 - t) + 1):
-                assert np.array_equal(stream.predicted(t, tau), base[t + tau])
+                assert np.array_equal(stream.forecasts[t, tau], base[t + tau])
 
     def test_error_magnitudes_exact(self):
-        base = ParamSeq([np.array([1.0, -1.0]) for _ in range(8)])
+        base = np.tile([1.0, -1.0], (8, 1))
         stream = PredictionStream(base, 4, lambda t, tau: 0.1 * tau, seed=2)
         for t in range(8):
             for tau in range(1, min(4, 7 - t) + 1):
-                err = np.linalg.norm(stream.predicted(t, tau) - base[t + tau])
+                err = np.linalg.norm(stream.forecasts[t, tau] - base[t + tau])
                 assert err == pytest.approx(0.1 * tau, abs=1e-13)
 
     def test_power_matches_realized(self):
-        base = ParamSeq([np.array([0.0, 0.0]) for _ in range(10)])
+        base = np.zeros((10, 2))
         stream = PredictionStream(base, 5, lambda t, tau: 0.05 * (t + tau),
                                   seed=1)
         for tau in range(6):
-            assert stream.power(tau) == pytest.approx(
-                stream.power_measured(tau), abs=1e-12)
+            realized = sum(
+                float(np.linalg.norm(stream.forecasts[t, tau] - base[t + tau])
+                      ** 2) for t in range(10 - tau))
+            assert stream.power(tau) == pytest.approx(realized, abs=1e-12)
 
     def test_rho_zero_beyond_final_step(self):
-        base = ParamSeq([np.array([0.0]) for _ in range(4)])
+        base = np.zeros((4, 1))
         stream = PredictionStream(base, 3, 0.7, seed=0)
         assert stream.rho(2, 2) == 0.0
         assert stream.rho(3, 1) == 0.0
 
     def test_rescaled_magnitudes_keep_directions(self):
-        base = ParamSeq([np.array([0.0, 0.0]) for _ in range(6)])
+        base = np.zeros((6, 2))
         s1 = PredictionStream(base, 2, 0.1, seed=9)
         s2 = PredictionStream(base, 2, 0.2, seed=9)
-        d1 = s1.predicted(1, 2) - base[3]
-        d2 = s2.predicted(1, 2) - base[3]
+        d1 = s1.forecasts[1, 2] - base[3]
+        d2 = s2.forecasts[1, 2] - base[3]
         assert np.allclose(d2, 2.0 * d1, atol=1e-14)
 
     def test_negative_schedule_rejected(self):
-        base = ParamSeq([np.array([0.0]) for _ in range(4)])
+        base = np.zeros((4, 1))
         with pytest.raises(ModelError):
             PredictionStream(base, 2, -0.1, seed=0)
+
+    def test_window_is_the_forecast_slice(self):
+        base = np.arange(8.0)[:, None]
+        stream = PredictionStream(base, 3, 0.1, seed=0)
+        window = stream.window(2, 5)
+        assert np.array_equal(window, stream.forecasts[2, :4])
+        assert len(stream.window(6, 7)) == 2
+
+    @pytest.mark.parametrize("t, t2", [(2, 6), (5, 8)])
+    def test_window_beyond_horizon_or_final_step_rejected(self, t, t2):
+        stream = PredictionStream(np.zeros((8, 1)), 3, 0.1, seed=0)
+        with pytest.raises(ModelError):
+            stream.window(t, t2)
+
+    def test_near_zero_direction_is_redrawn(self, monkeypatch):
+        class Draws:
+            sizes = []
+
+            def normal(self, size):
+                self.sizes.append(size)
+                if len(self.sizes) == 1:   # the batch: (0, 1) draws 0
+                    return np.array([[1.0], [0.0], [1.0], [1.0], [1.0]])
+                return np.array([-2.0])
+
+        monkeypatch.setattr(model.np.random, "default_rng",
+                            lambda seed: Draws())
+        stream = PredictionStream(np.zeros((3, 1)), 1, 0.5, seed=0)
+        assert Draws.sizes == [(5, 1), 1]
+        assert stream.forecasts[0, 1, 0] == -0.5
+        assert stream.forecasts[1, 1, 0] == 0.5
+
+    def test_forecasts_are_read_only(self):
+        stream = PredictionStream(np.zeros((6, 1)), 2, 0.1, seed=0)
+        with pytest.raises(ValueError):
+            stream.forecasts[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            stream.window(0, 2)[-1] += 1.0
 
 
 class TestControllability:
@@ -165,6 +238,23 @@ class TestInstances:
     def test_build_instance_dispatch_and_overrides(self):
         inst = build_instance({"kind": "disturbance"}, T=10, seed=3)
         assert inst.T == 10 and inst.seed == 3
+
+    def test_truth_is_a_read_only_array(self):
+        caller = [np.full(1, 0.1 * t) for t in range(5)]
+        inst = Instance(const_system(T=4), caller, np.zeros(1))
+        assert inst.truth.shape == (5, 1)
+        with pytest.raises(ValueError):
+            inst.truth[2] = 1.0
+        with pytest.raises(ValueError):
+            inst.truth[1:3][0, 0] = 1.0
+        caller[2][0] = 7.0   # the instance holds its own copy
+        assert inst.truth[2, 0] == pytest.approx(0.2)
+
+    def test_truth_needs_one_row_per_step(self):
+        with pytest.raises(ModelError):
+            Instance(const_system(T=4), np.zeros((4, 1)), np.zeros(1))
+        with pytest.raises(ModelError):
+            Instance(const_system(T=4), np.zeros(5), np.zeros(1))
 
     def test_preset_determinism(self):
         a = presets.build_preset("tracking-rand", T=12, seed=4)

@@ -13,8 +13,7 @@ class TestSolveOpt:
     def test_tracking_matches_oracle(self):
         inst = presets.tracking_rand(T=10, seed=9)
         sys = inst.system
-        params = [inst.truth[t] for t in range(11)]
-        data = [sys.step_data(t, params[t]) for t in range(10)]
+        data = [sys.step_data(t, inst.truth[t]) for t in range(10)]
         term = inst.terminal_cost()
         so, ao, _ = oracles.lq_ocp_oracle(
             [d[0] for d in data], [d[1] for d in data],
@@ -59,6 +58,20 @@ class TestRegretInequalities:
         rep = regret.regret_inequalities(run, opt, ell, L_g, C3, np.ones(9))
         assert rep.constant_c == pytest.approx(
             (ell / 2) * (1 + 2 * C3 * L_g ** 2) * (1 + C3))
+
+    def test_distance_bound_is_the_causal_sum(self):
+        rng = np.random.default_rng(4)
+        T, L_g = 40, 1.7
+        errors = rng.uniform(0.0, 1.0, size=T)
+        gain_init = rng.uniform(0.0, 2.0, size=T + 3)   # longer than needed
+        run = engine.TrajectoryRecord(
+            np.zeros((T + 1, 1)), np.zeros((T, 1)), errors,
+            rng.uniform(0.0, 1.0, size=T + 1), np.zeros(T), 1.0)
+        rep = regret.regret_inequalities(run, run, 1.0, L_g, 1.0, gain_init)
+        expected = [L_g * sum(gain_init[i] * errors[t - 1 - i]
+                              for i in range(t)) for t in range(T + 1)]
+        assert rep.distance_rhs == pytest.approx(expected, rel=1e-13)
+        assert rep.distance_rhs[0] == 0.0
 
     def test_short_gain_table_rejected(self):
         inst = presets.tracking_rand(T=8, seed=2)
@@ -107,6 +120,29 @@ class TestSweeps:
                 assert got == pytest.approx(run.total_cost - opt.total_cost,
                                             rel=1e-12, abs=1e-15)
                 assert (abs(got) <= 1e-12) == zero
+
+    def test_reference_rule_belongs_to_its_instance(self):
+        # a reference rule holds the nominal trajectory of the instance it
+        # was built for, so a rule used on one instance cannot leak into a
+        # sweep on another
+        insts = [presets.disturbance(T=15, seed=s) for s in (1, 2)]
+        rules = [TerminalRule.reference(inst) for inst in insts]
+        for inst, rule in zip(insts, rules):
+            sys_ = inst.system
+            zero = np.zeros_like(inst.truth)
+            data = [sys_.step_data(t, zero[t]) for t in range(inst.T)]
+            term = inst.terminal_cost(zero[-1])
+            nominal, _, _ = oracles.lq_ocp_oracle(
+                *([d[i] for d in data] for i in range(6)), inst.x0,
+                ("quadratic", term.P, term.xbar))
+            assert np.allclose(rule.reference_states, nominal, atol=1e-9)
+        regrets = [regret.sweep_horizon(inst, [3], rule,
+                                        seed=inst.seed).regrets[0]
+                   for inst, rule in zip(insts, rules)]
+        assert regrets[1] == pytest.approx(2.30e-3, rel=2e-3)
+        with pytest.raises(ValueError):
+            regret.sweep_horizon(presets.disturbance(T=20, seed=2), [3],
+                                 rules[0])
 
     def test_noise_sweep_monotone(self):
         inst = presets.disturbance(T=20, seed=0)
