@@ -1,10 +1,12 @@
 """Saddle-point assembly for windowed linear-quadratic problems.
 
-Builds the cost block M, the dynamics block N, the saddle matrix
-H = [[M, N'], [N, 0]], and the per-step permutation that turns H into a
-block-tridiagonal matrix.  The assembly is analysed, not solved: the inverse
-block-decay profile and the spectrum of N are read from it, while windows are
-solved by the backward Riccati pass in ``ftocp``.  Two variants:
+Builds the cost block M, the dynamics block N, and the per-step permutation
+that turns the saddle matrix H = [[M, N'], [N, 0]] into a block-tridiagonal
+matrix Upsilon.  Neither H nor Upsilon is formed here: ``kkt`` reads the
+blocks of Upsilon from M, N and the permutation, and the dense matrices are
+the test suite's reference.  The assembly is analysed, not solved: the
+inverse block-decay profile and the spectrum of N are read from it, while
+windows are solved by the backward Riccati pass in ``ftocp``.  Two variants:
 
 - "full": variables (y_0, v_0, ..., v_{K-1}, y_K) with a quadratic (possibly
   zero) terminal cost; constraints pin y_0 and propagate the dynamics.
@@ -54,17 +56,6 @@ class KktAssembly:
     n: int
     m: int
     K: int
-
-    @property
-    def H(self) -> Array:
-        nc = self.N.shape[0]
-        return np.block([[self.M, self.N.T],
-                         [self.N, np.zeros((nc, nc))]])
-
-    @property
-    def Upsilon(self) -> Array:
-        H = self.H
-        return H[np.ix_(self.perm, self.perm)]
 
     @property
     def n_blocks(self) -> int:

@@ -157,6 +157,8 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     continuation from the same state under the true parameters, read off
     the instance's continuation law (``law``, built here when not given).
     Constrained infeasibility aborts the run with the step index attached.
+    The stream must be drawn around the instance's own true parameters, so
+    that its error magnitudes are the realized ones.
     """
     if k < 1:
         raise ValueError("window length k must be >= 1")
@@ -164,6 +166,8 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     T = sys.T
     if stream.k < min(k, T):
         raise ValueError("forecast stream shorter than the window")
+    if not np.array_equal(stream.truth, instance.truth):
+        raise ValueError("forecast stream built on other true parameters")
     if rule.kind == "reference" and len(rule.reference_states) != T + 1:
         raise ValueError("reference states need one row per step 0..T")
     if law is None:

@@ -79,31 +79,82 @@ def fit_decay(offsets: Array, maxima: Array, floor: float = 1e-300) -> DecayFit:
     return DecayFit(C, lam, r2, offsets, maxima)
 
 
+def _saddle_entries(M: Array, N: Array, rows: Array, cols: Array) -> Array:
+    """Entries H[rows, cols] of H = [[M, N'], [N, 0]] at broadcast index
+    arrays, read from M and N without forming H; index -1 reads 0."""
+    nv = M.shape[0]
+    r, c = np.broadcast_arrays(rows, cols)
+    var_r, var_c = (r >= 0) & (r < nv), (c >= 0) & (c < nv)
+    out = np.zeros(r.shape)
+    sel = var_r & var_c
+    out[sel] = M[r[sel], c[sel]]
+    sel = var_r & (c >= nv)
+    out[sel] = N[c[sel] - nv, r[sel]]
+    sel = (r >= nv) & var_c
+    out[sel] = N[r[sel] - nv, c[sel]]
+    return out
+
+
 def block_inverse_profile(asm: KktAssembly):
-    """Spectral norms of the blocks of the permuted inverse.
+    """Spectral norms of the blocks of the inverse G of the permuted saddle
+    matrix Upsilon, by block elimination (Meurant 1992).
+
+    Upsilon is block tridiagonal with diagonal blocks D_i and super-diagonal
+    blocks E_i, read from M, N and the permutation.  A forward elimination
+    gives the pivots Delta_0 = D_0, Delta_{i+1} = D_{i+1} - E_i' Delta_i^{-1}
+    E_i and C_i = -Delta_i^{-1} E_i; then G_ii = Delta_i^{-1} + C_i G_{i+1,
+    i+1} C_i' and G_{i,j} = C_i G_{i+1,j} for j > i, so each offset is one
+    batched product with the previous one, and G is symmetric.  The
+    elimination runs forward because the hat variant's last block is the
+    zero multiplier block.  Blocks are held as b x b tiles, the last one
+    zero-padded, which leaves spectral norms unchanged.
 
     Returns (norms matrix indexed by block pair, per-offset maxima, DecayFit).
+    Raises SingularKKT when a pivot is singular, or when the blocks miss the
+    identity Upsilon G = I by more than 1e-6 in some block row (a saddle
+    matrix singular to rounding, such as an unreachable pin).
     """
-    U = asm.Upsilon
-    try:
-        Uinv = np.linalg.inv(U)
-    except np.linalg.LinAlgError as exc:
-        raise ftocp.SingularKKT(str(exc)) from exc
-    nb = asm.n_blocks
-    # The blocks partition Upsilon in order.  Place block i at offset i*b so
-    # that every block pair is one b x b tile; zero padding leaves a block's
-    # spectral norm unchanged.
     sizes = [s.stop - s.start for s in asm.block_slices]
-    b = max(sizes)
-    pos = np.concatenate([i * b + np.arange(size)
-                          for i, size in enumerate(sizes)])
-    tiles = np.zeros((nb * b, nb * b))
-    tiles[np.ix_(pos, pos)] = Uinv
-    norms = np.linalg.norm(tiles.reshape(nb, b, nb, b).transpose(0, 2, 1, 3),
-                           2, axis=(-2, -1))
+    nb, b = len(sizes), max(sizes)
+    real = np.arange(b) < np.array(sizes)[:, None]
+    idx = np.full((nb, b), -1)
+    idx[real] = asm.perm    # the blocks partition the permutation in order
+    D = _saddle_entries(asm.M, asm.N, idx[:, :, None], idx[:, None, :])
+    E = _saddle_entries(asm.M, asm.N, idx[:-1, :, None], idx[1:, None, :])
+    diag = np.zeros((nb, b, b))   # Delta_i^{-1}; G_ii after the backward pass
+    C = np.zeros((nb - 1, b, b))
+    pivot = D[0]
+    try:
+        for i, size in enumerate(sizes):
+            diag[i, :size, :size] = np.linalg.inv(pivot[:size, :size])
+            if i < nb - 1:
+                C[i] = -diag[i] @ E[i]
+                pivot = D[i + 1] + E[i].T @ C[i]
+    except np.linalg.LinAlgError as exc:
+        raise ftocp.SingularKKT(f"singular pivot at block {i}") from exc
+    for i in range(nb - 2, -1, -1):
+        diag[i] += C[i] @ diag[i + 1] @ C[i].T
+    upper = C @ diag[1:]   # G_{i,i+1}
+    # block row i of Upsilon G - I: D_i G_ii + E_{i-1}' G_{i-1,i}
+    # + E_i G_{i+1,i} - I
+    residual = D @ diag - real[:, :, None] * np.eye(b)
+    residual[1:] += E.transpose(0, 2, 1) @ upper
+    residual[:-1] += E @ upper.transpose(0, 2, 1)
+    worst = float(np.abs(residual).max())
+    if not worst <= 1e-6:
+        raise ftocp.SingularKKT(
+            f"saddle matrix singular to rounding: residual {worst:.3g}")
+    norms = np.zeros((nb, nb))
+    maxima = np.zeros(nb)
+    G = diag
+    for off in range(nb):
+        if off:
+            G = C[:nb - off] @ G[1:]   # G_{i,i+off} = C_i G_{i+1,i+off}
+        vals = np.linalg.norm(G, 2, axis=(-2, -1))
+        i = np.arange(nb - off)
+        norms[i, i + off] = norms[i + off, i] = vals
+        maxima[off] = vals.max()
     offsets = np.arange(nb)
-    maxima = np.array([max(np.diagonal(norms, off).max(),
-                           np.diagonal(norms, -off).max()) for off in offsets])
     return norms, maxima, fit_decay(offsets, maxima)
 
 

@@ -79,14 +79,17 @@ class PredictionStream:
 
     ``forecasts[t, tau]`` is the forecast of step t+tau made at step t, a
     read-only (T+1, k+1, p) array; entries with t + tau > T are NaN.
+    ``truth`` is a read-only copy of ``base``, the true parameters the
+    forecasts were drawn around.
     """
 
     def __init__(self, base: Array, k: int,
                  rho: Callable[[int, int], float] | float, seed: int = 0):
         if k < 1:
             raise ModelError("forecast horizon k must be >= 1")
-        base = np.asarray(base, float)
+        base = np.array(base, float)
         T, p = base.shape[0] - 1, base.shape[1]
+        self.truth = _read_only(base)
         self.T, self.k = T, k
         # the valid (t, tau), t-major
         ts, taus = np.nonzero(np.add.outer(np.arange(T + 1),

@@ -230,8 +230,9 @@ def grid_matrices(m_val: float, *, L: Array, D: Array,
                   delta: float) -> tuple[Array, Array]:
     """Swing-equation discretization; the shared inertia m is the parameter."""
     n = L.shape[0]
-    Ahat = np.block([[np.zeros((n, n)), np.eye(n)],
-                     [-L / m_val, -D / m_val]])
+    Ahat = np.zeros((2 * n, 2 * n))
+    Ahat[:n, n:] = np.eye(n)
+    Ahat[n:] = np.hstack([-L / m_val, -D / m_val])
     Bhat = np.vstack([np.zeros((n, n)), np.eye(n) / m_val])
     return np.eye(2 * n) + delta * Ahat, delta * Bhat
 

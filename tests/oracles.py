@@ -188,3 +188,9 @@ def saddle_matrix(M, N):
     """Dense [[M, N'], [N, 0]] for spectrum measurements."""
     n1 = N.shape[0]
     return np.block([[M, N.T], [N, np.zeros((n1, n1))]])
+
+
+def dense_upsilon(asm):
+    """Dense permuted saddle matrix Upsilon = H[perm, perm] of an assembly,
+    H = [[M, N'], [N, 0]]."""
+    return saddle_matrix(asm.M, asm.N)[np.ix_(asm.perm, asm.perm)]

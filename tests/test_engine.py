@@ -127,6 +127,17 @@ class TestRunMpc:
         with pytest.raises(ValueError):
             engine.run_mpc(inst, stream, 5, TerminalRule("zero"))
 
+    def test_stream_of_another_instance_rejected(self):
+        # a zero-noise stream drawn around another instance's parameters
+        # would report exact forecasts while its errors are not zero
+        inst = presets.disturbance(T=15, seed=1)
+        other = presets.disturbance(T=20, seed=2)
+        stream = PredictionStream(other.truth, 3, 0.0)
+        with pytest.raises(ValueError, match="true parameters"):
+            engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
+        own = PredictionStream(inst.truth, 3, 0.0)
+        engine.run_mpc(inst, own, 3, TerminalRule("zero"))
+
     def test_infeasible_run_reports_step(self):
         inst = presets.inventory_two_sided(T=8)
         stream = PredictionStream(inst.truth, 1, 0.0)

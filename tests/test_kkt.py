@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
@@ -19,16 +21,27 @@ def unit_bounds(**changes):
     return Bounds(**{"mu": 1.0, "ell": 1.0, "a": 1.0, "b": 1.0, **changes})
 
 
-def tracking_assembly(T=12, seed=5, terminal="quadratic", K=None):
-    inst = presets.tracking_rand(T=T, seed=seed)
+def tracking_assembly(T=12, seed=5, terminal="quadratic", K=None, n=2, m=1):
+    inst = presets.tracking_rand(T=T, seed=seed, n=n, m=m)
     K = T if K is None else K
     params = [inst.truth[t] for t in range(K + 1)]
     if terminal == "quadratic":
         term = inst.system.terminal_cost(params[-1])
     else:
-        term = TerminalCost.indicator(np.zeros(2))
-    spec = FtocpSpec(0, K, np.zeros(2), params, term)
+        term = TerminalCost.indicator(np.zeros(n))
+    spec = FtocpSpec(0, K, np.zeros(n), params, term)
     return inst, kkt.assemble(spec, inst.system)
+
+
+def dense_block_norms(asm):
+    """Spectral norms of the blocks of the dense inverse of Upsilon, and
+    the condition number of Upsilon."""
+    U = oracles.dense_upsilon(asm)
+    Uinv = np.linalg.inv(U)
+    norms = np.array([[np.linalg.norm(Uinv[si, sj], 2)
+                       for sj in asm.block_slices]
+                      for si in asm.block_slices])
+    return norms, float(np.linalg.cond(U))
 
 
 class TestAssemblyStructure:
@@ -53,7 +66,7 @@ class TestAssemblyStructure:
 
     def test_upsilon_symmetric_block_tridiagonal(self):
         _, asm = tracking_assembly(T=10, K=6)
-        U = asm.Upsilon
+        U = oracles.dense_upsilon(asm)
         assert np.allclose(U, U.T, atol=1e-12)
         for i, si in enumerate(asm.block_slices):
             for j, sj in enumerate(asm.block_slices):
@@ -62,12 +75,15 @@ class TestAssemblyStructure:
 
     def test_inverse_symmetric(self):
         _, asm = tracking_assembly(T=10, K=6)
-        Uinv = np.linalg.inv(asm.Upsilon)
+        Uinv = np.linalg.inv(oracles.dense_upsilon(asm))
         assert np.allclose(Uinv, Uinv.T, atol=1e-10)
 
     def test_saddle_matrix_matches_oracle_layout(self):
+        # the entries the block elimination reads, against the dense oracle
         _, asm = tracking_assembly(T=8, K=3)
-        assert np.array_equal(asm.H, oracles.saddle_matrix(asm.M, asm.N))
+        rows = np.arange(asm.M.shape[0] + asm.N.shape[0])
+        H = kkt._saddle_entries(asm.M, asm.N, rows[:, None], rows[None, :])
+        assert np.array_equal(H, oracles.saddle_matrix(asm.M, asm.N))
 
 
 class TestClosedFormConstants:
@@ -195,7 +211,7 @@ class TestMeasuredQuantities:
         # the last block is 2n wide (full) or n wide (hat), the others 2n+m
         _, asm = tracking_assembly(T=12, seed=5, terminal=terminal, K=9)
         norms, maxima, _ = kkt.block_inverse_profile(asm)
-        Uinv = np.linalg.inv(asm.Upsilon)
+        Uinv = np.linalg.inv(oracles.dense_upsilon(asm))
         nb = asm.n_blocks
         ref = np.array([[np.linalg.norm(Uinv[si, sj], 2)
                          for sj in asm.block_slices]
@@ -205,6 +221,50 @@ class TestMeasuredQuantities:
         assert norms.shape == (nb, nb)
         assert np.allclose(norms, ref, rtol=1e-10, atol=0.0)
         assert np.allclose(maxima, ref_max, rtol=1e-10, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), K=st.integers(1, 12),
+           terminal=st.sampled_from(["quadratic", "indicator"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_profile_matches_dense_inverse(self, n, m, K, terminal,
+                                                 seed):
+        _, asm = tracking_assembly(T=max(K, 2), seed=seed, terminal=terminal,
+                                   K=K, n=n, m=m)
+        if terminal == "indicator" and K * m < n:
+            # fewer than n/m steps cannot reach the pin: Upsilon is singular
+            with pytest.raises(ftocp.SingularKKT):
+                kkt.block_inverse_profile(asm)
+            return
+        norms, maxima, _ = kkt.block_inverse_profile(asm)
+        ref, cond = dense_block_norms(asm)
+        nb = asm.n_blocks
+        ref_max = [max(np.diagonal(ref, off).max(),
+                       np.diagonal(ref, -off).max()) for off in range(nb)]
+        # 1e-10, or the dense reference's own rounding level where that is
+        # larger (near-unreachable pins, where cond(Upsilon) reaches 1e9)
+        rtol = max(1e-10, np.finfo(float).eps * cond)
+        assert np.allclose(norms, ref, rtol=rtol, atol=0.0)
+        assert np.allclose(maxima, ref_max, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unreachable_pin_raises(self, n):
+        # one step of one action cannot reach an n-dimensional pin: Upsilon
+        # is singular, though only to rounding (cond about 1e17)
+        _, asm = tracking_assembly(T=8, K=1, terminal="indicator", n=n)
+        with pytest.raises(ftocp.SingularKKT):
+            kkt.block_inverse_profile(asm)
+
+    def test_profile_allocates_no_dense_saddle_matrix(self):
+        _, asm = tracking_assembly(T=240, seed=1)
+        rows = asm.M.shape[0] + asm.N.shape[0]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            kkt.block_inverse_profile(asm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows ** 2 * 8 / 4
 
     def test_disturbance_state_envelope_identically_zero(self):
         inst = presets.disturbance(T=12, seed=0)

@@ -159,7 +159,12 @@ class TestPredictionStream:
         assert stream.forecasts[1, 1, 0] == 0.5
 
     def test_forecasts_are_read_only(self):
-        stream = PredictionStream(np.zeros((6, 1)), 2, 0.1, seed=0)
+        base = np.zeros((6, 1))
+        stream = PredictionStream(base, 2, 0.1, seed=0)
+        base[0] = 1.0   # the stream holds its own copy of the truth
+        assert np.array_equal(stream.truth, np.zeros((6, 1)))
+        with pytest.raises(ValueError):
+            stream.truth[0] = 1.0
         with pytest.raises(ValueError):
             stream.forecasts[0, 1] = 1.0
         with pytest.raises(ValueError):
