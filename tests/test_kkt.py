@@ -259,7 +259,6 @@ class TestMeasuredQuantities:
         rows = asm.M.shape[0] + asm.N.shape[0]
         tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
             kkt.block_inverse_profile(asm)
             _, peak = tracemalloc.get_traced_memory()
         finally:
