@@ -4,15 +4,14 @@ saddle-matrix sensitivity analysis, and dynamic-regret certification."""
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     LinearQuadraticSystem, ModelError, ParamBox,
                     PredictionStream, TerminalCost, build_instance,
-                    config_hash, controllability_matrix,
-                    min_singular_controllability, validate_assumptions)
+                    config_hash, validate_assumptions)
 from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, FtocpSpec,
                     Infeasible, SingularKKT, chain_law, continuation_law,
                     solve, solve_inventory, solve_quadratic, truth_law)
-from .kkt import (DecayFit, GainTables, SaddleBounds, TrackingDecayConstants,
-                  assemble, block_inverse_profile, general_decay_constants,
-                  measure_gain_tables, saddle_spectrum_bounds,
-                  theory_gain_tables, tracking_decay_constants)
+from .kkt import (DecayFit, GainTables, TrackingDecayConstants, assemble,
+                  block_inverse_profile, general_decay_constants,
+                  measure_gain_tables, theory_gain_tables,
+                  tracking_decay_constants)
 from .engine import (TerminalRule, TrajectoryRecord,
                      per_step_error_bound_rhs, pipeline_admission_check,
                      run_mpc, solve_opt)

@@ -57,10 +57,6 @@ class KktAssembly:
     m: int
     K: int
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_slices)
-
 
 def assemble_window(wm: WindowMatrices) -> KktAssembly:
     K, n, m = wm.K, wm.n, wm.m

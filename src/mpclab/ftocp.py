@@ -79,14 +79,6 @@ class FtocpSolution:
     def first_action(self) -> Array:
         return self.actions[0]
 
-    def dynamics_residual(self, system, params) -> float:
-        worst = 0.0
-        for i in range(self.t2 - self.t1):
-            nxt = system.dynamics(self.t1 + i, self.states[i],
-                                  self.actions[i], params[i])
-            worst = max(worst, float(np.linalg.norm(self.states[i + 1] - nxt)))
-        return worst
-
 
 # ---------------------------------------------------------------------------
 # quadratic solver

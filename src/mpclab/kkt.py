@@ -163,32 +163,6 @@ def block_inverse_profile(asm: KktAssembly):
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class SaddleBounds:
-    """Bounds on the singular spectrum of [[M, N'], [N, 0]] from the spectra
-    of the blocks.  Two lower-bound variants are reported because the two
-    published derivations disagree; the ``proof`` variant is the conservative
-    one certified by measurement."""
-
-    statement_lower: float
-    proof_lower: float
-    upper: float
-
-
-def saddle_spectrum_bounds(sM_lo: float, sM_hi: float,
-                           sN_lo: float, sN_hi: float) -> SaddleBounds:
-    if min(sM_lo, sM_hi, sN_lo, sN_hi) <= 0:
-        raise ValueError("spectra must be positive")
-    if sM_lo > sM_hi or sN_lo > sN_hi:
-        raise ValueError("lower bounds must not exceed upper bounds")
-    statement = (min(sM_lo, 1.0) * sN_hi
-                 * math.sqrt(sM_hi / (2 * sM_lo * sM_hi + sM_lo * sN_lo ** 2)))
-    proof = (min(sM_lo, 1.0) * sN_lo
-             * math.sqrt(sM_lo / (2 * sM_lo * sM_hi + sM_hi * sN_hi ** 2)))
-    upper = math.sqrt(2.0) * (sM_hi + sN_hi)
-    return SaddleBounds(statement, proof, upper)
-
-
-@dataclasses.dataclass(frozen=True)
 class TrackingDecayConstants:
     """Closed-form decay constants of the tracking-setting saddle inverse."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,11 +27,7 @@ class ModelError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ParamBox:
-    """Axis-aligned admissible set for the per-step parameter.
-
-    The library convention normalizes the admissible set to diameter <= 1;
-    ``normalized`` rescales a wider box and reports the scale factor applied.
-    """
+    """Axis-aligned admissible set for the per-step parameter."""
 
     lo: Array
     hi: Array
@@ -44,22 +40,8 @@ class ParamBox:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
-
-    def normalized(self) -> tuple["ParamBox", float]:
-        d = self.diameter()
-        if d <= 1.0 or d == 0.0:
-            return self, 1.0
-        c = (self.lo + self.hi) / 2.0
-        return ParamBox(c + (self.lo - c) / d, c + (self.hi - c) / d), 1.0 / d
-
     def sample(self, rng: np.random.Generator) -> Array:
         return rng.uniform(self.lo, self.hi)
-
-    def contains(self, xi: Array, tol: float = 1e-12) -> bool:
-        xi = np.atleast_1d(xi)
-        return bool(np.all(xi >= self.lo - tol) and np.all(xi <= self.hi + tol))
 
 
 def _read_only(a: Array) -> Array:
@@ -72,7 +54,8 @@ class PredictionStream:
 
     ``rho(t, tau)`` is the distance between the forecast of step t+tau made at
     step t and the true value: a constant (for every tau > 0) or a callable.
-    It is forced to 0 whenever t + tau > T.  The directions are drawn
+    It is forced to 0 whenever t + tau > T or tau > k; a negative t or tau
+    raises ModelError.  The directions are drawn
     uniformly on the unit sphere (the two points of S^0 for one parameter)
     with a dedicated generator, one draw per valid (t, tau) in t-major
     order, so rescaling magnitudes keeps the directions fixed.
@@ -118,12 +101,16 @@ class PredictionStream:
         self.forecasts = _read_only(forecasts)
 
     def rho(self, t: int, tau: int) -> float:
+        if t < 0 or tau < 0:
+            raise ModelError("negative step or offset")
         if t + tau > self.T or tau > self.k:
             return 0.0
         return float(self.rho_table[t, tau])
 
     def window(self, t: int, t2: int) -> Array:
         """Forecasts xi_{t..t2} made at step t (inclusive of both ends)."""
+        if t < 0 or t2 < t:
+            raise ModelError("forecast window must satisfy 0 <= t <= t2")
         if t2 > self.T:
             raise ModelError("forecast beyond the final step")
         if t2 - t > self.k:
@@ -361,43 +348,6 @@ class Instance:
             return TerminalCost.indicator(tgt)
         return self.system.terminal_cost(self.truth[self.T] if xi_T is None
                                          else xi_T)
-
-
-# ---------------------------------------------------------------------------
-# controllability
-# ---------------------------------------------------------------------------
-
-def transition_matrix(As: Sequence[Array], t2: int, t1: int) -> Array:
-    """Product A_{t2-1} ... A_{t1} (identity when t2 <= t1)."""
-    n = As[0].shape[0]
-    Phi = np.eye(n)
-    for t in range(t1, t2):
-        Phi = As[t] @ Phi
-    return Phi
-
-
-def controllability_matrix(As: Sequence[Array], Bs: Sequence[Array],
-                           t: int, p: int) -> Array:
-    """n x (m p) matrix [Phi(t+p, t+1) B_t, ..., Phi(t+p, t+p) B_{t+p-1}]."""
-    if p < 1 or t < 0 or t + p > len(As):
-        raise ModelError("controllability window out of range")
-    cols = [transition_matrix(As, t + p, t + j + 1) @ Bs[t + j]
-            for j in range(p)]
-    return np.hstack(cols)
-
-
-def min_singular_controllability(As, Bs, d: int) -> float:
-    """min over valid t of sigma_min(M(t, d)); 0 flags loss of rank."""
-    T = len(As)
-    if d < 1 or d > T:
-        raise ModelError("controllability index out of range")
-    worst = np.inf
-    for t in range(T - d + 1):
-        M = controllability_matrix(As, Bs, t, d)
-        s = np.linalg.svd(M, compute_uv=False)
-        smin = float(s.min()) if M.shape[0] <= M.shape[1] else 0.0
-        worst = min(worst, smin)
-    return float(worst if np.isfinite(worst) else 0.0)
 
 
 # ---------------------------------------------------------------------------

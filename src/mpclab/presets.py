@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 
-from . import ftocp, kkt
+from . import ftocp
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     LinearQuadraticSystem, ParamBox, TerminalCost)
 
@@ -149,12 +149,6 @@ def pendulum_matrices(M: float, *, m: float, l: float, I: float, b: float,
     return A, B
 
 
-def pendulum_det_closed_form(M: float, *, m: float, l: float, I: float,
-                             g: float, delta: float, **_ignored) -> float:
-    den = I * M + m * (I + l ** 2 * M)
-    return delta ** 10 * g ** 2 * l ** 4 * m ** 4 / den ** 4
-
-
 def _norm_bounds_over_box(mat_fn, box: ParamBox, grid: int = 50):
     """(max matrix norm, max difference-quotient norm) over a parameter grid."""
     xs = np.linspace(float(box.lo[0]), float(box.hi[0]), grid)
@@ -256,10 +250,6 @@ def grid(T: int = 30, seed: int = 0, n_nodes: int = 3) -> Instance:
     return Instance(system, truth, x0, name="grid", seed=seed)
 
 
-def grid_det_lower_bound(n_nodes: int, delta: float, m_hi: float) -> float:
-    return delta ** (3 * n_nodes) / m_hi ** (2 * n_nodes)
-
-
 # ---------------------------------------------------------------------------
 # stock-chain studies
 # ---------------------------------------------------------------------------
@@ -320,45 +310,6 @@ def inventory_counterexample_suite(ps=(4, 5, 6, 7, 8),
             cerr = abs(float(sol1.states[h, 0]) - closed[h - 1])
             rows.append(SuiteRow(p, eps, h, diff, diff - eps, cerr))
     return rows
-
-
-def inventory_sensitivity_profile(p: int = 12, one_sided: bool = True,
-                                  step: float = 1e-5,
-                                  action_weight: float | None = None):
-    """Forward-difference sensitivity of each state to the terminal pin on
-    the alternating chain; returns (offsets, profile, DecayFit).
-
-    The perturbation is one-sided (toward the interior) because the
-    closed-form responses only cover nonnegative terminal shifts.  The
-    one-sided-constraint study adds a smooth action cost (default weight 2)
-    so the steps couple smoothly: the pure tracking cost makes the solution
-    map block-separable and its sensitivity support finite, which certifies
-    decay trivially but carries no rate information.  Two-sided constraints
-    at the alternating optimum give a flat profile.
-    """
-    if action_weight is None:
-        action_weight = 2.0 if one_sided else 0.0
-    targets = _alternating_targets(p)
-    system = InventorySystem(T=p, targets=targets, u_lo=-0.8,
-                             u_hi=None if one_sided else 0.8,
-                             action_weight=action_weight)
-    params = [np.array([v]) for v in targets]
-    base = -2.0 / 5.0 if p % 2 == 0 else 2.0 / 5.0
-    z = np.zeros(1)
-
-    def states_at(target):
-        sol = ftocp.solve(ftocp.FtocpSpec(
-            0, p, z, params,
-            TerminalCost.indicator(np.array([target]))), system)
-        return sol.states[:, 0]
-
-    sens = np.abs(states_at(base + step) - states_at(base)) / step
-    offsets = np.array([p - h for h in range(1, p + 1)], float)
-    profile = sens[1:]
-    order = np.argsort(offsets)
-    offsets, profile = offsets[order], profile[order]
-    fit = kkt.fit_decay(offsets, np.maximum(profile, 1e-300))
-    return offsets, profile, fit
 
 
 # ---------------------------------------------------------------------------

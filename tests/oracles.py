@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with different algorithms than the
 library under test: null-space elimination instead of saddle-point solves,
-scipy SLSQP instead of the active-set chain solver, dense SVDs, and plain
-finite differences.  Tests compare library output against these oracles
-rather than against hand-typed numbers.
+scipy SLSQP, dense SVDs, plain finite differences, and closed forms of the
+physical examples and of saddle spectra.  Tests compare library output
+against these oracles rather than against hand-typed numbers.  Nothing here
+imports the library.
 """
 
 import numpy as np
@@ -194,3 +195,38 @@ def dense_upsilon(asm):
     """Dense permuted saddle matrix Upsilon = H[perm, perm] of an assembly,
     H = [[M, N'], [N, 0]]."""
     return saddle_matrix(asm.M, asm.N)[np.ix_(asm.perm, asm.perm)]
+
+
+def saddle_sigma_min_lower(mu, ell, sigma_N):
+    """Lower bound on sigma_min of [[M, N'], [N, 0]] for M symmetric with
+    eigenvalues in [mu, ell], mu > 0, and N of full row rank with smallest
+    singular value sigma_N (Rusten & Winther 1992, "A preconditioned
+    iterative method for saddlepoint problems", SIAM J. Matrix Anal. Appl.
+    13(3)): the positive eigenvalues are at least mu, the negative ones at
+    most (ell - sqrt(ell^2 + 4 sigma_N^2)) / 2."""
+    return min(mu, (np.sqrt(ell ** 2 + 4.0 * sigma_N ** 2) - ell) / 2.0)
+
+
+def controllability_matrix(As, Bs, t, p):
+    """n x (m p) matrix [Phi(t+p, t+1) B_t, ..., Phi(t+p, t+p) B_{t+p-1}]
+    with Phi(t2, t1) = A_{t2-1} ... A_{t1}, by plain products."""
+    cols = []
+    for j in range(p):
+        col = Bs[t + j]
+        for s in range(t + j + 1, t + p):
+            col = As[s] @ col
+        cols.append(col)
+    return np.hstack(cols)
+
+
+def pendulum_det_closed_form(M, *, m, l, I, g, delta, **_ignored):
+    """|det| of the four-step controllability matrix of the cart-pendulum
+    linearization with cart mass M."""
+    den = I * M + m * (I + l ** 2 * M)
+    return delta ** 10 * g ** 2 * l ** 4 * m ** 4 / den ** 4
+
+
+def grid_det_lower_bound(n_nodes, delta, m_hi):
+    """Lower bound on |det| of the two-step controllability matrix of the
+    swing-equation network with inertias at most m_hi."""
+    return delta ** (3 * n_nodes) / m_hi ** (2 * n_nodes)

@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mpclab import cli, engine, ftocp
+import mpclab
+from mpclab import _assembly, cli, engine, ftocp, kkt, model, presets
 
 
 @pytest.fixture
@@ -234,3 +238,40 @@ class TestCertifications:
         assert res.exit_code == 0, res.output
         body = read(tmp_path / "constants.txt").decode()
         assert "mode = measured" in body
+
+
+class TestLibrarySurface:
+    """The library is what the CLI and the certification pipeline run: test
+    dependencies stay out of it, and closed forms, studies and helpers that
+    only tests use live in the tests."""
+
+    def test_cli_loads_no_test_dependency(self):
+        code = ("import sys\n"
+                "import mpclab.cli\n"
+                "print(' '.join(sorted({name.split('.')[0] for name in "
+                "sys.modules} & {'scipy', 'hypothesis', 'pytest', "
+                "'oracles'})))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == ""
+
+    def test_test_only_names_absent(self):
+        gone = {model: ["transition_matrix", "controllability_matrix",
+                        "min_singular_controllability"],
+                model.ParamBox: ["normalized", "diameter", "contains"],
+                presets: ["pendulum_det_closed_form", "grid_det_lower_bound",
+                          "inventory_sensitivity_profile", "kkt"],
+                kkt: ["SaddleBounds", "saddle_spectrum_bounds"],
+                _assembly.KktAssembly: ["n_blocks"],
+                ftocp.FtocpSolution: ["dynamics_residual"],
+                mpclab: ["controllability_matrix",
+                         "min_singular_controllability", "SaddleBounds",
+                         "saddle_spectrum_bounds"]}
+        present = [f"{owner.__name__}.{name}"
+                   for owner, names in gone.items() for name in names
+                   if hasattr(owner, name)]
+        assert present == []

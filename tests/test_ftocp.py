@@ -77,7 +77,11 @@ class TestQuadraticSolver:
         sol = ftocp.solve(FtocpSpec(t1, t2, np.zeros(2), params, term),
                           inst.system)
         assert sol.kkt_residual <= 1e-8
-        assert sol.dynamics_residual(inst.system, params) <= 1e-9
+        residual = max(
+            np.linalg.norm(sol.states[i + 1] - inst.system.dynamics(
+                t1 + i, sol.states[i], sol.actions[i], params[i]))
+            for i in range(t2 - t1))
+        assert residual <= 1e-9
 
     def test_value_matches_recomputed_objective(self, inst):
         t1, t2 = 2, 8

@@ -1,5 +1,5 @@
-"""Instance construction, forecast streams, controllability, and declared
-bound validation."""
+"""Instance construction, forecast streams, declared bound validation, and
+the controllability-matrix oracle of the physical examples."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from mpclab import model, presets
 from mpclab.model import (Bounds, Instance, InventorySystem,
                           LinearQuadraticSystem, ModelError, ParamBox,
                           PredictionStream, build_instance, config_hash,
-                          controllability_matrix, min_singular_controllability,
-                          transition_matrix, validate_assumptions)
+                          validate_assumptions)
 
 
 def const_system(n=1, m=1, T=4, a=0.5, b=1.0):
@@ -28,17 +27,6 @@ def const_system(n=1, m=1, T=4, a=0.5, b=1.0):
 
 
 class TestParamBox:
-    def test_normalized_shrinks_wide_box(self):
-        box = ParamBox(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
-        small, scale = box.normalized()
-        assert small.diameter() == pytest.approx(1.0)
-        assert scale == pytest.approx(1.0 / 5.0)
-
-    def test_normalized_keeps_small_box(self):
-        box = ParamBox(np.array([0.0]), np.array([0.5]))
-        same, scale = box.normalized()
-        assert same is box and scale == 1.0
-
     def test_invalid_box_rejected(self):
         with pytest.raises(ModelError):
             ParamBox(np.array([1.0]), np.array([0.0]))
@@ -47,7 +35,8 @@ class TestParamBox:
         box = ParamBox(np.array([-1.0]), np.array([1.0]))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert box.contains(box.sample(rng))
+            sample = box.sample(rng)
+            assert np.all(box.lo <= sample) and np.all(sample <= box.hi)
 
 
 RHOS = {"constant": 0.3, "zero": 0.0,
@@ -115,6 +104,17 @@ class TestPredictionStream:
         assert stream.rho(2, 2) == 0.0
         assert stream.rho(3, 1) == 0.0
 
+    def test_rho_zero_beyond_horizon_k(self):
+        stream = PredictionStream(np.zeros((11, 1)), 4, 0.1, seed=0)
+        assert stream.rho(2, 4) == 0.1
+        assert stream.rho(2, 5) == 0.0
+
+    @pytest.mark.parametrize("t, tau", [(-3, 2), (2, -1), (-1, 0)])
+    def test_rho_negative_step_or_offset_rejected(self, t, tau):
+        stream = PredictionStream(np.zeros((11, 1)), 4, 0.1, seed=0)
+        with pytest.raises(ModelError):
+            stream.rho(t, tau)
+
     def test_rescaled_magnitudes_keep_directions(self):
         base = np.zeros((6, 2))
         s1 = PredictionStream(base, 2, 0.1, seed=9)
@@ -138,6 +138,12 @@ class TestPredictionStream:
     @pytest.mark.parametrize("t, t2", [(2, 6), (5, 8)])
     def test_window_beyond_horizon_or_final_step_rejected(self, t, t2):
         stream = PredictionStream(np.zeros((8, 1)), 3, 0.1, seed=0)
+        with pytest.raises(ModelError):
+            stream.window(t, t2)
+
+    @pytest.mark.parametrize("t, t2", [(5, 3), (-2, 1), (-1, -1)])
+    def test_window_reversed_or_negative_rejected(self, t, t2):
+        stream = PredictionStream(np.zeros((11, 1)), 4, 0.1, seed=0)
         with pytest.raises(ModelError):
             stream.window(t, t2)
 
@@ -175,32 +181,16 @@ class TestControllability:
     def test_identity_dynamics_single_step(self):
         As = [np.eye(2)] * 3
         Bs = [np.eye(2)] * 3
-        assert np.array_equal(controllability_matrix(As, Bs, 0, 1), np.eye(2))
+        assert np.array_equal(oracles.controllability_matrix(As, Bs, 0, 1),
+                              np.eye(2))
 
     def test_lti_reproduces_kalman_matrix(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(3, 3))
         B = rng.normal(size=(3, 1))
-        M = controllability_matrix([A] * 3, [B] * 3, 0, 3)
+        M = oracles.controllability_matrix([A] * 3, [B] * 3, 0, 3)
         kalman = np.hstack([A @ A @ B, A @ B, B])
         assert np.allclose(M, kalman, atol=1e-12)
-
-    def test_transition_matrix_identity_for_empty_range(self):
-        assert np.array_equal(transition_matrix([np.eye(2)], 1, 1), np.eye(2))
-
-    def test_zero_A_identity_B_sigma_one(self):
-        As = [np.zeros((2, 2))] * 4
-        Bs = [np.eye(2)] * 4
-        assert min_singular_controllability(As, Bs, 1) == pytest.approx(1.0)
-
-    def test_zero_B_flags_uncontrollable(self):
-        As = [np.eye(2)] * 4
-        Bs = [np.zeros((2, 1))] * 4
-        assert min_singular_controllability(As, Bs, 2) == 0.0
-
-    def test_out_of_range_window_rejected(self):
-        with pytest.raises(ModelError):
-            controllability_matrix([np.eye(1)] * 2, [np.eye(1)] * 2, 1, 2)
 
 
 class TestValidateAssumptions:

@@ -5,17 +5,52 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mpclab import cli, presets
-from mpclab.model import controllability_matrix, validate_assumptions
+import oracles
+from mpclab import cli, ftocp, kkt, presets
+from mpclab.model import InventorySystem, TerminalCost, validate_assumptions
+
+
+def inventory_sensitivity_profile(p, one_sided):
+    """Forward-difference sensitivity of each state to the terminal pin on
+    the alternating chain, by offset from the pin; returns (offsets,
+    profile, DecayFit).
+
+    The perturbation is one-sided (toward the interior) because the
+    closed-form responses only cover nonnegative terminal shifts.  The
+    one-sided-constraint study adds a smooth action cost of weight 2 so the
+    steps couple smoothly: the pure tracking cost makes the solution map
+    block-separable and its sensitivity support finite, which certifies
+    decay trivially but carries no rate information.  Two-sided constraints
+    at the alternating optimum give a flat profile.
+    """
+    targets = np.where(np.arange(p + 1) % 2, 0.8, -0.8)
+    system = InventorySystem(T=p, targets=targets, u_lo=-0.8,
+                             u_hi=None if one_sided else 0.8,
+                             action_weight=2.0 if one_sided else 0.0)
+    params = [np.array([v]) for v in targets]
+    base = -2.0 / 5.0 if p % 2 == 0 else 2.0 / 5.0
+    step = 1e-5
+
+    def states_at(target):
+        sol = ftocp.solve(ftocp.FtocpSpec(
+            0, p, np.zeros(1), params,
+            TerminalCost.indicator(np.array([target]))), system)
+        return sol.states[:, 0]
+
+    sens = np.abs(states_at(base + step) - states_at(base)) / step
+    offsets = np.arange(p, dtype=float)   # offset p - h of state h = p..1
+    profile = sens[:0:-1]
+    fit = kkt.fit_decay(offsets, np.maximum(profile, 1e-300))
+    return offsets, profile, fit
 
 
 class TestPendulum:
     def test_determinant_matches_closed_form(self):
         for M in (0.4, 0.5, 0.55, 0.6):
             A, B = presets.pendulum_matrices(M, **presets.PENDULUM_DEFAULTS)
-            C = controllability_matrix([A] * 4, [B] * 4, 0, 4)
+            C = oracles.controllability_matrix([A] * 4, [B] * 4, 0, 4)
             det = abs(float(np.linalg.det(C)))
-            closed = presets.pendulum_det_closed_form(
+            closed = oracles.pendulum_det_closed_form(
                 M, **presets.PENDULUM_DEFAULTS)
             assert det == pytest.approx(closed, rel=1e-8)
 
@@ -34,13 +69,13 @@ class TestGrid:
         d = presets.GRID_DEFAULTS
         L = presets.path_laplacian(d["n_nodes"])
         D = np.eye(d["n_nodes"])
-        bound = presets.grid_det_lower_bound(d["n_nodes"], d["delta"],
+        bound = oracles.grid_det_lower_bound(d["n_nodes"], d["delta"],
                                              d["m_hi"])
         xs = np.linspace(d["m_lo"], d["m_hi"], 20)
         for m1, m2 in zip(xs[:-1], xs[1:]):
             A1, B1 = presets.grid_matrices(m1, L=L, D=D, delta=d["delta"])
             A2, B2 = presets.grid_matrices(m2, L=L, D=D, delta=d["delta"])
-            C = controllability_matrix([A1, A2], [B1, B2], 0, 2)
+            C = oracles.controllability_matrix([A1, A2], [B1, B2], 0, 2)
             assert abs(float(np.linalg.det(C))) >= bound
 
     def test_declared_bounds_validate(self):
@@ -84,12 +119,12 @@ class TestChainStudies:
         assert len(lines) == 2 + 4
 
     def test_two_sided_sensitivity_is_flat(self):
-        offsets, profile, _ = presets.inventory_sensitivity_profile(
+        offsets, profile, _ = inventory_sensitivity_profile(
             8, one_sided=False)
         assert np.allclose(profile, 1.0, atol=1e-7)
 
     def test_one_sided_sensitivity_decays(self):
-        offsets, profile, fit = presets.inventory_sensitivity_profile(
+        offsets, profile, fit = inventory_sensitivity_profile(
             12, one_sided=True)
         assert fit.lam <= 0.95
         assert fit.r2 >= 0.9
