@@ -29,7 +29,8 @@ Array = np.ndarray
 class WindowMatrices:
     """Per-step data of a window of length K (steps t1 .. t1+K-1), stacked:
     A (K, n, n), B (K, n, m), w (K, n), Q (K, n, n), R (K, m, m),
-    xbar (K, n)."""
+    xbar (K, n).  A batch of windows puts a window axis in front of every
+    array, its terminal's arrays included."""
 
     A: Array
     B: Array
@@ -43,7 +44,18 @@ class WindowMatrices:
 
     @property
     def K(self) -> int:
-        return len(self.A)
+        return self.A.shape[-3]
+
+    def window(self, i: int) -> "WindowMatrices":
+        """Window i of a batch."""
+        term = self.terminal
+        return WindowMatrices(
+            self.A[i], self.B[i], self.w[i], self.Q[i], self.R[i],
+            self.xbar[i],
+            TerminalCost(term.kind, *(None if a is None else a[i]
+                                      for a in (term.P, term.xbar,
+                                                term.target))),
+            self.n, self.m)
 
 
 @dataclasses.dataclass

@@ -213,7 +213,8 @@ def mpc(preset, instance_file, T, seed, out, k, noise_scale):
         {"cost_alg": run.total_cost, "cost_opt": opt.total_cost,
          "regret": run.total_cost - opt.total_cost,
          "sum_sq_errors": run.sum_sq_errors,
-         "max_error": float(run.errors.max(initial=0.0))}, hdr))
+         "max_error": float(run.errors.max(initial=0.0)),
+         "kkt_residual_max": run.kkt_residual_max}, hdr))
     click.echo(f"regret={run.total_cost - opt.total_cost:.12g}")
 
 

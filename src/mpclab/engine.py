@@ -1,11 +1,16 @@
-"""Receding-horizon controller: per-step windowed solves on forecasts,
-closed-loop rollout on the true dynamics, and per-step error accounting.
+"""Receding-horizon controller: windowed laws on forecasts, closed-loop
+rollout on the true dynamics, and per-step error accounting.
 
-The controller is the same for every problem class: ``ftocp.solve`` solves
-each window, the instance's ``ftocp.truth_law`` gives the optimal
-continuation that the per-step errors and the hindsight optimum are read
-from, and ``Instance.terminal_cost`` caps the windows that reach the final
-step.
+The controller is the same for every problem class.  All forecasts are
+drawn before a run and no terminal rule depends on the state, so
+``ftocp.window_laws`` builds the law of every window before the closed loop
+starts (one batched Riccati pass per group of linear-quadratic windows of
+one length and terminal kind); the loop only applies each window's first
+action to the realized state, and one batched rollout per group afterwards
+checks the pins and gives the KKT residuals.  The instance's
+``ftocp.truth_law`` gives the optimal continuation that the per-step errors
+and the hindsight optimum are read from, and ``Instance.terminal_cost``
+caps the windows that reach the final step.
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ class TrajectoryRecord:
     total_cost: float
     k: int | None = None
     rule_kind: str | None = None
+    kkt_residual_max: float = 0.0   # worst KKT residual of the solves
 
     @property
     def T(self) -> int:
@@ -142,7 +148,8 @@ def solve_opt(instance: Instance,
     stage, total = _stage_costs_and_total(instance, sol.states, sol.actions)
     return TrajectoryRecord(sol.states, sol.actions, np.zeros(T),
                             np.zeros(T + 1), stage, total, k=None,
-                            rule_kind="opt")
+                            rule_kind="opt",
+                            kkt_residual_max=sol.kkt_residual)
 
 
 def run_mpc(instance: Instance, stream: PredictionStream, k: int,
@@ -153,12 +160,16 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
 
     At each step t the controller solves the window [t, min(t+k, T)] on the
     forecasts, commits the first action, and the true dynamics advance the
-    state.  Per-step errors compare the committed action with the optimal
-    continuation from the same state under the true parameters, read off
-    the instance's continuation law (``law``, built here when not given).
-    Constrained infeasibility aborts the run with the step index attached.
-    The stream must be drawn around the instance's own true parameters, so
-    that its error magnitudes are the realized ones.
+    state.  The laws of all windows are built before the loop, and after it
+    every window is rolled out from its realized initial state; the run
+    records the worst KKT residual of these solves.  Per-step errors compare
+    the committed action with the optimal continuation from the same state
+    under the true parameters, read off the instance's continuation law
+    (``law``, built here when not given).  Constrained infeasibility aborts
+    the run with the step index attached.  A window that cannot be solved
+    (SingularKKT) fails the run; when several cannot, the earliest is
+    named.  The stream must be drawn around the instance's own true
+    parameters, so that its error magnitudes are the realized ones.
     """
     if k < 1:
         raise ValueError("window length k must be >= 1")
@@ -175,30 +186,37 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     if opt is None:
         opt = solve_opt(instance, law)
 
+    windows = []
+    for t in range(T):
+        t2 = min(t + k, T)
+        params = stream.window(t, t2)
+        windows.append((t, params, rule.build(instance, t, t2, params)))
+    laws = ftocp.window_laws(sys, windows)
+
     states = np.zeros((T + 1, sys.n))
     actions = np.zeros((T, sys.m))
     errors = np.zeros(T)
     states[0] = np.atleast_1d(instance.x0)
     for t in range(T):
-        t2 = min(t + k, T)
-        params = stream.window(t, t2)
-        terminal = rule.build(instance, t, t2, params)
-        spec = ftocp.FtocpSpec(t, t2, states[t], params, terminal)
         try:
-            sol = ftocp.solve(spec, sys)
+            u = laws.action(t, states[t])
         except ftocp.Infeasible as exc:
             raise ftocp.Infeasible(f"window at step {t} infeasible: {exc}",
                                    step=t) from exc
-        u = sol.first_action
+        except ftocp.SingularKKT:
+            laws.kkt_residual_max(states[:t])   # an earlier pin may fail
+            raise
         actions[t] = u
         errors[t] = float(np.linalg.norm(u - law.action(t, states[t])))
         states[t + 1] = np.atleast_1d(
             sys.dynamics(t, states[t], u, instance.truth[t]))
+    kkt_residual_max = laws.kkt_residual_max(states[:T])
     distances = np.array([float(np.linalg.norm(states[t] - opt.states[t]))
                           for t in range(T + 1)])
     stage, total = _stage_costs_and_total(instance, states, actions)
     return TrajectoryRecord(states, actions, errors, distances, stage, total,
-                            k=k, rule_kind=rule.kind)
+                            k=k, rule_kind=rule.kind,
+                            kkt_residual_max=kkt_residual_max)
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,25 @@
 Two problem classes are supported exactly:
 
 - time-varying linear dynamics with quadratic costs: one backward Riccati
-  pass (``continuation_law``) gives the optimal affine feedback of a window
-  with a quadratic, zero or pinned terminal, and a forward rollout gives the
-  solution, its multipliers and its KKT residual;
+  pass (``continuation_law``) gives the optimal affine feedback of a batch
+  of windows of one length, each with a quadratic, zero or pinned terminal,
+  and a batched forward rollout gives their solutions, multipliers and KKT
+  residuals.  A single window is a batch of one;
 - the constrained scalar stock chain: one backward pass (``chain_law``)
   over the knots of the derivatives of its value functions, then a rollout.
 
-``solve`` picks the solver of a window and ``truth_law`` the optimal
-continuation under an instance's true parameters (a ``ContinuationLaw`` or a
-``ChainLaw``, both read with ``action(t, x)`` and ``solution(t, x)``); no
-other module branches on the problem class to solve.
+``solve`` picks the solver of one window, ``window_laws`` builds the laws
+of every window of a receding-horizon run before it starts, and
+``truth_law`` gives the optimal continuation under an instance's true
+parameters (a ``ContinuationLaw`` or a ``ChainLaw``, both read with
+``action(t, x)`` and ``solution(t, x)``); no other module branches on the
+problem class to solve.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +34,12 @@ Array = np.ndarray
 
 class SingularKKT(RuntimeError):
     """The window's optimality system is singular, or its pinned terminal
-    state is unreachable (e.g. the instance is uncontrollable)."""
+    state is unreachable (e.g. the instance is uncontrollable).  ``window``
+    is the failing window's index in its batch, when a batch failed."""
+
+    def __init__(self, msg, window=None):
+        super().__init__(msg)
+        self.window = window
 
 
 class Infeasible(RuntimeError):
@@ -75,28 +84,38 @@ class FtocpSolution:
     value: float
     kkt_residual: float
 
-    @property
-    def first_action(self) -> Array:
-        return self.actions[0]
-
 
 # ---------------------------------------------------------------------------
 # quadratic solver
 # ---------------------------------------------------------------------------
 
+def _step_data(system, steps: Array, params: Array) -> list:
+    """Step data (A, B, w, Q, R, xbar) of every entry of ``steps``, on the
+    parameter of the same index in ``params``; each array carries the shape
+    of ``steps`` in front.  One ``system.step_data`` call per entry."""
+    n, m = system.n, system.m
+    data = [np.empty(steps.shape + s)
+            for s in ((n, n), (n, m), (n,), (n, n), (m, m), (n,))]
+    A, B, w, Q, R, xbar = (a.reshape((steps.size,) + a.shape[steps.ndim:])
+                           for a in data)
+    flat = params.reshape(steps.size, params.shape[-1])
+    for i, (t, xi) in enumerate(zip(steps.ravel().tolist(), flat)):
+        A[i], B[i], w[i], Q[i], R[i], xbar[i] = system.step_data(t, xi)
+    return data
+
+
 def window_matrices(spec: FtocpSpec, system) -> _assembly.WindowMatrices:
-    n, m, K = system.n, system.m, spec.K
-    A, B, Q = np.empty((K, n, n)), np.empty((K, n, m)), np.empty((K, n, n))
-    R, w, xbar = np.empty((K, m, m)), np.empty((K, n)), np.empty((K, n))
-    for i in range(K):
-        A[i], B[i], w[i], Q[i], R[i], xbar[i] = system.step_data(
-            spec.t1 + i, spec.params[i])
-    return _assembly.WindowMatrices(A, B, w, Q, R, xbar, spec.terminal, n, m)
+    """Step data of one window, stacked by offset."""
+    params = np.asarray(spec.params, float)
+    return _assembly.WindowMatrices(
+        *_step_data(system, spec.t1 + np.arange(spec.K), params[:spec.K]),
+        spec.terminal, system.n, system.m)
 
 
 def solve_quadratic(spec: FtocpSpec, system) -> FtocpSolution:
-    """Exact minimizer of the windowed linear-quadratic problem."""
-    law = continuation_law(system, spec.params, spec.terminal, spec.t1)
+    """Exact minimizer of the windowed linear-quadratic problem: the law of
+    a batch of one window, read at its start."""
+    law = continuation_law(system, [spec.params], [spec.terminal], [spec.t1])
     return law.solution(0, spec.z)
 
 
@@ -109,15 +128,55 @@ def _lq_value(Q: Array, R: Array, xbar: Array, terminal: TerminalCost,
     return value + terminal.value(states[-1])
 
 
+def _mv(M: Array, x: Array) -> Array:
+    """Stacked matrix-vector products M[...] @ x[...]."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _failure(t1: Array, failed: dict) -> SingularKKT:
+    """The error of the earliest of the failed windows (index -> message)."""
+    i = min(failed, key=lambda i: (t1[i], i))
+    return SingularKKT(failed[i], window=int(i))
+
+
+def _solve_each(M: Array, rhs: Array) -> tuple[Array, list]:
+    """Solutions of M[i] X = rhs[i] over a stack, and the indices i whose
+    M[i] is singular; those blocks are solved as identities, so that the
+    rest of the stack goes on."""
+    try:
+        return np.linalg.solve(M, rhs), []
+    except np.linalg.LinAlgError:
+        singular = []
+        for i in range(len(M)):
+            try:
+                np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular.append(i)
+        M = M.copy()
+        M[singular] = np.eye(M.shape[-1])
+        return np.linalg.solve(M, rhs), singular
+
+
+def _inverse_nu_blocks(P: Array, n: int) -> tuple[Array, list]:
+    """Inverses of the nu-blocks S of a stack of lifted P, and the indices
+    of the singular ones."""
+    S = P[:, n + 1:, n + 1:]
+    eye = np.empty_like(S)
+    eye[:] = np.eye(n)
+    return _solve_each(S, eye)
+
+
 # ---------------------------------------------------------------------------
 # continuation law (backward Riccati pass)
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class ContinuationLaw:
-    """Optimal feedback of a linear-quadratic problem on the steps
-    t1 .. t1 + T with fixed parameters and a quadratic, zero or pinned
-    terminal.  Offsets t = 0 .. T count from t1.
+    """Optimal feedback of a batch of W linear-quadratic windows of T steps
+    each, with fixed parameters and terminals of one kind: quadratic, zero
+    or pinned.  Window i covers the steps t1[i] .. t1[i] + T, and offsets
+    t = 0 .. T count from its start.  A single window is a batch of one.
+    Every array carries the window axis first.
 
     The state is lifted to s = (x, 1), or s = (x, 1, nu) for a pinned
     terminal x_T = target, where nu is the multiplier of the pin and stays
@@ -126,31 +185,67 @@ class ContinuationLaw:
     in s, the cost-to-go from offset t is s'P_t s, the optimal action is
     u_t = G_t s_t and the optimal lifted state follows
     s_{t+1} = closed_loop_t s_t.  For a pin, nu maximizes s'P_t s, which is
-    a solve with the n x n nu-block of P_t, refined once (see _rollout).
+    a solve with the n x n nu-block S of P_t, refined once (see _rollout).
     The multipliers of the saddle system of the window are
     eta_t = -(P_t s_t)[:n].
     """
 
-    t1: int
-    data: _assembly.WindowMatrices   # step data by offset, and the terminal
-    P: Array            # (T+1, d, d)
-    G: Array            # (T, m, d)
-    closed_loop: Array  # (T, d, d)
+    t1: Array           # (W,) first step of each window
+    data: _assembly.WindowMatrices   # step data by offset, and terminals
+    P: Array            # (W, T+1, d, d)
+    G: Array            # (W, T, m, d)
+    closed_loop: Array  # (W, T, d, d)
+    S_inv: Array | None = None   # (W, n, n): S^{-1} at offset 0, for a pin
+    PB: Array | None = None      # (W, T, n, m): P_{t+1}[nu, :n] B_t, for a pin
+
+    @property
+    def W(self) -> int:
+        return self.G.shape[0]
 
     @property
     def T(self) -> int:
-        return self.G.shape[0]
+        return self.G.shape[1]
 
-    def action(self, t: int, x: Array) -> Array:
-        """Optimal action at offset t from state x.  A pinned window is
-        rolled out, so that an unreachable target raises SingularKKT."""
-        if self.data.terminal.kind == "indicator":
-            return self._rollout(t, x)[1][0]
-        return self.G[t] @ np.append(x, 1.0)
+    @property
+    def pinned(self) -> bool:
+        return self.data.terminal.kind == "indicator"
 
-    def _rollout(self, t: int, x: Array) -> tuple[Array, Array]:
-        """Lifted optimal states s_t .. s_T and actions u_t .. u_{T-1} from
-        x at offset t.
+    def action(self, t: int, x: Array, w: int = 0) -> Array:
+        """Optimal action of window w at offset t from state x.  A pin's
+        multiplier is solved from x as in _rollout; only the rollouts
+        (``trajectories`` and its readers) check that the pin is met."""
+        n = self.data.n
+        s = np.append(x, 1.0)
+        u = self.G[w, t, :, :n + 1] @ s
+        if self.pinned:
+            u += self.G[w, t, :, n + 1:] @ self._nu(t, s, w)
+        return u
+
+    def _S_inv(self, t: int) -> Array:
+        """S^{-1} of every window at offset t."""
+        if t == 0:
+            return self.S_inv
+        S_inv, singular = _inverse_nu_blocks(self.P[:, t], self.data.n)
+        if singular:
+            raise _failure(self.t1, {
+                i: f"pinned terminal unreachable from step {self.t1[i] + t}"
+                for i in singular})
+        return S_inv
+
+    def _nu(self, t: int, s: Array, w=slice(None)) -> Array:
+        """Pin multipliers of the windows w from the states s = (x, 1) at
+        offset t: the solve with S and its refinement step (see _rollout)."""
+        n, S_inv = self.data.n, self._S_inv(t)[w]
+        r = self.P[w, t, n + 1:, :n + 1] @ s[..., None]
+        nu = -S_inv @ r
+        v = self.G[w, t:, :, n + 1:] @ nu[..., None, :, :]
+        miss = r + np.sum(self.PB[w, t:] @ v, axis=-3)
+        return (nu - S_inv @ miss)[..., 0]
+
+    def _rollout(self, t: int, xs: Array) -> tuple[Array, Array]:
+        """Lifted optimal states s_t .. s_T and actions u_t .. u_{T-1} of
+        every window, window i from the state xs[i] at offset t (a law of
+        one window from every row of xs).
 
         A pin's multiplier nu adds the actions v_i = G_i[:, n+1:] nu to the
         unpinned closed loop (the (x, 1)-blocks), which move x_T by
@@ -159,77 +254,89 @@ class ContinuationLaw:
         squared condition number of the reachability map, so one step of
         iterative refinement follows, against the miss that the actions v
         predict.  The states are rolled out from v rather than from the
-        lifted (x, 1, nu): a large nu would cancel digits there.
+        lifted (x, 1, nu): a large nu would cancel digits there.  A rollout
+        that misses its pin raises SingularKKT naming the earliest such
+        window.
         """
-        x = np.atleast_1d(np.asarray(x, float))
         wm, n, K = self.data, self.data.n, self.T - t
-        lifted = np.zeros((K + 1, self.P.shape[1]))
-        lifted[:, n] = 1.0
-        lifted[0, :n] = x
-        if wm.terminal.kind != "indicator":
-            for i, step in enumerate(self.closed_loop[t:]):
-                lifted[i + 1] = step @ lifted[i]
-            return lifted, np.einsum("tij,tj->ti", self.G[t:], lifted[:-1])
-        try:
-            S_inv = np.linalg.inv(self.P[t, n + 1:, n + 1:])
-        except np.linalg.LinAlgError as exc:
-            raise SingularKKT(
-                f"pinned terminal unreachable from step {self.t1 + t}"
-            ) from exc
-        G_nu, B = self.G[t:, :, n + 1:], wm.B[t:]
-        r = self.P[t, n + 1:, :n + 1] @ lifted[0, :n + 1]
-        nu = -S_inv @ r
-        nu -= S_inv @ (r + np.einsum("tij,tjk,tk->i",
-                                     self.P[t + 1:, n + 1:, :n], B, G_nu @ nu))
-        lifted[:, n + 1:] = nu
-        v = G_nu @ nu
-        loop = self.closed_loop[t:, :n, :n]
-        shift = self.closed_loop[t:, :n, n] + np.einsum("tij,tj->ti", B, v)
-        states = lifted[:, :n]
+        lifted = np.zeros((len(xs), K + 1, self.P.shape[-1]))
+        lifted[..., n] = 1.0
+        lifted[:, 0, :n] = xs
+        if not self.pinned:
+            for i in range(K):
+                lifted[:, i + 1] = _mv(self.closed_loop[:, t + i],
+                                       lifted[:, i])
+            return lifted, _mv(self.G[:, t:], lifted[:, :-1])
+        lifted[..., n + 1:] = self._nu(t, lifted[:, 0, :n + 1])[:, None]
+        B = wm.B[:, t:]
+        v = _mv(self.G[:, t:, :, n + 1:], lifted[:, :-1, n + 1:])
+        loop = self.closed_loop[:, t:, :n, :n]
+        shift = self.closed_loop[:, t:, :n, n] + _mv(B, v)
+        states = lifted[..., :n]
         for i in range(K):
-            states[i + 1] = loop[i] @ states[i] + shift[i]
-        actions = np.einsum("tij,tj->ti", self.G[t:, :, :n + 1],
-                            lifted[:-1, :n + 1]) + v
-        miss = float(np.linalg.norm(states[-1] - wm.terminal.target))
-        if not miss <= 1e-6 * (1.0 + np.linalg.norm(wm.terminal.target)
-                               + np.linalg.norm(x)):
-            raise SingularKKT(
-                f"pinned terminal unreachable from step {self.t1 + t}: "
-                f"the rollout misses it by {miss:.3g}")
+            states[:, i + 1] = _mv(loop[:, i], states[:, i]) + shift[:, i]
+        actions = _mv(self.G[:, t:, :, :n + 1], lifted[:, :-1, :n + 1]) + v
+        target = wm.terminal.target
+        miss = np.linalg.norm(states[:, -1] - target, axis=-1)
+        tol = 1e-6 * (1.0 + np.linalg.norm(target, axis=-1)
+                      + np.linalg.norm(xs, axis=-1))
+        if not np.all(miss <= tol):
+            t1 = np.broadcast_to(self.t1, miss.shape)
+            raise _failure(t1, {
+                i: f"pinned terminal unreachable from step {t1[i] + t}: "
+                   f"the rollout misses it by {miss[i]:.3g}"
+                for i in np.flatnonzero(~(miss <= tol))})
         return lifted, actions
+
+    def trajectories(self, t: int, xs: Array) -> tuple[Array, Array, Array]:
+        """Optimal states, actions and saddle multipliers of the windows
+        from offset t, by one batched rollout: window i from the state
+        xs[i], or a law of one window from every row of xs.  The earliest
+        rollout that misses its pin raises SingularKKT."""
+        lifted, actions = self._rollout(t, xs)
+        n = self.data.n
+        return lifted[..., :n], actions, -_mv(self.P[:, t:, :n], lifted)
 
     def solution(self, t: int, x: Array) -> FtocpSolution:
         """Optimal solution of the window [t, T] from x, with the saddle
-        system's multipliers and KKT residual."""
-        lifted, actions = self._rollout(t, x)
-        wm = self.data
-        states = lifted[:, :wm.n].copy()
-        duals = -np.einsum("tij,tj->ti", self.P[t:, :wm.n], lifted)
+        system's multipliers and KKT residual; the law holds one window."""
+        if self.W != 1:
+            raise ValueError("a solution reads a law of one window")
+        states, actions, duals = (
+            a[0] for a in self.trajectories(t, np.atleast_1d(x)[None]))
+        wm, t1 = self.data.window(0), int(self.t1[0])
+        states = states.copy()
         value = _lq_value(wm.Q[t:], wm.R[t:], wm.xbar[t:], wm.terminal,
                           states, actions)
-        return FtocpSolution(self.t1 + t, self.t1 + self.T, states, actions,
-                             duals, value,
-                             self._kkt_residual(t, states, actions, duals))
+        residual = self._kkt_residual(t, states, actions, duals)
+        return FtocpSolution(t1 + t, t1 + self.T, states, actions, duals,
+                             value, float(residual[0]))
 
-    def _kkt_residual(self, t, states, actions, duals) -> float:
-        """||H chi - b|| of the window [t, T], block by block: stationarity
-        in y_s and v_s, the terminal row (stationarity in y_T, or the pin),
-        then the dynamics rows (the initial-state pin holds exactly)."""
+    def kkt_residuals(self, xs: Array) -> Array:
+        """KKT residual of each window's optimal solution from its initial
+        state xs[i] (see ``trajectories``)."""
+        return self._kkt_residual(0, *self.trajectories(0, xs))
+
+    def _kkt_residual(self, t, states, actions, duals) -> Array:
+        """||H chi - b|| of the window [t, T] of every window, block by
+        block: stationarity in y_s and v_s, the terminal row (stationarity
+        in y_T, or the pin), then the dynamics rows (the initial-state pin
+        holds exactly).  The trajectories may omit the window axis."""
         wm = self.data
-        A, B, term = wm.A[t:], wm.B[t:], wm.terminal
-        y, nxt = states[:-1], duals[1:]
-        r_y = (np.einsum("tij,tj->ti", wm.Q[t:], y - wm.xbar[t:])
-               + duals[:-1] - np.einsum("tji,tj->ti", A, nxt))
-        r_v = (np.einsum("tij,tj->ti", wm.R[t:], actions)
-               - np.einsum("tji,tj->ti", B, nxt))
+        A, B, term = wm.A[:, t:], wm.B[:, t:], wm.terminal
+        y, nxt = states[..., :-1, :], duals[..., 1:, :]
+        r_y = (_mv(wm.Q[:, t:], y - wm.xbar[:, t:]) + duals[..., :-1, :]
+               - _mv(A.swapaxes(-1, -2), nxt))
+        r_v = _mv(wm.R[:, t:], actions) - _mv(B.swapaxes(-1, -2), nxt)
         if term.kind == "indicator":
-            r_T = states[-1] - term.target
+            r_T = states[..., -1:, :] - term.target[:, None]
         else:
-            r_T = term.P @ (states[-1] - term.xbar) + duals[-1]
-        r_dyn = (states[1:] - np.einsum("tij,tj->ti", A, y)
-                 - np.einsum("tij,tj->ti", B, actions) - wm.w[t:])
-        return float(np.sqrt(sum(float(np.sum(r * r))
-                                  for r in (r_y, r_v, r_T, r_dyn))))
+            r_T = (_mv(term.P[:, None],
+                       states[..., -1:, :] - term.xbar[:, None])
+                   + duals[..., -1:, :])
+        r_dyn = states[..., 1:, :] - _mv(A, y) - _mv(B, actions) - wm.w[:, t:]
+        return np.sqrt(sum(np.sum(r * r, axis=(-2, -1))
+                           for r in (r_y, r_v, r_T, r_dyn)))
 
 
 def _lifted_cost(Q: Array, xbar: Array, d: int) -> Array:
@@ -244,49 +351,77 @@ def _lifted_cost(Q: Array, xbar: Array, d: int) -> Array:
     return C
 
 
-def continuation_law(system, params: Sequence[Array], terminal: TerminalCost,
-                     t1: int = 0) -> ContinuationLaw:
-    """One backward Riccati pass over the steps t1 .. t1 + T, where
-    T = len(params) - 1 and params[i] parameterizes step t1 + i.
+def continuation_law(system, params: Sequence,
+                     terminals: Sequence[TerminalCost],
+                     t1: Sequence[int]) -> ContinuationLaw:
+    """One backward Riccati pass for a batch of windows of T steps each:
+    window i covers the steps t1[i] .. t1[i] + T, params[i][s] (T + 1
+    parameters) parameterizes its step t1[i] + s, and terminals[i] caps it.
+    The terminals share one kind.  A single window is a batch of one.
 
-    Raises SingularKKT when some R_t + B_t'P_{t+1}B_t is singular or a gain
-    is not finite.
+    Raises SingularKKT when some R_t + B_t'P_{t+1}B_t is singular, a gain
+    is not finite or the nu-block of a pin's P_0 is singular.  The error
+    names the earliest failing window, and in it the step that its own
+    backward pass meets first; its ``window`` is that window's index.
     """
-    T = len(params) - 1
-    wm = window_matrices(FtocpSpec(t1, t1 + T, np.zeros(system.n), params,
-                                   terminal), system)
-    n, m = wm.n, wm.m
-    d = 2 * n + 1 if terminal.kind == "indicator" else n + 1
+    t1 = np.asarray(t1, int)
+    params = np.asarray(params, float)
+    W, T = params.shape[0], params.shape[1] - 1
+    n, m = system.n, system.m
+    pin = terminals[0].kind == "indicator"
+    if any(term.kind != terminals[0].kind for term in terminals):
+        raise ValueError("a batch of windows needs terminals of one kind")
+    if pin:
+        terminal = TerminalCost.indicator([term.target for term in terminals])
+    else:
+        terminal = TerminalCost.quadratic([term.P for term in terminals],
+                                          [term.xbar for term in terminals])
+    wm = _assembly.WindowMatrices(
+        *_step_data(system, t1[:, None] + np.arange(T), params[:, :T]),
+        terminal, n, m)
+    d = 2 * n + 1 if pin else n + 1
     # lifted dynamics s_{t+1} = F_t (s_t, u_t) and stage cost
     # (s_t, u_t)'C_t (s_t, u_t)
-    F = np.zeros((T, d, d + m))
-    F[:, :n, :n] = wm.A
-    F[:, :n, n] = wm.w
-    F[:, n:, n:d] = np.eye(d - n)
-    F[:, :n, d:] = wm.B
-    C = np.zeros((T, d + m, d + m))
-    C[:, :d, :d] = _lifted_cost(wm.Q, wm.xbar, d)
-    C[:, d:, d:] = wm.R
-    P = np.zeros((T + 1, d, d))
-    if terminal.kind == "indicator":
-        P[T, :n, n + 1:] = P[T, n + 1:, :n] = np.eye(n)
-        P[T, n, n + 1:] = P[T, n + 1:, n] = -terminal.target
+    F = np.zeros((W, T, d, d + m))
+    F[..., :n, :n] = wm.A
+    F[..., :n, n] = wm.w
+    F[..., n:, n:d] = np.eye(d - n)
+    F[..., :n, d:] = wm.B
+    C = np.zeros((W, T, d + m, d + m))
+    C[..., :d, :d] = _lifted_cost(wm.Q, wm.xbar, d)
+    C[..., d:, d:] = wm.R
+    P = np.zeros((W, T + 1, d, d))
+    if pin:
+        P[:, T, :n, n + 1:] = P[:, T, n + 1:, :n] = np.eye(n)
+        P[:, T, n, n + 1:] = P[:, T, n + 1:, n] = -terminal.target
     else:
-        P[T] = _lifted_cost(terminal.P, terminal.xbar, d)
-    G = np.empty((T, m, d))
+        P[:, T] = _lifted_cost(terminal.P, terminal.xbar, d)
+    G = np.empty((W, T, m, d))
+    FT = F.swapaxes(-1, -2)
+    failed = {}     # window -> the first failure its backward pass meets
     for t in reversed(range(T)):
-        W = C[t] + F[t].T @ P[t + 1] @ F[t]
-        try:
-            G[t] = -np.linalg.solve(W[d:, d:], W[d:, :d])
-        except np.linalg.LinAlgError as exc:
-            raise SingularKKT(f"singular R + B'PB at step {t1 + t}") from exc
-        Pt = W[:d, :d] + W[:d, d:] @ G[t]
-        P[t] = 0.5 * (Pt + Pt.T)
-    bad = np.flatnonzero(~np.isfinite(G).all(axis=(1, 2)))
-    if bad.size:
-        raise SingularKKT(f"non-finite gain at step {t1 + int(bad.max())}")
-    closed_loop = F[:, :, :d] + F[:, :, d:] @ G
-    return ContinuationLaw(t1, wm, P, G, closed_loop)
+        Wt = C[:, t] + FT[:, t] @ P[:, t + 1] @ F[:, t]
+        G[:, t], singular = _solve_each(Wt[:, d:, d:], -Wt[:, d:, :d])
+        for i in singular:
+            failed.setdefault(i, f"singular R + B'PB at step {t1[i] + t}")
+        Pt = Wt[:, :d, :d] + Wt[:, :d, d:] @ G[:, t]
+        P[:, t] = 0.5 * (Pt + Pt.swapaxes(1, 2))
+    if not np.isfinite(G).all():
+        finite = np.isfinite(G).all(axis=(2, 3))
+        for i in np.flatnonzero(~finite.all(axis=1)):
+            last = int(np.flatnonzero(~finite[i]).max())
+            failed.setdefault(i, f"non-finite gain at step {t1[i] + last}")
+    S_inv = PB = None
+    if pin:
+        S_inv, singular = _inverse_nu_blocks(P[:, 0], n)
+        for i in singular:
+            failed.setdefault(i, f"pinned terminal unreachable from step "
+                                 f"{t1[i]}")
+        PB = P[:, 1:, n + 1:, :n] @ wm.B
+    if failed:
+        raise _failure(t1, failed)
+    closed_loop = F[..., :d] + F[..., d:] @ G
+    return ContinuationLaw(t1, wm, P, G, closed_loop, S_inv, PB)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +431,12 @@ def continuation_law(system, params: Sequence[Array], terminal: TerminalCost,
 @dataclasses.dataclass(frozen=True)
 class ChainLaw:
     """Optimal feedback of the stock chain on the steps t1 .. t1 + T with
-    targets r_t and the final state pinned, read like ContinuationLaw.  The
-    least cost V_t(x) of the offsets t .. T is convex and piecewise
-    quadratic where the pin is reachable, so pieces[t] = (knots, slope,
-    intercept) gives V_t' = slope[j] x + intercept[j] between knots[j] and
-    knots[j + 1]; V_t' may jump at a knot, and the end knots bound dom V_t."""
+    targets r_t and the final state pinned, read like a ContinuationLaw of
+    one window.  The least cost V_t(x) of the offsets t .. T is convex and
+    piecewise quadratic where the pin is reachable, so pieces[t] = (knots,
+    slope, intercept) gives V_t' = slope[j] x + intercept[j] between
+    knots[j] and knots[j + 1]; V_t' may jump at a knot, and the end knots
+    bound dom V_t."""
 
     system: InventorySystem
     t1: int
@@ -309,9 +445,16 @@ class ChainLaw:
     pin: float
     pieces: tuple       # (knots, slope, intercept) by offset; None at 0
 
-    def action(self, t: int, x: Array) -> Array:
+    W = 1               # windows held
+
+    def action(self, t: int, x: Array, w: int = 0) -> Array:
+        """Optimal action at offset t from x; w is the window, always 0."""
         states = self._rollout(t, self._check(t, x), t + 1)
         return np.clip(np.diff(states), self.system.u_lo, self.system.u_hi)
+
+    def kkt_residuals(self, xs: Array) -> Array:
+        """KKT residual of the optimal solution from xs[0], as an array."""
+        return np.array([self.solution(0, xs[0]).kkt_residual])
 
     def solution(self, t: int, x: Array) -> FtocpSolution:
         """Optimal solution of the window [t, T] from x, with the multipliers
@@ -485,10 +628,69 @@ def solve(spec: FtocpSpec, system) -> FtocpSolution:
     return solve_quadratic(spec, system)
 
 
+@dataclasses.dataclass(frozen=True)
+class WindowLaws:
+    """The laws of the windows of a receding-horizon run, window t starting
+    at step t: ``windows[t]`` is (law, w), window w of ``law``.  When a
+    window could not be built, ``windows`` stops before it and ``failure``
+    is its SingularKKT."""
+
+    windows: tuple
+    failure: SingularKKT | None = None
+
+    def action(self, t: int, x: Array) -> Array:
+        """First action of window t from x; raises ``failure`` at its
+        window."""
+        if t == len(self.windows) and self.failure is not None:
+            raise self.failure
+        law, w = self.windows[t]
+        return law.action(0, x, w)
+
+    def kkt_residual_max(self, starts: Array) -> float:
+        """Worst KKT residual of the windows, window t solved from its
+        initial state starts[t] by one batched rollout per law.  The
+        earliest window whose rollout misses its pin raises SingularKKT."""
+        worst = 0.0
+        for t, (law, w) in enumerate(self.windows):
+            if w == 0:
+                residuals = law.kkt_residuals(starts[t:t + law.W])
+                worst = max(worst, float(residuals.max()))
+        return worst
+
+
+def window_laws(system, windows: Sequence) -> WindowLaws:
+    """Laws of the windows (t1, params, terminal) of a receding-horizon run,
+    window t starting at step t, all built before the run starts: the
+    terminals do not depend on the state.  Consecutive linear-quadratic
+    windows of one length and terminal kind share one batched continuation
+    law; the stock chain has one chain law per window.  When a batch cannot
+    be built, the windows before its failing one are kept."""
+    if getattr(system, "kind", None) == "inventory":
+        return WindowLaws(tuple((chain_law(system, params, term, t1), 0)
+                                for t1, params, term in windows))
+    laws = []
+    for _, batch in itertools.groupby(
+            windows, key=lambda win: (len(win[1]), win[2].kind)):
+        t1, params, terminals = zip(*batch)
+        try:
+            law = continuation_law(system, params, terminals, t1)
+        except SingularKKT as exc:
+            if exc.window:
+                law = continuation_law(system, params[:exc.window],
+                                       terminals[:exc.window],
+                                       t1[:exc.window])
+                laws += [(law, w) for w in range(law.W)]
+            return WindowLaws(tuple(laws), exc)
+        laws += [(law, w) for w in range(law.W)]
+    return WindowLaws(tuple(laws))
+
+
 def truth_law(instance: Instance) -> ContinuationLaw | ChainLaw:
     """Optimal continuation under the instance's true parameters and its own
     terminal cost: the reference of every per-step error and the hindsight
     optimum."""
-    build = (chain_law if instance.system.kind == "inventory"
-             else continuation_law)
-    return build(instance.system, instance.truth, instance.terminal_cost())
+    if instance.system.kind == "inventory":
+        return chain_law(instance.system, instance.truth,
+                         instance.terminal_cost())
+    return continuation_law(instance.system, [instance.truth],
+                            [instance.terminal_cost()], [0])

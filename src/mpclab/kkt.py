@@ -316,37 +316,36 @@ def _terminal_data(terminal: TerminalCost) -> tuple[Array, ...]:
 
 
 def _first_action_adjoint(law: ftocp.ContinuationLaw):
-    """lam = H^{-1} e_{u_0} for the saddle matrix H of the law's window, one
-    column per component of the first action.
+    """lam = H^{-1} e_{u_0} for the saddle matrix H of the window of a law
+    of one window, one column per component of the first action.
 
     lam is the solution of the window with zero affine data (w, xbar, pin
     target), zero initial state and the linear cost -u_0[j].  After step 0
     that is the law's homogeneous continuation, so no second Riccati pass
     runs: step 0 is one solve with R_0 + B_0'P_1 B_0 (the "kick", the
     action of the unit cost), and a pin's multiplier nu cancels the kick's
-    terminal miss P_1[nu, x] B_0 kick through the nu-block of P_0, as in
-    the law's rollout.
+    terminal miss P_1[nu, x] B_0 kick through the inverse of the nu-block
+    of P_0 that the law holds.
 
     Returns y (K+1, n, m) and v (K, m, m) by offset, eta (K, n, m), the
     multipliers of the dynamics rows into offsets 1..K (the initial pin
-    carries no parameter), and nu (n, m), or None without a pin.  Both
-    solves succeed wherever the law reads a solution at offset 0, which
-    factors the same matrices.
+    carries no parameter), and nu (n, m), or None without a pin.  The kick
+    is defined wherever the law is: its backward pass solved with the same
+    matrix.
     """
-    wm, n, K = law.data, law.data.n, law.T
-    B, P = wm.B, law.P
+    wm, n, K = law.data.window(0), law.data.n, law.T
+    B, P, G = wm.B, law.P[0], law.G[0]
     kick = np.linalg.inv(wm.R[0] + B[0].T @ P[1, :n, :n] @ B[0])
     extra = np.zeros((K, wm.m, wm.m))   # actions beyond the state feedback
     nu = None
     if wm.terminal.kind == "indicator":
-        nu = -np.linalg.solve(P[0, n + 1:, n + 1:],
-                              P[1, n + 1:, :n] @ B[0] @ kick)
-        extra += law.G[:, :, n + 1:] @ nu
+        nu = -law.S_inv[0] @ (P[1, n + 1:, :n] @ B[0] @ kick)
+        extra += G[:, :, n + 1:] @ nu
     extra[0] += kick
     y = np.zeros((K + 1, n, wm.m))
-    for t, loop in enumerate(law.closed_loop[:, :n, :n]):
+    for t, loop in enumerate(law.closed_loop[0, :, :n, :n]):
         y[t + 1] = loop @ y[t] + B[t] @ extra[t]
-    v = law.G[:, :, :n] @ y[:-1] + extra
+    v = G[:, :, :n] @ y[:-1] + extra
     eta = -P[1:, :n, :n] @ y[1:]
     if nu is not None:
         eta -= P[1:, :n, n + 1:] @ nu
@@ -362,30 +361,28 @@ def _window_action_jacobians(instance: Instance, t: int, t2: int, zs,
 
     By the implicit-function theorem on the saddle system H chi = b of the
     window, du_0/dxi = -lam'(dH/dxi chi - db/dxi) with H lam = e_{u_0}, so
-    the window costs one continuation law, read at every state, and one
-    adjoint.  The parameter of offset tau < K enters only the rows of step
-    tau (the stationarity in y_tau and v_tau and the dynamics row to
-    tau + 1), and the last one only the terminal rows, so each offset is
-    one contraction of the slopes of its own data with lam and chi(z):
-    ``step_slopes`` are those of ``_step_data_slopes``, and the terminal
-    built by ``terminal_rule`` is differentiated through the last
-    parameter.  The derivative with respect to the pin's target is lam's
-    pin component.
+    the window costs one continuation law, read at every state by one
+    batched rollout, and one adjoint.  The parameter of offset tau < K
+    enters only the rows of step tau (the stationarity in y_tau and v_tau
+    and the dynamics row to tau + 1), and the last one only the terminal
+    rows, so each offset is one contraction of the slopes of its own data
+    with lam and chi(z): ``step_slopes`` are those of ``_step_data_slopes``,
+    and the terminal built by ``terminal_rule`` is differentiated through
+    the last parameter.  The derivative with respect to the pin's target is
+    lam's pin component.
     """
     params = instance.truth[t:t2 + 1]
     law = ftocp.continuation_law(
-        instance.system, params, terminal_rule.build(instance, t, t2, params),
-        t)
+        instance.system, [params],
+        [terminal_rule.build(instance, t, t2, params)], [t])
     terminal_slopes = _central_slopes(
         lambda xi: _terminal_data(
             terminal_rule.build(instance, t, t2, [*params[:-1], xi])),
         params[-1])
-    wm, K = law.data, law.T
-    sols = [law.solution(0, z) for z in zs]
+    wm, K = law.data.window(0), law.T
+    states, v, duals = law.trajectories(0, np.array(zs))
     lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law)
-    states = np.array([sol.states for sol in sols])
-    y, v = states[:, :-1], np.array([sol.actions for sol in sols])
-    eta = np.array([sol.duals[1:] for sol in sols])
+    y, eta = states[:, :-1], duals[:, 1:]
     dA, dB, dw, dQ, dR, dxbar = (d[t:t2] for d in step_slopes)
     row_y = (np.einsum("tabi,ztb->ztai", dQ, y - wm.xbar)
              - np.einsum("tab,tbi->tai", wm.Q, dxbar)
@@ -415,7 +412,8 @@ def _window_action_jacobians(instance: Instance, t: int, t2: int, zs,
 
 
 def _init_state_jacobians(law: ftocp.ContinuationLaw, t: int) -> Array:
-    """Spectral norms of d(y_h, v_h)/dz for the window [t, T], by offset h.
+    """Spectral norms of d(y_h, v_h)/dz for the window [t, T] of a law of
+    one window, by offset h.
 
     The continuation is affine in z, so the Jacobians are the closed-loop
     transition products Phi_h = (A + BK)_{t+h-1} ... (A + BK)_t and
@@ -424,10 +422,10 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw, t: int) -> Array:
     """
     n = law.data.n
     Phi = [np.eye(n)]
-    for closed in law.closed_loop[t:, :n, :n]:
+    for closed in law.closed_loop[0, t:, :n, :n]:
         Phi.append(closed @ Phi[-1])
     Phi = np.array(Phi)
-    K = law.G[t:, :, :n]
+    K = law.G[0, t:, :, :n]
     norms = np.linalg.norm(Phi, 2, axis=(1, 2))
     norms[:-1] = np.maximum(
         norms[:-1], np.linalg.norm(K @ Phi[:-1], 2, axis=(1, 2)))

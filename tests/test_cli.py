@@ -60,6 +60,16 @@ class TestSolve:
         for name in ("mpc_trajectory.csv", "mpc_report.json"):
             assert read(outs[0] / name) == read(outs[1] / name)
 
+    def test_mpc_report_carries_worst_kkt_residual(self, runner, tmp_path):
+        # the run's worst window residual, at the rounding floor
+        res = runner.invoke(cli.main, ["mpc", "--preset", "tracking-rand",
+                                       "--T", "24", "--k", "8",
+                                       "--noise-scale", "0.1",
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(read(tmp_path / "mpc_report.json"))
+        assert 0.0 < doc["kkt_residual_max"] <= 1e-9
+
 
 class TestConfigErrors:
     def test_requires_exactly_one_source(self, runner, tmp_path):

@@ -99,7 +99,7 @@ def check_law_against_oracle(n, m, kind, seed, T, t1, t):
                 "indicator": lambda: TerminalCost.indicator(
                     rng.normal(size=n))}[kind]()
     x = rng.normal(size=n)
-    law = ftocp.continuation_law(system, params, terminal, t1)
+    law = ftocp.continuation_law(system, [params], [terminal], [t1])
     sol = law.solution(t, x)
     so, ao, lam = oracle_continuation(system, params, terminal, t, x, t1)
     assert (sol.t1, sol.t2) == (t1 + t, T)
@@ -124,7 +124,8 @@ def test_ill_conditioned_pin_matches_oracle():
     params = [np.zeros(1)] * 3
     terminal = TerminalCost.indicator(rng.normal(size=2))
     x = rng.normal(size=2)
-    sol = ftocp.continuation_law(system, params, terminal).solution(0, x)
+    sol = ftocp.continuation_law(system, [params], [terminal],
+                                 [0]).solution(0, x)
     so, ao, _ = oracle_continuation(system, params, terminal, 0, x)
     assert np.abs(ao).max() > 1e3
     assert rel_err(sol.actions, ao) <= 1e-12
@@ -184,7 +185,7 @@ def test_zero_terminal_with_zero_last_action_weight_is_singular():
     system = random_system(rng, 2, m, T, R=R)
     params = [np.zeros(1)] * (T + 1)
     with pytest.raises(SingularKKT):
-        ftocp.continuation_law(system, params, TerminalCost.zero(2))
+        ftocp.continuation_law(system, [params], [TerminalCost.zero(2)], [0])
     system.P_T = lambda xi: np.zeros((2, 2))
     inst = Instance(system, params, np.ones(2))
     with pytest.raises(SingularKKT):
@@ -202,7 +203,7 @@ def test_kkt_residual_matches_dense_saddle_residual(kind):
                 "zero": TerminalCost.zero(n),
                 "indicator": TerminalCost.indicator(rng.normal(size=n))}[kind]
     z = rng.normal(size=n)
-    law = ftocp.continuation_law(system, params, terminal)
+    law = ftocp.continuation_law(system, [params], [terminal], [0])
     sol = law.solution(0, z)
     # a point off the optimum, with the initial pin held
     states = sol.states + 0.01 * rng.normal(size=sol.states.shape)
@@ -258,3 +259,54 @@ def test_unreachable_pinned_window_raises(k):
                      TerminalCost.indicator(np.array([0.3, 0.0, -0.1, 0.2])))
     with pytest.raises(SingularKKT, match="unreachable"):
         ftocp.solve(spec, inst.system)
+
+
+RUN_PRESETS = [("tracking-rand", 4), ("disturbance", 4), ("grid", 4),
+               ("pendulum", 4)]
+
+
+def run_rules(inst):
+    """Every terminal rule kind; the reference rule follows the hindsight
+    optimum (the nominal trajectory of ``grid`` has zero inertia)."""
+    opt_states, _, _ = oracle_continuation(
+        inst.system, inst.truth, inst.terminal_cost(), 0, inst.x0)
+    return [TerminalRule("zero"), TerminalRule("predicted_tracking"),
+            TerminalRule("reference", opt_states), TerminalRule("true")]
+
+
+def check_run_against_oracle(inst, k, rule):
+    """Every committed action of a noisy run equals the oracle's solution of
+    its window, on the forecasts and from the realized state, and the run's
+    worst KKT residual is at the rounding floor of the windows' multipliers.
+    """
+    T = inst.T
+    stream = PredictionStream(inst.truth, min(k, T), 0.05, seed=5)
+    run = engine.run_mpc(inst, stream, k, rule)
+    dual_max = 0.0
+    for t in range(T):
+        t2 = min(t + k, T)
+        params = stream.window(t, t2)
+        terminal = rule.build(inst, t, t2, params)
+        _, ao, lam = oracle_continuation(inst.system, params, terminal, 0,
+                                         run.states[t], t)
+        assert rel_err(run.actions[t], ao[0]) <= 1e-9, (t, rule.kind)
+        dual_max = max(dual_max, float(np.abs(lam).max()))
+    assert 0.0 < run.kkt_residual_max <= max(1e-8, 1e-12 * dual_max)
+
+
+@pytest.mark.parametrize("name,k", RUN_PRESETS)
+def test_batched_run_matches_oracle_windows(name, k):
+    inst = presets.build_preset(name, T=12)
+    for rule in run_rules(inst):
+        check_run_against_oracle(inst, k, rule)
+
+
+@pytest.mark.parametrize("name", ["tracking-rand", "disturbance", "grid",
+                                  "pendulum"])
+@pytest.mark.parametrize("shorter", [0, 1])
+def test_batched_run_matches_oracle_when_windows_reach_the_end(name,
+                                                               shorter):
+    # k = T: every window reaches T; k = T - 1: only the first one does not
+    inst = presets.build_preset(name, T=8)
+    for rule in run_rules(inst):
+        check_run_against_oracle(inst, inst.T - shorter, rule)

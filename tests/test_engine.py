@@ -1,5 +1,7 @@
 """Closed-loop controller, per-step error bound, and admission check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mpclab import cli, engine, ftocp, presets
 from mpclab.engine import (TerminalRule, per_step_error_bound_rhs,
                            pipeline_admission_check)
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
-                          PredictionStream)
+                          PredictionStream, TerminalCost)
 
 
 def quiet_instance(T=6):
@@ -144,6 +146,113 @@ class TestRunMpc:
         with pytest.raises(ftocp.Infeasible) as ei:
             engine.run_mpc(inst, stream, 1, TerminalRule("predicted_tracking"))
         assert ei.value.step is not None
+
+
+def pendulum_at_rest(T=10):
+    inst = presets.pendulum(T=T)
+    return dataclasses.replace(inst, x0=np.zeros(4))
+
+
+def altered_at(sys_, step, **data):
+    """The system ``sys_`` whose step data named in ``data`` take the given
+    values at ``step``."""
+
+    def step_map(name):
+        fn = getattr(sys_, name)
+        if name not in data:
+            return fn
+        return lambda t, xi: data[name] if t == step else fn(t, xi)
+
+    return LinearQuadraticSystem(
+        sys_.n, sys_.m, sys_.T,
+        **{name: step_map(name) for name in ("A", "B", "w", "Q", "R", "xbar")},
+        P_T=sys_.P_T, xbar_T=sys_.xbar_T, bounds=sys_.bounds,
+        param_box=sys_.param_box)
+
+
+def dead_step_system(sys_, step):
+    """The system ``sys_`` with R = B = 0 at ``step``."""
+    return altered_at(sys_, step, B=np.zeros((sys_.n, sys_.m)),
+                      R=np.zeros((sys_.m, sys_.m)))
+
+
+def pin_at_step_5(T):
+    states = np.zeros((T + 1, 4))
+    states[5] = [0.3, 0.0, -0.1, 0.2]
+    return TerminalRule("reference", states)
+
+
+class TestRunFailures:
+    """A window that cannot be solved fails the run, naming its step as the
+    window alone would; with several, the earliest fails first."""
+
+    def test_unreachable_pin_names_its_window(self):
+        # k = 2 steps cannot move the 4 pendulum states to a given target:
+        # the windows from t = 0, 1, 2 are pinned to the resting state, the
+        # window from t = 3 to the target of step 5
+        inst = pendulum_at_rest()
+        stream = PredictionStream(inst.truth, 2, 0.1, seed=1)
+        with pytest.raises(ftocp.SingularKKT,
+                           match="unreachable from step 3:"):
+            engine.run_mpc(inst, stream, 2, pin_at_step_5(inst.T))
+
+    def test_singular_step_names_the_step(self):
+        base = quiet_instance(T=10)
+        inst = Instance(dead_step_system(base.system, 5), base.truth,
+                        np.ones(2))
+        stream = PredictionStream(inst.truth, 3, 0.1, seed=1)
+        with pytest.raises(ftocp.SingularKKT,
+                           match="singular R \\+ B'PB at step 5$"):
+            engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
+        # the windows' own batch, with the truth law of the intact system
+        with pytest.raises(ftocp.SingularKKT,
+                           match="singular R \\+ B'PB at step 5$"):
+            engine.run_mpc(inst, stream, 3, TerminalRule("zero"),
+                           law=ftocp.truth_law(base))
+
+    def test_non_finite_gain_names_its_step(self):
+        # an infinite cost at step 6 reaches the gain of step 5
+        base = quiet_instance(T=10)
+        inst = Instance(altered_at(base.system, 6, Q=np.full((2, 2), np.inf)),
+                        base.truth, np.ones(2))
+        stream = PredictionStream(inst.truth, 3, 0.1, seed=1)
+        for law in (None, ftocp.truth_law(base)):
+            with pytest.raises(ftocp.SingularKKT,
+                               match="non-finite gain at step 5$"), \
+                    np.errstate(invalid="ignore"):
+                engine.run_mpc(inst, stream, 3, TerminalRule("zero"),
+                               law=law)
+
+    def test_batch_names_its_earliest_failing_window(self):
+        base = quiet_instance(T=10)
+        sys_ = dead_step_system(base.system, 5)
+        terminals = [TerminalCost.indicator(np.zeros(2))] * 7
+        with pytest.raises(ftocp.SingularKKT,
+                           match="singular R \\+ B'PB at step 5$") as ei:
+            ftocp.continuation_law(sys_, [base.truth[t:t + 4]
+                                          for t in range(7)],
+                                   terminals, range(7))
+        # of the windows of three steps, those from steps 3 .. 5 contain
+        # step 5
+        assert ei.value.window == 3
+
+    def test_earlier_unreachable_pin_fails_before_a_singular_step(self):
+        # the windows over the dead step 8 cannot be built; the window from
+        # step 3 misses its pin first
+        base = pendulum_at_rest()
+        inst = Instance(dead_step_system(base.system, 8), base.truth,
+                        base.x0)
+        stream = PredictionStream(inst.truth, 2, 0.1, seed=1)
+        with pytest.raises(ftocp.SingularKKT,
+                           match="unreachable from step 3:"):
+            engine.run_mpc(inst, stream, 2, pin_at_step_5(inst.T),
+                           law=ftocp.truth_law(base))
+        # without the pin, the dead step fails the run
+        stream = PredictionStream(inst.truth, 4, 0.1, seed=1)
+        with pytest.raises(ftocp.SingularKKT,
+                           match="singular R \\+ B'PB at step 8$"):
+            engine.run_mpc(inst, stream, 4, TerminalRule("zero"),
+                           law=ftocp.truth_law(base))
 
 
 class TestErrorBound:

@@ -347,7 +347,7 @@ class TestClairvoyant:
                                           terminal, sys.u_lo, sys.u_hi)
             assert (sol.t1, sol.t2) == (t, T)
             assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
-            assert np.array_equal(law.action(t, x), sol.first_action)
+            assert np.array_equal(law.action(t, x), sol.actions[0])
 
     @pytest.mark.parametrize("name", ["inventory-two-sided",
                                       "inventory-one-sided"])
