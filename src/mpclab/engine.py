@@ -39,8 +39,8 @@ class TerminalRule:
       - "reference": pin it to the state of step t2 of a given trajectory,
         ``reference_states``, with one row per step 0..T of the instance it
         runs on (``TerminalRule.reference(instance)`` gives the instance's
-        nominal trajectory: the solve of the full horizon under all-zero
-        parameters);
+        nominal trajectory: the solve of the full horizon under the
+        admissible parameter nearest zero);
       - "true": always use the instance's own terminal cost.
 
     Whenever the window reaches the final step, the instance's terminal cost
@@ -64,11 +64,17 @@ class TerminalRule:
 
     @staticmethod
     def reference(instance: Instance) -> "TerminalRule":
-        """The "reference" rule of the instance's nominal trajectory."""
+        """The "reference" rule of the instance's nominal trajectory: the
+        full-horizon solve with every parameter at the point of the
+        system's parameter box nearest zero.  That is zero wherever the box
+        holds it (the tracking, disturbance and stock-chain families); on
+        ``grid`` it is the smallest inertia m_lo, since zero inertia divides
+        by zero, and on ``pendulum`` the smallest cart mass M_lo."""
         sys = instance.system
-        zero_params = np.zeros_like(instance.truth)
-        spec = ftocp.FtocpSpec(0, sys.T, instance.x0, zero_params,
-                               instance.terminal_cost(zero_params[-1]))
+        nominal = np.clip(0.0, sys.param_box.lo, sys.param_box.hi)
+        params = np.broadcast_to(nominal, instance.truth.shape)
+        spec = ftocp.FtocpSpec(0, sys.T, instance.x0, params,
+                               instance.terminal_cost(params[-1]))
         return TerminalRule("reference", ftocp.solve(spec, sys).states)
 
     def build(self, instance: Instance, t: int, t2: int,

@@ -315,121 +315,195 @@ def _terminal_data(terminal: TerminalCost) -> tuple[Array, ...]:
     return terminal.P, terminal.xbar
 
 
-def _first_action_adjoint(law: ftocp.ContinuationLaw):
-    """lam = H^{-1} e_{u_0} for the saddle matrix H of the window of a law
-    of one window, one column per component of the first action.
+def _first_action_adjoint(law: ftocp.ContinuationLaw, t0: int):
+    """lam = H^{-1} e_{u_0} for the saddle matrix H of every window of a
+    law read from offset t0 (window i is then [t1[i] + t0, t1[i] + T]),
+    one column per component of the first action.
 
     lam is the solution of the window with zero affine data (w, xbar, pin
-    target), zero initial state and the linear cost -u_0[j].  After step 0
-    that is the law's homogeneous continuation, so no second Riccati pass
-    runs: step 0 is one solve with R_0 + B_0'P_1 B_0 (the "kick", the
-    action of the unit cost), and a pin's multiplier nu cancels the kick's
-    terminal miss P_1[nu, x] B_0 kick through the inverse of the nu-block
-    of P_0 that the law holds.
+    target), zero initial state and the linear cost -u_0[j].  After the
+    first step that is the law's homogeneous continuation, so no second
+    Riccati pass runs: the first step is one solve with R + B'P B of that
+    step (the "kick", the action of the unit cost), and a pin's multiplier
+    nu cancels the kick's terminal miss P[nu, x] B kick through the inverse
+    of the nu-block of P at offset t0.
 
-    Returns y (K+1, n, m) and v (K, m, m) by offset, eta (K, n, m), the
-    multipliers of the dynamics rows into offsets 1..K (the initial pin
-    carries no parameter), and nu (n, m), or None without a pin.  The kick
-    is defined wherever the law is: its backward pass solved with the same
-    matrix.
+    Returns, with the window axis first, y (K+1, n, m) and v (K, m, m) by
+    offset from t0, eta (K, n, m), the multipliers of the dynamics rows into
+    offsets 1..K (the initial pin carries no parameter), and nu (n, m), or
+    None without a pin.  The kick is defined wherever the law is: its
+    backward pass solved with the same matrix.
     """
-    wm, n, K = law.data.window(0), law.data.n, law.T
-    B, P, G = wm.B, law.P[0], law.G[0]
-    kick = np.linalg.inv(wm.R[0] + B[0].T @ P[1, :n, :n] @ B[0])
-    extra = np.zeros((K, wm.m, wm.m))   # actions beyond the state feedback
+    n, m, K = law.data.n, law.data.m, law.T - t0
+    B, P, G = law.data.B[:, t0:], law.P[:, t0:], law.G[:, t0:]
+    B0 = B[:, 0]
+    kick = np.linalg.inv(law.data.R[:, t0]
+                         + B0.swapaxes(-1, -2) @ P[:, 1, :n, :n] @ B0)
+    extra = np.zeros((law.W, K, m, m))   # actions beyond the state feedback
     nu = None
-    if wm.terminal.kind == "indicator":
-        nu = -law.S_inv[0] @ (P[1, n + 1:, :n] @ B[0] @ kick)
-        extra += G[:, :, n + 1:] @ nu
-    extra[0] += kick
-    y = np.zeros((K + 1, n, wm.m))
-    for t, loop in enumerate(law.closed_loop[0, :, :n, :n]):
-        y[t + 1] = loop @ y[t] + B[t] @ extra[t]
-    v = G[:, :, :n] @ y[:-1] + extra
-    eta = -P[1:, :n, :n] @ y[1:]
+    if law.pinned:
+        nu = -law._S_inv(t0) @ (P[:, 1, n + 1:, :n] @ B0 @ kick)
+        extra += G[..., n + 1:] @ nu[:, None]
+    extra[:, 0] += kick
+    y = np.zeros((law.W, K + 1, n, m))
+    loop = law.closed_loop[:, t0:, :n, :n]
+    for t in range(K):
+        y[:, t + 1] = loop[:, t] @ y[:, t] + B[:, t] @ extra[:, t]
+    v = G[..., :n] @ y[:, :-1] + extra
+    eta = -P[:, 1:, :n, :n] @ y[:, 1:]
     if nu is not None:
-        eta -= P[1:, :n, n + 1:] @ nu
+        eta -= P[:, 1:, :n, n + 1:] @ nu[:, None]
     return y, v, eta, nu
 
 
-def _window_action_jacobians(instance: Instance, t: int, t2: int, zs,
-                             terminal_rule, step_slopes,
-                             include_terminal_target=True) -> Array:
-    """Spectral norms of the Jacobians of the committed action of the
-    window [t, t2] with respect to each window parameter (and, for a pin,
-    its target), by offset; row i is taken at the initial state zs[i].
+def _sample_rollouts(law: ftocp.ContinuationLaw, t0: int, zs: Array):
+    """States, actions and multipliers of every window of a law from
+    offset t0, from each of its initial states: window i from zs[j, i], one
+    batched rollout per sample index j, and the sample axis first.  A
+    rollout that misses its pin raises the SingularKKT of the earliest such
+    window, at its first missing sample."""
+    rolled, failures = [], []
+    for z in zs:
+        try:
+            rolled.append(law.trajectories(t0, z))
+        except ftocp.SingularKKT as exc:
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: exc.window)
+    return [np.stack(a) for a in zip(*rolled)]
 
-    By the implicit-function theorem on the saddle system H chi = b of the
-    window, du_0/dxi = -lam'(dH/dxi chi - db/dxi) with H lam = e_{u_0}, so
-    the window costs one continuation law, read at every state by one
-    batched rollout, and one adjoint.  The parameter of offset tau < K
-    enters only the rows of step tau (the stationarity in y_tau and v_tau
-    and the dynamics row to tau + 1), and the last one only the terminal
-    rows, so each offset is one contraction of the slopes of its own data
-    with lam and chi(z): ``step_slopes`` are those of ``_step_data_slopes``,
-    and the terminal built by ``terminal_rule`` is differentiated through
-    the last parameter.  The derivative with respect to the pin's target is
-    lam's pin component.
-    """
+
+def _terminal_slopes(instance: Instance, terminal_rule, t: int,
+                     t2: int) -> list[Array]:
+    """Slopes of the terminal data (see ``_terminal_data``) that
+    ``terminal_rule`` builds for the window [t, t2], in its last
+    parameter."""
     params = instance.truth[t:t2 + 1]
-    law = ftocp.continuation_law(
-        instance.system, [params],
-        [terminal_rule.build(instance, t, t2, params)], [t])
-    terminal_slopes = _central_slopes(
+    return _central_slopes(
         lambda xi: _terminal_data(
             terminal_rule.build(instance, t, t2, [*params[:-1], xi])),
         params[-1])
-    wm, K = law.data.window(0), law.T
-    states, v, duals = law.trajectories(0, np.array(zs))
-    lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law)
-    y, eta = states[:, :-1], duals[:, 1:]
-    dA, dB, dw, dQ, dR, dxbar = (d[t:t2] for d in step_slopes)
-    row_y = (np.einsum("tabi,ztb->ztai", dQ, y - wm.xbar)
-             - np.einsum("tab,tbi->tai", wm.Q, dxbar)
-             - np.einsum("tbai,ztb->ztai", dA, eta))
-    row_v = (np.einsum("tabi,ztb->ztai", dR, v)
-             - np.einsum("tbai,ztb->ztai", dB, eta))
-    row_dyn = -(np.einsum("tabi,ztb->ztai", dA, y)
-                + np.einsum("tabi,ztb->ztai", dB, v) + dw)
-    jac = -(np.einsum("taj,ztai->ztji", lam_y[:-1], row_y)
-            + np.einsum("taj,ztai->ztji", lam_v, row_v)
-            + np.einsum("taj,ztai->ztji", lam_eta, row_dyn))
-    out = np.empty((len(zs), K + 1))
-    out[:, :K] = np.linalg.norm(jac, 2, axis=(-2, -1))
+
+
+def _window_action_jacobians(instance: Instance, law: ftocp.ContinuationLaw,
+                             t0: int, zs: Array, terminal_rule, step_slopes,
+                             include_terminal_target=True) -> Array:
+    """Spectral norms of the Jacobians of the committed action of every
+    window of a law read from offset t0 (window i is then [t1[i] + t0,
+    t1[i] + T]) with respect to each window parameter (and, for a pin, its
+    target), by offset from t0; entry [j, i] is taken at the initial state
+    zs[j, i] of window i.
+
+    By the implicit-function theorem on the saddle system H chi = b of a
+    window, du_0/dxi = -lam'(dH/dxi chi - db/dxi) with H lam = e_{u_0}, so
+    the windows cost the law, read at every state by batched rollouts, and
+    one batched adjoint.  The parameter of offset tau < K enters only the
+    rows of step tau (the stationarity in y_tau and v_tau and the dynamics
+    row to tau + 1), and the last one only the terminal rows, so each
+    offset is one contraction of the slopes of its own data with lam and
+    chi(z): ``step_slopes`` are those of ``_step_data_slopes``, and the
+    terminal that ``terminal_rule`` builds for each window is differentiated
+    through its last parameter.  The derivative with respect to the pin's
+    target is lam's pin component.
+    """
+    wm, K = law.data, law.T - t0
+    states, v, duals = _sample_rollouts(law, t0, zs)
+    lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law, t0)
+    y, eta = states[..., :-1, :], duals[..., 1:, :]
+    steps = law.t1[:, None] + t0 + np.arange(K)
+    dA, dB, dw, dQ, dR, dxbar = (d[steps] for d in step_slopes)
+    Q, xbar = wm.Q[:, t0:], wm.xbar[:, t0:]
+    row_y = (np.einsum("wtabi,zwtb->zwtai", dQ, y - xbar)
+             - np.einsum("wtab,wtbi->wtai", Q, dxbar)
+             - np.einsum("wtbai,zwtb->zwtai", dA, eta))
+    row_v = (np.einsum("wtabi,zwtb->zwtai", dR, v)
+             - np.einsum("wtbai,zwtb->zwtai", dB, eta))
+    row_dyn = -(np.einsum("wtabi,zwtb->zwtai", dA, y)
+                + np.einsum("wtabi,zwtb->zwtai", dB, v) + dw)
+    jac = -(np.einsum("wtaj,zwtai->zwtji", lam_y[:, :-1], row_y)
+            + np.einsum("wtaj,zwtai->zwtji", lam_v, row_v)
+            + np.einsum("wtaj,zwtai->zwtji", lam_eta, row_dyn))
+    out = np.empty(jac.shape[:2] + (K + 1,))
+    out[..., :K] = np.linalg.norm(jac, 2, axis=(-2, -1))
+    terminal_slopes = [np.stack(d) for d in zip(*(
+        _terminal_slopes(instance, terminal_rule, t1 + t0, t1 + law.T)
+        for t1 in law.t1.tolist()))]
     terminal = wm.terminal
     if terminal.kind == "indicator":
         (d_target,) = terminal_slopes
-        out[:, K] = np.linalg.norm(lam_nu.T @ d_target, 2)
+        out[..., K] = np.linalg.norm(lam_nu.swapaxes(-1, -2) @ d_target, 2,
+                                     axis=(-2, -1))
         if include_terminal_target:
-            out[:, K] = np.maximum(out[:, K], np.linalg.norm(lam_nu, 2))
+            out[..., K] = np.maximum(
+                out[..., K], np.linalg.norm(lam_nu, 2, axis=(-2, -1)))
     else:
         dP, d_xbar_T = terminal_slopes
-        row_T = (np.einsum("abi,zb->zai", dP, states[:, -1] - terminal.xbar)
+        row_T = (np.einsum("wabi,zwb->zwai", dP,
+                           states[..., -1, :] - terminal.xbar)
                  - terminal.P @ d_xbar_T)
-        out[:, K] = np.linalg.norm(
-            np.einsum("aj,zai->zji", lam_y[-1], row_T), 2, axis=(-2, -1))
+        out[..., K] = np.linalg.norm(
+            np.einsum("waj,zwai->zwji", lam_y[:, -1], row_T), 2,
+            axis=(-2, -1))
     return out
 
 
-def _init_state_jacobians(law: ftocp.ContinuationLaw, t: int) -> Array:
-    """Spectral norms of d(y_h, v_h)/dz for the window [t, T] of a law of
-    one window, by offset h.
+def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
+    """Largest spectral norm of d(y_h, v_h)/dz over the windows [t, T] of
+    a law of one window, by offset h.
 
     The continuation is affine in z, so the Jacobians are the closed-loop
-    transition products Phi_h = (A + BK)_{t+h-1} ... (A + BK)_t and
-    K_{t+h} Phi_h, the state blocks of the law's lifted closed loop and
-    gains.
+    transition products Phi_h(t) = (A + BK)_{t+h-1} ... (A + BK)_t and
+    K_{t+h} Phi_h(t), the state blocks of the law's lifted closed loop and
+    gains.  Each offset is one batched product over every start t,
+    Phi_{h+1} = (A + BK)_{h..T-1} Phi_h(0..T-h-1), and one batched norm.
     """
-    n = law.data.n
-    Phi = [np.eye(n)]
-    for closed in law.closed_loop[0, t:, :n, :n]:
-        Phi.append(closed @ Phi[-1])
-    Phi = np.array(Phi)
-    K = law.G[0, t:, :, :n]
-    norms = np.linalg.norm(Phi, 2, axis=(1, 2))
-    norms[:-1] = np.maximum(
-        norms[:-1], np.linalg.norm(K @ Phi[:-1], 2, axis=(1, 2)))
+    n, T = law.data.n, law.T
+    closed = law.closed_loop[0, :, :n, :n]
+    gains = law.G[0, :, :, :n]
+    norms = np.empty(T + 1)
+    Phi = np.broadcast_to(np.eye(n), (T + 1, n, n))
+    for h in range(T + 1):
+        norms[h] = np.linalg.norm(Phi, 2, axis=(1, 2)).max()
+        if h < T:
+            norms[h] = max(norms[h], np.linalg.norm(
+                gains[h:] @ Phi[:T - h], 2, axis=(1, 2)).max())
+            Phi = closed[h:] @ Phi[:T - h]
     return norms
+
+
+def _state_samples(instance: Instance, opt_states: Array, R: float,
+                   seed: int, count: int) -> tuple[Array, Array]:
+    """Initial states at which the Jacobians of each window [t, ...] are
+    taken: the zero state, then (but for the disturbance family) the
+    hindsight-optimal state x*_t when nonzero and random states at distance
+    R from it, ``count`` in all, those of norm below 1e-12 dropped.
+
+    Returns zs, where zs[j, t] is the j-th state of window t and windows
+    with fewer states are padded with the zero state, and scale, where
+    scale[j - 1, t] = ||zs[j, t]|| for j >= 1 and inf on padding.
+    """
+    sys = instance.system
+    rng = np.random.default_rng(seed)
+    samples = []
+    for t in range(sys.T):
+        zs = [np.zeros(sys.n)]
+        # the disturbance family's parameter Jacobian does not depend on the
+        # state, so its state-coupled envelope is identically zero
+        if sys.kind != "disturbance":
+            xstar = np.atleast_1d(opt_states[t])
+            z_list = [xstar] if np.linalg.norm(xstar) > 1e-12 else []
+            for _ in range(max(0, count - len(z_list))):
+                d = rng.normal(size=sys.n)
+                d *= R / max(np.linalg.norm(d), 1e-12)
+                z_list.append(xstar + d)
+            zs += [z for z in z_list if np.linalg.norm(z) >= 1e-12]
+        samples.append(zs)
+    out = np.zeros((max(map(len, samples)), sys.T, sys.n))
+    scale = np.full((out.shape[0] - 1, sys.T), np.inf)
+    for t, zs in enumerate(samples):
+        out[:len(zs), t] = zs
+        scale[:len(zs) - 1, t] = [float(np.linalg.norm(z)) for z in zs[1:]]
+    return out, scale
 
 
 def _monotone_envelope(table: Array) -> Array:
@@ -447,50 +521,52 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
 
     The parameter tables gain_param and gain_state are the Jacobians of
     each window's first action, by implicit differentiation of the window's
-    saddle system: one continuation law and one adjoint per window (see
-    ``_window_action_jacobians``), with the slopes of the step and terminal
-    data taken once per step by central differences of the system's maps.
+    saddle system (see ``_window_action_jacobians``), with the slopes of the
+    step and terminal data taken once per step by central differences of
+    the system's maps.  The laws come from at most two backward passes: the
+    T - k full windows [t, t + k] are one batch of ``ftocp.window_laws``,
+    and each of the k tail windows [t, T] is the suffix from offset t of
+    ``law``, the instance's truth law (built if not given), since a window
+    that reaches T has the true step data and the instance's terminal cost
+    under every rule.  A failing window raises as the windows would one at
+    a time: the full windows before the batch's failing one are rolled out,
+    and their pins checked, before its failure is raised.
     For the disturbance family the first action is affine in the
     parameters, so the Jacobians bound any realized deviation by the
     triangle inequality (basis "exact").  The other families put the
     parameters inside A and B, where the map is not affine: there the
     Jacobians are its local slope at the true parameters (basis "local").
     The gain_init table is exact: the products of the closed-loop matrices
-    A_t + B_t K_t of ``law``, the instance's truth law (built if not given).
+    A_t + B_t K_t of the truth law.
     """
-    sys = instance.system
+    sys, truth = instance.system, instance.truth
     if sys.kind == "inventory":
         raise ValueError("gain tables need a linear-quadratic system")
     T = sys.T
-    rng = np.random.default_rng(seed)
     step_slopes = _step_data_slopes(instance)
-    gp = np.zeros(k + 1)
-    gs = np.zeros(k + 1)
-    for t in range(T):
-        t2 = min(t + k, T)
-        zs = [np.zeros(sys.n)]
-        # the disturbance family's parameter Jacobian does not depend on the
-        # state, so its state-coupled envelope is identically zero
-        if sys.kind != "disturbance":
-            xstar = np.atleast_1d(opt_states[t])
-            z_list = [xstar] if np.linalg.norm(xstar) > 1e-12 else []
-            for _ in range(max(0, state_samples - len(z_list))):
-                d = rng.normal(size=sys.n)
-                d *= R / max(np.linalg.norm(d), 1e-12)
-                z_list.append(xstar + d)
-            zs += [z for z in z_list if np.linalg.norm(z) >= 1e-12]
-        jac = _window_action_jacobians(instance, t, t2, zs, terminal_rule,
-                                       step_slopes, include_terminal_target)
-        width = t2 - t + 1
-        gp[:width] = np.maximum(gp[:width], jac[0])
-        for z, row in zip(zs[1:], jac[1:]):
-            gs[:width] = np.maximum(gs[:width], np.maximum(0.0, row - jac[0])
-                                    / float(np.linalg.norm(z)))
+    zs, scale = _state_samples(instance, opt_states, R, seed, state_samples)
+    jac = np.zeros(zs.shape[:2] + (k + 1,))   # zero beyond a tail's width
+    full = max(T - k, 0)
+    batch = ftocp.window_laws(sys, [
+        (t, truth[t:t + k + 1],
+         terminal_rule.build(instance, t, t + k, truth[t:t + k + 1]))
+        for t in range(full)])
+    if batch.windows:
+        law_k = batch.windows[0][0]
+        jac[:, :law_k.W] = _window_action_jacobians(
+            instance, law_k, 0, zs[:, :law_k.W], terminal_rule, step_slopes,
+            include_terminal_target)
+    if batch.failure is not None:
+        raise batch.failure
     law = ftocp.truth_law(instance) if law is None else law
-    gi = np.zeros(T + 1)
-    for t in range(T + 1):
-        gi[:T - t + 1] = np.maximum(gi[:T - t + 1],
-                                    _init_state_jacobians(law, t))
+    for t in range(full, T):
+        jac[:, t, :T - t + 1] = _window_action_jacobians(
+            instance, law, t, zs[:, t:t + 1], terminal_rule, step_slopes,
+            include_terminal_target)[:, 0]
+    gp = jac[0].max(axis=0)
+    gs = (np.maximum(0.0, jac[1:] - jac[0]) / scale[..., None]).max(
+        axis=(0, 1), initial=0.0)
+    gi = _init_state_jacobians(law)
     gi[0] = max(gi[0], 1.0)
     return GainTables(_monotone_envelope(gs), _monotone_envelope(gp),
                       _monotone_envelope(gi),

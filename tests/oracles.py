@@ -185,6 +185,23 @@ def fd_jacobian(f, x, step=None):
     return np.stack(cols, axis=-1)
 
 
+def init_state_gains(closed, gains):
+    """By offset h = 0..T, the largest spectral norm over the start steps t
+    of the response of the state and the action at offset h of the window
+    [t, T] to its initial state: Phi_h(t) = closed[t+h-1] ... closed[t] and
+    gains[t+h] Phi_h(t), one plain product chain per start."""
+    T, n = closed.shape[0], closed.shape[-1]
+    out = np.zeros(T + 1)
+    for t in range(T + 1):
+        Phi = np.eye(n)
+        for h in range(T - t + 1):
+            out[h] = max(out[h], np.linalg.norm(Phi, 2))
+            if t + h < T:
+                out[h] = max(out[h], np.linalg.norm(gains[t + h] @ Phi, 2))
+                Phi = closed[t + h] @ Phi
+    return out
+
+
 def saddle_matrix(M, N):
     """Dense [[M, N'], [N, 0]] for spectrum measurements."""
     n1 = N.shape[0]

@@ -224,7 +224,8 @@ class TestCertifications:
 
     def test_constants_measured_mode_builds_each_law_once(
             self, runner, tmp_path, monkeypatch):
-        # one truth law and one law per window [t, t + k], t = 0 .. T - 1
+        # the truth law, and one batch of the full windows [t, t + k],
+        # t < T - k; the tail windows [t, T] are suffixes of the truth law
         built = []
         law = ftocp.continuation_law
 
@@ -238,7 +239,8 @@ class TestCertifications:
                                        "--k", "8", "--mode", "measured",
                                        "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        assert len(built) == 25
+        assert len(built) == 2
+        assert [len(args[3]) for args in built] == [1, 24 - 8]
 
     def test_constants_measured_mode(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["constants", "--preset",

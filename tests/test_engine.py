@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from mpclab import cli, engine, ftocp, presets
 from mpclab.engine import (TerminalRule, per_step_error_bound_rhs,
                            pipeline_admission_check)
@@ -55,6 +56,28 @@ class TestTerminalRule:
             rule.kind = "zero"
         with pytest.raises(ValueError):
             rule.reference_states[0] = 0.0
+
+    def test_grid_reference_is_the_solve_at_the_smallest_inertia(self):
+        # zero is outside the grid's inertia box [m_lo, m_hi]
+        inst = presets.grid(T=12)
+        rule = TerminalRule.reference(inst)
+        m_lo = inst.system.param_box.lo
+        data = [inst.system.step_data(t, m_lo) for t in range(inst.T)]
+        term = inst.terminal_cost(m_lo)
+        want, _, _ = oracles.lq_ocp_oracle(
+            *([d[i] for d in data] for i in range(6)), inst.x0,
+            ("quadratic", term.P, term.xbar))
+        assert np.isfinite(rule.reference_states).all()
+        assert np.abs(rule.reference_states - want).max() <= 1e-9
+
+    def test_reference_is_the_zero_parameter_solve_when_the_box_holds_it(
+            self):
+        inst = presets.tracking_rand(T=12)
+        zero = np.zeros_like(inst.truth)
+        spec = ftocp.FtocpSpec(0, inst.T, inst.x0, zero,
+                               inst.terminal_cost(zero[-1]))
+        assert np.array_equal(TerminalRule.reference(inst).reference_states,
+                              ftocp.solve(spec, inst.system).states)
 
     def test_final_window_uses_instance_terminal(self):
         inst = quiet_instance()

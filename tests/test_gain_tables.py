@@ -55,25 +55,48 @@ def oracle_states(inst):
                                inst.x0)[0]
 
 
+def window_batch(inst, rule, starts, k):
+    """The law of the batch of windows [t, t + k], t in starts, capped as
+    ``rule`` caps them."""
+    params = [inst.truth[t:t + k + 1] for t in starts]
+    return ftocp.continuation_law(
+        inst.system, params,
+        [rule.build(inst, t, t + k, p) for t, p in zip(starts, params)],
+        starts)
+
+
+def law_jacobians(inst, rule, law, t0, zs, with_target=True):
+    return kkt._window_action_jacobians(inst, law, t0, np.asarray(zs), rule,
+                                        kkt._step_data_slopes(inst),
+                                        with_target)
+
+
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(["tracking-rand", "disturbance", "pendulum"]),
-       terminal=st.sampled_from(["pinned", "zero-pinned", "quadratic"]),
+       terminal=st.sampled_from(["pinned", "zero-pinned", "quadratic",
+                                 "tail"]),
        t=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
        with_target=st.booleans())
 def test_window_jacobians_match_oracle(name, terminal, t, seed, with_target):
     T = 12
     k = WINDOW[name]
     inst = presets.build_preset(name, T=T)
-    rule = TerminalRule("zero" if terminal == "zero-pinned"
-                        else "predicted_tracking")
-    # the quadratic terminal is the instance's own, on the window reaching T
-    t = T - k if terminal == "quadratic" else t
-    t2 = t + k
+    rule = TerminalRule({"pinned": "predicted_tracking", "zero-pinned": "zero",
+                         "quadratic": "true", "tail": "zero"}[terminal])
     rng = np.random.default_rng(seed)
     zs = [np.zeros(inst.system.n), rng.normal(size=inst.system.n)]
-    got = kkt._window_action_jacobians(inst, t, t2, zs, rule,
-                                       kkt._step_data_slopes(inst),
-                                       with_target)
+    if terminal == "tail":
+        # the window [t, T] that reaches T, read from the truth law at
+        # offset t
+        t = T - k + t % k
+        t2 = T
+        law, t0 = ftocp.truth_law(inst), t
+    else:
+        # a batch of one window [t, t + k] short of T
+        t2 = t + k
+        law, t0 = window_batch(inst, rule, [t], k), 0
+    got = law_jacobians(inst, rule, law, t0, np.array(zs)[:, None],
+                        with_target)[:, 0]
     for row, z in zip(got, zs):
         want = oracle_window_norms(inst, rule, t, t2, z, with_target)
         assert np.abs(row - want).max() <= 1e-6 * np.abs(want).max()
@@ -114,30 +137,44 @@ def all_maps_instance(T, seed):
 @pytest.mark.parametrize("t", [0, 3, 5])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_window_jacobians_match_oracle_when_every_map_varies(t, seed):
-    # t = 5 is the window reaching T, with the quadratic terminal
+    # t < 5: the batch of the windows [s, s + 4] for s = t .. min(t + 2, 4),
+    # each from its own states; t = 5: the window [5, 9] that reaches T,
+    # with the quadratic terminal, read from the truth law at offset 5
     T, k = 9, 4
     inst = all_maps_instance(T, seed)
     rule = TerminalRule("predicted_tracking")
-    t2 = min(t + k, T)
-    zs = [np.zeros(2), np.array([0.7, -0.4])]
-    got = kkt._window_action_jacobians(inst, t, t2, zs, rule,
-                                       kkt._step_data_slopes(inst))
-    for row, z in zip(got, zs):
-        want = oracle_window_norms(inst, rule, t, t2, z, True)
-        assert np.abs(row - want).max() <= 1e-6 * np.abs(want).max()
+    if t < T - k:
+        starts = list(range(t, min(t + 3, T - k)))
+        law, t0 = window_batch(inst, rule, starts, k), 0
+    else:
+        starts = [t]
+        law, t0 = ftocp.truth_law(inst), t
+    zs = np.random.default_rng(seed).normal(size=(2, len(starts), 2))
+    zs[0] = 0.0
+    got = law_jacobians(inst, rule, law, t0, zs)
+    for i, s in enumerate(starts):
+        for j in range(len(zs)):
+            want = oracle_window_norms(inst, rule, s, min(s + k, T),
+                                       zs[j, i], True)
+            assert np.abs(got[j, i] - want).max() <= 1e-6 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("name", ["tracking-rand", "disturbance", "pendulum",
-                                  "grid"])
-def test_tables_match_oracle_finite_difference_tables(name):
+@pytest.mark.parametrize("name,k,rule_kind", [
+    *(pytest.param(name, k, None, id=name) for name, k in WINDOW.items()),
+    # every window reaches T: all are read from the truth law, no batch
+    pytest.param("tracking-rand", 10, None, id="k=T"),
+    pytest.param("disturbance", 1, None, id="k=1"),
+    # full windows with quadratic caps, which are not tail windows
+    pytest.param("grid", 3, "true", id="true-rule")])
+def test_tables_match_oracle_finite_difference_tables(name, k, rule_kind):
     # the reference is the finite-difference construction of the tables:
     # per window, central differences of the oracle's first action at z = 0
     # and at the hindsight-optimal state (at z = 0 alone for the
     # disturbance family, whose Jacobian does not depend on the state)
     T = 10
-    k = WINDOW[name]
     inst = presets.build_preset(name, T=T)
-    rule = cli._default_rule(inst)
+    rule = (cli._default_rule(inst) if rule_kind is None
+            else TerminalRule(rule_kind))
     opt_states = oracle_states(inst)
     gp, gs = np.zeros(k + 1), np.zeros(k + 1)
     for t in range(T):
@@ -172,7 +209,9 @@ def test_one_law_per_window(monkeypatch):
     calls.clear()
     kkt.measure_gain_tables(inst, 8, TerminalRule("predicted_tracking"),
                             opt.states, R=max(opt.max_state_norm, 1.0))
-    assert len(calls) <= inst.T + 1   # one per window, plus the truth law
+    # the batch of the full windows, and the truth law that the tail
+    # windows are read from
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name,mode,basis", [
@@ -189,3 +228,47 @@ def test_constants_artifact_names_the_basis(tmp_path, name, mode, basis):
     assert res.exit_code == 0, res.output
     lines = (tmp_path / "constants.txt").read_text().splitlines()
     assert f"gain_tables = {basis}" in lines
+
+
+@pytest.mark.parametrize("name", ["tracking-rand", "grid"])
+def test_init_state_gains_match_per_start_products(name):
+    law = ftocp.truth_law(presets.build_preset(name, T=240))
+    n = law.data.n
+    want = oracles.init_state_gains(law.closed_loop[0, :, :n, :n],
+                                    law.G[0, :, :, :n])
+    got = kkt._init_state_jacobians(law)
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def test_failing_window_is_the_earliest():
+    # the window [0, 1] misses its pin; the window [1, 2] cannot be built
+    # (its pin's nu-block is singular), which a batch meets first
+    inst = presets.tracking_rand(T=6, seed=0)
+    opt = engine.solve_opt(inst)
+    with pytest.raises(ftocp.SingularKKT) as ei:
+        kkt.measure_gain_tables(inst, 1, TerminalRule("predicted_tracking"),
+                                opt.states, R=max(opt.max_state_norm, 1.0))
+    assert str(ei.value) == ("pinned terminal unreachable from step 0: the "
+                             "rollout misses it by 0.0367")
+
+
+def test_rollout_failure_names_the_earliest_window():
+    class MissingPins:
+        """A law whose rollout from sample j misses the pins of the windows
+        misses[j]."""
+
+        def __init__(self, misses):
+            self.misses = iter(misses)
+
+        def trajectories(self, t0, z):
+            missed = next(self.misses)
+            if missed:
+                raise ftocp.SingularKKT(f"window {min(missed)}",
+                                        window=min(missed))
+            return np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 2))
+
+    zs = np.zeros((4, 3, 2))
+    law = MissingPins([[], [2], [1, 2], [1]])
+    with pytest.raises(ftocp.SingularKKT, match="^window 1$") as ei:
+        kkt._sample_rollouts(law, 0, zs)
+    assert ei.value.window == 1
