@@ -5,9 +5,9 @@ from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     LinearQuadraticSystem, ModelError, ParamBox,
                     PredictionStream, TerminalCost, build_instance,
                     config_hash, validate_assumptions)
-from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, FtocpSpec,
-                    Infeasible, SingularKKT, chain_law, continuation_law,
-                    solve, solve_inventory, solve_quadratic, truth_law)
+from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, Infeasible,
+                    SingularKKT, chain_law, continuation_law, truth_law,
+                    window_law)
 from .kkt import (DecayFit, GainTables, TrackingDecayConstants, assemble,
                   block_inverse_profile, general_decay_constants,
                   measure_gain_tables, theory_gain_tables,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import engine, ftocp, kkt, presets, regret
 from .model import (Instance, ModelError, PredictionStream, build_instance,
-                    config_hash, load_instance_file)
+                    config_hash)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,8 +57,8 @@ def _load(preset: str | None, instance_file: str | None, T: int | None,
     try:
         if preset is not None:
             return presets.build_preset(preset, T=T, seed=seed)
-        return build_instance(load_instance_file(instance_file), T=T,
-                              seed=seed)
+        with open(instance_file) as fh:
+            return build_instance(json.load(fh), T=T, seed=seed)
     except (KeyError, ModelError, OSError, TypeError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -131,9 +131,8 @@ def _trajectory_body(rec: engine.TrajectoryRecord, headers: list[str]) -> str:
 
 
 def _sweep_body(res: regret.SweepResult, headers: list[str]) -> str:
-    rows = [(v, r, int(v in res.excluded))
-            for v, r in zip(res.values, res.regrets)]
-    return _csv_body([res.variable, "regret", "excluded"], rows, headers)
+    return _csv_body([res.variable, "regret"],
+                     zip(res.values, res.regrets), headers)
 
 
 def _solver_errors(fn):
@@ -200,14 +199,14 @@ def mpc(preset, instance_file, T, seed, out, k, noise_scale):
     inst = _load(preset, instance_file, T, seed)
     if k < 1 or k > inst.T:
         raise click.UsageError("need 1 <= k <= T")
+    if noise_scale < 0:
+        raise click.UsageError("need --noise-scale >= 0")
     cfg = {"cmd": "mpc", "preset": preset, "instance": instance_file,
            "T": T, "seed": seed, "k": k, "noise_scale": noise_scale}
     hdr = _headers("mpc", cfg)
     stream = PredictionStream(inst.truth, k, noise_scale, seed=inst.seed)
-    law = ftocp.truth_law(inst)
-    opt = engine.solve_opt(inst, law)
-    run = engine.run_mpc(inst, stream, k, _default_rule(inst), opt=opt,
-                         law=law)
+    opt = engine.solve_opt(inst)
+    run = engine.run_mpc(inst, stream, k, _default_rule(inst))
     _write(out, "mpc_trajectory.csv", _trajectory_body(run, hdr))
     _write(out, "mpc_report.json", _json_body(
         {"cost_alg": run.total_cost, "cost_opt": opt.total_cost,
@@ -253,6 +252,8 @@ def sweep_noise(preset, instance_file, T, seed, out, k, noise_scale):
     inst = _load(preset, instance_file, T, seed)
     if k < 1 or k > inst.T:
         raise click.UsageError("need 1 <= k <= T")
+    if noise_scale < 0:
+        raise click.UsageError("need --noise-scale >= 0")
     scales = [noise_scale * f for f in
               (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)]
     cfg = {"cmd": "sweep-noise", "preset": preset, "instance": instance_file,
@@ -279,9 +280,7 @@ def certify_decay(preset, instance_file, T, seed, out):
     cfg = {"cmd": "certify-decay", "preset": preset,
            "instance": instance_file, "T": T, "seed": seed}
     hdr = _headers("certify-decay", cfg)
-    spec = ftocp.FtocpSpec(0, sys_.T, np.zeros(sys_.n), inst.truth,
-                           inst.terminal_cost())
-    asm = kkt.assemble(spec, sys_)
+    asm = kkt.assemble(sys_, inst.truth, inst.terminal_cost())
     norms, maxima, fit = kkt.block_inverse_profile(asm)
     sigma = kkt.measured_sigma(inst)
     consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
@@ -312,6 +311,8 @@ def certify_decay(preset, instance_file, T, seed, out):
 def inventory_suite(p_values, eps, out):
     """Terminal-perturbation response table for the alternating chain."""
     ps = list(p_values) or [4, 5, 6, 7, 8]
+    if min(ps) < 1:
+        raise click.UsageError("need --p >= 1")
     cfg = {"cmd": "inventory-suite", "p": ps, "eps": eps}
     hdr = _headers("inventory-suite", cfg)
     rows = presets.inventory_counterexample_suite(ps, eps)
@@ -349,12 +350,11 @@ def constants(preset, instance_file, T, seed, out, k, mode):
               "decay_rate": consts.decay_rate,
               "decay_coef": consts.decay_coef,
               "diff_coef": consts.diff_coef}
-    law = ftocp.truth_law(inst)
-    opt = engine.solve_opt(inst, law)
+    opt = engine.solve_opt(inst)
     if mode == "measured":
         tables = kkt.measure_gain_tables(
             inst, k, _default_rule(inst), opt.states,
-            R=max(opt.max_state_norm, 1.0), seed=inst.seed, law=law)
+            R=max(opt.max_state_norm, 1.0), seed=inst.seed)
     else:
         tables = kkt.theory_gain_tables(
             inst, k, R=max(opt.max_state_norm, 1.0),

@@ -9,8 +9,8 @@ one length and terminal kind); the loop only applies each window's first
 action to the realized state, and one batched rollout per group afterwards
 checks the pins and gives the KKT residuals.  The instance's
 ``ftocp.truth_law`` gives the optimal continuation that the per-step errors
-and the hindsight optimum are read from, and ``Instance.terminal_cost``
-caps the windows that reach the final step.
+and the hindsight optimum are read from (each built once per instance), and
+``Instance.terminal_cost`` caps the windows that reach the final step.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import ftocp
-from .model import Instance, PredictionStream, TerminalCost
+from .model import (Instance, PredictionStream, TerminalCost, _read_only,
+                    per_instance)
 
 Array = np.ndarray
 
@@ -73,9 +74,8 @@ class TerminalRule:
         sys = instance.system
         nominal = np.clip(0.0, sys.param_box.lo, sys.param_box.hi)
         params = np.broadcast_to(nominal, instance.truth.shape)
-        spec = ftocp.FtocpSpec(0, sys.T, instance.x0, params,
-                               instance.terminal_cost(params[-1]))
-        return TerminalRule("reference", ftocp.solve(spec, sys).states)
+        law = ftocp.window_law(sys, params, instance.terminal_cost(params[-1]))
+        return TerminalRule("reference", law.solution(0, instance.x0).states)
 
     def build(self, instance: Instance, t: int, t2: int,
               params: Sequence[Array]) -> TerminalCost:
@@ -141,27 +141,22 @@ def _stage_costs_and_total(instance: Instance, states: Array,
     return costs, total
 
 
-def solve_opt(instance: Instance,
-              law: ftocp.ContinuationLaw | ftocp.ChainLaw
-              | None = None) -> TrajectoryRecord:
+@per_instance
+def solve_opt(instance: Instance) -> TrajectoryRecord:
     """Hindsight-optimal trajectory: the full-horizon solve under the true
-    parameters.  ``law`` is the instance's ``ftocp.truth_law``, built here
-    when not given."""
+    parameters, read off the instance's truth law.  Solved once per
+    instance; the record's arrays are read-only."""
     T = instance.T
-    if law is None:
-        law = ftocp.truth_law(instance)
-    sol = law.solution(0, instance.x0)
+    sol = ftocp.truth_law(instance).solution(0, instance.x0)
     stage, total = _stage_costs_and_total(instance, sol.states, sol.actions)
-    return TrajectoryRecord(sol.states, sol.actions, np.zeros(T),
-                            np.zeros(T + 1), stage, total, k=None,
-                            rule_kind="opt",
+    arrays = (_read_only(a) for a in (sol.states, sol.actions, np.zeros(T),
+                                      np.zeros(T + 1), stage))
+    return TrajectoryRecord(*arrays, total, k=None, rule_kind="opt",
                             kkt_residual_max=sol.kkt_residual)
 
 
 def run_mpc(instance: Instance, stream: PredictionStream, k: int,
-            rule: TerminalRule, opt: TrajectoryRecord | None = None,
-            law: ftocp.ContinuationLaw | ftocp.ChainLaw
-            | None = None) -> TrajectoryRecord:
+            rule: TerminalRule) -> TrajectoryRecord:
     """Closed-loop receding-horizon run.
 
     At each step t the controller solves the window [t, min(t+k, T)] on the
@@ -170,12 +165,12 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     every window is rolled out from its realized initial state; the run
     records the worst KKT residual of these solves.  Per-step errors compare
     the committed action with the optimal continuation from the same state
-    under the true parameters, read off the instance's continuation law
-    (``law``, built here when not given).  Constrained infeasibility aborts
-    the run with the step index attached.  A window that cannot be solved
-    (SingularKKT) fails the run; when several cannot, the earliest is
-    named.  The stream must be drawn around the instance's own true
-    parameters, so that its error magnitudes are the realized ones.
+    under the true parameters, read off the instance's truth law, and the
+    distances compare the states with its hindsight optimum.  Constrained
+    infeasibility aborts the run with the step index attached.  A window
+    that cannot be solved (SingularKKT) fails the run; when several cannot,
+    the earliest is named.  The stream must be drawn around the instance's
+    own true parameters, so that its error magnitudes are the realized ones.
     """
     if k < 1:
         raise ValueError("window length k must be >= 1")
@@ -187,10 +182,8 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
         raise ValueError("forecast stream built on other true parameters")
     if rule.kind == "reference" and len(rule.reference_states) != T + 1:
         raise ValueError("reference states need one row per step 0..T")
-    if law is None:
-        law = ftocp.truth_law(instance)
-    if opt is None:
-        opt = solve_opt(instance, law)
+    law = ftocp.truth_law(instance)
+    opt = solve_opt(instance)
 
     windows = []
     for t in range(T):

@@ -10,12 +10,12 @@ Two problem classes are supported exactly:
 - the constrained scalar stock chain: one backward pass (``chain_law``)
   over the knots of the derivatives of its value functions, then a rollout.
 
-``solve`` picks the solver of one window, ``window_laws`` builds the laws
-of every window of a receding-horizon run before it starts, and
-``truth_law`` gives the optimal continuation under an instance's true
-parameters (a ``ContinuationLaw`` or a ``ChainLaw``, both read with
-``action(t, x)`` and ``solution(t, x)``); no other module branches on the
-problem class to solve.
+``window_law`` gives the law of one window (a ``ContinuationLaw`` or a
+``ChainLaw``, both read with ``action(t, x)`` and ``solution(t, x)``),
+``window_laws`` builds the laws of every window of a receding-horizon run
+before it starts, and ``truth_law`` gives the optimal continuation under an
+instance's true parameters, once per instance; no other module branches on
+the problem class to solve.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _assembly
-from .model import Instance, InventorySystem, TerminalCost
+from .model import Instance, InventorySystem, TerminalCost, per_instance
 
 Array = np.ndarray
 
@@ -50,30 +50,6 @@ class Infeasible(RuntimeError):
         self.step = step
 
 
-@dataclasses.dataclass(frozen=True)
-class FtocpSpec:
-    """One windowed problem: steps t1..t2, initial state z, parameters
-    xi_{t1..t2} (the last entry parameterizes the terminal data), and the
-    terminal cost."""
-
-    t1: int
-    t2: int
-    z: Array
-    params: Sequence[Array]
-    terminal: TerminalCost
-
-    def __post_init__(self):
-        if not (0 <= self.t1 <= self.t2):
-            raise ValueError("window must satisfy 0 <= t1 <= t2")
-        if len(self.params) != self.t2 - self.t1 + 1:
-            raise ValueError("need one parameter vector per step of the window")
-        object.__setattr__(self, "z", np.atleast_1d(np.asarray(self.z, float)))
-
-    @property
-    def K(self) -> int:
-        return self.t2 - self.t1
-
-
 @dataclasses.dataclass
 class FtocpSolution:
     t1: int
@@ -86,7 +62,7 @@ class FtocpSolution:
 
 
 # ---------------------------------------------------------------------------
-# quadratic solver
+# step data and stacked linear algebra
 # ---------------------------------------------------------------------------
 
 def _step_data(system, steps: Array, params: Array) -> list:
@@ -102,21 +78,6 @@ def _step_data(system, steps: Array, params: Array) -> list:
     for i, (t, xi) in enumerate(zip(steps.ravel().tolist(), flat)):
         A[i], B[i], w[i], Q[i], R[i], xbar[i] = system.step_data(t, xi)
     return data
-
-
-def window_matrices(spec: FtocpSpec, system) -> _assembly.WindowMatrices:
-    """Step data of one window, stacked by offset."""
-    params = np.asarray(spec.params, float)
-    return _assembly.WindowMatrices(
-        *_step_data(system, spec.t1 + np.arange(spec.K), params[:spec.K]),
-        spec.terminal, system.n, system.m)
-
-
-def solve_quadratic(spec: FtocpSpec, system) -> FtocpSolution:
-    """Exact minimizer of the windowed linear-quadratic problem: the law of
-    a batch of one window, read at its start."""
-    law = continuation_law(system, [spec.params], [spec.terminal], [spec.t1])
-    return law.solution(0, spec.z)
 
 
 def _lq_value(Q: Array, R: Array, xbar: Array, terminal: TerminalCost,
@@ -612,20 +573,23 @@ def chain_law(system: InventorySystem, params: Sequence[Array],
     return ChainLaw(system, t1, len(targets) - 1, targets, pin, tuple(pieces))
 
 
-def solve_inventory(spec: FtocpSpec, system: InventorySystem) -> FtocpSolution:
-    """Exact minimizer of a stock-chain window with a pinned final state."""
-    return chain_law(system, spec.params, spec.terminal,
-                     spec.t1).solution(0, spec.z)
-
-
 # ---------------------------------------------------------------------------
-# dispatch and the optimal continuation under the true parameters
+# the law of one window, of every window of a run, and of the truth
 # ---------------------------------------------------------------------------
 
-def solve(spec: FtocpSpec, system) -> FtocpSolution:
+def window_law(system, params: Sequence[Array], terminal: TerminalCost,
+               t1: int = 0) -> ContinuationLaw | ChainLaw:
+    """The law of one window: the steps t1 .. t1 + T, T = len(params) - 1,
+    where params[i] parameterizes step t1 + i (the last one the terminal
+    data) and ``terminal`` caps the window.  The stock chain gets its chain
+    law, every other system a continuation law of a batch of one."""
+    if t1 < 0:
+        raise ValueError("a window must start at a step >= 0")
+    if len(params) == 0:
+        raise ValueError("a window needs one parameter vector per step")
     if getattr(system, "kind", None) == "inventory":
-        return solve_inventory(spec, system)
-    return solve_quadratic(spec, system)
+        return chain_law(system, params, terminal, t1)
+    return continuation_law(system, [params], [terminal], [t1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -666,7 +630,7 @@ def window_laws(system, windows: Sequence) -> WindowLaws:
     law; the stock chain has one chain law per window.  When a batch cannot
     be built, the windows before its failing one are kept."""
     if getattr(system, "kind", None) == "inventory":
-        return WindowLaws(tuple((chain_law(system, params, term, t1), 0)
+        return WindowLaws(tuple((window_law(system, params, term, t1), 0)
                                 for t1, params, term in windows))
     laws = []
     for _, batch in itertools.groupby(
@@ -685,12 +649,10 @@ def window_laws(system, windows: Sequence) -> WindowLaws:
     return WindowLaws(tuple(laws))
 
 
+@per_instance
 def truth_law(instance: Instance) -> ContinuationLaw | ChainLaw:
     """Optimal continuation under the instance's true parameters and its own
     terminal cost: the reference of every per-step error and the hindsight
-    optimum."""
-    if instance.system.kind == "inventory":
-        return chain_law(instance.system, instance.truth,
-                         instance.terminal_cost())
-    return continuation_law(instance.system, [instance.truth],
-                            [instance.terminal_cost()], [0])
+    optimum.  Built once per instance."""
+    return window_law(instance.system, instance.truth,
+                      instance.terminal_cost())

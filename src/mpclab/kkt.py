@@ -17,9 +17,15 @@ Array = np.ndarray
 KktAssembly = _assembly.KktAssembly
 
 
-def assemble(spec: ftocp.FtocpSpec, system) -> KktAssembly:
-    """Assembled saddle matrix of a windowed problem."""
-    return _assembly.assemble_window(ftocp.window_matrices(spec, system))
+def assemble(system, params, terminal: TerminalCost,
+             t1: int = 0) -> KktAssembly:
+    """Assembled saddle matrix of the window on the steps t1 .. t1 + K,
+    K = len(params) - 1, as ``ftocp.window_law`` reads its arguments."""
+    params = np.asarray(params, float)
+    K = len(params) - 1
+    return _assembly.assemble_window(_assembly.WindowMatrices(
+        *ftocp._step_data(system, t1 + np.arange(K), params[:K]), terminal,
+        system.n, system.m))
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +236,11 @@ def measured_sigma(instance: Instance, k: int | None = None) -> float:
     """sigma_min of the assembled dynamics blocks (full window and, when k is
     given, the pinned-terminal window), minimized over both."""
     sys = instance.system
-    T = sys.T
-    spec = ftocp.FtocpSpec(0, T, np.zeros(sys.n), instance.truth,
-                           TerminalCost.zero(sys.n))
-    asm = assemble(spec, sys)
+    asm = assemble(sys, instance.truth, TerminalCost.zero(sys.n))
     smin = float(np.linalg.svd(asm.N, compute_uv=False).min())
-    if k is not None and k < T:
-        spec_h = ftocp.FtocpSpec(0, k, np.zeros(sys.n), instance.truth[:k + 1],
-                                 TerminalCost.indicator(np.zeros(sys.n)))
-        asm_h = assemble(spec_h, sys)
+    if k is not None and k < sys.T:
+        asm_h = assemble(sys, instance.truth[:k + 1],
+                         TerminalCost.indicator(np.zeros(sys.n)))
         smin = min(smin,
                    float(np.linalg.svd(asm_h.N, compute_uv=False).min()))
     return smin
@@ -514,8 +516,7 @@ def _monotone_envelope(table: Array) -> Array:
 def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                         opt_states: Array, R: float, seed: int = 0,
                         state_samples: int = 1,
-                        include_terminal_target: bool = True,
-                        law: ftocp.ContinuationLaw | None = None) -> GainTables:
+                        include_terminal_target: bool = True) -> GainTables:
     """Measure sensitivity envelopes on the family of solves the controller
     actually performs.
 
@@ -526,11 +527,11 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     the system's maps.  The laws come from at most two backward passes: the
     T - k full windows [t, t + k] are one batch of ``ftocp.window_laws``,
     and each of the k tail windows [t, T] is the suffix from offset t of
-    ``law``, the instance's truth law (built if not given), since a window
-    that reaches T has the true step data and the instance's terminal cost
-    under every rule.  A failing window raises as the windows would one at
-    a time: the full windows before the batch's failing one are rolled out,
-    and their pins checked, before its failure is raised.
+    the instance's truth law, since a window that reaches T has the true
+    step data and the instance's terminal cost under every rule.  A failing
+    window raises as the windows would one at a time: the full windows
+    before the batch's failing one are rolled out, and their pins checked,
+    before its failure is raised.
     For the disturbance family the first action is affine in the
     parameters, so the Jacobians bound any realized deviation by the
     triangle inequality (basis "exact").  The other families put the
@@ -558,7 +559,7 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
             include_terminal_target)
     if batch.failure is not None:
         raise batch.failure
-    law = ftocp.truth_law(instance) if law is None else law
+    law = ftocp.truth_law(instance)
     for t in range(full, T):
         jac[:, t, :T - t + 1] = _window_action_jacobians(
             instance, law, t, zs[:, t:t + 1], terminal_rule, step_slopes,

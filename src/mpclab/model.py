@@ -1,15 +1,18 @@
 """Problem instances: true parameters, forecast streams, and system families.
 
 A system maps a per-step parameter vector to cost/dynamics data.  Instances
-are immutable after construction; their true parameters and the forecasts
-of a stream are read-only arrays.
+are immutable after construction and compare by identity; their arrays and
+the forecasts of a stream are read-only, so what is derived from an instance
+alone can be computed once per instance (``per_instance``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -312,12 +315,14 @@ class InventorySystem:
         return float(np.sqrt(2.0))  # norm of [1 1]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Instance:
     """A fully realized problem: system + true parameters + initial state.
 
     ``truth[t]`` is the true parameter of step t, a read-only (T+1, p)
-    array built from any sequence of T+1 parameter vectors.
+    array built from any sequence of T+1 parameter vectors; ``x0`` and
+    ``terminal_param`` are read-only copies too.  Instances are hashed and
+    compared by identity: ``dataclasses.replace`` makes a new one.
     """
 
     system: object
@@ -332,6 +337,10 @@ class Instance:
         if truth.ndim != 2 or truth.shape[0] != self.T + 1:
             raise ModelError("need one parameter vector per step 0..T")
         object.__setattr__(self, "truth", _read_only(truth))
+        object.__setattr__(self, "x0", _read_only(np.array(self.x0, float)))
+        if self.terminal_param is not None:
+            pin = np.array(self.terminal_param, float)
+            object.__setattr__(self, "terminal_param", _read_only(pin))
 
     @property
     def T(self) -> int:
@@ -348,6 +357,20 @@ class Instance:
             return TerminalCost.indicator(tgt)
         return self.system.terminal_cost(self.truth[self.T] if xi_T is None
                                          else xi_T)
+
+
+def per_instance(fn: Callable[[Instance], object]):
+    """``fn(instance)`` computed once per instance and kept while the
+    instance lives.  An instance is immutable and hashed by identity, so
+    the kept value is always that of the instance it is asked for."""
+    memo = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def once(instance: Instance):
+        if instance not in memo:
+            memo[instance] = fn(instance)
+        return memo[instance]
+    return once
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +433,6 @@ def config_hash(config: dict) -> str:
     """Stable hash of a JSON-serializable configuration."""
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def load_instance_file(path: str):
-    with open(path) as fh:
-        desc = json.load(fh)
-    return desc
 
 
 def build_instance(desc: dict, T: int | None = None,

@@ -297,13 +297,9 @@ def inventory_counterexample_suite(ps=(4, 5, 6, 7, 8),
         else:
             eps = float(eps_values[idx])
         system, params = _chain_window(p, u_hi=0.8)
-        z = np.zeros(1)
-        sol0 = ftocp.solve(ftocp.FtocpSpec(
-            0, p, z, params, TerminalCost.indicator(np.array([base]))),
-            system)
-        sol1 = ftocp.solve(ftocp.FtocpSpec(
-            0, p, z, params,
-            TerminalCost.indicator(np.array([base + eps]))), system)
+        sol0, sol1 = (
+            ftocp.window_law(system, params, TerminalCost.indicator([pin]))
+            .solution(0, np.zeros(1)) for pin in (base, base + eps))
         closed = two_sided_closed_form(p, eps)
         for h in range(1, p + 1):
             diff = abs(float(sol1.states[h, 0]) - float(sol0.states[h, 0]))

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import engine, ftocp, kkt
+from . import engine, kkt
 from .model import Instance, PredictionStream
 
 Array = np.ndarray
@@ -93,7 +93,6 @@ class SweepResult:
     slope: float
     intercept: float
     r2: float
-    excluded: list
     log_x: bool = False
 
 
@@ -108,14 +107,13 @@ def _fit_positive(xs: Array, regrets: Array, log_x: bool):
 def _sweep_regrets(instance: Instance, points, rule: engine.TerminalRule,
                    seed: int) -> Array:
     """Regret of one closed-loop run per ``(k, rho)`` point against the
-    hindsight optimum, which is solved once for the whole sweep."""
-    law = ftocp.truth_law(instance)
-    opt = engine.solve_opt(instance, law)
+    instance's hindsight optimum."""
+    opt = engine.solve_opt(instance)
     T = instance.T
     regrets = []
     for k, rho in points:
         stream = PredictionStream(instance.truth, min(k, T), rho, seed=seed)
-        run = engine.run_mpc(instance, stream, k, rule, opt=opt, law=law)
+        run = engine.run_mpc(instance, stream, k, rule)
         regrets.append(run.total_cost - opt.total_cost)
     return np.array(regrets, float)
 
@@ -132,32 +130,20 @@ def sweep_horizon(instance: Instance, k_values: Sequence[int],
                              seed)
     ks = np.asarray(k_values, float)
     slope, intercept, r2 = _fit_positive(ks, regrets, log_x=False)
-    return SweepResult("k", ks, regrets, slope, intercept, r2, [])
+    return SweepResult("k", ks, regrets, slope, intercept, r2)
 
 
 def sweep_noise(instance: Instance, base_rho, scales: Sequence[float],
-                k: int, rule: engine.TerminalRule, seed: int = 0,
-                admission: dict | None = None) -> SweepResult:
+                k: int, rule: engine.TerminalRule,
+                seed: int = 0) -> SweepResult:
     """Regret as a function of the forecast-noise scale at fixed window
-    length.  ``base_rho(t, tau)`` is scaled multiplicatively; when
-    ``admission`` carries the pipeline inputs (gain tables, R, C3, D_xstar,
-    L_g), scales failing the smallness condition are excluded from the fit.
-    """
-    excluded = []
-    if admission is not None:
-        for s in scales:
-            rep = engine.pipeline_admission_check(
-                k, instance.T, _scaled(base_rho, s),
-                admission["gain_state"], admission["gain_param"],
-                admission["R"], admission["C3"], admission["D_xstar"],
-                admission["L_g"])
-            if not rep.ok:
-                excluded.append(float(s))
+    length.  ``base_rho(t, tau)`` is scaled multiplicatively; the fit is
+    over the positive scales."""
     regrets = _sweep_regrets(instance,
                              [(k, _scaled(base_rho, s)) for s in scales],
                              rule, seed)
     xs = np.asarray(list(scales), float)
-    keep = np.array([s not in excluded and s > 0 for s in xs])
+    keep = xs > 0
     slope, intercept, r2 = _fit_positive(xs[keep], regrets[keep], log_x=True)
     return SweepResult("noise_scale", xs, regrets, slope, intercept, r2,
-                       excluded, log_x=True)
+                       log_x=True)

@@ -10,7 +10,6 @@ import pytest
 import oracles
 from mpclab import engine, kkt, presets, regret
 from mpclab.engine import TerminalRule
-from mpclab.ftocp import FtocpSpec
 from mpclab.model import PredictionStream
 from test_presets import inventory_sensitivity_profile
 
@@ -52,7 +51,7 @@ def disturbance_pipeline():
         report = engine.pipeline_admission_check(
             8, inst.T, stream.rho, tables.gain_state, tables.gain_param,
             R, tables.C3, D_xstar, L_g)
-        run = engine.run_mpc(inst, stream, 8, rule, opt=opt)
+        run = engine.run_mpc(inst, stream, 8, rule)
         runs.append((scale, stream, report, run))
     return inst, opt, R, D_xstar, L_g, tables, runs
 
@@ -85,9 +84,7 @@ def test_kkt_inverse_block_decay():
         for seed in range(20):
             inst = presets.tracking_rand(T=40, seed=seed, n=2, m=1)
             params = [inst.truth[t] for t in range(41)]
-            spec = FtocpSpec(0, 40, np.zeros(2), params,
-                             inst.terminal_cost())
-            asm = kkt.assemble(spec, inst.system)
+            asm = kkt.assemble(inst.system, params, inst.terminal_cost())
             norms, _, _ = kkt.block_inverse_profile(asm)
             bb = inst.system.bounds
             sigma = kkt.measured_sigma(inst)
@@ -128,8 +125,7 @@ def test_full_horizon_exactness():
             stream = PredictionStream(inst.truth, inst.T, 0.0,
                                       seed=inst.seed)
             opt = engine.solve_opt(inst)
-            run = engine.run_mpc(inst, stream, inst.T, TerminalRule("true"),
-                                 opt=opt)
+            run = engine.run_mpc(inst, stream, inst.T, TerminalRule("true"))
             assert run.total_cost - opt.total_cost <= 1e-7, name
             assert float(run.errors.max(initial=0.0)) <= 1e-8, name
 

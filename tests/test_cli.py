@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -90,6 +91,21 @@ class TestConfigErrors:
                                        "--T", "10", "--k", "0",
                                        "--out", str(tmp_path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["mpc", "sweep-noise"])
+    def test_negative_noise_scale(self, runner, tmp_path, command):
+        res = runner.invoke(cli.main, [command, "--preset", "disturbance",
+                                       "--T", "10", "--k", "4",
+                                       "--noise-scale", "-1",
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "need --noise-scale >= 0" in res.output
+
+    def test_chain_length_below_one(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["inventory-suite", "--p", "4",
+                                       "--p", "0", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "need --p >= 1" in res.output
 
     def test_chain_rejected_for_decay_certification(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["certify-decay", "--preset",
@@ -287,3 +303,20 @@ class TestLibrarySurface:
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
         assert present == []
+
+    def test_one_way_to_get_a_law(self):
+        # ftocp.window_law is the one constructor of a single window, and
+        # the truth law and the hindsight optimum come from the instance
+        gone = {ftocp: ["FtocpSpec", "solve", "solve_quadratic",
+                        "solve_inventory", "window_matrices"],
+                model: ["load_instance_file"],
+                mpclab: ["FtocpSpec", "solve", "solve_quadratic",
+                         "solve_inventory"]}
+        present = [f"{owner.__name__}.{name}"
+                   for owner, names in gone.items() for name in names
+                   if hasattr(owner, name)]
+        assert present == []
+        for fn in (engine.solve_opt, engine.run_mpc,
+                   kkt.measure_gain_tables):
+            params = inspect.signature(fn).parameters
+            assert not {"law", "opt"} & set(params), fn.__name__

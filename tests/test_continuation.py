@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from mpclab import engine, ftocp, kkt, presets
 from mpclab.engine import TerminalRule
-from mpclab.ftocp import FtocpSpec, SingularKKT
+from mpclab.ftocp import SingularKKT
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
                           PredictionStream, TerminalCost)
 
@@ -226,7 +226,7 @@ def test_kkt_residual_matches_dense_saddle_residual(kind):
         b_top.append(terminal.P @ terminal.xbar)
     chi = np.concatenate(primal + list(duals))
     b = np.concatenate(b_top + b_bot)
-    asm = kkt.assemble(FtocpSpec(0, K, z, params, terminal), system)
+    asm = kkt.assemble(system, params, terminal)
     want = float(np.linalg.norm(oracles.saddle_matrix(asm.M, asm.N) @ chi
                                 - b))
     got = law._kkt_residual(0, states, actions, duals)
@@ -242,7 +242,7 @@ def test_pendulum_pinned_windows_match_oracle(k):
     for t in range(0, inst.T - k, 4):
         params = [inst.truth[s] for s in range(t, t + k + 1)]
         terminal = rule.build(inst, t, t + k, params)
-        sol = ftocp.solve(FtocpSpec(t, t + k, z, params, terminal), sys_)
+        sol = ftocp.window_law(sys_, params, terminal, t).solution(0, z)
         so, ao, _ = oracle_continuation(sys_, params, terminal, 0, z, t)
         assert rel_err(sol.states, so) <= 1e-9
         assert rel_err(sol.actions, ao) <= 1e-9
@@ -255,10 +255,10 @@ def test_unreachable_pinned_window_raises(k):
     # reach an arbitrary target
     inst = presets.pendulum(T=10)
     params = [inst.truth[s] for s in range(k + 1)]
-    spec = FtocpSpec(0, k, np.array([0.1, -0.2, 0.05, 0.3]), params,
-                     TerminalCost.indicator(np.array([0.3, 0.0, -0.1, 0.2])))
     with pytest.raises(SingularKKT, match="unreachable"):
-        ftocp.solve(spec, inst.system)
+        ftocp.window_law(inst.system, params, TerminalCost.indicator(
+            np.array([0.3, 0.0, -0.1, 0.2]))).solution(
+                0, np.array([0.1, -0.2, 0.05, 0.3]))
 
 
 RUN_PRESETS = [("tracking-rand", 4), ("disturbance", 4), ("grid", 4),

@@ -74,10 +74,9 @@ class TestTerminalRule:
             self):
         inst = presets.tracking_rand(T=12)
         zero = np.zeros_like(inst.truth)
-        spec = ftocp.FtocpSpec(0, inst.T, inst.x0, zero,
-                               inst.terminal_cost(zero[-1]))
+        law = ftocp.window_law(inst.system, zero, inst.terminal_cost(zero[-1]))
         assert np.array_equal(TerminalRule.reference(inst).reference_states,
-                              ftocp.solve(spec, inst.system).states)
+                              law.solution(0, inst.x0).states)
 
     def test_final_window_uses_instance_terminal(self):
         inst = quiet_instance()
@@ -120,7 +119,7 @@ class TestRunMpc:
         inst = presets.tracking_rand(T=10, seed=6)
         stream = PredictionStream(inst.truth, 10, 0.0)
         opt = engine.solve_opt(inst)
-        run = engine.run_mpc(inst, stream, 10, TerminalRule("true"), opt=opt)
+        run = engine.run_mpc(inst, stream, 10, TerminalRule("true"))
         assert float(run.errors.max()) <= 1e-8
         assert run.total_cost - opt.total_cost <= 1e-7
 
@@ -176,15 +175,18 @@ def pendulum_at_rest(T=10):
     return dataclasses.replace(inst, x0=np.zeros(4))
 
 
-def altered_at(sys_, step, **data):
+def altered_at(sys_, step, off=None, **data):
     """The system ``sys_`` whose step data named in ``data`` take the given
-    values at ``step``."""
+    values at ``step``; with ``off``, only at parameters other than
+    ``off``.  Given the true parameter of the step as ``off``, the truth law
+    builds, and a window that forecasts the step does not."""
 
     def step_map(name):
         fn = getattr(sys_, name)
         if name not in data:
             return fn
-        return lambda t, xi: data[name] if t == step else fn(t, xi)
+        return lambda t, xi: (data[name] if t == step and (
+            off is None or not np.array_equal(xi, off)) else fn(t, xi))
 
     return LinearQuadraticSystem(
         sys_.n, sys_.m, sys_.T,
@@ -193,9 +195,10 @@ def altered_at(sys_, step, **data):
         param_box=sys_.param_box)
 
 
-def dead_step_system(sys_, step):
-    """The system ``sys_`` with R = B = 0 at ``step``."""
-    return altered_at(sys_, step, B=np.zeros((sys_.n, sys_.m)),
+def dead_step_system(sys_, step, off=None):
+    """The system ``sys_`` with R = B = 0 at ``step`` (see ``altered_at``
+    for ``off``)."""
+    return altered_at(sys_, step, off, B=np.zeros((sys_.n, sys_.m)),
                       R=np.zeros((sys_.m, sys_.m)))
 
 
@@ -227,24 +230,30 @@ class TestRunFailures:
         with pytest.raises(ftocp.SingularKKT,
                            match="singular R \\+ B'PB at step 5$"):
             engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
-        # the windows' own batch, with the truth law of the intact system
+        # the windows' own batch: the step is dead only on forecasts, so
+        # the truth law builds and the windows from steps 3 and 4 fail
+        inst = Instance(dead_step_system(base.system, 5, base.truth[5]),
+                        base.truth, np.ones(2))
+        ftocp.truth_law(inst)
         with pytest.raises(ftocp.SingularKKT,
                            match="singular R \\+ B'PB at step 5$"):
-            engine.run_mpc(inst, stream, 3, TerminalRule("zero"),
-                           law=ftocp.truth_law(base))
+            engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
 
     def test_non_finite_gain_names_its_step(self):
         # an infinite cost at step 6 reaches the gain of step 5
+        # (infinite only on forecasts for the windows' own batch, so that
+        # the truth law builds)
         base = quiet_instance(T=10)
-        inst = Instance(altered_at(base.system, 6, Q=np.full((2, 2), np.inf)),
-                        base.truth, np.ones(2))
-        stream = PredictionStream(inst.truth, 3, 0.1, seed=1)
-        for law in (None, ftocp.truth_law(base)):
+        stream = PredictionStream(base.truth, 3, 0.1, seed=1)
+        for off in (None, base.truth[6]):
+            inst = Instance(altered_at(base.system, 6, off,
+                                       Q=np.full((2, 2), np.inf)),
+                            base.truth, np.ones(2))
             with pytest.raises(ftocp.SingularKKT,
                                match="non-finite gain at step 5$"), \
                     np.errstate(invalid="ignore"):
-                engine.run_mpc(inst, stream, 3, TerminalRule("zero"),
-                               law=law)
+                engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
+        ftocp.truth_law(inst)
 
     def test_batch_names_its_earliest_failing_window(self):
         base = quiet_instance(T=10)
@@ -260,22 +269,55 @@ class TestRunFailures:
         assert ei.value.window == 3
 
     def test_earlier_unreachable_pin_fails_before_a_singular_step(self):
-        # the windows over the dead step 8 cannot be built; the window from
-        # step 3 misses its pin first
+        # the windows that forecast the dead step 8 cannot be built (the
+        # truth law can); the window from step 3 misses its pin first
         base = pendulum_at_rest()
-        inst = Instance(dead_step_system(base.system, 8), base.truth,
-                        base.x0)
+        inst = Instance(dead_step_system(base.system, 8, base.truth[8]),
+                        base.truth, base.x0)
+        ftocp.truth_law(inst)
         stream = PredictionStream(inst.truth, 2, 0.1, seed=1)
         with pytest.raises(ftocp.SingularKKT,
                            match="unreachable from step 3:"):
-            engine.run_mpc(inst, stream, 2, pin_at_step_5(inst.T),
-                           law=ftocp.truth_law(base))
+            engine.run_mpc(inst, stream, 2, pin_at_step_5(inst.T))
         # without the pin, the dead step fails the run
         stream = PredictionStream(inst.truth, 4, 0.1, seed=1)
         with pytest.raises(ftocp.SingularKKT,
                            match="singular R \\+ B'PB at step 8$"):
-            engine.run_mpc(inst, stream, 4, TerminalRule("zero"),
-                           law=ftocp.truth_law(base))
+            engine.run_mpc(inst, stream, 4, TerminalRule("zero"))
+
+
+class TestPerInstance:
+    """The truth law and the hindsight optimum are built once per instance
+    and belong to it alone."""
+
+    def test_built_once(self):
+        inst = presets.tracking_rand(T=8)
+        assert ftocp.truth_law(inst) is ftocp.truth_law(inst)
+        assert engine.solve_opt(inst) is engine.solve_opt(inst)
+
+    def test_replaced_instance_gets_its_own_optimum_and_distances(self):
+        inst = presets.tracking_rand(T=8)
+        opt = engine.solve_opt(inst)
+        moved = dataclasses.replace(inst, x0=inst.x0 + 0.5)
+        own = engine.solve_opt(moved)
+        want = ftocp.window_law(moved.system, moved.truth,
+                                moved.terminal_cost()).solution(0, moved.x0)
+        assert ftocp.truth_law(moved) is not ftocp.truth_law(inst)
+        assert np.array_equal(own.states, want.states)
+        assert not np.allclose(own.states, opt.states)
+        stream = PredictionStream(moved.truth, 4, 0.1, seed=1)
+        run = engine.run_mpc(moved, stream, 4, TerminalRule("zero"))
+        assert run.distances[0] == 0.0
+        assert np.allclose(run.distances,
+                           np.linalg.norm(run.states - want.states, axis=1),
+                           rtol=1e-12, atol=0.0)
+
+    def test_optimum_is_read_only(self):
+        opt = engine.solve_opt(presets.inventory_two_sided(T=8))
+        for a in (opt.states, opt.actions, opt.errors, opt.distances,
+                  opt.stage_costs):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestErrorBound:

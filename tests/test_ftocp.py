@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from mpclab import engine, ftocp, presets
-from mpclab.ftocp import FtocpSpec, Infeasible
+from mpclab.ftocp import Infeasible
 from mpclab.model import InventorySystem, PredictionStream, TerminalCost
 
 
@@ -39,7 +39,7 @@ class TestQuadraticSolver:
         z = np.array([0.25, -0.1])
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         term = inst.system.terminal_cost(params[-1])
-        sol = ftocp.solve(FtocpSpec(t1, t2, z, params, term), inst.system)
+        sol = ftocp.window_law(inst.system, params, term, t1).solution(0, z)
         so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                        ("quadratic", term.P, term.xbar))
         assert np.allclose(sol.states, so, atol=1e-8)
@@ -50,9 +50,9 @@ class TestQuadraticSolver:
         z = np.array([-0.2, 0.15])
         target = np.array([0.1, -0.2])
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
-        sol = ftocp.solve(FtocpSpec(t1, t2, z, params,
-                                    TerminalCost.indicator(target)),
-                          inst.system)
+        law = ftocp.window_law(inst.system, params,
+                               TerminalCost.indicator(target), t1)
+        sol = law.solution(0, z)
         so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                        ("indicator", target))
         assert np.allclose(sol.states, so, atol=1e-8)
@@ -63,8 +63,8 @@ class TestQuadraticSolver:
         t1, t2 = 0, 7
         z = np.array([0.3, 0.3])
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
-        sol = ftocp.solve(FtocpSpec(t1, t2, z, params, TerminalCost.zero(2)),
-                          inst.system)
+        sol = ftocp.window_law(inst.system, params, TerminalCost.zero(2),
+                               t1).solution(0, z)
         so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                           ("zero",))
         assert np.allclose(sol.states, so, atol=1e-8)
@@ -74,8 +74,8 @@ class TestQuadraticSolver:
         t1, t2 = 1, 11
         params, *_ = window_data(inst, t1, t2)
         term = inst.system.terminal_cost(params[-1])
-        sol = ftocp.solve(FtocpSpec(t1, t2, np.zeros(2), params, term),
-                          inst.system)
+        sol = ftocp.window_law(inst.system, params, term,
+                               t1).solution(0, np.zeros(2))
         assert sol.kkt_residual <= 1e-8
         residual = max(
             np.linalg.norm(sol.states[i + 1] - inst.system.dynamics(
@@ -88,7 +88,7 @@ class TestQuadraticSolver:
         z = np.array([0.1, 0.2])
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         term = inst.system.terminal_cost(params[-1])
-        sol = ftocp.solve(FtocpSpec(t1, t2, z, params, term), inst.system)
+        sol = ftocp.window_law(inst.system, params, term, t1).solution(0, z)
         val = term.value(sol.states[-1])
         for i in range(t2 - t1):
             d = sol.states[i] - xbars[i]
@@ -101,14 +101,13 @@ class TestQuadraticSolver:
         z = np.array([0.3, -0.3])
         params, *_ = window_data(inst, t1, t2)
         quad = inst.system.terminal_cost(params[-1])  # minimized at the origin
-        v_zero = ftocp.solve(FtocpSpec(t1, t2, z, params,
-                                       TerminalCost.zero(2)),
-                             inst.system).value
-        v_quad = ftocp.solve(FtocpSpec(t1, t2, z, params, quad),
-                             inst.system).value
-        v_pin = ftocp.solve(FtocpSpec(t1, t2, z, params,
-                                      TerminalCost.indicator(quad.xbar)),
-                            inst.system).value
+        v_zero = ftocp.window_law(inst.system, params, TerminalCost.zero(2),
+                                  t1).solution(0, z).value
+        v_quad = ftocp.window_law(inst.system, params, quad,
+                                  t1).solution(0, z).value
+        v_pin = ftocp.window_law(inst.system, params,
+                                 TerminalCost.indicator(quad.xbar),
+                                 t1).solution(0, z).value
         assert v_zero <= v_quad + 1e-12
         assert v_quad <= v_pin + 1e-12
 
@@ -116,29 +115,35 @@ class TestQuadraticSolver:
         inst = presets.tracking_rand(T=10, seed=2)
         params, *_ = window_data(inst, 0, 10)
         term = inst.terminal_cost()
-        full = ftocp.solve(FtocpSpec(0, 10, inst.x0, params, term),
-                           inst.system)
+        full = ftocp.window_law(inst.system, params, term).solution(0, inst.x0)
         t = 4
-        tail = ftocp.solve(FtocpSpec(t, 10, full.states[t], params[t:], term),
-                           inst.system)
+        tail = ftocp.window_law(inst.system, params[t:], term,
+                                t).solution(0, full.states[t])
         assert np.allclose(tail.states, full.states[t:], atol=1e-7)
         assert np.allclose(tail.actions, full.actions[t:], atol=1e-7)
 
     def test_determinism(self, inst):
         params, *_ = window_data(inst, 0, 6)
-        spec = FtocpSpec(0, 6, np.array([0.1, 0.1]), params,
-                         TerminalCost.zero(2))
-        a = ftocp.solve(spec, inst.system)
-        b = ftocp.solve(spec, inst.system)
+        law = ftocp.window_law(inst.system, params, TerminalCost.zero(2))
+        a = law.solution(0, np.array([0.1, 0.1]))
+        b = law.solution(0, np.array([0.1, 0.1]))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.duals, b.duals)
+
+    @pytest.mark.parametrize("params, t1", [
+        ([np.zeros(1)] * 3, -1), ([], 0)], ids=["negative-start", "no-step"])
+    def test_window_law_rejects_a_window_without_steps(self, inst, params,
+                                                       t1):
+        # as a window t1 .. t2 needs 0 <= t1 <= t2
+        with pytest.raises(ValueError):
+            ftocp.window_law(inst.system, params, TerminalCost.zero(2), t1)
 
     def test_empty_window(self, inst):
         z = np.array([0.4, -0.4])
         params = [inst.truth[5]]
         term = inst.system.terminal_cost(params[-1])
-        sol = ftocp.solve(FtocpSpec(5, 5, z, params, term), inst.system)
+        sol = ftocp.window_law(inst.system, params, term, 5).solution(0, z)
         assert sol.states.shape == (1, 2)
         assert sol.actions.shape == (0, 1)
         assert sol.value == pytest.approx(term.value(z))
@@ -150,8 +155,8 @@ class TestChainSolver:
         targets = ALTERNATING(T)
         system = InventorySystem(T=T, targets=targets)
         params = [np.array([v]) for v in targets]
-        sol = ftocp.solve(FtocpSpec(0, T, np.array([0.1]), params,
-                                    TerminalCost.indicator([-0.4])), system)
+        sol = ftocp.window_law(system, params, TerminalCost.indicator(
+            [-0.4])).solution(0, np.array([0.1]))
         xo = oracles.inventory_oracle(0.1, targets[:T], -0.4, -0.8, 0.8)
         assert np.allclose(sol.states[:, 0], xo, atol=1e-6)
 
@@ -161,8 +166,8 @@ class TestChainSolver:
         system = InventorySystem(T=T, targets=targets, u_hi=None,
                                  action_weight=1.5)
         params = [np.array([v]) for v in targets]
-        sol = ftocp.solve(FtocpSpec(0, T, np.array([0.0]), params,
-                                    TerminalCost.indicator([-0.4])), system)
+        sol = ftocp.window_law(system, params, TerminalCost.indicator(
+            [-0.4])).solution(0, np.array([0.0]))
         xo = oracles.inventory_oracle(0.0, targets[:T], -0.4, -0.8, None,
                                       action_weight=1.5)
         assert np.allclose(sol.states[:, 0], xo, atol=1e-6)
@@ -187,8 +192,8 @@ class TestChainSolver:
             bounds=model.Bounds(mu=0.5, ell=1.0, a=1.0, b=1.0),
             param_box=model.ParamBox(np.array([-1.0]), np.array([1.0])))
         pin = TerminalCost.indicator([-0.4])
-        a = ftocp.solve(FtocpSpec(0, T, np.array([0.2]), params, pin), chain)
-        b = ftocp.solve(FtocpSpec(0, T, np.array([0.2]), params, pin), lq)
+        a = ftocp.window_law(chain, params, pin).solution(0, np.array([0.2]))
+        b = ftocp.window_law(lq, params, pin).solution(0, np.array([0.2]))
         assert np.allclose(a.states, b.states, atol=1e-8)
 
     def test_last_small_step_is_taken(self):
@@ -197,8 +202,8 @@ class TestChainSolver:
         targets = np.array([0.0, 0.0, 9e-10, 0.0, 0.0])
         system = InventorySystem(T=4, targets=targets)
         params = [np.array([v]) for v in targets]
-        sol = ftocp.solve(FtocpSpec(0, 4, np.zeros(1), params,
-                                    TerminalCost.indicator([0.0])), system)
+        sol = ftocp.window_law(system, params, TerminalCost.indicator(
+            [0.0])).solution(0, np.zeros(1))
         assert sol.states[2, 0] == pytest.approx(9e-10, rel=1e-9)
         assert sol.kkt_residual <= 1e-15
 
@@ -207,24 +212,24 @@ class TestChainSolver:
                                  x_hi=2.0)
         params = [np.zeros(1)] * 2
         with pytest.raises(Infeasible) as ei:
-            ftocp.solve(FtocpSpec(0, 1, np.array([0.0]), params,
-                                  TerminalCost.indicator([1.5])), system)
+            ftocp.window_law(system, params, TerminalCost.indicator(
+                [1.5])).solution(0, np.array([0.0]))
         assert ei.value.step == 0
 
     def test_endpoint_outside_state_interval(self):
         system = InventorySystem(T=3, targets=np.zeros(4))
         params = [np.zeros(1)] * 4
         with pytest.raises(Infeasible):
-            ftocp.solve(FtocpSpec(0, 3, np.array([0.0]), params,
-                                  TerminalCost.indicator([-1.5])), system)
+            ftocp.window_law(system, params, TerminalCost.indicator(
+                [-1.5])).solution(0, np.array([0.0]))
 
     def test_empty_window_needs_matching_state(self):
         system = InventorySystem(T=4, targets=np.zeros(5))
         with pytest.raises(Infeasible):
-            ftocp.solve(FtocpSpec(2, 2, np.array([0.3]), [np.zeros(1)],
-                                  TerminalCost.indicator([0.0])), system)
-        sol = ftocp.solve(FtocpSpec(2, 2, np.array([0.0]), [np.zeros(1)],
-                                    TerminalCost.indicator([0.0])), system)
+            ftocp.window_law(system, [np.zeros(1)], TerminalCost.indicator(
+                [0.0]), 2).solution(0, np.array([0.3]))
+        sol = ftocp.window_law(system, [np.zeros(1)], TerminalCost.indicator(
+            [0.0]), 2).solution(0, np.array([0.0]))
         assert sol.states.shape == (1, 1)
 
     @pytest.mark.parametrize("targets, z, pin, states, on_bounds, kw", [
@@ -250,8 +255,8 @@ class TestChainSolver:
                                            on_bounds, kw):
         system = InventorySystem(T=len(targets) - 1, targets=targets, **kw)
         params = [np.array([v]) for v in targets]
-        sol = ftocp.solve(FtocpSpec(0, system.T, np.array([z]), params,
-                                    TerminalCost.indicator([pin])), system)
+        sol = ftocp.window_law(system, params, TerminalCost.indicator(
+            [pin])).solution(0, np.array([z]))
         assert np.array_equal(sol.states[on_bounds, 0],
                               np.array(states)[on_bounds])
         assert np.allclose(sol.states[:, 0], states, rtol=0.0, atol=1e-15)
@@ -265,8 +270,9 @@ class TestChainSolver:
         z = 0.3
         pin = float(np.nextafter(z - 0.8, -np.inf))
         system = InventorySystem(T=1, targets=np.zeros(2))
-        sol = ftocp.solve(FtocpSpec(0, 1, np.array([z]), [np.zeros(1)] * 2,
-                                    TerminalCost.indicator([pin])), system)
+        sol = ftocp.window_law(system, [np.zeros(1)] * 2,
+                               TerminalCost.indicator([pin])).solution(
+                                   0, np.array([z]))
         assert sol.states[-1, 0] == pin
 
     def test_kkt_residual_flags_a_perturbed_state(self):
@@ -288,9 +294,8 @@ class TestChainSolver:
     def test_requires_pinned_terminal(self):
         system = InventorySystem(T=3, targets=np.zeros(4))
         with pytest.raises(ValueError):
-            ftocp.solve_inventory(
-                FtocpSpec(0, 3, np.zeros(1), [np.zeros(1)] * 4,
-                          TerminalCost.zero(1)), system)
+            ftocp.window_law(system, [np.zeros(1)] * 4,
+                             TerminalCost.zero(1)).solution(0, np.zeros(1))
 
 
 # values at which the chain's state and action bounds tie with a target
@@ -315,8 +320,8 @@ def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
     system = InventorySystem(T=K, targets=targets, u_lo=u_lo, u_hi=u_hi,
                              action_weight=action_weight)
     params = [np.array([v]) for v in targets]
-    sol = ftocp.solve(FtocpSpec(0, K, np.array([z]), params,
-                                TerminalCost.indicator([target])), system)
+    sol = ftocp.window_law(system, params, TerminalCost.indicator(
+        [target])).solution(0, np.array([z]))
     xo = oracles.inventory_oracle(z, targets[:K], target, u_lo, u_hi,
                                   action_weight=action_weight)
     assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
@@ -338,7 +343,7 @@ class TestClairvoyant:
         inst = presets.build_preset(name)
         sys, T = inst.system, inst.T
         law = ftocp.truth_law(inst)
-        opt = engine.solve_opt(inst, law)
+        opt = engine.solve_opt(inst)
         terminal = float(inst.terminal_param[0])
         for t in range(0, T - 1, 3):
             x = opt.states[t]
@@ -355,7 +360,7 @@ class TestClairvoyant:
         inst = presets.build_preset(name, T=40)
         sys, T = inst.system, inst.T
         law = ftocp.truth_law(inst)
-        opt = engine.solve_opt(inst, law)
+        opt = engine.solve_opt(inst)
         terminal = float(inst.terminal_param[0])
         rng = np.random.default_rng(3)
         for t in (1, 14, 27, 35):

@@ -1,6 +1,8 @@
 """Measured gain tables (implicit differentiation of each window's saddle
 system) versus finite differences of the independent null-space oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -12,6 +14,7 @@ from mpclab.engine import TerminalRule
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
                           TerminalCost)
 from test_continuation import oracle_continuation
+from test_engine import dead_step_system
 
 # The oracle's null-space solve of a nearly unreachable pendulum pin loses
 # about eight digits, so its central differences take a step where that
@@ -209,9 +212,21 @@ def test_one_law_per_window(monkeypatch):
     calls.clear()
     kkt.measure_gain_tables(inst, 8, TerminalRule("predicted_tracking"),
                             opt.states, R=max(opt.max_state_norm, 1.0))
-    # the batch of the full windows, and the truth law that the tail
-    # windows are read from
-    assert len(calls) == 2
+    # the batch of the full windows; the truth law that the tail windows
+    # are read from was built once, by the hindsight optimum
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_tail_windows_are_the_instances_own(k):
+    # under the "true" rule only the tail windows [t, T], read from the
+    # instance's truth law, contain the dead step 9
+    base = presets.tracking_rand(T=10)
+    inst = dataclasses.replace(base, system=dead_step_system(base.system, 9))
+    with pytest.raises(ftocp.SingularKKT,
+                       match="singular R \\+ B'PB at step 9$"):
+        kkt.measure_gain_tables(inst, k, TerminalRule("true"),
+                                engine.solve_opt(base).states, R=1.0)
 
 
 @pytest.mark.parametrize("name,mode,basis", [

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
-from mpclab.ftocp import FtocpSpec
 from mpclab.model import Bounds, TerminalCost
 
 
@@ -29,8 +28,7 @@ def tracking_assembly(T=12, seed=5, terminal="quadratic", K=None, n=2, m=1):
         term = inst.system.terminal_cost(params[-1])
     else:
         term = TerminalCost.indicator(np.zeros(n))
-    spec = FtocpSpec(0, K, np.zeros(n), params, term)
-    return inst, kkt.assemble(spec, inst.system)
+    return inst, kkt.assemble(inst.system, params, term)
 
 
 def dense_block_norms(asm):
@@ -158,9 +156,7 @@ def full_window_saddle(name, T):
     """The closed-form decay constants of a preset instance and the
     singular values of the dense saddle matrix of its full window."""
     inst = presets.build_preset(name, T=T)
-    spec = FtocpSpec(0, T, np.zeros(inst.system.n), inst.truth,
-                     inst.terminal_cost())
-    asm = kkt.assemble(spec, inst.system)
+    asm = kkt.assemble(inst.system, inst.truth, inst.terminal_cost())
     consts = kkt.tracking_decay_constants(inst.system.bounds,
                                           kkt.measured_sigma(inst))
     sv = np.linalg.svd(oracles.saddle_matrix(asm.M, asm.N), compute_uv=False)

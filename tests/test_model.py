@@ -245,6 +245,24 @@ class TestInstances:
         caller[2][0] = 7.0   # the instance holds its own copy
         assert inst.truth[2, 0] == pytest.approx(0.2)
 
+    def test_initial_state_and_terminal_pin_are_read_only(self):
+        x0 = np.zeros(1)
+        inst = presets.inventory_two_sided(T=8)
+        inst = Instance(inst.system, inst.truth, x0,
+                        terminal_param=inst.terminal_param)
+        x0[0] = 0.5   # the instance holds its own copy
+        assert inst.x0[0] == 0.0
+        with pytest.raises(ValueError):
+            inst.x0[0] = 1.0
+        with pytest.raises(ValueError):
+            inst.terminal_param[0] = 1.0
+
+    def test_instances_are_hashed_by_identity(self):
+        inst = Instance(const_system(T=4), np.zeros((5, 1)), np.zeros(1))
+        twin = Instance(inst.system, inst.truth, inst.x0)
+        assert inst != twin and inst == inst
+        assert len({inst, twin, inst}) == 2
+
     def test_truth_needs_one_row_per_step(self):
         with pytest.raises(ModelError):
             Instance(const_system(T=4), np.zeros((4, 1)), np.zeros(1))

@@ -32,9 +32,8 @@ def inventory_sensitivity_profile(p, one_sided):
     step = 1e-5
 
     def states_at(target):
-        sol = ftocp.solve(ftocp.FtocpSpec(
-            0, p, np.zeros(1), params,
-            TerminalCost.indicator(np.array([target]))), system)
+        sol = ftocp.window_law(system, params, TerminalCost.indicator(
+            np.array([target]))).solution(0, np.zeros(1))
         return sol.states[:, 0]
 
     sens = np.abs(states_at(base + step) - states_at(base)) / step

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mpclab import cli, engine, presets, regret
+from mpclab import engine, presets, regret
 from mpclab.engine import TerminalRule
 from mpclab.model import PredictionStream
 
@@ -42,7 +42,7 @@ class TestRegretInequalities:
         inst = presets.tracking_rand(T=8, seed=2)
         opt = engine.solve_opt(inst)
         stream = PredictionStream(inst.truth, 8, 0.0)
-        run = engine.run_mpc(inst, stream, 8, TerminalRule("true"), opt=opt)
+        run = engine.run_mpc(inst, stream, 8, TerminalRule("true"))
         rep = regret.regret_inequalities(
             run, opt, ell=2.0, L_g=inst.system.lipschitz_dynamics(),
             C3=1.0, gain_init=np.ones(9))
@@ -53,7 +53,7 @@ class TestRegretInequalities:
         inst = presets.tracking_rand(T=8, seed=2)
         opt = engine.solve_opt(inst)
         stream = PredictionStream(inst.truth, 8, 0.0)
-        run = engine.run_mpc(inst, stream, 8, TerminalRule("true"), opt=opt)
+        run = engine.run_mpc(inst, stream, 8, TerminalRule("true"))
         ell, L_g, C3 = 2.0, 1.5, 1.3
         rep = regret.regret_inequalities(run, opt, ell, L_g, C3, np.ones(9))
         assert rep.constant_c == pytest.approx(
@@ -151,22 +151,3 @@ class TestSweeps:
         assert np.all(np.diff(res.regrets) > 0.0)
         assert res.slope > 0.0
         assert res.log_x
-
-    def test_noise_sweep_admission_exclusion(self):
-        inst = presets.disturbance(T=20, seed=0)
-        admission = {"gain_state": np.zeros(6), "gain_param": np.ones(6),
-                     "R": 1e-6, "C3": 1.0, "D_xstar": 0.0, "L_g": 1.0}
-        res = regret.sweep_noise(inst,
-                                 lambda t, tau: 1.0 if tau > 0 else 0.0,
-                                 [0.1, 0.2], 5, TerminalRule("zero"),
-                                 admission=admission)
-        assert set(res.excluded) == {0.1, 0.2}
-
-    def test_sweep_csv_marks_exclusions(self):
-        res = regret.SweepResult("noise_scale", np.array([0.1, 0.2]),
-                                 np.array([1.0, 2.0]), 1.0, 0.0, 1.0,
-                                 [0.2], log_x=True)
-        lines = cli._sweep_body(res, ["h"]).strip().split("\n")
-        assert lines[1] == "noise_scale,regret,excluded"
-        assert lines[2].endswith(",0")
-        assert lines[3].endswith(",1")
