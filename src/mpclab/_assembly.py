@@ -42,6 +42,22 @@ class WindowMatrices:
     n: int
     m: int
 
+    @classmethod
+    def stack(cls, system, steps: Array, params: Array,
+              terminal: TerminalCost) -> "WindowMatrices":
+        """Step data of every entry of ``steps``, on the parameter of the
+        same index in ``params``; each array carries the shape of ``steps``
+        in front.  One ``system.step_data`` call per entry."""
+        n, m = system.n, system.m
+        data = [np.empty(steps.shape + s)
+                for s in ((n, n), (n, m), (n,), (n, n), (m, m), (n,))]
+        A, B, w, Q, R, xbar = (a.reshape((steps.size,) + a.shape[steps.ndim:])
+                               for a in data)
+        flat = params.reshape(steps.size, params.shape[-1])
+        for i, (t, xi) in enumerate(zip(steps.ravel().tolist(), flat)):
+            A[i], B[i], w[i], Q[i], R[i], xbar[i] = system.step_data(t, xi)
+        return cls(*data, terminal, n, m)
+
     @property
     def K(self) -> int:
         return self.A.shape[-3]

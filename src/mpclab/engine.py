@@ -89,7 +89,7 @@ class TerminalRule:
         return TerminalCost.indicator(self.reference_states[t2])
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class TrajectoryRecord:
     """One closed-loop run (or the hindsight-optimal run)."""
 

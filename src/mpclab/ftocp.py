@@ -62,23 +62,8 @@ class FtocpSolution:
 
 
 # ---------------------------------------------------------------------------
-# step data and stacked linear algebra
+# stacked linear algebra
 # ---------------------------------------------------------------------------
-
-def _step_data(system, steps: Array, params: Array) -> list:
-    """Step data (A, B, w, Q, R, xbar) of every entry of ``steps``, on the
-    parameter of the same index in ``params``; each array carries the shape
-    of ``steps`` in front.  One ``system.step_data`` call per entry."""
-    n, m = system.n, system.m
-    data = [np.empty(steps.shape + s)
-            for s in ((n, n), (n, m), (n,), (n, n), (m, m), (n,))]
-    A, B, w, Q, R, xbar = (a.reshape((steps.size,) + a.shape[steps.ndim:])
-                           for a in data)
-    flat = params.reshape(steps.size, params.shape[-1])
-    for i, (t, xi) in enumerate(zip(steps.ravel().tolist(), flat)):
-        A[i], B[i], w[i], Q[i], R[i], xbar[i] = system.step_data(t, xi)
-    return data
-
 
 def _lq_value(Q: Array, R: Array, xbar: Array, terminal: TerminalCost,
               states: Array, actions: Array) -> float:
@@ -337,9 +322,8 @@ def continuation_law(system, params: Sequence,
     else:
         terminal = TerminalCost.quadratic([term.P for term in terminals],
                                           [term.xbar for term in terminals])
-    wm = _assembly.WindowMatrices(
-        *_step_data(system, t1[:, None] + np.arange(T), params[:, :T]),
-        terminal, n, m)
+    wm = _assembly.WindowMatrices.stack(
+        system, t1[:, None] + np.arange(T), params[:, :T], terminal)
     d = 2 * n + 1 if pin else n + 1
     # lifted dynamics s_{t+1} = F_t (s_t, u_t) and stage cost
     # (s_t, u_t)'C_t (s_t, u_t)

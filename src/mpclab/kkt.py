@@ -17,15 +17,13 @@ Array = np.ndarray
 KktAssembly = _assembly.KktAssembly
 
 
-def assemble(system, params, terminal: TerminalCost,
-             t1: int = 0) -> KktAssembly:
-    """Assembled saddle matrix of the window on the steps t1 .. t1 + K,
+def assemble(system, params, terminal: TerminalCost) -> KktAssembly:
+    """Assembled saddle matrix of the window on the steps 0 .. K,
     K = len(params) - 1, as ``ftocp.window_law`` reads its arguments."""
     params = np.asarray(params, float)
     K = len(params) - 1
-    return _assembly.assemble_window(_assembly.WindowMatrices(
-        *ftocp._step_data(system, t1 + np.arange(K), params[:K]), terminal,
-        system.n, system.m))
+    return _assembly.assemble_window(_assembly.WindowMatrices.stack(
+        system, np.arange(K), params[:K], terminal))
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,11 @@ class TestQuadraticSolver:
 
     def test_determinism(self, inst):
         params, *_ = window_data(inst, 0, 6)
-        law = ftocp.window_law(inst.system, params, TerminalCost.zero(2))
-        a = law.solution(0, np.array([0.1, 0.1]))
-        b = law.solution(0, np.array([0.1, 0.1]))
+        z = np.array([0.1, 0.1])
+        a = ftocp.window_law(inst.system, params,
+                             TerminalCost.zero(2)).solution(0, z)
+        b = ftocp.window_law(inst.system, params,
+                             TerminalCost.zero(2)).solution(0, z)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.duals, b.duals)
