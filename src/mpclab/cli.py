@@ -135,6 +135,13 @@ def _sweep_body(res: regret.SweepResult, headers: list[str]) -> str:
                      zip(res.values, res.regrets), headers)
 
 
+def _fit_text(res: regret.SweepResult) -> str:
+    """The sweep's fit for stdout: ``none`` where nothing was fitted."""
+    slope, r2 = ("none" if v is None else f"{v:.6g}"
+                 for v in (res.slope, res.r2))
+    return f"slope={slope} r2={r2}"
+
+
 def _solver_errors(fn):
     """Report a numerical failure of any solver as exit 3 with a message."""
     @functools.wraps(fn)
@@ -238,7 +245,7 @@ def sweep_horizon(preset, instance_file, T, seed, out, k_max):
     _write(out, "sweep_horizon.csv", _sweep_body(res, hdr))
     _write(out, "sweep_horizon.json", _json_body(
         {"slope": res.slope, "r2": res.r2}, hdr))
-    click.echo(f"slope={res.slope:.6g} r2={res.r2:.6g}")
+    click.echo(_fit_text(res))
 
 
 @main.command("sweep-noise")
@@ -265,7 +272,7 @@ def sweep_noise(preset, instance_file, T, seed, out, k, noise_scale):
     _write(out, "sweep_noise.csv", _sweep_body(res, hdr))
     _write(out, "sweep_noise.json", _json_body(
         {"slope": res.slope, "r2": res.r2}, hdr))
-    click.echo(f"loglog_slope={res.slope:.6g} r2={res.r2:.6g}")
+    click.echo(f"loglog_{_fit_text(res)}")
 
 
 @main.command("certify-decay")

@@ -30,12 +30,14 @@ def assemble(system, params, terminal: TerminalCost) -> KktAssembly:
 # decay fits
 # ---------------------------------------------------------------------------
 
-def loglinear_fit(x: Array, y: Array) -> tuple[float, float, float]:
-    """Least-squares fit of log(y) against x; returns (slope, intercept, r2)."""
+def loglinear_fit(x: Array, y: Array) -> tuple[float, float, float] | None:
+    """Least-squares fit of log(y) against x; returns (slope, intercept,
+    r2), or None for fewer than two points, through which no line is
+    fitted."""
     x = np.asarray(x, float)
-    ly = np.log(np.asarray(y, float))
     if x.size < 2:
-        return 0.0, float(ly[0]) if x.size else 0.0, 1.0
+        return None
+    ly = np.log(np.asarray(y, float))
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     pred = A @ coef
@@ -51,7 +53,7 @@ class DecayFit:
 
     C: float
     lam: float
-    r2: float
+    r2: float | None   # None when the rate was not fitted
     offsets: Array
     profile: Array
 
@@ -67,7 +69,8 @@ def fit_decay(offsets: Array, maxima: Array, floor: float = 1e-300) -> DecayFit:
 
     The rate comes from a log-linear least-squares fit; the coefficient is then
     inflated so the envelope dominates every measured value.  A profile that is
-    zero beyond offset 0 reports rate 0.
+    zero beyond offset 0 reports rate 0; one whose only positive value lies
+    beyond offset 0 fits no rate and reports the flat envelope, rate 1.
     """
     offsets = np.asarray(offsets, float)
     maxima = np.asarray(maxima, float)
@@ -75,7 +78,8 @@ def fit_decay(offsets: Array, maxima: Array, floor: float = 1e-300) -> DecayFit:
     if not np.any(pos[offsets > 0]):
         C = float(maxima.max(initial=0.0))
         return DecayFit(C, 0.0, 1.0, offsets, maxima)
-    slope, _, r2 = loglinear_fit(offsets[pos], maxima[pos])
+    fitted = loglinear_fit(offsets[pos], maxima[pos])
+    slope, r2 = (0.0, None) if fitted is None else (fitted[0], fitted[2])
     lam = float(np.exp(min(slope, 0.0)))
     lam = min(lam, 1.0 - 1e-12) if lam < 1.0 else lam
     with np.errstate(divide="ignore"):
@@ -107,11 +111,20 @@ def block_inverse_profile(asm: KktAssembly):
     blocks E_i, read from M, N and the permutation.  A forward elimination
     gives the pivots Delta_0 = D_0, Delta_{i+1} = D_{i+1} - E_i' Delta_i^{-1}
     E_i and C_i = -Delta_i^{-1} E_i; then G_ii = Delta_i^{-1} + C_i G_{i+1,
-    i+1} C_i' and G_{i,j} = C_i G_{i+1,j} for j > i, so each offset is one
-    batched product with the previous one, and G is symmetric.  The
-    elimination runs forward because the hat variant's last block is the
+    i+1} C_i' and G_{i,j} = C_i G_{i+1,j} for j > i, and G is symmetric.
+    The elimination runs forward because the hat variant's last block is the
     zero multiplier block.  Blocks are held as b x b tiles, the last one
     zero-padded, which leaves spectral norms unchanged.
+
+    Block i + 1 couples to block i only through its n multipliers mu_{i+1}
+    (the tile positions whose permuted index is a constraint row), so C_i
+    is zero outside the columns mu_{i+1} and G_{i,j} = C_i[:, mu_{i+1}]
+    Y_{i+1,j} for the n x b multiplier rows Y_{i,j} = G_{i,j}[mu_i, :].
+    These obey Y_{i,j} = C_i[mu_i, mu_{i+1}] Y_{i+1,j}, one batched n x n
+    product per offset.  With R_i the triangular factor of C_i[:, mu_{i+1}],
+    ||G_{i,j}|| = ||R_i Y_{i+1,j}||, the square root of the largest
+    eigenvalue of an n x n Gram; each tile is divided by its largest entry
+    first, so far blocks whose squares would underflow keep their norms.
 
     Returns (norms matrix indexed by block pair, per-offset maxima, DecayFit).
     Raises SingularKKT when a pivot is singular, or when the blocks miss the
@@ -119,12 +132,16 @@ def block_inverse_profile(asm: KktAssembly):
     matrix singular to rounding, such as an unreachable pin).
     """
     sizes = [s.stop - s.start for s in asm.block_slices]
-    nb, b = len(sizes), max(sizes)
+    nb, b, n = len(sizes), max(sizes), asm.n
     real = np.arange(b) < np.array(sizes)[:, None]
     idx = np.full((nb, b), -1)
     idx[real] = asm.perm    # the blocks partition the permutation in order
     D = _saddle_entries(asm.M, asm.N, idx[:, :, None], idx[:, None, :])
     E = _saddle_entries(asm.M, asm.N, idx[:-1, :, None], idx[1:, None, :])
+    mu = idx >= asm.M.shape[0]
+    if np.any(mu.sum(axis=1) != n) or np.any(E * ~mu[1:, None, :]):
+        raise ValueError("saddle blocks couple outside the multipliers")
+    mu_cols = np.nonzero(mu)[1].reshape(nb, n)
     diag = np.zeros((nb, b, b))   # Delta_i^{-1}; G_ii after the backward pass
     C = np.zeros((nb - 1, b, b))
     pivot = D[0]
@@ -148,13 +165,22 @@ def block_inverse_profile(asm: KktAssembly):
     if not worst <= 1e-6:
         raise ftocp.SingularKKT(
             f"saddle matrix singular to rounding: residual {worst:.3g}")
+    C_mu = np.take_along_axis(C, mu_cols[1:, None, :], axis=2)
+    R = np.linalg.qr(C_mu, mode="r")
+    step = np.take_along_axis(C_mu, mu_cols[:-1, :, None], axis=1)
+    Y = np.take_along_axis(diag, mu_cols[:, :, None], axis=1)[1:]
     norms = np.zeros((nb, nb))
     maxima = np.zeros(nb)
-    G = diag
     for off in range(nb):
-        if off:
-            G = C[:nb - off] @ G[1:]   # G_{i,i+off} = C_i G_{i+1,i+off}
-        vals = np.linalg.norm(G, 2, axis=(-2, -1))
+        if off == 0:
+            vals = np.linalg.norm(diag, 2, axis=(-2, -1))
+        else:   # Y[i] = Y_{i+1,i+off}
+            tile = R[:nb - off] @ Y
+            top = np.abs(tile).max(axis=(-2, -1), keepdims=True)
+            tile /= np.where(top > 0.0, top, 1.0)
+            gram = tile @ tile.swapaxes(-1, -2)
+            vals = top[:, 0, 0] * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+            Y = step[1:nb - off] @ Y[1:]
         i = np.arange(nb - off)
         norms[i, i + off] = norms[i + off, i] = vals
         maxima[off] = vals.max()

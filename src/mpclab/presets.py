@@ -16,9 +16,12 @@ from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
 Array = np.ndarray
 
 
-def _scaled(rng: np.random.Generator, shape, norm: float) -> Array:
-    M = rng.normal(size=shape)
-    return M * (norm / np.linalg.norm(M, 2))
+def _scaled(rng: np.random.Generator, count: int, shape,
+            norm: float) -> Array:
+    """``count`` normal draws of ``shape``, each scaled to spectral norm
+    ``norm``."""
+    M = rng.normal(size=(count,) + shape)
+    return M * (norm / np.linalg.norm(M, 2, axis=(-2, -1)))[:, None, None]
 
 
 def _unit_vec(rng: np.random.Generator, d: int) -> Array:
@@ -26,11 +29,18 @@ def _unit_vec(rng: np.random.Generator, d: int) -> Array:
     return v / np.linalg.norm(v)
 
 
-def _random_spd(rng: np.random.Generator, d: int, lo: float,
+def _random_spd(rng: np.random.Generator, count: int, d: int, lo: float,
                 hi: float) -> Array:
-    Qo, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    eigs = rng.uniform(lo, hi, size=d)
-    return Qo @ np.diag(eigs) @ Qo.T
+    """``count`` symmetric d x d matrices with eigenvalues drawn from
+    [lo, hi]: per matrix, a normal d x d draw for the eigenvectors (the Q
+    of its QR factorization), then d uniform eigenvalues."""
+    G = np.empty((count, d, d))
+    eigs = np.empty((count, d))
+    for i in range(count):
+        G[i] = rng.normal(size=(d, d))
+        eigs[i] = rng.uniform(lo, hi, size=d)
+    Qo, _ = np.linalg.qr(G)
+    return Qo @ (eigs[:, None, :] * np.eye(d)) @ Qo.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +52,13 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
     """Random controllable tracking instance: every per-step map depends
     Lipschitz-continuously on a scalar parameter in [0, 1]."""
     rng = np.random.default_rng(seed)
-    A0 = [_scaled(rng, (n, n), 0.8) for _ in range(T)]
-    Ad = [_scaled(rng, (n, n), 1.0) for _ in range(T)]
-    B0 = [_scaled(rng, (n, m), 0.8) for _ in range(T)]
-    Bd = [_scaled(rng, (n, m), 1.0) for _ in range(T)]
-    Qs = [_random_spd(rng, n, 0.5, 2.0) for _ in range(T)]
-    Rs = [_random_spd(rng, m, 0.5, 2.0) for _ in range(T)]
-    PT = _random_spd(rng, n, 0.5, 2.0)
+    A0 = _scaled(rng, T, (n, n), 0.8)
+    Ad = _scaled(rng, T, (n, n), 1.0)
+    B0 = _scaled(rng, T, (n, m), 0.8)
+    Bd = _scaled(rng, T, (n, m), 1.0)
+    Qs = _random_spd(rng, T, n, 0.5, 2.0)
+    Rs = _random_spd(rng, T, m, 0.5, 2.0)
+    PT = _random_spd(rng, 1, n, 0.5, 2.0)[0]
     wd = [_unit_vec(rng, n) for _ in range(T)]
     xd = [_unit_vec(rng, n) for _ in range(T)]
 

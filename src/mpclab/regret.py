@@ -87,21 +87,25 @@ def aggregate_E(k: int, gain_state: Array, gain_param: Array,
 
 @dataclasses.dataclass
 class SweepResult:
+    """Regrets of a sweep and the log-linear fit of those above
+    REGRET_FLOOR: slope, intercept and r2 are None when fewer than two
+    are, since no line is fitted."""
+
     variable: str
     values: Array
     regrets: Array
-    slope: float
-    intercept: float
-    r2: float
+    slope: float | None
+    intercept: float | None
+    r2: float | None
     log_x: bool = False
 
 
 def _fit_positive(xs: Array, regrets: Array, log_x: bool):
+    """(slope, intercept, r2) of log(regret) against x (or log x) over the
+    regrets above REGRET_FLOOR; all None when fewer than two are."""
     mask = regrets > REGRET_FLOOR
-    if mask.sum() < 2:
-        return 0.0, 0.0, 1.0
     x = np.log(xs[mask]) if log_x else xs[mask]
-    return kkt.loglinear_fit(x, regrets[mask])
+    return kkt.loglinear_fit(x, regrets[mask]) or (None, None, None)
 
 
 def _sweep_regrets(instance: Instance, points, rule: engine.TerminalRule,

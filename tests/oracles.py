@@ -202,6 +202,52 @@ def init_state_gains(closed, gains):
     return out
 
 
+def tracking_rand_data(T, seed, n, m):
+    """The random data of the tracking-rand preset, drawn one matrix at a
+    time in the preset's order: T nominal and T deviation A's (normal,
+    scaled to spectral norms 0.8 and 1), the same for B, T state weights,
+    T action weights and the terminal weight (per matrix a normal d x d
+    draw, the Q of its QR, then d uniform eigenvalues in [0.5, 2]), T unit
+    disturbance and T unit reference directions, the truth, then x0.
+
+    Returns (step_data, truth, x0, P_T), where step_data(t, xi) gives
+    (A, B, w, Q, R, xbar) of step t at the scalar parameter xi.
+    """
+    rng = np.random.default_rng(seed)
+
+    def scaled(shape, norm):
+        M = rng.normal(size=shape)
+        return M * (norm / np.linalg.norm(M, 2))
+
+    def unit_vec(d):
+        v = rng.normal(size=d)
+        return v / np.linalg.norm(v)
+
+    def random_spd(d):
+        Qo, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        eigs = rng.uniform(0.5, 2.0, size=d)
+        return Qo @ np.diag(eigs) @ Qo.T
+
+    A0 = [scaled((n, n), 0.8) for _ in range(T)]
+    Ad = [scaled((n, n), 1.0) for _ in range(T)]
+    B0 = [scaled((n, m), 0.8) for _ in range(T)]
+    Bd = [scaled((n, m), 1.0) for _ in range(T)]
+    Qs = [random_spd(n) for _ in range(T)]
+    Rs = [random_spd(m) for _ in range(T)]
+    P_T = random_spd(n)
+    wd = [unit_vec(n) for _ in range(T)]
+    xd = [unit_vec(n) for _ in range(T)]
+    truth = rng.uniform(0.0, 1.0, size=(T + 1, 1))
+    x0 = 0.3 * unit_vec(n)
+
+    def step_data(t, xi):
+        dev = float(np.atleast_1d(xi)[0]) - 0.5
+        return (A0[t] + dev * 0.2 * Ad[t], B0[t] + dev * 0.2 * Bd[t],
+                dev * 0.2 * wd[t], Qs[t], Rs[t], dev * 0.2 * xd[t])
+
+    return step_data, truth, x0, P_T
+
+
 def saddle_matrix(M, N):
     """Dense [[M, N'], [N, 0]] for spectrum measurements."""
     n1 = N.shape[0]
@@ -212,6 +258,52 @@ def dense_upsilon(asm):
     """Dense permuted saddle matrix Upsilon = H[perm, perm] of an assembly,
     H = [[M, N'], [N, 0]]."""
     return saddle_matrix(asm.M, asm.N)[np.ix_(asm.perm, asm.perm)]
+
+
+def block_inverse_norms(asm):
+    """Spectral norms of the blocks of the inverse of Upsilon, indexed by
+    block pair, from the blocks of the dense Upsilon (zero-padded to b x b
+    tiles) by the full block recursion: a forward elimination Delta_{i+1} =
+    D_{i+1} - E_i' Delta_i^{-1} E_i, C_i = -Delta_i^{-1} E_i, the backward
+    pass G_ii = Delta_i^{-1} + C_i G_{i+1,i+1} C_i', then per offset the
+    b x b products G_{i,i+off} = C_i G_{i+1,i+off} and one SVD per block
+    pair, batched by offset.  No dense inverse, so blocks far below the
+    rounding level of the largest ones keep their relative accuracy."""
+    U = dense_upsilon(asm)
+    slices = asm.block_slices
+    nb = len(slices)
+    b = max(s.stop - s.start for s in slices)
+
+    def tile(si, sj):
+        out = np.zeros((b, b))
+        block = U[si, sj]
+        out[:block.shape[0], :block.shape[1]] = block
+        return out
+
+    D = [tile(s, s) for s in slices]
+    E = [tile(slices[i], slices[i + 1]) for i in range(nb - 1)]
+    inv_pivots, C = [], []
+    pivot = D[0]
+    for i, s in enumerate(slices):
+        size = s.stop - s.start
+        inv = np.zeros((b, b))
+        inv[:size, :size] = np.linalg.inv(pivot[:size, :size])
+        inv_pivots.append(inv)
+        if i < nb - 1:
+            C.append(-inv @ E[i])
+            pivot = D[i + 1] + E[i].T @ C[i]
+    G = np.array(inv_pivots)
+    C = np.array(C)
+    for i in range(nb - 2, -1, -1):
+        G[i] += C[i] @ G[i + 1] @ C[i].T
+    norms = np.zeros((nb, nb))
+    for off in range(nb):
+        if off:
+            G = C[:nb - off] @ G[1:]
+        i = np.arange(nb - off)
+        norms[i, i + off] = norms[i + off, i] = np.linalg.norm(
+            G, 2, axis=(-2, -1))
+    return norms
 
 
 def saddle_sigma_min_lower(mu, ell, sigma_N):

@@ -183,6 +183,17 @@ class TestSweeps:
         assert (tmp_path / "sweep_horizon.csv").exists()
         assert "slope=" in res.output
 
+    def test_sweep_noise_at_zero_noise_fits_nothing(self, runner, tmp_path):
+        # every scale is 0, so no regret is fitted: the fit is reported
+        # missing, not as slope 0 with a perfect r2
+        res = runner.invoke(cli.main, ["sweep-noise", "--preset",
+                                       "disturbance", "--noise-scale", "0",
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert res.output.strip() == "loglog_slope=none r2=none"
+        doc = json.loads(read(tmp_path / "sweep_noise.json"))
+        assert doc["slope"] is None and doc["r2"] is None
+
     def test_sweep_horizon_starts_at_reachable_window(self, runner,
                                                        tmp_path):
         # pendulum: n=4, m=1, so windows shorter than 4 cannot reach their

@@ -231,6 +231,14 @@ class TestDecayFits:
         assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
         assert r2 == pytest.approx(1.0)
 
+    def test_loglinear_fits_no_line_through_one_point(self):
+        assert kkt.loglinear_fit(np.array([2.0]), np.array([0.5])) is None
+        assert kkt.loglinear_fit(np.array([]), np.array([])) is None
+
+    def test_single_positive_value_beyond_origin_fits_no_rate(self):
+        fit = kkt.fit_decay(np.arange(3.0), np.array([0.0, 0.5, 0.0]))
+        assert (fit.C, fit.lam, fit.r2) == (0.5, 1.0, None)
+
     def test_fit_dominates_profile(self):
         rng = np.random.default_rng(0)
         offs = np.arange(10, dtype=float)
@@ -307,6 +315,21 @@ class TestMeasuredQuantities:
         assert np.allclose(norms, ref, rtol=rtol, atol=0.0)
         assert np.allclose(maxima, ref_max, rtol=rtol, atol=0.0)
 
+    def test_block_profile_matches_recursion_oracle_at_long_horizon(self):
+        # the farthest blocks are about 4e-170, so their squares underflow
+        inst = presets.tracking_rand(T=400)
+        asm = kkt.assemble(inst.system, inst.truth, inst.terminal_cost())
+        norms, maxima, fit = kkt.block_inverse_profile(asm)
+        ref = oracles.block_inverse_norms(asm)
+        assert 0.0 < ref.min() < 1e-160
+        assert np.allclose(norms, ref, rtol=1e-10, atol=0.0)
+        offsets = np.arange(ref.shape[0])
+        ref_fit = kkt.fit_decay(offsets, np.array(
+            [np.diagonal(ref, off).max() for off in offsets]))
+        assert np.allclose(maxima, ref_fit.profile, rtol=1e-10, atol=0.0)
+        assert (fit.C, fit.lam, fit.r2) == pytest.approx(
+            (ref_fit.C, ref_fit.lam, ref_fit.r2), rel=1e-12)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_unreachable_pin_raises(self, n):
         # one step of one action cannot reach an n-dimensional pin: Upsilon
@@ -362,6 +385,15 @@ class TestMeasuredQuantities:
         slope_p, _, _ = kkt.loglinear_fit(taus[mp], gp[mp])
         assert slope_s < 0.0 and slope_p < 0.0
         assert 1.6 <= slope_s / slope_p <= 2.4
+
+    def test_coupling_outside_multipliers_raises(self):
+        # a cost coupling y_0 and y_1 puts E_0 outside the multiplier
+        # columns, which the recursion on the multiplier rows cannot carry
+        _, asm = tracking_assembly(T=8, K=3)
+        y1 = asm.n + asm.m
+        asm.M[0, y1] = asm.M[y1, 0] = 0.1
+        with pytest.raises(ValueError, match="multipliers"):
+            kkt.block_inverse_profile(asm)
 
     def test_singular_assembly_raises(self):
         inst, asm = tracking_assembly(T=8, K=3)

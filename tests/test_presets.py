@@ -43,6 +43,25 @@ def inventory_sensitivity_profile(p, one_sided):
     return offsets, profile, fit
 
 
+class TestTrackingRand:
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (1, 1)])
+    @pytest.mark.parametrize("T", [2, 8, 24, 96])
+    def test_batched_build_matches_per_matrix_draws(self, T, n, m):
+        for seed in range(6):
+            inst = presets.tracking_rand(T=T, seed=seed, n=n, m=m)
+            step_data, truth, x0, P_T = oracles.tracking_rand_data(
+                T, seed, n, m)
+            assert np.array_equal(inst.truth, truth)
+            assert np.array_equal(inst.x0, x0)
+            assert np.array_equal(inst.terminal_cost().P, P_T)
+            for t in range(T):
+                xi = inst.truth[t]
+                for got, want in zip(inst.system.step_data(t, xi),
+                                     step_data(t, xi)):
+                    assert got.shape == want.shape, (seed, t)
+                    assert np.array_equal(got, want), (seed, t)
+
+
 class TestPendulum:
     def test_determinant_matches_closed_form(self):
         for M in (0.4, 0.5, 0.55, 0.6):

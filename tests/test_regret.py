@@ -151,3 +151,15 @@ class TestSweeps:
         assert np.all(np.diff(res.regrets) > 0.0)
         assert res.slope > 0.0
         assert res.log_x
+
+    def test_too_few_positive_regrets_fit_nothing(self):
+        # one regret above the floor (or none) is no line: no slope, no r2
+        for regrets in ([0.0, 2e-3, 0.0], [0.0, 0.0, 0.0]):
+            assert regret._fit_positive(np.array([1.0, 2.0, 3.0]),
+                                        np.array(regrets), log_x=True) == (
+                None, None, None)
+        inst = presets.disturbance(T=20, seed=0)
+        res = regret.sweep_noise(inst, lambda t, tau: 1.0 if tau > 0 else 0.0,
+                                 [0.0, 0.2], 5, TerminalRule("zero"))
+        assert res.regrets[1] > regret.REGRET_FLOOR
+        assert (res.slope, res.intercept, res.r2) == (None, None, None)
