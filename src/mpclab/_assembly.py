@@ -30,7 +30,8 @@ class WindowMatrices:
     """Per-step data of a window of length K (steps t1 .. t1+K-1), stacked:
     A (K, n, n), B (K, n, m), w (K, n), Q (K, n, n), R (K, m, m),
     xbar (K, n).  A batch of windows puts a window axis in front of every
-    array, its terminal's arrays included."""
+    array, its terminal's arrays included.  The arrays are those of the
+    system's ``step_data`` and may be read-only broadcast views."""
 
     A: Array
     B: Array
@@ -47,16 +48,9 @@ class WindowMatrices:
               terminal: TerminalCost) -> "WindowMatrices":
         """Step data of every entry of ``steps``, on the parameter of the
         same index in ``params``; each array carries the shape of ``steps``
-        in front.  One ``system.step_data`` call per entry."""
-        n, m = system.n, system.m
-        data = [np.empty(steps.shape + s)
-                for s in ((n, n), (n, m), (n,), (n, n), (m, m), (n,))]
-        A, B, w, Q, R, xbar = (a.reshape((steps.size,) + a.shape[steps.ndim:])
-                               for a in data)
-        flat = params.reshape(steps.size, params.shape[-1])
-        for i, (t, xi) in enumerate(zip(steps.ravel().tolist(), flat)):
-            A[i], B[i], w[i], Q[i], R[i], xbar[i] = system.step_data(t, xi)
-        return cls(*data, terminal, n, m)
+        in front.  One stacked ``system.step_data`` call."""
+        return cls(*system.step_data(steps, params), terminal, system.n,
+                   system.m)
 
     @property
     def K(self) -> int:

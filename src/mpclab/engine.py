@@ -116,27 +116,23 @@ class TrajectoryRecord:
         return float(max(np.linalg.norm(x) for x in self.states))
 
     def dynamics_residual(self, instance: Instance) -> float:
-        sys = instance.system
-        worst = 0.0
-        for t in range(self.T):
-            nxt = sys.dynamics(t, self.states[t], self.actions[t],
-                               instance.truth[t])
-            worst = max(worst,
-                        float(np.linalg.norm(self.states[t + 1] - nxt)))
-        return worst
+        A, B, w, *_ = instance.system.step_data(np.arange(self.T),
+                                                instance.truth[:self.T])
+        nxt = (A @ self.states[:-1, :, None] + B @ self.actions[:, :, None]
+               )[..., 0] + w
+        return max(float(np.linalg.norm(r)) for r in self.states[1:] - nxt)
 
 
 def _stage_costs_and_total(instance: Instance, states: Array,
                            actions: Array) -> tuple[Array, float]:
     sys = instance.system
     T = sys.T
-    costs = np.zeros(T + 1 if sys.include_terminal_stage else T)
-    for t in range(costs.shape[0]):
-        _, _, _, Q, R, xbar = sys.step_data(t, instance.truth[t])
-        d = states[t] - xbar
-        costs[t] = float(d @ Q @ d)
-        if t < T:
-            costs[t] += float(actions[t] @ R @ actions[t])
+    top = T + 1 if sys.include_terminal_stage else T
+    _, _, _, Q, R, xbar = sys.step_data(np.arange(top), instance.truth[:top])
+    d = (states[:top] - xbar)[:, None, :]
+    costs = (d @ Q @ d.swapaxes(-1, -2))[:, 0, 0]
+    u = actions[:, None, :]
+    costs[:T] += (u @ R[:T] @ u.swapaxes(-1, -2))[:, 0, 0]
     total = float(costs.sum()) + instance.terminal_cost().value(states[T])
     return costs, total
 
@@ -192,6 +188,7 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
         windows.append((t, params, rule.build(instance, t, t2, params)))
     laws = ftocp.window_laws(sys, windows)
 
+    A, B, w, *_ = sys.step_data(np.arange(T), instance.truth[:T])
     states = np.zeros((T + 1, sys.n))
     actions = np.zeros((T, sys.m))
     errors = np.zeros(T)
@@ -207,8 +204,7 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
             raise
         actions[t] = u
         errors[t] = float(np.linalg.norm(u - law.action(t, states[t])))
-        states[t + 1] = np.atleast_1d(
-            sys.dynamics(t, states[t], u, instance.truth[t]))
+        states[t + 1] = A[t] @ states[t] + B[t] @ u + w[t]
     kkt_residual_max = laws.kkt_residual_max(states[:T])
     distances = np.array([float(np.linalg.norm(states[t] - opt.states[t]))
                           for t in range(T + 1)])

@@ -256,17 +256,22 @@ def tracking_sensitivity_coef(consts: TrackingDecayConstants, ell: float,
             + c2 * (L_w + ell * L_xbar + D_xbar * L_Q + 1.0))
 
 
+def sigma_min(asm: KktAssembly) -> float:
+    """sigma_min of the dynamics blocks N of an assembly.  A quadratic
+    terminal leaves N unchanged, so every full-variant assembly of the same
+    step data gives the same value."""
+    return float(np.linalg.svd(asm.N, compute_uv=False).min())
+
+
 def measured_sigma(instance: Instance, k: int | None = None) -> float:
     """sigma_min of the assembled dynamics blocks (full window and, when k is
     given, the pinned-terminal window), minimized over both."""
     sys = instance.system
-    asm = assemble(sys, instance.truth, TerminalCost.zero(sys.n))
-    smin = float(np.linalg.svd(asm.N, compute_uv=False).min())
+    smin = sigma_min(assemble(sys, instance.truth, TerminalCost.zero(sys.n)))
     if k is not None and k < sys.T:
-        asm_h = assemble(sys, instance.truth[:k + 1],
-                         TerminalCost.indicator(np.zeros(sys.n)))
-        smin = min(smin,
-                   float(np.linalg.svd(asm_h.N, compute_uv=False).min()))
+        smin = min(smin, sigma_min(assemble(
+            sys, instance.truth[:k + 1],
+            TerminalCost.indicator(np.zeros(sys.n)))))
     return smin
 
 
@@ -302,35 +307,33 @@ class GainTables:
 
 def _central_slopes(fn, xi: Array) -> list[Array]:
     """Central differences of the arrays returned by fn(xi), one trailing
-    axis per coordinate of xi.  The step balances truncation and rounding
-    error; data affine in xi come out exact to rounding."""
+    axis per coordinate of xi's last axis.  The leading axes of xi are a
+    batch: fn maps each entry and returns arrays with those axes in front,
+    and each entry takes its own step.  The step balances truncation and
+    rounding error; data affine in xi come out exact to rounding."""
     xi = np.asarray(xi, float)
     cols = []
-    for i in range(xi.size):
+    for i in range(xi.shape[-1]):
         hi, lo = xi.copy(), xi.copy()
-        h = np.cbrt(np.finfo(float).eps) * max(1.0, abs(xi[i]))
-        hi[i] += h
-        lo[i] -= h
-        step = hi[i] - lo[i]
-        cols.append([(np.asarray(a, float) - np.asarray(b, float)) / step
-                     for a, b in zip(fn(hi), fn(lo))])
+        h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(xi[..., i]))
+        hi[..., i] += h
+        lo[..., i] -= h
+        step = hi[..., i] - lo[..., i]
+        diffs = [np.asarray(a, float) - np.asarray(b, float)
+                 for a, b in zip(fn(hi), fn(lo))]
+        cols.append([(d.reshape(step.shape + (-1,)) / step[..., None])
+                     .reshape(d.shape) for d in diffs])
     return [np.stack(col, axis=-1) for col in zip(*cols)]
 
 
 def _step_data_slopes(instance: Instance) -> list[Array]:
     """d(A, B, w, Q, R, xbar)/dxi at the true parameters for the steps
     0..T-1, each stacked by step with a trailing axis over the parameter
-    coordinates (zero-padded to the widest parameter, which leaves every
-    Jacobian norm unchanged)."""
+    coordinates: one batched central difference."""
     sys, truth = instance.system, instance.truth
-    per_step = [_central_slopes(lambda xi, _s=s: sys.step_data(_s, xi),
-                                truth[s]) for s in range(sys.T)]
-    p = max(data[0].shape[-1] for data in per_step)
-    stacked = [np.zeros((sys.T,) + a.shape[:-1] + (p,)) for a in per_step[0]]
-    for s, data in enumerate(per_step):
-        for out, a in zip(stacked, data):
-            out[s, ..., :a.shape[-1]] = a
-    return stacked
+    steps = np.arange(sys.T)
+    return _central_slopes(lambda xi: sys.step_data(steps, xi),
+                           truth[:sys.T])
 
 
 def _terminal_data(terminal: TerminalCost) -> tuple[Array, ...]:

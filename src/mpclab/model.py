@@ -1,6 +1,7 @@
 """Problem instances: true parameters, forecast streams, and system families.
 
-A system maps a per-step parameter vector to cost/dynamics data.  Instances
+A system maps steps and their parameter vectors to cost/dynamics data in
+one broadcasting call, ``step_data(ts, xis)``, stacked by step.  Instances
 are immutable after construction and compare by identity; their arrays and
 the forecasts of a stream are read-only, so what is derived from an instance
 alone can be computed once per instance (``per_instance``).
@@ -187,47 +188,47 @@ class Bounds:
 class LinearQuadraticSystem:
     """Time-varying linear dynamics with quadratic tracking costs.
 
-    Every per-step quantity is a map of (t, xi); the terminal data is a map of
-    the final parameter alone, and the final state pays no stage cost.
+    ``step_data(ts, xis)`` maps the steps ``ts`` (an int or an int array)
+    and their parameters ``xis`` (shape ``ts.shape + (p,)``) to the stacked
+    step data (A, B, w, Q, R, xbar): each array carries ``ts.shape`` in
+    front of its own shape (n, n), (n, m), (n,), (n, n), (m, m) and (n,),
+    so an int step gives one step's arrays.  The map must broadcast over
+    the leading axes; what it returns without them (a constant Q, say) is
+    broadcast to them.  ``terminal(xi_T)`` gives (P_T, xbar_T) from the
+    final parameter alone, and the final state pays no stage cost.
     """
 
     kind = "tracking"
     include_terminal_stage = False
 
     def __init__(self, n: int, m: int, T: int, *,
-                 A: Callable[[int, Array], Array],
-                 B: Callable[[int, Array], Array],
-                 w: Callable[[int, Array], Array],
-                 Q: Callable[[int, Array], Array],
-                 R: Callable[[int, Array], Array],
-                 xbar: Callable[[int, Array], Array],
-                 P_T: Callable[[Array], Array],
-                 xbar_T: Callable[[Array], Array],
+                 step_data: Callable[[Array, Array], tuple],
+                 terminal: Callable[[Array], tuple[Array, Array]],
                  bounds: Bounds, param_box: ParamBox):
         if T < 2:
             raise ModelError("horizon T must be >= 2")
         self.n, self.m, self.T = n, m, T
-        self.A, self.B, self.w = A, B, w
-        self.Q, self.R, self.xbar = Q, R, xbar
-        self.P_T, self.xbar_T = P_T, xbar_T
+        self._step_data = step_data
+        self.terminal = terminal
         self.bounds = bounds
         self.param_box = param_box
 
-    def step_data(self, t: int, xi: Array):
-        return (self.A(t, xi), self.B(t, xi), self.w(t, xi),
-                self.Q(t, xi), self.R(t, xi), self.xbar(t, xi))
+    def step_data(self, ts, xis):
+        """(A, B, w, Q, R, xbar) of the steps ts at the parameters xis,
+        stacked as the class docstring says, as read-only arrays."""
+        ts = np.asarray(ts)
+        n, m = self.n, self.m
+        shapes = ((n, n), (n, m), (n,), (n, n), (m, m), (n,))
+        return tuple(np.broadcast_to(a, ts.shape + s) for a, s in
+                     zip(self._step_data(ts, np.asarray(xis, float)), shapes))
 
     def terminal_cost(self, xi_T: Array) -> TerminalCost:
-        return TerminalCost.quadratic(self.P_T(xi_T), self.xbar_T(xi_T))
+        return TerminalCost.quadratic(*self.terminal(xi_T))
 
     def pin_target(self, t: int, xi: Array) -> Array:
         """The state a window ending at step t is pinned to on the forecast
         xi: the reference point of step t."""
-        return self.xbar(t, xi)
-
-    def dynamics(self, t: int, x: Array, u: Array, xi: Array) -> Array:
-        A, B, w, *_ = self.step_data(t, xi)
-        return A @ x + B @ u + w
+        return self.step_data(t, xi)[5]
 
     def lipschitz_dynamics(self) -> float:
         """Norm bound on [A B], the state/action sensitivity of one step."""
@@ -236,17 +237,18 @@ class LinearQuadraticSystem:
 
 class DisturbanceOnlySystem(LinearQuadraticSystem):
     """Fixed known dynamics and costs minimized at 0; only the additive
-    disturbance depends on the parameter."""
+    disturbance ``w(ts, xis)`` depends on the parameter, which is what makes
+    the family's gain tables exact (see ``kkt.measure_gain_tables``).  A, B,
+    Q and R are stacked by step, and P_T is the terminal weight."""
 
     kind = "disturbance"
 
     def __init__(self, n, m, T, *, A, B, w, Q, R, P_T, bounds, param_box):
-        zero_vec = lambda t, xi: np.zeros(n)
         super().__init__(
             n, m, T,
-            A=lambda t, xi: A(t), B=lambda t, xi: B(t), w=w,
-            Q=lambda t, xi: Q(t), R=lambda t, xi: R(t),
-            xbar=zero_vec, P_T=lambda xi: P_T(), xbar_T=lambda xi: np.zeros(n),
+            step_data=lambda ts, xis: (A[ts], B[ts], w(ts, xis), Q[ts],
+                                       R[ts], np.zeros(n)),
+            terminal=lambda xi: (P_T, np.zeros(n)),
             bounds=dataclasses.replace(bounds, L_A=0.0, L_B=0.0, L_Q=0.0,
                                        L_R=0.0, L_xbar=0.0, L_P=0.0,
                                        D_xbar=0.0),
@@ -291,25 +293,22 @@ class InventorySystem:
     def param_box(self) -> ParamBox:
         return ParamBox(np.array([-0.5]), np.array([0.5]))
 
-    def xbar(self, t: int, xi: Array) -> Array:
-        """The stock target of step t, which is the parameter itself."""
-        return np.atleast_1d(np.asarray(xi, float))
-
     def pin_target(self, t: int, xi: Array) -> Array:
         """The state a window ending at step t is pinned to on the forecast
-        xi: the stock target, clipped to the state interval, since a pin
-        outside it is infeasible."""
-        return np.clip(self.xbar(t, xi), self.x_lo, self.x_hi)
+        xi: the stock target, which is the parameter itself, clipped to the
+        state interval, since a pin outside it is infeasible."""
+        return np.clip(np.asarray(xi, float), self.x_lo, self.x_hi)
 
-    def step_data(self, t: int, xi: Array):
-        """(A, B, w, Q, R, xbar) of step t: the stage cost
-        (x - xi)^2 + action_weight * u^2 of the chain x_{t+1} = x_t + u_t."""
-        one = np.ones((1, 1))
-        return (one, one, np.zeros(1), one, np.array([[self.action_weight]]),
-                self.xbar(t, xi))
-
-    def dynamics(self, t, x, u, xi) -> Array:
-        return np.atleast_1d(x) + np.atleast_1d(u)
+    def step_data(self, ts, xis):
+        """(A, B, w, Q, R, xbar) of the steps ts, stacked as in
+        ``LinearQuadraticSystem.step_data``: the stage cost
+        (x - xi)^2 + action_weight * u^2 of the chain x_{t+1} = x_t + u_t,
+        whose reference xbar is the parameter xi itself."""
+        shape = np.shape(ts)
+        one = np.ones(shape + (1, 1))
+        return (one, one, np.zeros(shape + (1,)), one,
+                np.full(shape + (1, 1), self.action_weight),
+                np.asarray(xis, float))
 
     def lipschitz_dynamics(self) -> float:
         return float(np.sqrt(2.0))  # norm of [1 1]
@@ -386,26 +385,23 @@ def validate_assumptions(system: LinearQuadraticSystem, samples: int = 200,
     """
     rng = np.random.default_rng(seed)
     bb = system.bounds
+    # one (t, xi) draw per sample, in this order, then the final parameter
+    draws = [(int(rng.integers(0, system.T)), system.param_box.sample(rng))
+             for _ in range(samples)]
+    ts = np.array([t for t, _ in draws], int)
+    xis = np.array([xi for _, xi in draws]).reshape(
+        samples, system.param_box.lo.size)
+    A, B, w, Q, R, xbar = system.step_data(ts, xis)
+    P_T = system.terminal_cost(system.param_box.sample(rng)).P
+    eigs = np.concatenate([np.linalg.eigvalsh(Mx).ravel()
+                           for Mx in (Q, R, P_T)])
     worst = {
-        "cost_eig_min": np.inf, "cost_eig_max": -np.inf,
-        "A_norm": 0.0, "B_norm": 0.0, "w_norm": 0.0, "xbar_norm": 0.0,
+        "cost_eig_min": float(eigs.min()), "cost_eig_max": float(eigs.max()),
+        "A_norm": float(np.linalg.norm(A, 2, axis=(-2, -1)).max(initial=0.0)),
+        "B_norm": float(np.linalg.norm(B, 2, axis=(-2, -1)).max(initial=0.0)),
+        "w_norm": float(np.linalg.norm(w, axis=-1).max(initial=0.0)),
+        "xbar_norm": float(np.linalg.norm(xbar, axis=-1).max(initial=0.0)),
     }
-    for _ in range(samples):
-        t = int(rng.integers(0, system.T))
-        xi = system.param_box.sample(rng)
-        A, B, w, Q, R, xbar = system.step_data(t, xi)
-        for Mx in (Q, R):
-            ev = np.linalg.eigvalsh(np.atleast_2d(Mx))
-            worst["cost_eig_min"] = min(worst["cost_eig_min"], float(ev.min()))
-            worst["cost_eig_max"] = max(worst["cost_eig_max"], float(ev.max()))
-        worst["A_norm"] = max(worst["A_norm"], float(np.linalg.norm(A, 2)))
-        worst["B_norm"] = max(worst["B_norm"], float(np.linalg.norm(B, 2)))
-        worst["w_norm"] = max(worst["w_norm"], float(np.linalg.norm(w)))
-        worst["xbar_norm"] = max(worst["xbar_norm"], float(np.linalg.norm(xbar)))
-    xiT = system.param_box.sample(rng)
-    ev = np.linalg.eigvalsh(np.atleast_2d(system.P_T(xiT)))
-    worst["cost_eig_min"] = min(worst["cost_eig_min"], float(ev.min()))
-    worst["cost_eig_max"] = max(worst["cost_eig_max"], float(ev.max()))
 
     tol = 1e-9
     checks = {

@@ -59,20 +59,18 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
     Qs = _random_spd(rng, T, n, 0.5, 2.0)
     Rs = _random_spd(rng, T, m, 0.5, 2.0)
     PT = _random_spd(rng, 1, n, 0.5, 2.0)[0]
-    wd = [_unit_vec(rng, n) for _ in range(T)]
-    xd = [_unit_vec(rng, n) for _ in range(T)]
+    wd = np.array([_unit_vec(rng, n) for _ in range(T)])
+    xd = np.array([_unit_vec(rng, n) for _ in range(T)])
 
-    def dev(xi):
-        return float(np.atleast_1d(xi)[0]) - 0.5
+    def step_data(ts, xis):
+        dev = xis[..., 0, None] - 0.5
+        return (A0[ts] + dev[..., None] * 0.2 * Ad[ts],
+                B0[ts] + dev[..., None] * 0.2 * Bd[ts],
+                dev * 0.2 * wd[ts], Qs[ts], Rs[ts], dev * 0.2 * xd[ts])
 
     system = LinearQuadraticSystem(
-        n, m, T,
-        A=lambda t, xi: A0[t] + dev(xi) * 0.2 * Ad[t],
-        B=lambda t, xi: B0[t] + dev(xi) * 0.2 * Bd[t],
-        w=lambda t, xi: dev(xi) * 0.2 * wd[t],
-        Q=lambda t, xi: Qs[t], R=lambda t, xi: Rs[t],
-        xbar=lambda t, xi: dev(xi) * 0.2 * xd[t],
-        P_T=lambda xi: PT, xbar_T=lambda xi: np.zeros(n),
+        n, m, T, step_data=step_data,
+        terminal=lambda xi: (PT, np.zeros(n)),
         bounds=Bounds(mu=0.5, ell=2.0, a=1.0, b=1.0, D_w=0.1, D_xbar=0.1,
                       L_A=0.2, L_B=0.2, L_xbar=0.2, L_w=0.2),
         param_box=ParamBox(np.array([0.0]), np.array([1.0])))
@@ -90,19 +88,16 @@ def disturbance(T: int = 60, seed: int = 0) -> Instance:
     forecast (scalar parameter in [0, 1])."""
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=T)
-    As = [0.7 * np.array([[np.cos(th), -np.sin(th)],
-                          [np.sin(th), np.cos(th)]]) for th in thetas]
-    dirs = [_unit_vec(rng, 2) for _ in range(T)]
-    eye2 = np.eye(2)
-
-    def dev(xi):
-        return float(np.atleast_1d(xi)[0]) - 0.5
+    As = np.array([0.7 * np.array([[np.cos(th), -np.sin(th)],
+                                   [np.sin(th), np.cos(th)]])
+                   for th in thetas])
+    dirs = np.array([_unit_vec(rng, 2) for _ in range(T)])
+    eye2 = np.broadcast_to(np.eye(2), (T, 2, 2))
 
     system = DisturbanceOnlySystem(
-        2, 2, T,
-        A=lambda t: As[t], B=lambda t: eye2,
-        w=lambda t, xi: dev(xi) * 0.4 * dirs[t],
-        Q=lambda t: eye2, R=lambda t: eye2, P_T=lambda: eye2,
+        2, 2, T, A=As, B=eye2,
+        w=lambda ts, xis: (xis[..., 0, None] - 0.5) * 0.4 * dirs[ts],
+        Q=eye2, R=eye2, P_T=np.eye(2),
         bounds=Bounds(mu=1.0, ell=1.0, a=0.7, b=1.0, D_w=0.2, L_w=0.4),
         param_box=ParamBox(np.array([0.0]), np.array([1.0])))
     truth = rng.uniform(0.0, 1.0, size=(T + 1, 1))
@@ -142,59 +137,53 @@ def inventory_one_sided(T: int = 12, seed: int = 0) -> Instance:
 PENDULUM_DEFAULTS = dict(m=0.2, l=0.3, I=0.006, b=0.1, g=9.8, delta=0.02)
 
 
-def pendulum_matrices(M: float, *, m: float, l: float, I: float, b: float,
+def pendulum_matrices(M, *, m: float, l: float, I: float, b: float,
                       g: float, delta: float) -> tuple[Array, Array]:
     """Discretized linearization around the upright equilibrium; the cart
-    mass M is the uncertain parameter."""
+    mass M is the uncertain parameter.  An array of masses gives the
+    matrices stacked with M's shape in front."""
+    M = np.asarray(M, float)
     den = I * (M + m) + M * m * l ** 2
-    A = np.array([
-        [1.0, delta, 0.0, 0.0],
-        [0.0, 1.0 - (I + m * l ** 2) * b * delta / den,
-         m ** 2 * g * l ** 2 * delta / den, 0.0],
-        [0.0, 0.0, 1.0, delta],
-        [0.0, -m * l * b * delta / den,
-         m * g * l * (M + m) * delta / den, 1.0]])
-    B = np.array([[0.0], [(I + m * l ** 2) * delta / den],
-                  [0.0], [m * l * delta / den]])
+    A = np.zeros(M.shape + (4, 4))
+    A[..., 0, 0] = A[..., 2, 2] = A[..., 3, 3] = 1.0
+    A[..., 0, 1] = A[..., 2, 3] = delta
+    A[..., 1, 1] = 1.0 - (I + m * l ** 2) * b * delta / den
+    A[..., 1, 2] = m ** 2 * g * l ** 2 * delta / den
+    A[..., 3, 1] = -m * l * b * delta / den
+    A[..., 3, 2] = m * g * l * (M + m) * delta / den
+    B = np.zeros(M.shape + (4, 1))
+    B[..., 1, 0] = (I + m * l ** 2) * delta / den
+    B[..., 3, 0] = m * l * delta / den
     return A, B
 
 
-def _norm_bounds_over_box(mat_fn, box: ParamBox, grid: int = 50):
-    """(max matrix norm, max difference-quotient norm) over a parameter grid."""
-    xs = np.linspace(float(box.lo[0]), float(box.hi[0]), grid)
-    mats = [mat_fn(np.array([x])) for x in xs]
-    a = max(float(np.linalg.norm(Mx, 2)) for Mx in mats)
-    lip = 0.0
-    for i in range(grid - 1):
-        step = xs[i + 1] - xs[i]
-        if step > 0.0:
-            lip = max(lip,
-                      float(np.linalg.norm(mats[i + 1] - mats[i], 2)) / step)
-    return a, lip
+def _norm_bounds_over_box(mats: Array, xs: Array) -> tuple[float, float]:
+    """(max matrix norm, max difference-quotient norm) of matrices stacked
+    over an increasing parameter grid xs."""
+    norms = np.linalg.norm(mats, 2, axis=(-2, -1))
+    steps = np.diff(xs)
+    quotients = np.linalg.norm(np.diff(mats, axis=0), 2, axis=(-2, -1))
+    return (float(norms.max()),
+            float(np.max(quotients[steps > 0.0] / steps[steps > 0.0],
+                         initial=0.0)))
 
 
 def _parametric_system(matrices, n: int, m: int, T: int,
                        box: ParamBox) -> LinearQuadraticSystem:
     """Regulation to the origin with identity costs, where the scalar
-    parameter enters the dynamics through ``matrices(xi) -> (A, B)``; the
-    declared bounds on A and B are measured over the box."""
-
-    def Afn(xi):
-        return matrices(float(np.atleast_1d(xi)[0]))[0]
-
-    def Bfn(xi):
-        return matrices(float(np.atleast_1d(xi)[0]))[1]
-
-    a, L_A = _norm_bounds_over_box(Afn, box)
-    b, L_B = _norm_bounds_over_box(Bfn, box)
+    parameter enters the dynamics through ``matrices(xi) -> (A, B)``, which
+    broadcasts over an array of parameters; the declared bounds on A and B
+    are measured over a grid of 50 points of the box."""
+    xs = np.linspace(float(box.lo[0]), float(box.hi[0]), 50)
+    As, Bs = matrices(xs)
+    a, L_A = _norm_bounds_over_box(As, xs)
+    b, L_B = _norm_bounds_over_box(Bs, xs)
     eye = np.eye(n)
     return LinearQuadraticSystem(
         n, m, T,
-        A=lambda t, xi: Afn(xi), B=lambda t, xi: Bfn(xi),
-        w=lambda t, xi: np.zeros(n),
-        Q=lambda t, xi: eye, R=lambda t, xi: np.eye(m),
-        xbar=lambda t, xi: np.zeros(n),
-        P_T=lambda xi: eye, xbar_T=lambda xi: np.zeros(n),
+        step_data=lambda ts, xis: (*matrices(xis[..., 0]), np.zeros(n), eye,
+                                   np.eye(m), np.zeros(n)),
+        terminal=lambda xi: (eye, np.zeros(n)),
         bounds=Bounds(mu=1.0, ell=1.0, a=a, b=b, L_A=L_A, L_B=L_B),
         param_box=box)
 
@@ -230,14 +219,19 @@ def path_laplacian(n: int) -> Array:
 GRID_DEFAULTS = dict(n_nodes=3, delta=0.1, m_lo=1.0, m_hi=2.0)
 
 
-def grid_matrices(m_val: float, *, L: Array, D: Array,
+def grid_matrices(m_val, *, L: Array, D: Array,
                   delta: float) -> tuple[Array, Array]:
-    """Swing-equation discretization; the shared inertia m is the parameter."""
+    """Swing-equation discretization; the shared inertia m is the parameter.
+    An array of inertias gives the matrices stacked with its shape in
+    front."""
     n = L.shape[0]
-    Ahat = np.zeros((2 * n, 2 * n))
-    Ahat[:n, n:] = np.eye(n)
-    Ahat[n:] = np.hstack([-L / m_val, -D / m_val])
-    Bhat = np.vstack([np.zeros((n, n)), np.eye(n) / m_val])
+    m_val = np.asarray(m_val, float)[..., None, None]
+    Ahat = np.zeros(m_val.shape[:-2] + (2 * n, 2 * n))
+    Ahat[..., :n, n:] = np.eye(n)
+    Ahat[..., n:, :n] = -L / m_val
+    Ahat[..., n:, n:] = -D / m_val
+    Bhat = np.zeros(m_val.shape[:-2] + (2 * n, n))
+    Bhat[..., n:, :] = np.eye(n) / m_val
     return np.eye(2 * n) + delta * Ahat, delta * Bhat
 
 

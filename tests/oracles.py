@@ -35,7 +35,7 @@ def qp_equality_oracle(P, q, G, h):
     return x, lam
 
 
-def lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal):
+def lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal, duals=False):
     """Dense oracle for the windowed linear-quadratic problem.
 
     minimize sum_t (x_t - xbar_t)'Q_t(x_t - xbar_t) + u_t'R_t u_t  (+ terminal)
@@ -43,10 +43,11 @@ def lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal):
 
     ``terminal`` is ("quadratic", P, xbar), ("indicator", target) or ("zero",).
     Variables are stacked (x_0, u_0, x_1, u_1, ..., x_K).  Returns the stacked
-    states (K+1, n), actions (K, m) and the multipliers of the constraint rows
-    (K+1, n), or (K+2, n) with the terminal pin: the initial pin, the dynamics
-    rows x_{t+1} - A_t x_t - B_t u_t = w_t, then the pin, in the scaling of
-    ``qp_equality_oracle`` (the gradient of the full cost).
+    states (K+1, n) and actions (K, m); with ``duals``, also the multipliers
+    of the constraint rows (K+1, n), or (K+2, n) with the terminal pin: the
+    initial pin, the dynamics rows x_{t+1} - A_t x_t - B_t u_t = w_t, then
+    the pin, in the scaling of ``qp_equality_oracle`` (the gradient of the
+    full cost).
     """
     K = len(As)
     n = z.shape[0]
@@ -89,7 +90,9 @@ def lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal):
     sol, lam = qp_equality_oracle(P, q, G, h)
     states = np.array([sol[xi(i):xi(i) + n] for i in range(K + 1)])
     actions = np.array([sol[ui(i):ui(i) + m] for i in range(K)])
-    return states, actions, lam.reshape(-1, n)
+    if duals:
+        return states, actions, lam.reshape(-1, n)
+    return states, actions
 
 
 def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,
@@ -246,6 +249,109 @@ def tracking_rand_data(T, seed, n, m):
                 dev * 0.2 * wd[t], Qs[t], Rs[t], dev * 0.2 * xd[t])
 
     return step_data, truth, x0, P_T
+
+
+def disturbance_data(T, seed):
+    """The random data of the disturbance preset, drawn one value at a time
+    in the preset's order: T rotation angles in [0, 2 pi), T unit
+    disturbance directions, then the truth.
+
+    Returns (step_data, truth), where step_data(t, xi) gives (A, B, w, Q,
+    R, xbar) of step t at the scalar parameter xi: A is 0.7 times the
+    rotation by angle t, B = Q = R = I, w = 0.4 (xi - 1/2) times direction
+    t, and xbar = 0.
+    """
+    rng = np.random.default_rng(seed)
+    thetas = [rng.uniform(0.0, 2.0 * np.pi) for _ in range(T)]
+    dirs = []
+    for _ in range(T):
+        v = rng.normal(size=2)
+        dirs.append(v / np.linalg.norm(v))
+    truth = np.array([[rng.uniform(0.0, 1.0)] for _ in range(T + 1)])
+
+    def step_data(t, xi):
+        th = thetas[t]
+        A = 0.7 * np.array([[np.cos(th), -np.sin(th)],
+                            [np.sin(th), np.cos(th)]])
+        dev = float(np.atleast_1d(xi)[0]) - 0.5
+        return (A, np.eye(2), dev * 0.4 * dirs[t], np.eye(2), np.eye(2),
+                np.zeros(2))
+
+    return step_data, truth
+
+
+def pendulum_matrices(M, *, m, l, I, b, g, delta):
+    """Discretized cart-pendulum linearization around the upright
+    equilibrium at the scalar cart mass M, entry by entry."""
+    den = I * (M + m) + M * m * l ** 2
+    A = np.array([
+        [1.0, delta, 0.0, 0.0],
+        [0.0, 1.0 - (I + m * l ** 2) * b * delta / den,
+         m ** 2 * g * l ** 2 * delta / den, 0.0],
+        [0.0, 0.0, 1.0, delta],
+        [0.0, -m * l * b * delta / den,
+         m * g * l * (M + m) * delta / den, 1.0]])
+    B = np.array([[0.0], [(I + m * l ** 2) * delta / den],
+                  [0.0], [m * l * delta / den]])
+    return A, B
+
+
+def grid_matrices(m_val, *, n_nodes, delta):
+    """Swing-equation discretization of a path of n_nodes areas with unit
+    damping, at the scalar shared inertia m_val."""
+    n = n_nodes
+    L = np.zeros((n, n))
+    for i in range(n - 1):
+        L[i, i] += 1.0
+        L[i + 1, i + 1] += 1.0
+        L[i, i + 1] -= 1.0
+        L[i + 1, i] -= 1.0
+    Ahat = np.zeros((2 * n, 2 * n))
+    Ahat[:n, n:] = np.eye(n)
+    Ahat[n:] = np.hstack([-L / m_val, -np.eye(n) / m_val])
+    Bhat = np.vstack([np.zeros((n, n)), np.eye(n) / m_val])
+    return np.eye(2 * n) + delta * Ahat, delta * Bhat
+
+
+def regulation_step_data(matrices, n, m):
+    """step_data(t, xi) of regulation to the origin with identity costs,
+    where the scalar parameter enters only through matrices(xi) -> (A, B)."""
+    def step_data(t, xi):
+        A, B = matrices(float(np.atleast_1d(xi)[0]))
+        return A, B, np.zeros(n), np.eye(n), np.eye(m), np.zeros(n)
+    return step_data
+
+
+def chain_step_data(action_weight):
+    """step_data(t, xi) of the stock chain x_{t+1} = x_t + u_t with stage
+    cost (x - xi)^2 + action_weight u^2."""
+    def step_data(t, xi):
+        one = np.ones((1, 1))
+        return (one, one, np.zeros(1), one, action_weight * one,
+                np.atleast_1d(np.asarray(xi, float)))
+    return step_data
+
+
+def central_slopes(step_data, truth):
+    """d(step data)/dxi of the steps 0..len(truth)-2 at truth[t], one step
+    and one parameter coordinate at a time: a central difference with the
+    step h = eps^(1/3) max(1, |xi_i|), divided by the realized (xi_i + h) -
+    (xi_i - h).  Each array is stacked by step, with a trailing axis over
+    the parameter coordinates."""
+    per_step = []
+    for t in range(len(truth) - 1):
+        xi = np.asarray(truth[t], float)
+        cols = []
+        for i in range(xi.size):
+            hi, lo = xi.copy(), xi.copy()
+            h = np.cbrt(np.finfo(float).eps) * max(1.0, abs(xi[i]))
+            hi[i] += h
+            lo[i] -= h
+            step = hi[i] - lo[i]
+            cols.append([(np.asarray(a, float) - np.asarray(b, float)) / step
+                         for a, b in zip(step_data(t, hi), step_data(t, lo))])
+        per_step.append([np.stack(col, axis=-1) for col in zip(*cols)])
+    return [np.stack(arrays) for arrays in zip(*per_step)]
 
 
 def saddle_matrix(M, N):

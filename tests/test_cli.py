@@ -229,6 +229,29 @@ class TestCertifications:
         assert profile.splitlines()[2] == "offset,max_block_norm,theory_bound"
         assert (tmp_path / "decay_constants.txt").exists()
 
+    def test_certify_decay_assembles_the_window_once(self, runner, tmp_path,
+                                                     monkeypatch):
+        # sigma is read from the dynamics blocks N of the assembly the
+        # profile uses: a quadratic terminal leaves N unchanged
+        built = []
+        assemble = _assembly.assemble_window
+
+        def counted(wm):
+            built.append(wm.terminal.kind)
+            return assemble(wm)
+
+        monkeypatch.setattr(_assembly, "assemble_window", counted)
+        res = runner.invoke(cli.main, ["certify-decay", "--preset",
+                                       "tracking-rand", "--T", "24",
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert built == ["quadratic"]
+        monkeypatch.undo()
+        text = read(tmp_path / "decay_constants.txt").decode()
+        sigma = float(text.split("sigma = ")[1].split()[0])
+        inst = presets.tracking_rand(T=24)
+        assert sigma == kkt.measured_sigma(inst)
+
     def test_inventory_suite_fraction_eps(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["inventory-suite", "--p", "4",
                                        "--eps", "2/35",
@@ -312,6 +335,20 @@ class TestLibrarySurface:
                          "saddle_spectrum_bounds"]}
         present = [f"{owner.__name__}.{name}"
                    for owner, names in gone.items() for name in names
+                   if hasattr(owner, name)]
+        assert present == []
+
+    def test_one_stacked_step_data_map(self):
+        # a linear-quadratic system is one broadcasting step-data map and a
+        # terminal map; the per-step callables and dynamics are gone
+        params = inspect.signature(model.LinearQuadraticSystem).parameters
+        assert list(params) == ["n", "m", "T", "step_data", "terminal",
+                                "bounds", "param_box"]
+        sys_ = presets.tracking_rand(T=4).system
+        gone = {sys_: ["A", "B", "w", "Q", "R", "xbar", "P_T", "xbar_T",
+                       "dynamics"],
+                model.InventorySystem: ["xbar", "dynamics"]}
+        present = [name for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
         assert present == []
 

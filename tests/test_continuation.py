@@ -25,18 +25,19 @@ def _scaled(rng, shape, norm):
 
 def random_system(rng, n, m, T, R=None):
     """Time-varying LQ system whose step data ignore the parameter."""
-    A = [_scaled(rng, (n, n), rng.uniform(0.3, 1.2)) for _ in range(T)]
-    B = [_scaled(rng, (n, m), rng.uniform(0.5, 1.5)) for _ in range(T)]
-    w = [0.3 * rng.normal(size=n) for _ in range(T)]
-    Q = [_spd(rng, n) for _ in range(T)]
-    Rs = [_spd(rng, m) for _ in range(T)] if R is None else R
-    xbar = [0.5 * rng.normal(size=n) for _ in range(T)]
+    A = np.array([_scaled(rng, (n, n), rng.uniform(0.3, 1.2))
+                  for _ in range(T)])
+    B = np.array([_scaled(rng, (n, m), rng.uniform(0.5, 1.5))
+                  for _ in range(T)])
+    w = np.array([0.3 * rng.normal(size=n) for _ in range(T)])
+    Q = np.array([_spd(rng, n) for _ in range(T)])
+    Rs = np.array([_spd(rng, m) for _ in range(T)] if R is None else R)
+    xbar = np.array([0.5 * rng.normal(size=n) for _ in range(T)])
     return LinearQuadraticSystem(
         n, m, T,
-        A=lambda t, xi: A[t], B=lambda t, xi: B[t], w=lambda t, xi: w[t],
-        Q=lambda t, xi: Q[t], R=lambda t, xi: Rs[t],
-        xbar=lambda t, xi: xbar[t],
-        P_T=lambda xi: np.eye(n), xbar_T=lambda xi: np.zeros(n),
+        step_data=lambda ts, xis: (A[ts], B[ts], w[ts], Q[ts], Rs[ts],
+                                   xbar[ts]),
+        terminal=lambda xi: (np.eye(n), np.zeros(n)),
         bounds=Bounds(mu=0.5, ell=2.0, a=1.2, b=1.5),
         param_box=ParamBox(np.zeros(1), np.ones(1)))
 
@@ -51,7 +52,7 @@ def oracle_continuation(system, params, terminal, t, z, t1=0):
     else:
         term = ("quadratic", terminal.P, terminal.xbar)
     return oracles.lq_ocp_oracle(*[[d[i] for d in data] for i in range(6)],
-                                 np.asarray(z, float), term)
+                                 np.asarray(z, float), term, duals=True)
 
 
 def trajectory_cost(system, params, terminal, t, t1, states, actions):
@@ -186,7 +187,7 @@ def test_zero_terminal_with_zero_last_action_weight_is_singular():
     params = [np.zeros(1)] * (T + 1)
     with pytest.raises(SingularKKT):
         ftocp.continuation_law(system, [params], [TerminalCost.zero(2)], [0])
-    system.P_T = lambda xi: np.zeros((2, 2))
+    system.terminal = lambda xi: (np.zeros((2, 2)), np.zeros(2))
     inst = Instance(system, params, np.ones(2))
     with pytest.raises(SingularKKT):
         engine.solve_opt(inst)

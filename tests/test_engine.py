@@ -17,12 +17,10 @@ def quiet_instance(T=6):
     """Stable system with zero disturbance/reference: the origin is optimal."""
     system = LinearQuadraticSystem(
         2, 1, T,
-        A=lambda t, xi: np.array([[0.5, 0.2], [0.0, 0.5]]),
-        B=lambda t, xi: np.array([[1.0], [0.5]]),
-        w=lambda t, xi: np.zeros(2),
-        Q=lambda t, xi: np.eye(2), R=lambda t, xi: np.eye(1),
-        xbar=lambda t, xi: np.zeros(2),
-        P_T=lambda xi: np.eye(2), xbar_T=lambda xi: np.zeros(2),
+        step_data=lambda ts, xis: (np.array([[0.5, 0.2], [0.0, 0.5]]),
+                                   np.array([[1.0], [0.5]]), np.zeros(2),
+                                   np.eye(2), np.eye(1), np.zeros(2)),
+        terminal=lambda xi: (np.eye(2), np.zeros(2)),
         bounds=Bounds(mu=1.0, ell=1.0, a=0.7, b=1.2),
         param_box=ParamBox(np.zeros(1), np.ones(1)))
     return Instance(system, np.zeros((T + 1, 1)), np.zeros(2), name="quiet")
@@ -64,7 +62,7 @@ class TestTerminalRule:
         m_lo = inst.system.param_box.lo
         data = [inst.system.step_data(t, m_lo) for t in range(inst.T)]
         term = inst.terminal_cost(m_lo)
-        want, _, _ = oracles.lq_ocp_oracle(
+        want, _ = oracles.lq_ocp_oracle(
             *([d[i] for d in data] for i in range(6)), inst.x0,
             ("quadratic", term.P, term.xbar))
         assert np.isfinite(rule.reference_states).all()
@@ -90,7 +88,8 @@ class TestTerminalRule:
         params = inst.truth[:5]
         term = rule.build(inst, 0, 4, params)
         assert term.kind == "indicator"
-        assert np.allclose(term.target, inst.system.xbar(4, params[-1]))
+        assert np.allclose(term.target,
+                           inst.system.step_data(4, params[-1])[5])
 
     def test_predicted_tracking_clips_chain_pin_to_state_interval(self):
         inst = presets.inventory_one_sided(T=12)
@@ -180,19 +179,20 @@ def altered_at(sys_, step, off=None, **data):
     values at ``step``; with ``off``, only at parameters other than
     ``off``.  Given the true parameter of the step as ``off``, the truth law
     builds, and a window that forecasts the step does not."""
+    names = ("A", "B", "w", "Q", "R", "xbar")
 
-    def step_map(name):
-        fn = getattr(sys_, name)
-        if name not in data:
-            return fn
-        return lambda t, xi: (data[name] if t == step and (
-            off is None or not np.array_equal(xi, off)) else fn(t, xi))
+    def step_data(ts, xis):
+        hit = ts == step
+        if off is not None:
+            hit = hit & np.any(xis != off, axis=-1)
+        return tuple(
+            np.where(hit.reshape(hit.shape + (1,) * (a.ndim - hit.ndim)),
+                     data[name], a) if name in data else a
+            for name, a in zip(names, sys_.step_data(ts, xis)))
 
     return LinearQuadraticSystem(
-        sys_.n, sys_.m, sys_.T,
-        **{name: step_map(name) for name in ("A", "B", "w", "Q", "R", "xbar")},
-        P_T=sys_.P_T, xbar_T=sys_.xbar_T, bounds=sys_.bounds,
-        param_box=sys_.param_box)
+        sys_.n, sys_.m, sys_.T, step_data=step_data, terminal=sys_.terminal,
+        bounds=sys_.bounds, param_box=sys_.param_box)
 
 
 def dead_step_system(sys_, step, off=None):

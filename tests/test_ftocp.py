@@ -40,7 +40,7 @@ class TestQuadraticSolver:
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         term = inst.system.terminal_cost(params[-1])
         sol = ftocp.window_law(inst.system, params, term, t1).solution(0, z)
-        so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
+        so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                        ("quadratic", term.P, term.xbar))
         assert np.allclose(sol.states, so, atol=1e-8)
         assert np.allclose(sol.actions, ao, atol=1e-8)
@@ -53,7 +53,7 @@ class TestQuadraticSolver:
         law = ftocp.window_law(inst.system, params,
                                TerminalCost.indicator(target), t1)
         sol = law.solution(0, z)
-        so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
+        so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                        ("indicator", target))
         assert np.allclose(sol.states, so, atol=1e-8)
         assert np.allclose(sol.actions, ao, atol=1e-8)
@@ -65,7 +65,7 @@ class TestQuadraticSolver:
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         sol = ftocp.window_law(inst.system, params, TerminalCost.zero(2),
                                t1).solution(0, z)
-        so, ao, _ = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
+        so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                           ("zero",))
         assert np.allclose(sol.states, so, atol=1e-8)
         assert np.allclose(sol.actions, ao, atol=1e-8)
@@ -77,9 +77,12 @@ class TestQuadraticSolver:
         sol = ftocp.window_law(inst.system, params, term,
                                t1).solution(0, np.zeros(2))
         assert sol.kkt_residual <= 1e-8
+        A, B, w, *_ = inst.system.step_data(np.arange(t1, t2),
+                                            params[:-1])
         residual = max(
-            np.linalg.norm(sol.states[i + 1] - inst.system.dynamics(
-                t1 + i, sol.states[i], sol.actions[i], params[i]))
+            np.linalg.norm(sol.states[i + 1] - (A[i] @ sol.states[i]
+                                                + B[i] @ sol.actions[i]
+                                                + w[i]))
             for i in range(t2 - t1))
         assert residual <= 1e-9
 
@@ -186,11 +189,9 @@ class TestChainSolver:
         import mpclab.model as model
         lq = model.LinearQuadraticSystem(
             1, 1, T,
-            A=lambda t, xi: np.eye(1), B=lambda t, xi: np.eye(1),
-            w=lambda t, xi: np.zeros(1),
-            Q=lambda t, xi: np.eye(1), R=lambda t, xi: gam * np.eye(1),
-            xbar=lambda t, xi: np.atleast_1d(xi),
-            P_T=lambda xi: np.zeros((1, 1)), xbar_T=lambda xi: np.zeros(1),
+            step_data=lambda ts, xis: (np.eye(1), np.eye(1), np.zeros(1),
+                                       np.eye(1), gam * np.eye(1), xis),
+            terminal=lambda xi: (np.zeros((1, 1)), np.zeros(1)),
             bounds=model.Bounds(mu=0.5, ell=1.0, a=1.0, b=1.0),
             param_box=model.ParamBox(np.array([-1.0]), np.array([1.0])))
         pin = TerminalCost.indicator([-0.4])

@@ -15,6 +15,7 @@ from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
                           TerminalCost)
 from test_continuation import oracle_continuation
 from test_engine import dead_step_system
+from test_presets import reference_step_data
 
 # The oracle's null-space solve of a nearly unreachable pendulum pin loses
 # about eight digits, so its central differences take a step where that
@@ -114,27 +115,67 @@ def all_maps_instance(T, seed):
     def mats(*shape):
         return [0.3 * rng.normal(size=shape) for _ in range(T)]
 
-    A0, A1, B1, w1, x1 = mats(n, n), mats(n, n), mats(n, m), mats(n), mats(n)
-    Q1, R1 = mats(n, n), mats(m, m)
+    A0, A1, B1, w1, x1 = map(np.array, (mats(n, n), mats(n, n), mats(n, m),
+                                        mats(n), mats(n)))
+    Q1, R1 = np.array(mats(n, n)), np.array(mats(m, m))
     P1 = 0.3 * rng.normal(size=(n, n))
 
     def spd(M, s):
-        return np.eye(M.shape[0]) + s * (M @ M.T)
+        return (np.eye(M.shape[-1])
+                + np.asarray(s)[..., None, None] * (M @ M.swapaxes(-1, -2)))
+
+    def step_data(ts, xis):
+        a, b = xis[..., 0], xis[..., 1]
+        return (A0[ts] + np.sin(a)[..., None, None] * A1[ts],
+                np.eye(n) + (a * b)[..., None, None] * B1[ts],
+                np.cos(b)[..., None] * w1[ts],
+                spd(Q1[ts], a ** 2), spd(R1[ts], 1.0 + b),
+                a[..., None] * x1[ts] + b[..., None])
 
     system = LinearQuadraticSystem(
-        n, m, T,
-        A=lambda t, xi: A0[t] + np.sin(xi[0]) * A1[t],
-        B=lambda t, xi: np.eye(n) + xi[0] * xi[1] * B1[t],
-        w=lambda t, xi: np.cos(xi[1]) * w1[t],
-        Q=lambda t, xi: spd(Q1[t], xi[0] ** 2),
-        R=lambda t, xi: spd(R1[t], 1.0 + xi[1]),
-        xbar=lambda t, xi: xi[0] * x1[t] + xi[1],
-        P_T=lambda xi: spd(P1, np.exp(xi[1])),
-        xbar_T=lambda xi: np.array([xi[0], xi[0] * xi[1]]),
+        n, m, T, step_data=step_data,
+        terminal=lambda xi: (spd(P1, np.exp(xi[1])),
+                             np.array([xi[0], xi[0] * xi[1]])),
         bounds=Bounds(mu=1.0, ell=2.0, a=1.0, b=1.0),
         param_box=ParamBox(np.zeros(2), np.ones(2)))
     truth = [rng.uniform(0.0, 1.0, size=2) for _ in range(T + 1)]
     return Instance(system, truth, rng.normal(size=n))
+
+
+@pytest.mark.parametrize("name", ["tracking-rand", "disturbance",
+                                  "pendulum", "grid"])
+def test_batched_step_slopes_match_per_step_reference(name):
+    inst, reference, _ = reference_step_data(name, 24, 3)
+    got = kkt._step_data_slopes(inst)
+    want = oracles.central_slopes(reference, inst.truth)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_batched_step_slopes_match_per_step_reference_in_two_parameters():
+    # every map varies in both coordinates; the reference is the system's
+    # own map called one step at a time
+    inst = all_maps_instance(9, 0)
+    got = kkt._step_data_slopes(inst)
+    want = oracles.central_slopes(inst.system.step_data, inst.truth)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "grid"])
+def test_step_slopes_match_oracle_jacobian(name):
+    # A and B are rational in the mass, so the slopes are not exact: they
+    # match an independent central difference to its truncation error
+    inst, reference, _ = reference_step_data(name, 12, 1)
+    got = kkt._step_data_slopes(inst)
+    for t in range(inst.T):
+        want = oracles.fd_jacobian(
+            lambda xi: np.concatenate([np.ravel(a) for a in reference(t, xi)]),
+            inst.truth[t])
+        flat = np.concatenate([a[t].reshape(-1, a.shape[-1]) for a in got])
+        assert np.abs(flat - want).max() <= 1e-8 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("t", [0, 3, 5])

@@ -12,16 +12,14 @@ from mpclab.model import (Bounds, Instance, InventorySystem,
                           validate_assumptions)
 
 
-def const_system(n=1, m=1, T=4, a=0.5, b=1.0):
+def const_system(n=1, m=1, T=4, a=0.5, b=1.0, q=1.0):
     A = a * np.eye(n)
     B = b * np.eye(n)[:, :m]
     return LinearQuadraticSystem(
         n, m, T,
-        A=lambda t, xi: A, B=lambda t, xi: B,
-        w=lambda t, xi: np.zeros(n),
-        Q=lambda t, xi: np.eye(n), R=lambda t, xi: np.eye(m),
-        xbar=lambda t, xi: np.zeros(n),
-        P_T=lambda xi: np.eye(n), xbar_T=lambda xi: np.zeros(n),
+        step_data=lambda ts, xis: (A, B, np.zeros(n), q * np.eye(n),
+                                   np.eye(m), np.zeros(n)),
+        terminal=lambda xi: (np.eye(n), np.zeros(n)),
         bounds=Bounds(mu=1.0, ell=1.0, a=abs(a), b=abs(b)),
         param_box=ParamBox(np.zeros(1), np.ones(1)))
 
@@ -200,8 +198,7 @@ class TestValidateAssumptions:
         assert report["cost_lower"]["worst"] == pytest.approx(1.0)
 
     def test_planted_cost_violation_named(self):
-        sys_ = const_system()
-        sys_.Q = lambda t, xi: 3.0 * np.eye(1)  # exceeds the declared ceiling
+        sys_ = const_system(q=3.0)  # Q exceeds the declared ceiling
         report = validate_assumptions(sys_, samples=20, seed=0)
         assert not report["ok"]
         assert not report["cost_upper"]["ok"]
@@ -288,7 +285,7 @@ class TestSystemFamilies:
         sys_ = inst.system
         assert sys_.kind == "disturbance"
         xi = np.array([0.9])
-        assert np.array_equal(sys_.xbar(3, xi), np.zeros(2))
+        assert np.array_equal(sys_.step_data(3, xi)[5], np.zeros(2))
         assert sys_.bounds.L_A == 0.0 and sys_.bounds.D_xbar == 0.0
 
     def test_lipschitz_dynamics_is_row_norm_bound(self):

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from mpclab import cli, ftocp, kkt, presets
@@ -41,6 +42,57 @@ def inventory_sensitivity_profile(p, one_sided):
     profile = sens[:0:-1]
     fit = kkt.fit_decay(offsets, np.maximum(profile, 1e-300))
     return offsets, profile, fit
+
+
+def reference_step_data(name, T, seed):
+    """The preset ``name`` at T and seed, an independent per-entry
+    reference of its step data, step_data(t, xi) of one step, and the truth
+    that reference draws (None where the preset's truth is not random)."""
+    inst = presets.build_preset(name, T=T, seed=seed)
+    truth = None
+    if name == "tracking-rand":
+        reference, truth, _, _ = oracles.tracking_rand_data(T, seed, 2, 1)
+    elif name == "disturbance":
+        reference, truth = oracles.disturbance_data(T, seed)
+    elif name == "pendulum":
+        reference = oracles.regulation_step_data(
+            lambda M: oracles.pendulum_matrices(M,
+                                                **presets.PENDULUM_DEFAULTS),
+            4, 1)
+    elif name == "grid":
+        reference = oracles.regulation_step_data(
+            lambda m_val: oracles.grid_matrices(
+                m_val, n_nodes=3, delta=presets.GRID_DEFAULTS["delta"]),
+            6, 3)
+    else:
+        reference = oracles.chain_step_data(inst.system.action_weight)
+    return inst, reference, truth
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(presets.PRESETS)),
+       shape=st.sampled_from(["()", "(k,)", "(W, k)"]),
+       k=st.integers(1, 5), W=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_stacked_step_data_matches_per_entry_reference(name, shape, k, W,
+                                                       seed):
+    # one stacked call on a batch of steps and parameters equals the
+    # reference called entry by entry, bitwise; an int step gives the
+    # arrays of one step
+    T = 10
+    inst, reference, truth = reference_step_data(name, T, seed % 4)
+    if truth is not None:
+        assert np.array_equal(inst.truth, truth)
+    box = inst.system.param_box
+    rng = np.random.default_rng(seed)
+    dims = {"()": (), "(k,)": (k,), "(W, k)": (W, k)}[shape]
+    ts = rng.integers(0, T, size=dims)
+    xis = rng.uniform(box.lo, box.hi, size=dims + box.lo.shape)
+    got = inst.system.step_data(int(ts) if shape == "()" else ts, xis)
+    for idx in np.ndindex(dims):
+        want = reference(int(ts[idx]), xis[idx])
+        for g, w in zip(got, want, strict=True):
+            assert g[idx].shape == w.shape
+            assert np.array_equal(g[idx], w), (idx, g[idx], w)
 
 
 class TestTrackingRand:

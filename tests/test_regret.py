@@ -15,7 +15,7 @@ class TestSolveOpt:
         sys = inst.system
         data = [sys.step_data(t, inst.truth[t]) for t in range(10)]
         term = inst.terminal_cost()
-        so, ao, _ = oracles.lq_ocp_oracle(
+        so, ao = oracles.lq_ocp_oracle(
             [d[0] for d in data], [d[1] for d in data],
             [d[2] for d in data], [d[3] for d in data],
             [d[4] for d in data], [d[5] for d in data],
@@ -132,7 +132,7 @@ class TestSweeps:
             zero = np.zeros_like(inst.truth)
             data = [sys_.step_data(t, zero[t]) for t in range(inst.T)]
             term = inst.terminal_cost(zero[-1])
-            nominal, _, _ = oracles.lq_ocp_oracle(
+            nominal, _ = oracles.lq_ocp_oracle(
                 *([d[i] for d in data] for i in range(6)), inst.x0,
                 ("quadratic", term.P, term.xbar))
             assert np.allclose(rule.reference_states, nominal, atol=1e-9)
