@@ -244,7 +244,8 @@ def sweep_horizon(preset, instance_file, T, seed, out, k_max):
                                seed=inst.seed)
     _write(out, "sweep_horizon.csv", _sweep_body(res, hdr))
     _write(out, "sweep_horizon.json", _json_body(
-        {"slope": res.slope, "r2": res.r2}, hdr))
+        {"slope": res.slope, "r2": res.r2,
+         "kkt_residual_max": res.kkt_residual_max}, hdr))
     click.echo(_fit_text(res))
 
 
@@ -271,7 +272,8 @@ def sweep_noise(preset, instance_file, T, seed, out, k, noise_scale):
                              seed=inst.seed)
     _write(out, "sweep_noise.csv", _sweep_body(res, hdr))
     _write(out, "sweep_noise.json", _json_body(
-        {"slope": res.slope, "r2": res.r2}, hdr))
+        {"slope": res.slope, "r2": res.r2,
+         "kkt_residual_max": res.kkt_residual_max}, hdr))
     click.echo(f"loglog_{_fit_text(res)}")
 
 

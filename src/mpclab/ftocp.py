@@ -8,7 +8,11 @@ Two problem classes are supported exactly:
   and a batched forward rollout gives their solutions, multipliers and KKT
   residuals.  A single window is a batch of one;
 - the constrained scalar stock chain: one backward pass (``chain_law``)
-  over the knots of the derivatives of its value functions, then a rollout.
+  over the knots of the derivatives of its value functions, then a rollout
+  read on Python floats.  The chain laws of one system share their backward
+  steps: each step with the bits of one computed before is read from it,
+  so the windows of a run, the truth law and the sweeps of an instance
+  compute each distinct step once, while the system lives.
 
 ``window_law`` gives the law of one window (a ``ContinuationLaw`` or a
 ``ChainLaw``, both read with ``action(t, x)`` and ``solution(t, x)``),
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import struct
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -394,25 +400,41 @@ class ChainLaw:
 
     def action(self, t: int, x: Array, w: int = 0) -> Array:
         """Optimal action at offset t from x; w is the window, always 0."""
-        states = self._rollout(t, self._check(t, x), t + 1)
-        return np.clip(np.diff(states), self.system.u_lo, self.system.u_hi)
+        return np.array(self._actions(self._rollout(t, self._check(t, x),
+                                                    t + 1)))
 
     def kkt_residuals(self, xs: Array) -> Array:
         """KKT residual of the optimal solution from xs[0], as an array."""
-        return np.array([self.solution(0, xs[0]).kkt_residual])
+        return np.array([self._kkt_residual(0, *self._trajectory(0, xs[0]))])
 
     def solution(self, t: int, x: Array) -> FtocpSolution:
         """Optimal solution of the window [t, T] from x, with the multipliers
         of its dynamics rows and its KKT residual."""
-        states = np.array(self._rollout(t, self._check(t, x), self.T))
-        actions = np.clip(np.diff(states), self.system.u_lo, self.system.u_hi)
-        duals = self._duals(t, states, actions)
+        states, actions, duals = self._trajectory(t, x)
+        residual = self._kkt_residual(t, states, actions, duals)
+        states, actions = np.array(states), np.array(actions)
         top = states.size - (not self.system.include_terminal_stage)
         value = float(np.sum((states[:top] - self.targets[t:t + top]) ** 2)
                       + self.system.action_weight * np.sum(actions ** 2))
         return FtocpSolution(self.t1 + t, self.t1 + self.T, states[:, None],
-                             actions[:, None], duals[:, None], value,
-                             self._kkt_residual(t, states, actions, duals))
+                             actions[:, None], np.array(duals)[:, None],
+                             value, residual)
+
+    def _trajectory(self, t: int, x: Array) -> tuple[list, list, list]:
+        """Optimal states, actions and multipliers of the window [t, T]
+        from x, as floats."""
+        states = self._rollout(t, self._check(t, x), self.T)
+        actions = self._actions(states)
+        return states, actions, self._duals(t, states, actions)
+
+    def _actions(self, states: list) -> list:
+        """The actions between consecutive states, clipped to the action
+        bounds as np.clip clips them (to u_lo on a tie of signed zeros
+        when there is no upper bound)."""
+        lo, hi = self.system.u_lo, self.system.u_hi
+        if hi is None:
+            return [max(lo, b - a) for a, b in zip(states, states[1:])]
+        return [min(max(b - a, lo), hi) for a, b in zip(states, states[1:])]
 
     def _check(self, t: int, x: Array) -> float:
         """x as a float, once the window [t, T] from x is known feasible:
@@ -443,15 +465,16 @@ class ChainLaw:
             states.append(x)
         return states
 
-    def _duals(self, t: int, states: Array, actions: Array) -> Array:
+    def _duals(self, t: int, states, actions) -> list:
         """Multipliers eta of the dynamics rows (as in ContinuationLaw) of a
-        primal solution.  The multipliers l_s = eta_{s+1} - gam u_s of the
-        bounds on u_s and m_s = eta_{s+1} - eta_s - (x_s - r_s) of those on
-        x_s may be nonzero only towards a bound met to within 1e-12.  A
-        forward pass keeps the interval of eta_{s+1} this allows (its
+        primal solution, as floats.  The multipliers l_s = eta_{s+1} - gam u_s
+        of the bounds on u_s and m_s = eta_{s+1} - eta_s - (x_s - r_s) of
+        those on x_s may be nonzero only towards a bound met to within 1e-12.
+        A forward pass keeps the interval of eta_{s+1} this allows (its
         nearest point if empty), a backward one picks eta_s nearest m_s = 0."""
-        sys, gam, K = self.system, self.system.action_weight, actions.size
-        dev, tol, inf = states - self.targets[t:], 1e-12, np.inf
+        sys, gam, K = self.system, self.system.action_weight, len(actions)
+        dev = [x - r for x, r in zip(states, self.targets[t:])]
+        tol, inf = 1e-12, np.inf
         bands, lo, hi = [], -inf, inf       # eta_0 is free: x_0 is given
         for s, (x, u) in enumerate(zip(states, actions)):
             a = lo + dev[s] - (inf if s == 0 or x <= sys.x_lo + tol else 0.0)
@@ -461,7 +484,7 @@ class ChainLaw:
                             and u >= sys.u_hi - tol else 0.0)
             lo, hi = min(max(a, lo), hi), max(min(b, hi), lo)
             bands.append((lo, hi))      # interval of eta_{s+1}
-        eta = np.empty(K + 1)
+        eta = [0.0] * (K + 1)
         nearest = gam * actions[-1] if K else 0.0
         for s in range(K, 0, -1):
             eta[s] = min(max(nearest, bands[s - 1][0]), bands[s - 1][1])
@@ -473,17 +496,20 @@ class ChainLaw:
         """Norm of the KKT violations of the window [t, T]: the initial
         state's stationarity row, the dynamics rows, the pin, and the natural
         residuals v - clip(v + l, lo, hi) of the bounds on each action and
-        state v, zero iff v is feasible and its multiplier l complementary."""
-        sys, eta, x = self.system, np.ravel(duals), states[1:-1]
-        dev = states - self.targets[t:]
+        state v, zero iff v is feasible and its multiplier l complementary.
+        The entries are floats, taken in this order into one norm."""
+        sys, gam, eta = self.system, self.system.action_weight, duals
         u_hi = np.inf if sys.u_hi is None else sys.u_hi
-        ell = eta[1:] - sys.action_weight * actions
-        m = eta[2:] - eta[1:-1] - dev[1:-1]
-        return float(np.linalg.norm(np.concatenate([
-            dev[:1] + eta[:1] - eta[1:2], np.diff(states) - actions,
-            states[-1:] - self.pin,
-            actions - np.clip(actions + ell, sys.u_lo, u_hi),
-            x - np.clip(x + m, sys.x_lo, sys.x_hi)])))
+        dev = [x - r for x, r in zip(states, self.targets[t:])]
+        rows = [dev[0] + eta[0] - eta[1]] if len(actions) else []
+        rows += [b - a - u for a, b, u in zip(states, states[1:], actions)]
+        rows.append(states[-1] - self.pin)
+        rows += [u - min(max(u + (e - gam * u), sys.u_lo), u_hi)
+                 for u, e in zip(actions, eta[1:])]
+        rows += [x - min(max(x + (e2 - e1 - d), sys.x_lo), sys.x_hi)
+                 for x, d, e1, e2 in zip(states[1:-1], dev[1:-1], eta[1:],
+                                         eta[2:])]
+        return float(np.linalg.norm(rows))
 
 
 def _descent(knots, slope, icpt, gam: float, x: float):
@@ -543,17 +569,35 @@ def _chain_step(system: InventorySystem, nxt, r: float):
     return (lo,) + ends, slopes, icpts
 
 
+# the backward steps of each system's chain laws, keyed by the bits of their
+# inputs (equal values may differ in the sign of a zero): a system's laws
+# share every step they have in common (the windows of a run that end at one
+# step share their pin and the tail of their targets), and the steps die
+# with the system
+_CHAIN_STEPS = weakref.WeakKeyDictionary()
+
+
 def chain_law(system: InventorySystem, params: Sequence[Array],
               terminal: TerminalCost, t1: int = 0) -> ChainLaw:
     """One backward pass over the steps t1 .. t1 + T of the stock chain,
-    where T = len(params) - 1 and params[i] is the target of step t1 + i."""
+    where T = len(params) - 1 and params[i] is the target of step t1 + i.
+    A step whose next pieces and target have the bits of one taken before
+    by a law of this system is read from that one, which is what a fresh
+    pass computes: ``_chain_step`` is a function of those bits alone."""
     if terminal.kind != "indicator":
         raise ValueError("chain solver requires a pinned terminal state")
-    targets = tuple(float(np.atleast_1d(p)[0]) for p in params)
+    targets = tuple(np.reshape(np.asarray(params, float),
+                               (len(params), -1))[:, 0].tolist())
     pin = float(terminal.target[0])
+    steps = _CHAIN_STEPS.setdefault(system, {})
     pieces = [None] * (len(targets) - 1) + [((pin,), (), ())]
     for t in range(len(targets) - 2, 0, -1):
-        pieces[t] = _chain_step(system, pieces[t + 1], targets[t])
+        knots, slope, icpt = pieces[t + 1]
+        key = struct.pack(f"{len(knots) + 2 * len(slope) + 1}d", *knots,
+                          *slope, *icpt, targets[t])
+        if key not in steps:
+            steps[key] = _chain_step(system, pieces[t + 1], targets[t])
+        pieces[t] = steps[key]
     return ChainLaw(system, t1, len(targets) - 1, targets, pin, tuple(pieces))
 
 

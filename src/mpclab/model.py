@@ -255,7 +255,7 @@ class DisturbanceOnlySystem(LinearQuadraticSystem):
             param_box=param_box)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class InventorySystem:
     """Scalar stock-tracking chain: x_{t+1} = x_t + u_t, x in [-1, 1].
 
@@ -263,7 +263,9 @@ class InventorySystem:
     two-sided.  ``include_terminal_stage`` records whether the stage cost of
     the final state enters the reported objective value.  ``action_weight``
     adds a smooth action cost action_weight * u^2 per step (still convex and
-    smooth, strongly convex in the state).
+    smooth, strongly convex in the state).  Systems are hashed and compared
+    by identity, so that ``ftocp`` keeps the backward steps of each system's
+    chain laws while the system lives.
     """
 
     T: int

@@ -89,7 +89,8 @@ def aggregate_E(k: int, gain_state: Array, gain_param: Array,
 class SweepResult:
     """Regrets of a sweep and the log-linear fit of those above
     REGRET_FLOOR: slope, intercept and r2 are None when fewer than two
-    are, since no line is fitted."""
+    are, since no line is fitted.  ``kkt_residual_max`` is the worst KKT
+    residual of the window solves of the sweep's runs."""
 
     variable: str
     values: Array
@@ -97,6 +98,7 @@ class SweepResult:
     slope: float | None
     intercept: float | None
     r2: float | None
+    kkt_residual_max: float
     log_x: bool = False
 
 
@@ -109,17 +111,18 @@ def _fit_positive(xs: Array, regrets: Array, log_x: bool):
 
 
 def _sweep_regrets(instance: Instance, points, rule: engine.TerminalRule,
-                   seed: int) -> Array:
+                   seed: int) -> tuple[Array, float]:
     """Regret of one closed-loop run per ``(k, rho)`` point against the
-    instance's hindsight optimum."""
+    instance's hindsight optimum, and the worst KKT residual of the runs."""
     opt = engine.solve_opt(instance)
     T = instance.T
-    regrets = []
+    regrets, worst = [], 0.0
     for k, rho in points:
         stream = PredictionStream(instance.truth, min(k, T), rho, seed=seed)
         run = engine.run_mpc(instance, stream, k, rule)
         regrets.append(run.total_cost - opt.total_cost)
-    return np.array(regrets, float)
+        worst = max(worst, run.kkt_residual_max)
+    return np.array(regrets, float), worst
 
 
 def _scaled(base_rho, s: float):
@@ -130,11 +133,11 @@ def sweep_horizon(instance: Instance, k_values: Sequence[int],
                   rule: engine.TerminalRule, seed: int = 0) -> SweepResult:
     """Zero-noise regret as a function of the window length."""
     k_values = list(k_values)
-    regrets = _sweep_regrets(instance, [(k, 0.0) for k in k_values], rule,
-                             seed)
+    regrets, worst = _sweep_regrets(instance, [(k, 0.0) for k in k_values],
+                                    rule, seed)
     ks = np.asarray(k_values, float)
     slope, intercept, r2 = _fit_positive(ks, regrets, log_x=False)
-    return SweepResult("k", ks, regrets, slope, intercept, r2)
+    return SweepResult("k", ks, regrets, slope, intercept, r2, worst)
 
 
 def sweep_noise(instance: Instance, base_rho, scales: Sequence[float],
@@ -143,11 +146,10 @@ def sweep_noise(instance: Instance, base_rho, scales: Sequence[float],
     """Regret as a function of the forecast-noise scale at fixed window
     length.  ``base_rho(t, tau)`` is scaled multiplicatively; the fit is
     over the positive scales."""
-    regrets = _sweep_regrets(instance,
-                             [(k, _scaled(base_rho, s)) for s in scales],
-                             rule, seed)
+    regrets, worst = _sweep_regrets(
+        instance, [(k, _scaled(base_rho, s)) for s in scales], rule, seed)
     xs = np.asarray(list(scales), float)
     keep = xs > 0
     slope, intercept, r2 = _fit_positive(xs[keep], regrets[keep], log_x=True)
     return SweepResult("noise_scale", xs, regrets, slope, intercept, r2,
-                       log_x=True)
+                       worst, log_x=True)

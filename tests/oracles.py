@@ -145,6 +145,56 @@ def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,
     return full(best.x)
 
 
+# The stock chain's reads of a primal solution on numpy arrays: the chain
+# law reads them on Python floats and must agree bit for bit.  ``sys`` has
+# the bounds u_lo, u_hi (None when one-sided), x_lo, x_hi and the
+# action_weight of the chain; ``targets`` are r_s from the first state on.
+
+def chain_actions(sys, states):
+    """Actions between consecutive states, clipped to the action bounds."""
+    return np.clip(np.diff(states), sys.u_lo, sys.u_hi)
+
+
+def chain_duals(sys, targets, states, actions):
+    """Multipliers eta of the dynamics rows: a forward pass keeps the
+    interval of eta_{s+1} that the bound multipliers allow (nonzero only
+    towards a bound met to within 1e-12), a backward one picks eta_s
+    nearest a zero state-bound multiplier."""
+    gam, K = sys.action_weight, actions.size
+    dev, tol, inf = states - targets, 1e-12, np.inf
+    bands, lo, hi = [], -inf, inf
+    for s, (x, u) in enumerate(zip(states, actions)):
+        a = lo + dev[s] - (inf if s == 0 or x <= sys.x_lo + tol else 0.0)
+        b = hi + dev[s] + (inf if s == 0 or x >= sys.x_hi - tol else 0.0)
+        lo = gam * u - (inf if u <= sys.u_lo + tol else 0.0)
+        hi = gam * u + (inf if sys.u_hi is not None
+                        and u >= sys.u_hi - tol else 0.0)
+        lo, hi = min(max(a, lo), hi), max(min(b, hi), lo)
+        bands.append((lo, hi))
+    eta = np.empty(K + 1)
+    nearest = gam * actions[-1] if K else 0.0
+    for s in range(K, 0, -1):
+        eta[s] = min(max(nearest, bands[s - 1][0]), bands[s - 1][1])
+        nearest = eta[s] - dev[s - 1]
+    eta[0] = nearest
+    return eta
+
+
+def chain_kkt_residual(sys, targets, pin, states, actions, duals):
+    """Norm of the initial stationarity row, the dynamics rows, the pin and
+    the natural residuals of the action and state bounds, in this order."""
+    eta, x = np.ravel(duals), states[1:-1]
+    dev = states - targets
+    u_hi = np.inf if sys.u_hi is None else sys.u_hi
+    ell = eta[1:] - sys.action_weight * actions
+    m = eta[2:] - eta[1:-1] - dev[1:-1]
+    return float(np.linalg.norm(np.concatenate([
+        dev[:1] + eta[:1] - eta[1:2], np.diff(states) - actions,
+        states[-1:] - pin,
+        actions - np.clip(actions + ell, sys.u_lo, u_hi),
+        x - np.clip(x + m, sys.x_lo, sys.x_hi)])))
+
+
 def forecast_oracle(truth, k, rho, seed):
     """Forecasts of a prediction stream, one entry at a time.
 

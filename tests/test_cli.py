@@ -182,6 +182,32 @@ class TestSweeps:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "sweep_horizon.csv").exists()
         assert "slope=" in res.output
+        doc = json.loads(read(tmp_path / "sweep_horizon.json"))
+        assert 0.0 <= doc["kkt_residual_max"] <= 1e-8
+
+    def test_chain_sweep_computes_each_backward_step_once(
+            self, runner, tmp_path, monkeypatch):
+        # the 570 backward steps of this sweep's chain laws (truth, windows,
+        # optimum) hold 22 distinct inputs: each is computed once per call,
+        # and no step carries over from one call to the next
+        calls = []
+        step = ftocp._chain_step
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+        monkeypatch.setattr(ftocp, "_chain_step", counted)
+        args = ["sweep-horizon", "--preset", "inventory-two-sided", "--T",
+                "16", "--k", "10", "--out"]
+        outputs = []
+        for run in ("first", "second"):
+            calls.clear()
+            res = runner.invoke(cli.main, args + [str(tmp_path / run)])
+            assert res.exit_code == 0, res.output
+            assert len(calls) == 22
+            outputs.append([read(tmp_path / run / name) for name in
+                            ("sweep_horizon.csv", "sweep_horizon.json")])
+        assert outputs[0] == outputs[1]
 
     def test_sweep_noise_at_zero_noise_fits_nothing(self, runner, tmp_path):
         # every scale is 0, so no regret is fitted: the fit is reported
@@ -216,6 +242,8 @@ class TestSweeps:
                                        "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "sweep_noise.csv").exists()
+        doc = json.loads(read(tmp_path / "sweep_noise.json"))
+        assert 0.0 <= doc["kkt_residual_max"] <= 1e-8
 
 
 class TestCertifications:

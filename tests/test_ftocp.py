@@ -1,11 +1,14 @@
 """Windowed solvers versus independent oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from mpclab import engine, ftocp, presets
+from mpclab import engine, ftocp, presets, regret
 from mpclab.ftocp import Infeasible
 from mpclab.model import InventorySystem, PredictionStream, TerminalCost
 
@@ -289,9 +292,10 @@ class TestChainSolver:
         j = int(np.argmin(np.abs(states[1:-1]))) + 1
         assert abs(states[j]) < 0.5
         states[j] += 1e-6
-        actions = np.diff(states)
+        states, actions = states.tolist(), np.diff(states).tolist()
         # the optimum's multipliers, and the best ones for the new states
-        for duals in (sol.duals[:, 0], law._duals(0, states, actions)):
+        for duals in (sol.duals[:, 0].tolist(),
+                      law._duals(0, states, actions)):
             assert law._kkt_residual(0, states, actions, duals) > 1e-9
 
     def test_requires_pinned_terminal(self):
@@ -299,6 +303,11 @@ class TestChainSolver:
         with pytest.raises(ValueError):
             ftocp.window_law(system, [np.zeros(1)] * 4,
                              TerminalCost.zero(1)).solution(0, np.zeros(1))
+
+
+def bits(values):
+    """The bytes of a float or an array of floats."""
+    return np.asarray(values, float).tobytes()
 
 
 # values at which the chain's state and action bounds tie with a target
@@ -320,15 +329,96 @@ def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
     targets = np.array(data.draw(st.lists(
         st.one_of(st.sampled_from(TIES), st.floats(-1.5, 1.5)),
         min_size=K + 1, max_size=K + 1)))
-    system = InventorySystem(T=K, targets=targets, u_lo=u_lo, u_hi=u_hi,
-                             action_weight=action_weight)
+    fresh, filled = (InventorySystem(T=K, targets=targets, u_lo=u_lo,
+                                     u_hi=u_hi, action_weight=action_weight)
+                     for _ in range(2))
     params = [np.array([v]) for v in targets]
-    sol = ftocp.window_law(system, params, TerminalCost.indicator(
-        [target])).solution(0, np.array([z]))
+    pin = TerminalCost.indicator([target])
+    # other windows fill the memo of one system first: the window's tails,
+    # which share all its steps, and windows on other targets and pins
+    for j in range(1, K):
+        ftocp.window_law(filled, params[j:], pin)
+    ftocp.window_law(filled, params[::-1], pin)
+    ftocp.window_law(filled, params, TerminalCost.indicator([z]))
+    law = ftocp.window_law(fresh, params, pin)
+    shared = ftocp.window_law(filled, params, pin)
+    assert shared.pieces == law.pieces
+    sol = law.solution(0, np.array([z]))
+    again = shared.solution(0, np.array([z]))
+    for field in ("states", "actions", "duals", "value", "kkt_residual"):
+        assert bits(getattr(again, field)) == bits(getattr(sol, field))
     xo = oracles.inventory_oracle(z, targets[:K], target, u_lo, u_hi,
                                   action_weight=action_weight)
     assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
     assert sol.kkt_residual <= 1e-9
+
+
+def test_chain_steps_die_with_their_system():
+    # a system's chain laws share their backward steps, which the memo holds
+    # only while the system lives
+    inst = presets.build_preset("inventory-one-sided", T=12)
+    regret.sweep_horizon(inst, [2, 4], engine.TerminalRule(
+        "predicted_tracking"))
+    system = weakref.ref(inst.system)
+    assert ftocp._CHAIN_STEPS[inst.system]
+    del inst
+    gc.collect()
+    assert system() is None
+    assert all(key() is not None for key in ftocp._CHAIN_STEPS.keyrefs())
+
+
+# start states and pins at a state bound or within 1e-12 of one
+NEAR_BOUNDS = st.builds(lambda b, d: b + d, st.sampled_from([-1.0, 1.0]),
+                        st.floats(-1e-12, 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 8),
+       u_hi=st.one_of(st.none(), st.just(0.8), st.floats(0.2, 1.2)),
+       action_weight=st.sampled_from([0.0, 0.5, 2.0]),
+       z=st.one_of(CHAIN_VALUES, NEAR_BOUNDS),
+       target=st.one_of(CHAIN_VALUES, NEAR_BOUNDS), data=st.data())
+def test_chain_float_reads_match_numpy_oracles(K, u_hi, action_weight, z,
+                                               target, data):
+    # the chain law reads actions, multipliers and KKT residuals on Python
+    # floats; the numpy reads of the oracles give the same bits, at the
+    # optimum from every offset and at states moved to within 1e-12 of a
+    # state bound, where the multipliers' bound tolerance decides
+    u_lo = -0.8
+    step = (target - z) / K
+    assume(step >= u_lo - 1e-12 and (u_hi is None or step <= u_hi + 1e-12))
+    targets = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(TIES), st.floats(-1.5, 1.5)),
+        min_size=K + 1, max_size=K + 1)))
+    system = InventorySystem(T=K, targets=targets, u_lo=u_lo, u_hi=u_hi,
+                             action_weight=action_weight)
+    law = ftocp.window_law(system, [np.array([v]) for v in targets],
+                           TerminalCost.indicator([target]))
+    full = law.solution(0, np.array([z])).states[:, 0]
+    for t in range(K):
+        sol = law.solution(t, full[t:t + 1])
+        states = sol.states[:, 0]
+        us = oracles.chain_actions(system, states)
+        duals = oracles.chain_duals(system, targets[t:], states, us)
+        assert bits(law.action(t, states[:1])) == bits(us[:1])
+        assert bits(sol.actions[:, 0]) == bits(us)
+        assert bits(sol.duals[:, 0]) == bits(duals)
+        assert bits(sol.kkt_residual) == bits(oracles.chain_kkt_residual(
+            system, targets[t:], law.pin, states, us, duals))
+        if K - t < 2:
+            continue
+        moved = states.copy()
+        moved[data.draw(st.integers(1, K - t - 1))] = data.draw(NEAR_BOUNDS)
+        us = oracles.chain_actions(system, moved)
+        duals = oracles.chain_duals(system, targets[t:], moved, us)
+        xs = moved.tolist()
+        got_us = law._actions(xs)
+        got_duals = law._duals(t, xs, got_us)
+        assert bits(got_us) == bits(us)
+        assert bits(got_duals) == bits(duals)
+        assert bits(law._kkt_residual(t, xs, got_us, got_duals)) == bits(
+            oracles.chain_kkt_residual(system, targets[t:], law.pin, moved,
+                                       us, duals))
 
 
 class TestClairvoyant:

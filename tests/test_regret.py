@@ -113,6 +113,7 @@ class TestSweeps:
                              (np.full_like(opt.states, 0.5), False)):
             rule = TerminalRule("reference", reference_states=states)
             res = regret.sweep_horizon(inst, [3, 5], rule, seed=inst.seed)
+            residuals = []
             for k, got in zip((3, 5), res.regrets):
                 stream = PredictionStream(inst.truth, k, 0.0, seed=inst.seed)
                 run = engine.run_mpc(inst, stream, k, TerminalRule(
@@ -120,6 +121,8 @@ class TestSweeps:
                 assert got == pytest.approx(run.total_cost - opt.total_cost,
                                             rel=1e-12, abs=1e-15)
                 assert (abs(got) <= 1e-12) == zero
+                residuals.append(run.kkt_residual_max)
+            assert res.kkt_residual_max == max(residuals)
 
     def test_reference_rule_belongs_to_its_instance(self):
         # a reference rule holds the nominal trajectory of the instance it
