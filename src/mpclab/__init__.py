@@ -8,10 +8,10 @@ from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
 from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, Infeasible,
                     SingularKKT, chain_law, continuation_law, truth_law,
                     window_law)
-from .kkt import (DecayFit, GainTables, TrackingDecayConstants, assemble,
-                  block_inverse_profile, general_decay_constants,
-                  measure_gain_tables, theory_gain_tables,
-                  tracking_decay_constants)
+from .kkt import (DecayFit, GainTables, TrackingDecayConstants,
+                  decay_profile, general_decay_constants,
+                  measure_gain_tables, sigma_min, theory_gain_tables,
+                  tracking_decay_constants, window_data)
 from .engine import (TerminalRule, TrajectoryRecord,
                      per_step_error_bound_rhs, pipeline_admission_check,
                      run_mpc, solve_opt)

@@ -289,9 +289,9 @@ def certify_decay(preset, instance_file, T, seed, out):
     cfg = {"cmd": "certify-decay", "preset": preset,
            "instance": instance_file, "T": T, "seed": seed}
     hdr = _headers("certify-decay", cfg)
-    asm = kkt.assemble(sys_, inst.truth, inst.terminal_cost())
-    norms, maxima, fit = kkt.block_inverse_profile(asm)
-    sigma = kkt.sigma_min(asm)   # the measured sigma of the full window
+    wm = kkt.window_data(sys_, inst.truth, inst.terminal_cost())
+    norms, maxima, fit = kkt.decay_profile(wm)
+    sigma = kkt.sigma_min(wm)   # the measured sigma of the full window
     consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
     offsets = np.arange(maxima.shape[0])
     theory = consts.decay_coef * consts.decay_rate ** offsets

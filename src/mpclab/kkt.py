@@ -1,5 +1,14 @@
-"""Saddle-matrix analysis: assembly, inverse block-decay profiles, closed-form
-decay constants, and empirical sensitivity envelopes.
+"""Saddle-matrix analysis: blocks of the permuted saddle matrix read from a
+window's step data, inverse block-decay profiles, closed-form decay
+constants, and empirical sensitivity envelopes.
+
+The saddle matrix of a window of length K is H = [[M, N'], [N, 0]], with
+the cost block M and the dynamics block N over the variables (y_0, v_0,
+..., v_{K-1}, y_K) and the multipliers (eta_0, ..., eta_K) of the initial
+pin and the dynamics rows.  Ordered by step it is the block-tridiagonal
+Upsilon: block i is (y_i, v_i, eta_i), the last one (y_K, eta_K) under a
+quadratic terminal cost or (eta_K) alone when the final state is pinned.
+Neither H nor Upsilon is formed; their blocks come from the step data.
 """
 
 from __future__ import annotations
@@ -9,21 +18,63 @@ import math
 
 import numpy as np
 
-from . import _assembly, ftocp
+from . import ftocp
+from ._assembly import WindowMatrices
 from .model import Bounds, Instance, TerminalCost
 
 Array = np.ndarray
 
-KktAssembly = _assembly.KktAssembly
 
-
-def assemble(system, params, terminal: TerminalCost) -> KktAssembly:
-    """Assembled saddle matrix of the window on the steps 0 .. K,
-    K = len(params) - 1, as ``ftocp.window_law`` reads its arguments."""
+def window_data(system, params, terminal: TerminalCost) -> WindowMatrices:
+    """Step data of the window on the steps 0 .. K, K = len(params) - 1,
+    as ``ftocp.window_law`` reads its arguments."""
     params = np.asarray(params, float)
     K = len(params) - 1
-    return _assembly.assemble_window(_assembly.WindowMatrices.stack(
-        system, np.arange(K), params[:K], terminal))
+    return WindowMatrices.stack(system, np.arange(K), params[:K], terminal)
+
+
+def _saddle_tiles(wm: WindowMatrices) -> tuple[Array, Array, Array]:
+    """The diagonal blocks D_i and super-diagonal blocks E_i of Upsilon as
+    b x b tiles, b = 2n + m, the last block zero-padded, and the first
+    multiplier position of each block.
+
+    D_i = [[Q_i, 0, I], [0, R_i, 0], [I, 0, 0]] and the last block is
+    [[P, I], [I, 0]] (zero under a pin).  E_i holds -A_i' and -B_i' in the
+    columns of eta_{i+1}: blocks couple through the multipliers alone."""
+    K, n, m = wm.K, wm.n, wm.m
+    b, eye = 2 * n + m, np.eye(n)
+    D = np.zeros((K + 1, b, b))
+    D[:K, :n, :n] = wm.Q
+    D[:K, n:n + m, n:n + m] = wm.R
+    D[:K, :n, n + m:] = D[:K, n + m:, :n] = eye
+    eta = np.full(K + 1, n + m)
+    if wm.terminal.kind == "indicator":
+        eta[K] = 0
+    else:
+        eta[K] = n
+        D[K, :n, :n] = wm.terminal.P
+        D[K, :n, n:2 * n] = D[K, n:2 * n, :n] = eye
+    # E_i[:n + m, eta_{i+1} + j] = -[A_i B_i]'[:, j] for j < n
+    E = np.zeros((K, b, b))
+    E[np.arange(K)[:, None, None], np.arange(n + m)[:, None],
+      eta[1:, None, None] + np.arange(n)] = -np.concatenate(
+          [wm.A, wm.B], axis=-1).swapaxes(-1, -2)
+    return D, E, eta
+
+
+def _dynamics_blocks(wm: WindowMatrices) -> Array:
+    """Dense N: the initial pin I at y_0, and the dynamics row of step t
+    with -A_t at y_t, -B_t at v_t and I at y_{t+1}.  A pin drops y_K, the
+    last column block."""
+    K, n, m = wm.K, wm.n, wm.m
+    N = np.zeros((K + 1, n, K + 1, n + m))
+    t = np.arange(K)
+    N[t + 1, :, t, :n] = -wm.A
+    N[t + 1, :, t, n:] = -wm.B
+    t = np.arange(K + 1)
+    N[t, :, t, :n] = np.eye(n)
+    cols = K * (n + m) + (0 if wm.terminal.kind == "indicator" else n)
+    return N.reshape((K + 1) * n, (K + 1) * (n + m))[:, :cols]
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +128,7 @@ def fit_decay(offsets: Array, maxima: Array, floor: float = 1e-300) -> DecayFit:
     pos = maxima > floor
     if not np.any(pos[offsets > 0]):
         C = float(maxima.max(initial=0.0))
-        return DecayFit(C, 0.0, 1.0, offsets, maxima)
+        return DecayFit(C, 0.0, None, offsets, maxima)
     fitted = loglinear_fit(offsets[pos], maxima[pos])
     slope, r2 = (0.0, None) if fitted is None else (fitted[0], fitted[2])
     lam = float(np.exp(min(slope, 0.0)))
@@ -87,39 +138,23 @@ def fit_decay(offsets: Array, maxima: Array, floor: float = 1e-300) -> DecayFit:
     return DecayFit(C, lam, r2, offsets, maxima)
 
 
-def _saddle_entries(M: Array, N: Array, rows: Array, cols: Array) -> Array:
-    """Entries H[rows, cols] of H = [[M, N'], [N, 0]] at broadcast index
-    arrays, read from M and N without forming H; index -1 reads 0."""
-    nv = M.shape[0]
-    r, c = np.broadcast_arrays(rows, cols)
-    var_r, var_c = (r >= 0) & (r < nv), (c >= 0) & (c < nv)
-    out = np.zeros(r.shape)
-    sel = var_r & var_c
-    out[sel] = M[r[sel], c[sel]]
-    sel = var_r & (c >= nv)
-    out[sel] = N[c[sel] - nv, r[sel]]
-    sel = (r >= nv) & var_c
-    out[sel] = N[r[sel] - nv, c[sel]]
-    return out
-
-
-def block_inverse_profile(asm: KktAssembly):
+def decay_profile(wm: WindowMatrices):
     """Spectral norms of the blocks of the inverse G of the permuted saddle
-    matrix Upsilon, by block elimination (Meurant 1992).
+    matrix Upsilon of a window, by block elimination (Meurant 1992).
 
     Upsilon is block tridiagonal with diagonal blocks D_i and super-diagonal
-    blocks E_i, read from M, N and the permutation.  A forward elimination
-    gives the pivots Delta_0 = D_0, Delta_{i+1} = D_{i+1} - E_i' Delta_i^{-1}
-    E_i and C_i = -Delta_i^{-1} E_i; then G_ii = Delta_i^{-1} + C_i G_{i+1,
-    i+1} C_i' and G_{i,j} = C_i G_{i+1,j} for j > i, and G is symmetric.
-    The elimination runs forward because the hat variant's last block is the
-    zero multiplier block.  Blocks are held as b x b tiles, the last one
-    zero-padded, which leaves spectral norms unchanged.
+    blocks E_i, built from the step data by ``_saddle_tiles``.  A forward
+    elimination gives the pivots Delta_0 = D_0, Delta_{i+1} = D_{i+1} - E_i'
+    Delta_i^{-1} E_i and C_i = -Delta_i^{-1} E_i; then G_ii = Delta_i^{-1} +
+    C_i G_{i+1,i+1} C_i' and G_{i,j} = C_i G_{i+1,j} for j > i, and G is
+    symmetric.  The elimination runs forward because a pinned window's last
+    block is the zero multiplier block.  Blocks are held as b x b tiles, the
+    last one zero-padded, which leaves spectral norms unchanged.
 
     Block i + 1 couples to block i only through its n multipliers mu_{i+1}
-    (the tile positions whose permuted index is a constraint row), so C_i
-    is zero outside the columns mu_{i+1} and G_{i,j} = C_i[:, mu_{i+1}]
-    Y_{i+1,j} for the n x b multiplier rows Y_{i,j} = G_{i,j}[mu_i, :].
+    (a fixed slice of each tile), so C_i is zero outside the columns
+    mu_{i+1} and G_{i,j} = C_i[:, mu_{i+1}] Y_{i+1,j} for the n x b
+    multiplier rows Y_{i,j} = G_{i,j}[mu_i, :].
     These obey Y_{i,j} = C_i[mu_i, mu_{i+1}] Y_{i+1,j}, one batched n x n
     product per offset.  With R_i the triangular factor of C_i[:, mu_{i+1}],
     ||G_{i,j}|| = ||R_i Y_{i+1,j}||, the square root of the largest
@@ -131,17 +166,11 @@ def block_inverse_profile(asm: KktAssembly):
     identity Upsilon G = I by more than 1e-6 in some block row (a saddle
     matrix singular to rounding, such as an unreachable pin).
     """
-    sizes = [s.stop - s.start for s in asm.block_slices]
-    nb, b, n = len(sizes), max(sizes), asm.n
+    D, E, eta = _saddle_tiles(wm)
+    nb, b, n = len(D), D.shape[-1], wm.n
+    sizes = [b] * (nb - 1) + [eta[-1] + n]   # the multipliers end a block
     real = np.arange(b) < np.array(sizes)[:, None]
-    idx = np.full((nb, b), -1)
-    idx[real] = asm.perm    # the blocks partition the permutation in order
-    D = _saddle_entries(asm.M, asm.N, idx[:, :, None], idx[:, None, :])
-    E = _saddle_entries(asm.M, asm.N, idx[:-1, :, None], idx[1:, None, :])
-    mu = idx >= asm.M.shape[0]
-    if np.any(mu.sum(axis=1) != n) or np.any(E * ~mu[1:, None, :]):
-        raise ValueError("saddle blocks couple outside the multipliers")
-    mu_cols = np.nonzero(mu)[1].reshape(nb, n)
+    mu_cols = eta[:, None] + np.arange(n)
     diag = np.zeros((nb, b, b))   # Delta_i^{-1}; G_ii after the backward pass
     C = np.zeros((nb - 1, b, b))
     pivot = D[0]
@@ -256,22 +285,28 @@ def tracking_sensitivity_coef(consts: TrackingDecayConstants, ell: float,
             + c2 * (L_w + ell * L_xbar + D_xbar * L_Q + 1.0))
 
 
-def sigma_min(asm: KktAssembly) -> float:
-    """sigma_min of the dynamics blocks N of an assembly.  A quadratic
-    terminal leaves N unchanged, so every full-variant assembly of the same
-    step data gives the same value."""
-    return float(np.linalg.svd(asm.N, compute_uv=False).min())
+def _smallest_singular_value(N: Array) -> float:
+    return float(np.linalg.svd(N, compute_uv=False).min())
+
+
+def sigma_min(wm: WindowMatrices) -> float:
+    """sigma_min of the dynamics blocks N of a window.  N holds only A and
+    B, so every window with a quadratic terminal on the same steps gives
+    the same value."""
+    return _smallest_singular_value(_dynamics_blocks(wm))
 
 
 def measured_sigma(instance: Instance, k: int | None = None) -> float:
-    """sigma_min of the assembled dynamics blocks (full window and, when k is
-    given, the pinned-terminal window), minimized over both."""
+    """sigma_min of the dynamics blocks of the full window and, when k is
+    given, of the pinned-terminal window on the steps 0 .. k, minimized over
+    both.  The pinned window's N is the top-left corner of the full one's."""
     sys = instance.system
-    smin = sigma_min(assemble(sys, instance.truth, TerminalCost.zero(sys.n)))
+    N = _dynamics_blocks(window_data(sys, instance.truth,
+                                     TerminalCost.zero(sys.n)))
+    smin = _smallest_singular_value(N)
     if k is not None and k < sys.T:
-        smin = min(smin, sigma_min(assemble(
-            sys, instance.truth[:k + 1],
-            TerminalCost.indicator(np.zeros(sys.n)))))
+        smin = min(smin, _smallest_singular_value(
+            N[:(k + 1) * sys.n, :k * (sys.n + sys.m)]))
     return smin
 
 

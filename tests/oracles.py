@@ -8,6 +8,8 @@ against these oracles rather than against hand-typed numbers.  Nothing here
 imports the library.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
 import scipy.optimize
@@ -410,24 +412,85 @@ def saddle_matrix(M, N):
     return np.block([[M, N.T], [N, np.zeros((n1, n1))]])
 
 
+class SaddleAssembly(NamedTuple):
+    M: np.ndarray
+    N: np.ndarray
+    perm: np.ndarray
+    block_slices: list
+
+
+def saddle_assembly(wm):
+    """Dense cost block M, dynamics block N, and the permutation of the
+    saddle matrix H = [[M, N'], [N, 0]] of a window's step data into the
+    block-tridiagonal Upsilon = H[perm, perm], with the slices of its
+    blocks, by one Python loop per step.
+
+    "full" (quadratic, possibly zero, terminal cost): variables (y_0, v_0,
+    ..., v_{K-1}, y_K); constraints pin y_0 and propagate the dynamics.
+    "hat" (pinned final state): y_K is eliminated and N drops its last
+    column block; the last permuted block is the final multiplier alone."""
+    K, n, m = wm.K, wm.n, wm.m
+    if K == 0:
+        raise ValueError("empty window")
+    hat = wm.terminal.kind == "indicator"
+
+    def yi(i):
+        return i * (n + m)
+
+    def vi(i):
+        return i * (n + m) + n
+
+    nv = K * (n + m) + (0 if hat else n)
+    nc = (K + 1) * n
+    M = np.zeros((nv, nv))
+    N = np.zeros((nc, nv))
+
+    for t in range(K):
+        M[yi(t):yi(t) + n, yi(t):yi(t) + n] = wm.Q[t]
+        M[vi(t):vi(t) + m, vi(t):vi(t) + m] = wm.R[t]
+    if not hat:
+        # the zero terminal carries P = 0
+        M[yi(K):yi(K) + n, yi(K):yi(K) + n] = wm.terminal.P
+
+    N[0:n, 0:n] = np.eye(n)  # initial-state pin
+    for t in range(K):
+        r = (t + 1) * n
+        N[r:r + n, yi(t):yi(t) + n] = -wm.A[t]
+        N[r:r + n, vi(t):vi(t) + m] = -wm.B[t]
+        if t < K - 1 or not hat:
+            N[r:r + n, yi(t + 1):yi(t + 1) + n] = np.eye(n)
+
+    # permutation to per-step blocks (y_i, v_i, eta_i), final block
+    # (y_K, eta_K) for the full variant or (eta_K) alone for the hat variant
+    perm = []
+    block_slices = []
+    for i in range(K):
+        s = len(perm)
+        perm.extend(range(yi(i), yi(i) + n))
+        perm.extend(range(vi(i), vi(i) + m))
+        perm.extend(range(nv + i * n, nv + (i + 1) * n))
+        block_slices.append(slice(s, len(perm)))
+    s = len(perm)
+    if not hat:
+        perm.extend(range(yi(K), yi(K) + n))
+    perm.extend(range(nv + K * n, nv + (K + 1) * n))
+    block_slices.append(slice(s, len(perm)))
+
+    return SaddleAssembly(M, N, np.array(perm), block_slices)
+
+
 def dense_upsilon(asm):
-    """Dense permuted saddle matrix Upsilon = H[perm, perm] of an assembly,
-    H = [[M, N'], [N, 0]]."""
+    """Dense permuted saddle matrix Upsilon = H[perm, perm] of a
+    ``saddle_assembly``, H = [[M, N'], [N, 0]]."""
     return saddle_matrix(asm.M, asm.N)[np.ix_(asm.perm, asm.perm)]
 
 
-def block_inverse_norms(asm):
-    """Spectral norms of the blocks of the inverse of Upsilon, indexed by
-    block pair, from the blocks of the dense Upsilon (zero-padded to b x b
-    tiles) by the full block recursion: a forward elimination Delta_{i+1} =
-    D_{i+1} - E_i' Delta_i^{-1} E_i, C_i = -Delta_i^{-1} E_i, the backward
-    pass G_ii = Delta_i^{-1} + C_i G_{i+1,i+1} C_i', then per offset the
-    b x b products G_{i,i+off} = C_i G_{i+1,i+off} and one SVD per block
-    pair, batched by offset.  No dense inverse, so blocks far below the
-    rounding level of the largest ones keep their relative accuracy."""
+def upsilon_tiles(asm):
+    """The diagonal blocks D_i and super-diagonal blocks E_i of the dense
+    Upsilon of a ``saddle_assembly``, each zero-padded to a b x b tile, b
+    the widest block, and stacked."""
     U = dense_upsilon(asm)
     slices = asm.block_slices
-    nb = len(slices)
     b = max(s.stop - s.start for s in slices)
 
     def tile(si, sj):
@@ -436,8 +499,25 @@ def block_inverse_norms(asm):
         out[:block.shape[0], :block.shape[1]] = block
         return out
 
-    D = [tile(s, s) for s in slices]
-    E = [tile(slices[i], slices[i + 1]) for i in range(nb - 1)]
+    D = np.array([tile(s, s) for s in slices])
+    E = np.array([tile(slices[i], slices[i + 1])
+                  for i in range(len(slices) - 1)]).reshape(-1, b, b)
+    return D, E
+
+
+def block_inverse_norms(asm):
+    """Spectral norms of the blocks of the inverse of Upsilon, indexed by
+    block pair, from the blocks of the dense Upsilon of a
+    ``saddle_assembly`` (zero-padded to b x b tiles) by the full block
+    recursion: a forward elimination Delta_{i+1} = D_{i+1} - E_i'
+    Delta_i^{-1} E_i, C_i = -Delta_i^{-1} E_i, the backward pass G_ii =
+    Delta_i^{-1} + C_i G_{i+1,i+1} C_i', then per offset the b x b products
+    G_{i,i+off} = C_i G_{i+1,i+off} and one SVD per block pair, batched by
+    offset.  No dense inverse, so blocks far below the rounding level of
+    the largest ones keep their relative accuracy."""
+    D, E = upsilon_tiles(asm)
+    slices = asm.block_slices
+    nb, b = D.shape[:2]
     inv_pivots, C = [], []
     pivot = D[0]
     for i, s in enumerate(slices):

@@ -84,12 +84,12 @@ def test_kkt_inverse_block_decay():
         for seed in range(20):
             inst = presets.tracking_rand(T=40, seed=seed, n=2, m=1)
             params = [inst.truth[t] for t in range(41)]
-            asm = kkt.assemble(inst.system, params, inst.terminal_cost())
-            norms, _, _ = kkt.block_inverse_profile(asm)
+            wm = kkt.window_data(inst.system, params, inst.terminal_cost())
+            norms, _, _ = kkt.decay_profile(wm)
             bb = inst.system.bounds
             sigma = kkt.measured_sigma(inst)
             c = kkt.tracking_decay_constants(bb, sigma)
-            nb = len(asm.block_slices)
+            nb = norms.shape[0]
             offs = np.abs(np.arange(nb)[:, None] - np.arange(nb)[None, :])
             bound = c.decay_coef * c.decay_rate ** offs
             assert np.all(norms <= bound * (1 + 1e-9)), f"seed {seed}"

@@ -259,16 +259,16 @@ class TestCertifications:
 
     def test_certify_decay_assembles_the_window_once(self, runner, tmp_path,
                                                      monkeypatch):
-        # sigma is read from the dynamics blocks N of the assembly the
+        # sigma is read from the dynamics blocks N of the step data the
         # profile uses: a quadratic terminal leaves N unchanged
         built = []
-        assemble = _assembly.assemble_window
+        window_data = kkt.window_data
 
-        def counted(wm):
-            built.append(wm.terminal.kind)
-            return assemble(wm)
+        def counted(system, params, terminal):
+            built.append(terminal.kind)
+            return window_data(system, params, terminal)
 
-        monkeypatch.setattr(_assembly, "assemble_window", counted)
+        monkeypatch.setattr(kkt, "window_data", counted)
         res = runner.invoke(cli.main, ["certify-decay", "--preset",
                                        "tracking-rand", "--T", "24",
                                        "--out", str(tmp_path)])
@@ -355,12 +355,14 @@ class TestLibrarySurface:
                 model.ParamBox: ["normalized", "diameter", "contains"],
                 presets: ["pendulum_det_closed_form", "grid_det_lower_bound",
                           "inventory_sensitivity_profile", "kkt"],
-                kkt: ["SaddleBounds", "saddle_spectrum_bounds"],
-                _assembly.KktAssembly: ["n_blocks"],
+                kkt: ["SaddleBounds", "saddle_spectrum_bounds", "assemble",
+                      "block_inverse_profile", "_saddle_entries"],
+                _assembly: ["KktAssembly", "assemble_window"],
                 ftocp.FtocpSolution: ["dynamics_residual"],
                 mpclab: ["controllability_matrix",
                          "min_singular_controllability", "SaddleBounds",
-                         "saddle_spectrum_bounds"]}
+                         "saddle_spectrum_bounds", "assemble",
+                         "block_inverse_profile"]}
         present = [f"{owner.__name__}.{name}"
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]

@@ -227,7 +227,7 @@ def test_kkt_residual_matches_dense_saddle_residual(kind):
         b_top.append(terminal.P @ terminal.xbar)
     chi = np.concatenate(primal + list(duals))
     b = np.concatenate(b_top + b_bot)
-    asm = kkt.assemble(system, params, terminal)
+    asm = oracles.saddle_assembly(kkt.window_data(system, params, terminal))
     want = float(np.linalg.norm(oracles.saddle_matrix(asm.M, asm.N) @ chi
                                 - b))
     got = law._kkt_residual(0, states, actions, duals)

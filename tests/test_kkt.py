@@ -1,6 +1,7 @@
-"""Saddle-matrix assembly, saddle spectrum bounds, closed-form constants,
-decay fits, and measured sensitivity envelopes."""
+"""Saddle blocks from step data, saddle spectrum bounds, closed-form
+constants, decay fits, and measured sensitivity envelopes."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -20,7 +21,7 @@ def unit_bounds(**changes):
     return Bounds(**{"mu": 1.0, "ell": 1.0, "a": 1.0, "b": 1.0, **changes})
 
 
-def tracking_assembly(T=12, seed=5, terminal="quadratic", K=None, n=2, m=1):
+def tracking_window(T=12, seed=5, terminal="quadratic", K=None, n=2, m=1):
     inst = presets.tracking_rand(T=T, seed=seed, n=n, m=m)
     K = T if K is None else K
     params = [inst.truth[t] for t in range(K + 1)]
@@ -28,12 +29,24 @@ def tracking_assembly(T=12, seed=5, terminal="quadratic", K=None, n=2, m=1):
         term = inst.system.terminal_cost(params[-1])
     else:
         term = TerminalCost.indicator(np.zeros(n))
-    return inst, kkt.assemble(inst.system, params, term)
+    return inst, kkt.window_data(inst.system, params, term)
 
 
-def dense_block_norms(asm):
+def preset_window(name, T, terminal):
+    """The full window of a preset instance under the truth, with the
+    instance's terminal cost or a pin at the origin."""
+    inst = presets.build_preset(name, T=T)
+    if terminal == "quadratic":
+        term = inst.terminal_cost()
+    else:
+        term = TerminalCost.indicator(np.zeros(inst.system.n))
+    return kkt.window_data(inst.system, inst.truth, term)
+
+
+def dense_block_norms(wm):
     """Spectral norms of the blocks of the dense inverse of Upsilon, and
     the condition number of Upsilon."""
+    asm = oracles.saddle_assembly(wm)
     U = oracles.dense_upsilon(asm)
     Uinv = np.linalg.inv(U)
     norms = np.array([[np.linalg.norm(Uinv[si, sj], 2)
@@ -42,28 +55,58 @@ def dense_block_norms(asm):
     return norms, float(np.linalg.cond(U))
 
 
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def check_tiles_against_oracle(wm):
+    """kkt's tiles, multiplier positions and dynamics blocks, bitwise
+    against the dense assembly of the same step data."""
+    asm = oracles.saddle_assembly(wm)
+    D, E, eta = kkt._saddle_tiles(wm)
+    want_D, want_E = oracles.upsilon_tiles(asm)
+    assert_bitwise(D, want_D)
+    assert_bitwise(E, want_E)
+    assert_bitwise(kkt._dynamics_blocks(wm), asm.N)
+    # each block's multipliers are the constraint rows of H
+    nv = asm.M.shape[0]
+    for s, first in zip(asm.block_slices, eta):
+        rows = asm.perm[s]
+        assert np.array_equal(np.nonzero(rows >= nv)[0],
+                              first + np.arange(wm.n))
+
+
 class TestAssemblyStructure:
     def test_full_variant_blocks(self):
-        _, asm = tracking_assembly(T=8, K=3)
-        assert asm.variant == "full"
+        _, wm = tracking_window(T=8, K=3)
+        asm = oracles.saddle_assembly(wm)
         assert len(asm.block_slices) == 4
         sizes = [s.stop - s.start for s in asm.block_slices]
         assert sizes == [5, 5, 5, 4]  # (y, v, eta) thrice, then (y_K, eta_K)
+        D, E, eta = kkt._saddle_tiles(wm)
+        assert D.shape == (4, 5, 5) and E.shape == (3, 5, 5)
+        assert list(eta) == [3, 3, 3, 2]
 
     def test_hat_variant_blocks(self):
-        _, asm = tracking_assembly(T=8, K=3, terminal="indicator")
-        assert asm.variant == "hat"
+        _, wm = tracking_window(T=8, K=3, terminal="indicator")
+        asm = oracles.saddle_assembly(wm)
         sizes = [s.stop - s.start for s in asm.block_slices]
         assert sizes == [5, 5, 5, 2]  # last block is the final multiplier
+        D, _, eta = kkt._saddle_tiles(wm)
+        assert list(eta) == [3, 3, 3, 0]
+        assert np.all(D[-1] == 0.0)
 
     def test_hat_drops_last_state_columns(self):
-        inst, full = tracking_assembly(T=8, K=3, terminal="quadratic")
-        _, hat = tracking_assembly(T=8, K=3, terminal="indicator")
+        _, full = tracking_window(T=8, K=3, terminal="quadratic")
+        _, hat = tracking_window(T=8, K=3, terminal="indicator")
+        full, hat = oracles.saddle_assembly(full), oracles.saddle_assembly(hat)
         ncol = hat.N.shape[1]
         assert np.array_equal(hat.N, full.N[:, :ncol])
 
     def test_upsilon_symmetric_block_tridiagonal(self):
-        _, asm = tracking_assembly(T=10, K=6)
+        _, wm = tracking_window(T=10, K=6)
+        asm = oracles.saddle_assembly(wm)
         U = oracles.dense_upsilon(asm)
         assert np.allclose(U, U.T, atol=1e-12)
         for i, si in enumerate(asm.block_slices):
@@ -72,16 +115,40 @@ class TestAssemblyStructure:
                     assert np.all(U[si, sj] == 0.0)
 
     def test_inverse_symmetric(self):
-        _, asm = tracking_assembly(T=10, K=6)
-        Uinv = np.linalg.inv(oracles.dense_upsilon(asm))
+        _, wm = tracking_window(T=10, K=6)
+        U = oracles.dense_upsilon(oracles.saddle_assembly(wm))
+        Uinv = np.linalg.inv(U)
         assert np.allclose(Uinv, Uinv.T, atol=1e-10)
 
     def test_saddle_matrix_matches_oracle_layout(self):
-        # the entries the block elimination reads, against the dense oracle
-        _, asm = tracking_assembly(T=8, K=3)
-        rows = np.arange(asm.M.shape[0] + asm.N.shape[0])
-        H = kkt._saddle_entries(asm.M, asm.N, rows[:, None], rows[None, :])
-        assert np.array_equal(H, oracles.saddle_matrix(asm.M, asm.N))
+        # the tiles the block elimination reads, laid out as the dense
+        # Upsilon, against the oracle's
+        _, wm = tracking_window(T=8, K=3)
+        asm = oracles.saddle_assembly(wm)
+        D, E, _ = kkt._saddle_tiles(wm)
+        U = np.zeros((asm.perm.size,) * 2)
+        for i, s in enumerate(asm.block_slices):
+            size = s.stop - s.start
+            U[s, s] = D[i, :size, :size]
+            if i:
+                U[asm.block_slices[i - 1], s] = E[i - 1, :, :size]
+                U[s, asm.block_slices[i - 1]] = E[i - 1, :, :size].T
+        assert np.array_equal(U, oracles.dense_upsilon(asm))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), K=st.integers(1, 12),
+           terminal=st.sampled_from(["quadratic", "indicator"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_tiles_match_oracle_bitwise(self, n, m, K, terminal, seed):
+        _, wm = tracking_window(T=max(K, 2), seed=seed, terminal=terminal,
+                                K=K, n=n, m=m)
+        check_tiles_against_oracle(wm)
+
+    @pytest.mark.parametrize("terminal", ["quadratic", "indicator"])
+    @pytest.mark.parametrize("name", ["tracking-rand", "disturbance",
+                                      "pendulum", "grid"])
+    def test_preset_tiles_match_oracle_bitwise(self, name, terminal):
+        check_tiles_against_oracle(preset_window(name, 40, terminal))
 
 
 class TestClosedFormConstants:
@@ -156,7 +223,8 @@ def full_window_saddle(name, T):
     """The closed-form decay constants of a preset instance and the
     singular values of the dense saddle matrix of its full window."""
     inst = presets.build_preset(name, T=T)
-    asm = kkt.assemble(inst.system, inst.truth, inst.terminal_cost())
+    asm = oracles.saddle_assembly(kkt.window_data(inst.system, inst.truth,
+                                                  inst.terminal_cost()))
     consts = kkt.tracking_decay_constants(inst.system.bounds,
                                           kkt.measured_sigma(inst))
     sv = np.linalg.svd(oracles.saddle_matrix(asm.M, asm.N), compute_uv=False)
@@ -253,6 +321,7 @@ class TestDecayFits:
         fit = kkt.fit_decay(offs, prof)
         assert fit.lam == 0.0
         assert fit.C == pytest.approx(2.0)
+        assert fit.r2 is None   # no rate was fitted
 
 
 class TestMeasuredQuantities:
@@ -263,13 +332,30 @@ class TestMeasuredQuantities:
         assert full > 0.0
         assert both <= full + 1e-12
 
+    @pytest.mark.parametrize("name, k", [("tracking-rand", 5),
+                                         ("pendulum", 5), ("grid", 3)])
+    def test_measured_sigma_matches_dense_svd(self, name, k):
+        inst = presets.build_preset(name, T=24)
+        sys_, truth = inst.system, inst.truth
+
+        def smallest(params, terminal):
+            N = oracles.saddle_assembly(
+                kkt.window_data(sys_, params, terminal)).N
+            return np.linalg.svd(N, compute_uv=False).min()
+
+        full = smallest(truth, TerminalCost.zero(sys_.n))
+        pinned = smallest(truth[:k + 1], TerminalCost.indicator(
+            np.zeros(sys_.n)))
+        assert kkt.measured_sigma(inst) == full
+        assert kkt.measured_sigma(inst, k) == min(full, pinned)
+
     def test_block_profile_dominated_by_closed_form(self):
-        inst, asm = tracking_assembly(T=12, seed=5)
-        norms, maxima, fit = kkt.block_inverse_profile(asm)
+        inst, wm = tracking_window(T=12, seed=5)
+        norms, maxima, fit = kkt.decay_profile(wm)
         bb = inst.system.bounds
         sigma = kkt.measured_sigma(inst)
         c = kkt.tracking_decay_constants(bb, sigma)
-        nb = len(asm.block_slices)
+        nb = wm.K + 1
         for i in range(nb):
             for j in range(nb):
                 bound = c.decay_coef * c.decay_rate ** abs(i - j)
@@ -278,8 +364,9 @@ class TestMeasuredQuantities:
     @pytest.mark.parametrize("terminal", ["quadratic", "indicator"])
     def test_block_profile_matches_per_block_norms(self, terminal):
         # the last block is 2n wide (full) or n wide (hat), the others 2n+m
-        _, asm = tracking_assembly(T=12, seed=5, terminal=terminal, K=9)
-        norms, maxima, _ = kkt.block_inverse_profile(asm)
+        _, wm = tracking_window(T=12, seed=5, terminal=terminal, K=9)
+        norms, maxima, _ = kkt.decay_profile(wm)
+        asm = oracles.saddle_assembly(wm)
         Uinv = np.linalg.inv(oracles.dense_upsilon(asm))
         nb = len(asm.block_slices)
         ref = np.array([[np.linalg.norm(Uinv[si, sj], 2)
@@ -297,16 +384,16 @@ class TestMeasuredQuantities:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_block_profile_matches_dense_inverse(self, n, m, K, terminal,
                                                  seed):
-        _, asm = tracking_assembly(T=max(K, 2), seed=seed, terminal=terminal,
-                                   K=K, n=n, m=m)
+        _, wm = tracking_window(T=max(K, 2), seed=seed, terminal=terminal,
+                                K=K, n=n, m=m)
         if terminal == "indicator" and K * m < n:
             # fewer than n/m steps cannot reach the pin: Upsilon is singular
             with pytest.raises(ftocp.SingularKKT):
-                kkt.block_inverse_profile(asm)
+                kkt.decay_profile(wm)
             return
-        norms, maxima, _ = kkt.block_inverse_profile(asm)
-        ref, cond = dense_block_norms(asm)
-        nb = len(asm.block_slices)
+        norms, maxima, _ = kkt.decay_profile(wm)
+        ref, cond = dense_block_norms(wm)
+        nb = wm.K + 1
         ref_max = [max(np.diagonal(ref, off).max(),
                        np.diagonal(ref, -off).max()) for off in range(nb)]
         # 1e-10, or the dense reference's own rounding level where that is
@@ -315,12 +402,28 @@ class TestMeasuredQuantities:
         assert np.allclose(norms, ref, rtol=rtol, atol=0.0)
         assert np.allclose(maxima, ref_max, rtol=rtol, atol=0.0)
 
+    @pytest.mark.parametrize("terminal", ["quadratic", "indicator"])
+    @pytest.mark.parametrize("name, T", [(name, T) for name, T in FULL_WINDOWS
+                                         if name != "tracking-rand"])
+    def test_preset_profile_matches_recursion_oracle(self, name, T,
+                                                     terminal):
+        wm = preset_window(name, T, terminal)
+        norms, maxima, _ = kkt.decay_profile(wm)
+        asm = oracles.saddle_assembly(wm)
+        ref = oracles.block_inverse_norms(asm)
+        cond = float(np.linalg.cond(oracles.dense_upsilon(asm)))
+        rtol = max(1e-10, np.finfo(float).eps * cond)
+        assert np.allclose(norms, ref, rtol=rtol, atol=0.0)
+        assert np.allclose(maxima, [np.diagonal(ref, off).max()
+                                    for off in range(wm.K + 1)],
+                           rtol=rtol, atol=0.0)
+
     def test_block_profile_matches_recursion_oracle_at_long_horizon(self):
         # the farthest blocks are about 4e-170, so their squares underflow
         inst = presets.tracking_rand(T=400)
-        asm = kkt.assemble(inst.system, inst.truth, inst.terminal_cost())
-        norms, maxima, fit = kkt.block_inverse_profile(asm)
-        ref = oracles.block_inverse_norms(asm)
+        wm = kkt.window_data(inst.system, inst.truth, inst.terminal_cost())
+        norms, maxima, fit = kkt.decay_profile(wm)
+        ref = oracles.block_inverse_norms(oracles.saddle_assembly(wm))
         assert 0.0 < ref.min() < 1e-160
         assert np.allclose(norms, ref, rtol=1e-10, atol=0.0)
         offsets = np.arange(ref.shape[0])
@@ -334,16 +437,18 @@ class TestMeasuredQuantities:
     def test_unreachable_pin_raises(self, n):
         # one step of one action cannot reach an n-dimensional pin: Upsilon
         # is singular, though only to rounding (cond about 1e17)
-        _, asm = tracking_assembly(T=8, K=1, terminal="indicator", n=n)
+        _, wm = tracking_window(T=8, K=1, terminal="indicator", n=n)
         with pytest.raises(ftocp.SingularKKT):
-            kkt.block_inverse_profile(asm)
+            kkt.decay_profile(wm)
 
     def test_profile_allocates_no_dense_saddle_matrix(self):
-        _, asm = tracking_assembly(T=240, seed=1)
-        rows = asm.M.shape[0] + asm.N.shape[0]
+        _, wm = tracking_window(T=240, seed=1)
+        # rows of the full window's H: K(n + m) + n variables, (K + 1) n
+        # multipliers
+        rows = wm.K * (2 * wm.n + wm.m) + 2 * wm.n
         tracemalloc.start()
         try:
-            kkt.block_inverse_profile(asm)
+            kkt.decay_profile(wm)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -386,21 +491,13 @@ class TestMeasuredQuantities:
         assert slope_s < 0.0 and slope_p < 0.0
         assert 1.6 <= slope_s / slope_p <= 2.4
 
-    def test_coupling_outside_multipliers_raises(self):
-        # a cost coupling y_0 and y_1 puts E_0 outside the multiplier
-        # columns, which the recursion on the multiplier rows cannot carry
-        _, asm = tracking_assembly(T=8, K=3)
-        y1 = asm.n + asm.m
-        asm.M[0, y1] = asm.M[y1, 0] = 0.1
-        with pytest.raises(ValueError, match="multipliers"):
-            kkt.block_inverse_profile(asm)
-
     def test_singular_assembly_raises(self):
-        inst, asm = tracking_assembly(T=8, K=3)
-        asm.M[:, :] = 0.0
-        asm.N[:, :] = 0.0
-        with pytest.raises(ftocp.SingularKKT):
-            kkt.block_inverse_profile(asm)
+        # Q = R = 0 leave the v_0 row of the first pivot zero
+        _, wm = tracking_window(T=8, K=3)
+        wm = dataclasses.replace(wm, Q=np.zeros_like(wm.Q),
+                                 R=np.zeros_like(wm.R))
+        with pytest.raises(ftocp.SingularKKT, match="block 0"):
+            kkt.decay_profile(wm)
 
 
 class TestExports:
