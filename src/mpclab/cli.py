@@ -3,6 +3,13 @@ sweeps, and certifications, and emit reproducible CSV, text and JSON
 artifacts.  This is the only module that writes artifacts, so their format
 lives here alone.
 
+Every command is declared through ``_command``, the one path from the
+parsed options to the exit code: it loads the instance, hashes the options
+into the artifacts' header lines, checks the window length and the noise
+scale, runs the command's body, writes the artifacts the body returns and
+prints its stdout line.  A body says whether its tested inequality held;
+when it did not, the artifacts are written before the command exits 4.
+
 Exit codes: 0 success; 2 configuration error; 3 solver failure;
 4 certification failure (a tested inequality did not hold).
 """
@@ -24,8 +31,6 @@ from . import engine, ftocp, kkt, presets, regret
 from .model import (Instance, ModelError, PredictionStream, build_instance,
                     config_hash)
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERT = 4
 
@@ -67,18 +72,6 @@ def _default_rule(instance: Instance) -> engine.TerminalRule:
     kind = instance.system.kind
     return engine.TerminalRule(
         "zero" if kind == "disturbance" else "predicted_tracking")
-
-
-def _headers(ctx_name: str, config: dict) -> list[str]:
-    return [f"command={ctx_name}", f"config_hash={config_hash(config)}"]
-
-
-def _write(out: str, name: str, body: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, name)
-    with open(path, "w") as fh:
-        fh.write(body)
-    return path
 
 
 # Artifact format: CSV and text artifacts open with "# " header lines, JSON
@@ -130,9 +123,13 @@ def _trajectory_body(rec: engine.TrajectoryRecord, headers: list[str]) -> str:
     return _csv_body(columns, rows, headers)
 
 
-def _sweep_body(res: regret.SweepResult, headers: list[str]) -> str:
-    return _csv_body([res.variable, "regret"],
-                     zip(res.values, res.regrets), headers)
+def _sweep_artifacts(stem: str, res: regret.SweepResult,
+                     headers: list[str]) -> dict:
+    return {f"{stem}.csv": _csv_body([res.variable, "regret"],
+                                     zip(res.values, res.regrets), headers),
+            f"{stem}.json": _json_body(
+                {"slope": res.slope, "r2": res.r2,
+                 "kkt_residual_max": res.kkt_residual_max}, headers)}
 
 
 def _fit_text(res: regret.SweepResult) -> str:
@@ -142,215 +139,184 @@ def _fit_text(res: regret.SweepResult) -> str:
     return f"slope={slope} r2={r2}"
 
 
-def _solver_errors(fn):
-    """Report a numerical failure of any solver as exit 3 with a message."""
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ftocp.Infeasible, ftocp.SingularKKT,
-                np.linalg.LinAlgError) as exc:
-            click.echo(f"solver failure: {exc}", err=True)
-            sys.exit(EXIT_SOLVER)
-    return run
-
-
-# shared options
-def _instance_options(fn):
-    fn = click.option("--preset", type=str, default=None,
-                      help=f"preset name: {', '.join(sorted(presets.PRESETS))}"
-                      )(fn)
-    fn = click.option("--instance", "instance_file",
-                      type=click.Path(), default=None,
-                      help="instance description file (JSON)")(fn)
-    fn = click.option("--T", "T", type=int, default=None,
-                      help="override the horizon")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="override the instance seed")(fn)
-    fn = click.option("--out", type=click.Path(), default="out",
-                      help="output directory")(fn)
-    return fn
-
-
 @click.group()
 def main():
     """Receding-horizon control experiments and certifications."""
 
 
-@main.command()
-@_instance_options
-@_solver_errors
-def solve(preset, instance_file, T, seed, out):
+_INSTANCE_OPTIONS = (
+    click.option("--preset", type=str, default=None,
+                 help=f"preset name: {', '.join(sorted(presets.PRESETS))}"),
+    click.option("--instance", type=click.Path(), default=None,
+                 help="instance description file (JSON)"),
+    click.option("--T", "T", type=int, default=None,
+                 help="override the horizon"),
+    click.option("--seed", type=int, default=None,
+                 help="override the instance seed"))
+_WINDOW = click.option("--k", type=int, default=8, help="window length")
+
+
+def _command(name: str, *options, load: bool = True):
+    """Declare the command ``name`` with ``options`` (click options, in help
+    order), the instance options when ``load``, and ``--out``.
+
+    The body is called as ``body(inst, headers, **opts)`` with the loaded
+    instance (None unless ``load``), the artifacts' header lines and its own
+    options by dest, and returns its artifacts by file name, its stdout line
+    and whether its tested inequality held.  The header's config_hash covers
+    the command name and every option but ``--out``."""
+    options = (_INSTANCE_OPTIONS if load else ()) + options + (
+        click.option("--out", type=click.Path(), default="out",
+                     help="output directory"),)
+
+    def declare(body):
+        @functools.wraps(body)
+        def run(out, **opts):
+            headers = [f"command={name}",
+                       f"config_hash={config_hash({'cmd': name, **opts})}"]
+            try:
+                inst = None
+                if load:
+                    inst = _load(*(opts.pop(key) for key in
+                                   ("preset", "instance", "T", "seed")))
+                    if "k" in opts and not 1 <= opts["k"] <= inst.T:
+                        raise click.UsageError("need 1 <= k <= T")
+                if opts.get("noise_scale", 0.0) < 0:
+                    raise click.UsageError("need --noise-scale >= 0")
+                artifacts, line, held = body(inst, headers, **opts)
+            except (ftocp.Infeasible, ftocp.SingularKKT,
+                    np.linalg.LinAlgError) as exc:
+                click.echo(f"solver failure: {exc}", err=True)
+                sys.exit(EXIT_SOLVER)
+            os.makedirs(out, exist_ok=True)
+            for file_name, text in artifacts.items():
+                with open(os.path.join(out, file_name), "w") as fh:
+                    fh.write(text)
+            click.echo(line)
+            if not held:
+                sys.exit(EXIT_CERT)
+
+        for option in reversed(options):
+            run = option(run)
+        return main.command(name)(run)
+    return declare
+
+
+@_command("solve")
+def solve(inst, hdr):
     """Solve the full-horizon problem under the true parameters."""
-    inst = _load(preset, instance_file, T, seed)
-    cfg = {"cmd": "solve", "preset": preset, "instance": instance_file,
-           "T": T, "seed": seed}
-    hdr = _headers("solve", cfg)
     opt = engine.solve_opt(inst)
-    _write(out, "solve_trajectory.csv", _trajectory_body(opt, hdr))
-    _write(out, "solve_summary.json", _json_body(
-        {"total_cost": opt.total_cost,
-         "max_state_norm": opt.max_state_norm,
-         "dynamics_residual": opt.dynamics_residual(inst)}, hdr))
-    click.echo(f"total_cost={opt.total_cost:.12g}")
+    return ({"solve_trajectory.csv": _trajectory_body(opt, hdr),
+             "solve_summary.json": _json_body(
+                 {"total_cost": opt.total_cost,
+                  "max_state_norm": opt.max_state_norm,
+                  "dynamics_residual": opt.dynamics_residual(inst)}, hdr)},
+            f"total_cost={opt.total_cost:.12g}", True)
 
 
-@main.command()
-@_instance_options
-@click.option("--k", type=int, default=8, help="window length")
-@click.option("--noise-scale", type=NUMBER, default=0.0,
-              help="constant forecast-error magnitude")
-@_solver_errors
-def mpc(preset, instance_file, T, seed, out, k, noise_scale):
+@_command("mpc", _WINDOW,
+          click.option("--noise-scale", type=NUMBER, default=0.0,
+                       help="constant forecast-error magnitude"))
+def mpc(inst, hdr, k, noise_scale):
     """Run the receding-horizon controller and report regret."""
-    inst = _load(preset, instance_file, T, seed)
-    if k < 1 or k > inst.T:
-        raise click.UsageError("need 1 <= k <= T")
-    if noise_scale < 0:
-        raise click.UsageError("need --noise-scale >= 0")
-    cfg = {"cmd": "mpc", "preset": preset, "instance": instance_file,
-           "T": T, "seed": seed, "k": k, "noise_scale": noise_scale}
-    hdr = _headers("mpc", cfg)
     stream = PredictionStream(inst.truth, k, noise_scale, seed=inst.seed)
     opt = engine.solve_opt(inst)
     run = engine.run_mpc(inst, stream, k, _default_rule(inst))
-    _write(out, "mpc_trajectory.csv", _trajectory_body(run, hdr))
-    _write(out, "mpc_report.json", _json_body(
-        {"cost_alg": run.total_cost, "cost_opt": opt.total_cost,
-         "regret": run.total_cost - opt.total_cost,
-         "sum_sq_errors": run.sum_sq_errors,
-         "max_error": float(run.errors.max(initial=0.0)),
-         "kkt_residual_max": run.kkt_residual_max}, hdr))
-    click.echo(f"regret={run.total_cost - opt.total_cost:.12g}")
+    regret_ = run.total_cost - opt.total_cost
+    return ({"mpc_trajectory.csv": _trajectory_body(run, hdr),
+             "mpc_report.json": _json_body(
+                 {"cost_alg": run.total_cost, "cost_opt": opt.total_cost,
+                  "regret": regret_, "sum_sq_errors": run.sum_sq_errors,
+                  "max_error": float(run.errors.max(initial=0.0)),
+                  "kkt_residual_max": run.kkt_residual_max}, hdr)},
+            f"regret={regret_:.12g}", True)
 
 
-@main.command("sweep-horizon")
-@_instance_options
-@click.option("--k", "k_max", type=int, default=12,
-              help="largest window length in the sweep")
-@_solver_errors
-def sweep_horizon(preset, instance_file, T, seed, out, k_max):
+@_command("sweep-horizon",
+          click.option("--k", "k_max", type=int, default=12,
+                       help="largest window length in the sweep"))
+def sweep_horizon(inst, hdr, k_max):
     """Zero-noise regret as a function of the window length."""
-    inst = _load(preset, instance_file, T, seed)
     # a window shorter than n/m steps cannot reach a pinned terminal target
     k_min = max(2, math.ceil(inst.system.n / inst.system.m))
     ks = list(range(k_min, min(k_max, inst.T) + 1))
     if not ks:
         raise click.UsageError("sweep range is empty")
-    cfg = {"cmd": "sweep-horizon", "preset": preset,
-           "instance": instance_file, "T": T, "seed": seed, "k_max": k_max}
-    hdr = _headers("sweep-horizon", cfg)
     res = regret.sweep_horizon(inst, ks, _default_rule(inst),
                                seed=inst.seed)
-    _write(out, "sweep_horizon.csv", _sweep_body(res, hdr))
-    _write(out, "sweep_horizon.json", _json_body(
-        {"slope": res.slope, "r2": res.r2,
-         "kkt_residual_max": res.kkt_residual_max}, hdr))
-    click.echo(_fit_text(res))
+    return _sweep_artifacts("sweep_horizon", res, hdr), _fit_text(res), True
 
 
-@main.command("sweep-noise")
-@_instance_options
-@click.option("--k", type=int, default=8, help="window length")
-@click.option("--noise-scale", type=NUMBER, default=0.2,
-              help="base noise magnitude; swept over fixed multiples")
-@_solver_errors
-def sweep_noise(preset, instance_file, T, seed, out, k, noise_scale):
+@_command("sweep-noise", _WINDOW,
+          click.option("--noise-scale", type=NUMBER, default=0.2,
+                       help="base noise magnitude; swept over fixed "
+                       "multiples"))
+def sweep_noise(inst, hdr, k, noise_scale):
     """Regret as a function of the forecast-noise scale."""
-    inst = _load(preset, instance_file, T, seed)
-    if k < 1 or k > inst.T:
-        raise click.UsageError("need 1 <= k <= T")
-    if noise_scale < 0:
-        raise click.UsageError("need --noise-scale >= 0")
     scales = [noise_scale * f for f in
               (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)]
-    cfg = {"cmd": "sweep-noise", "preset": preset, "instance": instance_file,
-           "T": T, "seed": seed, "k": k, "noise_scale": noise_scale}
-    hdr = _headers("sweep-noise", cfg)
     res = regret.sweep_noise(inst, lambda t, tau: 1.0 if tau > 0 else 0.0,
                              scales, k, _default_rule(inst),
                              seed=inst.seed)
-    _write(out, "sweep_noise.csv", _sweep_body(res, hdr))
-    _write(out, "sweep_noise.json", _json_body(
-        {"slope": res.slope, "r2": res.r2,
-         "kkt_residual_max": res.kkt_residual_max}, hdr))
-    click.echo(f"loglog_{_fit_text(res)}")
+    return (_sweep_artifacts("sweep_noise", res, hdr),
+            f"loglog_{_fit_text(res)}", True)
 
 
-@main.command("certify-decay")
-@_instance_options
-@_solver_errors
-def certify_decay(preset, instance_file, T, seed, out):
+@_command("certify-decay")
+def certify_decay(inst, hdr):
     """Check the closed-form geometric bound on the inverse saddle blocks."""
-    inst = _load(preset, instance_file, T, seed)
     sys_ = inst.system
     if sys_.kind == "inventory":
         raise click.UsageError("decay certification needs a quadratic system")
-    cfg = {"cmd": "certify-decay", "preset": preset,
-           "instance": instance_file, "T": T, "seed": seed}
-    hdr = _headers("certify-decay", cfg)
     wm = kkt.window_data(sys_, inst.truth, inst.terminal_cost())
     norms, maxima, fit = kkt.decay_profile(wm)
     sigma = kkt.sigma_min(wm)   # the measured sigma of the full window
     consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
     offsets = np.arange(maxima.shape[0])
     theory = consts.decay_coef * consts.decay_rate ** offsets
-    _write(out, "decay_profile.csv", _csv_body(
-        ["offset", "max_block_norm", "theory_bound"],
-        zip(offsets, maxima, theory), hdr))
-    _write(out, "decay_constants.txt", _key_value_body(
-        {"sigma": sigma, "sigma_lo": consts.sigma_lo,
-         "sigma_hi": consts.sigma_hi, "decay_rate": consts.decay_rate,
-         "decay_coef": consts.decay_coef, "diff_coef": consts.diff_coef,
-         "fit_coef": fit.C, "fit_rate": fit.lam, "fit_r2": fit.r2}, hdr))
     ok = bool(np.all(maxima <= theory * (1 + 1e-9)))
-    click.echo(f"dominated={ok} worst_ratio="
-               f"{float(np.max(maxima / np.maximum(theory, 1e-300))):.6g}")
-    if not ok:
-        sys.exit(EXIT_CERT)
+    worst = float(np.max(maxima / np.maximum(theory, 1e-300)))
+    return ({"decay_profile.csv": _csv_body(
+                ["offset", "max_block_norm", "theory_bound"],
+                zip(offsets, maxima, theory), hdr),
+             "decay_constants.txt": _key_value_body(
+                {"sigma": sigma, "sigma_lo": consts.sigma_lo,
+                 "sigma_hi": consts.sigma_hi, "decay_rate": consts.decay_rate,
+                 "decay_coef": consts.decay_coef,
+                 "diff_coef": consts.diff_coef, "fit_coef": fit.C,
+                 "fit_rate": fit.lam, "fit_r2": fit.r2}, hdr)},
+            f"dominated={ok} worst_ratio={worst:.6g}", ok)
 
 
-@main.command("inventory-suite")
-@click.option("--p", "p_values", type=int, multiple=True,
-              help="chain lengths (default 4 5 6 7 8)")
-@click.option("--eps", type=NUMBER, default=None,
-              help="terminal perturbation (fractions like 2/35 accepted)")
-@click.option("--out", type=click.Path(), default="out")
-@_solver_errors
-def inventory_suite(p_values, eps, out):
+@_command("inventory-suite",
+          click.option("--p", type=int, multiple=True,
+                       default=(4, 5, 6, 7, 8),
+                       help="chain lengths (default 4 5 6 7 8)"),
+          click.option("--eps", type=NUMBER, default=None,
+                       help="terminal perturbation (fractions like 2/35 "
+                       "accepted)"),
+          load=False)
+def inventory_suite(inst, hdr, p, eps):
     """Terminal-perturbation response table for the alternating chain."""
-    ps = list(p_values) or [4, 5, 6, 7, 8]
-    if min(ps) < 1:
+    if min(p) < 1:
         raise click.UsageError("need --p >= 1")
-    cfg = {"cmd": "inventory-suite", "p": ps, "eps": eps}
-    hdr = _headers("inventory-suite", cfg)
-    rows = presets.inventory_counterexample_suite(ps, eps)
-    _write(out, "inventory_suite.csv", _csv_body(
-        ["p", "eps", "h", "diff", "diff_minus_eps", "closed_form_err"],
-        map(dataclasses.astuple, rows), hdr))
+    rows = presets.inventory_counterexample_suite(p, eps)
     worst = max(max(abs(r.diff_minus_eps), r.closed_form_err) for r in rows)
-    click.echo(f"worst_deviation={worst:.3g}")
-    if worst > 1e-6:
-        sys.exit(EXIT_CERT)
+    return ({"inventory_suite.csv": _csv_body(
+                ["p", "eps", "h", "diff", "diff_minus_eps",
+                 "closed_form_err"],
+                map(dataclasses.astuple, rows), hdr)},
+            f"worst_deviation={worst:.3g}", worst <= 1e-6)
 
 
-@main.command()
-@_instance_options
-@click.option("--k", type=int, default=8, help="window length")
-@click.option("--mode", type=click.Choice(["theory", "measured"]),
-              default="theory")
-@_solver_errors
-def constants(preset, instance_file, T, seed, out, k, mode):
+@_command("constants", _WINDOW,
+          click.option("--mode", type=click.Choice(["theory", "measured"]),
+                       default="theory"))
+def constants(inst, hdr, k, mode):
     """Report the decay/sensitivity constants of an instance."""
-    inst = _load(preset, instance_file, T, seed)
     sys_ = inst.system
     if sys_.kind == "inventory":
         raise click.UsageError("constants need a quadratic system")
-    if k < 1 or k > inst.T:
-        raise click.UsageError("need 1 <= k <= T")
-    cfg = {"cmd": "constants", "preset": preset, "instance": instance_file,
-           "T": T, "seed": seed, "k": k, "mode": mode}
-    hdr = _headers("constants", cfg)
     sigma = kkt.measured_sigma(inst, k)
     bb = sys_.bounds
     consts = kkt.tracking_decay_constants(bb, sigma)
@@ -378,8 +344,7 @@ def constants(preset, instance_file, T, seed, out, k, mode):
     values["general_coef"] = gen.coef
     values["general_rate"] = gen.rate
     body = _key_value_body(values, hdr)
-    _write(out, "constants.txt", body)
-    click.echo(body, nl=False)
+    return {"constants.txt": body}, body.rstrip("\n"), True
 
 
 if __name__ == "__main__":

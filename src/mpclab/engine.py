@@ -193,19 +193,19 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     actions = np.zeros((T, sys.m))
     errors = np.zeros(T)
     states[0] = np.atleast_1d(instance.x0)
-    for t in range(T):
+    built = len(laws.windows)
+    for t in range(built):
         try:
             u = laws.action(t, states[t])
         except ftocp.Infeasible as exc:
             raise ftocp.Infeasible(f"window at step {t} infeasible: {exc}",
                                    step=t) from exc
-        except ftocp.SingularKKT:
-            laws.kkt_residual_max(states[:t])   # an earlier pin may fail
-            raise
         actions[t] = u
         errors[t] = float(np.linalg.norm(u - law.action(t, states[t])))
         states[t + 1] = A[t] @ states[t] + B[t] @ u + w[t]
-    kkt_residual_max = laws.kkt_residual_max(states[:T])
+    kkt_residual_max = laws.kkt_residual_max(states[:built])
+    if laws.failure is not None:   # after the pins of the windows before it
+        raise laws.failure
     distances = np.array([float(np.linalg.norm(states[t] - opt.states[t]))
                           for t in range(T + 1)])
     stage, total = _stage_costs_and_total(instance, states, actions)

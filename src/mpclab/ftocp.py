@@ -631,10 +631,7 @@ class WindowLaws:
     failure: SingularKKT | None = None
 
     def action(self, t: int, x: Array) -> Array:
-        """First action of window t from x; raises ``failure`` at its
-        window."""
-        if t == len(self.windows) and self.failure is not None:
-            raise self.failure
+        """First action of window t from x."""
         law, w = self.windows[t]
         return law.action(0, x, w)
 

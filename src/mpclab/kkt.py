@@ -115,17 +115,18 @@ class DecayFit:
             raise ValueError("envelope does not dominate the profile")
 
 
-def fit_decay(offsets: Array, maxima: Array, floor: float = 1e-300) -> DecayFit:
+def fit_decay(offsets: Array, maxima: Array) -> DecayFit:
     """Fit per-offset maxima with a geometric envelope.
 
     The rate comes from a log-linear least-squares fit; the coefficient is then
-    inflated so the envelope dominates every measured value.  A profile that is
-    zero beyond offset 0 reports rate 0; one whose only positive value lies
-    beyond offset 0 fits no rate and reports the flat envelope, rate 1.
+    inflated so the envelope dominates every measured value.  Values at or
+    below 1e-300 count as zero.  A profile that is zero beyond offset 0
+    reports rate 0; one whose only positive value lies beyond offset 0 fits
+    no rate and reports the flat envelope, rate 1.
     """
     offsets = np.asarray(offsets, float)
     maxima = np.asarray(maxima, float)
-    pos = maxima > floor
+    pos = maxima > 1e-300
     if not np.any(pos[offsets > 0]):
         C = float(maxima.max(initial=0.0))
         return DecayFit(C, 0.0, None, offsets, maxima)

@@ -260,8 +260,8 @@ class InventorySystem:
     """Scalar stock-tracking chain: x_{t+1} = x_t + u_t, x in [-1, 1].
 
     The action constraint is one-sided (u >= u_lo) when u_hi is None, else
-    two-sided.  ``include_terminal_stage`` records whether the stage cost of
-    the final state enters the reported objective value.  ``action_weight``
+    two-sided.  The stage cost of the final state enters the reported
+    objective value (``include_terminal_stage``).  ``action_weight``
     adds a smooth action cost action_weight * u^2 per step (still convex and
     smooth, strongly convex in the state).  Systems are hashed and compared
     by identity, so that ``ftocp`` keeps the backward steps of each system's
@@ -274,14 +274,16 @@ class InventorySystem:
     u_hi: float | None = 0.8
     x_lo: float = -1.0
     x_hi: float = 1.0
-    include_terminal_stage: bool = True
     action_weight: float = 0.0
 
     kind = "inventory"
+    include_terminal_stage = True
     n = 1
     m = 1
 
     def __post_init__(self):
+        if self.T < 1:
+            raise ModelError("horizon T must be >= 1")
         targets = np.asarray(self.targets, float)
         if targets.shape[0] != self.T + 1:
             raise ModelError("need one target per step 0..T")

@@ -33,7 +33,6 @@ class RegretReport:
     distance_lhs: Array
     distance_rhs: Array
     distance_ok: bool
-    aggregate_E: float | None = None
 
 
 def regret_inequalities(run: engine.TrajectoryRecord,

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
+import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import mpclab
-from mpclab import _assembly, cli, engine, ftocp, kkt, model, presets
+from mpclab import _assembly, cli, engine, ftocp, kkt, model, presets, regret
 
 
 @pytest.fixture
@@ -22,6 +24,21 @@ def runner():
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def assert_written(out, command, names):
+    """Exactly the artifacts ``names`` are in ``out``, each with its header
+    lines."""
+    assert sorted(os.listdir(out)) == sorted(names)
+    for name in names:
+        body = read(out / name).decode()
+        if name.endswith(".json"):
+            headers = json.loads(body)["_headers"]
+        else:
+            headers = [ln[2:] for ln in body.splitlines()[:2]]
+        assert headers[0] == f"command={command}"
+        assert len(headers[1]) == len("config_hash=") + 16
+        assert headers[1].startswith("config_hash=")
 
 
 class TestNumberParsing:
@@ -106,6 +123,22 @@ class TestConfigErrors:
                                        "--p", "0", "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert "need --p >= 1" in res.output
+
+    @pytest.mark.parametrize("preset", ["inventory-two-sided",
+                                        "inventory-one-sided"])
+    @pytest.mark.parametrize("T", ["0", "-1"])
+    def test_chain_horizon_below_one(self, runner, tmp_path, preset, T):
+        res = runner.invoke(cli.main, ["solve", "--preset", preset, "--T", T,
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "horizon T must be >= 1" in res.output
+
+    def test_chain_of_one_step_runs(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["mpc", "--preset",
+                                       "inventory-two-sided", "--T", "1",
+                                       "--k", "1", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert res.output == "regret=0\n"
 
     def test_chain_rejected_for_decay_certification(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["certify-decay", "--preset",
@@ -280,6 +313,37 @@ class TestCertifications:
         inst = presets.tracking_rand(T=24)
         assert sigma == kkt.measured_sigma(inst)
 
+    def test_failed_certifications_write_artifacts_and_exit_4(
+            self, runner, tmp_path, monkeypatch):
+        # eps = 1 moves the pin outside the state interval, so the response
+        # is clipped and misses eps by 0.6
+        res = runner.invoke(cli.main, ["inventory-suite", "--p", "2",
+                                       "--eps", "1", "--out",
+                                       str(tmp_path / "suite")])
+        assert res.exit_code == 4
+        assert res.output == "worst_deviation=0.6\n"
+        assert_written(tmp_path / "suite", "inventory-suite",
+                       ["inventory_suite.csv"])
+
+        # a bound 1e-6 times too tight is not dominated
+        constants = kkt.tracking_decay_constants
+
+        def tight(*args):
+            consts = constants(*args)
+            return dataclasses.replace(consts,
+                                       decay_coef=consts.decay_coef * 1e-6)
+
+        monkeypatch.setattr(kkt, "tracking_decay_constants", tight)
+        res = runner.invoke(cli.main, ["certify-decay", "--preset",
+                                       "tracking-rand", "--T", "10",
+                                       "--out", str(tmp_path / "decay")])
+        assert res.exit_code == 4
+        assert res.output.startswith("dominated=False worst_ratio=")
+        ratio = float(res.output.split("worst_ratio=")[1])
+        assert 1e4 < ratio < 1e6
+        assert_written(tmp_path / "decay", "certify-decay",
+                       ["decay_profile.csv", "decay_constants.txt"])
+
     def test_inventory_suite_fraction_eps(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["inventory-suite", "--p", "4",
                                        "--eps", "2/35",
@@ -328,6 +392,105 @@ class TestCertifications:
         assert res.exit_code == 0, res.output
         body = read(tmp_path / "constants.txt").decode()
         assert "mode = measured" in body
+
+
+PRESET_HELP = ("preset name: disturbance, grid, inventory-one-sided, "
+               "inventory-two-sided, pendulum, tracking-rand")
+INSTANCE_OPTIONS = {
+    "--preset": ("text", None, PRESET_HELP),
+    "--instance": ("path", None, "instance description file (JSON)"),
+    "--T": ("integer", None, "override the horizon"),
+    "--seed": ("integer", None, "override the instance seed")}
+WINDOW_OPTION = {"--k": ("integer", 8, "window length")}
+# each command's docstring and own options: flag -> (type, default, help)
+COMMANDS = {
+    "solve": ("Solve the full-horizon problem under the true parameters.",
+              {}),
+    "mpc": ("Run the receding-horizon controller and report regret.",
+            {**WINDOW_OPTION, "--noise-scale": (
+                "number", 0.0, "constant forecast-error magnitude")}),
+    "sweep-horizon": ("Zero-noise regret as a function of the window length.",
+                      {"--k": ("integer", 12,
+                               "largest window length in the sweep")}),
+    "sweep-noise": ("Regret as a function of the forecast-noise scale.",
+                    {**WINDOW_OPTION, "--noise-scale": (
+                        "number", 0.2,
+                        "base noise magnitude; swept over fixed multiples")}),
+    "certify-decay": ("Check the closed-form geometric bound on the inverse "
+                      "saddle blocks.", {}),
+    "inventory-suite": (
+        "Terminal-perturbation response table for the alternating chain.",
+        {"--p": ("integer", (4, 5, 6, 7, 8),
+                 "chain lengths (default 4 5 6 7 8)"),
+         "--eps": ("number", None,
+                   "terminal perturbation (fractions like 2/35 accepted)")}),
+    "constants": ("Report the decay/sensitivity constants of an instance.",
+                  {**WINDOW_OPTION, "--mode": ("choice", "theory", None)})}
+
+# config_hash of each command's artifacts as the commands wrote them before
+# they shared one declaration path: at default options on the disturbance
+# preset, and with INSTANCE_FILE given as "inst.json"; a renamed option dest
+# or a changed default type changes them
+DEFAULT_HASHES = {"solve": "51cea3aff8af3389", "mpc": "1c5d29c2f8cc9a78",
+                  "sweep-horizon": "ec0e5f1c584e7e36",
+                  "sweep-noise": "8a2df4d6d03eaeb2",
+                  "certify-decay": "b8c451496f73c76a",
+                  "inventory-suite": "dd29b0abf3cdb426",
+                  "constants": "b8a57f0eefe93452"}
+INSTANCE_FILE = {"kind": "tracking-rand", "T": 10, "seed": 3}
+INSTANCE_HASHES = {"solve": "46b918ffc2fe4c18", "mpc": "817022eab2b81279",
+                   "sweep-horizon": "ea00d89f8b263c78",
+                   "sweep-noise": "9bfdd4c4457a8086",
+                   "certify-decay": "2ee34c25ed5e07d9",
+                   "constants": "dea5ff9cac8792d7"}
+
+
+def written_hashes(out):
+    """The config_hash values in the headers of the artifacts in ``out``."""
+    return {h for name in os.listdir(out)
+            for h in re.findall(r"config_hash=([0-9a-f]{16})",
+                                read(out / name).decode())}
+
+
+class TestCommandDeclarations:
+    """Each command keeps its options, help text and config_hash."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_options_and_help(self, runner, command):
+        doc, own = COMMANDS[command]
+        expected = {**(INSTANCE_OPTIONS if command != "inventory-suite"
+                       else {}), **own,
+                    "--out": ("path", "out", "output directory")}
+        params = cli.main.commands[command].params
+        assert {p.opts[0]: (p.type.name, p.default, p.help)
+                for p in params} == expected
+        res = runner.invoke(cli.main, [command, "--help"])
+        assert res.exit_code == 0, res.output
+        text = " ".join(res.output.split())
+        assert doc in text
+        for flag, (_, _, help_) in expected.items():
+            assert f"{flag} " in text
+            if help_ is not None:
+                assert help_ in text
+
+    @pytest.mark.parametrize("command", list(DEFAULT_HASHES))
+    def test_config_hash_at_default_options(self, runner, tmp_path, command):
+        args = [] if command == "inventory-suite" else ["--preset",
+                                                        "disturbance"]
+        res = runner.invoke(cli.main, [command, *args, "--out",
+                                       str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert written_hashes(tmp_path) == {DEFAULT_HASHES[command]}
+
+    @pytest.mark.parametrize("command", list(INSTANCE_HASHES))
+    def test_config_hash_with_instance_file(self, runner, tmp_path,
+                                            monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inst.json").write_text(json.dumps(INSTANCE_FILE))
+        res = runner.invoke(cli.main, [command, "--instance", "inst.json",
+                                       "--out", "out"])
+        assert res.exit_code == 0, res.output
+        assert written_hashes(tmp_path / "out") == {INSTANCE_HASHES[command]}
 
 
 class TestLibrarySurface:
@@ -398,3 +561,19 @@ class TestLibrarySurface:
                    kkt.measure_gain_tables):
             params = inspect.signature(fn).parameters
             assert not {"law", "opt"} & set(params), fn.__name__
+
+    def test_one_command_path(self):
+        # the per-command plumbing is the one declaration helper, and knobs
+        # and fields that nothing sets are gone; a chain system still says
+        # that it counts a terminal stage
+        gone = {cli: ["_solver_errors", "_instance_options", "_headers",
+                      "_write", "_sweep_body", "EXIT_OK", "EXIT_CONFIG"],
+                regret.RegretReport: ["aggregate_E"]}
+        present = [f"{owner.__name__}.{name}"
+                   for owner, names in gone.items() for name in names
+                   if hasattr(owner, name)]
+        assert present == []
+        assert "floor" not in inspect.signature(kkt.fit_decay).parameters
+        fields = {f.name for f in dataclasses.fields(model.InventorySystem)}
+        assert "include_terminal_stage" not in fields
+        assert model.InventorySystem.include_terminal_stage is True

@@ -219,6 +219,12 @@ class TestInstances:
         with pytest.raises(ModelError):
             InventorySystem(T=4, targets=np.zeros(3))
 
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_inventory_needs_a_step(self, T):
+        # T + 1 targets would pass the count check, but no window can act
+        with pytest.raises(ModelError, match="horizon T must be >= 1"):
+            InventorySystem(T=T, targets=np.zeros(max(T + 1, 0)))
+
     def test_inventory_rejects_negative_action_weight(self):
         with pytest.raises(ModelError):
             InventorySystem(T=2, targets=np.zeros(3), action_weight=-1.0)
