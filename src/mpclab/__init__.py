@@ -9,8 +9,7 @@ from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, Infeasible,
                     SingularKKT, chain_law, continuation_law, truth_law,
                     window_law)
 from .kkt import (DecayFit, GainTables, TrackingDecayConstants,
-                  decay_profile, general_decay_constants,
-                  measure_gain_tables, sigma_min, theory_gain_tables,
+                  decay_profile, measure_gain_tables, sigma_min,
                   tracking_decay_constants, window_data)
 from .engine import (TerminalRule, TrajectoryRecord,
                      per_step_error_bound_rhs, pipeline_admission_check,

@@ -282,8 +282,7 @@ def certify_decay(inst, hdr):
              "decay_constants.txt": _key_value_body(
                 {"sigma": sigma, "sigma_lo": consts.sigma_lo,
                  "sigma_hi": consts.sigma_hi, "decay_rate": consts.decay_rate,
-                 "decay_coef": consts.decay_coef,
-                 "diff_coef": consts.diff_coef, "fit_coef": fit.C,
+                 "decay_coef": consts.decay_coef, "fit_coef": fit.C,
                  "fit_rate": fit.lam, "fit_r2": fit.r2}, hdr)},
             f"dominated={ok} worst_ratio={worst:.6g}", ok)
 
@@ -300,7 +299,10 @@ def inventory_suite(inst, hdr, p, eps):
     """Terminal-perturbation response table for the alternating chain."""
     if min(p) < 1:
         raise click.UsageError("need --p >= 1")
-    rows = presets.inventory_counterexample_suite(p, eps)
+    try:
+        rows = presets.inventory_counterexample_suite(p, eps)
+    except ModelError as exc:
+        raise click.UsageError(str(exc)) from exc
     worst = max(max(abs(r.diff_minus_eps), r.closed_form_err) for r in rows)
     return ({"inventory_suite.csv": _csv_body(
                 ["p", "eps", "h", "diff", "diff_minus_eps",
@@ -310,39 +312,28 @@ def inventory_suite(inst, hdr, p, eps):
 
 
 @_command("constants", _WINDOW,
-          click.option("--mode", type=click.Choice(["theory", "measured"]),
-                       default="theory"))
+          click.option("--mode", type=click.Choice(["measured"]),
+                       default="measured",
+                       help="how the gain tables are found (measured only)"))
 def constants(inst, hdr, k, mode):
     """Report the decay/sensitivity constants of an instance."""
     sys_ = inst.system
     if sys_.kind == "inventory":
         raise click.UsageError("constants need a quadratic system")
     sigma = kkt.measured_sigma(inst, k)
-    bb = sys_.bounds
-    consts = kkt.tracking_decay_constants(bb, sigma)
+    consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
+    opt = engine.solve_opt(inst)
+    tables = kkt.measure_gain_tables(
+        inst, k, _default_rule(inst), opt.states,
+        R=max(opt.max_state_norm, 1.0), seed=inst.seed)
     values = {"mode": mode, "sigma": sigma,
               "sigma_lo": consts.sigma_lo, "sigma_hi": consts.sigma_hi,
               "decay_rate": consts.decay_rate,
               "decay_coef": consts.decay_coef,
-              "diff_coef": consts.diff_coef}
-    opt = engine.solve_opt(inst)
-    if mode == "measured":
-        tables = kkt.measure_gain_tables(
-            inst, k, _default_rule(inst), opt.states,
-            R=max(opt.max_state_norm, 1.0), seed=inst.seed)
-    else:
-        tables = kkt.theory_gain_tables(
-            inst, k, R=max(opt.max_state_norm, 1.0),
-            D_xstar=opt.max_state_norm, sigma=sigma)
-    values["gain_tables"] = tables.basis
-    values["C3"] = tables.C3
+              "gain_tables": tables.basis, "C3": tables.C3}
     for tau in range(k + 1):
         values[f"gain_state_{tau}"] = float(tables.gain_state[tau])
         values[f"gain_param_{tau}"] = float(tables.gain_param[tau])
-    gen = kkt.general_decay_constants(consts.sigma_lo, consts.sigma_hi,
-                                      bb.ell)
-    values["general_coef"] = gen.coef
-    values["general_rate"] = gen.rate
     body = _key_value_body(values, hdr)
     return {"constants.txt": body}, body.rstrip("\n"), True
 

@@ -230,14 +230,15 @@ class TrackingDecayConstants:
     sigma_hi: float
     decay_rate: float   # geometric rate of inverse-block decay
     decay_coef: float   # coefficient dominating every inverse block
-    diff_coef: float    # coefficient of the inverse-difference bound
-    degenerate: bool = False
 
 
 def tracking_decay_constants(bounds: Bounds,
                              sigma: float) -> TrackingDecayConstants:
     """Decay constants of the declared system bounds and the measured (or
-    declared) smallest singular value sigma of the dynamics blocks."""
+    declared) smallest singular value sigma of the dynamics blocks.
+
+    sigma_lo <= min(mu, 1)(a + b + 1)/sqrt(2 mu) <= (a + b + 1)/sqrt(2)
+    < sigma_hi, so 0 < rate < 1 and the coefficient is finite."""
     mu, ell, a, b = bounds.mu, bounds.ell, bounds.a, bounds.b
     if min(mu, ell, a, b, sigma) <= 0:
         raise ValueError("inputs must be positive")
@@ -246,44 +247,9 @@ def tracking_decay_constants(bounds: Bounds,
     sigma_lo = (min(mu, 1.0) * (a + b + 1.0)
                 * math.sqrt(ell / (2 * mu * ell + mu * sigma ** 2)))
     sigma_hi = math.sqrt(2.0) * (ell + a + b + 1.0)
-    if sigma_lo >= sigma_hi:
-        return TrackingDecayConstants(sigma_lo, sigma_hi, 0.0, math.inf,
-                                      math.inf, degenerate=True)
     rate = math.sqrt((sigma_hi - sigma_lo) / (sigma_hi + sigma_lo))
     coef = 4.0 * (ell + 1.0 + a + b) / (sigma_lo ** 2 * rate)
-    diff = coef ** 2 * (max(bounds.L_Q + bounds.L_R, bounds.L_P)
-                        + (2.0 / rate) * (bounds.L_A + bounds.L_B))
-    return TrackingDecayConstants(sigma_lo, sigma_hi, rate, coef, diff)
-
-
-@dataclasses.dataclass(frozen=True)
-class GeneralDecayConstants:
-    coef: float
-    rate: float
-
-
-def general_decay_constants(sigma_lo: float, sigma_hi: float,
-                            sigma_R_hi: float) -> GeneralDecayConstants:
-    """Decay constants of the general constrained setting from declared or
-    measured spectrum bounds."""
-    if not (0 < sigma_lo <= sigma_hi) or sigma_R_hi <= 0:
-        raise ValueError("need 0 < sigma_lo <= sigma_hi and sigma_R_hi > 0")
-    coef = math.sqrt(sigma_hi * sigma_R_hi / sigma_lo ** 2)
-    rate = ((sigma_hi ** 2 - sigma_lo ** 2)
-            / (sigma_hi ** 2 + sigma_lo ** 2)) ** 0.125
-    return GeneralDecayConstants(coef, rate)
-
-
-def tracking_sensitivity_coef(consts: TrackingDecayConstants, ell: float,
-                              D_xbar: float, D_w: float, D_xstar: float,
-                              R: float, L_w: float, L_xbar: float,
-                              L_Q: float) -> float:
-    """Closed-form coefficient of the first-action sensitivity envelopes in
-    the tracking setting (the tables gain_param(t) = H * rate^t,
-    gain_state(t) = H * rate^{2t})."""
-    c2, c2p, lam = consts.decay_coef, consts.diff_coef, consts.decay_rate
-    return (c2p * (2 * (ell * D_xbar + D_w) / (1 - lam) + R + D_xstar + 1.0)
-            + c2 * (L_w + ell * L_xbar + D_xbar * L_Q + 1.0))
+    return TrackingDecayConstants(sigma_lo, sigma_hi, rate, coef)
 
 
 def _smallest_singular_value(N: Array) -> float:
@@ -327,8 +293,7 @@ class GainTables:
     ``basis`` says what the tables bound.  "exact": measured Jacobians of a
     first action that is affine in the parameters, which bound every finite
     perturbation; "local": measured slopes at the true parameters, which
-    bound only infinitesimal ones; "theory": closed forms of the declared
-    system bounds.
+    bound only infinitesimal ones.
     """
 
     gain_state: Array
@@ -636,24 +601,3 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                       _monotone_envelope(gi),
                       "exact" if sys.kind == "disturbance" else "local")
 
-
-def theory_gain_tables(instance: Instance, k: int, *, R: float,
-                       D_xstar: float, sigma: float | None = None) -> GainTables:
-    """Closed-form envelopes from the declared system bounds."""
-    sys = instance.system
-    bb = sys.bounds
-    if sigma is None:
-        sigma = measured_sigma(instance, k)
-    consts = tracking_decay_constants(bb, sigma)
-    H = tracking_sensitivity_coef(consts, bb.ell, bb.D_xbar, bb.D_w, D_xstar,
-                                  R, bb.L_w, bb.L_xbar, bb.L_Q)
-    lam = consts.decay_rate
-    taus = np.arange(k + 1)
-    gp = H * lam ** taus
-    if sys.kind == "disturbance":
-        gs = np.zeros(k + 1)
-    else:
-        gs = H * lam ** (2 * taus)
-    gi = H * lam ** np.arange(sys.T + 1)
-    gi[0] = max(gi[0], 1.0)
-    return GainTables(gs, gp, gi, "theory")

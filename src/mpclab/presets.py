@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ftocp
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    LinearQuadraticSystem, ParamBox, TerminalCost)
+                    LinearQuadraticSystem, ModelError, ParamBox, TerminalCost)
 
 Array = np.ndarray
 
@@ -289,7 +289,9 @@ def inventory_counterexample_suite(ps=(4, 5, 6, 7, 8),
 
     For each length p the terminal pin moves from its base value (-2/5 for
     even p, +2/5 for odd p) by eps; the per-step response is recorded along
-    with the distance to the alternating closed form.
+    with the distance to the alternating closed form.  Raises ModelError
+    for an eps whose pin the chain cannot reach from 0, naming the
+    admissible interval [max(x_lo, p u_lo), min(x_hi, p u_hi)] - base.
     """
     rows = []
     for idx, p in enumerate(ps):
@@ -301,6 +303,11 @@ def inventory_counterexample_suite(ps=(4, 5, 6, 7, 8),
         else:
             eps = float(eps_values[idx])
         system, params = _chain_window(p, u_hi=0.8)
+        lo = max(system.x_lo, p * system.u_lo) - base
+        hi = min(system.x_hi, p * system.u_hi) - base
+        if not lo <= eps <= hi:
+            raise ModelError(f"eps = {eps:.6g} moves the pin of p = {p} out "
+                             f"of reach: need {lo:.6g} <= eps <= {hi:.6g}")
         sol0, sol1 = (
             ftocp.window_law(system, params, TerminalCost.indicator([pin]))
             .solution(0, np.zeros(1)) for pin in (base, base + eps))

@@ -354,15 +354,65 @@ class TestCertifications:
         assert (body.splitlines()[2]
                 == "p,eps,h,diff,diff_minus_eps,closed_form_err")
 
+    def test_inventory_suite_eps_out_of_reach(self, runner, tmp_path):
+        # a pin of -2/5 - 5 lies below what four steps of at least -0.8
+        # reach from 0 inside [-1, 1]: a configuration error naming the
+        # admissible [-1, 1] + 2/5
+        res = runner.invoke(cli.main, ["inventory-suite", "--p", "4",
+                                       "--eps", "-5",
+                                       "--out", str(tmp_path / "far")])
+        assert res.exit_code == 2
+        assert "need -0.6 <= eps <= 1.4" in res.output
+        assert not (tmp_path / "far").exists()
+        for args, code in ((["--p", "4", "--eps", "2/35"], 0),
+                           (["--p", "2", "--eps", "1"], 4)):
+            res = runner.invoke(cli.main, ["inventory-suite", *args,
+                                           "--out", str(tmp_path / "near")])
+            assert res.exit_code == code, res.output
+
     def test_constants_theory_mode(self, runner, tmp_path):
+        # measured is the one mode: the closed-form tables rested on an
+        # unsound sigma_lo and were never admitted
         res = runner.invoke(cli.main, ["constants", "--preset",
                                        "disturbance", "--T", "12",
                                        "--k", "4", "--mode", "theory",
                                        "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert not tmp_path.joinpath("constants.txt").exists()
+
+    def test_constants_default_mode_is_measured(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["constants", "--preset",
+                                       "disturbance", "--T", "12",
+                                       "--k", "4", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        body = read(tmp_path / "constants.txt").decode()
-        assert "C3 =" in body
-        assert "gain_param_0 =" in body
+        lines = read(tmp_path / "constants.txt").decode().splitlines()
+        assert "mode = measured" in lines
+        assert "gain_tables = exact" in lines
+
+    def test_artifact_keys(self, runner, tmp_path):
+        # the ordered keys of the key-value artifacts, so that no key is
+        # added, dropped or moved unnoticed
+        def keys(path):
+            return [ln.split(" = ")[0]
+                    for ln in read(path).decode().splitlines()
+                    if not ln.startswith("#")]
+
+        res = runner.invoke(cli.main, ["constants", "--preset",
+                                       "tracking-rand", "--T", "12",
+                                       "--k", "2", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert keys(tmp_path / "constants.txt") == [
+            "mode", "sigma", "sigma_lo", "sigma_hi", "decay_rate",
+            "decay_coef", "gain_tables", "C3", "gain_state_0",
+            "gain_param_0", "gain_state_1", "gain_param_1", "gain_state_2",
+            "gain_param_2"]
+        res = runner.invoke(cli.main, ["certify-decay", "--preset",
+                                       "tracking-rand", "--T", "10",
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert keys(tmp_path / "decay_constants.txt") == [
+            "sigma", "sigma_lo", "sigma_hi", "decay_rate", "decay_coef",
+            "fit_coef", "fit_rate", "fit_r2"]
 
     def test_constants_measured_mode_builds_each_law_once(
             self, runner, tmp_path, monkeypatch):
@@ -425,24 +475,27 @@ COMMANDS = {
          "--eps": ("number", None,
                    "terminal perturbation (fractions like 2/35 accepted)")}),
     "constants": ("Report the decay/sensitivity constants of an instance.",
-                  {**WINDOW_OPTION, "--mode": ("choice", "theory", None)})}
+                  {**WINDOW_OPTION, "--mode": (
+                      "choice", "measured",
+                      "how the gain tables are found (measured only)")})}
 
 # config_hash of each command's artifacts as the commands wrote them before
 # they shared one declaration path: at default options on the disturbance
 # preset, and with INSTANCE_FILE given as "inst.json"; a renamed option dest
-# or a changed default type changes them
+# or a changed default type changes them.  The constants literals are those
+# of "--mode measured", the default since the closed-form mode is gone
 DEFAULT_HASHES = {"solve": "51cea3aff8af3389", "mpc": "1c5d29c2f8cc9a78",
                   "sweep-horizon": "ec0e5f1c584e7e36",
                   "sweep-noise": "8a2df4d6d03eaeb2",
                   "certify-decay": "b8c451496f73c76a",
                   "inventory-suite": "dd29b0abf3cdb426",
-                  "constants": "b8a57f0eefe93452"}
+                  "constants": "1d3a64b3ee5a6a05"}
 INSTANCE_FILE = {"kind": "tracking-rand", "T": 10, "seed": 3}
 INSTANCE_HASHES = {"solve": "46b918ffc2fe4c18", "mpc": "817022eab2b81279",
                    "sweep-horizon": "ea00d89f8b263c78",
                    "sweep-noise": "9bfdd4c4457a8086",
                    "certify-decay": "2ee34c25ed5e07d9",
-                   "constants": "dea5ff9cac8792d7"}
+                   "constants": "9197b2ee5ce823ff"}
 
 
 def written_hashes(out):
@@ -577,3 +630,18 @@ class TestLibrarySurface:
         fields = {f.name for f in dataclasses.fields(model.InventorySystem)}
         assert "include_terminal_stage" not in fields
         assert model.InventorySystem.include_terminal_stage is True
+
+    def test_no_closed_form_gain_tables(self):
+        # the closed-form sensitivity path fed no verdict and rested on an
+        # unsound sigma_lo; the decay constants keep the four fields that
+        # certify-decay and constants print
+        gone = {kkt: ["theory_gain_tables", "tracking_sensitivity_coef",
+                      "GeneralDecayConstants", "general_decay_constants"],
+                mpclab: ["theory_gain_tables", "general_decay_constants"]}
+        present = [f"{owner.__name__}.{name}"
+                   for owner, names in gone.items() for name in names
+                   if hasattr(owner, name)]
+        assert present == []
+        assert [f.name for f in dataclasses.fields(
+            kkt.TrackingDecayConstants)] == ["sigma_lo", "sigma_hi",
+                                             "decay_rate", "decay_coef"]

@@ -274,8 +274,7 @@ def test_tail_windows_are_the_instances_own(k):
     ("disturbance", "measured", "exact"),
     ("tracking-rand", "measured", "local"),
     ("pendulum", "measured", "local"),
-    ("grid", "measured", "local"),
-    ("tracking-rand", "theory", "theory")])
+    ("grid", "measured", "local")])
 def test_constants_artifact_names_the_basis(tmp_path, name, mode, basis):
     # only the disturbance family keeps the parameters out of A and B
     res = CliRunner().invoke(cli.main, [
