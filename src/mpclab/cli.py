@@ -242,8 +242,7 @@ def sweep_horizon(inst, hdr, k_max):
     ks = list(range(k_min, min(k_max, inst.T) + 1))
     if not ks:
         raise click.UsageError("sweep range is empty")
-    res = regret.sweep_horizon(inst, ks, _default_rule(inst),
-                               seed=inst.seed)
+    res = regret.sweep_horizon(inst, ks, _default_rule(inst))
     return _sweep_artifacts("sweep_horizon", res, hdr), _fit_text(res), True
 
 
@@ -255,8 +254,7 @@ def sweep_noise(inst, hdr, k, noise_scale):
     """Regret as a function of the forecast-noise scale."""
     scales = [noise_scale * f for f in
               (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)]
-    res = regret.sweep_noise(inst, lambda t, tau: 1.0 if tau > 0 else 0.0,
-                             scales, k, _default_rule(inst),
+    res = regret.sweep_noise(inst, scales, k, _default_rule(inst),
                              seed=inst.seed)
     return (_sweep_artifacts("sweep_noise", res, hdr),
             f"loglog_{_fit_text(res)}", True)

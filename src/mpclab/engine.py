@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ftocp
 from .model import (Instance, PredictionStream, TerminalCost, _read_only,
-                    per_instance)
+                    _rho_offsets, per_instance)
 
 Array = np.ndarray
 
@@ -99,8 +99,6 @@ class TrajectoryRecord:
     distances: Array     # (T+1,), distance to the hindsight-optimal state
     stage_costs: Array   # (T,) or (T+1,) with a counted terminal stage
     total_cost: float
-    k: int | None = None
-    rule_kind: str | None = None
     kkt_residual_max: float = 0.0   # worst KKT residual of the solves
 
     @property
@@ -147,8 +145,7 @@ def solve_opt(instance: Instance) -> TrajectoryRecord:
     stage, total = _stage_costs_and_total(instance, sol.states, sol.actions)
     arrays = (_read_only(a) for a in (sol.states, sol.actions, np.zeros(T),
                                       np.zeros(T + 1), stage))
-    return TrajectoryRecord(*arrays, total, k=None, rule_kind="opt",
-                            kkt_residual_max=sol.kkt_residual)
+    return TrajectoryRecord(*arrays, total, kkt_residual_max=sol.kkt_residual)
 
 
 def run_mpc(instance: Instance, stream: PredictionStream, k: int,
@@ -210,7 +207,6 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
                           for t in range(T + 1)])
     stage, total = _stage_costs_and_total(instance, states, actions)
     return TrajectoryRecord(states, actions, errors, distances, stage, total,
-                            k=k, rule_kind=rule.kind,
                             kkt_residual_max=kkt_residual_max)
 
 
@@ -218,26 +214,30 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
 # per-step error bound and admission
 # ---------------------------------------------------------------------------
 
-def per_step_error_bound_rhs(t: int, k: int, T: int, rho, gain_state,
+def per_step_error_bound_rhs(rho_table: Array, k: int, gain_state,
                              gain_param, R: float, C3: float,
-                             D_xstar: float) -> float:
-    """Right-hand side of the per-step error bound at step t.
+                             D_xstar: float) -> Array:
+    """Right-hand sides rhs_t, t = 0..T-1, of the per-step error bound of a
+    run with window k, as one (T,) array:
 
-    rho(t, tau) is the forecast-error magnitude; the truncation term
-    2R((R/C3 + D_xstar) gain_state(k) + gain_param(k)) applies only while the
-    window is shorter than the remaining horizon (t < T - k).
+        rhs_t = sum_{tau<=k} w(tau) rho(t, tau) + 2R w(k) [t < T - k],
+        w = (R/C3 + D_xstar) gain_state + gain_param,
+
+    where rho is the (T+1, .) table of forecast-error magnitudes
+    (``PredictionStream.rho_table``), whose offsets beyond T carry no
+    error.  The truncation term applies only while the window is shorter
+    than the remaining horizon.
     """
     gain_state = np.asarray(gain_state, float)
     gain_param = np.asarray(gain_param, float)
     if gain_state.shape[0] < k + 1 or gain_param.shape[0] < k + 1:
         raise ValueError("gain tables must cover offsets 0..k")
-    coef = R / C3 + D_xstar
-    acc = 0.0
-    for tau in range(k + 1):
-        acc += (coef * gain_state[tau] + gain_param[tau]) * float(rho(t, tau))
-    if t < T - k:
-        acc += 2.0 * R * (coef * gain_state[k] + gain_param[k])
-    return acc
+    rho = _rho_offsets(rho_table, k)
+    T, K = rho.shape[0] - 1, rho.shape[1]
+    weights = (R / C3 + D_xstar) * gain_state[:k + 1] + gain_param[:k + 1]
+    rhs = rho[:T] @ weights[:K]
+    rhs[:max(T - k, 0)] += 2.0 * R * weights[k]
+    return rhs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -252,17 +252,13 @@ class AdmissionReport:
         return self.threshold - self.worst_rhs
 
 
-def pipeline_admission_check(k: int, T: int, rho, gain_state, gain_param,
-                             R: float, C3: float, D_xstar: float,
+def pipeline_admission_check(rhs: Array, R: float, C3: float,
                              L_g: float) -> AdmissionReport:
     """Smallness condition admitting a run into the error-to-regret pipeline:
-    the per-step bound must stay below R / (C3^2 L_g) at every step."""
+    the per-step bound ``rhs`` (``per_step_error_bound_rhs``) must stay
+    below R / (C3^2 L_g) at every step; ``worst_t`` is the first step where
+    it is largest."""
     threshold = R / (C3 ** 2 * L_g)
-    worst, worst_t = -np.inf, 0
-    for t in range(T):
-        rhs = per_step_error_bound_rhs(t, k, T, rho, gain_state, gain_param,
-                                       R, C3, D_xstar)
-        if rhs > worst:
-            worst, worst_t = rhs, t
-    return AdmissionReport(worst <= threshold, float(worst), threshold,
-                           worst_t)
+    worst_t = int(np.argmax(rhs))
+    worst = float(rhs[worst_t])
+    return AdmissionReport(worst <= threshold, worst, threshold, worst_t)

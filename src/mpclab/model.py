@@ -56,10 +56,11 @@ def _read_only(a: Array) -> Array:
 class PredictionStream:
     """Forecasts of future parameters with exactly prescribed error magnitudes.
 
-    ``rho(t, tau)`` is the distance between the forecast of step t+tau made at
-    step t and the true value: a constant (for every tau > 0) or a callable.
-    It is forced to 0 whenever t + tau > T or tau > k; a negative t or tau
-    raises ModelError.  The directions are drawn
+    ``rho_table[t, tau]`` is the distance between the forecast of step
+    t+tau made at step t and the true value, a read-only (T+1, k+1) array.
+    ``rho`` is that table, or a constant applied at every tau >= 1 (tau = 0
+    is then exact); entries with t + tau > T are set to 0, and a negative
+    or non-finite entry raises ModelError.  The directions are drawn
     uniformly on the unit sphere (the two points of S^0 for one parameter)
     with a dedicated generator, one draw per valid (t, tau) in t-major
     order, so rescaling magnitudes keeps the directions fixed.
@@ -70,26 +71,25 @@ class PredictionStream:
     forecasts were drawn around.
     """
 
-    def __init__(self, base: Array, k: int,
-                 rho: Callable[[int, int], float] | float, seed: int = 0):
+    def __init__(self, base: Array, k: int, rho: Array | float, seed: int = 0):
         if k < 1:
             raise ModelError("forecast horizon k must be >= 1")
         base = np.array(base, float)
         T, p = base.shape[0] - 1, base.shape[1]
         self.truth = _read_only(base)
         self.T, self.k = T, k
-        # the valid (t, tau), t-major
-        ts, taus = np.nonzero(np.add.outer(np.arange(T + 1),
-                                           np.arange(k + 1)) <= T)
-        table = np.zeros((T + 1, k + 1))
-        if callable(rho):
-            table[ts, taus] = [float(rho(int(t), int(tau)))
-                               for t, tau in zip(ts, taus)]
-        else:
-            table[ts[taus > 0], taus[taus > 0]] = float(rho)
-        if np.any(table < 0):
-            raise ModelError("error magnitudes must be nonnegative")
+        table = np.array(rho, float)
+        constant = table.ndim == 0
+        if not constant and table.shape != (T + 1, k + 1):
+            raise ModelError("error magnitudes need shape (T+1, k+1)")
+        if not (np.isfinite(table).all() and (table >= 0).all()):
+            raise ModelError("error magnitudes must be finite and nonnegative")
+        valid = np.add.outer(np.arange(T + 1), np.arange(k + 1)) <= T
+        table = np.where(valid, table, 0.0)
+        if constant:
+            table[:, 0] = 0.0
         self.rho_table = _read_only(table)
+        ts, taus = np.nonzero(valid)   # t-major
         rng = np.random.default_rng(seed)
         directions = rng.normal(size=(ts.size, p))
         norms = np.linalg.norm(directions, axis=1)
@@ -104,13 +104,6 @@ class PredictionStream:
                                * (directions / norms[:, None]))
         self.forecasts = _read_only(forecasts)
 
-    def rho(self, t: int, tau: int) -> float:
-        if t < 0 or tau < 0:
-            raise ModelError("negative step or offset")
-        if t + tau > self.T or tau > self.k:
-            return 0.0
-        return float(self.rho_table[t, tau])
-
     def window(self, t: int, t2: int) -> Array:
         """Forecasts xi_{t..t2} made at step t (inclusive of both ends)."""
         if t < 0 or t2 < t:
@@ -121,9 +114,16 @@ class PredictionStream:
             raise ModelError("forecast beyond the horizon k")
         return self.forecasts[t, :t2 - t + 1]
 
-    def power(self, tau: int) -> float:
-        """Sum over t of the squared tau-step forecast error."""
-        return float(np.sum(self.rho_table[:, tau] ** 2))
+
+def _rho_offsets(rho_table: Array, k: int) -> Array:
+    """Columns tau = 0..min(k, T) of a (T+1, .) table of forecast-error
+    magnitudes: what a window of length k reads, since no offset past T
+    has a forecast.  A table with fewer columns raises ValueError."""
+    rho_table = np.asarray(rho_table, float)
+    K = min(k, len(rho_table) - 1) + 1
+    if rho_table.ndim != 2 or rho_table.shape[1] < K:
+        raise ValueError("error magnitudes must cover offsets 0..min(k, T)")
+    return rho_table[:, :K]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, kkt
-from .model import Instance, PredictionStream
+from .model import Instance, PredictionStream, _rho_offsets
 
 Array = np.ndarray
 
@@ -63,21 +63,22 @@ def regret_inequalities(run: engine.TrajectoryRecord,
                         lhs, rhs, dist_ok)
 
 
-def aggregate_E(k: int, gain_state: Array, gain_param: Array,
-                power: Sequence[float], T: int) -> float:
-    """Aggregate forecast-error budget:
+def aggregate_E(rho_table: Array, k: int, gain_state: Array,
+                gain_param: Array) -> float:
+    """Aggregate forecast-error budget of a run with window k:
     sum_{tau<k} (gain_state + gain_param)(tau) P(tau)
-    + (gain_state(k)^2 + gain_param(k)^2) T."""
+    + (gain_state(k)^2 + gain_param(k)^2) T, where P(tau) = sum_t
+    rho(t, tau)^2 is a column sum of squares of the (T+1, .) table of
+    forecast-error magnitudes (``PredictionStream.rho_table``)."""
     gain_state = np.asarray(gain_state, float)
     gain_param = np.asarray(gain_param, float)
     if gain_state.shape[0] < k + 1 or gain_param.shape[0] < k + 1:
         raise ValueError("gain tables must cover offsets 0..k")
-    if len(power) < k:
-        raise ValueError("power table must cover offsets 0..k-1")
-    acc = sum((gain_state[tau] + gain_param[tau]) * float(power[tau])
-              for tau in range(k))
-    acc += (gain_state[k] ** 2 + gain_param[k] ** 2) * T
-    return float(acc)
+    rho = _rho_offsets(rho_table, k)
+    T = rho.shape[0] - 1
+    power = np.sum(rho[:, :k] ** 2, axis=0)
+    acc = (gain_state[:power.size] + gain_param[:power.size]) @ power
+    return float(acc + (gain_state[k] ** 2 + gain_param[k] ** 2) * T)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def _fit_positive(xs: Array, regrets: Array, log_x: bool):
 
 
 def _sweep_regrets(instance: Instance, points, rule: engine.TerminalRule,
-                   seed: int) -> tuple[Array, float]:
+                   seed: int = 0) -> tuple[Array, float]:
     """Regret of one closed-loop run per ``(k, rho)`` point against the
     instance's hindsight optimum, and the worst KKT residual of the runs."""
     opt = engine.solve_opt(instance)
@@ -124,30 +125,27 @@ def _sweep_regrets(instance: Instance, points, rule: engine.TerminalRule,
     return np.array(regrets, float), worst
 
 
-def _scaled(base_rho, s: float):
-    return lambda t, tau: s * float(base_rho(t, tau))
-
-
 def sweep_horizon(instance: Instance, k_values: Sequence[int],
-                  rule: engine.TerminalRule, seed: int = 0) -> SweepResult:
-    """Zero-noise regret as a function of the window length."""
+                  rule: engine.TerminalRule) -> SweepResult:
+    """Zero-noise regret as a function of the window length.  The forecasts
+    equal the truth, so no seed enters."""
     k_values = list(k_values)
     regrets, worst = _sweep_regrets(instance, [(k, 0.0) for k in k_values],
-                                    rule, seed)
+                                    rule)
     ks = np.asarray(k_values, float)
     slope, intercept, r2 = _fit_positive(ks, regrets, log_x=False)
     return SweepResult("k", ks, regrets, slope, intercept, r2, worst)
 
 
-def sweep_noise(instance: Instance, base_rho, scales: Sequence[float],
-                k: int, rule: engine.TerminalRule,
-                seed: int = 0) -> SweepResult:
+def sweep_noise(instance: Instance, scales: Sequence[float], k: int,
+                rule: engine.TerminalRule, seed: int = 0) -> SweepResult:
     """Regret as a function of the forecast-noise scale at fixed window
-    length.  ``base_rho(t, tau)`` is scaled multiplicatively; the fit is
-    over the positive scales."""
-    regrets, worst = _sweep_regrets(
-        instance, [(k, _scaled(base_rho, s)) for s in scales], rule, seed)
-    xs = np.asarray(list(scales), float)
+    length: each scale is the error magnitude of every forecast offset
+    tau >= 1.  The fit is over the positive scales."""
+    scales = list(scales)
+    regrets, worst = _sweep_regrets(instance, [(k, s) for s in scales], rule,
+                                    seed)
+    xs = np.asarray(scales, float)
     keep = xs > 0
     slope, intercept, r2 = _fit_positive(xs[keep], regrets[keep], log_x=True)
     return SweepResult("noise_scale", xs, regrets, slope, intercept, r2,

@@ -225,6 +225,22 @@ def forecast_oracle(truth, k, rho, seed):
     return out
 
 
+def per_step_bound_oracle(t, k, T, rho, gain_state, gain_param, R, C3,
+                          D_xstar):
+    """Right-hand side of the per-step error bound at step t, one offset at
+    a time: sum over tau = 0..k of ((R/C3 + D_xstar) gain_state(tau) +
+    gain_param(tau)) rho(t, tau), plus the truncation term
+    2R((R/C3 + D_xstar) gain_state(k) + gain_param(k)) while t < T - k.
+    ``rho`` is a callable of (t, tau)."""
+    coef = R / C3 + D_xstar
+    acc = 0.0
+    for tau in range(k + 1):
+        acc += (coef * gain_state[tau] + gain_param[tau]) * float(rho(t, tau))
+    if t < T - k:
+        acc += 2.0 * R * (coef * gain_state[k] + gain_param[k])
+    return acc
+
+
 def fd_jacobian(f, x, step=None):
     """Central-difference Jacobian of f at x (both 1-D arrays)."""
     x = np.asarray(x, float)

@@ -621,11 +621,22 @@ class TestLibrarySurface:
         # that it counts a terminal stage
         gone = {cli: ["_solver_errors", "_instance_options", "_headers",
                       "_write", "_sweep_body", "EXIT_OK", "EXIT_CONFIG"],
-                regret.RegretReport: ["aggregate_E"]}
+                regret.RegretReport: ["aggregate_E"],
+                # the magnitudes table is the one form of rho
+                model.PredictionStream: ["rho", "power"],
+                regret: ["_scaled"]}
         present = [f"{owner.__name__}.{name}"
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
         assert present == []
+        for fn, params in (
+                (regret.sweep_noise, ["instance", "scales", "k", "rule",
+                                      "seed"]),
+                (regret.sweep_horizon, ["instance", "k_values", "rule"]),
+                (engine.pipeline_admission_check, ["rhs", "R", "C3", "L_g"])):
+            assert list(inspect.signature(fn).parameters) == params, fn
+        fields = {f.name for f in dataclasses.fields(engine.TrajectoryRecord)}
+        assert not {"k", "rule_kind"} & fields
         assert "floor" not in inspect.signature(kkt.fit_decay).parameters
         fields = {f.name for f in dataclasses.fields(model.InventorySystem)}
         assert "include_terminal_stage" not in fields

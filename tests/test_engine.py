@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from mpclab import cli, engine, ftocp, presets
@@ -326,54 +327,93 @@ class TestErrorBound:
         R, C3, Dx = 2.0, 1.7, 0.4
         gp = lam ** np.arange(k + 1)
         gs = np.zeros(k + 1)
-        rhs = per_step_error_bound_rhs(0, k, T, lambda t, tau: c, gs, gp,
+        rhs = per_step_error_bound_rhs(np.full((T + 1, k + 1), c), k, gs, gp,
                                        R, C3, Dx)
+        assert rhs.shape == (T,)
         expected = c * (1 - lam ** (k + 1)) / (1 - lam) + 2 * R * lam ** k
-        assert rhs == pytest.approx(expected, rel=1e-12)
+        assert rhs[0] == pytest.approx(expected, rel=1e-12)
 
     def test_truncation_term_dropped_on_final_stretch(self):
         k, T = 4, 10
         gp = np.ones(k + 1)
         gs = np.zeros(k + 1)
-        early = per_step_error_bound_rhs(T - k - 1, k, T,
-                                         lambda t, tau: 0.0, gs, gp,
-                                         1.0, 1.0, 0.0)
-        late = per_step_error_bound_rhs(T - k, k, T, lambda t, tau: 0.0,
-                                        gs, gp, 1.0, 1.0, 0.0)
-        assert early == pytest.approx(2.0)  # 2 R gain_param(k)
-        assert late == 0.0
+        rhs = per_step_error_bound_rhs(np.zeros((T + 1, k + 1)), k, gs, gp,
+                                       1.0, 1.0, 0.0)
+        assert rhs[T - k - 1] == pytest.approx(2.0)  # 2 R gain_param(k)
+        assert np.all(rhs[:T - k] == rhs[T - k - 1])
+        assert np.all(rhs[T - k:] == 0.0)
 
     def test_state_coupled_term_uses_radius_over_c3(self):
         k = 2
         gs = np.array([1.0, 0.0, 0.0])
         gp = np.zeros(3)
-        rhs = per_step_error_bound_rhs(8, k, 10,
-                                       lambda t, tau: 1.0 if tau == 0 else 0.0,
-                                       gs, gp, 3.0, 2.0, 0.5)
-        assert rhs == pytest.approx(3.0 / 2.0 + 0.5)
+        rho = np.zeros((11, k + 1))
+        rho[8, 0] = 1.0
+        rhs = per_step_error_bound_rhs(rho, k, gs, gp, 3.0, 2.0, 0.5)
+        assert rhs[8] == pytest.approx(3.0 / 2.0 + 0.5)
 
     def test_short_tables_rejected(self):
         with pytest.raises(ValueError):
-            per_step_error_bound_rhs(0, 4, 10, lambda t, tau: 0.0,
-                                     np.zeros(3), np.zeros(5), 1.0, 1.0, 0.0)
+            per_step_error_bound_rhs(np.zeros((11, 5)), 4, np.zeros(3),
+                                     np.zeros(5), 1.0, 1.0, 0.0)
+
+    def test_window_past_the_final_step_reads_the_whole_table(self):
+        # offsets beyond T carry no error, so a window longer than the
+        # horizon needs only the offsets 0..T
+        rho = PredictionStream(np.zeros((4, 1)), 3, 0.1).rho_table
+        rhs = per_step_error_bound_rhs(rho, 6, np.zeros(7), np.ones(7),
+                                       1.0, 1.0, 0.0)
+        assert rhs == pytest.approx([0.3, 0.2, 0.1], rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(T_k=st.integers(2, 30).flatmap(
+               lambda T: st.tuples(st.just(T), st.integers(1, T + 2))),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(T_k=(5, 5), seed=0).via("k = T: the bound starts at t = T - k")
+    @example(T_k=(4, 6), seed=1).via("k > T: offsets past the final step")
+    @example(T_k=(12, 3), seed=2).via("k < T: boundary at t = T - k = 9")
+    def test_matches_the_per_step_oracle(self, T_k, seed):
+        T, k = T_k
+        draw = np.random.default_rng(seed).uniform
+        # a stream's table: offsets 0..min(k, T), zero past the final step
+        K = min(k, T) + 1
+        rho = draw(0.0, 1.0, size=(T + 1, K))
+        rho[np.add.outer(np.arange(T + 1), np.arange(K)) > T] = 0.0
+        gs, gp = draw(0.0, 2.0, size=(2, k + 1))
+        R, C3, Dx = draw(0.1, 3.0, size=3)
+        got = per_step_error_bound_rhs(rho, k, gs, gp, R, C3, Dx)
+        want = [oracles.per_step_bound_oracle(
+            t, k, T, lambda t, tau: rho[t, tau] if t + tau <= T else 0.0,
+            gs, gp, R, C3, Dx) for t in range(T)]
+        assert got.shape == (T,)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestAdmission:
     def test_small_noise_admitted(self):
-        rep = pipeline_admission_check(
-            3, 10, lambda t, tau: 0.01, np.zeros(4),
-            0.1 * 0.5 ** np.arange(4), R=1.0, C3=1.5, D_xstar=0.1, L_g=1.2)
+        rhs = per_step_error_bound_rhs(np.full((11, 4), 0.01), 3, np.zeros(4),
+                                       0.1 * 0.5 ** np.arange(4), R=1.0,
+                                       C3=1.5, D_xstar=0.1)
+        rep = pipeline_admission_check(rhs, R=1.0, C3=1.5, L_g=1.2)
         assert rep.ok
         assert rep.margin > 0.0
         assert rep.threshold == pytest.approx(1.0 / (1.5 ** 2 * 1.2))
 
     def test_large_noise_rejected(self):
-        rep = pipeline_admission_check(
-            3, 10, lambda t, tau: 5.0, np.zeros(4), np.ones(4),
-            R=1.0, C3=1.5, D_xstar=0.1, L_g=1.2)
+        rhs = per_step_error_bound_rhs(np.full((11, 4), 5.0), 3, np.zeros(4),
+                                       np.ones(4), R=1.0, C3=1.5, D_xstar=0.1)
+        rep = pipeline_admission_check(rhs, R=1.0, C3=1.5, L_g=1.2)
         assert not rep.ok
         assert rep.worst_rhs > rep.threshold
         assert 0 <= rep.worst_t < 10
+
+    def test_reads_the_bound_array(self):
+        # the worst step is the first where the bound is largest
+        rhs = np.array([0.1, 0.4, 0.2, 0.4, 0.0])
+        rep = pipeline_admission_check(rhs, R=1.0, C3=1.0, L_g=2.0)
+        assert (rep.ok, rep.worst_rhs, rep.threshold, rep.worst_t) == (
+            True, 0.4, 0.5, 1)
+        assert not pipeline_admission_check(rhs, 1.0, 1.0, 2.6).ok
 
 
 class TestCsvExport:

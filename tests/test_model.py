@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mpclab import model, presets
+from mpclab import engine, model, presets, regret
 from mpclab.model import (Bounds, Instance, InventorySystem,
                           LinearQuadraticSystem, ModelError, ParamBox,
                           PredictionStream, build_instance, config_hash,
@@ -41,6 +41,12 @@ RHOS = {"constant": 0.3, "zero": 0.0,
         "callable": lambda t, tau: 0.05 * (t + tau) + 0.01 * (t % 3)}
 
 
+def rho_arg(rho, T, k):
+    """What a stream takes for the oracle's rho: the constant itself, or the
+    (T+1, k+1) table of the callable."""
+    return np.fromfunction(rho, (T + 1, k + 1)) if callable(rho) else rho
+
+
 def assert_matches_oracle(stream, truth, k, rho, seed, atol=0.0):
     expected = oracles.forecast_oracle(truth, k, rho, seed)
     T = len(truth) - 1
@@ -61,14 +67,15 @@ class TestPredictionStream:
     @pytest.mark.parametrize("preset", sorted(presets.PRESETS))
     def test_one_parameter_matches_oracle_bitwise(self, preset, rho):
         inst = presets.build_preset(preset, T=12, seed=4)
-        stream = PredictionStream(inst.truth, 5, RHOS[rho], seed=11)
+        stream = PredictionStream(inst.truth, 5, rho_arg(RHOS[rho], 12, 5),
+                                  seed=11)
         assert stream.forecasts.shape == (13, 6, 1)
         assert_matches_oracle(stream, inst.truth, 5, RHOS[rho], 11)
 
     @pytest.mark.parametrize("rho", sorted(RHOS))
     def test_two_parameters_match_oracle(self, rho):
         truth = np.random.default_rng(2).uniform(-1.0, 1.0, size=(10, 2))
-        stream = PredictionStream(truth, 4, RHOS[rho], seed=3)
+        stream = PredictionStream(truth, 4, rho_arg(RHOS[rho], 9, 4), seed=3)
         assert_matches_oracle(stream, truth, 4, RHOS[rho], 3, atol=1e-15)
 
     def test_zero_schedule_is_bitwise_exact(self):
@@ -80,38 +87,52 @@ class TestPredictionStream:
 
     def test_error_magnitudes_exact(self):
         base = np.tile([1.0, -1.0], (8, 1))
-        stream = PredictionStream(base, 4, lambda t, tau: 0.1 * tau, seed=2)
+        stream = PredictionStream(base, 4, np.tile(0.1 * np.arange(5), (8, 1)),
+                                  seed=2)
         for t in range(8):
             for tau in range(1, min(4, 7 - t) + 1):
                 err = np.linalg.norm(stream.forecasts[t, tau] - base[t + tau])
                 assert err == pytest.approx(0.1 * tau, abs=1e-13)
 
     def test_power_matches_realized(self):
+        # P(tau), the sum over t of the squared tau-step error, is a column
+        # sum of squares of the table
         base = np.zeros((10, 2))
-        stream = PredictionStream(base, 5, lambda t, tau: 0.05 * (t + tau),
-                                  seed=1)
+        stream = PredictionStream(
+            base, 5, np.fromfunction(lambda t, tau: 0.05 * (t + tau), (10, 6)),
+            seed=1)
+        power = np.sum(stream.rho_table ** 2, axis=0)
         for tau in range(6):
             realized = sum(
                 float(np.linalg.norm(stream.forecasts[t, tau] - base[t + tau])
                       ** 2) for t in range(10 - tau))
-            assert stream.power(tau) == pytest.approx(realized, abs=1e-12)
+            assert power[tau] == pytest.approx(realized, abs=1e-12)
 
     def test_rho_zero_beyond_final_step(self):
         base = np.zeros((4, 1))
-        stream = PredictionStream(base, 3, 0.7, seed=0)
-        assert stream.rho(2, 2) == 0.0
-        assert stream.rho(3, 1) == 0.0
+        for rho in (0.7, np.full((4, 4), 0.7)):
+            table = PredictionStream(base, 3, rho, seed=0).rho_table
+            assert table[2, 2] == 0.0
+            assert table[3, 1] == 0.0
+            assert table[1, 2] == 0.7
+            with pytest.raises(ValueError):
+                table[1, 2] = 0.0
 
-    def test_rho_zero_beyond_horizon_k(self):
+    def test_table_ends_at_horizon_k(self):
+        # offsets beyond k are not in the table, and a reader that needs
+        # them refuses it rather than taking them as exact forecasts
         stream = PredictionStream(np.zeros((11, 1)), 4, 0.1, seed=0)
-        assert stream.rho(2, 4) == 0.1
-        assert stream.rho(2, 5) == 0.0
-
-    @pytest.mark.parametrize("t, tau", [(-3, 2), (2, -1), (-1, 0)])
-    def test_rho_negative_step_or_offset_rejected(self, t, tau):
-        stream = PredictionStream(np.zeros((11, 1)), 4, 0.1, seed=0)
-        with pytest.raises(ModelError):
-            stream.rho(t, tau)
+        assert stream.rho_table.shape == (11, 5)
+        assert stream.rho_table[2, 4] == 0.1
+        rho, gains = stream.rho_table, np.ones(7)
+        assert engine.per_step_error_bound_rhs(rho, 4, gains, gains, 1.0, 1.0,
+                                               0.0).shape == (10,)
+        assert regret.aggregate_E(rho, 4, gains, gains) > 0.0
+        with pytest.raises(ValueError):
+            engine.per_step_error_bound_rhs(rho, 5, gains, gains, 1.0, 1.0,
+                                            0.0)
+        with pytest.raises(ValueError):
+            regret.aggregate_E(rho, 5, gains, gains)
 
     def test_rescaled_magnitudes_keep_directions(self):
         base = np.zeros((6, 2))
@@ -125,6 +146,20 @@ class TestPredictionStream:
         base = np.zeros((4, 1))
         with pytest.raises(ModelError):
             PredictionStream(base, 2, -0.1, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_non_finite_schedule_rejected(self, bad):
+        base = presets.disturbance(T=10).truth
+        table = np.full((11, 5), 0.1)
+        table[3, 2] = bad
+        for rho in (bad, table):
+            with pytest.raises(ModelError):
+                PredictionStream(base, 4, rho, seed=0)
+
+    @pytest.mark.parametrize("shape", [(11, 4), (10, 5), (11, 5, 1), (5,)])
+    def test_table_of_other_shape_rejected(self, shape):
+        with pytest.raises(ModelError):
+            PredictionStream(np.zeros((11, 1)), 4, np.zeros(shape), seed=0)
 
     def test_window_is_the_forecast_slice(self):
         base = np.arange(8.0)[:, None]

@@ -85,16 +85,32 @@ class TestAggregateBudget:
         k, T, lam, p0 = 6, 30, 0.4, 0.7
         gp = lam ** np.arange(k + 1)
         gs = np.zeros(k + 1)
-        power = [p0] * k
-        E = regret.aggregate_E(k, gs, gp, power, T)
+        rho = np.zeros((T + 1, k + 1))
+        rho[0] = np.sqrt(p0)   # P(tau) = p0 at every offset
+        E = regret.aggregate_E(rho, k, gs, gp)
         expected = p0 * (1 - lam ** k) / (1 - lam) + lam ** (2 * k) * T
         assert E == pytest.approx(expected, rel=1e-12)
 
+    def test_constant_stream_budget(self):
+        # a constant magnitude c has P(tau) = (T + 1 - tau) c^2 for tau >= 1,
+        # and a window longer than the horizon reads offsets 0..T only
+        T, c = 5, 0.3
+        rng = np.random.default_rng(1)
+        gs, gp = rng.uniform(0.0, 1.0, size=(2, 9))
+        for k in (3, 5, 8):
+            rho = PredictionStream(np.zeros((T + 1, 1)), min(k, T),
+                                   c).rho_table
+            expected = sum((gs[tau] + gp[tau]) * (T + 1 - tau) * c ** 2
+                           for tau in range(1, min(k, T + 1)))
+            expected += (gs[k] ** 2 + gp[k] ** 2) * T
+            assert regret.aggregate_E(rho, k, gs, gp) == pytest.approx(
+                expected, rel=1e-13)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            regret.aggregate_E(4, np.zeros(3), np.zeros(5), [0.0] * 4, 10)
+            regret.aggregate_E(np.zeros((11, 5)), 4, np.zeros(3), np.zeros(5))
         with pytest.raises(ValueError):
-            regret.aggregate_E(4, np.zeros(5), np.zeros(5), [0.0] * 2, 10)
+            regret.aggregate_E(np.zeros((11, 3)), 4, np.zeros(5), np.zeros(5))
 
 
 class TestSweeps:
@@ -112,7 +128,7 @@ class TestSweeps:
         for states, zero in ((opt.states, True),
                              (np.full_like(opt.states, 0.5), False)):
             rule = TerminalRule("reference", reference_states=states)
-            res = regret.sweep_horizon(inst, [3, 5], rule, seed=inst.seed)
+            res = regret.sweep_horizon(inst, [3, 5], rule)
             residuals = []
             for k, got in zip((3, 5), res.regrets):
                 stream = PredictionStream(inst.truth, k, 0.0, seed=inst.seed)
@@ -139,8 +155,7 @@ class TestSweeps:
                 *([d[i] for d in data] for i in range(6)), inst.x0,
                 ("quadratic", term.P, term.xbar))
             assert np.allclose(rule.reference_states, nominal, atol=1e-9)
-        regrets = [regret.sweep_horizon(inst, [3], rule,
-                                        seed=inst.seed).regrets[0]
+        regrets = [regret.sweep_horizon(inst, [3], rule).regrets[0]
                    for inst, rule in zip(insts, rules)]
         assert regrets[1] == pytest.approx(2.30e-3, rel=2e-3)
         with pytest.raises(ValueError):
@@ -149,8 +164,8 @@ class TestSweeps:
 
     def test_noise_sweep_monotone(self):
         inst = presets.disturbance(T=20, seed=0)
-        res = regret.sweep_noise(inst, lambda t, tau: 1.0 if tau > 0 else 0.0,
-                                 [0.1, 0.2, 0.4], 5, TerminalRule("zero"))
+        res = regret.sweep_noise(inst, [0.1, 0.2, 0.4], 5,
+                                 TerminalRule("zero"))
         assert np.all(np.diff(res.regrets) > 0.0)
         assert res.slope > 0.0
         assert res.log_x
@@ -162,7 +177,6 @@ class TestSweeps:
                                         np.array(regrets), log_x=True) == (
                 None, None, None)
         inst = presets.disturbance(T=20, seed=0)
-        res = regret.sweep_noise(inst, lambda t, tau: 1.0 if tau > 0 else 0.0,
-                                 [0.0, 0.2], 5, TerminalRule("zero"))
+        res = regret.sweep_noise(inst, [0.0, 0.2], 5, TerminalRule("zero"))
         assert res.regrets[1] > regret.REGRET_FLOOR
         assert (res.slope, res.intercept, res.r2) == (None, None, None)
