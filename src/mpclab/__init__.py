@@ -3,8 +3,8 @@ saddle-matrix sensitivity analysis, and dynamic-regret certification."""
 
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     LinearQuadraticSystem, ModelError, ParamBox,
-                    PredictionStream, TerminalCost, build_instance,
-                    config_hash, validate_assumptions)
+                    PredictionStream, TerminalCost, config_hash,
+                    validate_assumptions)
 from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, Infeasible,
                     SingularKKT, chain_law, continuation_law, truth_law,
                     window_law)
@@ -16,7 +16,8 @@ from .engine import (TerminalRule, TrajectoryRecord,
                      run_mpc, solve_opt)
 from .regret import (RegretReport, SweepResult, aggregate_E,
                      regret_inequalities, sweep_horizon, sweep_noise)
-from .presets import PRESETS, build_preset, inventory_counterexample_suite
+from .presets import (PRESETS, build_instance, build_preset,
+                      inventory_counterexample_suite)
 
 __version__ = "0.1.0"
 

@@ -47,14 +47,3 @@ class WindowMatrices:
     @property
     def K(self) -> int:
         return self.A.shape[-3]
-
-    def window(self, i: int) -> "WindowMatrices":
-        """Window i of a batch."""
-        term = self.terminal
-        return WindowMatrices(
-            self.A[i], self.B[i], self.w[i], self.Q[i], self.R[i],
-            self.xbar[i],
-            TerminalCost(term.kind, *(None if a is None else a[i]
-                                      for a in (term.P, term.xbar,
-                                                term.target))),
-            self.n, self.m)

@@ -28,7 +28,7 @@ import click
 import numpy as np
 
 from . import engine, ftocp, kkt, presets, regret
-from .model import (Instance, ModelError, PredictionStream, build_instance,
+from .model import (Instance, InventorySystem, ModelError, PredictionStream,
                     config_hash)
 
 EXIT_SOLVER = 3
@@ -63,15 +63,15 @@ def _load(preset: str | None, instance_file: str | None, T: int | None,
         if preset is not None:
             return presets.build_preset(preset, T=T, seed=seed)
         with open(instance_file) as fh:
-            return build_instance(json.load(fh), T=T, seed=seed)
-    except (KeyError, ModelError, OSError, TypeError, ValueError) as exc:
+            return presets.build_instance(json.load(fh), T=T, seed=seed)
+    except (ModelError, OSError, TypeError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
 
 
-def _default_rule(instance: Instance) -> engine.TerminalRule:
-    kind = instance.system.kind
-    return engine.TerminalRule(
-        "zero" if kind == "disturbance" else "predicted_tracking")
+# the terminal rule of every command: pin each window to the forecast
+# reference point (the origin for the disturbance family, where it is the
+# "zero" rule)
+_DEFAULT_RULE = engine.TerminalRule("predicted_tracking")
 
 
 # Artifact format: CSV and text artifacts open with "# " header lines, JSON
@@ -221,7 +221,7 @@ def mpc(inst, hdr, k, noise_scale):
     """Run the receding-horizon controller and report regret."""
     stream = PredictionStream(inst.truth, k, noise_scale, seed=inst.seed)
     opt = engine.solve_opt(inst)
-    run = engine.run_mpc(inst, stream, k, _default_rule(inst))
+    run = engine.run_mpc(inst, stream, k, _DEFAULT_RULE)
     regret_ = run.total_cost - opt.total_cost
     return ({"mpc_trajectory.csv": _trajectory_body(run, hdr),
              "mpc_report.json": _json_body(
@@ -242,7 +242,7 @@ def sweep_horizon(inst, hdr, k_max):
     ks = list(range(k_min, min(k_max, inst.T) + 1))
     if not ks:
         raise click.UsageError("sweep range is empty")
-    res = regret.sweep_horizon(inst, ks, _default_rule(inst))
+    res = regret.sweep_horizon(inst, ks, _DEFAULT_RULE)
     return _sweep_artifacts("sweep_horizon", res, hdr), _fit_text(res), True
 
 
@@ -254,7 +254,7 @@ def sweep_noise(inst, hdr, k, noise_scale):
     """Regret as a function of the forecast-noise scale."""
     scales = [noise_scale * f for f in
               (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)]
-    res = regret.sweep_noise(inst, scales, k, _default_rule(inst),
+    res = regret.sweep_noise(inst, scales, k, _DEFAULT_RULE,
                              seed=inst.seed)
     return (_sweep_artifacts("sweep_noise", res, hdr),
             f"loglog_{_fit_text(res)}", True)
@@ -264,7 +264,7 @@ def sweep_noise(inst, hdr, k, noise_scale):
 def certify_decay(inst, hdr):
     """Check the closed-form geometric bound on the inverse saddle blocks."""
     sys_ = inst.system
-    if sys_.kind == "inventory":
+    if isinstance(sys_, InventorySystem):
         raise click.UsageError("decay certification needs a quadratic system")
     wm = kkt.window_data(sys_, inst.truth, inst.terminal_cost())
     norms, maxima, fit = kkt.decay_profile(wm)
@@ -316,13 +316,13 @@ def inventory_suite(inst, hdr, p, eps):
 def constants(inst, hdr, k, mode):
     """Report the decay/sensitivity constants of an instance."""
     sys_ = inst.system
-    if sys_.kind == "inventory":
+    if isinstance(sys_, InventorySystem):
         raise click.UsageError("constants need a quadratic system")
     sigma = kkt.measured_sigma(inst, k)
     consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
     opt = engine.solve_opt(inst)
     tables = kkt.measure_gain_tables(
-        inst, k, _default_rule(inst), opt.states,
+        inst, k, _DEFAULT_RULE, opt.states,
         R=max(opt.max_state_norm, 1.0), seed=inst.seed)
     values = {"mode": mode, "sigma": sigma,
               "sigma_lo": consts.sigma_lo, "sigma_hi": consts.sigma_hi,

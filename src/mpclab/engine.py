@@ -35,8 +35,9 @@ class TerminalRule:
     kinds:
       - "zero": pin the window's final state to the origin;
       - "predicted_tracking": pin it to the forecast reference point
-        (``pin_target`` of the system: clipped to the stock chain's state
-        interval);
+        (``pin_target`` of the system: the origin for the disturbance
+        family, where this is the "zero" rule, and clipped to the stock
+        chain's state interval);
       - "reference": pin it to the state of step t2 of a given trajectory,
         ``reference_states``, with one row per step 0..T of the instance it
         runs on (``TerminalRule.reference(instance)`` gives the instance's
@@ -121,20 +122,6 @@ class TrajectoryRecord:
         return max(float(np.linalg.norm(r)) for r in self.states[1:] - nxt)
 
 
-def _stage_costs_and_total(instance: Instance, states: Array,
-                           actions: Array) -> tuple[Array, float]:
-    sys = instance.system
-    T = sys.T
-    top = T + 1 if sys.include_terminal_stage else T
-    _, _, _, Q, R, xbar = sys.step_data(np.arange(top), instance.truth[:top])
-    d = (states[:top] - xbar)[:, None, :]
-    costs = (d @ Q @ d.swapaxes(-1, -2))[:, 0, 0]
-    u = actions[:, None, :]
-    costs[:T] += (u @ R[:T] @ u.swapaxes(-1, -2))[:, 0, 0]
-    total = float(costs.sum()) + instance.terminal_cost().value(states[T])
-    return costs, total
-
-
 @per_instance
 def solve_opt(instance: Instance) -> TrajectoryRecord:
     """Hindsight-optimal trajectory: the full-horizon solve under the true
@@ -142,7 +129,9 @@ def solve_opt(instance: Instance) -> TrajectoryRecord:
     instance; the record's arrays are read-only."""
     T = instance.T
     sol = ftocp.truth_law(instance).solution(0, instance.x0)
-    stage, total = _stage_costs_and_total(instance, sol.states, sol.actions)
+    stage, total = ftocp.stage_costs(instance.system, 0, instance.truth,
+                                     instance.terminal_cost(), sol.states,
+                                     sol.actions)
     arrays = (_read_only(a) for a in (sol.states, sol.actions, np.zeros(T),
                                       np.zeros(T + 1), stage))
     return TrajectoryRecord(*arrays, total, kkt_residual_max=sol.kkt_residual)
@@ -205,7 +194,8 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
         raise laws.failure
     distances = np.array([float(np.linalg.norm(states[t] - opt.states[t]))
                           for t in range(T + 1)])
-    stage, total = _stage_costs_and_total(instance, states, actions)
+    stage, total = ftocp.stage_costs(sys, 0, instance.truth,
+                                     instance.terminal_cost(), states, actions)
     return TrajectoryRecord(states, actions, errors, distances, stage, total,
                             kkt_residual_max=kkt_residual_max)
 

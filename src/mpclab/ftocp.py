@@ -14,12 +14,13 @@ Two problem classes are supported exactly:
   so the windows of a run, the truth law and the sweeps of an instance
   compute each distinct step once, while the system lives.
 
-``window_law`` gives the law of one window (a ``ContinuationLaw`` or a
-``ChainLaw``, both read with ``action(t, x)`` and ``solution(t, x)``),
 ``window_laws`` builds the laws of every window of a receding-horizon run
-before it starts, and ``truth_law`` gives the optimal continuation under an
-instance's true parameters, once per instance; no other module branches on
-the problem class to solve.
+before it starts (each a ``ContinuationLaw`` or a ``ChainLaw``, both read
+with ``action(t, x)`` and ``solution(t, x)``) and is the one place that
+tells the problem classes apart; ``window_law`` is its case of one window,
+and ``truth_law`` gives the optimal continuation under an instance's true
+parameters, once per instance.  ``stage_costs`` prices a trajectory of
+either class.
 """
 
 from __future__ import annotations
@@ -68,17 +69,31 @@ class FtocpSolution:
 
 
 # ---------------------------------------------------------------------------
-# stacked linear algebra
+# the cost of a trajectory
 # ---------------------------------------------------------------------------
 
-def _lq_value(Q: Array, R: Array, xbar: Array, terminal: TerminalCost,
-              states: Array, actions: Array) -> float:
-    """Objective of a trajectory; Q, R, xbar are stacked per step."""
-    d = states[:-1] - xbar
-    value = float(np.einsum("ti,tij,tj->", d, Q, d)
-                  + np.einsum("ti,tij,tj->", actions, R, actions))
-    return value + terminal.value(states[-1])
+def stage_costs(system, t1: int, params: Array, terminal: TerminalCost,
+                states: Array, actions: Array) -> tuple[Array, float]:
+    """Stage costs of a trajectory and its objective: the states x_0 .. x_K
+    and actions u_0 .. u_{K-1} of the steps t1 .. t1 + K, where params[i]
+    parameterizes step t1 + i.  Step t costs (x_t - xbar_t)'Q_t(x_t - xbar_t)
+    + u_t'R_t u_t; the final state pays a stage cost (with no action) only
+    when the system's ``include_terminal_stage`` says so.  The objective is
+    the sum of the (K,) or (K + 1,) stage costs and the terminal cost of
+    the final state."""
+    K = len(actions)
+    top = K + 1 if system.include_terminal_stage else K
+    _, _, _, Q, R, xbar = system.step_data(t1 + np.arange(top), params[:top])
+    d = (states[:top] - xbar)[:, None, :]
+    costs = (d @ Q @ d.swapaxes(-1, -2))[:, 0, 0]
+    u = actions[:, None, :]
+    costs[:K] += (u @ R[:K] @ u.swapaxes(-1, -2))[:, 0, 0]
+    return costs, float(costs.sum()) + terminal.value(states[K])
 
+
+# ---------------------------------------------------------------------------
+# stacked linear algebra
+# ---------------------------------------------------------------------------
 
 def _mv(M: Array, x: Array) -> Array:
     """Stacked matrix-vector products M[...] @ x[...]."""
@@ -142,7 +157,10 @@ class ContinuationLaw:
     eta_t = -(P_t s_t)[:n].
     """
 
+    system: object
     t1: Array           # (W,) first step of each window
+    params: Array       # (W, T+1, p) parameters by offset
+    terminals: tuple    # the TerminalCost of each window
     data: _assembly.WindowMatrices   # step data by offset, and terminals
     P: Array            # (W, T+1, d, d)
     G: Array            # (W, T, m, d)
@@ -256,10 +274,9 @@ class ContinuationLaw:
             raise ValueError("a solution reads a law of one window")
         states, actions, duals = (
             a[0] for a in self.trajectories(t, np.atleast_1d(x)[None]))
-        wm, t1 = self.data.window(0), int(self.t1[0])
-        states = states.copy()
-        value = _lq_value(wm.Q[t:], wm.R[t:], wm.xbar[t:], wm.terminal,
-                          states, actions)
+        t1, states = int(self.t1[0]), states.copy()
+        _, value = stage_costs(self.system, t1 + t, self.params[0, t:],
+                               self.terminals[0], states, actions)
         residual = self._kkt_residual(t, states, actions, duals)
         return FtocpSolution(t1 + t, t1 + self.T, states, actions, duals,
                              value, float(residual[0]))
@@ -372,7 +389,8 @@ def continuation_law(system, params: Sequence,
     if failed:
         raise _failure(t1, failed)
     closed_loop = F[..., :d] + F[..., d:] @ G
-    return ContinuationLaw(t1, wm, P, G, closed_loop, S_inv, PB)
+    return ContinuationLaw(system, t1, params, tuple(terminals), wm, P, G,
+                           closed_loop, S_inv, PB)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +430,12 @@ class ChainLaw:
         of its dynamics rows and its KKT residual."""
         states, actions, duals = self._trajectory(t, x)
         residual = self._kkt_residual(t, states, actions, duals)
-        states, actions = np.array(states), np.array(actions)
-        top = states.size - (not self.system.include_terminal_stage)
-        value = float(np.sum((states[:top] - self.targets[t:t + top]) ** 2)
-                      + self.system.action_weight * np.sum(actions ** 2))
-        return FtocpSolution(self.t1 + t, self.t1 + self.T, states[:, None],
-                             actions[:, None], np.array(duals)[:, None],
-                             value, residual)
+        states, actions = np.array(states)[:, None], np.array(actions)[:, None]
+        _, value = stage_costs(
+            self.system, self.t1 + t, np.array(self.targets[t:])[:, None],
+            TerminalCost.indicator([self.pin]), states, actions)
+        return FtocpSolution(self.t1 + t, self.t1 + self.T, states, actions,
+                             np.array(duals)[:, None], value, residual)
 
     def _trajectory(self, t: int, x: Array) -> tuple[list, list, list]:
         """Optimal states, actions and multipliers of the window [t, T]
@@ -609,15 +626,16 @@ def window_law(system, params: Sequence[Array], terminal: TerminalCost,
                t1: int = 0) -> ContinuationLaw | ChainLaw:
     """The law of one window: the steps t1 .. t1 + T, T = len(params) - 1,
     where params[i] parameterizes step t1 + i (the last one the terminal
-    data) and ``terminal`` caps the window.  The stock chain gets its chain
-    law, every other system a continuation law of a batch of one."""
+    data) and ``terminal`` caps the window: the one window of
+    ``window_laws``, whose failure it raises."""
     if t1 < 0:
         raise ValueError("a window must start at a step >= 0")
     if len(params) == 0:
         raise ValueError("a window needs one parameter vector per step")
-    if getattr(system, "kind", None) == "inventory":
-        return chain_law(system, params, terminal, t1)
-    return continuation_law(system, [params], [terminal], [t1])
+    laws = window_laws(system, [(t1, params, terminal)])
+    if laws.failure is not None:
+        raise laws.failure
+    return laws.windows[0][0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -652,10 +670,11 @@ def window_laws(system, windows: Sequence) -> WindowLaws:
     window t starting at step t, all built before the run starts: the
     terminals do not depend on the state.  Consecutive linear-quadratic
     windows of one length and terminal kind share one batched continuation
-    law; the stock chain has one chain law per window.  When a batch cannot
-    be built, the windows before its failing one are kept."""
-    if getattr(system, "kind", None) == "inventory":
-        return WindowLaws(tuple((window_law(system, params, term, t1), 0)
+    law; the stock chain has one chain law per window.  This is the one
+    place that tells the problem classes apart.  When a batch cannot be
+    built, the windows before its failing one are kept."""
+    if isinstance(system, InventorySystem):
+        return WindowLaws(tuple((chain_law(system, params, term, t1), 0)
                                 for t1, params, term in windows))
     laws = []
     for _, batch in itertools.groupby(

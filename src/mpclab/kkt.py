@@ -20,7 +20,8 @@ import numpy as np
 
 from . import ftocp
 from ._assembly import WindowMatrices
-from .model import Bounds, Instance, TerminalCost
+from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
+                    TerminalCost)
 
 Array = np.ndarray
 
@@ -252,28 +253,22 @@ def tracking_decay_constants(bounds: Bounds,
     return TrackingDecayConstants(sigma_lo, sigma_hi, rate, coef)
 
 
-def _smallest_singular_value(N: Array) -> float:
-    return float(np.linalg.svd(N, compute_uv=False).min())
-
-
 def sigma_min(wm: WindowMatrices) -> float:
     """sigma_min of the dynamics blocks N of a window.  N holds only A and
     B, so every window with a quadratic terminal on the same steps gives
     the same value."""
-    return _smallest_singular_value(_dynamics_blocks(wm))
+    return float(np.linalg.svd(_dynamics_blocks(wm), compute_uv=False).min())
 
 
 def measured_sigma(instance: Instance, k: int | None = None) -> float:
     """sigma_min of the dynamics blocks of the full window and, when k is
     given, of the pinned-terminal window on the steps 0 .. k, minimized over
-    both.  The pinned window's N is the top-left corner of the full one's."""
-    sys = instance.system
-    N = _dynamics_blocks(window_data(sys, instance.truth,
-                                     TerminalCost.zero(sys.n)))
-    smin = _smallest_singular_value(N)
+    both."""
+    sys, truth = instance.system, instance.truth
+    smin = sigma_min(window_data(sys, truth, TerminalCost.zero(sys.n)))
     if k is not None and k < sys.T:
-        smin = min(smin, _smallest_singular_value(
-            N[:(k + 1) * sys.n, :k * (sys.n + sys.m)]))
+        smin = min(smin, sigma_min(window_data(
+            sys, truth[:k + 1], TerminalCost.indicator(np.zeros(sys.n)))))
     return smin
 
 
@@ -519,7 +514,7 @@ def _state_samples(instance: Instance, opt_states: Array, R: float,
         zs = [np.zeros(sys.n)]
         # the disturbance family's parameter Jacobian does not depend on the
         # state, so its state-coupled envelope is identically zero
-        if sys.kind != "disturbance":
+        if not isinstance(sys, DisturbanceOnlySystem):
             xstar = np.atleast_1d(opt_states[t])
             z_list = [xstar] if np.linalg.norm(xstar) > 1e-12 else []
             for _ in range(max(0, count - len(z_list))):
@@ -569,7 +564,7 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     A_t + B_t K_t of the truth law.
     """
     sys, truth = instance.system, instance.truth
-    if sys.kind == "inventory":
+    if isinstance(sys, InventorySystem):
         raise ValueError("gain tables need a linear-quadratic system")
     T = sys.T
     step_slopes = _step_data_slopes(instance)
@@ -599,5 +594,6 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     gi[0] = max(gi[0], 1.0)
     return GainTables(_monotone_envelope(gs), _monotone_envelope(gp),
                       _monotone_envelope(gi),
-                      "exact" if sys.kind == "disturbance" else "local")
+                      "exact" if isinstance(sys, DisturbanceOnlySystem)
+                      else "local")
 

@@ -198,7 +198,6 @@ class LinearQuadraticSystem:
     final parameter alone, and the final state pays no stage cost.
     """
 
-    kind = "tracking"
     include_terminal_stage = False
 
     def __init__(self, n: int, m: int, T: int, *,
@@ -207,6 +206,8 @@ class LinearQuadraticSystem:
                  bounds: Bounds, param_box: ParamBox):
         if T < 2:
             raise ModelError("horizon T must be >= 2")
+        if n < 1 or m < 1:
+            raise ModelError("need at least one state and one action")
         self.n, self.m, self.T = n, m, T
         self._step_data = step_data
         self.terminal = terminal
@@ -241,8 +242,6 @@ class DisturbanceOnlySystem(LinearQuadraticSystem):
     the family's gain tables exact (see ``kkt.measure_gain_tables``).  A, B,
     Q and R are stacked by step, and P_T is the terminal weight."""
 
-    kind = "disturbance"
-
     def __init__(self, n, m, T, *, A, B, w, Q, R, P_T, bounds, param_box):
         super().__init__(
             n, m, T,
@@ -253,6 +252,11 @@ class DisturbanceOnlySystem(LinearQuadraticSystem):
                                        L_R=0.0, L_xbar=0.0, L_P=0.0,
                                        D_xbar=0.0),
             param_box=param_box)
+
+    def pin_target(self, t: int, xi: Array) -> Array:
+        """The origin, the reference point of every step, read without
+        evaluating the step data."""
+        return np.zeros(self.n)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -276,7 +280,6 @@ class InventorySystem:
     x_hi: float = 1.0
     action_weight: float = 0.0
 
-    kind = "inventory"
     include_terminal_stage = True
     n = 1
     m = 1
@@ -323,7 +326,8 @@ class Instance:
     """A fully realized problem: system + true parameters + initial state.
 
     ``truth[t]`` is the true parameter of step t, a read-only (T+1, p)
-    array built from any sequence of T+1 parameter vectors; ``x0`` and
+    array built from any sequence of T+1 parameter vectors, which must lie
+    in the parameter box of a linear-quadratic system; ``x0`` and
     ``terminal_param`` are read-only copies too.  Instances are hashed and
     compared by identity: ``dataclasses.replace`` makes a new one.
     """
@@ -339,6 +343,11 @@ class Instance:
         truth = np.array(self.truth, float)
         if truth.ndim != 2 or truth.shape[0] != self.T + 1:
             raise ModelError("need one parameter vector per step 0..T")
+        if isinstance(self.system, LinearQuadraticSystem):
+            box = self.system.param_box
+            if not np.all((box.lo <= truth) & (truth <= box.hi)):
+                raise ModelError("true parameters outside the parameter box, "
+                                 "over which the declared bounds hold")
         object.__setattr__(self, "truth", _read_only(truth))
         object.__setattr__(self, "x0", _read_only(np.array(self.x0, float)))
         if self.terminal_param is not None:
@@ -353,7 +362,7 @@ class Instance:
         """Terminal cost with the terminal data of xi_T (by default the true
         final parameter).  The stock chain's final state is pinned to
         ``terminal_param`` whatever xi_T is."""
-        if self.system.kind == "inventory":
+        if isinstance(self.system, InventorySystem):
             tgt = self.terminal_param
             if tgt is None:
                 raise ModelError("inventory instance needs a terminal target")
@@ -426,7 +435,7 @@ def validate_assumptions(system: LinearQuadraticSystem, samples: int = 200,
 
 
 # ---------------------------------------------------------------------------
-# instance descriptions (files / dicts)
+# configuration hashes
 # ---------------------------------------------------------------------------
 
 def config_hash(config: dict) -> str:
@@ -434,22 +443,3 @@ def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
-
-def build_instance(desc: dict, T: int | None = None,
-                   seed: int | None = None) -> Instance:
-    """Construct an instance from a description dict (or file contents).
-
-    Dispatches on ``desc["kind"]``; the named builders live in
-    :mod:`mpclab.presets`.  T and seed override the description when given.
-    """
-    from . import presets
-
-    desc = dict(desc)
-    if T is not None:
-        desc["T"] = T
-    if seed is not None:
-        desc["seed"] = seed
-    kind = desc.pop("kind", None)
-    if kind not in presets.PRESETS:
-        raise ModelError(f"unknown instance kind {kind!r}")
-    return presets.PRESETS[kind](**desc)

@@ -50,18 +50,9 @@ def _random_spd(rng: np.random.Generator, count: int, d: int, lo: float,
 def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
                   m: int = 1) -> Instance:
     """Random controllable tracking instance: every per-step map depends
-    Lipschitz-continuously on a scalar parameter in [0, 1]."""
-    rng = np.random.default_rng(seed)
-    A0 = _scaled(rng, T, (n, n), 0.8)
-    Ad = _scaled(rng, T, (n, n), 1.0)
-    B0 = _scaled(rng, T, (n, m), 0.8)
-    Bd = _scaled(rng, T, (n, m), 1.0)
-    Qs = _random_spd(rng, T, n, 0.5, 2.0)
-    Rs = _random_spd(rng, T, m, 0.5, 2.0)
-    PT = _random_spd(rng, 1, n, 0.5, 2.0)[0]
-    wd = np.array([_unit_vec(rng, n) for _ in range(T)])
-    xd = np.array([_unit_vec(rng, n) for _ in range(T)])
-
+    Lipschitz-continuously on a scalar parameter in [0, 1].  The system is
+    built before the draws its maps read, so that one without a state or an
+    action is rejected before any draw divides by a zero norm."""
     def step_data(ts, xis):
         dev = xis[..., 0, None] - 0.5
         return (A0[ts] + dev[..., None] * 0.2 * Ad[ts],
@@ -74,6 +65,16 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
         bounds=Bounds(mu=0.5, ell=2.0, a=1.0, b=1.0, D_w=0.1, D_xbar=0.1,
                       L_A=0.2, L_B=0.2, L_xbar=0.2, L_w=0.2),
         param_box=ParamBox(np.array([0.0]), np.array([1.0])))
+    rng = np.random.default_rng(seed)
+    A0 = _scaled(rng, T, (n, n), 0.8)
+    Ad = _scaled(rng, T, (n, n), 1.0)
+    B0 = _scaled(rng, T, (n, m), 0.8)
+    Bd = _scaled(rng, T, (n, m), 1.0)
+    Qs = _random_spd(rng, T, n, 0.5, 2.0)
+    Rs = _random_spd(rng, T, m, 0.5, 2.0)
+    PT = _random_spd(rng, 1, n, 0.5, 2.0)[0]
+    wd = np.array([_unit_vec(rng, n) for _ in range(T)])
+    xd = np.array([_unit_vec(rng, n) for _ in range(T)])
     truth = rng.uniform(0.0, 1.0, size=(T + 1, 1))
     x0 = 0.3 * _unit_vec(rng, n)
     return Instance(system, truth, x0, name="tracking-rand", seed=seed)
@@ -333,14 +334,23 @@ PRESETS = {
 }
 
 
+def build_instance(desc: dict, T: int | None = None,
+                   seed: int | None = None) -> Instance:
+    """Construct an instance from a description dict (or file contents):
+    ``desc["kind"]`` names the preset and the other keys are its arguments.
+    T and seed override the description when given."""
+    desc = dict(desc)
+    if T is not None:
+        desc["T"] = T
+    if seed is not None:
+        desc["seed"] = seed
+    kind = desc.pop("kind", None)
+    if kind not in PRESETS:
+        raise ModelError(f"unknown instance kind {kind!r}; "
+                         f"available: {sorted(PRESETS)}")
+    return PRESETS[kind](**desc)
+
+
 def build_preset(name: str, T: int | None = None,
                  seed: int | None = None) -> Instance:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; "
-                       f"available: {sorted(PRESETS)}")
-    kwargs = {}
-    if T is not None:
-        kwargs["T"] = T
-    if seed is not None:
-        kwargs["seed"] = seed
-    return PRESETS[name](**kwargs)
+    return build_instance({"kind": name}, T, seed)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -199,6 +200,21 @@ class TestInstanceFiles:
         res = runner.invoke(cli.main, ["solve", "--instance", str(desc),
                                        "--out", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("desc,args", [
+        # the declared bounds of the pendulum hold over M in [0.4, 0.6]
+        ({"kind": "pendulum", "M": 0}, ["constants", "--T", "20", "--k", "8"]),
+        # a system with no state, or with no action
+        ({"kind": "grid", "n_nodes": 0}, ["solve"]),
+        ({"kind": "tracking-rand", "m": 0}, ["solve"])])
+    def test_instance_outside_the_declared_bounds_exits_2(
+            self, runner, tmp_path, desc, args):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(desc))
+        res = runner.invoke(cli.main, args + ["--instance", str(path),
+                                              "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "out").exists()
 
     def test_missing_instance_file(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["solve", "--instance",
@@ -641,6 +657,29 @@ class TestLibrarySurface:
         fields = {f.name for f in dataclasses.fields(model.InventorySystem)}
         assert "include_terminal_stage" not in fields
         assert model.InventorySystem.include_terminal_stage is True
+
+    def test_one_answer_per_family_question(self):
+        # a system's family is its class, one function dispatches on it,
+        # instances are built in presets alone, and one function prices a
+        # trajectory
+        for cls in (model.LinearQuadraticSystem, model.DisturbanceOnlySystem,
+                    model.InventorySystem):
+            assert not hasattr(cls, "kind"), cls
+        gone = {model: ["build_instance"], ftocp: ["_lq_value"],
+                _assembly.WindowMatrices: ["window"],
+                kkt: ["_smallest_singular_value"], cli: ["_default_rule"],
+                engine: ["_stage_costs_and_total"]}
+        present = [f"{owner.__name__}.{name}"
+                   for owner, names in gone.items() for name in names
+                   if hasattr(owner, name)]
+        assert present == []
+        assert mpclab.build_instance is presets.build_instance
+        assert cli._DEFAULT_RULE == engine.TerminalRule("predicted_tracking")
+        # model imports nothing of the package, presets included, at any
+        # depth of its code
+        imports = [node for node in ast.walk(ast.parse(
+            inspect.getsource(model))) if isinstance(node, ast.ImportFrom)]
+        assert [node.module for node in imports if node.level > 0] == []
 
     def test_no_closed_form_gain_tables(self):
         # the closed-form sensitivity path fed no verdict and rested on an

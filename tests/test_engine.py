@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from mpclab import cli, engine, ftocp, presets
+from mpclab import cli, engine, ftocp, kkt, presets
 from mpclab.engine import (TerminalRule, per_step_error_bound_rhs,
                            pipeline_admission_check)
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
@@ -104,6 +104,31 @@ class TestTerminalRule:
             # the pin is no farther from the truth than the forecast was
             assert (abs(term.target[0] - params[-1][0])
                     <= abs(forecast - params[-1][0]))
+
+    @pytest.mark.parametrize("T,k,noise", [(80, 8, 0.2), (60, 8, 0.0),
+                                           (20, 4, 0.3)])
+    def test_disturbance_runs_alike_under_zero_and_predicted_tracking(
+            self, T, k, noise):
+        # the disturbance family's reference point is the origin, so
+        # pinning each window to it is the "zero" rule, bit for bit: this is
+        # what lets every CLI command run the one rule predicted_tracking
+        inst = presets.disturbance(T=T, seed=1)
+        stream = PredictionStream(inst.truth, k, noise, seed=1)
+        opt = engine.solve_opt(inst)
+        R = max(opt.max_state_norm, 1.0)
+        runs, tables = zip(*(
+            (engine.run_mpc(inst, stream, k, TerminalRule(kind)),
+             kkt.measure_gain_tables(inst, k, TerminalRule(kind), opt.states,
+                                     R=R, seed=1))
+            for kind in ("zero", "predicted_tracking")))
+        for name in ("states", "actions", "errors", "distances",
+                     "stage_costs", "total_cost", "kkt_residual_max"):
+            a, b = (np.asarray(getattr(run, name)) for run in runs)
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("gain_state", "gain_param", "gain_init"):
+            a, b = (getattr(table, name) for table in tables)
+            assert a.tobytes() == b.tobytes(), name
+        assert [table.basis for table in tables] == ["exact", "exact"]
 
 
 class TestRunMpc:

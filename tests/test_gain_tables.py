@@ -217,7 +217,7 @@ def test_tables_match_oracle_finite_difference_tables(name, k, rule_kind):
     # disturbance family, whose Jacobian does not depend on the state)
     T = 10
     inst = presets.build_preset(name, T=T)
-    rule = (cli._default_rule(inst) if rule_kind is None
+    rule = (cli._DEFAULT_RULE if rule_kind is None
             else TerminalRule(rule_kind))
     opt_states = oracle_states(inst)
     gp, gs = np.zeros(k + 1), np.zeros(k + 1)

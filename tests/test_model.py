@@ -6,10 +6,11 @@ import pytest
 
 import oracles
 from mpclab import engine, model, presets, regret
-from mpclab.model import (Bounds, Instance, InventorySystem,
-                          LinearQuadraticSystem, ModelError, ParamBox,
-                          PredictionStream, build_instance, config_hash,
+from mpclab.model import (Bounds, DisturbanceOnlySystem, Instance,
+                          InventorySystem, LinearQuadraticSystem, ModelError,
+                          ParamBox, PredictionStream, config_hash,
                           validate_assumptions)
+from mpclab.presets import build_instance
 
 
 def const_system(n=1, m=1, T=4, a=0.5, b=1.0, q=1.0):
@@ -324,9 +325,10 @@ class TestSystemFamilies:
     def test_disturbance_system_kind_and_zero_reference(self):
         inst = presets.build_preset("disturbance", T=10)
         sys_ = inst.system
-        assert sys_.kind == "disturbance"
+        assert isinstance(sys_, DisturbanceOnlySystem)
         xi = np.array([0.9])
         assert np.array_equal(sys_.step_data(3, xi)[5], np.zeros(2))
+        assert np.array_equal(sys_.pin_target(3, xi), np.zeros(2))
         assert sys_.bounds.L_A == 0.0 and sys_.bounds.D_xbar == 0.0
 
     def test_lipschitz_dynamics_is_row_norm_bound(self):

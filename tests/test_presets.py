@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mpclab import cli, ftocp, kkt, presets
-from mpclab.model import InventorySystem, TerminalCost, validate_assumptions
+from mpclab.model import (InventorySystem, ModelError, TerminalCost,
+                          validate_assumptions)
 
 
 def inventory_sensitivity_profile(p, one_sided):
@@ -208,7 +209,7 @@ class TestRegistry:
             assert inst.T >= 2
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ModelError):
             presets.build_preset("no-such-preset")
 
     def test_disturbance_validates(self):
