@@ -69,8 +69,8 @@ def _load(preset: str | None, instance_file: str | None, T: int | None,
 
 
 # the terminal rule of every command: pin each window to the forecast
-# reference point (the origin for the disturbance family, where it is the
-# "zero" rule)
+# reference point of its step data (the origin for the disturbance family,
+# where it is the "zero" rule)
 _DEFAULT_RULE = engine.TerminalRule("predicted_tracking")
 
 

@@ -4,8 +4,8 @@ rollout on the true dynamics, and per-step error accounting.
 The controller is the same for every problem class.  All forecasts are
 drawn before a run and no terminal rule depends on the state, so
 ``ftocp.window_laws`` builds the law of every window before the closed loop
-starts (one batched Riccati pass per group of linear-quadratic windows of
-one length and terminal kind); the loop only applies each window's first
+starts (one terminal-rule call and one batched Riccati pass per batch of
+linear-quadratic windows); the loop only applies each window's first
 action to the realized state, and one batched rollout per group afterwards
 checks the pins and gives the KKT residuals.  The instance's
 ``ftocp.truth_law`` gives the optimal continuation that the per-step errors
@@ -16,7 +16,7 @@ and the hindsight optimum are read from (each built once per instance), and
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+import functools
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class TerminalRule:
 
     Whenever the window reaches the final step, the instance's terminal cost
     is used regardless of kind (with the forecast terminal parameter).
+    ``build(instance, t2, xi)`` caps the windows ending at the steps t2 (an
+    int or an int array) with last parameters xi, ``t2.shape + (p,)``, in
+    one terminal stacked by window; they all reach the final step or none.
     """
 
     kind: str = "zero"
@@ -78,15 +81,18 @@ class TerminalRule:
         law = ftocp.window_law(sys, params, instance.terminal_cost(params[-1]))
         return TerminalRule("reference", law.solution(0, instance.x0).states)
 
-    def build(self, instance: Instance, t: int, t2: int,
-              params: Sequence[Array]) -> TerminalCost:
-        sys = instance.system
-        if t2 == sys.T or self.kind == "true":
-            return instance.terminal_cost(params[-1])
+    def build(self, instance: Instance, t2, xi: Array) -> TerminalCost:
+        sys, t2 = instance.system, np.asarray(t2)
+        final = t2 == sys.T
+        if final.any() != final.all():
+            raise ValueError("the windows of one build must all reach the "
+                             "final step or all stop short of it")
+        if final.all() or self.kind == "true":
+            return instance.terminal_cost(xi)
         if self.kind == "zero":
-            return TerminalCost.indicator(np.zeros(sys.n))
+            return TerminalCost.indicator(np.zeros(t2.shape + (sys.n,)))
         if self.kind == "predicted_tracking":
-            return TerminalCost.indicator(sys.pin_target(t2, params[-1]))
+            return TerminalCost.indicator(sys.pin_target(t2, xi))
         return TerminalCost.indicator(self.reference_states[t2])
 
 
@@ -167,12 +173,9 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     law = ftocp.truth_law(instance)
     opt = solve_opt(instance)
 
-    windows = []
-    for t in range(T):
-        t2 = min(t + k, T)
-        params = stream.window(t, t2)
-        windows.append((t, params, rule.build(instance, t, t2, params)))
-    laws = ftocp.window_laws(sys, windows)
+    laws = ftocp.window_laws(
+        sys, [(t, stream.window(t, min(t + k, T))) for t in range(T)],
+        functools.partial(rule.build, instance))
 
     A, B, w, *_ = sys.step_data(np.arange(T), instance.truth[:T])
     states = np.zeros((T + 1, sys.n))

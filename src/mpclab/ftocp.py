@@ -64,7 +64,6 @@ class FtocpSolution:
     states: Array      # (K+1, n)
     actions: Array     # (K, m)
     duals: Array       # (K+1, n)
-    value: float
     kkt_residual: float
 
 
@@ -157,11 +156,8 @@ class ContinuationLaw:
     eta_t = -(P_t s_t)[:n].
     """
 
-    system: object
     t1: Array           # (W,) first step of each window
-    params: Array       # (W, T+1, p) parameters by offset
-    terminals: tuple    # the TerminalCost of each window
-    data: _assembly.WindowMatrices   # step data by offset, and terminals
+    data: _assembly.WindowMatrices   # step data by offset, and the terminal
     P: Array            # (W, T+1, d, d)
     G: Array            # (W, T, m, d)
     closed_loop: Array  # (W, T, d, d)
@@ -214,8 +210,7 @@ class ContinuationLaw:
 
     def _rollout(self, t: int, xs: Array) -> tuple[Array, Array]:
         """Lifted optimal states s_t .. s_T and actions u_t .. u_{T-1} of
-        every window, window i from the state xs[i] at offset t (a law of
-        one window from every row of xs).
+        every window from offset t, as ``trajectories`` reads xs.
 
         A pin's multiplier nu adds the actions v_i = G_i[:, n+1:] nu to the
         unpinned closed loop (the (x, 1)-blocks), which move x_T by
@@ -226,43 +221,48 @@ class ContinuationLaw:
         predict.  The states are rolled out from v rather than from the
         lifted (x, 1, nu): a large nu would cancel digits there.  A rollout
         that misses its pin raises SingularKKT naming the earliest such
-        window.
+        window, with the miss of its first sample that misses.
         """
         wm, n, K = self.data, self.data.n, self.T - t
-        lifted = np.zeros((len(xs), K + 1, self.P.shape[-1]))
+        lifted = np.zeros(xs.shape[:-1] + (K + 1, self.P.shape[-1]))
         lifted[..., n] = 1.0
-        lifted[:, 0, :n] = xs
+        lifted[..., 0, :n] = xs
         if not self.pinned:
             for i in range(K):
-                lifted[:, i + 1] = _mv(self.closed_loop[:, t + i],
-                                       lifted[:, i])
-            return lifted, _mv(self.G[:, t:], lifted[:, :-1])
-        lifted[..., n + 1:] = self._nu(t, lifted[:, 0, :n + 1])[:, None]
+                lifted[..., i + 1, :] = _mv(self.closed_loop[:, t + i],
+                                            lifted[..., i, :])
+            return lifted, _mv(self.G[:, t:], lifted[..., :-1, :])
+        lifted[..., n + 1:] = self._nu(t, lifted[..., 0, :n + 1])[..., None, :]
         B = wm.B[:, t:]
-        v = _mv(self.G[:, t:, :, n + 1:], lifted[:, :-1, n + 1:])
+        v = _mv(self.G[:, t:, :, n + 1:], lifted[..., :-1, n + 1:])
         loop = self.closed_loop[:, t:, :n, :n]
         shift = self.closed_loop[:, t:, :n, n] + _mv(B, v)
         states = lifted[..., :n]
         for i in range(K):
-            states[:, i + 1] = _mv(loop[:, i], states[:, i]) + shift[:, i]
-        actions = _mv(self.G[:, t:, :, :n + 1], lifted[:, :-1, :n + 1]) + v
+            states[..., i + 1, :] = (_mv(loop[:, i], states[..., i, :])
+                                     + shift[..., i, :])
+        actions = (_mv(self.G[:, t:, :, :n + 1], lifted[..., :-1, :n + 1])
+                   + v)
         target = wm.terminal.target
-        miss = np.linalg.norm(states[:, -1] - target, axis=-1)
+        miss = np.linalg.norm(states[..., -1, :] - target, axis=-1)
         tol = 1e-6 * (1.0 + np.linalg.norm(target, axis=-1)
                       + np.linalg.norm(xs, axis=-1))
-        if not np.all(miss <= tol):
-            t1 = np.broadcast_to(self.t1, miss.shape)
+        bad = ~(miss <= tol)
+        if bad.any():   # as (samples, windows)
+            miss, bad = (a.reshape(-1, a.shape[-1]) for a in (miss, bad))
+            first = bad.argmax(axis=0)
+            t1 = np.broadcast_to(self.t1, bad.shape[-1:])
             raise _failure(t1, {
                 i: f"pinned terminal unreachable from step {t1[i] + t}: "
-                   f"the rollout misses it by {miss[i]:.3g}"
-                for i in np.flatnonzero(~(miss <= tol))})
+                   f"the rollout misses it by {miss[first[i], i]:.3g}"
+                for i in np.flatnonzero(bad.any(axis=0))})
         return lifted, actions
 
     def trajectories(self, t: int, xs: Array) -> tuple[Array, Array, Array]:
         """Optimal states, actions and saddle multipliers of the windows
-        from offset t, by one batched rollout: window i from the state
-        xs[i], or a law of one window from every row of xs.  The earliest
-        rollout that misses its pin raises SingularKKT."""
+        from offset t, by one batched rollout: window i from xs[..., i, :]
+        (a law of one window from every row of xs), with sample axes in
+        front.  The earliest window that misses its pin raises SingularKKT."""
         lifted, actions = self._rollout(t, xs)
         n = self.data.n
         return lifted[..., :n], actions, -_mv(self.P[:, t:, :n], lifted)
@@ -275,11 +275,9 @@ class ContinuationLaw:
         states, actions, duals = (
             a[0] for a in self.trajectories(t, np.atleast_1d(x)[None]))
         t1, states = int(self.t1[0]), states.copy()
-        _, value = stage_costs(self.system, t1 + t, self.params[0, t:],
-                               self.terminals[0], states, actions)
         residual = self._kkt_residual(t, states, actions, duals)
         return FtocpSolution(t1 + t, t1 + self.T, states, actions, duals,
-                             value, float(residual[0]))
+                             float(residual[0]))
 
     def kkt_residuals(self, xs: Array) -> Array:
         """KKT residual of each window's optimal solution from its initial
@@ -298,10 +296,10 @@ class ContinuationLaw:
                - _mv(A.swapaxes(-1, -2), nxt))
         r_v = _mv(wm.R[:, t:], actions) - _mv(B.swapaxes(-1, -2), nxt)
         if term.kind == "indicator":
-            r_T = states[..., -1:, :] - term.target[:, None]
+            r_T = states[..., -1:, :] - term.target[..., None, :]
         else:
-            r_T = (_mv(term.P[:, None],
-                       states[..., -1:, :] - term.xbar[:, None])
+            r_T = (_mv(term.P[..., None, :, :],
+                       states[..., -1:, :] - term.xbar[..., None, :])
                    + duals[..., -1:, :])
         r_dyn = states[..., 1:, :] - _mv(A, y) - _mv(B, actions) - wm.w[:, t:]
         return np.sqrt(sum(np.sum(r * r, axis=(-2, -1))
@@ -320,13 +318,14 @@ def _lifted_cost(Q: Array, xbar: Array, d: int) -> Array:
     return C
 
 
-def continuation_law(system, params: Sequence,
-                     terminals: Sequence[TerminalCost],
+def continuation_law(system, params: Sequence, terminal: TerminalCost,
                      t1: Sequence[int]) -> ContinuationLaw:
     """One backward Riccati pass for a batch of windows of T steps each:
     window i covers the steps t1[i] .. t1[i] + T, params[i][s] (T + 1
-    parameters) parameterizes its step t1[i] + s, and terminals[i] caps it.
-    The terminals share one kind.  A single window is a batch of one.
+    parameters) parameterizes its step t1[i] + s, and ``terminal`` caps the
+    windows: its arrays broadcast against the window axis (window i is
+    ``terminal[i]`` when they carry one).  A single window is a batch of
+    one.
 
     Raises SingularKKT when some R_t + B_t'P_{t+1}B_t is singular, a gain
     is not finite or the nu-block of a pin's P_0 is singular.  The error
@@ -337,14 +336,7 @@ def continuation_law(system, params: Sequence,
     params = np.asarray(params, float)
     W, T = params.shape[0], params.shape[1] - 1
     n, m = system.n, system.m
-    pin = terminals[0].kind == "indicator"
-    if any(term.kind != terminals[0].kind for term in terminals):
-        raise ValueError("a batch of windows needs terminals of one kind")
-    if pin:
-        terminal = TerminalCost.indicator([term.target for term in terminals])
-    else:
-        terminal = TerminalCost.quadratic([term.P for term in terminals],
-                                          [term.xbar for term in terminals])
+    pin = terminal.kind == "indicator"
     wm = _assembly.WindowMatrices.stack(
         system, t1[:, None] + np.arange(T), params[:, :T], terminal)
     d = 2 * n + 1 if pin else n + 1
@@ -389,8 +381,7 @@ def continuation_law(system, params: Sequence,
     if failed:
         raise _failure(t1, failed)
     closed_loop = F[..., :d] + F[..., d:] @ G
-    return ContinuationLaw(system, t1, params, tuple(terminals), wm, P, G,
-                           closed_loop, S_inv, PB)
+    return ContinuationLaw(t1, wm, P, G, closed_loop, S_inv, PB)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +421,9 @@ class ChainLaw:
         of its dynamics rows and its KKT residual."""
         states, actions, duals = self._trajectory(t, x)
         residual = self._kkt_residual(t, states, actions, duals)
-        states, actions = np.array(states)[:, None], np.array(actions)[:, None]
-        _, value = stage_costs(
-            self.system, self.t1 + t, np.array(self.targets[t:])[:, None],
-            TerminalCost.indicator([self.pin]), states, actions)
-        return FtocpSolution(self.t1 + t, self.t1 + self.T, states, actions,
-                             np.array(duals)[:, None], value, residual)
+        return FtocpSolution(self.t1 + t, self.t1 + self.T,
+                             *(np.array(a)[:, None]
+                               for a in (states, actions, duals)), residual)
 
     def _trajectory(self, t: int, x: Array) -> tuple[list, list, list]:
         """Optimal states, actions and multipliers of the window [t, T]
@@ -632,7 +620,7 @@ def window_law(system, params: Sequence[Array], terminal: TerminalCost,
         raise ValueError("a window must start at a step >= 0")
     if len(params) == 0:
         raise ValueError("a window needs one parameter vector per step")
-    laws = window_laws(system, [(t1, params, terminal)])
+    laws = window_laws(system, [(t1, params)], lambda t2, xi: terminal[None])
     if laws.failure is not None:
         raise laws.failure
     return laws.windows[0][0]
@@ -665,28 +653,40 @@ class WindowLaws:
         return worst
 
 
-def window_laws(system, windows: Sequence) -> WindowLaws:
-    """Laws of the windows (t1, params, terminal) of a receding-horizon run,
-    window t starting at step t, all built before the run starts: the
-    terminals do not depend on the state.  Consecutive linear-quadratic
-    windows of one length and terminal kind share one batched continuation
-    law; the stock chain has one chain law per window.  This is the one
-    place that tells the problem classes apart.  When a batch cannot be
-    built, the windows before its failing one are kept."""
-    if isinstance(system, InventorySystem):
-        return WindowLaws(tuple((chain_law(system, params, term, t1), 0)
-                                for t1, params, term in windows))
+def window_laws(system, windows: Sequence, terminals) -> WindowLaws:
+    """Laws of the windows (t1, params) of a receding-horizon run, window t
+    starting at step t, all built before the run starts: the terminals do
+    not depend on the state.  ``terminals(t2, xi)`` caps the windows that
+    end at the steps t2 (an int array) with last parameters xi, stacked by
+    window (``TerminalRule.build``).  Consecutive linear-quadratic windows
+    of one length that all stop short of the final step, or all reach it,
+    are a batch: one terminals call and one batched continuation law.  The
+    stock chain has one chain law per window, and one terminals call for
+    each run of windows that stop short of the final step or reach it.
+    This is the one place that tells the problem classes apart.  When a
+    batch cannot be built, the windows before its failing one are kept."""
+    chain = isinstance(system, InventorySystem)
+
+    def batch(window):
+        t1, params = window
+        final = t1 + len(params) - 1 == system.T
+        return final if chain else (len(params), final)
+
     laws = []
-    for _, batch in itertools.groupby(
-            windows, key=lambda win: (len(win[1]), win[2].kind)):
-        t1, params, terminals = zip(*batch)
+    for _, group in itertools.groupby(windows, key=batch):
+        t1, params = zip(*group)
+        t2 = np.add(t1, [len(p) - 1 for p in params])
+        terminal = terminals(t2, np.array([p[-1] for p in params], float))
+        if chain:
+            laws += [(chain_law(system, p, terminal[i], s), 0)
+                     for i, (s, p) in enumerate(zip(t1, params))]
+            continue
         try:
-            law = continuation_law(system, params, terminals, t1)
+            law = continuation_law(system, params, terminal, t1)
         except SingularKKT as exc:
             if exc.window:
                 law = continuation_law(system, params[:exc.window],
-                                       terminals[:exc.window],
-                                       t1[:exc.window])
+                                       terminal[:exc.window], t1[:exc.window])
                 laws += [(law, w) for w in range(law.W)]
             return WindowLaws(tuple(laws), exc)
         laws += [(law, w) for w in range(law.W)]

@@ -14,6 +14,7 @@ Neither H nor Upsilon is formed; their blocks come from the step data.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -381,33 +382,15 @@ def _first_action_adjoint(law: ftocp.ContinuationLaw, t0: int):
     return y, v, eta, nu
 
 
-def _sample_rollouts(law: ftocp.ContinuationLaw, t0: int, zs: Array):
-    """States, actions and multipliers of every window of a law from
-    offset t0, from each of its initial states: window i from zs[j, i], one
-    batched rollout per sample index j, and the sample axis first.  A
-    rollout that misses its pin raises the SingularKKT of the earliest such
-    window, at its first missing sample."""
-    rolled, failures = [], []
-    for z in zs:
-        try:
-            rolled.append(law.trajectories(t0, z))
-        except ftocp.SingularKKT as exc:
-            failures.append(exc)
-    if failures:
-        raise min(failures, key=lambda exc: exc.window)
-    return [np.stack(a) for a in zip(*rolled)]
-
-
-def _terminal_slopes(instance: Instance, terminal_rule, t: int,
-                     t2: int) -> list[Array]:
+def _terminal_slopes(instance: Instance, terminal_rule,
+                     t2: Array) -> list[Array]:
     """Slopes of the terminal data (see ``_terminal_data``) that
-    ``terminal_rule`` builds for the window [t, t2], in its last
-    parameter."""
-    params = instance.truth[t:t2 + 1]
+    ``terminal_rule`` builds for the windows ending at the steps t2, in
+    their last parameters, at the true ones: one batched central
+    difference, stacked by window."""
     return _central_slopes(
-        lambda xi: _terminal_data(
-            terminal_rule.build(instance, t, t2, [*params[:-1], xi])),
-        params[-1])
+        lambda xi: _terminal_data(terminal_rule.build(instance, t2, xi)),
+        instance.truth[t2])
 
 
 def _window_action_jacobians(instance: Instance, law: ftocp.ContinuationLaw,
@@ -427,12 +410,14 @@ def _window_action_jacobians(instance: Instance, law: ftocp.ContinuationLaw,
     row to tau + 1), and the last one only the terminal rows, so each
     offset is one contraction of the slopes of its own data with lam and
     chi(z): ``step_slopes`` are those of ``_step_data_slopes``, and the
-    terminal that ``terminal_rule`` builds for each window is differentiated
-    through its last parameter.  The derivative with respect to the pin's
-    target is lam's pin component.
+    terminals that ``terminal_rule`` builds for the windows are
+    differentiated through their last parameters.  The derivative with
+    respect to the pin's target is lam's pin component.  Every sample is
+    read by one batched rollout; the earliest window that misses its pin
+    raises SingularKKT.
     """
     wm, K = law.data, law.T - t0
-    states, v, duals = _sample_rollouts(law, t0, zs)
+    states, v, duals = law.trajectories(t0, zs)
     lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law, t0)
     y, eta = states[..., :-1, :], duals[..., 1:, :]
     steps = law.t1[:, None] + t0 + np.arange(K)
@@ -450,9 +435,8 @@ def _window_action_jacobians(instance: Instance, law: ftocp.ContinuationLaw,
             + np.einsum("wtaj,zwtai->zwtji", lam_eta, row_dyn))
     out = np.empty(jac.shape[:2] + (K + 1,))
     out[..., :K] = np.linalg.norm(jac, 2, axis=(-2, -1))
-    terminal_slopes = [np.stack(d) for d in zip(*(
-        _terminal_slopes(instance, terminal_rule, t1 + t0, t1 + law.T)
-        for t1 in law.t1.tolist()))]
+    terminal_slopes = _terminal_slopes(instance, terminal_rule,
+                                       law.t1 + law.T)
     terminal = wm.terminal
     if terminal.kind == "indicator":
         (d_target,) = terminal_slopes
@@ -571,10 +555,9 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     zs, scale = _state_samples(instance, opt_states, R, seed, state_samples)
     jac = np.zeros(zs.shape[:2] + (k + 1,))   # zero beyond a tail's width
     full = max(T - k, 0)
-    batch = ftocp.window_laws(sys, [
-        (t, truth[t:t + k + 1],
-         terminal_rule.build(instance, t, t + k, truth[t:t + k + 1]))
-        for t in range(full)])
+    batch = ftocp.window_laws(
+        sys, [(t, truth[t:t + k + 1]) for t in range(full)],
+        functools.partial(terminal_rule.build, instance))
     if batch.windows:
         law_k = batch.windows[0][0]
         jac[:, :law_k.W] = _window_action_jacobians(

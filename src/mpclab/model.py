@@ -1,8 +1,9 @@
 """Problem instances: true parameters, forecast streams, and system families.
 
 A system maps steps and their parameter vectors to cost/dynamics data in
-one broadcasting call, ``step_data(ts, xis)``, stacked by step.  Instances
-are immutable after construction and compare by identity; their arrays and
+one broadcasting call, ``step_data(ts, xis)``, stacked by step, and final
+parameters to terminal costs in another, ``terminal_cost``.  Instances are
+immutable after construction and compare by identity; their arrays and
 the forecasts of a stream are read-only, so what is derived from an instance
 alone can be computed once per instance (``per_instance``).
 """
@@ -133,7 +134,8 @@ def _rho_offsets(rho_table: Array, k: int) -> Array:
 @dataclasses.dataclass(frozen=True)
 class TerminalCost:
     """Terminal cost: quadratic (``zero`` is the quadratic with P = 0) or a
-    hard state pin (indicator)."""
+    hard state pin (indicator).  The terminal of a batch of windows stacks
+    its arrays with a window axis in front; indexing it picks windows."""
 
     kind: str
     P: Array | None = None
@@ -153,6 +155,12 @@ class TerminalCost:
     @staticmethod
     def zero(n: int) -> "TerminalCost":
         return TerminalCost.quadratic(np.zeros((n, n)), np.zeros(n))
+
+    def __getitem__(self, index) -> "TerminalCost":
+        """The terminal of the windows ``index`` of a stacked terminal."""
+        if self.kind == "indicator":
+            return TerminalCost(self.kind, target=self.target[index])
+        return TerminalCost(self.kind, self.P[index], self.xbar[index])
 
     def value(self, x: Array) -> float:
         x = np.atleast_1d(x)
@@ -194,8 +202,10 @@ class LinearQuadraticSystem:
     front of its own shape (n, n), (n, m), (n,), (n, n), (m, m) and (n,),
     so an int step gives one step's arrays.  The map must broadcast over
     the leading axes; what it returns without them (a constant Q, say) is
-    broadcast to them.  ``terminal(xi_T)`` gives (P_T, xbar_T) from the
-    final parameter alone, and the final state pays no stage cost.
+    broadcast to them.  ``terminal(xis)`` gives (P_T, xbar_T) from the
+    final parameters alone, under the same contract: stacked with the
+    leading axes of ``xis`` in front of (n, n) and (n,).  The final state
+    pays no stage cost.
     """
 
     include_terminal_stage = False
@@ -223,13 +233,18 @@ class LinearQuadraticSystem:
         return tuple(np.broadcast_to(a, ts.shape + s) for a, s in
                      zip(self._step_data(ts, np.asarray(xis, float)), shapes))
 
-    def terminal_cost(self, xi_T: Array) -> TerminalCost:
-        return TerminalCost.quadratic(*self.terminal(xi_T))
+    def terminal_cost(self, xi: Array) -> TerminalCost:
+        """Terminal cost of the final parameters xi, stacked as above."""
+        xi = np.asarray(xi, float)
+        n, lead = self.n, xi.shape[:-1]
+        P, xbar = self.terminal(xi)
+        return TerminalCost.quadratic(np.broadcast_to(P, lead + (n, n)),
+                                      np.broadcast_to(xbar, lead + (n,)))
 
-    def pin_target(self, t: int, xi: Array) -> Array:
-        """The state a window ending at step t is pinned to on the forecast
-        xi: the reference point of step t."""
-        return self.step_data(t, xi)[5]
+    def pin_target(self, t2, xi: Array) -> Array:
+        """The pins of windows ending at the steps t2 on their forecasts xi:
+        the reference points of those steps, stacked like ``step_data``."""
+        return self.step_data(t2, xi)[5]
 
     def lipschitz_dynamics(self) -> float:
         """Norm bound on [A B], the state/action sensitivity of one step."""
@@ -253,11 +268,6 @@ class DisturbanceOnlySystem(LinearQuadraticSystem):
                                        D_xbar=0.0),
             param_box=param_box)
 
-    def pin_target(self, t: int, xi: Array) -> Array:
-        """The origin, the reference point of every step, read without
-        evaluating the step data."""
-        return np.zeros(self.n)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class InventorySystem:
@@ -269,7 +279,8 @@ class InventorySystem:
     adds a smooth action cost action_weight * u^2 per step (still convex and
     smooth, strongly convex in the state).  Systems are hashed and compared
     by identity, so that ``ftocp`` keeps the backward steps of each system's
-    chain laws while the system lives.
+    chain laws while the system lives.  The parameter of a step is its
+    target, and the parameter box is the state interval [x_lo, x_hi].
     """
 
     T: int
@@ -298,12 +309,12 @@ class InventorySystem:
 
     @property
     def param_box(self) -> ParamBox:
-        return ParamBox(np.array([-0.5]), np.array([0.5]))
+        return ParamBox(np.array([self.x_lo]), np.array([self.x_hi]))
 
-    def pin_target(self, t: int, xi: Array) -> Array:
-        """The state a window ending at step t is pinned to on the forecast
-        xi: the stock target, which is the parameter itself, clipped to the
-        state interval, since a pin outside it is infeasible."""
+    def pin_target(self, t2, xi: Array) -> Array:
+        """The pins of windows ending at the steps t2 on their forecasts xi:
+        the targets (the parameters themselves) clipped to the state
+        interval, since a pin outside it is infeasible."""
         return np.clip(np.asarray(xi, float), self.x_lo, self.x_hi)
 
     def step_data(self, ts, xis):
@@ -327,7 +338,7 @@ class Instance:
 
     ``truth[t]`` is the true parameter of step t, a read-only (T+1, p)
     array built from any sequence of T+1 parameter vectors, which must lie
-    in the parameter box of a linear-quadratic system; ``x0`` and
+    in the parameter box of the system; ``x0`` and
     ``terminal_param`` are read-only copies too.  Instances are hashed and
     compared by identity: ``dataclasses.replace`` makes a new one.
     """
@@ -343,11 +354,10 @@ class Instance:
         truth = np.array(self.truth, float)
         if truth.ndim != 2 or truth.shape[0] != self.T + 1:
             raise ModelError("need one parameter vector per step 0..T")
-        if isinstance(self.system, LinearQuadraticSystem):
-            box = self.system.param_box
-            if not np.all((box.lo <= truth) & (truth <= box.hi)):
-                raise ModelError("true parameters outside the parameter box, "
-                                 "over which the declared bounds hold")
+        box = self.system.param_box
+        if not np.all((box.lo <= truth) & (truth <= box.hi)):
+            raise ModelError("true parameters outside the parameter box, "
+                             "over which the declared bounds hold")
         object.__setattr__(self, "truth", _read_only(truth))
         object.__setattr__(self, "x0", _read_only(np.array(self.x0, float)))
         if self.terminal_param is not None:
@@ -358,17 +368,18 @@ class Instance:
     def T(self) -> int:
         return self.system.T
 
-    def terminal_cost(self, xi_T: Array | None = None) -> TerminalCost:
-        """Terminal cost with the terminal data of xi_T (by default the true
-        final parameter).  The stock chain's final state is pinned to
-        ``terminal_param`` whatever xi_T is."""
+    def terminal_cost(self, xi: Array | None = None) -> TerminalCost:
+        """Terminal cost of the final parameters xi (by default the true
+        one), stacked with the leading axes of xi in front.  The stock
+        chain's final state is pinned to ``terminal_param`` whatever xi is."""
+        xi = self.truth[self.T] if xi is None else np.asarray(xi, float)
         if isinstance(self.system, InventorySystem):
             tgt = self.terminal_param
             if tgt is None:
                 raise ModelError("inventory instance needs a terminal target")
-            return TerminalCost.indicator(tgt)
-        return self.system.terminal_cost(self.truth[self.T] if xi_T is None
-                                         else xi_T)
+            return TerminalCost.indicator(
+                np.zeros(xi.shape[:-1] + tgt.shape) + tgt)
+        return self.system.terminal_cost(xi)
 
 
 def per_instance(fn: Callable[[Instance], object]):

@@ -100,7 +100,7 @@ def check_law_against_oracle(n, m, kind, seed, T, t1, t):
                 "indicator": lambda: TerminalCost.indicator(
                     rng.normal(size=n))}[kind]()
     x = rng.normal(size=n)
-    law = ftocp.continuation_law(system, [params], [terminal], [t1])
+    law = ftocp.continuation_law(system, [params], terminal, [t1])
     sol = law.solution(t, x)
     so, ao, lam = oracle_continuation(system, params, terminal, t, x, t1)
     assert (sol.t1, sol.t2) == (t1 + t, T)
@@ -112,7 +112,9 @@ def check_law_against_oracle(n, m, kind, seed, T, t1, t):
     # the residual is exact up to rounding, relative to the multipliers
     assert sol.kkt_residual <= max(1e-8, 1e-14 * np.abs(sol.duals).max())
     want = trajectory_cost(system, params, terminal, t, t1, so, ao)
-    assert sol.value == pytest.approx(want, rel=1e-9, abs=1e-12)
+    _, value = ftocp.stage_costs(system, t1 + t, params[t:], terminal,
+                                 sol.states, sol.actions)
+    assert value == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_ill_conditioned_pin_matches_oracle():
@@ -125,13 +127,15 @@ def test_ill_conditioned_pin_matches_oracle():
     params = [np.zeros(1)] * 3
     terminal = TerminalCost.indicator(rng.normal(size=2))
     x = rng.normal(size=2)
-    sol = ftocp.continuation_law(system, [params], [terminal],
+    sol = ftocp.continuation_law(system, [params], terminal,
                                  [0]).solution(0, x)
     so, ao, _ = oracle_continuation(system, params, terminal, 0, x)
     assert np.abs(ao).max() > 1e3
     assert rel_err(sol.actions, ao) <= 1e-12
     want = trajectory_cost(system, params, terminal, 0, 0, so, ao)
-    assert sol.value == pytest.approx(want, rel=1e-11)
+    _, value = ftocp.stage_costs(system, 0, params, terminal, sol.states,
+                                 sol.actions)
+    assert value == pytest.approx(want, rel=1e-11)
 
 
 def test_run_errors_match_oracle_continuation():
@@ -186,7 +190,7 @@ def test_zero_terminal_with_zero_last_action_weight_is_singular():
     system = random_system(rng, 2, m, T, R=R)
     params = [np.zeros(1)] * (T + 1)
     with pytest.raises(SingularKKT):
-        ftocp.continuation_law(system, [params], [TerminalCost.zero(2)], [0])
+        ftocp.continuation_law(system, [params], TerminalCost.zero(2), [0])
     system.terminal = lambda xi: (np.zeros((2, 2)), np.zeros(2))
     inst = Instance(system, params, np.ones(2))
     with pytest.raises(SingularKKT):
@@ -204,7 +208,7 @@ def test_kkt_residual_matches_dense_saddle_residual(kind):
                 "zero": TerminalCost.zero(n),
                 "indicator": TerminalCost.indicator(rng.normal(size=n))}[kind]
     z = rng.normal(size=n)
-    law = ftocp.continuation_law(system, [params], [terminal], [0])
+    law = ftocp.continuation_law(system, [params], terminal, [0])
     sol = law.solution(0, z)
     # a point off the optimum, with the initial pin held
     states = sol.states + 0.01 * rng.normal(size=sol.states.shape)
@@ -242,7 +246,7 @@ def test_pendulum_pinned_windows_match_oracle(k):
     z = np.array([0.1, -0.2, 0.05, 0.3])
     for t in range(0, inst.T - k, 4):
         params = [inst.truth[s] for s in range(t, t + k + 1)]
-        terminal = rule.build(inst, t, t + k, params)
+        terminal = rule.build(inst, t + k, params[-1])
         sol = ftocp.window_law(sys_, params, terminal, t).solution(0, z)
         so, ao, _ = oracle_continuation(sys_, params, terminal, 0, z, t)
         assert rel_err(sol.states, so) <= 1e-9
@@ -287,7 +291,7 @@ def check_run_against_oracle(inst, k, rule):
     for t in range(T):
         t2 = min(t + k, T)
         params = stream.window(t, t2)
-        terminal = rule.build(inst, t, t2, params)
+        terminal = rule.build(inst, t2, params[-1])
         _, ao, lam = oracle_continuation(inst.system, params, terminal, 0,
                                          run.states[t], t)
         assert rel_err(run.actions[t], ao[0]) <= 1e-9, (t, rule.kind)
@@ -311,3 +315,24 @@ def test_batched_run_matches_oracle_when_windows_reach_the_end(name,
     inst = presets.build_preset(name, T=8)
     for rule in run_rules(inst):
         check_run_against_oracle(inst, inst.T - shorter, rule)
+
+
+@pytest.mark.parametrize("kind", ["predicted_tracking", "true"])
+@pytest.mark.parametrize("t", [0, 2])
+def test_sample_rollouts_match_separate_rollouts(kind, t):
+    # rollouts of a batch from Z samples of initial states at once are the
+    # Z rollouts taken one sample at a time, bit for bit, on a pinned and
+    # a quadratic batch
+    inst = presets.tracking_rand(T=12, seed=4)
+    k, starts = 4, np.arange(8)
+    t2 = starts + k
+    law = ftocp.continuation_law(
+        inst.system, [inst.truth[s:s + k + 1] for s in starts],
+        TerminalRule(kind).build(inst, t2, inst.truth[t2]), starts)
+    assert law.pinned == (kind != "true")
+    zs = np.random.default_rng(2).normal(size=(3, len(starts), 2))
+    got = law.trajectories(t, zs)
+    for j, z in enumerate(zs):
+        for g, w in zip(got, law.trajectories(t, z), strict=True):
+            assert g[j].shape == w.shape
+            assert g[j].tobytes() == w.tobytes()

@@ -27,6 +27,16 @@ def quiet_instance(T=6):
     return Instance(system, np.zeros((T + 1, 1)), np.zeros(2), name="quiet")
 
 
+def terminal_bits(term):
+    """The kind, shapes and bytes of a terminal's arrays."""
+    return term.kind, [None if a is None else (a.shape, a.tobytes())
+                       for a in (term.P, term.xbar, term.target)]
+
+
+STACK_PRESETS = ["tracking-rand", "disturbance", "pendulum",
+                 "inventory-two-sided"]
+
+
 class TestTerminalRule:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -39,7 +49,7 @@ class TestTerminalRule:
         rule = TerminalRule.reference(inst)
         assert rule.kind == "reference"
         assert rule.reference_states.shape == (7, 2)
-        term = rule.build(inst, 0, 3, inst.truth[:4])
+        term = rule.build(inst, 3, inst.truth[3])
         assert term.kind == "indicator"
         assert np.array_equal(term.target, rule.reference_states[3])
 
@@ -80,14 +90,14 @@ class TestTerminalRule:
     def test_final_window_uses_instance_terminal(self):
         inst = quiet_instance()
         rule = TerminalRule("zero")
-        term = rule.build(inst, 2, inst.T, inst.truth[:5])
+        term = rule.build(inst, inst.T, inst.truth[4])
         assert term.kind == "quadratic"
 
     def test_predicted_tracking_pins_forecast_reference(self):
         inst = presets.tracking_rand(T=8, seed=1)
         rule = TerminalRule("predicted_tracking")
         params = inst.truth[:5]
-        term = rule.build(inst, 0, 4, params)
+        term = rule.build(inst, 4, params[-1])
         assert term.kind == "indicator"
         assert np.allclose(term.target,
                            inst.system.step_data(4, params[-1])[5])
@@ -96,14 +106,48 @@ class TestTerminalRule:
         inst = presets.inventory_one_sided(T=12)
         rule = TerminalRule("predicted_tracking")
         params = inst.truth[:5]
-        inside = rule.build(inst, 0, 4, params)
+        inside = rule.build(inst, 4, params[-1])
         assert np.array_equal(inside.target, params[-1])
         for forecast in (1.3, -1.7):
-            term = rule.build(inst, 0, 4, [*params[:-1], np.array([forecast])])
+            term = rule.build(inst, 4, np.array([forecast]))
             assert term.target[0] == np.clip(forecast, -1.0, 1.0)
             # the pin is no farther from the truth than the forecast was
             assert (abs(term.target[0] - params[-1][0])
                     <= abs(forecast - params[-1][0]))
+
+    @pytest.mark.parametrize("name", STACK_PRESETS)
+    @pytest.mark.parametrize("kind", TerminalRule.KINDS)
+    def test_stacked_build_matches_per_window_builds(self, name, kind):
+        # each row of one build over a batch of windows is the build of that
+        # window alone, bit for bit, for windows short of T and reaching it;
+        # the forecasts stray outside the state interval of the chain
+        inst = presets.build_preset(name, T=12)
+        rule = (TerminalRule.reference(inst) if kind == "reference"
+                else TerminalRule(kind))
+        stream = PredictionStream(inst.truth, 4, 0.5, seed=3)
+        for t2 in (np.arange(4, 12), np.full(3, 12)):
+            xis = stream.forecasts[t2 - 4, 4]   # made four steps before
+            got = rule.build(inst, t2, xis)
+            for i in range(len(t2)):
+                want = rule.build(inst, int(t2[i]), xis[i])
+                assert terminal_bits(got[i]) == terminal_bits(want), (t2, i)
+
+    def test_build_rejects_windows_that_mix_the_final_step(self):
+        inst = quiet_instance()
+        with pytest.raises(ValueError, match="final step"):
+            TerminalRule("zero").build(inst, np.array([5, 6]),
+                                       inst.truth[5:7])
+
+    @pytest.mark.parametrize("name", STACK_PRESETS)
+    def test_stacked_terminal_cost_matches_per_row_calls(self, name):
+        inst = presets.build_preset(name, T=10)
+        box = inst.system.param_box
+        xis = np.random.default_rng(1).uniform(box.lo, box.hi,
+                                               size=(4,) + box.lo.shape)
+        got = inst.terminal_cost(xis)
+        for i, xi in enumerate(xis):
+            assert terminal_bits(got[i]) == terminal_bits(
+                inst.terminal_cost(xi))
 
     @pytest.mark.parametrize("T,k,noise", [(80, 8, 0.2), (60, 8, 0.0),
                                            (20, 4, 0.3)])
@@ -284,12 +328,12 @@ class TestRunFailures:
     def test_batch_names_its_earliest_failing_window(self):
         base = quiet_instance(T=10)
         sys_ = dead_step_system(base.system, 5)
-        terminals = [TerminalCost.indicator(np.zeros(2))] * 7
+        terminal = TerminalCost.indicator(np.zeros((7, 2)))
         with pytest.raises(ftocp.SingularKKT,
                            match="singular R \\+ B'PB at step 5$") as ei:
             ftocp.continuation_law(sys_, [base.truth[t:t + 4]
                                           for t in range(7)],
-                                   terminals, range(7))
+                                   terminal, range(7))
         # of the windows of three steps, those from steps 3 .. 5 contain
         # step 5
         assert ei.value.window == 3

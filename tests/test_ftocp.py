@@ -100,20 +100,25 @@ class TestQuadraticSolver:
             d = sol.states[i] - xbars[i]
             val += float(d @ Qs[i] @ d
                          + sol.actions[i] @ Rs[i] @ sol.actions[i])
-        assert sol.value == pytest.approx(val, abs=1e-10)
+        _, value = ftocp.stage_costs(inst.system, t1, params, term,
+                                     sol.states, sol.actions)
+        assert value == pytest.approx(val, abs=1e-10)
 
     def test_terminal_relaxation_ordering(self, inst):
         t1, t2 = 0, 8
         z = np.array([0.3, -0.3])
         params, *_ = window_data(inst, t1, t2)
         quad = inst.system.terminal_cost(params[-1])  # minimized at the origin
-        v_zero = ftocp.window_law(inst.system, params, TerminalCost.zero(2),
-                                  t1).solution(0, z).value
-        v_quad = ftocp.window_law(inst.system, params, quad,
-                                  t1).solution(0, z).value
-        v_pin = ftocp.window_law(inst.system, params,
-                                 TerminalCost.indicator(quad.xbar),
-                                 t1).solution(0, z).value
+
+        def value(term):
+            sol = ftocp.window_law(inst.system, params, term,
+                                   t1).solution(0, z)
+            return ftocp.stage_costs(inst.system, t1, params, term,
+                                     sol.states, sol.actions)[1]
+
+        v_zero = value(TerminalCost.zero(2))
+        v_quad = value(quad)
+        v_pin = value(TerminalCost.indicator(quad.xbar))
         assert v_zero <= v_quad + 1e-12
         assert v_quad <= v_pin + 1e-12
 
@@ -149,12 +154,14 @@ class TestQuadraticSolver:
 
     def test_empty_window(self, inst):
         z = np.array([0.4, -0.4])
-        params = [inst.truth[5]]
+        params = inst.truth[5:6]
         term = inst.system.terminal_cost(params[-1])
         sol = ftocp.window_law(inst.system, params, term, 5).solution(0, z)
         assert sol.states.shape == (1, 2)
         assert sol.actions.shape == (0, 1)
-        assert sol.value == pytest.approx(term.value(z))
+        _, value = ftocp.stage_costs(inst.system, 5, params, term,
+                                     sol.states, sol.actions)
+        assert value == pytest.approx(term.value(z))
 
 
 class TestChainSolver:
@@ -345,8 +352,11 @@ def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
     assert shared.pieces == law.pieces
     sol = law.solution(0, np.array([z]))
     again = shared.solution(0, np.array([z]))
-    for field in ("states", "actions", "duals", "value", "kkt_residual"):
+    for field in ("states", "actions", "duals", "kkt_residual"):
         assert bits(getattr(again, field)) == bits(getattr(sol, field))
+    assert bits(ftocp.stage_costs(filled, 0, params, pin, again.states,
+                                  again.actions)[1]) == bits(
+        ftocp.stage_costs(fresh, 0, params, pin, sol.states, sol.actions)[1])
     xo = oracles.inventory_oracle(z, targets[:K], target, u_lo, u_hi,
                                   action_weight=action_weight)
     assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)

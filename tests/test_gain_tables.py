@@ -14,7 +14,7 @@ from mpclab.engine import TerminalRule
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
                           TerminalCost)
 from test_continuation import oracle_continuation
-from test_engine import dead_step_system
+from test_engine import dead_step_system, terminal_bits
 from test_presets import reference_step_data
 
 # The oracle's null-space solve of a nearly unreachable pendulum pin loses
@@ -37,7 +37,7 @@ def oracle_window_norms(inst, rule, t, t2, z, with_target):
 
     def first_action(flat, target=None):
         ps = np.split(flat, splits)
-        term = (rule.build(inst, t, t2, ps) if target is None
+        term = (rule.build(inst, t2, ps[-1]) if target is None
                 else TerminalCost.indicator(target))
         return oracle_continuation(sys_, ps, term, 0, z, t)[1][0]
 
@@ -45,7 +45,7 @@ def oracle_window_norms(inst, rule, t, t2, z, with_target):
     J = oracles.fd_jacobian(first_action, flat, step=FD_STEP)
     out = np.array([np.linalg.norm(col, 2)
                     for col in np.split(J, splits, axis=1)])
-    term = rule.build(inst, t, t2, params)
+    term = rule.build(inst, t2, params[-1])
     if with_target and term.kind == "indicator":
         J_tgt = oracles.fd_jacobian(lambda v: first_action(flat, v),
                                     term.target, step=FD_STEP)
@@ -62,11 +62,10 @@ def oracle_states(inst):
 def window_batch(inst, rule, starts, k):
     """The law of the batch of windows [t, t + k], t in starts, capped as
     ``rule`` caps them."""
-    params = [inst.truth[t:t + k + 1] for t in starts]
+    t2 = np.asarray(starts) + k
     return ftocp.continuation_law(
-        inst.system, params,
-        [rule.build(inst, t, t + k, p) for t, p in zip(starts, params)],
-        starts)
+        inst.system, [inst.truth[t:t + k + 1] for t in starts],
+        rule.build(inst, t2, inst.truth[t2]), starts)
 
 
 def law_jacobians(inst, rule, law, t0, zs, with_target=True):
@@ -134,8 +133,9 @@ def all_maps_instance(T, seed):
 
     system = LinearQuadraticSystem(
         n, m, T, step_data=step_data,
-        terminal=lambda xi: (spd(P1, np.exp(xi[1])),
-                             np.array([xi[0], xi[0] * xi[1]])),
+        terminal=lambda xi: (spd(P1, np.exp(xi[..., 1])),
+                             np.stack([xi[..., 0], xi[..., 0] * xi[..., 1]],
+                                      axis=-1)),
         bounds=Bounds(mu=1.0, ell=2.0, a=1.0, b=1.0),
         param_box=ParamBox(np.zeros(2), np.ones(2)))
     truth = [rng.uniform(0.0, 1.0, size=2) for _ in range(T + 1)]
@@ -151,6 +151,17 @@ def test_batched_step_slopes_match_per_step_reference(name):
     for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+def test_stacked_terminal_cost_in_two_parameters():
+    # a terminal map that varies in both coordinates broadcasts over a
+    # batch of final parameters, row by row as one call per row
+    inst = all_maps_instance(9, 0)
+    xis = np.random.default_rng(3).uniform(0.0, 1.0, size=(5, 2))
+    got = inst.terminal_cost(xis)
+    assert got.P.shape == (5, 2, 2) and got.xbar.shape == (5, 2)
+    for i, xi in enumerate(xis):
+        assert terminal_bits(got[i]) == terminal_bits(inst.terminal_cost(xi))
 
 
 def test_batched_step_slopes_match_per_step_reference_in_two_parameters():
@@ -308,22 +319,29 @@ def test_failing_window_is_the_earliest():
 
 
 def test_rollout_failure_names_the_earliest_window():
-    class MissingPins:
-        """A law whose rollout from sample j misses the pins of the windows
-        misses[j]."""
+    # windows of one step pin two states through one action: the pin is
+    # met only from the state z*_i = -A_i^{-1} w_i of window i, where no
+    # action is needed, and missed from any other state
+    inst = presets.tracking_rand(T=8, seed=0)
+    starts = np.arange(3)
+    law = ftocp.continuation_law(
+        inst.system, [inst.truth[t:t + 2] for t in starts],
+        TerminalCost.indicator(np.zeros((3, 2))), starts)
+    A, _, w, *_ = inst.system.step_data(starts, inst.truth[starts])
+    meets = np.linalg.solve(A, -w[..., None])[..., 0]
+    # sample j misses the pins of the windows misses[j]
+    misses = [[], [2], [1, 2], [1]]
+    zs = np.array([meets] * len(misses))
+    for j, windows in enumerate(misses):
+        zs[j, windows] += 0.1 * (j + 1)
 
-        def __init__(self, misses):
-            self.misses = iter(misses)
+    def failure(xs):
+        with pytest.raises(ftocp.SingularKKT) as ei:
+            law.trajectories(0, xs)
+        return ei.value
 
-        def trajectories(self, t0, z):
-            missed = next(self.misses)
-            if missed:
-                raise ftocp.SingularKKT(f"window {min(missed)}",
-                                        window=min(missed))
-            return np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 2))
-
-    zs = np.zeros((4, 3, 2))
-    law = MissingPins([[], [2], [1, 2], [1]])
-    with pytest.raises(ftocp.SingularKKT, match="^window 1$") as ei:
-        kkt._sample_rollouts(law, 0, zs)
-    assert ei.value.window == 1
+    law.trajectories(0, zs[0])
+    # window 1 misses first at sample 2, by another amount at sample 3
+    first, later, batch = failure(zs[2]), failure(zs[3]), failure(zs)
+    assert first.window == later.window == batch.window == 1
+    assert str(batch) == str(first) != str(later)

@@ -265,6 +265,18 @@ class TestInstances:
         with pytest.raises(ModelError):
             InventorySystem(T=2, targets=np.zeros(3), action_weight=-1.0)
 
+    def test_chain_truth_must_lie_in_the_state_interval(self):
+        # a stock chain's parameters are its targets, and its parameter box
+        # is the state interval, which holds the presets' targets
+        for name in ("inventory-two-sided", "inventory-one-sided"):
+            sys_ = presets.build_preset(name).system
+            assert (sys_.param_box.lo, sys_.param_box.hi) == (
+                [sys_.x_lo], [sys_.x_hi])
+        targets = np.array([0.0, 1.2, 0.0])
+        with pytest.raises(ModelError, match="parameter box"):
+            Instance(InventorySystem(T=2, targets=targets), targets[:, None],
+                     np.zeros(1), terminal_param=np.zeros(1))
+
     def test_build_instance_unknown_kind(self):
         with pytest.raises(ModelError):
             build_instance({"kind": "no-such-system"})
