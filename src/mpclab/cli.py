@@ -10,7 +10,8 @@ scale, runs the command's body, writes the artifacts the body returns and
 prints its stdout line.  A body says whether its tested inequality held;
 when it did not, the artifacts are written before the command exits 4.
 
-Exit codes: 0 success; 2 configuration error; 3 solver failure;
+Exit codes: 0 success; 2 configuration error (also a ModelError raised by a
+body, such as an analysis the family does not admit); 3 solver failure;
 4 certification failure (a tested inequality did not hold).
 """
 
@@ -28,8 +29,7 @@ import click
 import numpy as np
 
 from . import engine, ftocp, kkt, presets, regret
-from .model import (Instance, InventorySystem, ModelError, PredictionStream,
-                    config_hash)
+from .model import Instance, ModelError, PredictionStream, config_hash
 
 EXIT_SOLVER = 3
 EXIT_CERT = 4
@@ -184,6 +184,8 @@ def _command(name: str, *options, load: bool = True):
                 if opts.get("noise_scale", 0.0) < 0:
                     raise click.UsageError("need --noise-scale >= 0")
                 artifacts, line, held = body(inst, headers, **opts)
+            except ModelError as exc:
+                raise click.UsageError(str(exc)) from exc
             except (ftocp.Infeasible, ftocp.SingularKKT,
                     np.linalg.LinAlgError) as exc:
                 click.echo(f"solver failure: {exc}", err=True)
@@ -264,8 +266,6 @@ def sweep_noise(inst, hdr, k, noise_scale):
 def certify_decay(inst, hdr):
     """Check the closed-form geometric bound on the inverse saddle blocks."""
     sys_ = inst.system
-    if isinstance(sys_, InventorySystem):
-        raise click.UsageError("decay certification needs a quadratic system")
     wm = kkt.window_data(sys_, inst.truth, inst.terminal_cost())
     norms, maxima, fit = kkt.decay_profile(wm)
     sigma = kkt.sigma_min(wm)   # the measured sigma of the full window
@@ -297,10 +297,7 @@ def inventory_suite(inst, hdr, p, eps):
     """Terminal-perturbation response table for the alternating chain."""
     if min(p) < 1:
         raise click.UsageError("need --p >= 1")
-    try:
-        rows = presets.inventory_counterexample_suite(p, eps)
-    except ModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+    rows = presets.inventory_counterexample_suite(p, eps)
     worst = max(max(abs(r.diff_minus_eps), r.closed_form_err) for r in rows)
     return ({"inventory_suite.csv": _csv_body(
                 ["p", "eps", "h", "diff", "diff_minus_eps",
@@ -315,11 +312,8 @@ def inventory_suite(inst, hdr, p, eps):
                        help="how the gain tables are found (measured only)"))
 def constants(inst, hdr, k, mode):
     """Report the decay/sensitivity constants of an instance."""
-    sys_ = inst.system
-    if isinstance(sys_, InventorySystem):
-        raise click.UsageError("constants need a quadratic system")
     sigma = kkt.measured_sigma(inst, k)
-    consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
+    consts = kkt.tracking_decay_constants(inst.system.bounds, sigma)
     opt = engine.solve_opt(inst)
     tables = kkt.measure_gain_tables(
         inst, k, _DEFAULT_RULE, opt.states,

@@ -22,14 +22,19 @@ import numpy as np
 from . import ftocp
 from ._assembly import WindowMatrices
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    TerminalCost)
+                    ModelError, TerminalCost)
 
 Array = np.ndarray
 
 
 def window_data(system, params, terminal: TerminalCost) -> WindowMatrices:
     """Step data of the window on the steps 0 .. K, K = len(params) - 1,
-    as ``ftocp.window_law`` reads its arguments."""
+    as ``ftocp.window_law`` reads its arguments.  The stock chain's window
+    is a constrained QP with no saddle matrix of fixed blocks, so it raises
+    ModelError: this module's analyses admit linear-quadratic systems."""
+    if isinstance(system, InventorySystem):
+        raise ModelError("saddle-matrix analysis needs a linear-quadratic "
+                         "system")
     params = np.asarray(params, float)
     K = len(params) - 1
     return WindowMatrices.stack(system, np.arange(K), params[:K], terminal)
@@ -393,8 +398,8 @@ def _terminal_slopes(instance: Instance, terminal_rule,
         instance.truth[t2])
 
 
-def _window_action_jacobians(instance: Instance, law: ftocp.ContinuationLaw,
-                             t0: int, zs: Array, terminal_rule, step_slopes,
+def _window_action_jacobians(law: ftocp.ContinuationLaw, t0: int, zs: Array,
+                             step_slopes, terminal_slopes,
                              include_terminal_target=True) -> Array:
     """Spectral norms of the Jacobians of the committed action of every
     window of a law read from offset t0 (window i is then [t1[i] + t0,
@@ -409,12 +414,11 @@ def _window_action_jacobians(instance: Instance, law: ftocp.ContinuationLaw,
     rows of step tau (the stationarity in y_tau and v_tau and the dynamics
     row to tau + 1), and the last one only the terminal rows, so each
     offset is one contraction of the slopes of its own data with lam and
-    chi(z): ``step_slopes`` are those of ``_step_data_slopes``, and the
-    terminals that ``terminal_rule`` builds for the windows are
-    differentiated through their last parameters.  The derivative with
-    respect to the pin's target is lam's pin component.  Every sample is
-    read by one batched rollout; the earliest window that misses its pin
-    raises SingularKKT.
+    chi(z): ``step_slopes`` are those of ``_step_data_slopes`` and
+    ``terminal_slopes`` those of ``_terminal_slopes`` for the windows' last
+    steps, stacked by window.  The derivative with respect to the pin's
+    target is lam's pin component.  Every sample is read by one batched
+    rollout; the earliest window that misses its pin raises SingularKKT.
     """
     wm, K = law.data, law.T - t0
     states, v, duals = law.trajectories(t0, zs)
@@ -435,8 +439,6 @@ def _window_action_jacobians(instance: Instance, law: ftocp.ContinuationLaw,
             + np.einsum("wtaj,zwtai->zwtji", lam_eta, row_dyn))
     out = np.empty(jac.shape[:2] + (K + 1,))
     out[..., :K] = np.linalg.norm(jac, 2, axis=(-2, -1))
-    terminal_slopes = _terminal_slopes(instance, terminal_rule,
-                                       law.t1 + law.T)
     terminal = wm.terminal
     if terminal.kind == "indicator":
         (d_target,) = terminal_slopes
@@ -481,38 +483,26 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
 
 
 def _state_samples(instance: Instance, opt_states: Array, R: float,
-                   seed: int, count: int) -> tuple[Array, Array]:
-    """Initial states at which the Jacobians of each window [t, ...] are
-    taken: the zero state, then (but for the disturbance family) the
-    hindsight-optimal state x*_t when nonzero and random states at distance
-    R from it, ``count`` in all, those of norm below 1e-12 dropped.
+                   seed: int) -> Array:
+    """Initial states zs[j, t] at which the Jacobians of each window [t, ...]
+    are taken: the zero state, then (but for the disturbance family) the
+    hindsight-optimal state x*_t, or x*_t plus a random step of length R
+    when ||x*_t|| <= 1e-12, one draw per such step in step order.
 
-    Returns zs, where zs[j, t] is the j-th state of window t and windows
-    with fewer states are padded with the zero state, and scale, where
-    scale[j - 1, t] = ||zs[j, t]|| for j >= 1 and inf on padding.
-    """
+    The disturbance family's parameter Jacobian does not depend on the
+    state, so its state-coupled envelope is identically zero and zs holds
+    the zero state alone."""
     sys = instance.system
+    if isinstance(sys, DisturbanceOnlySystem):
+        return np.zeros((1, sys.T, sys.n))
+    zs = np.zeros((2, sys.T, sys.n))
     rng = np.random.default_rng(seed)
-    samples = []
     for t in range(sys.T):
-        zs = [np.zeros(sys.n)]
-        # the disturbance family's parameter Jacobian does not depend on the
-        # state, so its state-coupled envelope is identically zero
-        if not isinstance(sys, DisturbanceOnlySystem):
-            xstar = np.atleast_1d(opt_states[t])
-            z_list = [xstar] if np.linalg.norm(xstar) > 1e-12 else []
-            for _ in range(max(0, count - len(z_list))):
-                d = rng.normal(size=sys.n)
-                d *= R / max(np.linalg.norm(d), 1e-12)
-                z_list.append(xstar + d)
-            zs += [z for z in z_list if np.linalg.norm(z) >= 1e-12]
-        samples.append(zs)
-    out = np.zeros((max(map(len, samples)), sys.T, sys.n))
-    scale = np.full((out.shape[0] - 1, sys.T), np.inf)
-    for t, zs in enumerate(samples):
-        out[:len(zs), t] = zs
-        scale[:len(zs) - 1, t] = [float(np.linalg.norm(z)) for z in zs[1:]]
-    return out, scale
+        zs[1, t] = opt_states[t]
+        if np.linalg.norm(zs[1, t]) <= 1e-12:
+            d = rng.normal(size=sys.n)
+            zs[1, t] += d * (R / max(np.linalg.norm(d), 1e-12))
+    return zs
 
 
 def _monotone_envelope(table: Array) -> Array:
@@ -522,37 +512,41 @@ def _monotone_envelope(table: Array) -> Array:
 
 def measure_gain_tables(instance: Instance, k: int, terminal_rule,
                         opt_states: Array, R: float, seed: int = 0,
-                        state_samples: int = 1,
                         include_terminal_target: bool = True) -> GainTables:
     """Measure sensitivity envelopes on the family of solves the controller
     actually performs.
 
     The parameter tables gain_param and gain_state are the Jacobians of
-    each window's first action, by implicit differentiation of the window's
-    saddle system (see ``_window_action_jacobians``), with the slopes of the
-    step and terminal data taken once per step by central differences of
-    the system's maps.  The laws come from at most two backward passes: the
-    T - k full windows [t, t + k] are one batch of ``ftocp.window_laws``,
-    and each of the k tail windows [t, T] is the suffix from offset t of
-    the instance's truth law, since a window that reaches T has the true
-    step data and the instance's terminal cost under every rule.  A failing
-    window raises as the windows would one at a time: the full windows
-    before the batch's failing one are rolled out, and their pins checked,
-    before its failure is raised.
+    each window's first action at the states of ``_state_samples``, by
+    implicit differentiation of the window's saddle system (see
+    ``_window_action_jacobians``), with the slopes of the step data taken
+    once per step and those of the terminals once per group of laws, by
+    central differences of the system's maps.  The laws come from at most
+    two backward passes: the T - k full windows [t, t + k] are one batch of
+    ``ftocp.window_laws``, and each of the k tail windows [t, T] is the
+    suffix from offset t of the instance's truth law, since a window that
+    reaches T has the true step data and the instance's terminal cost under
+    every rule (so the tails share one terminal slope).  A failing window
+    raises as the windows would one at a time: the full windows before the
+    batch's failing one are rolled out, and their pins checked, before its
+    failure is raised.
     For the disturbance family the first action is affine in the
     parameters, so the Jacobians bound any realized deviation by the
     triangle inequality (basis "exact").  The other families put the
     parameters inside A and B, where the map is not affine: there the
     Jacobians are its local slope at the true parameters (basis "local").
     The gain_init table is exact: the products of the closed-loop matrices
-    A_t + B_t K_t of the truth law.
+    A_t + B_t K_t of the truth law.  Raises ModelError for the stock
+    chain and ValueError unless R is finite and positive.
     """
     sys, truth = instance.system, instance.truth
     if isinstance(sys, InventorySystem):
-        raise ValueError("gain tables need a linear-quadratic system")
+        raise ModelError("gain tables need a linear-quadratic system")
+    if not 0 < R < math.inf:
+        raise ValueError("need a finite R > 0")
     T = sys.T
     step_slopes = _step_data_slopes(instance)
-    zs, scale = _state_samples(instance, opt_states, R, seed, state_samples)
+    zs = _state_samples(instance, opt_states, R, seed)
     jac = np.zeros(zs.shape[:2] + (k + 1,))   # zero beyond a tail's width
     full = max(T - k, 0)
     batch = ftocp.window_laws(
@@ -561,22 +555,25 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     if batch.windows:
         law_k = batch.windows[0][0]
         jac[:, :law_k.W] = _window_action_jacobians(
-            instance, law_k, 0, zs[:, :law_k.W], terminal_rule, step_slopes,
+            law_k, 0, zs[:, :law_k.W], step_slopes,
+            _terminal_slopes(instance, terminal_rule, law_k.t1 + law_k.T),
             include_terminal_target)
     if batch.failure is not None:
         raise batch.failure
     law = ftocp.truth_law(instance)
+    tail_slopes = _terminal_slopes(instance, terminal_rule, law.t1 + law.T)
     for t in range(full, T):
         jac[:, t, :T - t + 1] = _window_action_jacobians(
-            instance, law, t, zs[:, t:t + 1], terminal_rule, step_slopes,
+            law, t, zs[:, t:t + 1], step_slopes, tail_slopes,
             include_terminal_target)[:, 0]
+    # one np.linalg.norm per state: a batched norm rounds differently
+    scale = np.array([[np.linalg.norm(z) for z in zt] for zt in zs[1:]])
     gp = jac[0].max(axis=0)
-    gs = (np.maximum(0.0, jac[1:] - jac[0]) / scale[..., None]).max(
-        axis=(0, 1), initial=0.0)
+    gs = (np.maximum(0.0, jac[1:] - jac[0])
+          / scale.reshape(-1, T, 1)).max(axis=(0, 1), initial=0.0)
     gi = _init_state_jacobians(law)
     gi[0] = max(gi[0], 1.0)
     return GainTables(_monotone_envelope(gs), _monotone_envelope(gp),
                       _monotone_envelope(gi),
                       "exact" if isinstance(sys, DisturbanceOnlySystem)
                       else "local")
-

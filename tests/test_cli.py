@@ -141,11 +141,18 @@ class TestConfigErrors:
         assert res.exit_code == 0, res.output
         assert res.output == "regret=0\n"
 
-    def test_chain_rejected_for_decay_certification(self, runner, tmp_path):
-        res = runner.invoke(cli.main, ["certify-decay", "--preset",
-                                       "inventory-two-sided",
-                                       "--out", str(tmp_path)])
+    @pytest.mark.parametrize("preset", ["inventory-two-sided",
+                                        "inventory-one-sided"])
+    @pytest.mark.parametrize("command", ["certify-decay", "constants"])
+    def test_chain_rejected_for_decay_certification(self, runner, tmp_path,
+                                                    command, preset):
+        # the saddle-matrix analyses admit linear-quadratic systems alone
+        res = runner.invoke(cli.main, [command, "--preset", preset,
+                                       "--out", str(tmp_path / "out")])
         assert res.exit_code == 2
+        assert ("saddle-matrix analysis needs a linear-quadratic system"
+                in res.output)
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolverFailures:

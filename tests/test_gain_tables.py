@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
 from mpclab.engine import TerminalRule
-from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
-                          TerminalCost)
+from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ModelError,
+                          ParamBox, TerminalCost)
 from test_continuation import oracle_continuation
 from test_engine import dead_step_system, terminal_bits
 from test_presets import reference_step_data
@@ -69,9 +69,9 @@ def window_batch(inst, rule, starts, k):
 
 
 def law_jacobians(inst, rule, law, t0, zs, with_target=True):
-    return kkt._window_action_jacobians(inst, law, t0, np.asarray(zs), rule,
-                                        kkt._step_data_slopes(inst),
-                                        with_target)
+    return kkt._window_action_jacobians(
+        law, t0, np.asarray(zs), kkt._step_data_slopes(inst),
+        kkt._terminal_slopes(inst, rule, law.t1 + law.T), with_target)
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,6 +267,41 @@ def test_one_law_per_window(monkeypatch):
     # the batch of the full windows; the truth law that the tail windows
     # are read from was built once, by the hindsight optimum
     assert len(calls) == 1
+
+
+def test_one_terminal_slope_per_law_group(monkeypatch, tmp_path):
+    # the batch of full windows builds its terminals once and
+    # differentiates them once; the tail windows, which all end at T on
+    # the true parameter, share one more difference (p = 1: two builds each)
+    calls = []
+    build = TerminalRule.build
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(TerminalRule, "build", counted)
+    res = CliRunner().invoke(cli.main, [
+        "constants", "--preset", "tracking-rand", "--T", "24", "--k", "8",
+        "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, np.inf, np.nan])
+def test_state_radius_must_be_finite_and_positive(R):
+    inst = presets.tracking_rand(T=8)
+    opt = engine.solve_opt(inst)
+    with pytest.raises(ValueError, match="need a finite R > 0"):
+        kkt.measure_gain_tables(inst, 3, TerminalRule("predicted_tracking"),
+                                opt.states, R=R)
+
+
+def test_chain_has_no_gain_tables():
+    inst = presets.inventory_two_sided(T=6)
+    with pytest.raises(ModelError, match="linear-quadratic system"):
+        kkt.measure_gain_tables(inst, 2, TerminalRule("predicted_tracking"),
+                                np.zeros((7, 1)), R=1.0)
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])

@@ -464,8 +464,7 @@ class TestMeasuredQuantities:
         opt = engine.solve_opt(inst)
         tables = kkt.measure_gain_tables(
             inst, 6, engine.TerminalRule("zero"), opt.states,
-            R=max(opt.max_state_norm, 1.0), state_samples=2,
-            include_terminal_target=False)
+            R=max(opt.max_state_norm, 1.0), include_terminal_target=False)
         taus = np.arange(7, dtype=float)
         gs, gp = tables.gain_state, tables.gain_param
         ms, mp = gs > 1e-9, gp > 1e-9
