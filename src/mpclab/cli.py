@@ -187,7 +187,7 @@ def _command(name: str, *options, load: bool = True):
             except ModelError as exc:
                 raise click.UsageError(str(exc)) from exc
             except (ftocp.Infeasible, ftocp.SingularKKT,
-                    np.linalg.LinAlgError) as exc:
+                    np.linalg.LinAlgError, FloatingPointError) as exc:
                 click.echo(f"solver failure: {exc}", err=True)
                 sys.exit(EXIT_SOLVER)
             os.makedirs(out, exist_ok=True)
@@ -256,8 +256,7 @@ def sweep_noise(inst, hdr, k, noise_scale):
     """Regret as a function of the forecast-noise scale."""
     scales = [noise_scale * f for f in
               (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)]
-    res = regret.sweep_noise(inst, scales, k, _DEFAULT_RULE,
-                             seed=inst.seed)
+    res = regret.sweep_noise(inst, scales, k, _DEFAULT_RULE)
     return (_sweep_artifacts("sweep_noise", res, hdr),
             f"loglog_{_fit_text(res)}", True)
 
@@ -314,10 +313,7 @@ def constants(inst, hdr, k, mode):
     """Report the decay/sensitivity constants of an instance."""
     sigma = kkt.measured_sigma(inst, k)
     consts = kkt.tracking_decay_constants(inst.system.bounds, sigma)
-    opt = engine.solve_opt(inst)
-    tables = kkt.measure_gain_tables(
-        inst, k, _DEFAULT_RULE, opt.states,
-        R=max(opt.max_state_norm, 1.0), seed=inst.seed)
+    tables = kkt.measure_gain_tables(inst, k, _DEFAULT_RULE)
     values = {"mode": mode, "sigma": sigma,
               "sigma_lo": consts.sigma_lo, "sigma_hi": consts.sigma_hi,
               "decay_rate": consts.decay_rate,

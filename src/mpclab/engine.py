@@ -132,9 +132,13 @@ class TrajectoryRecord:
 def solve_opt(instance: Instance) -> TrajectoryRecord:
     """Hindsight-optimal trajectory: the full-horizon solve under the true
     parameters, read off the instance's truth law.  Solved once per
-    instance; the record's arrays are read-only."""
+    instance; the record's arrays are read-only.  A state that is not
+    finite raises FloatingPointError naming the first such step."""
     T = instance.T
     sol = ftocp.truth_law(instance).solution(0, instance.x0)
+    t = np.flatnonzero(~np.isfinite(sol.states).all(axis=1))
+    if t.size:
+        raise FloatingPointError(f"hindsight state not finite at step {t[0]}")
     stage, total = ftocp.stage_costs(instance.system, 0, instance.truth,
                                      instance.terminal_cost(), sol.states,
                                      sol.actions)
@@ -207,27 +211,23 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
 # per-step error bound and admission
 # ---------------------------------------------------------------------------
 
-def per_step_error_bound_rhs(rho_table: Array, k: int, gain_state,
-                             gain_param, R: float, C3: float,
+def per_step_error_bound_rhs(rho_table: Array, tables,
                              D_xstar: float) -> Array:
     """Right-hand sides rhs_t, t = 0..T-1, of the per-step error bound of a
-    run with window k, as one (T,) array:
+    run with the window k of the gain ``tables``, as one (T,) array:
 
         rhs_t = sum_{tau<=k} w(tau) rho(t, tau) + 2R w(k) [t < T - k],
         w = (R/C3 + D_xstar) gain_state + gain_param,
 
-    where rho is the (T+1, .) table of forecast-error magnitudes
-    (``PredictionStream.rho_table``), whose offsets beyond T carry no
-    error.  The truncation term applies only while the window is shorter
-    than the remaining horizon.
+    with R, C3 and the envelopes read from the tables, and rho the (T+1, .)
+    table of forecast-error magnitudes (``PredictionStream.rho_table``),
+    whose offsets beyond T carry no error.  The truncation term applies
+    only while the window is shorter than the remaining horizon.
     """
-    gain_state = np.asarray(gain_state, float)
-    gain_param = np.asarray(gain_param, float)
-    if gain_state.shape[0] < k + 1 or gain_param.shape[0] < k + 1:
-        raise ValueError("gain tables must cover offsets 0..k")
+    k, R, C3 = tables.k, tables.R, tables.C3
     rho = _rho_offsets(rho_table, k)
     T, K = rho.shape[0] - 1, rho.shape[1]
-    weights = (R / C3 + D_xstar) * gain_state[:k + 1] + gain_param[:k + 1]
+    weights = (R / C3 + D_xstar) * tables.gain_state + tables.gain_param
     rhs = rho[:T] @ weights[:K]
     rhs[:max(T - k, 0)] += 2.0 * R * weights[k]
     return rhs
@@ -245,13 +245,13 @@ class AdmissionReport:
         return self.threshold - self.worst_rhs
 
 
-def pipeline_admission_check(rhs: Array, R: float, C3: float,
+def pipeline_admission_check(rhs: Array, tables,
                              L_g: float) -> AdmissionReport:
     """Smallness condition admitting a run into the error-to-regret pipeline:
     the per-step bound ``rhs`` (``per_step_error_bound_rhs``) must stay
-    below R / (C3^2 L_g) at every step; ``worst_t`` is the first step where
-    it is largest."""
-    threshold = R / (C3 ** 2 * L_g)
+    below R / (C3^2 L_g), with R and C3 read from the gain tables, at every
+    step; ``worst_t`` is the first step where it is largest."""
+    threshold = tables.R / (tables.C3 ** 2 * L_g)
     worst_t = int(np.argmax(rhs))
     worst = float(rhs[worst_t])
     return AdmissionReport(worst <= threshold, worst, threshold, worst_t)

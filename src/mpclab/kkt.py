@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from . import ftocp
+from . import engine, ftocp
 from ._assembly import WindowMatrices
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     ModelError, TerminalCost)
@@ -289,7 +289,8 @@ class GainTables:
     gain_state(tau): coefficient multiplying ||z|| in the first-action
     response to a parameter change at offset tau; gain_param(tau): the
     state-independent part; gain_init(tau): response of states/actions at
-    offset tau to an initial-state change.
+    offset tau to an initial-state change.  Measured with windows of length
+    k = len(gain_param) - 1, at the hindsight radius R = max_t(||x*_t||, 1).
 
     ``basis`` says what the tables bound.  "exact": measured Jacobians of a
     first action that is affine in the parameters, which bound every finite
@@ -301,6 +302,11 @@ class GainTables:
     gain_param: Array
     gain_init: Array
     basis: str
+    R: float
+
+    @property
+    def k(self) -> int:
+        return len(self.gain_param) - 1
 
     @property
     def C3(self) -> float:
@@ -482,12 +488,11 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
     return norms
 
 
-def _state_samples(instance: Instance, opt_states: Array, R: float,
-                   seed: int) -> Array:
+def _state_samples(instance: Instance, opt_states: Array, R: float) -> Array:
     """Initial states zs[j, t] at which the Jacobians of each window [t, ...]
     are taken: the zero state, then (but for the disturbance family) the
     hindsight-optimal state x*_t, or x*_t plus a random step of length R
-    when ||x*_t|| <= 1e-12, one draw per such step in step order.
+    when ||x*_t|| <= 1e-12, drawn in step order from the instance's seed.
 
     The disturbance family's parameter Jacobian does not depend on the
     state, so its state-coupled envelope is identically zero and zs holds
@@ -496,7 +501,7 @@ def _state_samples(instance: Instance, opt_states: Array, R: float,
     if isinstance(sys, DisturbanceOnlySystem):
         return np.zeros((1, sys.T, sys.n))
     zs = np.zeros((2, sys.T, sys.n))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(instance.seed)
     for t in range(sys.T):
         zs[1, t] = opt_states[t]
         if np.linalg.norm(zs[1, t]) <= 1e-12:
@@ -511,25 +516,25 @@ def _monotone_envelope(table: Array) -> Array:
 
 
 def measure_gain_tables(instance: Instance, k: int, terminal_rule,
-                        opt_states: Array, R: float, seed: int = 0,
                         include_terminal_target: bool = True) -> GainTables:
     """Measure sensitivity envelopes on the family of solves the controller
     actually performs.
 
     The parameter tables gain_param and gain_state are the Jacobians of
-    each window's first action at the states of ``_state_samples``, by
-    implicit differentiation of the window's saddle system (see
-    ``_window_action_jacobians``), with the slopes of the step data taken
-    once per step and those of the terminals once per group of laws, by
-    central differences of the system's maps.  The laws come from at most
-    two backward passes: the T - k full windows [t, t + k] are one batch of
-    ``ftocp.window_laws``, and each of the k tail windows [t, T] is the
-    suffix from offset t of the instance's truth law, since a window that
-    reaches T has the true step data and the instance's terminal cost under
-    every rule (so the tails share one terminal slope).  A failing window
-    raises as the windows would one at a time: the full windows before the
-    batch's failing one are rolled out, and their pins checked, before its
-    failure is raised.
+    each window's first action at the states of ``_state_samples`` around
+    the hindsight optimum x* of ``engine.solve_opt`` (the tables record
+    R = max_t(||x*_t||, 1)), by implicit differentiation of the window's
+    saddle system (see ``_window_action_jacobians``), with the slopes of
+    the step data taken once per step and those of the terminals once per
+    group of laws, by central differences of the system's maps.  The laws
+    come from at most two backward passes: the T - k full windows
+    [t, t + k] are one batch of ``ftocp.window_laws``, and each of the k
+    tail windows [t, T] is the suffix from offset t of the instance's truth
+    law, since a window that reaches T has the true step data and the
+    instance's terminal cost under every rule (so the tails share one
+    terminal slope).  A failing window raises as the windows would one at
+    a time: the full windows before the batch's failing one are rolled
+    out, and their pins checked, before its failure is raised.
     For the disturbance family the first action is affine in the
     parameters, so the Jacobians bound any realized deviation by the
     triangle inequality (basis "exact").  The other families put the
@@ -537,16 +542,16 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     Jacobians are its local slope at the true parameters (basis "local").
     The gain_init table is exact: the products of the closed-loop matrices
     A_t + B_t K_t of the truth law.  Raises ModelError for the stock
-    chain and ValueError unless R is finite and positive.
+    chain, and FloatingPointError when the hindsight optimum is not finite.
     """
     sys, truth = instance.system, instance.truth
     if isinstance(sys, InventorySystem):
         raise ModelError("gain tables need a linear-quadratic system")
-    if not 0 < R < math.inf:
-        raise ValueError("need a finite R > 0")
+    opt = engine.solve_opt(instance)
+    R = max(opt.max_state_norm, 1.0)
     T = sys.T
     step_slopes = _step_data_slopes(instance)
-    zs = _state_samples(instance, opt_states, R, seed)
+    zs = _state_samples(instance, opt.states, R)
     jac = np.zeros(zs.shape[:2] + (k + 1,))   # zero beyond a tail's width
     full = max(T - k, 0)
     batch = ftocp.window_laws(
@@ -576,4 +581,4 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
     return GainTables(_monotone_envelope(gs), _monotone_envelope(gp),
                       _monotone_envelope(gi),
                       "exact" if isinstance(sys, DisturbanceOnlySystem)
-                      else "local")
+                      else "local", R)

@@ -37,18 +37,19 @@ class RegretReport:
 
 def regret_inequalities(run: engine.TrajectoryRecord,
                         opt: engine.TrajectoryRecord,
-                        ell: float, L_g: float, C3: float,
-                        gain_init: Array, tol: float = 1e-9) -> RegretReport:
+                        ell: float, L_g: float,
+                        tables: kkt.GainTables) -> RegretReport:
     """Evaluate the explicit-constant regret inequality and the state-distance
-    bound on an executed run.
+    bound on an executed run (each to within 1e-9), with C3 and gain_init
+    read from the gain ``tables``:
 
     regret <= sqrt(c * cost_opt * sum e^2) + c * sum e^2 with
     c = (ell/2)(1 + 2 C3 L_g^2)(1 + C3), and
     dist_t <= L_g * sum_{i<t} gain_init(i) e_{t-1-i}.
     """
-    gain_init = np.asarray(gain_init, float)
+    C3, tol = tables.C3, 1e-9
     T = run.T
-    if gain_init.shape[0] < T:
+    if len(tables.gain_init) < T:
         raise ValueError("gain_init table must cover offsets 0..T-1")
     regret = run.total_cost - opt.total_cost
     ssq = run.sum_sq_errors
@@ -56,24 +57,20 @@ def regret_inequalities(run: engine.TrajectoryRecord,
     bound = float(np.sqrt(c * max(opt.total_cost, 0.0) * ssq) + c * ssq)
     lhs = run.distances.copy()
     rhs = np.zeros(T + 1)
-    rhs[1:] = L_g * np.convolve(gain_init[:T], run.errors)[:T]
+    rhs[1:] = L_g * np.convolve(tables.gain_init[:T], run.errors)[:T]
     dist_ok = bool(np.all(lhs <= rhs + tol))
     return RegretReport(run.total_cost, opt.total_cost, float(regret), ssq,
                         c, bound, bool(regret <= bound + tol),
                         lhs, rhs, dist_ok)
 
 
-def aggregate_E(rho_table: Array, k: int, gain_state: Array,
-                gain_param: Array) -> float:
-    """Aggregate forecast-error budget of a run with window k:
+def aggregate_E(rho_table: Array, tables: kkt.GainTables) -> float:
+    """Aggregate forecast-error budget at the window k of the gain tables:
     sum_{tau<k} (gain_state + gain_param)(tau) P(tau)
     + (gain_state(k)^2 + gain_param(k)^2) T, where P(tau) = sum_t
     rho(t, tau)^2 is a column sum of squares of the (T+1, .) table of
     forecast-error magnitudes (``PredictionStream.rho_table``)."""
-    gain_state = np.asarray(gain_state, float)
-    gain_param = np.asarray(gain_param, float)
-    if gain_state.shape[0] < k + 1 or gain_param.shape[0] < k + 1:
-        raise ValueError("gain tables must cover offsets 0..k")
+    k, gain_state, gain_param = tables.k, tables.gain_state, tables.gain_param
     rho = _rho_offsets(rho_table, k)
     T = rho.shape[0] - 1
     power = np.sum(rho[:, :k] ** 2, axis=0)
@@ -110,15 +107,16 @@ def _fit_positive(xs: Array, regrets: Array, log_x: bool):
     return kkt.loglinear_fit(x, regrets[mask]) or (None, None, None)
 
 
-def _sweep_regrets(instance: Instance, points, rule: engine.TerminalRule,
-                   seed: int = 0) -> tuple[Array, float]:
+def _sweep_regrets(instance: Instance, points,
+                   rule: engine.TerminalRule) -> tuple[Array, float]:
     """Regret of one closed-loop run per ``(k, rho)`` point against the
     instance's hindsight optimum, and the worst KKT residual of the runs."""
     opt = engine.solve_opt(instance)
     T = instance.T
     regrets, worst = [], 0.0
     for k, rho in points:
-        stream = PredictionStream(instance.truth, min(k, T), rho, seed=seed)
+        stream = PredictionStream(instance.truth, min(k, T), rho,
+                                  seed=instance.seed)
         run = engine.run_mpc(instance, stream, k, rule)
         regrets.append(run.total_cost - opt.total_cost)
         worst = max(worst, run.kkt_residual_max)
@@ -138,13 +136,13 @@ def sweep_horizon(instance: Instance, k_values: Sequence[int],
 
 
 def sweep_noise(instance: Instance, scales: Sequence[float], k: int,
-                rule: engine.TerminalRule, seed: int = 0) -> SweepResult:
+                rule: engine.TerminalRule) -> SweepResult:
     """Regret as a function of the forecast-noise scale at fixed window
     length: each scale is the error magnitude of every forecast offset
-    tau >= 1.  The fit is over the positive scales."""
+    tau >= 1, and the forecasts are drawn from the instance's seed.  The
+    fit is over the positive scales."""
     scales = list(scales)
-    regrets, worst = _sweep_regrets(instance, [(k, s) for s in scales], rule,
-                                    seed)
+    regrets, worst = _sweep_regrets(instance, [(k, s) for s in scales], rule)
     xs = np.asarray(scales, float)
     keep = xs > 0
     slope, intercept, r2 = _fit_positive(xs[keep], regrets[keep], log_x=True)

@@ -40,21 +40,18 @@ def disturbance_pipeline():
     sensitivity envelopes, and admitted noisy closed-loop runs."""
     inst = presets.disturbance(T=60, seed=0)
     opt = engine.solve_opt(inst)
-    R = max(opt.max_state_norm, 1.0)
     rule = TerminalRule("zero")
-    tables = kkt.measure_gain_tables(inst, 8, rule, opt.states, R, seed=0)
+    tables = kkt.measure_gain_tables(inst, 8, rule)
     L_g = inst.system.lipschitz_dynamics()
-    D_xstar = opt.max_state_norm
     runs = []
     for scale in NOISE_SCALES:
         stream = PredictionStream(inst.truth, 8, scale, seed=inst.seed)
-        rhs = engine.per_step_error_bound_rhs(
-            stream.rho_table, 8, tables.gain_state, tables.gain_param, R,
-            tables.C3, D_xstar)
-        report = engine.pipeline_admission_check(rhs, R, tables.C3, L_g)
+        rhs = engine.per_step_error_bound_rhs(stream.rho_table, tables,
+                                              opt.max_state_norm)
+        report = engine.pipeline_admission_check(rhs, tables, L_g)
         run = engine.run_mpc(inst, stream, 8, rule)
         runs.append((scale, rhs, report, run))
-    return inst, opt, R, D_xstar, L_g, tables, runs
+    return inst, opt, L_g, tables, runs
 
 
 def test_inventory_alternating_perturbation():
@@ -98,7 +95,7 @@ def test_kkt_inverse_block_decay():
 
 def test_per_step_error_bound():
     with Budget(60.0):
-        inst, opt, R, D_xstar, L_g, tables, runs = disturbance_pipeline()
+        inst, opt, L_g, tables, runs = disturbance_pipeline()
         for scale, rhs, report, run in runs:
             assert report.ok, f"scale {scale} not admitted"
             above = np.flatnonzero(run.errors > rhs + 1e-9)
@@ -107,11 +104,10 @@ def test_per_step_error_bound():
 
 def test_regret_inequality_explicit_constant():
     with Budget(30.0):
-        inst, opt, R, D_xstar, L_g, tables, runs = disturbance_pipeline()
+        inst, opt, L_g, tables, runs = disturbance_pipeline()
         ell = inst.system.bounds.ell
         for scale, rhs, report, run in runs:
-            rep = regret.regret_inequalities(run, opt, ell, L_g, tables.C3,
-                                             tables.gain_init)
+            rep = regret.regret_inequalities(run, opt, ell, L_g, tables)
             assert rep.regret_ok, f"scale {scale}"
             assert rep.distance_ok, f"scale {scale}"
 

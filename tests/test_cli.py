@@ -174,7 +174,8 @@ class TestSolverFailures:
         assert "solver failure: pinned terminal unreachable" in res.output
 
     @pytest.mark.parametrize("error", [ftocp.Infeasible, ftocp.SingularKKT,
-                                       np.linalg.LinAlgError])
+                                       np.linalg.LinAlgError,
+                                       FloatingPointError])
     def test_every_solver_error_exits_3(self, runner, tmp_path, monkeypatch,
                                         error):
         def fail(*args, **kwargs):
@@ -652,11 +653,20 @@ class TestLibrarySurface:
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
         assert present == []
+        # the pipeline reads k, R, C3 and gain_init from the gain tables,
+        # and the tables read the hindsight states and the seed from the
+        # instance
         for fn, params in (
-                (regret.sweep_noise, ["instance", "scales", "k", "rule",
-                                      "seed"]),
+                (regret.sweep_noise, ["instance", "scales", "k", "rule"]),
                 (regret.sweep_horizon, ["instance", "k_values", "rule"]),
-                (engine.pipeline_admission_check, ["rhs", "R", "C3", "L_g"])):
+                (kkt.measure_gain_tables, ["instance", "k", "terminal_rule",
+                                           "include_terminal_target"]),
+                (engine.per_step_error_bound_rhs, ["rho_table", "tables",
+                                                   "D_xstar"]),
+                (engine.pipeline_admission_check, ["rhs", "tables", "L_g"]),
+                (regret.aggregate_E, ["rho_table", "tables"]),
+                (regret.regret_inequalities, ["run", "opt", "ell", "L_g",
+                                              "tables"])):
             assert list(inspect.signature(fn).parameters) == params, fn
         fields = {f.name for f in dataclasses.fields(engine.TrajectoryRecord)}
         assert not {"k", "rule_kind"} & fields

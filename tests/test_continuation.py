@@ -178,8 +178,8 @@ def test_gain_init_matches_oracle_jacobians():
             want[h] = max(want[h], nrm)
     want = np.maximum.accumulate(want[::-1])[::-1]
     want[0] = max(want[0], 1.0)
-    tables = kkt.measure_gain_tables(
-        inst, 3, TerminalRule("predicted_tracking"), opt_states, R=1.0)
+    tables = kkt.measure_gain_tables(inst, 3,
+                                     TerminalRule("predicted_tracking"))
     assert np.allclose(tables.gain_init, want, rtol=1e-7, atol=0.0)
 
 

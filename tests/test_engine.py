@@ -10,6 +10,7 @@ import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
 from mpclab.engine import (TerminalRule, per_step_error_bound_rhs,
                            pipeline_admission_check)
+from mpclab.kkt import GainTables
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
                           PredictionStream, TerminalCost)
 
@@ -158,12 +159,9 @@ class TestTerminalRule:
         # what lets every CLI command run the one rule predicted_tracking
         inst = presets.disturbance(T=T, seed=1)
         stream = PredictionStream(inst.truth, k, noise, seed=1)
-        opt = engine.solve_opt(inst)
-        R = max(opt.max_state_norm, 1.0)
         runs, tables = zip(*(
             (engine.run_mpc(inst, stream, k, TerminalRule(kind)),
-             kkt.measure_gain_tables(inst, k, TerminalRule(kind), opt.states,
-                                     R=R, seed=1))
+             kkt.measure_gain_tables(inst, k, TerminalRule(kind)))
             for kind in ("zero", "predicted_tracking")))
         for name in ("states", "actions", "errors", "distances",
                      "stage_costs", "total_cost", "kkt_residual_max"):
@@ -390,14 +388,21 @@ class TestPerInstance:
                 a[0] = 1.0
 
 
+def gain_tables(gs=(0.0,), gp=(0.0,), R=1.0, gain_init=(1.0,)):
+    """Gain tables of window len(gp) - 1 with the given envelopes and
+    radius; their C3 is max(sum of gain_init, 1)."""
+    return GainTables(*(np.asarray(a, float) for a in (gs, gp, gain_init)),
+                      "exact", R)
+
+
 class TestErrorBound:
     def test_rhs_closed_form_geometric_tables(self):
         k, T, lam, c = 5, 20, 0.5, 0.3
         R, C3, Dx = 2.0, 1.7, 0.4
         gp = lam ** np.arange(k + 1)
         gs = np.zeros(k + 1)
-        rhs = per_step_error_bound_rhs(np.full((T + 1, k + 1), c), k, gs, gp,
-                                       R, C3, Dx)
+        rhs = per_step_error_bound_rhs(np.full((T + 1, k + 1), c),
+                                       gain_tables(gs, gp, R, [C3]), Dx)
         assert rhs.shape == (T,)
         expected = c * (1 - lam ** (k + 1)) / (1 - lam) + 2 * R * lam ** k
         assert rhs[0] == pytest.approx(expected, rel=1e-12)
@@ -406,8 +411,8 @@ class TestErrorBound:
         k, T = 4, 10
         gp = np.ones(k + 1)
         gs = np.zeros(k + 1)
-        rhs = per_step_error_bound_rhs(np.zeros((T + 1, k + 1)), k, gs, gp,
-                                       1.0, 1.0, 0.0)
+        rhs = per_step_error_bound_rhs(np.zeros((T + 1, k + 1)),
+                                       gain_tables(gs, gp), 0.0)
         assert rhs[T - k - 1] == pytest.approx(2.0)  # 2 R gain_param(k)
         assert np.all(rhs[:T - k] == rhs[T - k - 1])
         assert np.all(rhs[T - k:] == 0.0)
@@ -418,20 +423,16 @@ class TestErrorBound:
         gp = np.zeros(3)
         rho = np.zeros((11, k + 1))
         rho[8, 0] = 1.0
-        rhs = per_step_error_bound_rhs(rho, k, gs, gp, 3.0, 2.0, 0.5)
+        rhs = per_step_error_bound_rhs(rho, gain_tables(gs, gp, 3.0, [2.0]),
+                                       0.5)
         assert rhs[8] == pytest.approx(3.0 / 2.0 + 0.5)
-
-    def test_short_tables_rejected(self):
-        with pytest.raises(ValueError):
-            per_step_error_bound_rhs(np.zeros((11, 5)), 4, np.zeros(3),
-                                     np.zeros(5), 1.0, 1.0, 0.0)
 
     def test_window_past_the_final_step_reads_the_whole_table(self):
         # offsets beyond T carry no error, so a window longer than the
         # horizon needs only the offsets 0..T
         rho = PredictionStream(np.zeros((4, 1)), 3, 0.1).rho_table
-        rhs = per_step_error_bound_rhs(rho, 6, np.zeros(7), np.ones(7),
-                                       1.0, 1.0, 0.0)
+        rhs = per_step_error_bound_rhs(
+            rho, gain_tables(np.zeros(7), np.ones(7)), 0.0)
         assert rhs == pytest.approx([0.3, 0.2, 0.1], rel=1e-15)
 
     @settings(max_examples=200, deadline=None)
@@ -449,8 +450,10 @@ class TestErrorBound:
         rho = draw(0.0, 1.0, size=(T + 1, K))
         rho[np.add.outer(np.arange(T + 1), np.arange(K)) > T] = 0.0
         gs, gp = draw(0.0, 2.0, size=(2, k + 1))
-        R, C3, Dx = draw(0.1, 3.0, size=3)
-        got = per_step_error_bound_rhs(rho, k, gs, gp, R, C3, Dx)
+        # C3 = max(sum of gain_init, 1) is at least 1
+        R, Dx = draw(0.1, 3.0, size=2)
+        C3 = draw(1.0, 3.0)
+        got = per_step_error_bound_rhs(rho, gain_tables(gs, gp, R, [C3]), Dx)
         want = [oracles.per_step_bound_oracle(
             t, k, T, lambda t, tau: rho[t, tau] if t + tau <= T else 0.0,
             gs, gp, R, C3, Dx) for t in range(T)]
@@ -460,18 +463,20 @@ class TestErrorBound:
 
 class TestAdmission:
     def test_small_noise_admitted(self):
-        rhs = per_step_error_bound_rhs(np.full((11, 4), 0.01), 3, np.zeros(4),
-                                       0.1 * 0.5 ** np.arange(4), R=1.0,
-                                       C3=1.5, D_xstar=0.1)
-        rep = pipeline_admission_check(rhs, R=1.0, C3=1.5, L_g=1.2)
+        tables = gain_tables(np.zeros(4), 0.1 * 0.5 ** np.arange(4),
+                             gain_init=[1.5])
+        rhs = per_step_error_bound_rhs(np.full((11, 4), 0.01), tables,
+                                       D_xstar=0.1)
+        rep = pipeline_admission_check(rhs, tables, L_g=1.2)
         assert rep.ok
         assert rep.margin > 0.0
         assert rep.threshold == pytest.approx(1.0 / (1.5 ** 2 * 1.2))
 
     def test_large_noise_rejected(self):
-        rhs = per_step_error_bound_rhs(np.full((11, 4), 5.0), 3, np.zeros(4),
-                                       np.ones(4), R=1.0, C3=1.5, D_xstar=0.1)
-        rep = pipeline_admission_check(rhs, R=1.0, C3=1.5, L_g=1.2)
+        tables = gain_tables(np.zeros(4), np.ones(4), gain_init=[1.5])
+        rhs = per_step_error_bound_rhs(np.full((11, 4), 5.0), tables,
+                                       D_xstar=0.1)
+        rep = pipeline_admission_check(rhs, tables, L_g=1.2)
         assert not rep.ok
         assert rep.worst_rhs > rep.threshold
         assert 0 <= rep.worst_t < 10
@@ -479,10 +484,11 @@ class TestAdmission:
     def test_reads_the_bound_array(self):
         # the worst step is the first where the bound is largest
         rhs = np.array([0.1, 0.4, 0.2, 0.4, 0.0])
-        rep = pipeline_admission_check(rhs, R=1.0, C3=1.0, L_g=2.0)
+        tables = gain_tables()
+        rep = pipeline_admission_check(rhs, tables, L_g=2.0)
         assert (rep.ok, rep.worst_rhs, rep.threshold, rep.worst_t) == (
             True, 0.4, 0.5, 1)
-        assert not pipeline_admission_check(rhs, 1.0, 1.0, 2.6).ok
+        assert not pipeline_admission_check(rhs, tables, 2.6).ok
 
 
 class TestCsvExport:

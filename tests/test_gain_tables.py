@@ -245,7 +245,7 @@ def test_tables_match_oracle_finite_difference_tables(name, k, rule_kind):
                                     / np.linalg.norm(z))
     gp = np.maximum.accumulate(gp[::-1])[::-1]
     gs = np.maximum.accumulate(gs[::-1])[::-1]
-    tables = kkt.measure_gain_tables(inst, k, rule, opt_states, R=1.0)
+    tables = kkt.measure_gain_tables(inst, k, rule)
     assert np.abs(tables.gain_param - gp).max() <= 1e-6 * gp.max()
     assert np.abs(tables.gain_state - gs).max() <= 1e-6 * gs.max()
 
@@ -260,10 +260,9 @@ def test_one_law_per_window(monkeypatch):
 
     monkeypatch.setattr(ftocp, "continuation_law", counted)
     inst = presets.tracking_rand(T=24)
-    opt = engine.solve_opt(inst)
+    engine.solve_opt(inst)
     calls.clear()
-    kkt.measure_gain_tables(inst, 8, TerminalRule("predicted_tracking"),
-                            opt.states, R=max(opt.max_state_norm, 1.0))
+    kkt.measure_gain_tables(inst, 8, TerminalRule("predicted_tracking"))
     # the batch of the full windows; the truth law that the tail windows
     # are read from was built once, by the hindsight optimum
     assert len(calls) == 1
@@ -288,32 +287,67 @@ def test_one_terminal_slope_per_law_group(monkeypatch, tmp_path):
     assert len(calls) <= 5
 
 
-@pytest.mark.parametrize("R", [0.0, -1.0, np.inf, np.nan])
-def test_state_radius_must_be_finite_and_positive(R):
-    inst = presets.tracking_rand(T=8)
-    opt = engine.solve_opt(inst)
-    with pytest.raises(ValueError, match="need a finite R > 0"):
-        kkt.measure_gain_tables(inst, 3, TerminalRule("predicted_tracking"),
-                                opt.states, R=R)
+@pytest.mark.parametrize("measure", [
+    engine.solve_opt,
+    lambda inst: kkt.measure_gain_tables(
+        inst, 4, TerminalRule("predicted_tracking"))],
+    ids=["solve_opt", "measure_gain_tables"])
+def test_non_finite_hindsight_optimum_is_a_solver_failure(measure):
+    # the unstable mode x_0 = 10^t is uncontrolled and costs nothing, so the
+    # optimum lets it overflow (10^309) while the gains stay finite
+    T = 400
+    system = LinearQuadraticSystem(
+        2, 1, T,
+        step_data=lambda ts, xis: (np.diag([10.0, 0.5]),
+                                   np.array([[0.0], [1.0]]), np.zeros(2),
+                                   np.diag([0.0, 1.0]), np.eye(1),
+                                   np.zeros(2)),
+        terminal=lambda xi: (np.zeros((2, 2)), np.zeros(2)),
+        bounds=Bounds(mu=1.0, ell=1.0, a=10.0, b=1.0),
+        param_box=ParamBox(np.zeros(1), np.ones(1)))
+    inst = Instance(system, np.zeros((T + 1, 1)), np.array([1.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match="^hindsight state not finite at step 309$"):
+            measure(inst)
+
+
+def test_state_samples_off_a_zero_optimum_follow_the_instance_seed():
+    # with every parameter at 0.5 the disturbance and the reference vanish,
+    # so from x0 = 0 the optimum is x* = 0 and every window's state sample
+    # is a random step of length R = 1, drawn from the instance's seed
+    base = presets.tracking_rand(T=12, seed=4)
+    inst = dataclasses.replace(base, truth=np.full((13, 1), 0.5),
+                               x0=np.zeros(2))
+    assert np.all(engine.solve_opt(inst).states == 0.0)
+    rule = TerminalRule("predicted_tracking")
+    tables = kkt.measure_gain_tables(inst, 3, rule)
+    assert tables.R == 1.0
+    assert np.all(np.isfinite(tables.gain_state))
+    assert tables.gain_state[0] > 0.0
+    again = kkt.measure_gain_tables(dataclasses.replace(inst), 3, rule)
+    assert again.gain_state.tobytes() == tables.gain_state.tobytes()
+    other = kkt.measure_gain_tables(dataclasses.replace(inst, seed=5), 3,
+                                    rule)
+    assert other.gain_state.tobytes() != tables.gain_state.tobytes()
 
 
 def test_chain_has_no_gain_tables():
     inst = presets.inventory_two_sided(T=6)
     with pytest.raises(ModelError, match="linear-quadratic system"):
-        kkt.measure_gain_tables(inst, 2, TerminalRule("predicted_tracking"),
-                                np.zeros((7, 1)), R=1.0)
+        kkt.measure_gain_tables(inst, 2, TerminalRule("predicted_tracking"))
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_tail_windows_are_the_instances_own(k):
-    # under the "true" rule only the tail windows [t, T], read from the
-    # instance's truth law, contain the dead step 9
+    # under the "true" rule only the tail windows [t, T] contain the dead
+    # step 9; they are read from the instance's truth law, which the
+    # hindsight optimum builds first and which fails there
     base = presets.tracking_rand(T=10)
     inst = dataclasses.replace(base, system=dead_step_system(base.system, 9))
     with pytest.raises(ftocp.SingularKKT,
                        match="singular R \\+ B'PB at step 9$"):
-        kkt.measure_gain_tables(inst, k, TerminalRule("true"),
-                                engine.solve_opt(base).states, R=1.0)
+        kkt.measure_gain_tables(inst, k, TerminalRule("true"))
 
 
 @pytest.mark.parametrize("name,mode,basis", [
@@ -345,10 +379,8 @@ def test_failing_window_is_the_earliest():
     # the window [0, 1] misses its pin; the window [1, 2] cannot be built
     # (its pin's nu-block is singular), which a batch meets first
     inst = presets.tracking_rand(T=6, seed=0)
-    opt = engine.solve_opt(inst)
     with pytest.raises(ftocp.SingularKKT) as ei:
-        kkt.measure_gain_tables(inst, 1, TerminalRule("predicted_tracking"),
-                                opt.states, R=max(opt.max_state_norm, 1.0))
+        kkt.measure_gain_tables(inst, 1, TerminalRule("predicted_tracking"))
     assert str(ei.value) == ("pinned terminal unreachable from step 0: the "
                              "rollout misses it by 0.0367")
 

@@ -448,10 +448,7 @@ class TestMeasuredQuantities:
 
     def test_disturbance_state_envelope_identically_zero(self):
         inst = presets.disturbance(T=12, seed=0)
-        opt = engine.solve_opt(inst)
-        tables = kkt.measure_gain_tables(
-            inst, 4, engine.TerminalRule("zero"), opt.states,
-            R=max(opt.max_state_norm, 1.0))
+        tables = kkt.measure_gain_tables(inst, 4, engine.TerminalRule("zero"))
         assert np.all(tables.gain_state == 0.0)
         assert np.all(np.diff(tables.gain_param) <= 1e-15)  # non-increasing
         assert tables.C3 >= 1.0
@@ -461,10 +458,8 @@ class TestMeasuredQuantities:
         # of the state-free one (rates measured without the terminal-target
         # response, which sits at a fixed offset and masks the trend)
         inst = presets.tracking_rand(T=15, seed=3)
-        opt = engine.solve_opt(inst)
-        tables = kkt.measure_gain_tables(
-            inst, 6, engine.TerminalRule("zero"), opt.states,
-            R=max(opt.max_state_norm, 1.0), include_terminal_target=False)
+        tables = kkt.measure_gain_tables(inst, 6, engine.TerminalRule("zero"),
+                                         include_terminal_target=False)
         taus = np.arange(7, dtype=float)
         gs, gp = tables.gain_state, tables.gain_param
         ms, mp = gs > 1e-9, gp > 1e-9

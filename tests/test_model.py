@@ -11,6 +11,7 @@ from mpclab.model import (Bounds, DisturbanceOnlySystem, Instance,
                           ParamBox, PredictionStream, config_hash,
                           validate_assumptions)
 from mpclab.presets import build_instance
+from test_engine import gain_tables
 
 
 def const_system(n=1, m=1, T=4, a=0.5, b=1.0, q=1.0):
@@ -125,15 +126,14 @@ class TestPredictionStream:
         stream = PredictionStream(np.zeros((11, 1)), 4, 0.1, seed=0)
         assert stream.rho_table.shape == (11, 5)
         assert stream.rho_table[2, 4] == 0.1
-        rho, gains = stream.rho_table, np.ones(7)
-        assert engine.per_step_error_bound_rhs(rho, 4, gains, gains, 1.0, 1.0,
-                                               0.0).shape == (10,)
-        assert regret.aggregate_E(rho, 4, gains, gains) > 0.0
+        rho = stream.rho_table
+        k4, k5 = (gain_tables(np.ones(k + 1), np.ones(k + 1)) for k in (4, 5))
+        assert engine.per_step_error_bound_rhs(rho, k4, 0.0).shape == (10,)
+        assert regret.aggregate_E(rho, k4) > 0.0
         with pytest.raises(ValueError):
-            engine.per_step_error_bound_rhs(rho, 5, gains, gains, 1.0, 1.0,
-                                            0.0)
+            engine.per_step_error_bound_rhs(rho, k5, 0.0)
         with pytest.raises(ValueError):
-            regret.aggregate_E(rho, 5, gains, gains)
+            regret.aggregate_E(rho, k5)
 
     def test_rescaled_magnitudes_keep_directions(self):
         base = np.zeros((6, 2))

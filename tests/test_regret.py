@@ -7,6 +7,7 @@ import oracles
 from mpclab import engine, presets, regret
 from mpclab.engine import TerminalRule
 from mpclab.model import PredictionStream
+from test_engine import gain_tables
 
 
 class TestSolveOpt:
@@ -45,7 +46,7 @@ class TestRegretInequalities:
         run = engine.run_mpc(inst, stream, 8, TerminalRule("true"))
         rep = regret.regret_inequalities(
             run, opt, ell=2.0, L_g=inst.system.lipschitz_dynamics(),
-            C3=1.0, gain_init=np.ones(9))
+            tables=gain_tables(gain_init=np.ones(9)))
         assert rep.regret_ok and rep.distance_ok
         assert rep.sum_sq_errors <= 1e-16
 
@@ -55,7 +56,8 @@ class TestRegretInequalities:
         stream = PredictionStream(inst.truth, 8, 0.0)
         run = engine.run_mpc(inst, stream, 8, TerminalRule("true"))
         ell, L_g, C3 = 2.0, 1.5, 1.3
-        rep = regret.regret_inequalities(run, opt, ell, L_g, C3, np.ones(9))
+        rep = regret.regret_inequalities(
+            run, opt, ell, L_g, gain_tables(gain_init=np.r_[C3, np.zeros(8)]))
         assert rep.constant_c == pytest.approx(
             (ell / 2) * (1 + 2 * C3 * L_g ** 2) * (1 + C3))
 
@@ -67,7 +69,8 @@ class TestRegretInequalities:
         run = engine.TrajectoryRecord(
             np.zeros((T + 1, 1)), np.zeros((T, 1)), errors,
             rng.uniform(0.0, 1.0, size=T + 1), np.zeros(T), 1.0)
-        rep = regret.regret_inequalities(run, run, 1.0, L_g, 1.0, gain_init)
+        rep = regret.regret_inequalities(run, run, 1.0, L_g,
+                                         gain_tables(gain_init=gain_init))
         expected = [L_g * sum(gain_init[i] * errors[t - 1 - i]
                               for i in range(t)) for t in range(T + 1)]
         assert rep.distance_rhs == pytest.approx(expected, rel=1e-13)
@@ -77,7 +80,8 @@ class TestRegretInequalities:
         inst = presets.tracking_rand(T=8, seed=2)
         opt = engine.solve_opt(inst)
         with pytest.raises(ValueError):
-            regret.regret_inequalities(opt, opt, 2.0, 1.0, 1.0, np.ones(3))
+            regret.regret_inequalities(opt, opt, 2.0, 1.0,
+                                       gain_tables(gain_init=np.ones(3)))
 
 
 class TestAggregateBudget:
@@ -87,7 +91,7 @@ class TestAggregateBudget:
         gs = np.zeros(k + 1)
         rho = np.zeros((T + 1, k + 1))
         rho[0] = np.sqrt(p0)   # P(tau) = p0 at every offset
-        E = regret.aggregate_E(rho, k, gs, gp)
+        E = regret.aggregate_E(rho, gain_tables(gs, gp))
         expected = p0 * (1 - lam ** k) / (1 - lam) + lam ** (2 * k) * T
         assert E == pytest.approx(expected, rel=1e-12)
 
@@ -103,14 +107,15 @@ class TestAggregateBudget:
             expected = sum((gs[tau] + gp[tau]) * (T + 1 - tau) * c ** 2
                            for tau in range(1, min(k, T + 1)))
             expected += (gs[k] ** 2 + gp[k] ** 2) * T
-            assert regret.aggregate_E(rho, k, gs, gp) == pytest.approx(
-                expected, rel=1e-13)
+            assert regret.aggregate_E(
+                rho, gain_tables(gs[:k + 1], gp[:k + 1])) == pytest.approx(
+                    expected, rel=1e-13)
 
     def test_validation(self):
+        # a magnitude table shorter than the window of the tables
         with pytest.raises(ValueError):
-            regret.aggregate_E(np.zeros((11, 5)), 4, np.zeros(3), np.zeros(5))
-        with pytest.raises(ValueError):
-            regret.aggregate_E(np.zeros((11, 3)), 4, np.zeros(5), np.zeros(5))
+            regret.aggregate_E(np.zeros((11, 3)),
+                               gain_tables(np.zeros(5), np.zeros(5)))
 
 
 class TestSweeps:
