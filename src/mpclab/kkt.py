@@ -304,6 +304,10 @@ class GainTables:
     basis: str
     R: float
 
+    def __post_init__(self):
+        if not 0 < self.R < math.inf:
+            raise ValueError("need a finite R > 0")
+
     @property
     def k(self) -> int:
         return len(self.gain_param) - 1

@@ -332,6 +332,14 @@ def test_state_samples_off_a_zero_optimum_follow_the_instance_seed():
     assert other.gain_state.tobytes() != tables.gain_state.tobytes()
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
+def test_state_radius_must_be_finite_and_positive(R):
+    tables = kkt.measure_gain_tables(presets.tracking_rand(T=8), 3,
+                                     TerminalRule("predicted_tracking"))
+    with pytest.raises(ValueError, match="need a finite R > 0"):
+        dataclasses.replace(tables, R=R)
+
+
 def test_chain_has_no_gain_tables():
     inst = presets.inventory_two_sided(T=6)
     with pytest.raises(ModelError, match="linear-quadratic system"):
