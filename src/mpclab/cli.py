@@ -56,14 +56,17 @@ NUMBER = NumberParam()
 
 
 def _load(preset: str | None, instance_file: str | None, T: int | None,
-          seed: int | None) -> Instance:
+          seed: int | None) -> tuple[Instance, dict]:
+    """The instance and what it is built from: ``{"kind": preset}``, or the
+    parsed instance file."""
     if (preset is None) == (instance_file is None):
         raise click.UsageError("give exactly one of --preset / --instance")
     try:
-        if preset is not None:
-            return presets.build_preset(preset, T=T, seed=seed)
-        with open(instance_file) as fh:
-            return presets.build_instance(json.load(fh), T=T, seed=seed)
+        desc = {"kind": preset}
+        if instance_file is not None:
+            with open(instance_file) as fh:
+                desc = json.load(fh)
+        return presets.build_instance(desc, T=T, seed=seed), desc
     except (ModelError, OSError, TypeError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -164,7 +167,8 @@ def _command(name: str, *options, load: bool = True):
     instance (None unless ``load``), the artifacts' header lines and its own
     options by dest, and returns its artifacts by file name, its stdout line
     and whether its tested inequality held.  The header's config_hash covers
-    the command name and every option but ``--out``."""
+    the command name and every option but ``--out``, with an instance file's
+    contents in place of its path."""
     options = (_INSTANCE_OPTIONS if load else ()) + options + (
         click.option("--out", type=click.Path(), default="out",
                      help="output directory"),)
@@ -172,17 +176,20 @@ def _command(name: str, *options, load: bool = True):
     def declare(body):
         @functools.wraps(body)
         def run(out, **opts):
-            headers = [f"command={name}",
-                       f"config_hash={config_hash({'cmd': name, **opts})}"]
+            hashed = {"cmd": name, **opts}
             try:
                 inst = None
                 if load:
-                    inst = _load(*(opts.pop(key) for key in
-                                   ("preset", "instance", "T", "seed")))
+                    inst, desc = _load(*(opts.pop(key) for key in
+                                         ("preset", "instance", "T", "seed")))
+                    if hashed["instance"] is not None:
+                        hashed["instance"] = desc
                     if "k" in opts and not 1 <= opts["k"] <= inst.T:
                         raise click.UsageError("need 1 <= k <= T")
                 if opts.get("noise_scale", 0.0) < 0:
                     raise click.UsageError("need --noise-scale >= 0")
+                headers = [f"command={name}",
+                           f"config_hash={config_hash(hashed)}"]
                 artifacts, line, held = body(inst, headers, **opts)
             except ModelError as exc:
                 raise click.UsageError(str(exc)) from exc

@@ -1,5 +1,5 @@
 """Receding-horizon controller: windowed laws on forecasts, closed-loop
-rollout on the true dynamics, and per-step error accounting.
+rollout on the true dynamics, and per-step errors (bounded in ``regret``).
 
 The controller is the same for every problem class.  All forecasts are
 drawn before a run and no terminal rule depends on the state, so
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ftocp
 from .model import (Instance, PredictionStream, TerminalCost, _read_only,
-                    _rho_offsets, per_instance)
+                    per_instance)
 
 Array = np.ndarray
 
@@ -206,52 +206,3 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     return TrajectoryRecord(states, actions, errors, distances, stage, total,
                             kkt_residual_max=kkt_residual_max)
 
-
-# ---------------------------------------------------------------------------
-# per-step error bound and admission
-# ---------------------------------------------------------------------------
-
-def per_step_error_bound_rhs(rho_table: Array, tables,
-                             D_xstar: float) -> Array:
-    """Right-hand sides rhs_t, t = 0..T-1, of the per-step error bound of a
-    run with the window k of the gain ``tables``, as one (T,) array:
-
-        rhs_t = sum_{tau<=k} w(tau) rho(t, tau) + 2R w(k) [t < T - k],
-        w = (R/C3 + D_xstar) gain_state + gain_param,
-
-    with R, C3 and the envelopes read from the tables, and rho the (T+1, .)
-    table of forecast-error magnitudes (``PredictionStream.rho_table``),
-    whose offsets beyond T carry no error.  The truncation term applies
-    only while the window is shorter than the remaining horizon.
-    """
-    k, R, C3 = tables.k, tables.R, tables.C3
-    rho = _rho_offsets(rho_table, k)
-    T, K = rho.shape[0] - 1, rho.shape[1]
-    weights = (R / C3 + D_xstar) * tables.gain_state + tables.gain_param
-    rhs = rho[:T] @ weights[:K]
-    rhs[:max(T - k, 0)] += 2.0 * R * weights[k]
-    return rhs
-
-
-@dataclasses.dataclass(frozen=True)
-class AdmissionReport:
-    ok: bool
-    worst_rhs: float
-    threshold: float
-    worst_t: int
-
-    @property
-    def margin(self) -> float:
-        return self.threshold - self.worst_rhs
-
-
-def pipeline_admission_check(rhs: Array, tables,
-                             L_g: float) -> AdmissionReport:
-    """Smallness condition admitting a run into the error-to-regret pipeline:
-    the per-step bound ``rhs`` (``per_step_error_bound_rhs``) must stay
-    below R / (C3^2 L_g), with R and C3 read from the gain tables, at every
-    step; ``worst_t`` is the first step where it is largest."""
-    threshold = tables.R / (tables.C3 ** 2 * L_g)
-    worst_t = int(np.argmax(rhs))
-    worst = float(rhs[worst_t])
-    return AdmissionReport(worst <= threshold, worst, threshold, worst_t)

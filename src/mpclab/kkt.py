@@ -22,7 +22,7 @@ import numpy as np
 from . import engine, ftocp
 from ._assembly import WindowMatrices
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    ModelError, TerminalCost)
+                    ModelError, TerminalCost, _read_only)
 
 Array = np.ndarray
 
@@ -282,7 +282,7 @@ def measured_sigma(instance: Instance, k: int | None = None) -> float:
 # empirical sensitivity envelopes
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class GainTables:
     """Envelopes of the windowed solution's sensitivities by temporal offset.
 
@@ -295,7 +295,7 @@ class GainTables:
     ``basis`` says what the tables bound.  "exact": measured Jacobians of a
     first action that is affine in the parameters, which bound every finite
     perturbation; "local": measured slopes at the true parameters, which
-    bound only infinitesimal ones.
+    bound only infinitesimal ones.  Tables and arrays are read-only.
     """
 
     gain_state: Array
@@ -307,6 +307,9 @@ class GainTables:
     def __post_init__(self):
         if not 0 < self.R < math.inf:
             raise ValueError("need a finite R > 0")
+        for name in ("gain_state", "gain_param", "gain_init"):
+            object.__setattr__(self, name, _read_only(
+                np.array(getattr(self, name), float)))
 
     @property
     def k(self) -> int:
@@ -409,8 +412,7 @@ def _terminal_slopes(instance: Instance, terminal_rule,
 
 
 def _window_action_jacobians(law: ftocp.ContinuationLaw, t0: int, zs: Array,
-                             step_slopes, terminal_slopes,
-                             include_terminal_target=True) -> Array:
+                             step_slopes, terminal_slopes) -> Array:
     """Spectral norms of the Jacobians of the committed action of every
     window of a law read from offset t0 (window i is then [t1[i] + t0,
     t1[i] + T]) with respect to each window parameter (and, for a pin, its
@@ -426,9 +428,11 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, t0: int, zs: Array,
     offset is one contraction of the slopes of its own data with lam and
     chi(z): ``step_slopes`` are those of ``_step_data_slopes`` and
     ``terminal_slopes`` those of ``_terminal_slopes`` for the windows' last
-    steps, stacked by window.  The derivative with respect to the pin's
-    target is lam's pin component.  Every sample is read by one batched
-    rollout; the earliest window that misses its pin raises SingularKKT.
+    steps, stacked by window.  A pinned window's last offset takes the
+    larger of the norms through the rule's target slope and of lam's pin
+    component, the Jacobian in the target itself.  Every sample is read by
+    one batched rollout; the earliest window that misses its pin raises
+    SingularKKT.
     """
     wm, K = law.data, law.T - t0
     states, v, duals = law.trajectories(t0, zs)
@@ -452,11 +456,10 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, t0: int, zs: Array,
     terminal = wm.terminal
     if terminal.kind == "indicator":
         (d_target,) = terminal_slopes
-        out[..., K] = np.linalg.norm(lam_nu.swapaxes(-1, -2) @ d_target, 2,
-                                     axis=(-2, -1))
-        if include_terminal_target:
-            out[..., K] = np.maximum(
-                out[..., K], np.linalg.norm(lam_nu, 2, axis=(-2, -1)))
+        out[..., K] = np.maximum(
+            np.linalg.norm(lam_nu.swapaxes(-1, -2) @ d_target, 2,
+                           axis=(-2, -1)),
+            np.linalg.norm(lam_nu, 2, axis=(-2, -1)))
     else:
         dP, d_xbar_T = terminal_slopes
         row_T = (np.einsum("wabi,zwb->zwai", dP,
@@ -519,8 +522,8 @@ def _monotone_envelope(table: Array) -> Array:
     return np.maximum.accumulate(table[::-1])[::-1]
 
 
-def measure_gain_tables(instance: Instance, k: int, terminal_rule,
-                        include_terminal_target: bool = True) -> GainTables:
+def measure_gain_tables(instance: Instance, k: int,
+                        terminal_rule) -> GainTables:
     """Measure sensitivity envelopes on the family of solves the controller
     actually performs.
 
@@ -565,16 +568,14 @@ def measure_gain_tables(instance: Instance, k: int, terminal_rule,
         law_k = batch.windows[0][0]
         jac[:, :law_k.W] = _window_action_jacobians(
             law_k, 0, zs[:, :law_k.W], step_slopes,
-            _terminal_slopes(instance, terminal_rule, law_k.t1 + law_k.T),
-            include_terminal_target)
+            _terminal_slopes(instance, terminal_rule, law_k.t1 + law_k.T))
     if batch.failure is not None:
         raise batch.failure
     law = ftocp.truth_law(instance)
     tail_slopes = _terminal_slopes(instance, terminal_rule, law.t1 + law.T)
     for t in range(full, T):
         jac[:, t, :T - t + 1] = _window_action_jacobians(
-            law, t, zs[:, t:t + 1], step_slopes, tail_slopes,
-            include_terminal_target)[:, 0]
+            law, t, zs[:, t:t + 1], step_slopes, tail_slopes)[:, 0]
     # one np.linalg.norm per state: a batched norm rounds differently
     scale = np.array([[np.linalg.norm(z) for z in zt] for zt in zs[1:]])
     gp = jac[0].max(axis=0)

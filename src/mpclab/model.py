@@ -45,9 +45,6 @@ class ParamBox:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def sample(self, rng: np.random.Generator) -> Array:
-        return rng.uniform(self.lo, self.hi)
-
 
 def _read_only(a: Array) -> Array:
     a.flags.writeable = False
@@ -114,17 +111,6 @@ class PredictionStream:
         if t2 - t > self.k:
             raise ModelError("forecast beyond the horizon k")
         return self.forecasts[t, :t2 - t + 1]
-
-
-def _rho_offsets(rho_table: Array, k: int) -> Array:
-    """Columns tau = 0..min(k, T) of a (T+1, .) table of forecast-error
-    magnitudes: what a window of length k reads, since no offset past T
-    has a forecast.  A table with fewer columns raises ValueError."""
-    rho_table = np.asarray(rho_table, float)
-    K = min(k, len(rho_table) - 1) + 1
-    if rho_table.ndim != 2 or rho_table.shape[1] < K:
-        raise ValueError("error magnitudes must cover offsets 0..min(k, T)")
-    return rho_table[:, :K]
 
 
 # ---------------------------------------------------------------------------
@@ -400,48 +386,43 @@ def per_instance(fn: Callable[[Instance], object]):
 # assumption validation
 # ---------------------------------------------------------------------------
 
-def validate_assumptions(system: LinearQuadraticSystem, samples: int = 200,
-                         seed: int = 0) -> dict:
-    """Empirically check declared bounds on sampled parameters.
+def validate_assumptions(system: LinearQuadraticSystem, ts, xis) -> dict:
+    """Check the declared bounds exactly on given data: the steps ``ts`` (an
+    int array of any shape, each in 0..T) at the parameters ``xis`` of shape
+    ``ts.shape + (p,)``, such as a run's true parameters and its forecasts.
 
-    Returns a report mapping each declared bound to its worst sampled value,
-    the declared limit and a pass flag.
+    The entries with t < T give the stage data (A, B, w, Q, R, xbar) in one
+    stacked ``step_data`` call, and those with t = T the terminal weight P_T
+    in one ``terminal_cost`` call.  Returns a report mapping each declared
+    bound to its worst value on the data, the declared limit and a pass
+    flag.  Steps outside 0..T or parameters of another shape raise
+    ModelError.
     """
-    rng = np.random.default_rng(seed)
-    bb = system.bounds
-    # one (t, xi) draw per sample, in this order, then the final parameter
-    draws = [(int(rng.integers(0, system.T)), system.param_box.sample(rng))
-             for _ in range(samples)]
-    ts = np.array([t for t, _ in draws], int)
-    xis = np.array([xi for _, xi in draws]).reshape(
-        samples, system.param_box.lo.size)
-    A, B, w, Q, R, xbar = system.step_data(ts, xis)
-    P_T = system.terminal_cost(system.param_box.sample(rng)).P
-    eigs = np.concatenate([np.linalg.eigvalsh(Mx).ravel()
-                           for Mx in (Q, R, P_T)])
-    worst = {
-        "cost_eig_min": float(eigs.min()), "cost_eig_max": float(eigs.max()),
-        "A_norm": float(np.linalg.norm(A, 2, axis=(-2, -1)).max(initial=0.0)),
-        "B_norm": float(np.linalg.norm(B, 2, axis=(-2, -1)).max(initial=0.0)),
-        "w_norm": float(np.linalg.norm(w, axis=-1).max(initial=0.0)),
-        "xbar_norm": float(np.linalg.norm(xbar, axis=-1).max(initial=0.0)),
-    }
+    ts, xis = np.asarray(ts), np.asarray(xis, float)
+    if (xis.shape != ts.shape + system.param_box.lo.shape
+            or not np.all((0 <= ts) & (ts <= system.T))):
+        raise ModelError("need steps in 0..T, each with one parameter vector")
+    bb, stage = system.bounds, ts < system.T
+    A, B, w, Q, R, xbar = system.step_data(ts[stage], xis[stage])
+    eigs = np.concatenate([np.linalg.eigvalsh(Mx).ravel() for Mx in
+                           (Q, R, system.terminal_cost(xis[~stage]).P)])
 
-    tol = 1e-9
+    def largest(norms):
+        return float(norms.max(initial=0.0))
+
     checks = {
-        "cost_lower": (worst["cost_eig_min"], bb.mu,
-                       worst["cost_eig_min"] >= bb.mu - tol),
-        "cost_upper": (worst["cost_eig_max"], bb.ell,
-                       worst["cost_eig_max"] <= bb.ell + tol),
-        "A_bound": (worst["A_norm"], bb.a, worst["A_norm"] <= bb.a + tol),
-        "B_bound": (worst["B_norm"], bb.b, worst["B_norm"] <= bb.b + tol),
-        "w_bound": (worst["w_norm"], bb.D_w, worst["w_norm"] <= bb.D_w + tol),
-        "xbar_bound": (worst["xbar_norm"], bb.D_xbar,
-                       worst["xbar_norm"] <= bb.D_xbar + tol),
+        "cost_lower": (float(eigs.min(initial=np.inf)), bb.mu),
+        "cost_upper": (float(eigs.max(initial=-np.inf)), bb.ell),
+        "A_bound": (largest(np.linalg.norm(A, 2, axis=(-2, -1))), bb.a),
+        "B_bound": (largest(np.linalg.norm(B, 2, axis=(-2, -1))), bb.b),
+        "w_bound": (largest(np.linalg.norm(w, axis=-1)), bb.D_w),
+        "xbar_bound": (largest(np.linalg.norm(xbar, axis=-1)), bb.D_xbar),
     }
-    report = {name: {"worst": v, "limit": lim, "ok": bool(ok)}
-              for name, (v, lim, ok) in checks.items()}
-    report["ok"] = all(c["ok"] for c in report.values() if isinstance(c, dict))
+    tol, report = 1e-9, {}
+    for name, (v, lim) in checks.items():
+        ok = v >= lim - tol if name == "cost_lower" else v <= lim + tol
+        report[name] = {"worst": v, "limit": lim, "ok": bool(ok)}
+    report["ok"] = all(c["ok"] for c in report.values())
     return report
 
 

@@ -1,5 +1,7 @@
 """Dynamic-regret accounting: hindsight-optimal baselines, explicit-constant
-regret inequalities, aggregate error budgets, and horizon/noise sweeps.
+regret inequalities, the per-step error bound and its admission check,
+aggregate error budgets, and horizon/noise sweeps.  Every bound reads its
+constants (k, R, C3 and the envelopes) from one ``kkt.GainTables``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, kkt
-from .model import Instance, PredictionStream, _rho_offsets
+from .model import Instance, PredictionStream
 
 Array = np.ndarray
 
@@ -18,7 +20,7 @@ REGRET_FLOOR = 1e-10  # regrets below this are solver noise; excluded from fits
 
 
 # ---------------------------------------------------------------------------
-# regret report
+# regret report and error bounds
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass
@@ -64,6 +66,17 @@ def regret_inequalities(run: engine.TrajectoryRecord,
                         lhs, rhs, dist_ok)
 
 
+def _rho_offsets(rho_table: Array, k: int) -> Array:
+    """Columns tau = 0..min(k, T) of a (T+1, .) table of forecast-error
+    magnitudes: what a window of length k reads, since no offset past T
+    has a forecast.  A table with fewer columns raises ValueError."""
+    rho_table = np.asarray(rho_table, float)
+    K = min(k, len(rho_table) - 1) + 1
+    if rho_table.ndim != 2 or rho_table.shape[1] < K:
+        raise ValueError("error magnitudes must cover offsets 0..min(k, T)")
+    return rho_table[:, :K]
+
+
 def aggregate_E(rho_table: Array, tables: kkt.GainTables) -> float:
     """Aggregate forecast-error budget at the window k of the gain tables:
     sum_{tau<k} (gain_state + gain_param)(tau) P(tau)
@@ -76,6 +89,52 @@ def aggregate_E(rho_table: Array, tables: kkt.GainTables) -> float:
     power = np.sum(rho[:, :k] ** 2, axis=0)
     acc = (gain_state[:power.size] + gain_param[:power.size]) @ power
     return float(acc + (gain_state[k] ** 2 + gain_param[k] ** 2) * T)
+
+
+def per_step_error_bound_rhs(rho_table: Array, tables: kkt.GainTables,
+                             D_xstar: float) -> Array:
+    """Right-hand sides rhs_t, t = 0..T-1, of the per-step error bound of a
+    run with the window k of the gain ``tables``, as one (T,) array:
+
+        rhs_t = sum_{tau<=k} w(tau) rho(t, tau) + 2R w(k) [t < T - k],
+        w = (R/C3 + D_xstar) gain_state + gain_param,
+
+    with R, C3 and the envelopes read from the tables, and rho the (T+1, .)
+    table of forecast-error magnitudes (``PredictionStream.rho_table``),
+    whose offsets beyond T carry no error.  The truncation term applies
+    only while the window is shorter than the remaining horizon.
+    """
+    k, R, C3 = tables.k, tables.R, tables.C3
+    rho = _rho_offsets(rho_table, k)
+    T, K = rho.shape[0] - 1, rho.shape[1]
+    weights = (R / C3 + D_xstar) * tables.gain_state + tables.gain_param
+    rhs = rho[:T] @ weights[:K]
+    rhs[:max(T - k, 0)] += 2.0 * R * weights[k]
+    return rhs
+
+
+@dataclasses.dataclass(frozen=True)
+class AdmissionReport:
+    ok: bool
+    worst_rhs: float
+    threshold: float
+    worst_t: int
+
+    @property
+    def margin(self) -> float:
+        return self.threshold - self.worst_rhs
+
+
+def pipeline_admission_check(rhs: Array, tables: kkt.GainTables,
+                             L_g: float) -> AdmissionReport:
+    """Smallness condition admitting a run into the error-to-regret pipeline:
+    the per-step bound ``rhs`` (``per_step_error_bound_rhs``) must stay
+    below R / (C3^2 L_g), with R and C3 read from the gain tables, at every
+    step; ``worst_t`` is the first step where it is largest."""
+    threshold = tables.R / (tables.C3 ** 2 * L_g)
+    worst_t = int(np.argmax(rhs))
+    worst = float(rhs[worst_t])
+    return AdmissionReport(worst <= threshold, worst, threshold, worst_t)
 
 
 # ---------------------------------------------------------------------------

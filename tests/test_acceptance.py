@@ -46,9 +46,9 @@ def disturbance_pipeline():
     runs = []
     for scale in NOISE_SCALES:
         stream = PredictionStream(inst.truth, 8, scale, seed=inst.seed)
-        rhs = engine.per_step_error_bound_rhs(stream.rho_table, tables,
+        rhs = regret.per_step_error_bound_rhs(stream.rho_table, tables,
                                               opt.max_state_norm)
-        report = engine.pipeline_admission_check(rhs, tables, L_g)
+        report = regret.pipeline_admission_check(rhs, tables, L_g)
         run = engine.run_mpc(inst, stream, 8, rule)
         runs.append((scale, rhs, report, run))
     return inst, opt, L_g, tables, runs

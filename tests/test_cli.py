@@ -505,9 +505,10 @@ COMMANDS = {
 
 # config_hash of each command's artifacts as the commands wrote them before
 # they shared one declaration path: at default options on the disturbance
-# preset, and with INSTANCE_FILE given as "inst.json"; a renamed option dest
-# or a changed default type changes them.  The constants literals are those
-# of "--mode measured", the default since the closed-form mode is gone
+# preset, and with INSTANCE_FILE given as "inst.json" (hashed by its
+# contents, not its path); a renamed option dest or a changed default type
+# changes them.  The constants literals are those of "--mode measured", the
+# default since the closed-form mode is gone
 DEFAULT_HASHES = {"solve": "51cea3aff8af3389", "mpc": "1c5d29c2f8cc9a78",
                   "sweep-horizon": "ec0e5f1c584e7e36",
                   "sweep-noise": "8a2df4d6d03eaeb2",
@@ -515,11 +516,11 @@ DEFAULT_HASHES = {"solve": "51cea3aff8af3389", "mpc": "1c5d29c2f8cc9a78",
                   "inventory-suite": "dd29b0abf3cdb426",
                   "constants": "1d3a64b3ee5a6a05"}
 INSTANCE_FILE = {"kind": "tracking-rand", "T": 10, "seed": 3}
-INSTANCE_HASHES = {"solve": "46b918ffc2fe4c18", "mpc": "817022eab2b81279",
-                   "sweep-horizon": "ea00d89f8b263c78",
-                   "sweep-noise": "9bfdd4c4457a8086",
-                   "certify-decay": "2ee34c25ed5e07d9",
-                   "constants": "9197b2ee5ce823ff"}
+INSTANCE_HASHES = {"solve": "c93c2c41270ff2f7", "mpc": "daa7981fd26ece41",
+                   "sweep-horizon": "b0253e26f17528d1",
+                   "sweep-noise": "53acde3909bcc431",
+                   "certify-decay": "e3d0f11437127c96",
+                   "constants": "1f4f688f5050d14a"}
 
 
 def written_hashes(out):
@@ -568,6 +569,24 @@ class TestCommandDeclarations:
                                        "--out", "out"])
         assert res.exit_code == 0, res.output
         assert written_hashes(tmp_path / "out") == {INSTANCE_HASHES[command]}
+
+    def test_instance_file_hashed_by_its_contents(self, runner, tmp_path):
+        # one description at two paths is one run, and two descriptions
+        # written in turn to one path are two
+        def hash_of(desc, name):
+            path = tmp_path / name
+            path.write_text(json.dumps(desc))
+            out = tmp_path / "out"   # each run rewrites both artifacts
+            res = runner.invoke(cli.main, ["mpc", "--instance", str(path),
+                                           "--k", "4", "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            (h,) = written_hashes(out)
+            return h
+
+        seed3, seed4 = ({"kind": "tracking-rand", "T": 10, "seed": s}
+                        for s in (3, 4))
+        assert hash_of(seed3, "a.json") == hash_of(seed3, "b.json")
+        assert hash_of(seed3, "a.json") != hash_of(seed4, "a.json")
 
 
 class TestLibrarySurface:
@@ -648,7 +667,12 @@ class TestLibrarySurface:
                 regret.RegretReport: ["aggregate_E"],
                 # the magnitudes table is the one form of rho
                 model.PredictionStream: ["rho", "power"],
-                regret: ["_scaled"]}
+                regret: ["_scaled"],
+                # the bounds live in regret, and the assumptions are checked
+                # on given data, with no sampling of the box
+                engine: ["per_step_error_bound_rhs",
+                         "pipeline_admission_check", "AdmissionReport"],
+                model: ["_rho_offsets"], model.ParamBox: ["sample"]}
         present = [f"{owner.__name__}.{name}"
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
@@ -659,17 +683,22 @@ class TestLibrarySurface:
         for fn, params in (
                 (regret.sweep_noise, ["instance", "scales", "k", "rule"]),
                 (regret.sweep_horizon, ["instance", "k_values", "rule"]),
-                (kkt.measure_gain_tables, ["instance", "k", "terminal_rule",
-                                           "include_terminal_target"]),
-                (engine.per_step_error_bound_rhs, ["rho_table", "tables",
+                (kkt.measure_gain_tables, ["instance", "k", "terminal_rule"]),
+                (kkt._window_action_jacobians, ["law", "t0", "zs",
+                                                "step_slopes",
+                                                "terminal_slopes"]),
+                (model.validate_assumptions, ["system", "ts", "xis"]),
+                (regret.per_step_error_bound_rhs, ["rho_table", "tables",
                                                    "D_xstar"]),
-                (engine.pipeline_admission_check, ["rhs", "tables", "L_g"]),
+                (regret.pipeline_admission_check, ["rhs", "tables", "L_g"]),
                 (regret.aggregate_E, ["rho_table", "tables"]),
                 (regret.regret_inequalities, ["run", "opt", "ell", "L_g",
                                               "tables"])):
             assert list(inspect.signature(fn).parameters) == params, fn
         fields = {f.name for f in dataclasses.fields(engine.TrajectoryRecord)}
         assert not {"k", "rule_kind"} & fields
+        assert [f.name for f in dataclasses.fields(kkt.GainTables)] == [
+            "gain_state", "gain_param", "gain_init", "basis", "R"]
         assert "floor" not in inspect.signature(kkt.fit_decay).parameters
         fields = {f.name for f in dataclasses.fields(model.InventorySystem)}
         assert "include_terminal_stage" not in fields

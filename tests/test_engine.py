@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
-from mpclab.engine import (TerminalRule, per_step_error_bound_rhs,
-                           pipeline_admission_check)
+from mpclab.engine import TerminalRule
 from mpclab.kkt import GainTables
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
                           PredictionStream, TerminalCost)
+from mpclab.regret import per_step_error_bound_rhs, pipeline_admission_check
 
 
 def quiet_instance(T=6):

@@ -27,7 +27,7 @@ FD_STEP = 1e-4
 WINDOW = {"tracking-rand": 4, "disturbance": 4, "pendulum": 5, "grid": 3}
 
 
-def oracle_window_norms(inst, rule, t, t2, z, with_target):
+def oracle_window_norms(inst, rule, t, t2, z):
     """Spectral norms by offset of the oracle's first-action Jacobian with
     respect to the window parameters (the last one through the terminal
     rule), the pin's target column folded into the last offset."""
@@ -46,7 +46,7 @@ def oracle_window_norms(inst, rule, t, t2, z, with_target):
     out = np.array([np.linalg.norm(col, 2)
                     for col in np.split(J, splits, axis=1)])
     term = rule.build(inst, t2, params[-1])
-    if with_target and term.kind == "indicator":
+    if term.kind == "indicator":
         J_tgt = oracles.fd_jacobian(lambda v: first_action(flat, v),
                                     term.target, step=FD_STEP)
         out[-1] = max(out[-1], np.linalg.norm(J_tgt, 2))
@@ -68,19 +68,18 @@ def window_batch(inst, rule, starts, k):
         rule.build(inst, t2, inst.truth[t2]), starts)
 
 
-def law_jacobians(inst, rule, law, t0, zs, with_target=True):
+def law_jacobians(inst, rule, law, t0, zs):
     return kkt._window_action_jacobians(
         law, t0, np.asarray(zs), kkt._step_data_slopes(inst),
-        kkt._terminal_slopes(inst, rule, law.t1 + law.T), with_target)
+        kkt._terminal_slopes(inst, rule, law.t1 + law.T))
 
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(["tracking-rand", "disturbance", "pendulum"]),
        terminal=st.sampled_from(["pinned", "zero-pinned", "quadratic",
                                  "tail"]),
-       t=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
-       with_target=st.booleans())
-def test_window_jacobians_match_oracle(name, terminal, t, seed, with_target):
+       t=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
+def test_window_jacobians_match_oracle(name, terminal, t, seed):
     T = 12
     k = WINDOW[name]
     inst = presets.build_preset(name, T=T)
@@ -98,10 +97,9 @@ def test_window_jacobians_match_oracle(name, terminal, t, seed, with_target):
         # a batch of one window [t, t + k] short of T
         t2 = t + k
         law, t0 = window_batch(inst, rule, [t], k), 0
-    got = law_jacobians(inst, rule, law, t0, np.array(zs)[:, None],
-                        with_target)[:, 0]
+    got = law_jacobians(inst, rule, law, t0, np.array(zs)[:, None])[:, 0]
     for row, z in zip(got, zs):
-        want = oracle_window_norms(inst, rule, t, t2, z, with_target)
+        want = oracle_window_norms(inst, rule, t, t2, z)
         assert np.abs(row - want).max() <= 1e-6 * np.abs(want).max()
 
 
@@ -210,7 +208,7 @@ def test_window_jacobians_match_oracle_when_every_map_varies(t, seed):
     for i, s in enumerate(starts):
         for j in range(len(zs)):
             want = oracle_window_norms(inst, rule, s, min(s + k, T),
-                                       zs[j, i], True)
+                                       zs[j, i])
             assert np.abs(got[j, i] - want).max() <= 1e-6 * np.abs(want).max()
 
 
@@ -237,7 +235,7 @@ def test_tables_match_oracle_finite_difference_tables(name, k, rule_kind):
         zs = [np.zeros(inst.system.n)]
         if name != "disturbance":
             zs.append(opt_states[t])
-        rows = [oracle_window_norms(inst, rule, t, t2, z, True) for z in zs]
+        rows = [oracle_window_norms(inst, rule, t, t2, z) for z in zs]
         width = t2 - t + 1
         gp[:width] = np.maximum(gp[:width], rows[0])
         for z, row in zip(zs[1:], rows[1:]):
@@ -338,6 +336,22 @@ def test_state_radius_must_be_finite_and_positive(R):
                                      TerminalRule("predicted_tracking"))
     with pytest.raises(ValueError, match="need a finite R > 0"):
         dataclasses.replace(tables, R=R)
+
+
+def test_tables_are_read_only():
+    # a table changed after its checks could admit a run on a zero bound;
+    # the arrays are copies, so the caller's own arrays stay writable
+    gain_init = np.ones(4)
+    tables = kkt.GainTables(np.ones(4), np.ones(4), gain_init, "exact", 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tables.R = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tables.gain_param = np.zeros(4)
+    for name in ("gain_state", "gain_param", "gain_init"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tables, name)[:] = 0.0
+    gain_init[:] = 2.0
+    assert np.all(tables.gain_init == 1.0)
 
 
 def test_chain_has_no_gain_tables():

@@ -454,14 +454,28 @@ class TestMeasuredQuantities:
         assert tables.C3 >= 1.0
 
     def test_state_vs_param_decay_rate_ratio(self):
-        # the state-coupled envelope should decay at roughly twice the rate
-        # of the state-free one (rates measured without the terminal-target
-        # response, which sits at a fixed offset and masks the trend)
+        # the state-coupled response should decay at roughly twice the rate
+        # of the state-free one: per-offset maxima of the Jacobians of the
+        # full windows [t, t + k] at offsets < k, at the gain tables' state
+        # samples (the pin's last offset sits at a fixed place and would
+        # mask the trend)
         inst = presets.tracking_rand(T=15, seed=3)
-        tables = kkt.measure_gain_tables(inst, 6, engine.TerminalRule("zero"),
-                                         include_terminal_target=False)
-        taus = np.arange(7, dtype=float)
-        gs, gp = tables.gain_state, tables.gain_param
+        k, rule = 6, engine.TerminalRule("zero")
+        opt = engine.solve_opt(inst)
+        starts = np.arange(inst.T - k)
+        t2 = starts + k
+        law = ftocp.continuation_law(
+            inst.system, [inst.truth[t:t + k + 1] for t in starts],
+            rule.build(inst, t2, inst.truth[t2]), starts)
+        zs = kkt._state_samples(inst, opt.states,
+                                max(opt.max_state_norm, 1.0))[:, starts]
+        jac = kkt._window_action_jacobians(
+            law, 0, zs, kkt._step_data_slopes(inst),
+            kkt._terminal_slopes(inst, rule, t2))[..., :k]
+        gp = jac[0].max(axis=0)
+        gs = (np.maximum(0.0, jac[1:] - jac[0])
+              / np.linalg.norm(zs[1:], axis=-1)[..., None]).max(axis=(0, 1))
+        taus = np.arange(k, dtype=float)
         ms, mp = gs > 1e-9, gp > 1e-9
         slope_s, _, _ = kkt.loglinear_fit(taus[ms], gs[ms])
         slope_p, _, _ = kkt.loglinear_fit(taus[mp], gp[mp])

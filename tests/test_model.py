@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mpclab import engine, model, presets, regret
+from mpclab import model, presets, regret
 from mpclab.model import (Bounds, DisturbanceOnlySystem, Instance,
                           InventorySystem, LinearQuadraticSystem, ModelError,
                           ParamBox, PredictionStream, config_hash,
@@ -14,29 +14,33 @@ from mpclab.presets import build_instance
 from test_engine import gain_tables
 
 
-def const_system(n=1, m=1, T=4, a=0.5, b=1.0, q=1.0):
+def const_system(n=1, m=1, T=4, a=0.5, b=1.0, q=1.0, p=1.0):
     A = a * np.eye(n)
     B = b * np.eye(n)[:, :m]
     return LinearQuadraticSystem(
         n, m, T,
         step_data=lambda ts, xis: (A, B, np.zeros(n), q * np.eye(n),
                                    np.eye(m), np.zeros(n)),
-        terminal=lambda xi: (np.eye(n), np.zeros(n)),
+        terminal=lambda xi: (p * np.eye(n), np.zeros(n)),
         bounds=Bounds(mu=1.0, ell=1.0, a=abs(a), b=abs(b)),
         param_box=ParamBox(np.zeros(1), np.ones(1)))
+
+
+def box_grid(system, points=201):
+    """Every step 0..T at every point of a grid of the system's parameter
+    box, ``points`` per coordinate: the (ts, xis) of validate_assumptions."""
+    box = system.param_box
+    axes = [np.linspace(lo, hi, points) for lo, hi in zip(box.lo, box.hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, box.lo.size)
+    ts = np.repeat(np.arange(system.T + 1), len(grid))
+    return ts, np.tile(grid, (system.T + 1, 1))
 
 
 class TestParamBox:
     def test_invalid_box_rejected(self):
         with pytest.raises(ModelError):
             ParamBox(np.array([1.0]), np.array([0.0]))
-
-    def test_contains_and_sampling(self):
-        box = ParamBox(np.array([-1.0]), np.array([1.0]))
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            sample = box.sample(rng)
-            assert np.all(box.lo <= sample) and np.all(sample <= box.hi)
 
 
 RHOS = {"constant": 0.3, "zero": 0.0,
@@ -128,10 +132,10 @@ class TestPredictionStream:
         assert stream.rho_table[2, 4] == 0.1
         rho = stream.rho_table
         k4, k5 = (gain_tables(np.ones(k + 1), np.ones(k + 1)) for k in (4, 5))
-        assert engine.per_step_error_bound_rhs(rho, k4, 0.0).shape == (10,)
+        assert regret.per_step_error_bound_rhs(rho, k4, 0.0).shape == (10,)
         assert regret.aggregate_E(rho, k4) > 0.0
         with pytest.raises(ValueError):
-            engine.per_step_error_bound_rhs(rho, k5, 0.0)
+            regret.per_step_error_bound_rhs(rho, k5, 0.0)
         with pytest.raises(ValueError):
             regret.aggregate_E(rho, k5)
 
@@ -229,20 +233,74 @@ class TestControllability:
 
 class TestValidateAssumptions:
     def test_constant_system_passes(self):
-        report = validate_assumptions(const_system(), samples=50, seed=0)
+        report = validate_assumptions(const_system(), *box_grid(
+            const_system(), 11))
         assert report["ok"]
         assert report["cost_lower"]["worst"] == pytest.approx(1.0)
 
     def test_planted_cost_violation_named(self):
         sys_ = const_system(q=3.0)  # Q exceeds the declared ceiling
-        report = validate_assumptions(sys_, samples=20, seed=0)
+        report = validate_assumptions(sys_, *box_grid(sys_, 11))
         assert not report["ok"]
         assert not report["cost_upper"]["ok"]
 
     def test_sampled_tracking_preset_within_bounds(self):
         inst = presets.tracking_rand(T=10, seed=7)
-        report = validate_assumptions(inst.system, samples=300, seed=7)
+        report = validate_assumptions(inst.system, *box_grid(inst.system))
         assert report["ok"], report
+
+    def test_terminal_weight_read_at_the_final_step_only(self):
+        # P_T = 2 I exceeds ell = 1; the stage data of every step are within
+        sys_ = const_system(T=4, p=2.0)
+        ts, xis = np.arange(4), np.full((4, 1), 0.5)
+        assert validate_assumptions(sys_, ts, xis)["ok"]
+        report = validate_assumptions(sys_, 4, [0.5])
+        assert report["cost_upper"]["worst"] == 2.0
+        assert not report["ok"]
+        assert report["A_bound"]["worst"] == 0.0   # no stage data given
+        report = validate_assumptions(sys_, np.arange(5)[:, None],
+                                      np.full((5, 1, 1), 0.5))
+        assert not report["cost_upper"]["ok"] and report["A_bound"]["ok"]
+
+    def test_checks_the_data_it_is_given(self):
+        # |w| = 0.4 |xi - 0.5| on the disturbance preset, declared
+        # D_w = 0.2: the bound is tight at the box's ends, and a forecast
+        # beyond them breaks it
+        sys_ = presets.disturbance(T=10).system
+        assert validate_assumptions(sys_, [3, 10], [[0.0], [1.0]])["ok"]
+        report = validate_assumptions(sys_, [3], [[1.1]])
+        assert report["w_bound"]["worst"] == pytest.approx(0.24)
+        assert not report["w_bound"]["ok"] and not report["ok"]
+
+    @pytest.mark.parametrize("ts,xis", [
+        ([0, 5], [[0.5], [0.5]]),        # a step past T = 4
+        ([-1], [[0.5]]),
+        ([0, 1], [[0.5]]),               # one parameter vector for two
+        ([0], [[0.5, 0.5]])])            # two parameter coordinates
+    def test_data_of_another_shape_rejected(self, ts, xis):
+        with pytest.raises(ModelError):
+            validate_assumptions(const_system(T=4), ts, xis)
+
+    def test_forecasts_of_a_noisy_run_leave_the_declared_bounds(self):
+        # the disturbance preset's own truth satisfies its declared bounds,
+        # but 100 of the 513 forecasts of the README run at noise 0.2 leave
+        # the parameter box, and the disturbance they give exceeds D_w
+        inst = presets.disturbance(T=60, seed=0)
+        T, k = inst.T, 8
+        steps = np.arange(T + 1)
+        assert validate_assumptions(inst.system, steps, inst.truth)["ok"]
+        stream = PredictionStream(inst.truth, k, 0.2, seed=0)
+        made = np.add.outer(steps, np.arange(k + 1)) <= T
+        ts = np.add.outer(steps, np.arange(k + 1))[made]
+        xis = stream.forecasts[made]
+        box = inst.system.param_box
+        outside = ~np.all((box.lo <= xis) & (xis <= box.hi), axis=-1)
+        assert (outside.sum(), len(xis)) == (100, 513)
+        report = validate_assumptions(inst.system, ts, xis)
+        assert not report["ok"]
+        assert [name for name, c in report.items()
+                if name != "ok" and not c["ok"]] == ["w_bound"]
+        assert report["w_bound"]["worst"] == pytest.approx(0.2774, abs=1e-4)
 
 
 class TestInstances:

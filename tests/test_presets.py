@@ -10,6 +10,7 @@ import oracles
 from mpclab import cli, ftocp, kkt, presets
 from mpclab.model import (InventorySystem, ModelError, TerminalCost,
                           validate_assumptions)
+from test_model import box_grid
 
 
 def inventory_sensitivity_profile(p, one_sided):
@@ -132,7 +133,7 @@ class TestPendulum:
 
     def test_declared_bounds_validate(self):
         inst = presets.pendulum(T=10)
-        assert validate_assumptions(inst.system, samples=100)["ok"]
+        assert validate_assumptions(inst.system, *box_grid(inst.system))["ok"]
 
 
 class TestGrid:
@@ -151,7 +152,7 @@ class TestGrid:
 
     def test_declared_bounds_validate(self):
         inst = presets.grid(T=10)
-        assert validate_assumptions(inst.system, samples=100)["ok"]
+        assert validate_assumptions(inst.system, *box_grid(inst.system))["ok"]
 
 
 class TestChainStudies:
@@ -214,4 +215,4 @@ class TestRegistry:
 
     def test_disturbance_validates(self):
         inst = presets.disturbance(T=15)
-        assert validate_assumptions(inst.system, samples=200)["ok"]
+        assert validate_assumptions(inst.system, *box_grid(inst.system))["ok"]
