@@ -79,7 +79,7 @@ class TerminalRule:
         nominal = np.clip(0.0, sys.param_box.lo, sys.param_box.hi)
         params = np.broadcast_to(nominal, instance.truth.shape)
         law = ftocp.window_law(sys, params, instance.terminal_cost(params[-1]))
-        return TerminalRule("reference", law.solution(0, instance.x0).states)
+        return TerminalRule("reference", law.solution(instance.x0).states)
 
     def build(self, instance: Instance, t2, xi: Array) -> TerminalCost:
         sys, t2 = instance.system, np.asarray(t2)
@@ -135,7 +135,7 @@ def solve_opt(instance: Instance) -> TrajectoryRecord:
     instance; the record's arrays are read-only.  A state that is not
     finite raises FloatingPointError naming the first such step."""
     T = instance.T
-    sol = ftocp.truth_law(instance).solution(0, instance.x0)
+    sol = ftocp.truth_law(instance).solution(instance.x0)
     t = np.flatnonzero(~np.isfinite(sol.states).all(axis=1))
     if t.size:
         raise FloatingPointError(f"hindsight state not finite at step {t[0]}")

@@ -5,8 +5,9 @@ Two problem classes are supported exactly:
 - time-varying linear dynamics with quadratic costs: one backward Riccati
   pass (``continuation_law``) gives the optimal affine feedback of a batch
   of windows of one length, each with a quadratic, zero or pinned terminal,
-  and a batched forward rollout gives their solutions, multipliers and KKT
-  residuals.  A single window is a batch of one;
+  and a batched forward rollout (``trajectories(xs)``) gives their
+  solutions, multipliers and KKT residuals.  A single window is a batch of
+  one;
 - the constrained scalar stock chain: one backward pass (``chain_law``)
   over the knots of the derivatives of its value functions, then a rollout
   read on Python floats.  The chain laws of one system share their backward
@@ -14,13 +15,15 @@ Two problem classes are supported exactly:
   so the windows of a run, the truth law and the sweeps of an instance
   compute each distinct step once, while the system lives.
 
+A law is read from its first step (``solution(x)``); ``action(t, x)`` is
+the one read at an offset t, which a pinned continuation law answers at 0
+alone, and ``suffix(t)`` is an unpinned one's continuation from offset t.
 ``window_laws`` builds the laws of every window of a receding-horizon run
-before it starts (each a ``ContinuationLaw`` or a ``ChainLaw``, both read
-with ``action(t, x)`` and ``solution(t, x)``) and is the one place that
-tells the problem classes apart; ``window_law`` is its case of one window,
-and ``truth_law`` gives the optimal continuation under an instance's true
-parameters, once per instance.  ``stage_costs`` prices a trajectory of
-either class.
+before it starts (each a ``ContinuationLaw`` or a ``ChainLaw``) and is the
+one place that tells the problem classes apart; ``window_law`` is its case
+of one window, and ``truth_law`` gives the optimal continuation under an
+instance's true parameters, once per instance.  ``stage_costs`` prices a
+trajectory of either class.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _assembly
-from .model import Instance, InventorySystem, TerminalCost, per_instance
+from .model import (Instance, InventorySystem, TerminalCost, _read_only,
+                    per_instance)
 
 Array = np.ndarray
 
@@ -59,8 +63,6 @@ class Infeasible(RuntimeError):
 
 @dataclasses.dataclass
 class FtocpSolution:
-    t1: int
-    t2: int
     states: Array      # (K+1, n)
     actions: Array     # (K, m)
     duals: Array       # (K+1, n)
@@ -142,7 +144,8 @@ class ContinuationLaw:
     each, with fixed parameters and terminals of one kind: quadratic, zero
     or pinned.  Window i covers the steps t1[i] .. t1[i] + T, and offsets
     t = 0 .. T count from its start.  A single window is a batch of one.
-    Every array carries the window axis first.
+    Every array carries the window axis first, and the law's own arrays
+    are read-only.
 
     The state is lifted to s = (x, 1), or s = (x, 1, nu) for a pinned
     terminal x_T = target, where nu is the multiplier of the pin and stays
@@ -151,7 +154,7 @@ class ContinuationLaw:
     in s, the cost-to-go from offset t is s'P_t s, the optimal action is
     u_t = G_t s_t and the optimal lifted state follows
     s_{t+1} = closed_loop_t s_t.  For a pin, nu maximizes s'P_t s, which is
-    a solve with the n x n nu-block S of P_t, refined once (see _rollout).
+    a solve with the n x n nu-block S of P_0, refined once (see _rollout).
     The multipliers of the saddle system of the window are
     eta_t = -(P_t s_t)[:n].
     """
@@ -178,44 +181,52 @@ class ContinuationLaw:
 
     def action(self, t: int, x: Array, w: int = 0) -> Array:
         """Optimal action of window w at offset t from state x.  A pin's
-        multiplier is solved from x as in _rollout; only the rollouts
+        multiplier is solved from x as in _rollout, at offset 0 alone: a
+        pinned law raises ValueError at t > 0.  Only the rollouts
         (``trajectories`` and its readers) check that the pin is met."""
         n = self.data.n
         s = np.append(x, 1.0)
         u = self.G[w, t, :, :n + 1] @ s
         if self.pinned:
-            u += self.G[w, t, :, n + 1:] @ self._nu(t, s, w)
+            if t:
+                raise ValueError("a pinned law is read from its first step")
+            u += self.G[w, 0, :, n + 1:] @ self._nu(s, w)
         return u
 
-    def _S_inv(self, t: int) -> Array:
-        """S^{-1} of every window at offset t."""
-        if t == 0:
-            return self.S_inv
-        S_inv, singular = _inverse_nu_blocks(self.P[:, t], self.data.n)
-        if singular:
-            raise _failure(self.t1, {
-                i: f"pinned terminal unreachable from step {self.t1[i] + t}"
-                for i in singular})
-        return S_inv
+    def suffix(self, t: int) -> "ContinuationLaw":
+        """The continuation of every window from offset t: the law of the
+        windows [t1 + t, t1 + T], on views of this law's arrays.  A pin's
+        multiplier is solved at offset 0 alone, so a pinned law raises
+        ValueError."""
+        if self.pinned:
+            raise ValueError("a pinned law is read from its first step")
+        if not 0 <= t <= self.T:
+            raise ValueError(f"offset {t} outside the window")
+        wm = self.data
+        data = dataclasses.replace(wm, **{
+            f: getattr(wm, f)[:, t:] for f in ("A", "B", "w", "Q", "R",
+                                               "xbar")})
+        return ContinuationLaw(_read_only(self.t1 + t), data, self.P[:, t:],
+                               self.G[:, t:], self.closed_loop[:, t:])
 
-    def _nu(self, t: int, s: Array, w=slice(None)) -> Array:
+    def _nu(self, s: Array, w=slice(None)) -> Array:
         """Pin multipliers of the windows w from the states s = (x, 1) at
-        offset t: the solve with S and its refinement step (see _rollout)."""
-        n, S_inv = self.data.n, self._S_inv(t)[w]
-        r = self.P[w, t, n + 1:, :n + 1] @ s[..., None]
+        offset 0: the solve with S and its refinement step (see _rollout)."""
+        n, S_inv = self.data.n, self.S_inv[w]
+        r = self.P[w, 0, n + 1:, :n + 1] @ s[..., None]
         nu = -S_inv @ r
-        v = self.G[w, t:, :, n + 1:] @ nu[..., None, :, :]
-        miss = r + np.sum(self.PB[w, t:] @ v, axis=-3)
+        v = self.G[w, :, :, n + 1:] @ nu[..., None, :, :]
+        miss = r + np.sum(self.PB[w] @ v, axis=-3)
         return (nu - S_inv @ miss)[..., 0]
 
-    def _rollout(self, t: int, xs: Array) -> tuple[Array, Array]:
-        """Lifted optimal states s_t .. s_T and actions u_t .. u_{T-1} of
-        every window from offset t, as ``trajectories`` reads xs.
+    def _rollout(self, xs: Array) -> tuple[Array, Array]:
+        """Lifted optimal states s_0 .. s_T and actions u_0 .. u_{T-1} of
+        every window, as ``trajectories`` reads xs.
 
         A pin's multiplier nu adds the actions v_i = G_i[:, n+1:] nu to the
         unpinned closed loop (the (x, 1)-blocks), which move x_T by
         sum_i P_{i+1}[nu, :n] B_i v_i.  nu solves S nu = -r for the nu-block
-        S of P_t and the miss r of the unpinned rollout.  S has about the
+        S of P_0 and the miss r of the unpinned rollout.  S has about the
         squared condition number of the reachability map, so one step of
         iterative refinement follows, against the miss that the actions v
         predict.  The states are rolled out from v rather than from the
@@ -223,26 +234,24 @@ class ContinuationLaw:
         that misses its pin raises SingularKKT naming the earliest such
         window, with the miss of its first sample that misses.
         """
-        wm, n, K = self.data, self.data.n, self.T - t
+        wm, n, K = self.data, self.data.n, self.T
         lifted = np.zeros(xs.shape[:-1] + (K + 1, self.P.shape[-1]))
         lifted[..., n] = 1.0
         lifted[..., 0, :n] = xs
         if not self.pinned:
             for i in range(K):
-                lifted[..., i + 1, :] = _mv(self.closed_loop[:, t + i],
+                lifted[..., i + 1, :] = _mv(self.closed_loop[:, i],
                                             lifted[..., i, :])
-            return lifted, _mv(self.G[:, t:], lifted[..., :-1, :])
-        lifted[..., n + 1:] = self._nu(t, lifted[..., 0, :n + 1])[..., None, :]
-        B = wm.B[:, t:]
-        v = _mv(self.G[:, t:, :, n + 1:], lifted[..., :-1, n + 1:])
-        loop = self.closed_loop[:, t:, :n, :n]
-        shift = self.closed_loop[:, t:, :n, n] + _mv(B, v)
+            return lifted, _mv(self.G, lifted[..., :-1, :])
+        lifted[..., n + 1:] = self._nu(lifted[..., 0, :n + 1])[..., None, :]
+        v = _mv(self.G[..., n + 1:], lifted[..., :-1, n + 1:])
+        loop = self.closed_loop[..., :n, :n]
+        shift = self.closed_loop[..., :n, n] + _mv(wm.B, v)
         states = lifted[..., :n]
         for i in range(K):
             states[..., i + 1, :] = (_mv(loop[:, i], states[..., i, :])
                                      + shift[..., i, :])
-        actions = (_mv(self.G[:, t:, :, :n + 1], lifted[..., :-1, :n + 1])
-                   + v)
+        actions = _mv(self.G[..., :n + 1], lifted[..., :-1, :n + 1]) + v
         target = wm.terminal.target
         miss = np.linalg.norm(states[..., -1, :] - target, axis=-1)
         tol = 1e-6 * (1.0 + np.linalg.norm(target, axis=-1)
@@ -253,55 +262,54 @@ class ContinuationLaw:
             first = bad.argmax(axis=0)
             t1 = np.broadcast_to(self.t1, bad.shape[-1:])
             raise _failure(t1, {
-                i: f"pinned terminal unreachable from step {t1[i] + t}: "
+                i: f"pinned terminal unreachable from step {t1[i]}: "
                    f"the rollout misses it by {miss[first[i], i]:.3g}"
                 for i in np.flatnonzero(bad.any(axis=0))})
         return lifted, actions
 
-    def trajectories(self, t: int, xs: Array) -> tuple[Array, Array, Array]:
-        """Optimal states, actions and saddle multipliers of the windows
-        from offset t, by one batched rollout: window i from xs[..., i, :]
-        (a law of one window from every row of xs), with sample axes in
-        front.  The earliest window that misses its pin raises SingularKKT."""
-        lifted, actions = self._rollout(t, xs)
+    def trajectories(self, xs: Array) -> tuple[Array, Array, Array]:
+        """Optimal states, actions and saddle multipliers of the windows,
+        by one batched rollout: window i from xs[..., i, :] (a law of one
+        window from every row of xs), with sample axes in front.  The
+        earliest window that misses its pin raises SingularKKT."""
+        lifted, actions = self._rollout(xs)
         n = self.data.n
-        return lifted[..., :n], actions, -_mv(self.P[:, t:, :n], lifted)
+        return lifted[..., :n], actions, -_mv(self.P[..., :n, :], lifted)
 
-    def solution(self, t: int, x: Array) -> FtocpSolution:
-        """Optimal solution of the window [t, T] from x, with the saddle
-        system's multipliers and KKT residual; the law holds one window."""
+    def solution(self, x: Array) -> FtocpSolution:
+        """Optimal solution of the window from x, with the saddle system's
+        multipliers and KKT residual; the law holds one window."""
         if self.W != 1:
             raise ValueError("a solution reads a law of one window")
         states, actions, duals = (
-            a[0] for a in self.trajectories(t, np.atleast_1d(x)[None]))
-        t1, states = int(self.t1[0]), states.copy()
-        residual = self._kkt_residual(t, states, actions, duals)
-        return FtocpSolution(t1 + t, t1 + self.T, states, actions, duals,
-                             float(residual[0]))
+            a[0] for a in self.trajectories(np.atleast_1d(x)[None]))
+        states = states.copy()
+        residual = self._kkt_residual(states, actions, duals)
+        return FtocpSolution(states, actions, duals, float(residual[0]))
 
     def kkt_residuals(self, xs: Array) -> Array:
         """KKT residual of each window's optimal solution from its initial
         state xs[i] (see ``trajectories``)."""
-        return self._kkt_residual(0, *self.trajectories(0, xs))
+        return self._kkt_residual(*self.trajectories(xs))
 
-    def _kkt_residual(self, t, states, actions, duals) -> Array:
-        """||H chi - b|| of the window [t, T] of every window, block by
-        block: stationarity in y_s and v_s, the terminal row (stationarity
-        in y_T, or the pin), then the dynamics rows (the initial-state pin
-        holds exactly).  The trajectories may omit the window axis."""
+    def _kkt_residual(self, states, actions, duals) -> Array:
+        """||H chi - b|| of every window, block by block: stationarity in
+        y_s and v_s, the terminal row (stationarity in y_T, or the pin),
+        then the dynamics rows (the initial-state pin holds exactly).  The
+        trajectories may omit the window axis."""
         wm = self.data
-        A, B, term = wm.A[:, t:], wm.B[:, t:], wm.terminal
+        A, B, term = wm.A, wm.B, wm.terminal
         y, nxt = states[..., :-1, :], duals[..., 1:, :]
-        r_y = (_mv(wm.Q[:, t:], y - wm.xbar[:, t:]) + duals[..., :-1, :]
+        r_y = (_mv(wm.Q, y - wm.xbar) + duals[..., :-1, :]
                - _mv(A.swapaxes(-1, -2), nxt))
-        r_v = _mv(wm.R[:, t:], actions) - _mv(B.swapaxes(-1, -2), nxt)
+        r_v = _mv(wm.R, actions) - _mv(B.swapaxes(-1, -2), nxt)
         if term.kind == "indicator":
             r_T = states[..., -1:, :] - term.target[..., None, :]
         else:
             r_T = (_mv(term.P[..., None, :, :],
                        states[..., -1:, :] - term.xbar[..., None, :])
                    + duals[..., -1:, :])
-        r_dyn = states[..., 1:, :] - _mv(A, y) - _mv(B, actions) - wm.w[:, t:]
+        r_dyn = states[..., 1:, :] - _mv(A, y) - _mv(B, actions) - wm.w
         return np.sqrt(sum(np.sum(r * r, axis=(-2, -1))
                            for r in (r_y, r_v, r_T, r_dyn)))
 
@@ -332,7 +340,7 @@ def continuation_law(system, params: Sequence, terminal: TerminalCost,
     names the earliest failing window, and in it the step that its own
     backward pass meets first; its ``window`` is that window's index.
     """
-    t1 = np.asarray(t1, int)
+    t1 = _read_only(np.array(t1, int))
     params = np.asarray(params, float)
     W, T = params.shape[0], params.shape[1] - 1
     n, m = system.n, system.m
@@ -377,11 +385,12 @@ def continuation_law(system, params: Sequence, terminal: TerminalCost,
         for i in singular:
             failed.setdefault(i, f"pinned terminal unreachable from step "
                                  f"{t1[i]}")
-        PB = P[:, 1:, n + 1:, :n] @ wm.B
+        S_inv, PB = _read_only(S_inv), _read_only(P[:, 1:, n + 1:, :n] @ wm.B)
     if failed:
         raise _failure(t1, failed)
     closed_loop = F[..., :d] + F[..., d:] @ G
-    return ContinuationLaw(t1, wm, P, G, closed_loop, S_inv, PB)
+    return ContinuationLaw(t1, wm, *map(_read_only, (P, G, closed_loop)),
+                           S_inv, PB)
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +423,17 @@ class ChainLaw:
 
     def kkt_residuals(self, xs: Array) -> Array:
         """KKT residual of the optimal solution from xs[0], as an array."""
-        return np.array([self._kkt_residual(0, *self._trajectory(0, xs[0]))])
+        return np.array([self.solution(xs[0]).kkt_residual])
 
-    def solution(self, t: int, x: Array) -> FtocpSolution:
-        """Optimal solution of the window [t, T] from x, with the multipliers
-        of its dynamics rows and its KKT residual."""
-        states, actions, duals = self._trajectory(t, x)
-        residual = self._kkt_residual(t, states, actions, duals)
-        return FtocpSolution(self.t1 + t, self.t1 + self.T,
-                             *(np.array(a)[:, None]
-                               for a in (states, actions, duals)), residual)
-
-    def _trajectory(self, t: int, x: Array) -> tuple[list, list, list]:
-        """Optimal states, actions and multipliers of the window [t, T]
-        from x, as floats."""
-        states = self._rollout(t, self._check(t, x), self.T)
+    def solution(self, x: Array) -> FtocpSolution:
+        """Optimal solution of the window from x, with the multipliers of
+        its dynamics rows and its KKT residual, all read on floats."""
+        states = self._rollout(0, self._check(0, x), self.T)
         actions = self._actions(states)
-        return states, actions, self._duals(t, states, actions)
+        duals = self._duals(states, actions)
+        return FtocpSolution(*(np.array(a)[:, None]
+                               for a in (states, actions, duals)),
+                             self._kkt_residual(states, actions, duals))
 
     def _actions(self, states: list) -> list:
         """The actions between consecutive states, clipped to the action
@@ -470,7 +473,7 @@ class ChainLaw:
             states.append(x)
         return states
 
-    def _duals(self, t: int, states, actions) -> list:
+    def _duals(self, states, actions) -> list:
         """Multipliers eta of the dynamics rows (as in ContinuationLaw) of a
         primal solution, as floats.  The multipliers l_s = eta_{s+1} - gam u_s
         of the bounds on u_s and m_s = eta_{s+1} - eta_s - (x_s - r_s) of
@@ -478,7 +481,7 @@ class ChainLaw:
         A forward pass keeps the interval of eta_{s+1} this allows (its
         nearest point if empty), a backward one picks eta_s nearest m_s = 0."""
         sys, gam, K = self.system, self.system.action_weight, len(actions)
-        dev = [x - r for x, r in zip(states, self.targets[t:])]
+        dev = [x - r for x, r in zip(states, self.targets)]
         tol, inf = 1e-12, np.inf
         bands, lo, hi = [], -inf, inf       # eta_0 is free: x_0 is given
         for s, (x, u) in enumerate(zip(states, actions)):
@@ -497,15 +500,15 @@ class ChainLaw:
         eta[0] = nearest
         return eta
 
-    def _kkt_residual(self, t, states, actions, duals) -> float:
-        """Norm of the KKT violations of the window [t, T]: the initial
+    def _kkt_residual(self, states, actions, duals) -> float:
+        """Norm of the KKT violations of the window: the initial
         state's stationarity row, the dynamics rows, the pin, and the natural
         residuals v - clip(v + l, lo, hi) of the bounds on each action and
         state v, zero iff v is feasible and its multiplier l complementary.
         The entries are floats, taken in this order into one norm."""
         sys, gam, eta = self.system, self.system.action_weight, duals
         u_hi = np.inf if sys.u_hi is None else sys.u_hi
-        dev = [x - r for x, r in zip(states, self.targets[t:])]
+        dev = [x - r for x, r in zip(states, self.targets)]
         rows = [dev[0] + eta[0] - eta[1]] if len(actions) else []
         rows += [b - a - u for a, b, u in zip(states, states[1:], actions)]
         rows.append(states[-1] - self.pin)

@@ -88,10 +88,9 @@ def _dynamics_blocks(wm: WindowMatrices) -> Array:
 # decay fits
 # ---------------------------------------------------------------------------
 
-def loglinear_fit(x: Array, y: Array) -> tuple[float, float, float] | None:
-    """Least-squares fit of log(y) against x; returns (slope, intercept,
-    r2), or None for fewer than two points, through which no line is
-    fitted."""
+def loglinear_fit(x: Array, y: Array) -> tuple[float, float] | None:
+    """Least-squares fit of log(y) against x; returns (slope, r2), or None
+    for fewer than two points, through which no line is fitted."""
     x = np.asarray(x, float)
     if x.size < 2:
         return None
@@ -102,7 +101,7 @@ def loglinear_fit(x: Array, y: Array) -> tuple[float, float, float] | None:
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r2
+    return float(coef[0]), r2
 
 
 @dataclasses.dataclass
@@ -137,8 +136,7 @@ def fit_decay(offsets: Array, maxima: Array) -> DecayFit:
     if not np.any(pos[offsets > 0]):
         C = float(maxima.max(initial=0.0))
         return DecayFit(C, 0.0, None, offsets, maxima)
-    fitted = loglinear_fit(offsets[pos], maxima[pos])
-    slope, r2 = (0.0, None) if fitted is None else (fitted[0], fitted[2])
+    slope, r2 = loglinear_fit(offsets[pos], maxima[pos]) or (0.0, None)
     lam = float(np.exp(min(slope, 0.0)))
     lam = min(lam, 1.0 - 1e-12) if lam < 1.0 else lam
     with np.errstate(divide="ignore"):
@@ -359,10 +357,9 @@ def _terminal_data(terminal: TerminalCost) -> tuple[Array, ...]:
     return terminal.P, terminal.xbar
 
 
-def _first_action_adjoint(law: ftocp.ContinuationLaw, t0: int):
+def _first_action_adjoint(law: ftocp.ContinuationLaw):
     """lam = H^{-1} e_{u_0} for the saddle matrix H of every window of a
-    law read from offset t0 (window i is then [t1[i] + t0, t1[i] + T]),
-    one column per component of the first action.
+    law, one column per component of the first action.
 
     lam is the solution of the window with zero affine data (w, xbar, pin
     target), zero initial state and the linear cost -u_0[j].  After the
@@ -370,27 +367,27 @@ def _first_action_adjoint(law: ftocp.ContinuationLaw, t0: int):
     Riccati pass runs: the first step is one solve with R + B'P B of that
     step (the "kick", the action of the unit cost), and a pin's multiplier
     nu cancels the kick's terminal miss P[nu, x] B kick through the inverse
-    of the nu-block of P at offset t0.
+    of the nu-block of P_0.
 
     Returns, with the window axis first, y (K+1, n, m) and v (K, m, m) by
-    offset from t0, eta (K, n, m), the multipliers of the dynamics rows into
+    offset, eta (K, n, m), the multipliers of the dynamics rows into
     offsets 1..K (the initial pin carries no parameter), and nu (n, m), or
     None without a pin.  The kick is defined wherever the law is: its
     backward pass solved with the same matrix.
     """
-    n, m, K = law.data.n, law.data.m, law.T - t0
-    B, P, G = law.data.B[:, t0:], law.P[:, t0:], law.G[:, t0:]
+    n, m, K = law.data.n, law.data.m, law.T
+    B, P, G = law.data.B, law.P, law.G
     B0 = B[:, 0]
-    kick = np.linalg.inv(law.data.R[:, t0]
+    kick = np.linalg.inv(law.data.R[:, 0]
                          + B0.swapaxes(-1, -2) @ P[:, 1, :n, :n] @ B0)
     extra = np.zeros((law.W, K, m, m))   # actions beyond the state feedback
     nu = None
     if law.pinned:
-        nu = -law._S_inv(t0) @ (P[:, 1, n + 1:, :n] @ B0 @ kick)
+        nu = -law.S_inv @ (P[:, 1, n + 1:, :n] @ B0 @ kick)
         extra += G[..., n + 1:] @ nu[:, None]
     extra[:, 0] += kick
     y = np.zeros((law.W, K + 1, n, m))
-    loop = law.closed_loop[:, t0:, :n, :n]
+    loop = law.closed_loop[..., :n, :n]
     for t in range(K):
         y[:, t + 1] = loop[:, t] @ y[:, t] + B[:, t] @ extra[:, t]
     v = G[..., :n] @ y[:, :-1] + extra
@@ -411,12 +408,11 @@ def _terminal_slopes(instance: Instance, terminal_rule,
         instance.truth[t2])
 
 
-def _window_action_jacobians(law: ftocp.ContinuationLaw, t0: int, zs: Array,
+def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
                              step_slopes, terminal_slopes) -> Array:
     """Spectral norms of the Jacobians of the committed action of every
-    window of a law read from offset t0 (window i is then [t1[i] + t0,
-    t1[i] + T]) with respect to each window parameter (and, for a pin, its
-    target), by offset from t0; entry [j, i] is taken at the initial state
+    window of a law with respect to each window parameter (and, for a pin,
+    its target), by offset; entry [j, i] is taken at the initial state
     zs[j, i] of window i.
 
     By the implicit-function theorem on the saddle system H chi = b of a
@@ -434,13 +430,13 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, t0: int, zs: Array,
     one batched rollout; the earliest window that misses its pin raises
     SingularKKT.
     """
-    wm, K = law.data, law.T - t0
-    states, v, duals = law.trajectories(t0, zs)
-    lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law, t0)
+    wm, K = law.data, law.T
+    states, v, duals = law.trajectories(zs)
+    lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law)
     y, eta = states[..., :-1, :], duals[..., 1:, :]
-    steps = law.t1[:, None] + t0 + np.arange(K)
+    steps = law.t1[:, None] + np.arange(K)
     dA, dB, dw, dQ, dR, dxbar = (d[steps] for d in step_slopes)
-    Q, xbar = wm.Q[:, t0:], wm.xbar[:, t0:]
+    Q, xbar = wm.Q, wm.xbar
     row_y = (np.einsum("wtabi,zwtb->zwtai", dQ, y - xbar)
              - np.einsum("wtab,wtbi->wtai", Q, dxbar)
              - np.einsum("wtbai,zwtb->zwtai", dA, eta))
@@ -536,7 +532,7 @@ def measure_gain_tables(instance: Instance, k: int,
     group of laws, by central differences of the system's maps.  The laws
     come from at most two backward passes: the T - k full windows
     [t, t + k] are one batch of ``ftocp.window_laws``, and each of the k
-    tail windows [t, T] is the suffix from offset t of the instance's truth
+    tail windows [t, T] is ``suffix(t)`` of the instance's truth
     law, since a window that reaches T has the true step data and the
     instance's terminal cost under every rule (so the tails share one
     terminal slope).  A failing window raises as the windows would one at
@@ -567,7 +563,7 @@ def measure_gain_tables(instance: Instance, k: int,
     if batch.windows:
         law_k = batch.windows[0][0]
         jac[:, :law_k.W] = _window_action_jacobians(
-            law_k, 0, zs[:, :law_k.W], step_slopes,
+            law_k, zs[:, :law_k.W], step_slopes,
             _terminal_slopes(instance, terminal_rule, law_k.t1 + law_k.T))
     if batch.failure is not None:
         raise batch.failure
@@ -575,7 +571,7 @@ def measure_gain_tables(instance: Instance, k: int,
     tail_slopes = _terminal_slopes(instance, terminal_rule, law.t1 + law.T)
     for t in range(full, T):
         jac[:, t, :T - t + 1] = _window_action_jacobians(
-            law, t, zs[:, t:t + 1], step_slopes, tail_slopes)[:, 0]
+            law.suffix(t), zs[:, t:t + 1], step_slopes, tail_slopes)[:, 0]
     # one np.linalg.norm per state: a batched norm rounds differently
     scale = np.array([[np.linalg.norm(z) for z in zt] for zt in zs[1:]])
     gp = jac[0].max(axis=0)

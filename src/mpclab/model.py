@@ -332,7 +332,6 @@ class Instance:
     system: object
     truth: Array
     x0: Array
-    name: str = "instance"
     seed: int = 0
     terminal_param: Array | None = None
 

@@ -77,7 +77,7 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
     xd = np.array([_unit_vec(rng, n) for _ in range(T)])
     truth = rng.uniform(0.0, 1.0, size=(T + 1, 1))
     x0 = 0.3 * _unit_vec(rng, n)
-    return Instance(system, truth, x0, name="tracking-rand", seed=seed)
+    return Instance(system, truth, x0, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def disturbance(T: int = 60, seed: int = 0) -> Instance:
         bounds=Bounds(mu=1.0, ell=1.0, a=0.7, b=1.0, D_w=0.2, L_w=0.4),
         param_box=ParamBox(np.array([0.0]), np.array([1.0])))
     truth = rng.uniform(0.0, 1.0, size=(T + 1, 1))
-    return Instance(system, truth, np.zeros(2), name="disturbance", seed=seed)
+    return Instance(system, truth, np.zeros(2), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +114,20 @@ def _alternating_targets(T: int) -> Array:
                      for t in range(T + 1)])
 
 
-def _inventory_instance(T: int, u_hi: float | None, name: str,
-                        seed: int) -> Instance:
+def _inventory_instance(T: int, u_hi: float | None, seed: int) -> Instance:
     targets = _alternating_targets(T)
     system = InventorySystem(T=T, targets=targets, u_lo=-0.8, u_hi=u_hi)
     terminal = np.array([2.0 / 5.0 if T % 2 else -2.0 / 5.0])
-    return Instance(system, targets[:, None], np.zeros(1), name=name,
-                    seed=seed, terminal_param=terminal)
+    return Instance(system, targets[:, None], np.zeros(1), seed=seed,
+                    terminal_param=terminal)
 
 
 def inventory_two_sided(T: int = 8, seed: int = 0) -> Instance:
-    return _inventory_instance(T, 0.8, "inventory-two-sided", seed)
+    return _inventory_instance(T, 0.8, seed)
 
 
 def inventory_one_sided(T: int = 12, seed: int = 0) -> Instance:
-    return _inventory_instance(T, None, "inventory-one-sided", seed)
+    return _inventory_instance(T, None, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def pendulum(T: int = 30, seed: int = 0, M: float = 0.5) -> Instance:
     system = pendulum_system(T=T)
     truth = np.full((T + 1, 1), M)
     x0 = np.array([0.1, 0.0, 0.05, 0.0])
-    return Instance(system, truth, x0, name="pendulum", seed=seed)
+    return Instance(system, truth, x0, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,7 @@ def grid(T: int = 30, seed: int = 0, n_nodes: int = 3) -> Instance:
                         size=(T + 1, 1))
     x0 = np.zeros(2 * n_nodes)
     x0[:n_nodes] = 0.1
-    return Instance(system, truth, x0, name="grid", seed=seed)
+    return Instance(system, truth, x0, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -285,38 +284,35 @@ class SuiteRow:
 
 
 def inventory_counterexample_suite(ps=(4, 5, 6, 7, 8),
-                                   eps_values=None) -> list[SuiteRow]:
+                                   eps=None) -> list[SuiteRow]:
     """Terminal-pin perturbation study on the two-sided alternating chain.
 
     For each length p the terminal pin moves from its base value (-2/5 for
-    even p, +2/5 for odd p) by eps; the per-step response is recorded along
+    even p, +2/5 for odd p) by eps, or when eps is None by 2/(5(p - 1)) for
+    even p and 2/(5p) for odd p; the per-step response is recorded along
     with the distance to the alternating closed form.  Raises ModelError
     for an eps whose pin the chain cannot reach from 0, naming the
     admissible interval [max(x_lo, p u_lo), min(x_hi, p u_hi)] - base.
     """
     rows = []
-    for idx, p in enumerate(ps):
+    for p in ps:
         base = -2.0 / 5.0 if p % 2 == 0 else 2.0 / 5.0
-        if eps_values is None:
-            eps = 2.0 / (5.0 * (p - 1)) if p % 2 == 0 else 2.0 / (5.0 * p)
-        elif np.ndim(eps_values) == 0:
-            eps = float(eps_values)
-        else:
-            eps = float(eps_values[idx])
+        eps_p = 2.0 / (5.0 * (p - 1)) if p % 2 == 0 else 2.0 / (5.0 * p)
+        eps_p = eps_p if eps is None else float(eps)
         system, params = _chain_window(p, u_hi=0.8)
         lo = max(system.x_lo, p * system.u_lo) - base
         hi = min(system.x_hi, p * system.u_hi) - base
-        if not lo <= eps <= hi:
-            raise ModelError(f"eps = {eps:.6g} moves the pin of p = {p} out "
+        if not lo <= eps_p <= hi:
+            raise ModelError(f"eps = {eps_p:.6g} moves the pin of p = {p} out "
                              f"of reach: need {lo:.6g} <= eps <= {hi:.6g}")
         sol0, sol1 = (
             ftocp.window_law(system, params, TerminalCost.indicator([pin]))
-            .solution(0, np.zeros(1)) for pin in (base, base + eps))
-        closed = two_sided_closed_form(p, eps)
+            .solution(np.zeros(1)) for pin in (base, base + eps_p))
+        closed = two_sided_closed_form(p, eps_p)
         for h in range(1, p + 1):
             diff = abs(float(sol1.states[h, 0]) - float(sol0.states[h, 0]))
             cerr = abs(float(sol1.states[h, 0]) - closed[h - 1])
-            rows.append(SuiteRow(p, eps, h, diff, diff - eps, cerr))
+            rows.append(SuiteRow(p, eps_p, h, diff, diff - eps_p, cerr))
     return rows
 
 

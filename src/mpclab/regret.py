@@ -144,26 +144,24 @@ def pipeline_admission_check(rhs: Array, tables: kkt.GainTables,
 @dataclasses.dataclass
 class SweepResult:
     """Regrets of a sweep and the log-linear fit of those above
-    REGRET_FLOOR: slope, intercept and r2 are None when fewer than two
-    are, since no line is fitted.  ``kkt_residual_max`` is the worst KKT
-    residual of the window solves of the sweep's runs."""
+    REGRET_FLOOR: slope and r2 are None when fewer than two are, since no
+    line is fitted.  ``kkt_residual_max`` is the worst KKT residual of the
+    window solves of the sweep's runs."""
 
     variable: str
     values: Array
     regrets: Array
     slope: float | None
-    intercept: float | None
     r2: float | None
     kkt_residual_max: float
-    log_x: bool = False
 
 
 def _fit_positive(xs: Array, regrets: Array, log_x: bool):
-    """(slope, intercept, r2) of log(regret) against x (or log x) over the
-    regrets above REGRET_FLOOR; all None when fewer than two are."""
+    """(slope, r2) of log(regret) against x (or log x) over the regrets
+    above REGRET_FLOOR; both None when fewer than two are."""
     mask = regrets > REGRET_FLOOR
     x = np.log(xs[mask]) if log_x else xs[mask]
-    return kkt.loglinear_fit(x, regrets[mask]) or (None, None, None)
+    return kkt.loglinear_fit(x, regrets[mask]) or (None, None)
 
 
 def _sweep_regrets(instance: Instance, points,
@@ -190,8 +188,8 @@ def sweep_horizon(instance: Instance, k_values: Sequence[int],
     regrets, worst = _sweep_regrets(instance, [(k, 0.0) for k in k_values],
                                     rule)
     ks = np.asarray(k_values, float)
-    slope, intercept, r2 = _fit_positive(ks, regrets, log_x=False)
-    return SweepResult("k", ks, regrets, slope, intercept, r2, worst)
+    slope, r2 = _fit_positive(ks, regrets, log_x=False)
+    return SweepResult("k", ks, regrets, slope, r2, worst)
 
 
 def sweep_noise(instance: Instance, scales: Sequence[float], k: int,
@@ -204,6 +202,5 @@ def sweep_noise(instance: Instance, scales: Sequence[float], k: int,
     regrets, worst = _sweep_regrets(instance, [(k, s) for s in scales], rule)
     xs = np.asarray(scales, float)
     keep = xs > 0
-    slope, intercept, r2 = _fit_positive(xs[keep], regrets[keep], log_x=True)
-    return SweepResult("noise_scale", xs, regrets, slope, intercept, r2,
-                       worst, log_x=True)
+    slope, r2 = _fit_positive(xs[keep], regrets[keep], log_x=True)
+    return SweepResult("noise_scale", xs, regrets, slope, r2, worst)

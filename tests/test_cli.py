@@ -672,7 +672,9 @@ class TestLibrarySurface:
                 # on given data, with no sampling of the box
                 engine: ["per_step_error_bound_rhs",
                          "pipeline_admission_check", "AdmissionReport"],
-                model: ["_rho_offsets"], model.ParamBox: ["sample"]}
+                model: ["_rho_offsets"], model.ParamBox: ["sample"],
+                # a pinned law is read from its first step alone
+                ftocp.ContinuationLaw: ["_S_inv"]}
         present = [f"{owner.__name__}.{name}"
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
@@ -684,9 +686,21 @@ class TestLibrarySurface:
                 (regret.sweep_noise, ["instance", "scales", "k", "rule"]),
                 (regret.sweep_horizon, ["instance", "k_values", "rule"]),
                 (kkt.measure_gain_tables, ["instance", "k", "terminal_rule"]),
-                (kkt._window_action_jacobians, ["law", "t0", "zs",
-                                                "step_slopes",
+                (kkt._window_action_jacobians, ["law", "zs", "step_slopes",
                                                 "terminal_slopes"]),
+                (kkt._first_action_adjoint, ["law"]),
+                (kkt.loglinear_fit, ["x", "y"]),
+                (presets.inventory_counterexample_suite, ["ps", "eps"]),
+                # laws are read from their first step; action is the one
+                # read at an offset, suffix the continuation from one
+                (ftocp.ContinuationLaw.action, ["self", "t", "x", "w"]),
+                (ftocp.ContinuationLaw.suffix, ["self", "t"]),
+                (ftocp.ContinuationLaw.trajectories, ["self", "xs"]),
+                (ftocp.ContinuationLaw.solution, ["self", "x"]),
+                (ftocp.ContinuationLaw.kkt_residuals, ["self", "xs"]),
+                (ftocp.ChainLaw.action, ["self", "t", "x", "w"]),
+                (ftocp.ChainLaw.solution, ["self", "x"]),
+                (ftocp.ChainLaw.kkt_residuals, ["self", "xs"]),
                 (model.validate_assumptions, ["system", "ts", "xis"]),
                 (regret.per_step_error_bound_rhs, ["rho_table", "tables",
                                                    "D_xstar"]),
@@ -699,6 +713,14 @@ class TestLibrarySurface:
         assert not {"k", "rule_kind"} & fields
         assert [f.name for f in dataclasses.fields(kkt.GainTables)] == [
             "gain_state", "gain_param", "gain_init", "basis", "R"]
+        for cls, names in (
+                (ftocp.FtocpSolution, ["states", "actions", "duals",
+                                       "kkt_residual"]),
+                (regret.SweepResult, ["variable", "values", "regrets",
+                                      "slope", "r2", "kkt_residual_max"]),
+                (model.Instance, ["system", "truth", "x0", "seed",
+                                  "terminal_param"])):
+            assert [f.name for f in dataclasses.fields(cls)] == names, cls
         assert "floor" not in inspect.signature(kkt.fit_decay).parameters
         fields = {f.name for f in dataclasses.fields(model.InventorySystem)}
         assert "include_terminal_stage" not in fields

@@ -90,7 +90,8 @@ def test_law_matches_oracle_on_a_nearly_unreachable_pin():
 
 def check_law_against_oracle(n, m, kind, seed, T, t1, t):
     """The law of a random window on steps t1 .. T, read at offset t, against
-    the oracle."""
+    the oracle.  A pinned law is read from its first step alone, so its
+    window [t1 + t, T] is built on its own."""
     rng = np.random.default_rng(seed)
     system = random_system(rng, n, m, T)
     params = [np.zeros(1)] * (T - t1 + 1)
@@ -101,12 +102,16 @@ def check_law_against_oracle(n, m, kind, seed, T, t1, t):
                     rng.normal(size=n))}[kind]()
     x = rng.normal(size=n)
     law = ftocp.continuation_law(system, [params], terminal, [t1])
-    sol = law.solution(t, x)
+    if law.pinned:
+        law = ftocp.continuation_law(system, [params[t:]], terminal, [t1 + t])
+        tail, t_read = law, 0
+    else:
+        tail, t_read = law.suffix(t), t
+    sol = tail.solution(x)
     so, ao, lam = oracle_continuation(system, params, terminal, t, x, t1)
-    assert (sol.t1, sol.t2) == (t1 + t, T)
     assert rel_err(sol.states, so) <= 1e-9
     assert rel_err(sol.actions, ao) <= 1e-9
-    assert rel_err(law.action(t, x), ao[0]) <= 1e-9
+    assert rel_err(law.action(t_read, x), ao[0]) <= 1e-9
     # saddle multipliers are half the oracle's (initial pin, dynamics rows)
     assert rel_err(sol.duals, lam[:T - t1 - t + 1] / 2) <= 1e-9
     # the residual is exact up to rounding, relative to the multipliers
@@ -128,7 +133,7 @@ def test_ill_conditioned_pin_matches_oracle():
     terminal = TerminalCost.indicator(rng.normal(size=2))
     x = rng.normal(size=2)
     sol = ftocp.continuation_law(system, [params], terminal,
-                                 [0]).solution(0, x)
+                                 [0]).solution(x)
     so, ao, _ = oracle_continuation(system, params, terminal, 0, x)
     assert np.abs(ao).max() > 1e3
     assert rel_err(sol.actions, ao) <= 1e-12
@@ -209,7 +214,7 @@ def test_kkt_residual_matches_dense_saddle_residual(kind):
                 "indicator": TerminalCost.indicator(rng.normal(size=n))}[kind]
     z = rng.normal(size=n)
     law = ftocp.continuation_law(system, [params], terminal, [0])
-    sol = law.solution(0, z)
+    sol = law.solution(z)
     # a point off the optimum, with the initial pin held
     states = sol.states + 0.01 * rng.normal(size=sol.states.shape)
     actions = sol.actions + 0.01 * rng.normal(size=sol.actions.shape)
@@ -234,7 +239,7 @@ def test_kkt_residual_matches_dense_saddle_residual(kind):
     asm = oracles.saddle_assembly(kkt.window_data(system, params, terminal))
     want = float(np.linalg.norm(oracles.saddle_matrix(asm.M, asm.N) @ chi
                                 - b))
-    got = law._kkt_residual(0, states, actions, duals)
+    got = law._kkt_residual(states, actions, duals)
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -247,7 +252,7 @@ def test_pendulum_pinned_windows_match_oracle(k):
     for t in range(0, inst.T - k, 4):
         params = [inst.truth[s] for s in range(t, t + k + 1)]
         terminal = rule.build(inst, t + k, params[-1])
-        sol = ftocp.window_law(sys_, params, terminal, t).solution(0, z)
+        sol = ftocp.window_law(sys_, params, terminal, t).solution(z)
         so, ao, _ = oracle_continuation(sys_, params, terminal, 0, z, t)
         assert rel_err(sol.states, so) <= 1e-9
         assert rel_err(sol.actions, ao) <= 1e-9
@@ -263,7 +268,7 @@ def test_unreachable_pinned_window_raises(k):
     with pytest.raises(SingularKKT, match="unreachable"):
         ftocp.window_law(inst.system, params, TerminalCost.indicator(
             np.array([0.3, 0.0, -0.1, 0.2]))).solution(
-                0, np.array([0.1, -0.2, 0.05, 0.3]))
+                np.array([0.1, -0.2, 0.05, 0.3]))
 
 
 RUN_PRESETS = [("tracking-rand", 4), ("disturbance", 4), ("grid", 4),
@@ -317,12 +322,13 @@ def test_batched_run_matches_oracle_when_windows_reach_the_end(name,
         check_run_against_oracle(inst, inst.T - shorter, rule)
 
 
-@pytest.mark.parametrize("kind", ["predicted_tracking", "true"])
-@pytest.mark.parametrize("t", [0, 2])
-def test_sample_rollouts_match_separate_rollouts(kind, t):
+@pytest.mark.parametrize("t,kind", [(0, "predicted_tracking"), (0, "true"),
+                                    (2, "true")])
+def test_sample_rollouts_match_separate_rollouts(t, kind):
     # rollouts of a batch from Z samples of initial states at once are the
     # Z rollouts taken one sample at a time, bit for bit, on a pinned and
-    # a quadratic batch
+    # a quadratic batch, and on the suffix of the quadratic one (a pinned
+    # batch is read from its first step alone)
     inst = presets.tracking_rand(T=12, seed=4)
     k, starts = 4, np.arange(8)
     t2 = starts + k
@@ -331,8 +337,10 @@ def test_sample_rollouts_match_separate_rollouts(kind, t):
         TerminalRule(kind).build(inst, t2, inst.truth[t2]), starts)
     assert law.pinned == (kind != "true")
     zs = np.random.default_rng(2).normal(size=(3, len(starts), 2))
-    got = law.trajectories(t, zs)
+    if t:
+        law = law.suffix(t)
+    got = law.trajectories(zs)
     for j, z in enumerate(zs):
-        for g, w in zip(got, law.trajectories(t, z), strict=True):
+        for g, w in zip(got, law.trajectories(z), strict=True):
             assert g[j].shape == w.shape
             assert g[j].tobytes() == w.tobytes()

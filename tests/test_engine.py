@@ -25,7 +25,7 @@ def quiet_instance(T=6):
         terminal=lambda xi: (np.eye(2), np.zeros(2)),
         bounds=Bounds(mu=1.0, ell=1.0, a=0.7, b=1.2),
         param_box=ParamBox(np.zeros(1), np.ones(1)))
-    return Instance(system, np.zeros((T + 1, 1)), np.zeros(2), name="quiet")
+    return Instance(system, np.zeros((T + 1, 1)), np.zeros(2))
 
 
 def terminal_bits(term):
@@ -86,7 +86,7 @@ class TestTerminalRule:
         zero = np.zeros_like(inst.truth)
         law = ftocp.window_law(inst.system, zero, inst.terminal_cost(zero[-1]))
         assert np.array_equal(TerminalRule.reference(inst).reference_states,
-                              law.solution(0, inst.x0).states)
+                              law.solution(inst.x0).states)
 
     def test_final_window_uses_instance_terminal(self):
         inst = quiet_instance()
@@ -209,6 +209,30 @@ class TestRunMpc:
         assert np.array_equal(runs[0].states, runs[1].states)
         assert np.array_equal(runs[0].actions, runs[1].actions)
         assert np.array_equal(runs[0].errors, runs[1].errors)
+
+    @pytest.mark.parametrize("name,T,k,noise", [
+        ("disturbance", 80, 8, 0.2), ("tracking-rand", 60, 8, 0.1),
+        ("tracking-rand", 40, 40, 0.1), ("grid", 30, 6, 0.05),
+        ("pendulum", 30, 6, 0.05)])
+    def test_committed_action_is_the_first_of_its_window(self, name, T, k,
+                                                         noise):
+        # each committed action is the first action of the rollout of its
+        # window from the realized state, bit for bit, so the run's worst
+        # KKT residual is that of the actions it commits
+        inst = presets.build_preset(name, T=T)
+        stream = PredictionStream(inst.truth, min(k, T), noise,
+                                  seed=inst.seed)
+        rule = TerminalRule("predicted_tracking")
+        run = engine.run_mpc(inst, stream, k, rule)
+        laws = ftocp.window_laws(
+            inst.system, [(t, stream.window(t, min(t + k, T)))
+                          for t in range(T)],
+            lambda t2, xi: rule.build(inst, t2, xi))
+        assert laws.failure is None and len(laws.windows) == T
+        for t, (law, w) in enumerate(laws.windows):
+            if w == 0:
+                _, actions, _ = law.trajectories(run.states[t:t + law.W])
+            assert actions[w, 0].tobytes() == run.actions[t].tobytes(), t
 
     def test_window_validation(self):
         inst = quiet_instance(T=6)
@@ -369,7 +393,7 @@ class TestPerInstance:
         moved = dataclasses.replace(inst, x0=inst.x0 + 0.5)
         own = engine.solve_opt(moved)
         want = ftocp.window_law(moved.system, moved.truth,
-                                moved.terminal_cost()).solution(0, moved.x0)
+                                moved.terminal_cost()).solution(moved.x0)
         assert ftocp.truth_law(moved) is not ftocp.truth_law(inst)
         assert np.array_equal(own.states, want.states)
         assert not np.allclose(own.states, opt.states)
@@ -386,6 +410,19 @@ class TestPerInstance:
                   opt.stage_costs):
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+    def test_truth_law_is_read_only(self):
+        # every later run on the instance reads the same law
+        inst = presets.tracking_rand(T=8)
+        law = ftocp.truth_law(inst)
+        with pytest.raises(ValueError):
+            law.G[0, 0, 0, 0] = 1.0
+        for a in (law.t1, law.P, law.G, law.closed_loop, law.suffix(3).G):
+            assert not a.flags.writeable
+        pinned = ftocp.window_law(inst.system, inst.truth[:4],
+                                  TerminalCost.indicator(np.zeros(2)))
+        for a in (pinned.S_inv, pinned.PB):
+            assert not a.flags.writeable
 
 
 def gain_tables(gs=(0.0,), gp=(0.0,), R=1.0, gain_init=(1.0,)):

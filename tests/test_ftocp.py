@@ -42,7 +42,7 @@ class TestQuadraticSolver:
         z = np.array([0.25, -0.1])
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         term = inst.system.terminal_cost(params[-1])
-        sol = ftocp.window_law(inst.system, params, term, t1).solution(0, z)
+        sol = ftocp.window_law(inst.system, params, term, t1).solution(z)
         so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                        ("quadratic", term.P, term.xbar))
         assert np.allclose(sol.states, so, atol=1e-8)
@@ -55,7 +55,7 @@ class TestQuadraticSolver:
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         law = ftocp.window_law(inst.system, params,
                                TerminalCost.indicator(target), t1)
-        sol = law.solution(0, z)
+        sol = law.solution(z)
         so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                        ("indicator", target))
         assert np.allclose(sol.states, so, atol=1e-8)
@@ -67,7 +67,7 @@ class TestQuadraticSolver:
         z = np.array([0.3, 0.3])
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         sol = ftocp.window_law(inst.system, params, TerminalCost.zero(2),
-                               t1).solution(0, z)
+                               t1).solution(z)
         so, ao = oracles.lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z,
                                           ("zero",))
         assert np.allclose(sol.states, so, atol=1e-8)
@@ -78,7 +78,7 @@ class TestQuadraticSolver:
         params, *_ = window_data(inst, t1, t2)
         term = inst.system.terminal_cost(params[-1])
         sol = ftocp.window_law(inst.system, params, term,
-                               t1).solution(0, np.zeros(2))
+                               t1).solution(np.zeros(2))
         assert sol.kkt_residual <= 1e-8
         A, B, w, *_ = inst.system.step_data(np.arange(t1, t2),
                                             params[:-1])
@@ -94,7 +94,7 @@ class TestQuadraticSolver:
         z = np.array([0.1, 0.2])
         params, As, Bs, ws, Qs, Rs, xbars = window_data(inst, t1, t2)
         term = inst.system.terminal_cost(params[-1])
-        sol = ftocp.window_law(inst.system, params, term, t1).solution(0, z)
+        sol = ftocp.window_law(inst.system, params, term, t1).solution(z)
         val = term.value(sol.states[-1])
         for i in range(t2 - t1):
             d = sol.states[i] - xbars[i]
@@ -112,7 +112,7 @@ class TestQuadraticSolver:
 
         def value(term):
             sol = ftocp.window_law(inst.system, params, term,
-                                   t1).solution(0, z)
+                                   t1).solution(z)
             return ftocp.stage_costs(inst.system, t1, params, term,
                                      sol.states, sol.actions)[1]
 
@@ -126,10 +126,10 @@ class TestQuadraticSolver:
         inst = presets.tracking_rand(T=10, seed=2)
         params, *_ = window_data(inst, 0, 10)
         term = inst.terminal_cost()
-        full = ftocp.window_law(inst.system, params, term).solution(0, inst.x0)
+        full = ftocp.window_law(inst.system, params, term).solution(inst.x0)
         t = 4
         tail = ftocp.window_law(inst.system, params[t:], term,
-                                t).solution(0, full.states[t])
+                                t).solution(full.states[t])
         assert np.allclose(tail.states, full.states[t:], atol=1e-7)
         assert np.allclose(tail.actions, full.actions[t:], atol=1e-7)
 
@@ -137,9 +137,9 @@ class TestQuadraticSolver:
         params, *_ = window_data(inst, 0, 6)
         z = np.array([0.1, 0.1])
         a = ftocp.window_law(inst.system, params,
-                             TerminalCost.zero(2)).solution(0, z)
+                             TerminalCost.zero(2)).solution(z)
         b = ftocp.window_law(inst.system, params,
-                             TerminalCost.zero(2)).solution(0, z)
+                             TerminalCost.zero(2)).solution(z)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.duals, b.duals)
@@ -156,7 +156,7 @@ class TestQuadraticSolver:
         z = np.array([0.4, -0.4])
         params = inst.truth[5:6]
         term = inst.system.terminal_cost(params[-1])
-        sol = ftocp.window_law(inst.system, params, term, 5).solution(0, z)
+        sol = ftocp.window_law(inst.system, params, term, 5).solution(z)
         assert sol.states.shape == (1, 2)
         assert sol.actions.shape == (0, 1)
         _, value = ftocp.stage_costs(inst.system, 5, params, term,
@@ -171,7 +171,7 @@ class TestChainSolver:
         system = InventorySystem(T=T, targets=targets)
         params = [np.array([v]) for v in targets]
         sol = ftocp.window_law(system, params, TerminalCost.indicator(
-            [-0.4])).solution(0, np.array([0.1]))
+            [-0.4])).solution(np.array([0.1]))
         xo = oracles.inventory_oracle(0.1, targets[:T], -0.4, -0.8, 0.8)
         assert np.allclose(sol.states[:, 0], xo, atol=1e-6)
 
@@ -182,7 +182,7 @@ class TestChainSolver:
                                  action_weight=1.5)
         params = [np.array([v]) for v in targets]
         sol = ftocp.window_law(system, params, TerminalCost.indicator(
-            [-0.4])).solution(0, np.array([0.0]))
+            [-0.4])).solution(np.array([0.0]))
         xo = oracles.inventory_oracle(0.0, targets[:T], -0.4, -0.8, None,
                                       action_weight=1.5)
         assert np.allclose(sol.states[:, 0], xo, atol=1e-6)
@@ -205,8 +205,8 @@ class TestChainSolver:
             bounds=model.Bounds(mu=0.5, ell=1.0, a=1.0, b=1.0),
             param_box=model.ParamBox(np.array([-1.0]), np.array([1.0])))
         pin = TerminalCost.indicator([-0.4])
-        a = ftocp.window_law(chain, params, pin).solution(0, np.array([0.2]))
-        b = ftocp.window_law(lq, params, pin).solution(0, np.array([0.2]))
+        a = ftocp.window_law(chain, params, pin).solution(np.array([0.2]))
+        b = ftocp.window_law(lq, params, pin).solution(np.array([0.2]))
         assert np.allclose(a.states, b.states, atol=1e-8)
 
     def test_last_small_step_is_taken(self):
@@ -216,7 +216,7 @@ class TestChainSolver:
         system = InventorySystem(T=4, targets=targets)
         params = [np.array([v]) for v in targets]
         sol = ftocp.window_law(system, params, TerminalCost.indicator(
-            [0.0])).solution(0, np.zeros(1))
+            [0.0])).solution(np.zeros(1))
         assert sol.states[2, 0] == pytest.approx(9e-10, rel=1e-9)
         assert sol.kkt_residual <= 1e-15
 
@@ -226,7 +226,7 @@ class TestChainSolver:
         params = [np.zeros(1)] * 2
         with pytest.raises(Infeasible) as ei:
             ftocp.window_law(system, params, TerminalCost.indicator(
-                [1.5])).solution(0, np.array([0.0]))
+                [1.5])).solution(np.array([0.0]))
         assert ei.value.step == 0
 
     def test_endpoint_outside_state_interval(self):
@@ -234,15 +234,15 @@ class TestChainSolver:
         params = [np.zeros(1)] * 4
         with pytest.raises(Infeasible):
             ftocp.window_law(system, params, TerminalCost.indicator(
-                [-1.5])).solution(0, np.array([0.0]))
+                [-1.5])).solution(np.array([0.0]))
 
     def test_empty_window_needs_matching_state(self):
         system = InventorySystem(T=4, targets=np.zeros(5))
         with pytest.raises(Infeasible):
             ftocp.window_law(system, [np.zeros(1)], TerminalCost.indicator(
-                [0.0]), 2).solution(0, np.array([0.3]))
+                [0.0]), 2).solution(np.array([0.3]))
         sol = ftocp.window_law(system, [np.zeros(1)], TerminalCost.indicator(
-            [0.0]), 2).solution(0, np.array([0.0]))
+            [0.0]), 2).solution(np.array([0.0]))
         assert sol.states.shape == (1, 1)
 
     @pytest.mark.parametrize("targets, z, pin, states, on_bounds, kw", [
@@ -269,7 +269,7 @@ class TestChainSolver:
         system = InventorySystem(T=len(targets) - 1, targets=targets, **kw)
         params = [np.array([v]) for v in targets]
         sol = ftocp.window_law(system, params, TerminalCost.indicator(
-            [pin])).solution(0, np.array([z]))
+            [pin])).solution(np.array([z]))
         assert np.array_equal(sol.states[on_bounds, 0],
                               np.array(states)[on_bounds])
         assert np.allclose(sol.states[:, 0], states, rtol=0.0, atol=1e-15)
@@ -285,7 +285,7 @@ class TestChainSolver:
         system = InventorySystem(T=1, targets=np.zeros(2))
         sol = ftocp.window_law(system, [np.zeros(1)] * 2,
                                TerminalCost.indicator([pin])).solution(
-                                   0, np.array([z]))
+                                   np.array([z]))
         assert sol.states[-1, 0] == pin
 
     def test_kkt_residual_flags_a_perturbed_state(self):
@@ -293,7 +293,7 @@ class TestChainSolver:
         system = InventorySystem(T=8, targets=targets, action_weight=0.5)
         law = ftocp.chain_law(system, [np.array([v]) for v in targets],
                               TerminalCost.indicator([-0.4]))
-        sol = law.solution(0, np.array([0.1]))
+        sol = law.solution(np.array([0.1]))
         assert sol.kkt_residual <= 1e-15
         states = sol.states[:, 0].copy()
         j = int(np.argmin(np.abs(states[1:-1]))) + 1
@@ -302,14 +302,14 @@ class TestChainSolver:
         states, actions = states.tolist(), np.diff(states).tolist()
         # the optimum's multipliers, and the best ones for the new states
         for duals in (sol.duals[:, 0].tolist(),
-                      law._duals(0, states, actions)):
-            assert law._kkt_residual(0, states, actions, duals) > 1e-9
+                      law._duals(states, actions)):
+            assert law._kkt_residual(states, actions, duals) > 1e-9
 
     def test_requires_pinned_terminal(self):
         system = InventorySystem(T=3, targets=np.zeros(4))
         with pytest.raises(ValueError):
             ftocp.window_law(system, [np.zeros(1)] * 4,
-                             TerminalCost.zero(1)).solution(0, np.zeros(1))
+                             TerminalCost.zero(1)).solution(np.zeros(1))
 
 
 def bits(values):
@@ -350,8 +350,8 @@ def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
     law = ftocp.window_law(fresh, params, pin)
     shared = ftocp.window_law(filled, params, pin)
     assert shared.pieces == law.pieces
-    sol = law.solution(0, np.array([z]))
-    again = shared.solution(0, np.array([z]))
+    sol = law.solution(np.array([z]))
+    again = shared.solution(np.array([z]))
     for field in ("states", "actions", "duals", "kkt_residual"):
         assert bits(getattr(again, field)) == bits(getattr(sol, field))
     assert bits(ftocp.stage_costs(filled, 0, params, pin, again.states,
@@ -392,8 +392,8 @@ def test_chain_float_reads_match_numpy_oracles(K, u_hi, action_weight, z,
                                                target, data):
     # the chain law reads actions, multipliers and KKT residuals on Python
     # floats; the numpy reads of the oracles give the same bits, at the
-    # optimum from every offset and at states moved to within 1e-12 of a
-    # state bound, where the multipliers' bound tolerance decides
+    # optimum of every tail window [t, K] and at states moved to within
+    # 1e-12 of a state bound, where the multipliers' bound tolerance decides
     u_lo = -0.8
     step = (target - z) / K
     assume(step >= u_lo - 1e-12 and (u_hi is None or step <= u_hi + 1e-12))
@@ -402,11 +402,13 @@ def test_chain_float_reads_match_numpy_oracles(K, u_hi, action_weight, z,
         min_size=K + 1, max_size=K + 1)))
     system = InventorySystem(T=K, targets=targets, u_lo=u_lo, u_hi=u_hi,
                              action_weight=action_weight)
-    law = ftocp.window_law(system, [np.array([v]) for v in targets],
-                           TerminalCost.indicator([target]))
-    full = law.solution(0, np.array([z])).states[:, 0]
+    params = [np.array([v]) for v in targets]
+    pin = TerminalCost.indicator([target])
+    law = ftocp.window_law(system, params, pin)
+    full = law.solution(np.array([z])).states[:, 0]
     for t in range(K):
-        sol = law.solution(t, full[t:t + 1])
+        tail = ftocp.window_law(system, params[t:], pin, t)
+        sol = tail.solution(full[t:t + 1])
         states = sol.states[:, 0]
         us = oracles.chain_actions(system, states)
         duals = oracles.chain_duals(system, targets[t:], states, us)
@@ -422,20 +424,27 @@ def test_chain_float_reads_match_numpy_oracles(K, u_hi, action_weight, z,
         us = oracles.chain_actions(system, moved)
         duals = oracles.chain_duals(system, targets[t:], moved, us)
         xs = moved.tolist()
-        got_us = law._actions(xs)
-        got_duals = law._duals(t, xs, got_us)
+        got_us = tail._actions(xs)
+        got_duals = tail._duals(xs, got_us)
         assert bits(got_us) == bits(us)
         assert bits(got_duals) == bits(duals)
-        assert bits(law._kkt_residual(t, xs, got_us, got_duals)) == bits(
+        assert bits(tail._kkt_residual(xs, got_us, got_duals)) == bits(
             oracles.chain_kkt_residual(system, targets[t:], law.pin, moved,
                                        us, duals))
+
+
+def tail_law(inst, t):
+    """The law of the window [t, T] under the instance's true parameters,
+    built on its own."""
+    return ftocp.window_law(inst.system, inst.truth[t:], inst.terminal_cost(),
+                            t)
 
 
 class TestClairvoyant:
     def test_first_step_matches_full_solve(self):
         inst = presets.tracking_rand(T=8, seed=4)
         law = ftocp.truth_law(inst)
-        sol = law.solution(0, inst.x0)
+        sol = law.solution(inst.x0)
         opt = engine.solve_opt(inst)
         assert np.allclose(law.action(0, inst.x0), opt.actions[0], atol=1e-9)
         assert np.allclose(sol.states, opt.states, atol=1e-9)
@@ -450,10 +459,9 @@ class TestClairvoyant:
         terminal = float(inst.terminal_param[0])
         for t in range(0, T - 1, 3):
             x = opt.states[t]
-            sol = law.solution(t, x)
+            sol = tail_law(inst, t).solution(x)
             xo = oracles.inventory_oracle(float(x[0]), sys.targets[t:T],
                                           terminal, sys.u_lo, sys.u_hi)
-            assert (sol.t1, sol.t2) == (t, T)
             assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
             assert np.array_equal(law.action(t, x), sol.actions[0])
 
@@ -469,7 +477,7 @@ class TestClairvoyant:
         for t in (1, 14, 27, 35):
             x = np.clip(opt.states[t] + rng.uniform(-0.3, 0.3),
                         sys.x_lo, sys.x_hi)
-            sol = law.solution(t, x)
+            sol = tail_law(inst, t).solution(x)
             xo = oracles.inventory_oracle(float(x[0]), sys.targets[t:T],
                                           terminal, sys.u_lo, sys.u_hi)
             assert np.allclose(sol.states[:, 0], xo, rtol=0.0, atol=1e-6)
@@ -483,3 +491,48 @@ class TestClairvoyant:
         assert np.array_equal(run.errors, np.zeros(inst.T))
         assert run.total_cost == pytest.approx(
             engine.solve_opt(inst).total_cost, rel=1e-12)
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["tracking-rand", "disturbance", "pendulum",
+                                  "grid"])
+def test_suffix_is_the_law_of_its_window(name):
+    # the truth law's continuation from offset t is the law of the window
+    # [t, T] built on its own, bit for bit
+    inst = presets.build_preset(name, T=10)
+    law = ftocp.truth_law(inst)
+    opt = engine.solve_opt(inst)
+    for t in range(inst.T + 1):
+        tail = law.suffix(t)
+        alone = ftocp.window_law(inst.system, inst.truth[t:],
+                                 inst.terminal_cost(), t)
+        for field in ("t1", "P", "G", "closed_loop"):
+            assert same_bits(getattr(tail, field), getattr(alone, field)), t
+        got, want = (a.solution(opt.states[t]) for a in (tail, alone))
+        for field in ("states", "actions", "duals", "kkt_residual"):
+            assert same_bits(getattr(got, field), getattr(want, field)), t
+
+
+def test_pinned_law_is_read_from_its_first_step():
+    inst = presets.tracking_rand(T=12, seed=4)
+    law = ftocp.window_law(inst.system, inst.truth[:5],
+                           TerminalCost.indicator(np.zeros(2)))
+    assert law.pinned
+    law.action(0, inst.x0)
+    for t in (0, 2):
+        with pytest.raises(ValueError, match="first step"):
+            law.suffix(t)
+    with pytest.raises(ValueError, match="first step"):
+        law.action(2, inst.x0)
+
+
+@pytest.mark.parametrize("t", [-1, 13])
+def test_suffix_outside_the_window_rejected(t):
+    law = ftocp.truth_law(presets.tracking_rand(T=12, seed=4))
+    with pytest.raises(ValueError, match="outside"):
+        law.suffix(t)

@@ -68,9 +68,9 @@ def window_batch(inst, rule, starts, k):
         rule.build(inst, t2, inst.truth[t2]), starts)
 
 
-def law_jacobians(inst, rule, law, t0, zs):
+def law_jacobians(inst, rule, law, zs):
     return kkt._window_action_jacobians(
-        law, t0, np.asarray(zs), kkt._step_data_slopes(inst),
+        law, np.asarray(zs), kkt._step_data_slopes(inst),
         kkt._terminal_slopes(inst, rule, law.t1 + law.T))
 
 
@@ -88,16 +88,15 @@ def test_window_jacobians_match_oracle(name, terminal, t, seed):
     rng = np.random.default_rng(seed)
     zs = [np.zeros(inst.system.n), rng.normal(size=inst.system.n)]
     if terminal == "tail":
-        # the window [t, T] that reaches T, read from the truth law at
-        # offset t
+        # the window [t, T] that reaches T, the suffix of the truth law
         t = T - k + t % k
         t2 = T
-        law, t0 = ftocp.truth_law(inst), t
+        law = ftocp.truth_law(inst).suffix(t)
     else:
         # a batch of one window [t, t + k] short of T
         t2 = t + k
-        law, t0 = window_batch(inst, rule, [t], k), 0
-    got = law_jacobians(inst, rule, law, t0, np.array(zs)[:, None])[:, 0]
+        law = window_batch(inst, rule, [t], k)
+    got = law_jacobians(inst, rule, law, np.array(zs)[:, None])[:, 0]
     for row, z in zip(got, zs):
         want = oracle_window_norms(inst, rule, t, t2, z)
         assert np.abs(row - want).max() <= 1e-6 * np.abs(want).max()
@@ -192,19 +191,19 @@ def test_step_slopes_match_oracle_jacobian(name):
 def test_window_jacobians_match_oracle_when_every_map_varies(t, seed):
     # t < 5: the batch of the windows [s, s + 4] for s = t .. min(t + 2, 4),
     # each from its own states; t = 5: the window [5, 9] that reaches T,
-    # with the quadratic terminal, read from the truth law at offset 5
+    # with the quadratic terminal, the suffix of the truth law from 5
     T, k = 9, 4
     inst = all_maps_instance(T, seed)
     rule = TerminalRule("predicted_tracking")
     if t < T - k:
         starts = list(range(t, min(t + 3, T - k)))
-        law, t0 = window_batch(inst, rule, starts, k), 0
+        law = window_batch(inst, rule, starts, k)
     else:
         starts = [t]
-        law, t0 = ftocp.truth_law(inst), t
+        law = ftocp.truth_law(inst).suffix(t)
     zs = np.random.default_rng(seed).normal(size=(2, len(starts), 2))
     zs[0] = 0.0
-    got = law_jacobians(inst, rule, law, t0, zs)
+    got = law_jacobians(inst, rule, law, zs)
     for i, s in enumerate(starts):
         for j in range(len(zs)):
             want = oracle_window_norms(inst, rule, s, min(s + k, T),
@@ -426,10 +425,10 @@ def test_rollout_failure_names_the_earliest_window():
 
     def failure(xs):
         with pytest.raises(ftocp.SingularKKT) as ei:
-            law.trajectories(0, xs)
+            law.trajectories(xs)
         return ei.value
 
-    law.trajectories(0, zs[0])
+    law.trajectories(zs[0])
     # window 1 misses first at sample 2, by another amount at sample 3
     first, later, batch = failure(zs[2]), failure(zs[3]), failure(zs)
     assert first.window == later.window == batch.window == 1

@@ -36,7 +36,7 @@ def inventory_sensitivity_profile(p, one_sided):
 
     def states_at(target):
         sol = ftocp.window_law(system, params, TerminalCost.indicator(
-            np.array([target]))).solution(0, np.zeros(1))
+            np.array([target]))).solution(np.zeros(1))
         return sol.states[:, 0]
 
     sens = np.abs(states_at(base + step) - states_at(base)) / step
@@ -176,7 +176,7 @@ class TestChainStudies:
 
     def test_suite_explicit_eps(self):
         rows = presets.inventory_counterexample_suite(ps=(4,),
-                                                      eps_values=2.0 / 35.0)
+                                                      eps=2.0 / 35.0)
         assert all(r.eps == pytest.approx(2.0 / 35.0) for r in rows)
         assert all(abs(r.diff_minus_eps) <= 1e-9 for r in rows)
 

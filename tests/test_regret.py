@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mpclab import engine, presets, regret
+from mpclab import engine, kkt, presets, regret
 from mpclab.engine import TerminalRule
 from mpclab.model import PredictionStream
 from test_engine import gain_tables
@@ -173,15 +173,17 @@ class TestSweeps:
                                  TerminalRule("zero"))
         assert np.all(np.diff(res.regrets) > 0.0)
         assert res.slope > 0.0
-        assert res.log_x
+        # the fit is in the log of the scale
+        assert res.slope == kkt.loglinear_fit(np.log(res.values),
+                                              res.regrets)[0]
 
     def test_too_few_positive_regrets_fit_nothing(self):
         # one regret above the floor (or none) is no line: no slope, no r2
         for regrets in ([0.0, 2e-3, 0.0], [0.0, 0.0, 0.0]):
             assert regret._fit_positive(np.array([1.0, 2.0, 3.0]),
                                         np.array(regrets), log_x=True) == (
-                None, None, None)
+                None, None)
         inst = presets.disturbance(T=20, seed=0)
         res = regret.sweep_noise(inst, [0.0, 0.2], 5, TerminalRule("zero"))
         assert res.regrets[1] > regret.REGRET_FLOOR
-        assert (res.slope, res.intercept, res.r2) == (None, None, None)
+        assert (res.slope, res.r2) == (None, None)
