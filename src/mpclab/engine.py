@@ -4,13 +4,15 @@ rollout on the true dynamics, and per-step errors (bounded in ``regret``).
 The controller is the same for every problem class.  All forecasts are
 drawn before a run and no terminal rule depends on the state, so
 ``ftocp.window_laws`` builds the law of every window before the closed loop
-starts (one terminal-rule call and one batched Riccati pass per batch of
-linear-quadratic windows); the loop only applies each window's first
-action to the realized state, and one batched rollout per group afterwards
-checks the pins and gives the KKT residuals.  The instance's
-``ftocp.truth_law`` gives the optimal continuation that the per-step errors
-and the hindsight optimum are read from (each built once per instance), and
-``Instance.terminal_cost`` caps the windows that reach the final step.
+starts: for linear-quadratic windows, one terminal-rule call and one
+batched Riccati pass for the windows that stop short of the final step and
+one for the k windows that reach it, padded to the longest.  The loop only
+applies each window's first action to the realized state, and one batched
+rollout per batch afterwards checks the pins and gives the KKT residuals.
+The instance's ``ftocp.truth_law`` gives the optimal continuation that the
+per-step errors and the hindsight optimum are read from (each built once
+per instance), and ``Instance.terminal_cost`` caps the windows that reach
+the final step.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Two problem classes are supported exactly:
 
 - time-varying linear dynamics with quadratic costs: one backward Riccati
   pass (``continuation_law``) gives the optimal affine feedback of a batch
-  of windows of one length, each with a quadratic, zero or pinned terminal,
-  and a batched forward rollout (``trajectories(xs)``) gives their
-  solutions, multipliers and KKT residuals.  A single window is a batch of
-  one;
+  of windows, each with a quadratic, zero or pinned terminal, and a batched
+  forward rollout (``trajectories(xs)``) gives their solutions, multipliers
+  and KKT residuals.  Windows shorter than the longest are padded past
+  their last step with steps that hold the state, and read bitwise as if
+  built alone.  A single window is a batch of one;
 - the constrained scalar stock chain: one backward pass (``chain_law``)
   over the knots of the derivatives of its value functions, then a rollout
   read on Python floats.  The chain laws of one system share their backward
@@ -140,12 +141,15 @@ def _inverse_nu_blocks(P: Array, n: int) -> tuple[Array, list]:
 
 @dataclasses.dataclass(frozen=True)
 class ContinuationLaw:
-    """Optimal feedback of a batch of W linear-quadratic windows of T steps
-    each, with fixed parameters and terminals of one kind: quadratic, zero
-    or pinned.  Window i covers the steps t1[i] .. t1[i] + T, and offsets
-    t = 0 .. T count from its start.  A single window is a batch of one.
-    Every array carries the window axis first, and the law's own arrays
-    are read-only.
+    """Optimal feedback of a batch of W linear-quadratic windows of at most
+    T steps, with fixed parameters and terminals of one kind: quadratic,
+    zero or pinned.  Window i covers the steps t1[i] .. t1[i] + K_i, and
+    offsets t = 0 .. T count from its start; a window with K_i < T is
+    padded past its last step (see ``continuation_law``), so its states
+    from offset K_i on repeat its last one, its actions there are zero, and
+    its multipliers repeat that of its terminal.  A single window is a
+    batch of one.  Every array carries the window axis first, and the law's
+    own arrays are read-only.
 
     The state is lifted to s = (x, 1), or s = (x, 1, nu) for a pinned
     terminal x_T = target, where nu is the multiplier of the pin and stays
@@ -211,12 +215,14 @@ class ContinuationLaw:
 
     def _nu(self, s: Array, w=slice(None)) -> Array:
         """Pin multipliers of the windows w from the states s = (x, 1) at
-        offset 0: the solve with S and its refinement step (see _rollout)."""
+        offset 0: the solve with S and its refinement step (see _rollout).
+        The miss is summed over the offsets in order, so that the zero terms
+        of a padded window's steps leave it bitwise unchanged."""
         n, S_inv = self.data.n, self.S_inv[w]
         r = self.P[w, 0, n + 1:, :n + 1] @ s[..., None]
         nu = -S_inv @ r
         v = self.G[w, :, :, n + 1:] @ nu[..., None, :, :]
-        miss = r + np.sum(self.PB[w] @ v, axis=-3)
+        miss = r + np.cumsum(self.PB[w] @ v, axis=-3)[..., -1, :, :]
         return (nu - S_inv @ miss)[..., 0]
 
     def _rollout(self, xs: Array) -> tuple[Array, Array]:
@@ -326,27 +332,67 @@ def _lifted_cost(Q: Array, xbar: Array, d: int) -> Array:
     return C
 
 
+def _padded_steps(system, params: Sequence, t1: Array, live: Array,
+                  terminal: TerminalCost) -> _assembly.WindowMatrices:
+    """Step data of a batch of windows, stacked to the longest: where
+    ``live`` (W, T) is False, the step A = I, B = 0, w = 0, Q = 0, R = I,
+    xbar = 0, which holds the state and takes no action at no cost.  One
+    stacked ``system.step_data`` call, which reads a padded step at the
+    first step of the longest window."""
+    offsets = np.arange(live.shape[1])
+    if live.all():
+        return _assembly.WindowMatrices.stack(
+            system, t1[:, None] + offsets,
+            np.asarray(params, float)[:, :len(offsets)], terminal)
+    K = live.sum(axis=1)
+    first = np.cumsum(K + 1) - (K + 1)   # row of each window's parameters
+    j = int(K.argmax())
+    xis = np.concatenate(params, dtype=float)[
+        np.where(live, first[:, None] + offsets, first[j])]
+    wm = _assembly.WindowMatrices.stack(
+        system, np.where(live, t1[:, None] + offsets, t1[j]), xis, terminal)
+    n, m = wm.n, wm.m
+    pad = dict(A=np.eye(n), B=np.zeros((n, m)), w=np.zeros(n),
+               Q=np.zeros((n, n)), R=np.eye(m), xbar=np.zeros(n))
+    return dataclasses.replace(wm, **{
+        f: _read_only(np.where(live[(...,) + (None,) * a.ndim],
+                               getattr(wm, f), a))
+        for f, a in pad.items()})
+
+
 def continuation_law(system, params: Sequence, terminal: TerminalCost,
                      t1: Sequence[int]) -> ContinuationLaw:
-    """One backward Riccati pass for a batch of windows of T steps each:
-    window i covers the steps t1[i] .. t1[i] + T, params[i][s] (T + 1
-    parameters) parameterizes its step t1[i] + s, and ``terminal`` caps the
-    windows: its arrays broadcast against the window axis (window i is
+    """One backward Riccati pass for a batch of windows: window i covers
+    the steps t1[i] .. t1[i] + K_i, params[i][s] (K_i + 1 parameters)
+    parameterizes its step t1[i] + s, and ``terminal`` caps the windows:
+    its arrays broadcast against the window axis (window i is
     ``terminal[i]`` when they carry one).  A single window is a batch of
     one.
 
+    The law has the T = max K_i steps of the longest window.  A shorter
+    window is padded past its last step with steps A = I, B = 0, w = 0,
+    Q = 0, R = I, xbar = 0, which hold the state and take no action, and
+    its backward pass starts at its own last offset K_i from its lifted
+    terminal exactly as given (which its P keeps on every padded offset).
+    So its P and G on its own offsets, its first actions and its
+    trajectories on its own steps are bitwise those of the window built
+    alone.
+
     Raises SingularKKT when some R_t + B_t'P_{t+1}B_t is singular, a gain
-    is not finite or the nu-block of a pin's P_0 is singular.  The error
-    names the earliest failing window, and in it the step that its own
-    backward pass meets first; its ``window`` is that window's index.
+    is not finite, or a pin is unreachable: the window has K_i m < n (its
+    own length, not the padded one), or the nu-block of its P_0 is
+    singular.  The error names the earliest failing window, and in it the
+    step that its own backward pass meets first; its ``window`` is that
+    window's index.
     """
     t1 = _read_only(np.array(t1, int))
-    params = np.asarray(params, float)
-    W, T = params.shape[0], params.shape[1] - 1
+    K = np.array([len(p) - 1 for p in params])
+    W, T = len(K), int(K.max())
+    K_min = int(K.min())
+    live = np.arange(T) < K[:, None]     # (W, T): each window's own steps
     n, m = system.n, system.m
     pin = terminal.kind == "indicator"
-    wm = _assembly.WindowMatrices.stack(
-        system, t1[:, None] + np.arange(T), params[:, :T], terminal)
+    wm = _padded_steps(system, params, t1, live, terminal)
     d = 2 * n + 1 if pin else n + 1
     # lifted dynamics s_{t+1} = F_t (s_t, u_t) and stage cost
     # (s_t, u_t)'C_t (s_t, u_t)
@@ -370,10 +416,14 @@ def continuation_law(system, params: Sequence, terminal: TerminalCost,
     for t in reversed(range(T)):
         Wt = C[:, t] + FT[:, t] @ P[:, t + 1] @ F[:, t]
         G[:, t], singular = _solve_each(Wt[:, d:, d:], -Wt[:, d:, :d])
-        for i in singular:
+        for i in singular:     # never a padded step, where R + B'PB = I
             failed.setdefault(i, f"singular R + B'PB at step {t1[i] + t}")
         Pt = Wt[:, :d, :d] + Wt[:, :d, d:] @ G[:, t]
         P[:, t] = 0.5 * (Pt + Pt.swapaxes(1, 2))
+        if t >= K_min:  # a window padded at t keeps its terminal, exactly
+            padded = ~live[:, t]
+            P[padded, t] = P[padded, T]
+            G[padded, t] = 0.0   # also after a terminal that is not finite
     if not np.isfinite(G).all():
         finite = np.isfinite(G).all(axis=(2, 3))
         for i in np.flatnonzero(~finite.all(axis=1)):
@@ -382,7 +432,8 @@ def continuation_law(system, params: Sequence, terminal: TerminalCost,
     S_inv = PB = None
     if pin:
         S_inv, singular = _inverse_nu_blocks(P[:, 0], n)
-        for i in singular:
+        # fewer than n actions cannot steer n states to a pin
+        for i in [*singular, *np.flatnonzero(K * m < n)]:
             failed.setdefault(i, f"pinned terminal unreachable from step "
                                  f"{t1[i]}")
         S_inv, PB = _read_only(S_inv), _read_only(P[:, 1:, n + 1:, :n] @ wm.B)
@@ -661,22 +712,22 @@ def window_laws(system, windows: Sequence, terminals) -> WindowLaws:
     starting at step t, all built before the run starts: the terminals do
     not depend on the state.  ``terminals(t2, xi)`` caps the windows that
     end at the steps t2 (an int array) with last parameters xi, stacked by
-    window (``TerminalRule.build``).  Consecutive linear-quadratic windows
-    of one length that all stop short of the final step, or all reach it,
-    are a batch: one terminals call and one batched continuation law.  The
-    stock chain has one chain law per window, and one terminals call for
-    each run of windows that stop short of the final step or reach it.
-    This is the one place that tells the problem classes apart.  When a
-    batch cannot be built, the windows before its failing one are kept."""
+    window (``TerminalRule.build``).  Consecutive windows that all stop
+    short of the final step, or all reach it, are a batch: one terminals
+    call and, for linear-quadratic windows, one batched continuation law,
+    which pads the windows shorter than the longest (so a run's k windows
+    that reach T, of k lengths, are one batch).  The stock chain has one
+    chain law per window.  This is the one place that tells the problem
+    classes apart.  When a batch cannot be built, the windows before its
+    failing one are kept."""
     chain = isinstance(system, InventorySystem)
 
-    def batch(window):
+    def final(window):
         t1, params = window
-        final = t1 + len(params) - 1 == system.T
-        return final if chain else (len(params), final)
+        return t1 + len(params) - 1 == system.T
 
     laws = []
-    for _, group in itertools.groupby(windows, key=batch):
+    for _, group in itertools.groupby(windows, key=final):
         t1, params = zip(*group)
         t2 = np.add(t1, [len(p) - 1 for p in params])
         terminal = terminals(t2, np.array([p[-1] for p in params], float))

@@ -1,6 +1,8 @@
 """The continuation law (one backward Riccati pass) versus the independent
 null-space oracle, on random instances and through the controller."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,3 +346,82 @@ def test_sample_rollouts_match_separate_rollouts(t, kind):
         for g, w in zip(got, law.trajectories(z), strict=True):
             assert g[j].shape == w.shape
             assert g[j].tobytes() == w.tobytes()
+
+
+LQ_PRESETS = ["tracking-rand", "disturbance", "pendulum", "grid"]
+
+
+@functools.cache
+def padding_instance(name):
+    return presets.build_preset(name, T=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(LQ_PRESETS),
+       pinned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_padded_laws_equal_separate_laws(name, pinned, seed, data):
+    # a batch of windows of mixed lengths is padded to the longest; on each
+    # window's own offsets and steps its law reads bitwise as the window's
+    # law built alone.  tracking-rand's P_T is not exactly symmetric, so a
+    # terminal taken as a symmetrized stage cost would show there
+    inst = padding_instance(name)
+    sys_ = inst.system
+    need = -(-sys_.n // sys_.m) if pinned else 1
+    lengths = data.draw(st.lists(st.integers(need, 10), min_size=1,
+                                 max_size=5), label="lengths")
+    starts = [data.draw(st.integers(0, sys_.T - K), label="t1")
+              for K in lengths]
+    params = [inst.truth[t:t + K + 1] for t, K in zip(starts, lengths)]
+    rng = np.random.default_rng(seed)
+    W, n = len(lengths), sys_.n
+    terminal = (TerminalCost.indicator(0.3 * rng.normal(size=(W, n)))
+                if pinned else
+                sys_.terminal_cost(np.array([p[-1] for p in params])))
+    law = ftocp.continuation_law(sys_, params, terminal, starts)
+    xs = rng.normal(size=(2, W, n))
+    states, actions, duals = law.trajectories(xs)
+    for i, K in enumerate(lengths):
+        alone = ftocp.continuation_law(sys_, [params[i]],
+                                       terminal[i:i + 1], starts[i:i + 1])
+        assert law.P[i, :K + 1].tobytes() == alone.P[0].tobytes()
+        assert law.G[i, :K].tobytes() == alone.G[0].tobytes()
+        assert (law.action(0, xs[0, i], i).tobytes()
+                == alone.action(0, xs[0, i]).tobytes())
+        got = (states[:, i, :K + 1], actions[:, i, :K], duals[:, i, :K + 1])
+        for g, w in zip(got, alone.trajectories(xs[:, i:i + 1]),
+                        strict=True):
+            assert g.tobytes() == w[:, 0].tobytes()
+        # past its last step a window holds its state and takes no action
+        assert np.array_equal(states[:, i, K:],
+                              np.repeat(states[:, i, K:K + 1],
+                                        law.T + 1 - K, axis=1))
+        assert not actions[:, i, K:].any()
+
+
+def test_pin_unreachable_in_fewer_steps_than_n_over_m():
+    # tracking-rand has n = 2 states and m = 1 action, so a pinned window
+    # of one step cannot reach its pin from a generic state; the check
+    # reads each window's own length, not the padded one, and is the rank
+    # of the window's reachability map
+    inst = presets.tracking_rand(T=8, seed=0)
+    sys_ = inst.system
+    starts, lengths = [0, 1, 2, 3, 4], [2, 2, 1, 2, 1]
+    A, B, *_ = sys_.step_data(np.arange(sys_.T), inst.truth[:sys_.T])
+    short = [np.linalg.matrix_rank(
+        oracles.controllability_matrix(A, B, t, K)) < sys_.n
+        for t, K in zip(starts, lengths)]
+    assert short == [False, False, True, False, True]
+    params = [inst.truth[t:t + K + 1] for t, K in zip(starts, lengths)]
+    pins = TerminalCost.indicator(np.zeros((5, 2)))
+    with pytest.raises(SingularKKT) as ei:
+        ftocp.continuation_law(sys_, params, pins, starts)
+    assert str(ei.value) == "pinned terminal unreachable from step 2"
+    assert ei.value.window == 2
+    for i in (2, 4):
+        with pytest.raises(SingularKKT,
+                           match=f"unreachable from step {starts[i]}$"):
+            ftocp.continuation_law(sys_, [params[i]], pins[i:i + 1],
+                                   starts[i:i + 1])
+    ftocp.continuation_law(sys_, [params[i] for i in (0, 1, 3)], pins[:3],
+                           [0, 1, 3])

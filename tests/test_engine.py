@@ -234,6 +234,37 @@ class TestRunMpc:
                 _, actions, _ = law.trajectories(run.states[t:t + law.W])
             assert actions[w, 0].tobytes() == run.actions[t].tobytes(), t
 
+    @pytest.mark.parametrize("name,T,k,laws", [
+        ("disturbance", 80, 8, 2), ("disturbance", 80, 80, 1),
+        ("tracking-rand", 24, 8, 2), ("tracking-rand", 40, 40, 1)])
+    def test_one_law_per_batch(self, monkeypatch, name, T, k, laws):
+        # besides the truth law, a run builds one law for its windows that
+        # stop short of T and one for the k windows that reach it, of k
+        # lengths, padded to the longest; its committed actions are those
+        # of each window's law built alone, bit for bit
+        inst = presets.build_preset(name, T=T)
+        stream = PredictionStream(inst.truth, k, 0.1, seed=inst.seed)
+        rule = TerminalRule("predicted_tracking")
+        engine.solve_opt(inst)
+        calls = []
+        build = ftocp.continuation_law
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ftocp, "continuation_law", counted)
+        run = engine.run_mpc(inst, stream, k, rule)
+        assert len(calls) == laws
+        monkeypatch.undo()
+        for t in range(T):
+            t2 = min(t + k, T)
+            params = stream.window(t, t2)
+            law = ftocp.window_law(inst.system, params,
+                                   rule.build(inst, t2, params[-1]), t)
+            assert (law.action(0, run.states[t]).tobytes()
+                    == run.actions[t].tobytes()), t
+
     def test_window_validation(self):
         inst = quiet_instance(T=6)
         stream = PredictionStream(inst.truth, 2, 0.0)
@@ -305,13 +336,15 @@ class TestRunFailures:
     window alone would; with several, the earliest fails first."""
 
     def test_unreachable_pin_names_its_window(self):
-        # k = 2 steps cannot move the 4 pendulum states to a given target:
-        # the windows from t = 0, 1, 2 are pinned to the resting state, the
-        # window from t = 3 to the target of step 5
+        # k = 2 steps of one action cannot move the 4 pendulum states to a
+        # given target, so every pinned window fails when it is built, the
+        # windows from t = 0, 1, 2 too, although the resting state meets
+        # their pins (the window from t = 3 is pinned to the target of step
+        # 5); the earliest is named
         inst = pendulum_at_rest()
         stream = PredictionStream(inst.truth, 2, 0.1, seed=1)
         with pytest.raises(ftocp.SingularKKT,
-                           match="unreachable from step 3:"):
+                           match="^pinned terminal unreachable from step 0$"):
             engine.run_mpc(inst, stream, 2, pin_at_step_5(inst.T))
 
     def test_singular_step_names_the_step(self):
@@ -362,14 +395,16 @@ class TestRunFailures:
 
     def test_earlier_unreachable_pin_fails_before_a_singular_step(self):
         # the windows that forecast the dead step 8 cannot be built (the
-        # truth law can); the window from step 3 misses its pin first
+        # truth law can), which the backward pass meets first; no pinned
+        # window of 2 steps reaches its pin, and the one from step 0 fails
+        # first
         base = pendulum_at_rest()
         inst = Instance(dead_step_system(base.system, 8, base.truth[8]),
                         base.truth, base.x0)
         ftocp.truth_law(inst)
         stream = PredictionStream(inst.truth, 2, 0.1, seed=1)
         with pytest.raises(ftocp.SingularKKT,
-                           match="unreachable from step 3:"):
+                           match="unreachable from step 0$"):
             engine.run_mpc(inst, stream, 2, pin_at_step_5(inst.T))
         # without the pin, the dead step fails the run
         stream = PredictionStream(inst.truth, 4, 0.1, seed=1)

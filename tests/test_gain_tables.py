@@ -397,26 +397,29 @@ def test_init_state_gains_match_per_start_products(name):
 
 
 def test_failing_window_is_the_earliest():
-    # the window [0, 1] misses its pin; the window [1, 2] cannot be built
-    # (its pin's nu-block is singular), which a batch meets first
+    # windows of one step pin two states through one action, so every
+    # window of the batch fails when it is built, before any is rolled out;
+    # the earliest is named
     inst = presets.tracking_rand(T=6, seed=0)
     with pytest.raises(ftocp.SingularKKT) as ei:
         kkt.measure_gain_tables(inst, 1, TerminalRule("predicted_tracking"))
-    assert str(ei.value) == ("pinned terminal unreachable from step 0: the "
-                             "rollout misses it by 0.0367")
+    assert str(ei.value) == "pinned terminal unreachable from step 0"
+    assert ei.value.window == 0
 
 
 def test_rollout_failure_names_the_earliest_window():
-    # windows of one step pin two states through one action: the pin is
-    # met only from the state z*_i = -A_i^{-1} w_i of window i, where no
-    # action is needed, and missed from any other state
+    # a law whose pin multipliers are solved with a wrong S^{-1} misses
+    # each pin, except from the state z*_i where the unpinned rollout
+    # already meets it (r = 0, so nu = 0), and by an amount that depends
+    # on the state
     inst = presets.tracking_rand(T=8, seed=0)
     starts = np.arange(3)
     law = ftocp.continuation_law(
-        inst.system, [inst.truth[t:t + 2] for t in starts],
+        inst.system, [inst.truth[t:t + 3] for t in starts],
         TerminalCost.indicator(np.zeros((3, 2))), starts)
-    A, _, w, *_ = inst.system.step_data(starts, inst.truth[starts])
-    meets = np.linalg.solve(A, -w[..., None])[..., 0]
+    P0 = law.P[:, 0, 3:]
+    meets = np.linalg.solve(P0[..., :2], -P0[..., 2:3])[..., 0]
+    law = dataclasses.replace(law, S_inv=1.5 * law.S_inv)
     # sample j misses the pins of the windows misses[j]
     misses = [[], [2], [1, 2], [1]]
     zs = np.array([meets] * len(misses))
@@ -433,3 +436,5 @@ def test_rollout_failure_names_the_earliest_window():
     first, later, batch = failure(zs[2]), failure(zs[3]), failure(zs)
     assert first.window == later.window == batch.window == 1
     assert str(batch) == str(first) != str(later)
+    assert str(first).startswith("pinned terminal unreachable from step 1: "
+                                 "the rollout misses it by ")
