@@ -18,7 +18,8 @@ Two problem classes are supported exactly:
 
 A law is read from its first step (``solution(x)``); ``action(t, x)`` is
 the one read at an offset t, which a pinned continuation law answers at 0
-alone, and ``suffix(t)`` is an unpinned one's continuation from offset t.
+alone, and ``suffix(t)`` is an unpinned one's continuation from offset t,
+or, for an array of offsets, its tails from each as one padded batch.
 ``window_laws`` builds the laws of every window of a receding-horizon run
 before it starts (each a ``ContinuationLaw`` or a ``ChainLaw``) and is the
 one place that tells the problem classes apart; ``window_law`` is its case
@@ -197,21 +198,43 @@ class ContinuationLaw:
             u += self.G[w, 0, :, n + 1:] @ self._nu(s, w)
         return u
 
-    def suffix(self, t: int) -> "ContinuationLaw":
+    def suffix(self, t) -> "ContinuationLaw":
         """The continuation of every window from offset t: the law of the
-        windows [t1 + t, t1 + T], on views of this law's arrays.  A pin's
-        multiplier is solved at offset 0 alone, so a pinned law raises
-        ValueError."""
+        windows [t1 + t, t1 + T].  A scalar t gives views of this law's
+        arrays.  An array t broadcasts against the window axis: window j
+        of the result is window w_j of this law from offset t_j, so a law
+        of one window gives one tail per offset.  Those of different
+        lengths are padded past T exactly as ``continuation_law`` pads a
+        batch (holding steps, P the terminal P, zero gains and the lifted
+        closed loop the identity), and each reads bitwise as its scalar
+        suffix on its own offsets.  A pin's multiplier is solved at offset
+        0 alone, so a pinned law raises ValueError."""
         if self.pinned:
             raise ValueError("a pinned law is read from its first step")
-        if not 0 <= t <= self.T:
-            raise ValueError(f"offset {t} outside the window")
+        ts = np.asarray(t)
+        outside = ts[(ts < 0) | (ts > self.T)]
+        if outside.size:
+            raise ValueError(f"offset {outside[0]} outside the window")
         wm = self.data
-        data = dataclasses.replace(wm, **{
-            f: getattr(wm, f)[:, t:] for f in ("A", "B", "w", "Q", "R",
-                                               "xbar")})
-        return ContinuationLaw(_read_only(self.t1 + t), data, self.P[:, t:],
-                               self.G[:, t:], self.closed_loop[:, t:])
+        if np.ndim(t) == 0:
+            data = dataclasses.replace(wm, **{
+                f: getattr(wm, f)[:, t:] for f in _STEP_FIELDS})
+            return ContinuationLaw(_read_only(self.t1 + t), data,
+                                   self.P[:, t:], self.G[:, t:],
+                                   self.closed_loop[:, t:])
+        ts, w = np.broadcast_arrays(ts, np.arange(self.W))
+        src = ts[:, None] + np.arange(self.T - ts.min(initial=self.T) + 1)
+        w, live = w[:, None], src[:, :-1] < self.T
+        own = np.minimum(src[:, :-1], self.T - 1)   # replaced where padded
+        data = _hold_steps(dataclasses.replace(wm, **{
+            f: getattr(wm, f)[w, own] for f in _STEP_FIELDS}), live)
+        live = live[..., None, None]
+        d = self.P.shape[-1]
+        return ContinuationLaw(
+            _read_only(self.t1[w[:, 0]] + ts), data,
+            _read_only(self.P[w, np.minimum(src, self.T)]),
+            _read_only(np.where(live, self.G[w, own], 0.0)),
+            _read_only(np.where(live, self.closed_loop[w, own], np.eye(d))))
 
     def _nu(self, s: Array, w=slice(None)) -> Array:
         """Pin multipliers of the windows w from the states s = (x, 1) at
@@ -332,13 +355,29 @@ def _lifted_cost(Q: Array, xbar: Array, d: int) -> Array:
     return C
 
 
+_STEP_FIELDS = ("A", "B", "w", "Q", "R", "xbar")
+
+
+def _hold_steps(wm: _assembly.WindowMatrices,
+                live: Array) -> _assembly.WindowMatrices:
+    """The step data wm with the step A = I, B = 0, w = 0, Q = 0, R = I,
+    xbar = 0, which holds the state and takes no action at no cost,
+    wherever ``live`` (W, T) is False; the arrays are read-only."""
+    n, m = wm.n, wm.m
+    pad = dict(A=np.eye(n), B=np.zeros((n, m)), w=np.zeros(n),
+               Q=np.zeros((n, n)), R=np.eye(m), xbar=np.zeros(n))
+    return dataclasses.replace(wm, **{
+        f: _read_only(np.where(live[(...,) + (None,) * a.ndim],
+                               getattr(wm, f), a))
+        for f, a in pad.items()})
+
+
 def _padded_steps(system, params: Sequence, t1: Array, live: Array,
                   terminal: TerminalCost) -> _assembly.WindowMatrices:
-    """Step data of a batch of windows, stacked to the longest: where
-    ``live`` (W, T) is False, the step A = I, B = 0, w = 0, Q = 0, R = I,
-    xbar = 0, which holds the state and takes no action at no cost.  One
-    stacked ``system.step_data`` call, which reads a padded step at the
-    first step of the longest window."""
+    """Step data of a batch of windows, stacked to the longest and held
+    (``_hold_steps``) where ``live`` (W, T) is False.  One stacked
+    ``system.step_data`` call, which reads a padded step at the first step
+    of the longest window."""
     offsets = np.arange(live.shape[1])
     if live.all():
         return _assembly.WindowMatrices.stack(
@@ -349,15 +388,9 @@ def _padded_steps(system, params: Sequence, t1: Array, live: Array,
     j = int(K.argmax())
     xis = np.concatenate(params, dtype=float)[
         np.where(live, first[:, None] + offsets, first[j])]
-    wm = _assembly.WindowMatrices.stack(
-        system, np.where(live, t1[:, None] + offsets, t1[j]), xis, terminal)
-    n, m = wm.n, wm.m
-    pad = dict(A=np.eye(n), B=np.zeros((n, m)), w=np.zeros(n),
-               Q=np.zeros((n, n)), R=np.eye(m), xbar=np.zeros(n))
-    return dataclasses.replace(wm, **{
-        f: _read_only(np.where(live[(...,) + (None,) * a.ndim],
-                               getattr(wm, f), a))
-        for f, a in pad.items()})
+    return _hold_steps(_assembly.WindowMatrices.stack(
+        system, np.where(live, t1[:, None] + offsets, t1[j]), xis, terminal),
+        live)
 
 
 def continuation_law(system, params: Sequence, terminal: TerminalCost,

@@ -424,18 +424,25 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
     offset is one contraction of the slopes of its own data with lam and
     chi(z): ``step_slopes`` are those of ``_step_data_slopes`` and
     ``terminal_slopes`` those of ``_terminal_slopes`` for the windows' last
-    steps, stacked by window.  A pinned window's last offset takes the
-    larger of the norms through the rule's target slope and of lam's pin
-    component, the Jacobian in the target itself.  Every sample is read by
-    one batched rollout; the earliest window that misses its pin raises
-    SingularKKT.
+    steps, stacked by window (or one row that every window shares).  A
+    pinned window's last offset takes the larger of the norms through the
+    rule's target slope and of lam's pin component, the Jacobian in the
+    target itself.  Every sample is read by one batched rollout; the
+    earliest window that misses its pin raises SingularKKT.
+
+    The law may be padded (``suffix`` of an array of offsets), on the
+    invariant that every padded window ends at T, the last step of
+    ``step_slopes``: window i then has its own K_i = min(K, T - t1_i)
+    offsets, its terminal entry is read at K_i, and its entries past K_i
+    are 0.
     """
-    wm, K = law.data, law.T
+    wm, K, T = law.data, law.T, len(step_slopes[0])
     states, v, duals = law.trajectories(zs)
     lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law)
     y, eta = states[..., :-1, :], duals[..., 1:, :]
     steps = law.t1[:, None] + np.arange(K)
-    dA, dB, dw, dQ, dR, dxbar = (d[steps] for d in step_slopes)
+    own = np.minimum(steps, T - 1)   # masked below where padded
+    dA, dB, dw, dQ, dR, dxbar = (d[own] for d in step_slopes)
     Q, xbar = wm.Q, wm.xbar
     row_y = (np.einsum("wtabi,zwtb->zwtai", dQ, y - xbar)
              - np.einsum("wtab,wtbi->wtai", Q, dxbar)
@@ -447,24 +454,42 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
     jac = -(np.einsum("wtaj,zwtai->zwtji", lam_y[:, :-1], row_y)
             + np.einsum("wtaj,zwtai->zwtji", lam_v, row_v)
             + np.einsum("wtaj,zwtai->zwtji", lam_eta, row_dyn))
-    out = np.empty(jac.shape[:2] + (K + 1,))
-    out[..., :K] = np.linalg.norm(jac, 2, axis=(-2, -1))
+    out = np.zeros(jac.shape[:2] + (K + 1,))
+    out[..., :K] = np.where(steps < T, np.linalg.norm(jac, 2, axis=(-2, -1)),
+                            0.0)
+    w = np.arange(law.W)
+    last = np.minimum(K, T - law.t1)   # each window's own last offset
     terminal = wm.terminal
     if terminal.kind == "indicator":
         (d_target,) = terminal_slopes
-        out[..., K] = np.maximum(
+        out[:, w, last] = np.maximum(
             np.linalg.norm(lam_nu.swapaxes(-1, -2) @ d_target, 2,
                            axis=(-2, -1)),
             np.linalg.norm(lam_nu, 2, axis=(-2, -1)))
     else:
         dP, d_xbar_T = terminal_slopes
         row_T = (np.einsum("wabi,zwb->zwai", dP,
-                           states[..., -1, :] - terminal.xbar)
+                           states[:, w, last] - terminal.xbar)
                  - terminal.P @ d_xbar_T)
-        out[..., K] = np.linalg.norm(
-            np.einsum("waj,zwai->zwji", lam_y[:, -1], row_T), 2,
+        out[:, w, last] = np.linalg.norm(
+            np.einsum("waj,zwai->zwji", lam_y[w, last], row_T), 2,
             axis=(-2, -1))
     return out
+
+
+# the most steps (windows x offsets) or matrices that one stacked call of
+# the gain tables holds, which bounds their memory at long horizons
+_STACK_CAP = 1024
+
+
+def _largest_norms(stacks: list) -> Array:
+    """The largest spectral norm in each of the stacks of matrices, from
+    one SVD call over all of them."""
+    if not stacks:
+        return np.zeros(0)
+    top = np.linalg.svd(np.concatenate(stacks), compute_uv=False)[..., 0]
+    return np.maximum.reduceat(top, np.cumsum([0] + list(map(len, stacks)))
+                               [:-1])
 
 
 def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
@@ -475,19 +500,28 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
     transition products Phi_h(t) = (A + BK)_{t+h-1} ... (A + BK)_t and
     K_{t+h} Phi_h(t), the state blocks of the law's lifted closed loop and
     gains.  Each offset is one batched product over every start t,
-    Phi_{h+1} = (A + BK)_{h..T-1} Phi_h(0..T-h-1), and one batched norm.
+    Phi_{h+1} = (A + BK)_{h..T-1} Phi_h(0..T-h-1).  The norms of the Phi
+    of consecutive offsets, and those of the K Phi, are taken by one SVD
+    call per stack of at most _STACK_CAP matrices (or one offset's).
     """
     n, T = law.data.n, law.T
     closed = law.closed_loop[0, :, :n, :n]
     gains = law.G[0, :, :, :n]
-    norms = np.empty(T + 1)
+    norms = np.zeros(T + 1)
     Phi = np.broadcast_to(np.eye(n), (T + 1, n, n))
+    first, held, phis, gain_phis = 0, 0, [], []   # offsets first..h
     for h in range(T + 1):
-        norms[h] = np.linalg.norm(Phi, 2, axis=(1, 2)).max()
+        phis.append(Phi)
+        held += len(Phi)
         if h < T:
-            norms[h] = max(norms[h], np.linalg.norm(
-                gains[h:] @ Phi[:T - h], 2, axis=(1, 2)).max())
+            gain_phis.append(gains[h:] @ Phi[:T - h])
             Phi = closed[h:] @ Phi[:T - h]
+        if h == T or held + len(Phi) > _STACK_CAP:
+            for stacks in (phis, gain_phis):
+                top = _largest_norms(stacks)
+                span = slice(first, first + len(top))
+                norms[span] = np.maximum(norms[span], top)
+            first, held, phis, gain_phis = h + 1, 0, [], []
     return norms
 
 
@@ -531,21 +565,24 @@ def measure_gain_tables(instance: Instance, k: int,
     the step data taken once per step and those of the terminals once per
     group of laws, by central differences of the system's maps.  The laws
     come from at most two backward passes: the T - k full windows
-    [t, t + k] are one batch of ``ftocp.window_laws``, and each of the k
-    tail windows [t, T] is ``suffix(t)`` of the instance's truth
-    law, since a window that reaches T has the true step data and the
-    instance's terminal cost under every rule (so the tails share one
-    terminal slope).  A failing window raises as the windows would one at
-    a time: the full windows before the batch's failing one are rolled
-    out, and their pins checked, before its failure is raised.
+    [t, t + k] are one batch of ``ftocp.window_laws``, and the k tail
+    windows [t, T] are ``suffix(ts)`` of the instance's truth law for
+    consecutive offsets ts, in padded batches of at most _STACK_CAP steps
+    (windows x offsets) each: one batch at k = 8 and T = 24.  A window
+    that reaches T has the true step data and the instance's terminal cost
+    under every rule, so the tails share one terminal slope, taken at T.
+    A failing window raises as the windows would one at a time: the full
+    windows before the batch's failing one are rolled out, and their pins
+    checked, before its failure is raised.
     For the disturbance family the first action is affine in the
     parameters, so the Jacobians bound any realized deviation by the
     triangle inequality (basis "exact").  The other families put the
     parameters inside A and B, where the map is not affine: there the
     Jacobians are its local slope at the true parameters (basis "local").
     The gain_init table is exact: the products of the closed-loop matrices
-    A_t + B_t K_t of the truth law.  Raises ModelError for the stock
-    chain, and FloatingPointError when the hindsight optimum is not finite.
+    A_t + B_t K_t of the truth law, normed in stacked SVD calls (see
+    ``_init_state_jacobians``).  Raises ModelError for the stock chain, and
+    FloatingPointError when the hindsight optimum is not finite.
     """
     sys, truth = instance.system, instance.truth
     if isinstance(sys, InventorySystem):
@@ -568,10 +605,13 @@ def measure_gain_tables(instance: Instance, k: int,
     if batch.failure is not None:
         raise batch.failure
     law = ftocp.truth_law(instance)
-    tail_slopes = _terminal_slopes(instance, terminal_rule, law.t1 + law.T)
-    for t in range(full, T):
-        jac[:, t, :T - t + 1] = _window_action_jacobians(
-            law.suffix(t), zs[:, t:t + 1], step_slopes, tail_slopes)[:, 0]
+    tail_slopes = _terminal_slopes(instance, terminal_rule, np.array([T]))
+    t = full
+    while t < T:    # the tails [t, T], as many per call as the cap allows
+        ts = np.arange(t, min(T, t + max(1, _STACK_CAP // (T - t))))
+        jac[:, ts, :T - t + 1] = _window_action_jacobians(
+            law.suffix(ts), zs[:, ts], step_slopes, tail_slopes)
+        t = ts[-1] + 1
     # one np.linalg.norm per state: a batched norm rounds differently
     scale = np.array([[np.linalg.norm(z) for z in zt] for zt in zs[1:]])
     gp = jac[0].max(axis=0)

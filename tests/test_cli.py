@@ -314,6 +314,28 @@ class TestCertifications:
         assert profile.splitlines()[2] == "offset,max_block_norm,theory_bound"
         assert (tmp_path / "decay_constants.txt").exists()
 
+    @pytest.mark.parametrize("excess,code", [(2e-9, 4), (5e-10, 0)])
+    def test_certify_decay_near_its_slack(self, runner, tmp_path,
+                                          monkeypatch, excess, code):
+        # a profile over the closed-form bound by more than its 1e-9
+        # relative slack fails, one within it passes
+        profile = kkt.decay_profile
+
+        def near(wm):
+            norms, maxima, fit = profile(wm)
+            consts = kkt.tracking_decay_constants(
+                presets.tracking_rand(T=10).system.bounds, kkt.sigma_min(wm))
+            theory = (consts.decay_coef
+                      * consts.decay_rate ** np.arange(len(maxima)))
+            return norms, theory * (1 + excess), fit
+
+        monkeypatch.setattr(kkt, "decay_profile", near)
+        res = runner.invoke(cli.main, ["certify-decay", "--preset",
+                                       "tracking-rand", "--T", "10",
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == code, res.output
+        assert res.output.startswith(f"dominated={code == 0} ")
+
     def test_certify_decay_assembles_the_window_once(self, runner, tmp_path,
                                                      monkeypatch):
         # sigma is read from the dynamics blocks N of the step data the

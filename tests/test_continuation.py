@@ -1,6 +1,7 @@
 """The continuation law (one backward Riccati pass) versus the independent
 null-space oracle, on random instances and through the controller."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -352,8 +353,8 @@ LQ_PRESETS = ["tracking-rand", "disturbance", "pendulum", "grid"]
 
 
 @functools.cache
-def padding_instance(name):
-    return presets.build_preset(name, T=16)
+def padding_instance(name, T=16):
+    return presets.build_preset(name, T=T)
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,6 +398,73 @@ def test_padded_laws_equal_separate_laws(name, pinned, seed, data):
                               np.repeat(states[:, i, K:K + 1],
                                         law.T + 1 - K, axis=1))
         assert not actions[:, i, K:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(LQ_PRESETS), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_padded_suffixes_equal_separate_suffixes(name, seed, data):
+    # the tails of a law from an array of offsets (repeats and any order
+    # allowed) are one padded batch; on each tail's own offsets it reads
+    # bitwise as the scalar suffix from its offset, and so do its gain
+    # Jacobians, whose entries past its own last offset are 0
+    T = data.draw(st.integers(2, 16), label="T")
+    inst = padding_instance(name, T)
+    sys_ = inst.system
+    law = ftocp.truth_law(inst)
+    ts = np.array(data.draw(st.lists(st.integers(0, T), min_size=1,
+                                     max_size=6), label="ts"))
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(2, len(ts), sys_.n))
+    tails = law.suffix(ts)
+    assert tails.T == T - ts.min()
+    states, actions, duals = tails.trajectories(xs)
+    slopes = (kkt._step_data_slopes(inst),
+              kkt._terminal_slopes(inst, TerminalRule("true"), np.array([T])))
+    if tails.T:     # a batch of no step has no action to differentiate
+        jac = kkt._window_action_jacobians(tails, xs, *slopes)
+    for i, t in enumerate(ts):
+        K = T - t
+        alone = law.suffix(int(t))
+        assert tails.t1[i] == alone.t1[0] == t
+        assert tails.P[i, :K + 1].tobytes() == alone.P[0].tobytes()
+        assert tails.G[i, :K].tobytes() == alone.G[0].tobytes()
+        assert (tails.closed_loop[i, :K].tobytes()
+                == alone.closed_loop[0].tobytes())
+        got = (states[:, i, :K + 1], actions[:, i, :K], duals[:, i, :K + 1])
+        for g, w in zip(got, alone.trajectories(xs[:, i:i + 1]),
+                        strict=True):
+            assert g.tobytes() == w[:, 0].tobytes()
+        # past its own last step a tail holds its state and takes no action
+        assert np.array_equal(states[:, i, K:],
+                              np.repeat(states[:, i, K:K + 1],
+                                        tails.T + 1 - K, axis=1))
+        assert not actions[:, i, K:].any()
+        if K:
+            want = kkt._window_action_jacobians(alone, xs[:, i:i + 1],
+                                                *slopes)[:, 0]
+            assert jac[:, i, :K + 1].tobytes() == want.tobytes()
+            assert not jac[:, i, K + 1:].any()
+
+
+@pytest.mark.parametrize("scale,misses", [(2.0, True), (0.5, False)])
+def test_pin_missed_by_a_multiple_of_the_tolerance(scale, misses):
+    # the law steers to its own pin; against a target moved by a multiple
+    # of the rollout's tolerance 1e-6 (1 + |target| + |x|) its rollout
+    # misses when the multiple is 2, and meets it when it is 1/2
+    inst = presets.tracking_rand(T=8, seed=0)
+    target, x = np.array([0.3, -0.2]), inst.x0
+    law = ftocp.window_law(inst.system, inst.truth[:4],
+                           TerminalCost.indicator(target))
+    tol = 1e-6 * (1.0 + np.linalg.norm(target) + np.linalg.norm(x))
+    moved = target + scale * tol * np.array([0.6, 0.8])
+    law = dataclasses.replace(law, data=dataclasses.replace(
+        law.data, terminal=TerminalCost.indicator(moved[None])))
+    if misses:
+        with pytest.raises(SingularKKT, match="the rollout misses it by "):
+            law.solution(x)
+    else:
+        law.solution(x)
 
 
 def test_pin_unreachable_in_fewer_steps_than_n_over_m():

@@ -452,7 +452,11 @@ class TestPerInstance:
         law = ftocp.truth_law(inst)
         with pytest.raises(ValueError):
             law.G[0, 0, 0, 0] = 1.0
-        for a in (law.t1, law.P, law.G, law.closed_loop, law.suffix(3).G):
+        padded = law.suffix(np.array([3, 5]))
+        for a in (law.t1, law.P, law.G, law.closed_loop, law.suffix(3).G,
+                  padded.t1, padded.P, padded.G, padded.closed_loop,
+                  *(getattr(padded.data, f)
+                    for f in ("A", "B", "w", "Q", "R", "xbar"))):
             assert not a.flags.writeable
         pinned = ftocp.window_law(inst.system, inst.truth[:4],
                                   TerminalCost.indicator(np.zeros(2)))

@@ -524,15 +524,19 @@ def test_pinned_law_is_read_from_its_first_step():
                            TerminalCost.indicator(np.zeros(2)))
     assert law.pinned
     law.action(0, inst.x0)
-    for t in (0, 2):
+    for t in (0, 2, np.array([0]), np.array([0, 2])):
         with pytest.raises(ValueError, match="first step"):
             law.suffix(t)
     with pytest.raises(ValueError, match="first step"):
         law.action(2, inst.x0)
 
 
-@pytest.mark.parametrize("t", [-1, 13])
-def test_suffix_outside_the_window_rejected(t):
+@pytest.mark.parametrize("t,bad", [
+    pytest.param(-1, -1, id="-1"), pytest.param(13, 13, id="13"),
+    pytest.param(np.array([0, -1, 5]), -1, id="array-below"),
+    pytest.param(np.array([3, 12, 13, 14]), 13, id="array-above")])
+def test_suffix_outside_the_window_rejected(t, bad):
+    # an array of offsets is rejected at its first offset outside 0..T
     law = ftocp.truth_law(presets.tracking_rand(T=12, seed=4))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=f"^offset {bad} outside the window$"):
         law.suffix(t)

@@ -394,6 +394,110 @@ def test_init_state_gains_match_per_start_products(name):
                                     law.G[0, :, :, :n])
     got = kkt._init_state_jacobians(law)
     assert np.abs(got - want).max() <= 1e-12 * want.max()
+    # the stacked norms (240 offsets, split by the cap) are those of one
+    # norm call per offset, bit for bit
+    assert got.tobytes() == per_offset_init_gains(law).tobytes()
+
+
+def per_offset_init_gains(law):
+    """``kkt._init_state_jacobians`` as one norm call per stack and offset:
+    the same closed-loop products, normed offset by offset."""
+    n, T = law.data.n, law.T
+    closed = law.closed_loop[0, :, :n, :n]
+    gains = law.G[0, :, :, :n]
+    norms = np.empty(T + 1)
+    Phi = np.broadcast_to(np.eye(n), (T + 1, n, n))
+    for h in range(T + 1):
+        norms[h] = np.linalg.norm(Phi, 2, axis=(1, 2)).max()
+        if h < T:
+            norms[h] = max(norms[h], np.linalg.norm(
+                gains[h:] @ Phi[:T - h], 2, axis=(1, 2)).max())
+            Phi = closed[h:] @ Phi[:T - h]
+    return norms
+
+
+def per_tail_tables(inst, k, rule):
+    """``kkt.measure_gain_tables`` with one Jacobian call per tail window
+    [t, T] on the scalar suffix of the truth law, and ``gain_init`` normed
+    offset by offset."""
+    T = inst.T
+    opt = engine.solve_opt(inst)
+    R = max(opt.max_state_norm, 1.0)
+    step_slopes = kkt._step_data_slopes(inst)
+    zs = kkt._state_samples(inst, opt.states, R)
+    jac = np.zeros(zs.shape[:2] + (k + 1,))
+    full = max(T - k, 0)
+    if full:
+        law = window_batch(inst, rule, np.arange(full), k)
+        jac[:, :full] = kkt._window_action_jacobians(
+            law, zs[:, :full], step_slopes,
+            kkt._terminal_slopes(inst, rule, law.t1 + law.T))
+    law = ftocp.truth_law(inst)
+    tail_slopes = kkt._terminal_slopes(inst, rule, law.t1 + law.T)
+    for t in range(full, T):
+        jac[:, t, :T - t + 1] = kkt._window_action_jacobians(
+            law.suffix(t), zs[:, t:t + 1], step_slopes, tail_slopes)[:, 0]
+    scale = np.array([[np.linalg.norm(z) for z in zt] for zt in zs[1:]])
+    gs = (np.maximum(0.0, jac[1:] - jac[0])
+          / scale.reshape(-1, T, 1)).max(axis=(0, 1), initial=0.0)
+    gi = per_offset_init_gains(law)
+    gi[0] = max(gi[0], 1.0)
+    return [kkt._monotone_envelope(a) for a in (gs, jac[0].max(axis=0), gi)]
+
+
+@pytest.mark.parametrize("name", ["tracking-rand", "disturbance", "pendulum",
+                                  "grid", "all-maps"])
+@pytest.mark.parametrize("all_tails", [False, True], ids=["k<T", "k=T"])
+def test_tables_equal_per_tail_tables(name, all_tails):
+    # the tails as padded batches (under a cap that splits them, too) give
+    # the tables of one scalar suffix per tail, bit for bit; the all-maps
+    # instance's terminal varies with its parameter, so each tail's
+    # terminal entry must sit at its own last offset
+    T = 12
+    if name == "all-maps":
+        inst, k = all_maps_instance(T, 0), 4
+    else:
+        inst, k = presets.build_preset(name, T=T), WINDOW[name]
+    k = T if all_tails else k
+    rule = cli._DEFAULT_RULE
+    want = per_tail_tables(inst, k, rule)
+    jacobians = kkt._window_action_jacobians
+    for cap in (kkt._STACK_CAP, 20):
+        steps = []
+
+        def counted(law, *args):
+            steps.append((law.W, law.T))
+            return jacobians(law, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kkt, "_STACK_CAP", cap)
+            mp.setattr(kkt, "_window_action_jacobians", counted)
+            tables = kkt.measure_gain_tables(inst, k, rule)
+        got = (tables.gain_state, tables.gain_param, tables.gain_init)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+        # every tail call but one of a single window keeps to the cap
+        tails = steps[1:] if k < T else steps
+        assert all(W * K <= cap or W == 1 for W, K in tails)
+        assert sum(W for W, _ in tails) == k
+        assert len(tails) == 1 or cap < kkt._STACK_CAP
+
+
+def test_two_jacobian_calls_at_k_8(monkeypatch, tmp_path):
+    # the batch of the full windows, and one padded batch of the 8 tails
+    calls = []
+    jacobians = kkt._window_action_jacobians
+
+    def counted(law, *args):
+        calls.append(law.W)
+        return jacobians(law, *args)
+
+    monkeypatch.setattr(kkt, "_window_action_jacobians", counted)
+    res = CliRunner().invoke(cli.main, [
+        "constants", "--preset", "tracking-rand", "--T", "24", "--k", "8",
+        "--mode", "measured", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert calls == [16, 8]
 
 
 def test_failing_window_is_the_earliest():

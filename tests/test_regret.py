@@ -1,5 +1,7 @@
 """Regret accounting, aggregate error budgets, and sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,40 @@ class TestRegretInequalities:
                               for i in range(t)) for t in range(T + 1)]
         assert rep.distance_rhs == pytest.approx(expected, rel=1e-13)
         assert rep.distance_rhs[0] == 0.0
+
+    @staticmethod
+    def near_miss_run(total_cost=0.0, distances=None):
+        """A run of T = 6 steps with every error 1/2 against an optimum of
+        cost 0, so with ell = 2, L_g = 1 and gain_init = (1, 0, ...)
+        (C3 = 1) the regret bound is c sum e^2 = 6 * 1.5 = 9 and the
+        distance bound is e_{t-1} = 1/2 at every step t > 0."""
+        T = 6
+        run = engine.TrajectoryRecord(
+            np.zeros((T + 1, 1)), np.zeros((T, 1)), np.full(T, 0.5),
+            np.zeros(T + 1) if distances is None else distances,
+            np.zeros(T), total_cost)
+        opt = dataclasses.replace(run, errors=np.zeros(T),
+                                  distances=np.zeros(T + 1), total_cost=0.0)
+        return regret.regret_inequalities(
+            run, opt, 2.0, 1.0, gain_tables(gain_init=np.eye(T)[0]))
+
+    @pytest.mark.parametrize("margin", [1e-6, -1e-6])
+    def test_regret_near_its_bound(self, margin):
+        # a regret over its bound by 1e-6 relative fails, and its mirror
+        # under the bound by as much passes; the distances are 0
+        assert self.near_miss_run().regret_bound == 9.0
+        rep = self.near_miss_run(total_cost=9.0 * (1 + margin))
+        assert rep.regret_ok == (margin < 0)
+        assert rep.distance_ok
+
+    @pytest.mark.parametrize("margin", [1e-6, -1e-6])
+    def test_distance_near_its_bound_at_one_step(self, margin):
+        distances = np.zeros(7)
+        distances[3] = 0.5 * (1 + margin)
+        rep = self.near_miss_run(distances=distances)
+        assert rep.distance_rhs[3] == 0.5
+        assert rep.distance_ok == (margin < 0)
+        assert rep.regret_ok
 
     def test_short_gain_table_rejected(self):
         inst = presets.tracking_rand(T=8, seed=2)
