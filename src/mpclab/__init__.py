@@ -1,9 +1,9 @@
 """Receding-horizon control with noisy forecasts: exact windowed solvers,
 saddle-matrix sensitivity analysis, and dynamic-regret certification."""
 
-from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    LinearQuadraticSystem, ModelError, ParamBox,
-                    PredictionStream, TerminalCost, config_hash,
+from .model import (Bounds, Check, DisturbanceOnlySystem, Instance,
+                    InventorySystem, LinearQuadraticSystem, ModelError,
+                    ParamBox, PredictionStream, TerminalCost, config_hash,
                     validate_assumptions)
 from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, Infeasible,
                     SingularKKT, chain_law, continuation_law, truth_law,
@@ -12,9 +12,9 @@ from .kkt import (DecayFit, GainTables, TrackingDecayConstants,
                   decay_profile, measure_gain_tables, sigma_min,
                   tracking_decay_constants, window_data)
 from .engine import TerminalRule, TrajectoryRecord, run_mpc, solve_opt
-from .regret import (RegretReport, SweepResult, aggregate_E,
-                     per_step_error_bound_rhs, pipeline_admission_check,
-                     regret_inequalities, sweep_horizon, sweep_noise)
+from .regret import (SweepResult, aggregate_E, per_step_error_bound_rhs,
+                     pipeline_admission_check, regret_inequalities,
+                     sweep_horizon, sweep_noise)
 from .presets import (PRESETS, build_instance, build_preset,
                       inventory_counterexample_suite)
 

@@ -7,8 +7,9 @@ Every command is declared through ``_command``, the one path from the
 parsed options to the exit code: it loads the instance, hashes the options
 into the artifacts' header lines, checks the window length and the noise
 scale, runs the command's body, writes the artifacts the body returns and
-prints its stdout line.  A body says whether its tested inequality held;
-when it did not, the artifacts are written before the command exits 4.
+prints its stdout line.  A body returns the ``Check`` of each inequality
+it tests; when one fails, the artifacts and stdout are written first, and
+then stderr names the first failed check before the command exits 4.
 
 Exit codes: 0 success; 2 configuration error (also a ModelError raised by a
 body, such as an analysis the family does not admit); 3 solver failure;
@@ -29,7 +30,7 @@ import click
 import numpy as np
 
 from . import engine, ftocp, kkt, presets, regret
-from .model import Instance, ModelError, PredictionStream, config_hash
+from .model import Check, Instance, ModelError, PredictionStream, config_hash
 
 EXIT_SOLVER = 3
 EXIT_CERT = 4
@@ -166,9 +167,9 @@ def _command(name: str, *options, load: bool = True):
     The body is called as ``body(inst, headers, **opts)`` with the loaded
     instance (None unless ``load``), the artifacts' header lines and its own
     options by dest, and returns its artifacts by file name, its stdout line
-    and whether its tested inequality held.  The header's config_hash covers
-    the command name and every option but ``--out``, with an instance file's
-    contents in place of its path."""
+    and the ``Check`` of each inequality it tests.  The header's config_hash
+    covers the command name and every option but ``--out``, with an
+    instance file's contents in place of its path."""
     options = (_INSTANCE_OPTIONS if load else ()) + options + (
         click.option("--out", type=click.Path(), default="out",
                      help="output directory"),)
@@ -190,7 +191,7 @@ def _command(name: str, *options, load: bool = True):
                     raise click.UsageError("need --noise-scale >= 0")
                 headers = [f"command={name}",
                            f"config_hash={config_hash(hashed)}"]
-                artifacts, line, held = body(inst, headers, **opts)
+                artifacts, line, checks = body(inst, headers, **opts)
             except ModelError as exc:
                 raise click.UsageError(str(exc)) from exc
             except (ftocp.Infeasible, ftocp.SingularKKT,
@@ -202,8 +203,12 @@ def _command(name: str, *options, load: bool = True):
                 with open(os.path.join(out, file_name), "w") as fh:
                     fh.write(text)
             click.echo(line)
-            if not held:
-                sys.exit(EXIT_CERT)
+            for check in checks:
+                if not check.ok:
+                    click.echo(f"check failed: {check.name} (index "
+                               f"{check.worst}, margin {check.margin:.6g})",
+                               err=True)
+                    sys.exit(EXIT_CERT)
 
         for option in reversed(options):
             run = option(run)
@@ -220,7 +225,7 @@ def solve(inst, hdr):
                  {"total_cost": opt.total_cost,
                   "max_state_norm": opt.max_state_norm,
                   "dynamics_residual": opt.dynamics_residual(inst)}, hdr)},
-            f"total_cost={opt.total_cost:.12g}", True)
+            f"total_cost={opt.total_cost:.12g}", ())
 
 
 @_command("mpc", _WINDOW,
@@ -238,7 +243,7 @@ def mpc(inst, hdr, k, noise_scale):
                   "regret": regret_, "sum_sq_errors": run.sum_sq_errors,
                   "max_error": float(run.errors.max(initial=0.0)),
                   "kkt_residual_max": run.kkt_residual_max}, hdr)},
-            f"regret={regret_:.12g}", True)
+            f"regret={regret_:.12g}", ())
 
 
 @_command("sweep-horizon",
@@ -252,7 +257,7 @@ def sweep_horizon(inst, hdr, k_max):
     if not ks:
         raise click.UsageError("sweep range is empty")
     res = regret.sweep_horizon(inst, ks, _DEFAULT_RULE)
-    return _sweep_artifacts("sweep_horizon", res, hdr), _fit_text(res), True
+    return _sweep_artifacts("sweep_horizon", res, hdr), _fit_text(res), ()
 
 
 @_command("sweep-noise", _WINDOW,
@@ -265,7 +270,7 @@ def sweep_noise(inst, hdr, k, noise_scale):
               (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)]
     res = regret.sweep_noise(inst, scales, k, _DEFAULT_RULE)
     return (_sweep_artifacts("sweep_noise", res, hdr),
-            f"loglog_{_fit_text(res)}", True)
+            f"loglog_{_fit_text(res)}", ())
 
 
 @_command("certify-decay")
@@ -278,7 +283,7 @@ def certify_decay(inst, hdr):
     consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
     offsets = np.arange(maxima.shape[0])
     theory = consts.decay_coef * consts.decay_rate ** offsets
-    ok = bool(np.all(maxima <= theory * (1 + 1e-9)))
+    check = Check("decay_envelope", maxima, theory * (1 + 1e-9))
     worst = float(np.max(maxima / np.maximum(theory, 1e-300)))
     return ({"decay_profile.csv": _csv_body(
                 ["offset", "max_block_norm", "theory_bound"],
@@ -288,7 +293,7 @@ def certify_decay(inst, hdr):
                  "sigma_hi": consts.sigma_hi, "decay_rate": consts.decay_rate,
                  "decay_coef": consts.decay_coef, "fit_coef": fit.C,
                  "fit_rate": fit.lam, "fit_r2": fit.r2}, hdr)},
-            f"dominated={ok} worst_ratio={worst:.6g}", ok)
+            f"dominated={check.ok} worst_ratio={worst:.6g}", (check,))
 
 
 @_command("inventory-suite",
@@ -309,7 +314,8 @@ def inventory_suite(inst, hdr, p, eps):
                 ["p", "eps", "h", "diff", "diff_minus_eps",
                  "closed_form_err"],
                 map(dataclasses.astuple, rows), hdr)},
-            f"worst_deviation={worst:.3g}", worst <= 1e-6)
+            f"worst_deviation={worst:.3g}",
+            (Check("closed_form_deviation", worst, 1e-6),))
 
 
 @_command("constants", _WINDOW,
@@ -330,7 +336,7 @@ def constants(inst, hdr, k, mode):
         values[f"gain_state_{tau}"] = float(tables.gain_state[tau])
         values[f"gain_param_{tau}"] = float(tables.gain_param[tau])
     body = _key_value_body(values, hdr)
-    return {"constants.txt": body}, body.rstrip("\n"), True
+    return {"constants.txt": body}, body.rstrip("\n"), ()
 
 
 if __name__ == "__main__":

@@ -376,6 +376,8 @@ def _first_action_adjoint(law: ftocp.ContinuationLaw):
     backward pass solved with the same matrix.
     """
     n, m, K = law.data.n, law.data.m, law.T
+    if not K:
+        raise ValueError("a law of no step has no first action")
     B, P, G = law.data.B, law.P, law.G
     B0 = B[:, 0]
     kick = np.linalg.inv(law.data.R[:, 0]

@@ -382,20 +382,53 @@ def per_instance(fn: Callable[[Instance], object]):
 
 
 # ---------------------------------------------------------------------------
-# assumption validation
+# verdicts and assumption validation
 # ---------------------------------------------------------------------------
 
-def validate_assumptions(system: LinearQuadraticSystem, ts, xis) -> dict:
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One tested inequality ``lhs <= rhs``, entry by entry, with both sides
+    read-only float arrays of their broadcast shape.  A lower bound is
+    written with its sides swapped, and a fixed slack is part of ``rhs``.
+    It holds when every entry does, so a NaN fails; ``margin`` is the least
+    ``rhs - lhs`` and ``worst`` the first flat index of the largest
+    ``lhs - rhs``."""
+
+    name: str
+    lhs: Array
+    rhs: Array
+
+    def __post_init__(self):
+        sides = np.broadcast_arrays(self.lhs, self.rhs)
+        for side, a in zip(("lhs", "rhs"), sides):
+            object.__setattr__(self, side, _read_only(np.array(a, float)))
+
+    @property
+    def ok(self) -> bool:
+        return bool(np.all(self.lhs <= self.rhs))
+
+    @property
+    def margin(self) -> float:
+        return float(np.min(self.rhs - self.lhs))
+
+    @property
+    def worst(self) -> int:
+        return int(np.argmax(self.lhs - self.rhs))
+
+
+def validate_assumptions(system: LinearQuadraticSystem, ts,
+                         xis) -> tuple[Check, ...]:
     """Check the declared bounds exactly on given data: the steps ``ts`` (an
     int array of any shape, each in 0..T) at the parameters ``xis`` of shape
     ``ts.shape + (p,)``, such as a run's true parameters and its forecasts.
 
     The entries with t < T give the stage data (A, B, w, Q, R, xbar) in one
     stacked ``step_data`` call, and those with t = T the terminal weight P_T
-    in one ``terminal_cost`` call.  Returns a report mapping each declared
-    bound to its worst value on the data, the declared limit and a pass
-    flag.  Steps outside 0..T or parameters of another shape raise
-    ModelError.
+    in one ``terminal_cost`` call.  Returns one check per declared bound,
+    its worst value on the data against its limit with 1e-9 to spare:
+    ``cost_lower`` (mu below the least eigenvalue), ``cost_upper``,
+    ``A_bound``, ``B_bound``, ``w_bound`` and ``xbar_bound``.  Steps
+    outside 0..T or parameters of another shape raise ModelError.
     """
     ts, xis = np.asarray(ts), np.asarray(xis, float)
     if (xis.shape != ts.shape + system.param_box.lo.shape
@@ -405,24 +438,15 @@ def validate_assumptions(system: LinearQuadraticSystem, ts, xis) -> dict:
     A, B, w, Q, R, xbar = system.step_data(ts[stage], xis[stage])
     eigs = np.concatenate([np.linalg.eigvalsh(Mx).ravel() for Mx in
                            (Q, R, system.terminal_cost(xis[~stage]).P)])
-
-    def largest(norms):
-        return float(norms.max(initial=0.0))
-
-    checks = {
-        "cost_lower": (float(eigs.min(initial=np.inf)), bb.mu),
-        "cost_upper": (float(eigs.max(initial=-np.inf)), bb.ell),
-        "A_bound": (largest(np.linalg.norm(A, 2, axis=(-2, -1))), bb.a),
-        "B_bound": (largest(np.linalg.norm(B, 2, axis=(-2, -1))), bb.b),
-        "w_bound": (largest(np.linalg.norm(w, axis=-1)), bb.D_w),
-        "xbar_bound": (largest(np.linalg.norm(xbar, axis=-1)), bb.D_xbar),
-    }
-    tol, report = 1e-9, {}
-    for name, (v, lim) in checks.items():
-        ok = v >= lim - tol if name == "cost_lower" else v <= lim + tol
-        report[name] = {"worst": v, "limit": lim, "ok": bool(ok)}
-    report["ok"] = all(c["ok"] for c in report.values())
-    return report
+    tol = 1e-9
+    norms = {"A_bound": (np.linalg.norm(A, 2, axis=(-2, -1)), bb.a),
+             "B_bound": (np.linalg.norm(B, 2, axis=(-2, -1)), bb.b),
+             "w_bound": (np.linalg.norm(w, axis=-1), bb.D_w),
+             "xbar_bound": (np.linalg.norm(xbar, axis=-1), bb.D_xbar)}
+    return (Check("cost_lower", bb.mu - tol, eigs.min(initial=np.inf)),
+            Check("cost_upper", eigs.max(initial=-np.inf), bb.ell + tol),
+            *(Check(name, v.max(initial=0.0), limit + tol)
+              for name, (v, limit) in norms.items()))
 
 
 # ---------------------------------------------------------------------------

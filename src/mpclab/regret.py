@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, kkt
-from .model import Instance, PredictionStream
+from .model import Check, Instance, PredictionStream
 
 Array = np.ndarray
 
@@ -20,50 +20,33 @@ REGRET_FLOOR = 1e-10  # regrets below this are solver noise; excluded from fits
 
 
 # ---------------------------------------------------------------------------
-# regret report and error bounds
+# regret inequalities and error bounds
 # ---------------------------------------------------------------------------
-
-@dataclasses.dataclass
-class RegretReport:
-    cost_alg: float
-    cost_opt: float
-    regret: float
-    sum_sq_errors: float
-    constant_c: float
-    regret_bound: float
-    regret_ok: bool
-    distance_lhs: Array
-    distance_rhs: Array
-    distance_ok: bool
-
 
 def regret_inequalities(run: engine.TrajectoryRecord,
                         opt: engine.TrajectoryRecord,
                         ell: float, L_g: float,
-                        tables: kkt.GainTables) -> RegretReport:
-    """Evaluate the explicit-constant regret inequality and the state-distance
-    bound on an executed run (each to within 1e-9), with C3 and gain_init
-    read from the gain ``tables``:
+                        tables: kkt.GainTables) -> tuple[Check, Check]:
+    """Check the explicit-constant regret inequality and the state-distance
+    bound on an executed run, each with 1e-9 to spare in its rhs, with C3
+    and gain_init read from the gain ``tables``:
 
     regret <= sqrt(c * cost_opt * sum e^2) + c * sum e^2 with
     c = (ell/2)(1 + 2 C3 L_g^2)(1 + C3), and
-    dist_t <= L_g * sum_{i<t} gain_init(i) e_{t-1-i}.
+    dist_t <= L_g * sum_{i<t} gain_init(i) e_{t-1-i}, t = 0..T,
+
+    as the checks ``regret`` and ``distance``.
     """
-    C3, tol = tables.C3, 1e-9
-    T = run.T
+    C3, T, tol = tables.C3, run.T, 1e-9
     if len(tables.gain_init) < T:
         raise ValueError("gain_init table must cover offsets 0..T-1")
-    regret = run.total_cost - opt.total_cost
     ssq = run.sum_sq_errors
     c = (ell / 2.0) * (1.0 + 2.0 * C3 * L_g ** 2) * (1.0 + C3)
     bound = float(np.sqrt(c * max(opt.total_cost, 0.0) * ssq) + c * ssq)
-    lhs = run.distances.copy()
     rhs = np.zeros(T + 1)
     rhs[1:] = L_g * np.convolve(tables.gain_init[:T], run.errors)[:T]
-    dist_ok = bool(np.all(lhs <= rhs + tol))
-    return RegretReport(run.total_cost, opt.total_cost, float(regret), ssq,
-                        c, bound, bool(regret <= bound + tol),
-                        lhs, rhs, dist_ok)
+    return (Check("regret", run.total_cost - opt.total_cost, bound + tol),
+            Check("distance", run.distances, rhs + tol))
 
 
 def _rho_offsets(rho_table: Array, k: int) -> Array:
@@ -113,28 +96,13 @@ def per_step_error_bound_rhs(rho_table: Array, tables: kkt.GainTables,
     return rhs
 
 
-@dataclasses.dataclass(frozen=True)
-class AdmissionReport:
-    ok: bool
-    worst_rhs: float
-    threshold: float
-    worst_t: int
-
-    @property
-    def margin(self) -> float:
-        return self.threshold - self.worst_rhs
-
-
 def pipeline_admission_check(rhs: Array, tables: kkt.GainTables,
-                             L_g: float) -> AdmissionReport:
+                             L_g: float) -> Check:
     """Smallness condition admitting a run into the error-to-regret pipeline:
-    the per-step bound ``rhs`` (``per_step_error_bound_rhs``) must stay
-    below R / (C3^2 L_g), with R and C3 read from the gain tables, at every
-    step; ``worst_t`` is the first step where it is largest."""
-    threshold = tables.R / (tables.C3 ** 2 * L_g)
-    worst_t = int(np.argmax(rhs))
-    worst = float(rhs[worst_t])
-    return AdmissionReport(worst <= threshold, worst, threshold, worst_t)
+    the check ``admission`` that the per-step bound ``rhs``
+    (``per_step_error_bound_rhs``) stays below R / (C3^2 L_g), with R and
+    C3 read from the gain tables, at every step."""
+    return Check("admission", rhs, tables.R / (tables.C3 ** 2 * L_g))
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,9 @@ def disturbance_pipeline():
         stream = PredictionStream(inst.truth, 8, scale, seed=inst.seed)
         rhs = regret.per_step_error_bound_rhs(stream.rho_table, tables,
                                               opt.max_state_norm)
-        report = regret.pipeline_admission_check(rhs, tables, L_g)
+        admission = regret.pipeline_admission_check(rhs, tables, L_g)
         run = engine.run_mpc(inst, stream, 8, rule)
-        runs.append((scale, rhs, report, run))
+        runs.append((scale, rhs, admission, run))
     return inst, opt, L_g, tables, runs
 
 
@@ -96,8 +96,8 @@ def test_kkt_inverse_block_decay():
 def test_per_step_error_bound():
     with Budget(60.0):
         inst, opt, L_g, tables, runs = disturbance_pipeline()
-        for scale, rhs, report, run in runs:
-            assert report.ok, f"scale {scale} not admitted"
+        for scale, rhs, admission, run in runs:
+            assert admission.ok, f"scale {scale} not admitted"
             above = np.flatnonzero(run.errors > rhs + 1e-9)
             assert above.size == 0, (scale, above)
 
@@ -106,10 +106,10 @@ def test_regret_inequality_explicit_constant():
     with Budget(30.0):
         inst, opt, L_g, tables, runs = disturbance_pipeline()
         ell = inst.system.bounds.ell
-        for scale, rhs, report, run in runs:
-            rep = regret.regret_inequalities(run, opt, ell, L_g, tables)
-            assert rep.regret_ok, f"scale {scale}"
-            assert rep.distance_ok, f"scale {scale}"
+        for scale, rhs, admission, run in runs:
+            for check in regret.regret_inequalities(run, opt, ell, L_g,
+                                                    tables):
+                assert check.ok, f"{check.name} at scale {scale}"
 
 
 def test_full_horizon_exactness():

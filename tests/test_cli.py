@@ -309,7 +309,8 @@ class TestCertifications:
                                        "tracking-rand", "--T", "10",
                                        "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        assert "dominated=True" in res.output
+        assert "dominated=True" in res.stdout
+        assert res.stderr == ""
         profile = read(tmp_path / "decay_profile.csv").decode()
         assert profile.splitlines()[2] == "offset,max_block_norm,theory_bound"
         assert (tmp_path / "decay_constants.txt").exists()
@@ -367,7 +368,9 @@ class TestCertifications:
                                        "--eps", "1", "--out",
                                        str(tmp_path / "suite")])
         assert res.exit_code == 4
-        assert res.output == "worst_deviation=0.6\n"
+        assert res.stdout == "worst_deviation=0.6\n"
+        assert res.stderr == ("check failed: closed_form_deviation "
+                              "(index 0, margin -0.599999)\n")
         assert_written(tmp_path / "suite", "inventory-suite",
                        ["inventory_suite.csv"])
 
@@ -384,11 +387,30 @@ class TestCertifications:
                                        "tracking-rand", "--T", "10",
                                        "--out", str(tmp_path / "decay")])
         assert res.exit_code == 4
-        assert res.output.startswith("dominated=False worst_ratio=")
-        ratio = float(res.output.split("worst_ratio=")[1])
+        assert res.stdout.startswith("dominated=False worst_ratio=")
+        ratio = float(res.stdout.split("worst_ratio=")[1])
         assert 1e4 < ratio < 1e6
+        assert re.fullmatch(r"check failed: decay_envelope \(index \d+, "
+                            r"margin -\S+\)\n", res.stderr), res.stderr
         assert_written(tmp_path / "decay", "certify-decay",
                        ["decay_profile.csv", "decay_constants.txt"])
+
+    @pytest.mark.parametrize("args,name,stdout", [
+        (["certify-decay", "--preset", "pendulum", "--T", "40"],
+         "decay_envelope", "dominated=False worst_ratio="),
+        (["certify-decay", "--preset", "grid", "--T", "40"],
+         "decay_envelope", "dominated=False worst_ratio="),
+        (["inventory-suite", "--p", "2", "--eps", "1"],
+         "closed_form_deviation", "worst_deviation=0.6\n")])
+    def test_exit_4_names_the_failed_check(self, runner, tmp_path, args,
+                                           name, stdout):
+        # stdout is the command's line as on success; stderr is one line
+        # naming the failed check, its worst index and its margin
+        res = runner.invoke(cli.main, args + ["--out", str(tmp_path)])
+        assert res.exit_code == 4
+        assert res.stdout.startswith(stdout)
+        assert re.fullmatch(rf"check failed: {name} \(index \d+, margin "
+                            r"-\S+\)\n", res.stderr), res.stderr
 
     def test_inventory_suite_fraction_eps(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["inventory-suite", "--p", "4",
@@ -686,10 +708,11 @@ class TestLibrarySurface:
         # that it counts a terminal stage
         gone = {cli: ["_solver_errors", "_instance_options", "_headers",
                       "_write", "_sweep_body", "EXIT_OK", "EXIT_CONFIG"],
-                regret.RegretReport: ["aggregate_E"],
                 # the magnitudes table is the one form of rho
                 model.PredictionStream: ["rho", "power"],
-                regret: ["_scaled"],
+                # every verdict is a model.Check
+                regret: ["_scaled", "RegretReport", "AdmissionReport"],
+                mpclab: ["RegretReport", "AdmissionReport"],
                 # the bounds live in regret, and the assumptions are checked
                 # on given data, with no sampling of the box
                 engine: ["per_step_error_bound_rhs",
@@ -740,6 +763,7 @@ class TestLibrarySurface:
                                        "kkt_residual"]),
                 (regret.SweepResult, ["variable", "values", "regrets",
                                       "slope", "r2", "kkt_residual_max"]),
+                (model.Check, ["name", "lhs", "rhs"]),
                 (model.Instance, ["system", "truth", "x0", "seed",
                                   "terminal_param"])):
             assert [f.name for f in dataclasses.fields(cls)] == names, cls

@@ -421,8 +421,11 @@ def test_padded_suffixes_equal_separate_suffixes(name, seed, data):
     states, actions, duals = tails.trajectories(xs)
     slopes = (kkt._step_data_slopes(inst),
               kkt._terminal_slopes(inst, TerminalRule("true"), np.array([T])))
-    if tails.T:     # a batch of no step has no action to differentiate
+    if tails.T:
         jac = kkt._window_action_jacobians(tails, xs, *slopes)
+    else:           # a batch of no step has no action to differentiate
+        with pytest.raises(ValueError, match="has no first action"):
+            kkt._window_action_jacobians(tails, xs, *slopes)
     for i, t in enumerate(ts):
         K = T - t
         alone = law.suffix(int(t))

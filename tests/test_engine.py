@@ -543,27 +543,28 @@ class TestAdmission:
                              gain_init=[1.5])
         rhs = per_step_error_bound_rhs(np.full((11, 4), 0.01), tables,
                                        D_xstar=0.1)
-        rep = pipeline_admission_check(rhs, tables, L_g=1.2)
-        assert rep.ok
-        assert rep.margin > 0.0
-        assert rep.threshold == pytest.approx(1.0 / (1.5 ** 2 * 1.2))
+        check = pipeline_admission_check(rhs, tables, L_g=1.2)
+        assert check.name == "admission"
+        assert check.ok
+        assert check.margin > 0.0
+        assert check.rhs == pytest.approx(np.full(10, 1.0 / (1.5 ** 2 * 1.2)))
 
     def test_large_noise_rejected(self):
         tables = gain_tables(np.zeros(4), np.ones(4), gain_init=[1.5])
         rhs = per_step_error_bound_rhs(np.full((11, 4), 5.0), tables,
                                        D_xstar=0.1)
-        rep = pipeline_admission_check(rhs, tables, L_g=1.2)
-        assert not rep.ok
-        assert rep.worst_rhs > rep.threshold
-        assert 0 <= rep.worst_t < 10
+        check = pipeline_admission_check(rhs, tables, L_g=1.2)
+        assert not check.ok
+        assert check.lhs[check.worst] > check.rhs[check.worst]
+        assert 0 <= check.worst < 10
 
     def test_reads_the_bound_array(self):
         # the worst step is the first where the bound is largest
         rhs = np.array([0.1, 0.4, 0.2, 0.4, 0.0])
         tables = gain_tables()
-        rep = pipeline_admission_check(rhs, tables, L_g=2.0)
-        assert (rep.ok, rep.worst_rhs, rep.threshold, rep.worst_t) == (
-            True, 0.4, 0.5, 1)
+        check = pipeline_admission_check(rhs, tables, L_g=2.0)
+        assert (check.ok, check.worst, check.margin) == (True, 1, 0.5 - 0.4)
+        assert check.lhs.tobytes() == rhs.tobytes()
         assert not pipeline_admission_check(rhs, tables, 2.6).ok
 
 

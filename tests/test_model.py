@@ -231,46 +231,70 @@ class TestControllability:
         assert np.allclose(M, kalman, atol=1e-12)
 
 
+def checks_by_name(system, ts, xis):
+    """The six checks of validate_assumptions, by name, in their order."""
+    return {c.name: c for c in validate_assumptions(system, ts, xis)}
+
+
+def holds(system, ts, xis):
+    return all(c.ok for c in validate_assumptions(system, ts, xis))
+
+
 class TestValidateAssumptions:
+    def test_six_checks_in_order(self):
+        checks = checks_by_name(const_system(), *box_grid(const_system(), 3))
+        assert list(checks) == ["cost_lower", "cost_upper", "A_bound",
+                                "B_bound", "w_bound", "xbar_bound"]
+        assert all(isinstance(c, model.Check) for c in checks.values())
+
     def test_constant_system_passes(self):
-        report = validate_assumptions(const_system(), *box_grid(
-            const_system(), 11))
-        assert report["ok"]
-        assert report["cost_lower"]["worst"] == pytest.approx(1.0)
+        checks = checks_by_name(const_system(), *box_grid(const_system(), 11))
+        assert all(c.ok for c in checks.values())
+        # a lower bound is written with its sides swapped: mu (less the
+        # slack) on the left, the least eigenvalue on the right
+        lower = checks["cost_lower"]
+        assert (lower.lhs, lower.rhs) == (1.0 - 1e-9, pytest.approx(1.0))
 
     def test_planted_cost_violation_named(self):
         sys_ = const_system(q=3.0)  # Q exceeds the declared ceiling
-        report = validate_assumptions(sys_, *box_grid(sys_, 11))
-        assert not report["ok"]
-        assert not report["cost_upper"]["ok"]
+        checks = checks_by_name(sys_, *box_grid(sys_, 11))
+        assert [n for n, c in checks.items() if not c.ok] == ["cost_upper"]
+
+    def test_planted_cost_floor_violation_named(self):
+        # Q = 0.5 I is below the declared floor mu = 1: the swapped sides
+        # fail, and by the floor's excess
+        sys_ = const_system(q=0.5)
+        checks = checks_by_name(sys_, *box_grid(sys_, 11))
+        assert [n for n, c in checks.items() if not c.ok] == ["cost_lower"]
+        assert checks["cost_lower"].margin == pytest.approx(-0.5)
 
     def test_sampled_tracking_preset_within_bounds(self):
         inst = presets.tracking_rand(T=10, seed=7)
-        report = validate_assumptions(inst.system, *box_grid(inst.system))
-        assert report["ok"], report
+        checks = validate_assumptions(inst.system, *box_grid(inst.system))
+        assert all(c.ok for c in checks), checks
 
     def test_terminal_weight_read_at_the_final_step_only(self):
         # P_T = 2 I exceeds ell = 1; the stage data of every step are within
         sys_ = const_system(T=4, p=2.0)
         ts, xis = np.arange(4), np.full((4, 1), 0.5)
-        assert validate_assumptions(sys_, ts, xis)["ok"]
-        report = validate_assumptions(sys_, 4, [0.5])
-        assert report["cost_upper"]["worst"] == 2.0
-        assert not report["ok"]
-        assert report["A_bound"]["worst"] == 0.0   # no stage data given
-        report = validate_assumptions(sys_, np.arange(5)[:, None],
-                                      np.full((5, 1, 1), 0.5))
-        assert not report["cost_upper"]["ok"] and report["A_bound"]["ok"]
+        assert holds(sys_, ts, xis)
+        checks = checks_by_name(sys_, 4, [0.5])
+        assert checks["cost_upper"].lhs == 2.0
+        assert not holds(sys_, 4, [0.5])
+        assert checks["A_bound"].lhs == 0.0   # no stage data given
+        checks = checks_by_name(sys_, np.arange(5)[:, None],
+                                np.full((5, 1, 1), 0.5))
+        assert not checks["cost_upper"].ok and checks["A_bound"].ok
 
     def test_checks_the_data_it_is_given(self):
         # |w| = 0.4 |xi - 0.5| on the disturbance preset, declared
         # D_w = 0.2: the bound is tight at the box's ends, and a forecast
         # beyond them breaks it
         sys_ = presets.disturbance(T=10).system
-        assert validate_assumptions(sys_, [3, 10], [[0.0], [1.0]])["ok"]
-        report = validate_assumptions(sys_, [3], [[1.1]])
-        assert report["w_bound"]["worst"] == pytest.approx(0.24)
-        assert not report["w_bound"]["ok"] and not report["ok"]
+        assert holds(sys_, [3, 10], [[0.0], [1.0]])
+        checks = checks_by_name(sys_, [3], [[1.1]])
+        assert checks["w_bound"].lhs == pytest.approx(0.24)
+        assert not checks["w_bound"].ok and not holds(sys_, [3], [[1.1]])
 
     @pytest.mark.parametrize("ts,xis", [
         ([0, 5], [[0.5], [0.5]]),        # a step past T = 4
@@ -288,7 +312,7 @@ class TestValidateAssumptions:
         inst = presets.disturbance(T=60, seed=0)
         T, k = inst.T, 8
         steps = np.arange(T + 1)
-        assert validate_assumptions(inst.system, steps, inst.truth)["ok"]
+        assert holds(inst.system, steps, inst.truth)
         stream = PredictionStream(inst.truth, k, 0.2, seed=0)
         made = np.add.outer(steps, np.arange(k + 1)) <= T
         ts = np.add.outer(steps, np.arange(k + 1))[made]
@@ -296,11 +320,9 @@ class TestValidateAssumptions:
         box = inst.system.param_box
         outside = ~np.all((box.lo <= xis) & (xis <= box.hi), axis=-1)
         assert (outside.sum(), len(xis)) == (100, 513)
-        report = validate_assumptions(inst.system, ts, xis)
-        assert not report["ok"]
-        assert [name for name, c in report.items()
-                if name != "ok" and not c["ok"]] == ["w_bound"]
-        assert report["w_bound"]["worst"] == pytest.approx(0.2774, abs=1e-4)
+        checks = checks_by_name(inst.system, ts, xis)
+        assert [name for name, c in checks.items() if not c.ok] == ["w_bound"]
+        assert checks["w_bound"].lhs == pytest.approx(0.2774, abs=1e-4)
 
 
 class TestInstances:

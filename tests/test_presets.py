@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mpclab import cli, ftocp, kkt, presets
-from mpclab.model import (InventorySystem, ModelError, TerminalCost,
-                          validate_assumptions)
-from test_model import box_grid
+from mpclab.model import InventorySystem, ModelError, TerminalCost
+from test_model import box_grid, holds
 
 
 def inventory_sensitivity_profile(p, one_sided):
@@ -133,7 +132,7 @@ class TestPendulum:
 
     def test_declared_bounds_validate(self):
         inst = presets.pendulum(T=10)
-        assert validate_assumptions(inst.system, *box_grid(inst.system))["ok"]
+        assert holds(inst.system, *box_grid(inst.system))
 
 
 class TestGrid:
@@ -152,7 +151,7 @@ class TestGrid:
 
     def test_declared_bounds_validate(self):
         inst = presets.grid(T=10)
-        assert validate_assumptions(inst.system, *box_grid(inst.system))["ok"]
+        assert holds(inst.system, *box_grid(inst.system))
 
 
 class TestChainStudies:
@@ -215,4 +214,4 @@ class TestRegistry:
 
     def test_disturbance_validates(self):
         inst = presets.disturbance(T=15)
-        assert validate_assumptions(inst.system, *box_grid(inst.system))["ok"]
+        assert holds(inst.system, *box_grid(inst.system))

@@ -46,22 +46,27 @@ class TestRegretInequalities:
         opt = engine.solve_opt(inst)
         stream = PredictionStream(inst.truth, 8, 0.0)
         run = engine.run_mpc(inst, stream, 8, TerminalRule("true"))
-        rep = regret.regret_inequalities(
+        checks = regret.regret_inequalities(
             run, opt, ell=2.0, L_g=inst.system.lipschitz_dynamics(),
             tables=gain_tables(gain_init=np.ones(9)))
-        assert rep.regret_ok and rep.distance_ok
-        assert rep.sum_sq_errors <= 1e-16
+        assert [c.name for c in checks] == ["regret", "distance"]
+        assert all(c.ok for c in checks)
+        assert run.sum_sq_errors <= 1e-16
 
     def test_constant_formula(self):
-        inst = presets.tracking_rand(T=8, seed=2)
-        opt = engine.solve_opt(inst)
-        stream = PredictionStream(inst.truth, 8, 0.0)
-        run = engine.run_mpc(inst, stream, 8, TerminalRule("true"))
-        ell, L_g, C3 = 2.0, 1.5, 1.3
-        rep = regret.regret_inequalities(
+        # errors of 1/2 at T = 4 steps (sum e^2 = 1) against an optimum of
+        # cost 2: the bound is sqrt(2 c) + c, with 1e-9 to spare
+        T, ell, L_g, C3 = 4, 2.0, 1.5, 1.3
+        run = engine.TrajectoryRecord(
+            np.zeros((T + 1, 1)), np.zeros((T, 1)), np.full(T, 0.5),
+            np.zeros(T + 1), np.zeros(T), 3.0)
+        opt = dataclasses.replace(run, total_cost=2.0)
+        reg, _ = regret.regret_inequalities(
             run, opt, ell, L_g, gain_tables(gain_init=np.r_[C3, np.zeros(8)]))
-        assert rep.constant_c == pytest.approx(
-            (ell / 2) * (1 + 2 * C3 * L_g ** 2) * (1 + C3))
+        c = (ell / 2) * (1 + 2 * C3 * L_g ** 2) * (1 + C3)
+        assert reg.lhs == 1.0
+        assert reg.rhs - 1e-9 == pytest.approx(np.sqrt(2 * c) + c,
+                                               rel=1e-15)
 
     def test_distance_bound_is_the_causal_sum(self):
         rng = np.random.default_rng(4)
@@ -71,12 +76,13 @@ class TestRegretInequalities:
         run = engine.TrajectoryRecord(
             np.zeros((T + 1, 1)), np.zeros((T, 1)), errors,
             rng.uniform(0.0, 1.0, size=T + 1), np.zeros(T), 1.0)
-        rep = regret.regret_inequalities(run, run, 1.0, L_g,
-                                         gain_tables(gain_init=gain_init))
+        _, dist = regret.regret_inequalities(run, run, 1.0, L_g,
+                                             gain_tables(gain_init=gain_init))
         expected = [L_g * sum(gain_init[i] * errors[t - 1 - i]
                               for i in range(t)) for t in range(T + 1)]
-        assert rep.distance_rhs == pytest.approx(expected, rel=1e-13)
-        assert rep.distance_rhs[0] == 0.0
+        assert dist.lhs.tobytes() == run.distances.tobytes()
+        assert dist.rhs - 1e-9 == pytest.approx(expected, rel=1e-13)
+        assert dist.rhs[0] == 1e-9
 
     @staticmethod
     def near_miss_run(total_cost=0.0, distances=None):
@@ -98,19 +104,20 @@ class TestRegretInequalities:
     def test_regret_near_its_bound(self, margin):
         # a regret over its bound by 1e-6 relative fails, and its mirror
         # under the bound by as much passes; the distances are 0
-        assert self.near_miss_run().regret_bound == 9.0
-        rep = self.near_miss_run(total_cost=9.0 * (1 + margin))
-        assert rep.regret_ok == (margin < 0)
-        assert rep.distance_ok
+        assert self.near_miss_run()[0].rhs == 9.0 + 1e-9
+        reg, dist = self.near_miss_run(total_cost=9.0 * (1 + margin))
+        assert reg.ok == (margin < 0)
+        assert dist.ok
 
     @pytest.mark.parametrize("margin", [1e-6, -1e-6])
     def test_distance_near_its_bound_at_one_step(self, margin):
         distances = np.zeros(7)
         distances[3] = 0.5 * (1 + margin)
-        rep = self.near_miss_run(distances=distances)
-        assert rep.distance_rhs[3] == 0.5
-        assert rep.distance_ok == (margin < 0)
-        assert rep.regret_ok
+        reg, dist = self.near_miss_run(distances=distances)
+        assert dist.rhs[3] == 0.5 + 1e-9
+        assert dist.ok == (margin < 0)
+        assert dist.worst == (3 if margin > 0 else 0)
+        assert reg.ok
 
     def test_short_gain_table_rejected(self):
         inst = presets.tracking_rand(T=8, seed=2)
