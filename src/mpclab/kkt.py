@@ -162,10 +162,16 @@ def decay_profile(wm: WindowMatrices):
     mu_{i+1} and G_{i,j} = C_i[:, mu_{i+1}] Y_{i+1,j} for the n x b
     multiplier rows Y_{i,j} = G_{i,j}[mu_i, :].
     These obey Y_{i,j} = C_i[mu_i, mu_{i+1}] Y_{i+1,j}, one batched n x n
-    product per offset.  With R_i the triangular factor of C_i[:, mu_{i+1}],
-    ||G_{i,j}|| = ||R_i Y_{i+1,j}||, the square root of the largest
-    eigenvalue of an n x n Gram; each tile is divided by its largest entry
-    first, so far blocks whose squares would underflow keep their norms.
+    product per offset, the only sequential step.  With R_i the triangular
+    factor of C_i[:, mu_{i+1}], ||G_{i,j}|| = ||R_i Y_{i+1,j}||, the square
+    root of the largest eigenvalue of the n x n Gram of that n x b tile.
+    The tiles of consecutive offsets are stacked, at most _STACK_CAP tiles
+    (or one offset's) to a stack, and each stack's norms, per-offset maxima
+    and upper-triangle entries come from one Gram product and one eigvalsh
+    call; the lower triangle is mirrored once at the end.  Each tile is
+    divided by its largest entry before its Gram, so far blocks whose
+    squares would underflow keep their norms.  A tile's norm does not depend
+    on the stack it sits in, so the outputs do not depend on the cap.
 
     Returns (norms matrix indexed by block pair, per-offset maxima, DecayFit).
     Raises SingularKKT when a pivot is singular, or when the blocks miss the
@@ -206,21 +212,30 @@ def decay_profile(wm: WindowMatrices):
     Y = np.take_along_axis(diag, mu_cols[:, :, None], axis=1)[1:]
     norms = np.zeros((nb, nb))
     maxima = np.zeros(nb)
-    for off in range(nb):
-        if off == 0:
-            vals = np.linalg.norm(diag, 2, axis=(-2, -1))
-        else:   # Y[i] = Y_{i+1,i+off}
-            tile = R[:nb - off] @ Y
+    vals = np.linalg.norm(diag, 2, axis=(-2, -1))
+    np.fill_diagonal(norms, vals)
+    maxima[0] = vals.max()
+    first, held, tiles = 1, 0, []   # the tiles of offsets first..off
+    for off in range(1, nb):   # Y[i] = Y_{i+1,i+off}
+        tiles.append(R[:nb - off] @ Y)
+        held += nb - off
+        Y = step[1:nb - off] @ Y[1:]
+        if off == nb - 1 or held + len(Y) > _STACK_CAP:
+            tile = np.concatenate(tiles)
             top = np.abs(tile).max(axis=(-2, -1), keepdims=True)
             tile /= np.where(top > 0.0, top, 1.0)
             gram = tile @ tile.swapaxes(-1, -2)
             vals = top[:, 0, 0] * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-            Y = step[1:nb - off] @ Y[1:]
-        i = np.arange(nb - off)
-        norms[i, i + off] = norms[i + off, i] = vals
-        maxima[off] = vals.max()
+            offs = np.arange(first, off + 1)
+            counts = nb - offs
+            starts = np.cumsum(counts) - counts
+            # tile i of offset o is the block pair (i, i + o)
+            rows = np.arange(held) - np.repeat(starts, counts)
+            norms[rows, rows + np.repeat(offs, counts)] = vals
+            maxima[first:off + 1] = np.maximum.reduceat(vals, starts)
+            first, held, tiles = off + 1, 0, []
     offsets = np.arange(nb)
-    return norms, maxima, fit_decay(offsets, maxima)
+    return np.maximum(norms, norms.T), maxima, fit_decay(offsets, maxima)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +494,9 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
     return out
 
 
-# the most steps (windows x offsets) or matrices that one stacked call of
-# the gain tables holds, which bounds their memory at long horizons
+# the most steps (windows x offsets), matrices or tiles that one stacked
+# call of the gain tables or of the inverse block profile holds, which
+# bounds their memory at long horizons
 _STACK_CAP = 1024
 
 

@@ -34,6 +34,7 @@ ERROR_BOUND = "tests/test_engine.py::TestErrorBound"
 ADMISSION = "tests/test_engine.py::TestAdmission"
 ASSUMPTIONS = "tests/test_model.py::TestValidateAssumptions"
 CHECK = "tests/test_checks.py::TestCheck"
+PROFILE = "tests/test_kkt.py::TestMeasuredQuantities::"
 
 MUTANTS = [
     # the regret inequality forced to hold, and its bound widened 10x
@@ -97,6 +98,12 @@ MUTANTS = [
      "np.argmin(self.lhs - self.rhs)", [CHECK]),
     ("model.py", "np.min(self.rhs - self.lhs)", "np.max(self.rhs - self.lhs)",
      [CHECK]),
+    # a stack of block-profile offsets writes its maxima one offset low
+    ("kkt.py", "maxima[first:off + 1] = ", "maxima[first - 1:off] = ",
+     [PROFILE + "test_block_profile_matches_per_block_norms"]),
+    # the tiles no longer rescaled before their Gram, the factor kept
+    ("kkt.py", "tile /= np.where(top > 0.0, top, 1.0)", "pass",
+     [PROFILE + "test_block_profile_matches_recursion_oracle_at_long_horizon"]),
 ]
 
 

@@ -393,6 +393,28 @@ class TestMeasuredQuantities:
         assert np.allclose(norms, ref, rtol=rtol, atol=0.0)
         assert np.allclose(maxima, ref_max, rtol=rtol, atol=0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), K=st.integers(1, 40),
+           terminal=st.sampled_from(["quadratic", "indicator"]),
+           cap=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=2, m=1, K=40, terminal="quadratic", cap=1, seed=0)
+    def test_block_profile_independent_of_stack_cap(self, n, m, K, terminal,
+                                                    cap, seed):
+        # the tiles of an offset are never split, so cap 1 is one offset
+        # per stack and the default cap one stack for every K <= 44
+        _, wm = tracking_window(T=max(K, 2), seed=seed, terminal=terminal,
+                                K=K, n=n, m=m)
+        if terminal == "indicator" and K * m < n:
+            return   # unreachable pin, as in the dense-inverse test
+        norms, maxima, fit = kkt.decay_profile(wm)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kkt, "_STACK_CAP", cap)
+            got_norms, got_maxima, got_fit = kkt.decay_profile(wm)
+        assert np.array_equal(got_norms, norms)
+        assert np.array_equal(got_maxima, maxima)
+        assert ((got_fit.C, got_fit.lam, got_fit.r2)
+                == (fit.C, fit.lam, fit.r2))
+
     @pytest.mark.parametrize("terminal", ["quadratic", "indicator"])
     @pytest.mark.parametrize("name, T", [(name, T) for name, T in FULL_WINDOWS
                                          if name != "tracking-rand"])
