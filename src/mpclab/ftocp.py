@@ -19,7 +19,7 @@ Two problem classes are supported exactly:
 A law is read from its first step (``solution(x)``); ``action(t, x)`` is
 the one read at an offset t, which a pinned continuation law answers at 0
 alone, and ``suffix(t)`` is an unpinned one's continuation from offset t,
-or, for an array of offsets, its tails from each as one padded batch.
+its tails from an array of offsets read as one padded batch.
 ``window_laws`` builds the laws of every window of a receding-horizon run
 before it starts (each a ``ContinuationLaw`` or a ``ChainLaw``) and is the
 one place that tells the problem classes apart; ``window_law`` is its case
@@ -200,15 +200,15 @@ class ContinuationLaw:
 
     def suffix(self, t) -> "ContinuationLaw":
         """The continuation of every window from offset t: the law of the
-        windows [t1 + t, t1 + T].  A scalar t gives views of this law's
-        arrays.  An array t broadcasts against the window axis: window j
-        of the result is window w_j of this law from offset t_j, so a law
-        of one window gives one tail per offset.  Those of different
-        lengths are padded past T exactly as ``continuation_law`` pads a
-        batch (holding steps, P the terminal P, zero gains and the lifted
-        closed loop the identity), and each reads bitwise as its scalar
-        suffix on its own offsets.  A pin's multiplier is solved at offset
-        0 alone, so a pinned law raises ValueError."""
+        windows [t1 + t, t1 + T].  The offsets t (an int or an int array)
+        broadcast against the window axis: window j of the result is
+        window w_j of this law from offset t_j, so a law of one window
+        gives one tail per offset.  Those of different lengths are padded
+        past T exactly as ``continuation_law`` pads a batch (holding steps,
+        P the terminal P, zero gains and the lifted closed loop the
+        identity), and each reads bitwise as its own suffix on its own
+        offsets.  A pin's multiplier is solved at offset 0 alone, so a
+        pinned law raises ValueError."""
         if self.pinned:
             raise ValueError("a pinned law is read from its first step")
         ts = np.asarray(t)
@@ -216,12 +216,6 @@ class ContinuationLaw:
         if outside.size:
             raise ValueError(f"offset {outside[0]} outside the window")
         wm = self.data
-        if np.ndim(t) == 0:
-            data = dataclasses.replace(wm, **{
-                f: getattr(wm, f)[:, t:] for f in _STEP_FIELDS})
-            return ContinuationLaw(_read_only(self.t1 + t), data,
-                                   self.P[:, t:], self.G[:, t:],
-                                   self.closed_loop[:, t:])
         ts, w = np.broadcast_arrays(ts, np.arange(self.W))
         src = ts[:, None] + np.arange(self.T - ts.min(initial=self.T) + 1)
         w, live = w[:, None], src[:, :-1] < self.T

@@ -144,6 +144,21 @@ def fit_decay(offsets: Array, maxima: Array) -> DecayFit:
     return DecayFit(C, lam, r2, offsets, maxima)
 
 
+def _spectral_norms(mats: Array) -> Array:
+    """Spectral norm of each matrix of a stack with any leading axes: the
+    square root of the largest eigenvalue of the Gram M M' of the matrix
+    divided by its largest entry, times that entry, so that matrices whose
+    squares would underflow or overflow keep their norms.  A matrix's norm
+    does not depend on the stack it sits in.  Raises FloatingPointError on
+    a non-finite entry, which eigvalsh would turn into a silent NaN."""
+    if not np.isfinite(mats).all():
+        raise FloatingPointError("non-finite matrix entry in a spectral norm")
+    top = np.abs(mats).max(axis=(-2, -1), keepdims=True)
+    mats = mats / np.where(top > 0.0, top, 1.0)
+    gram = mats @ mats.swapaxes(-1, -2)
+    return top[..., 0, 0] * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+
+
 def decay_profile(wm: WindowMatrices):
     """Spectral norms of the blocks of the inverse G of the permuted saddle
     matrix Upsilon of a window, by block elimination (Meurant 1992).
@@ -163,20 +178,20 @@ def decay_profile(wm: WindowMatrices):
     multiplier rows Y_{i,j} = G_{i,j}[mu_i, :].
     These obey Y_{i,j} = C_i[mu_i, mu_{i+1}] Y_{i+1,j}, one batched n x n
     product per offset, the only sequential step.  With R_i the triangular
-    factor of C_i[:, mu_{i+1}], ||G_{i,j}|| = ||R_i Y_{i+1,j}||, the square
-    root of the largest eigenvalue of the n x n Gram of that n x b tile.
-    The tiles of consecutive offsets are stacked, at most _STACK_CAP tiles
-    (or one offset's) to a stack, and each stack's norms, per-offset maxima
-    and upper-triangle entries come from one Gram product and one eigvalsh
-    call; the lower triangle is mirrored once at the end.  Each tile is
-    divided by its largest entry before its Gram, so far blocks whose
-    squares would underflow keep their norms.  A tile's norm does not depend
-    on the stack it sits in, so the outputs do not depend on the cap.
+    factor of C_i[:, mu_{i+1}], ||G_{i,j}|| = ||R_i Y_{i+1,j}||, the norm
+    of an n x b tile.  The tiles of consecutive offsets are stacked, at most
+    _STACK_CAP tiles (or one offset's) to a stack, and each stack is normed
+    by one ``_spectral_norms`` call (as are the diagonal blocks), which
+    keeps the norms of far blocks whose squares would underflow; the norms
+    fill the upper triangle and the per-offset maxima once, after the loop,
+    and the lower triangle is mirrored.  A tile's norm does not depend on
+    the stack it sits in, so the outputs do not depend on the cap.
 
     Returns (norms matrix indexed by block pair, per-offset maxima, DecayFit).
     Raises SingularKKT when a pivot is singular, or when the blocks miss the
     identity Upsilon G = I by more than 1e-6 in some block row (a saddle
-    matrix singular to rounding, such as an unreachable pin).
+    matrix singular to rounding, such as an unreachable pin), and
+    FloatingPointError on a non-finite block of G.
     """
     D, E, eta = _saddle_tiles(wm)
     nb, b, n = len(D), D.shape[-1], wm.n
@@ -210,31 +225,23 @@ def decay_profile(wm: WindowMatrices):
     R = np.linalg.qr(C_mu, mode="r")
     step = np.take_along_axis(C_mu, mu_cols[:-1, :, None], axis=1)
     Y = np.take_along_axis(diag, mu_cols[:, :, None], axis=1)[1:]
-    norms = np.zeros((nb, nb))
-    maxima = np.zeros(nb)
-    vals = np.linalg.norm(diag, 2, axis=(-2, -1))
-    np.fill_diagonal(norms, vals)
-    maxima[0] = vals.max()
-    first, held, tiles = 1, 0, []   # the tiles of offsets first..off
+    vals, held, tiles = [_spectral_norms(diag)], 0, []
     for off in range(1, nb):   # Y[i] = Y_{i+1,i+off}
         tiles.append(R[:nb - off] @ Y)
         held += nb - off
         Y = step[1:nb - off] @ Y[1:]
         if off == nb - 1 or held + len(Y) > _STACK_CAP:
-            tile = np.concatenate(tiles)
-            top = np.abs(tile).max(axis=(-2, -1), keepdims=True)
-            tile /= np.where(top > 0.0, top, 1.0)
-            gram = tile @ tile.swapaxes(-1, -2)
-            vals = top[:, 0, 0] * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-            offs = np.arange(first, off + 1)
-            counts = nb - offs
-            starts = np.cumsum(counts) - counts
-            # tile i of offset o is the block pair (i, i + o)
-            rows = np.arange(held) - np.repeat(starts, counts)
-            norms[rows, rows + np.repeat(offs, counts)] = vals
-            maxima[first:off + 1] = np.maximum.reduceat(vals, starts)
-            first, held, tiles = off + 1, 0, []
+            vals.append(_spectral_norms(np.concatenate(tiles)))
+            held, tiles = 0, []
+    vals = np.concatenate(vals)
     offsets = np.arange(nb)
+    counts = nb - offsets
+    starts = np.cumsum(counts) - counts
+    # entry i of offset o is the block pair (i, i + o)
+    rows = np.arange(len(vals)) - np.repeat(starts, counts)
+    norms = np.zeros((nb, nb))
+    norms[rows, rows + np.repeat(offsets, counts)] = vals
+    maxima = np.maximum.reduceat(vals, starts)
     return np.maximum(norms, norms.T), maxima, fit_decay(offsets, maxima)
 
 
@@ -472,42 +479,29 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
             + np.einsum("wtaj,zwtai->zwtji", lam_v, row_v)
             + np.einsum("wtaj,zwtai->zwtji", lam_eta, row_dyn))
     out = np.zeros(jac.shape[:2] + (K + 1,))
-    out[..., :K] = np.where(steps < T, np.linalg.norm(jac, 2, axis=(-2, -1)),
-                            0.0)
+    out[..., :K] = np.where(steps < T, _spectral_norms(jac), 0.0)
     w = np.arange(law.W)
     last = np.minimum(K, T - law.t1)   # each window's own last offset
     terminal = wm.terminal
     if terminal.kind == "indicator":
         (d_target,) = terminal_slopes
         out[:, w, last] = np.maximum(
-            np.linalg.norm(lam_nu.swapaxes(-1, -2) @ d_target, 2,
-                           axis=(-2, -1)),
-            np.linalg.norm(lam_nu, 2, axis=(-2, -1)))
+            _spectral_norms(lam_nu.swapaxes(-1, -2) @ d_target),
+            _spectral_norms(lam_nu))
     else:
         dP, d_xbar_T = terminal_slopes
         row_T = (np.einsum("wabi,zwb->zwai", dP,
                            states[:, w, last] - terminal.xbar)
                  - terminal.P @ d_xbar_T)
-        out[:, w, last] = np.linalg.norm(
-            np.einsum("waj,zwai->zwji", lam_y[w, last], row_T), 2,
-            axis=(-2, -1))
+        out[:, w, last] = _spectral_norms(
+            np.einsum("waj,zwai->zwji", lam_y[w, last], row_T))
     return out
 
 
-# the most steps (windows x offsets), matrices or tiles that one stacked
-# call of the gain tables or of the inverse block profile holds, which
-# bounds their memory at long horizons
+# the most steps (windows x offsets) of one padded batch of the gain
+# tables, or matrices or tiles of one ``_spectral_norms`` call of gain_init
+# or of the inverse block profile, which bounds their memory at long horizons
 _STACK_CAP = 1024
-
-
-def _largest_norms(stacks: list) -> Array:
-    """The largest spectral norm in each of the stacks of matrices, from
-    one SVD call over all of them."""
-    if not stacks:
-        return np.zeros(0)
-    top = np.linalg.svd(np.concatenate(stacks), compute_uv=False)[..., 0]
-    return np.maximum.reduceat(top, np.cumsum([0] + list(map(len, stacks)))
-                               [:-1])
 
 
 def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
@@ -519,8 +513,10 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
     K_{t+h} Phi_h(t), the state blocks of the law's lifted closed loop and
     gains.  Each offset is one batched product over every start t,
     Phi_{h+1} = (A + BK)_{h..T-1} Phi_h(0..T-h-1).  The norms of the Phi
-    of consecutive offsets, and those of the K Phi, are taken by one SVD
-    call per stack of at most _STACK_CAP matrices (or one offset's).
+    of consecutive offsets, and those of the K Phi, are taken by one
+    ``_spectral_norms`` call per stack of at most _STACK_CAP matrices (or
+    one offset's) and reduced to per-offset maxima stack by stack, so
+    memory stays O(T).
     """
     n, T = law.data.n, law.T
     closed = law.closed_loop[0, :, :n, :n]
@@ -535,10 +531,13 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
             gain_phis.append(gains[h:] @ Phi[:T - h])
             Phi = closed[h:] @ Phi[:T - h]
         if h == T or held + len(Phi) > _STACK_CAP:
-            for stacks in (phis, gain_phis):
-                top = _largest_norms(stacks)
-                span = slice(first, first + len(top))
-                norms[span] = np.maximum(norms[span], top)
+            for stacks in (phis, gain_phis):   # no K Phi at offset T
+                if stacks:
+                    starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
+                    top = np.maximum.reduceat(
+                        _spectral_norms(np.concatenate(stacks)), starts)
+                    span = slice(first, first + len(top))
+                    norms[span] = np.maximum(norms[span], top)
             first, held, phis, gain_phis = h + 1, 0, [], []
     return norms
 
@@ -598,10 +597,13 @@ def measure_gain_tables(instance: Instance, k: int,
     parameters inside A and B, where the map is not affine: there the
     Jacobians are its local slope at the true parameters (basis "local").
     The gain_init table is exact: the products of the closed-loop matrices
-    A_t + B_t K_t of the truth law, normed in stacked SVD calls (see
-    ``_init_state_jacobians``).  Raises ModelError for the stock chain, and
-    FloatingPointError when the hindsight optimum is not finite.
+    A_t + B_t K_t of the truth law, normed in stacked calls (see
+    ``_init_state_jacobians``).  Raises ValueError for k < 1, ModelError
+    for the stock chain, and FloatingPointError when the hindsight optimum
+    or a Jacobian is not finite.
     """
+    if k < 1:
+        raise ValueError("window length k must be >= 1")
     sys, truth = instance.system, instance.truth
     if isinstance(sys, InventorySystem):
         raise ModelError("gain tables need a linear-quadratic system")

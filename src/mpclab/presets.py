@@ -235,8 +235,9 @@ def grid_matrices(m_val, *, L: Array, D: Array,
     return np.eye(2 * n) + delta * Ahat, delta * Bhat
 
 
-def grid_system(n_nodes: int = 3, delta: float = 0.1, m_lo: float = 1.0,
-                m_hi: float = 2.0, T: int = 30) -> LinearQuadraticSystem:
+def grid_system(n_nodes=GRID_DEFAULTS["n_nodes"], delta=GRID_DEFAULTS["delta"],
+                m_lo=GRID_DEFAULTS["m_lo"], m_hi=GRID_DEFAULTS["m_hi"],
+                T: int = 30) -> LinearQuadraticSystem:
     L = path_laplacian(n_nodes)
     D = np.eye(n_nodes)
     return _parametric_system(
@@ -247,7 +248,7 @@ def grid_system(n_nodes: int = 3, delta: float = 0.1, m_lo: float = 1.0,
 def grid(T: int = 30, seed: int = 0, n_nodes: int = 3) -> Instance:
     system = grid_system(n_nodes=n_nodes, T=T)
     rng = np.random.default_rng(seed)
-    truth = rng.uniform(GRID_DEFAULTS["m_lo"], GRID_DEFAULTS["m_hi"],
+    truth = rng.uniform(system.param_box.lo, system.param_box.hi,
                         size=(T + 1, 1))
     x0 = np.zeros(2 * n_nodes)
     x0[:n_nodes] = 0.1

@@ -35,6 +35,7 @@ ADMISSION = "tests/test_engine.py::TestAdmission"
 ASSUMPTIONS = "tests/test_model.py::TestValidateAssumptions"
 CHECK = "tests/test_checks.py::TestCheck"
 PROFILE = "tests/test_kkt.py::TestMeasuredQuantities::"
+NORMS = "tests/test_kkt.py::TestSpectralNorms::"
 
 MUTANTS = [
     # the regret inequality forced to hold, and its bound widened 10x
@@ -98,12 +99,20 @@ MUTANTS = [
      "np.argmin(self.lhs - self.rhs)", [CHECK]),
     ("model.py", "np.min(self.rhs - self.lhs)", "np.max(self.rhs - self.lhs)",
      [CHECK]),
-    # a stack of block-profile offsets writes its maxima one offset low
-    ("kkt.py", "maxima[first:off + 1] = ", "maxima[first - 1:off] = ",
+    # the block profile's maxima read one offset low
+    ("kkt.py", "maxima = np.maximum.reduceat(vals, starts)",
+     "maxima = np.roll(np.maximum.reduceat(vals, starts), -1)",
      [PROFILE + "test_block_profile_matches_per_block_norms"]),
-    # the tiles no longer rescaled before their Gram, the factor kept
-    ("kkt.py", "tile /= np.where(top > 0.0, top, 1.0)", "pass",
+    # the matrices no longer rescaled before their Gram, the factor kept
+    ("kkt.py", "mats = mats / np.where(top > 0.0, top, 1.0)", "pass",
      [PROFILE + "test_block_profile_matches_recursion_oracle_at_long_horizon"]),
+    # the norm kernel's finiteness guard dropped
+    ("kkt.py",
+     'raise FloatingPointError("non-finite matrix entry in a spectral norm")',
+     "pass", [NORMS + "test_non_finite_entry_raises"]),
+    # the smallest eigenvalue of the Gram taken instead of the largest
+    ("kkt.py", "np.linalg.eigvalsh(gram)[..., -1]",
+     "np.linalg.eigvalsh(gram)[..., 0]", [NORMS + "test_matches_svd_norm"]),
 ]
 
 

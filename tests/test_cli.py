@@ -188,6 +188,20 @@ class TestSolverFailures:
         assert "solver failure: boom" in res.output
 
 
+    def test_non_finite_block_norm_exits_3(self, runner, tmp_path,
+                                           monkeypatch):
+        # an overflowed block of the inverse reaches the norm kernel, which
+        # fails the run instead of certifying on a NaN
+        norms = kkt._spectral_norms
+        monkeypatch.setattr(kkt, "_spectral_norms",
+                            lambda mats: norms(mats + np.inf))
+        res = runner.invoke(cli.main, ["certify-decay", "--preset",
+                                       "tracking-rand", "--T", "10",
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "solver failure: non-finite matrix entry" in res.output
+
+
 class TestChainForecastPins:
     # forecasts of the +-0.8 stock targets with noise above 0.2 lie outside
     # the state interval [-1, 1]; the pin is clipped back into it

@@ -353,6 +353,15 @@ def test_tables_are_read_only():
     assert np.all(tables.gain_init == 1.0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_window_length_must_be_positive(k):
+    # k = 0 used to raise SingularKKT from an unreachable pin, and k = -1
+    # an IndexError
+    with pytest.raises(ValueError, match="window length k must be >= 1"):
+        kkt.measure_gain_tables(presets.tracking_rand(T=8), k,
+                                TerminalRule("predicted_tracking"))
+
+
 def test_chain_has_no_gain_tables():
     inst = presets.inventory_two_sided(T=6)
     with pytest.raises(ModelError, match="linear-quadratic system"):
@@ -400,18 +409,19 @@ def test_init_state_gains_match_per_start_products(name):
 
 
 def per_offset_init_gains(law):
-    """``kkt._init_state_jacobians`` as one norm call per stack and offset:
-    the same closed-loop products, normed offset by offset."""
+    """``kkt._init_state_jacobians`` as one ``kkt._spectral_norms`` call
+    per stack and offset: the same closed-loop products, normed offset by
+    offset."""
     n, T = law.data.n, law.T
     closed = law.closed_loop[0, :, :n, :n]
     gains = law.G[0, :, :, :n]
     norms = np.empty(T + 1)
     Phi = np.broadcast_to(np.eye(n), (T + 1, n, n))
     for h in range(T + 1):
-        norms[h] = np.linalg.norm(Phi, 2, axis=(1, 2)).max()
+        norms[h] = kkt._spectral_norms(Phi).max()
         if h < T:
-            norms[h] = max(norms[h], np.linalg.norm(
-                gains[h:] @ Phi[:T - h], 2, axis=(1, 2)).max())
+            norms[h] = max(norms[h],
+                           kkt._spectral_norms(gains[h:] @ Phi[:T - h]).max())
             Phi = closed[h:] @ Phi[:T - h]
     return norms
 

@@ -153,6 +153,18 @@ class TestGrid:
         inst = presets.grid(T=10)
         assert holds(inst.system, *box_grid(inst.system))
 
+    def test_truth_drawn_over_the_declared_box(self):
+        # the box is GRID_DEFAULTS' inertia interval, and the draws over it
+        # are those of its scalar bounds, bit for bit
+        d = presets.GRID_DEFAULTS
+        inst = presets.grid(T=10, seed=3)
+        box = inst.system.param_box
+        assert (box.lo.tolist(), box.hi.tolist()) == ([d["m_lo"]],
+                                                      [d["m_hi"]])
+        want = np.random.default_rng(3).uniform(d["m_lo"], d["m_hi"],
+                                                size=(11, 1))
+        assert inst.truth.tobytes() == want.tobytes()
+
 
 class TestChainStudies:
     def test_closed_form_alternates(self):
