@@ -282,14 +282,26 @@ def tracking_decay_constants(bounds: Bounds,
 def sigma_min(wm: WindowMatrices) -> float:
     """sigma_min of the dynamics blocks N of a window.  N holds only A and
     B, so every window with a quadratic terminal on the same steps gives
-    the same value."""
-    return float(np.linalg.svd(_dynamics_blocks(wm), compute_uv=False).min())
+    the same value.
+
+    N is r x c with r <= c: N' = QR gives sigma(N) = sigma(R) for the
+    square r x r triangle R of one QR of N', whose SVD replaces that of
+    the wide N (Chan 1982).  A pinned window with K m < n has a tall N,
+    more rows than columns, and a singular saddle matrix: it raises
+    SingularKKT, as ``ftocp.continuation_law`` does for that window
+    (``window_data``'s windows start at step 0)."""
+    N = _dynamics_blocks(wm)
+    if N.shape[0] > N.shape[1]:
+        raise ftocp.SingularKKT("pinned terminal unreachable from step 0")
+    R = np.linalg.qr(N.T, mode="r")
+    return float(np.linalg.svd(R, compute_uv=False).min())
 
 
 def measured_sigma(instance: Instance, k: int | None = None) -> float:
     """sigma_min of the dynamics blocks of the full window and, when k is
     given, of the pinned-terminal window on the steps 0 .. k, minimized over
-    both."""
+    both.  A pinned window with k m < n raises SingularKKT (see
+    ``sigma_min``)."""
     sys, truth = instance.system, instance.truth
     smin = sigma_min(window_data(sys, truth, TerminalCost.zero(sys.n)))
     if k is not None and k < sys.T:
@@ -598,13 +610,13 @@ def measure_gain_tables(instance: Instance, k: int,
     Jacobians are its local slope at the true parameters (basis "local").
     The gain_init table is exact: the products of the closed-loop matrices
     A_t + B_t K_t of the truth law, normed in stacked calls (see
-    ``_init_state_jacobians``).  Raises ValueError for k < 1, ModelError
-    for the stock chain, and FloatingPointError when the hindsight optimum
-    or a Jacobian is not finite.
+    ``_init_state_jacobians``).  Raises ValueError for k < 1 or k > T,
+    ModelError for the stock chain, and FloatingPointError when the
+    hindsight optimum or a Jacobian is not finite.
     """
-    if k < 1:
-        raise ValueError("window length k must be >= 1")
     sys, truth = instance.system, instance.truth
+    if not 1 <= k <= sys.T:
+        raise ValueError(f"window length k must be >= 1 and <= T = {sys.T}")
     if isinstance(sys, InventorySystem):
         raise ModelError("gain tables need a linear-quadratic system")
     opt = engine.solve_opt(instance)

@@ -113,6 +113,13 @@ MUTANTS = [
     # the smallest eigenvalue of the Gram taken instead of the largest
     ("kkt.py", "np.linalg.eigvalsh(gram)[..., -1]",
      "np.linalg.eigvalsh(gram)[..., 0]", [NORMS + "test_matches_svd_norm"]),
+    # sigma_min takes the largest singular value instead of the smallest
+    ("kkt.py", "np.linalg.svd(R, compute_uv=False).min()",
+     "np.linalg.svd(R, compute_uv=False).max()",
+     [PROFILE + "test_sigma_matches_dense_svd"]),
+    # measured_sigma drops the minimum over the pinned window
+    ("kkt.py", "if k is not None and k < sys.T:", "if False:",
+     [PROFILE + "test_measured_sigma_matches_dense_svd"]),
 ]
 
 

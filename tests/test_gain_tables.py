@@ -362,6 +362,14 @@ def test_window_length_must_be_positive(k):
                                 TerminalRule("predicted_tracking"))
 
 
+@pytest.mark.parametrize("k", [9, 12])
+def test_window_length_must_not_exceed_horizon(k):
+    # k = 12 used to return tables with k = 12 and 9 entries of gain_init
+    with pytest.raises(ValueError, match="<= T = 8"):
+        kkt.measure_gain_tables(presets.tracking_rand(T=8), k,
+                                TerminalRule("predicted_tracking"))
+
+
 def test_chain_has_no_gain_tables():
     inst = presets.inventory_two_sided(T=6)
     with pytest.raises(ModelError, match="linear-quadratic system"):

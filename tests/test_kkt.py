@@ -55,6 +55,15 @@ def dense_block_norms(wm):
     return norms, float(np.linalg.cond(U))
 
 
+def assert_sigma_near_oracle(wm):
+    """kkt.sigma_min of a window within the backward-error allowance
+    10 max(r, c) eps ||N|| of the dense SVD of the oracle's r x c N."""
+    N = oracles.saddle_assembly(wm).N
+    want = np.linalg.svd(N, compute_uv=False).min()
+    allowance = 10 * max(N.shape) * np.finfo(float).eps * np.linalg.norm(N, 2)
+    assert abs(kkt.sigma_min(wm) - want) <= allowance
+
+
 def assert_bitwise(got, want):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -355,17 +364,40 @@ class TestMeasuredQuantities:
     def test_measured_sigma_matches_dense_svd(self, name, k):
         inst = presets.build_preset(name, T=24)
         sys_, truth = inst.system, inst.truth
-
-        def smallest(params, terminal):
-            N = oracles.saddle_assembly(
-                kkt.window_data(sys_, params, terminal)).N
-            return np.linalg.svd(N, compute_uv=False).min()
-
-        full = smallest(truth, TerminalCost.zero(sys_.n))
-        pinned = smallest(truth[:k + 1], TerminalCost.indicator(
+        full = kkt.window_data(sys_, truth, TerminalCost.zero(sys_.n))
+        pinned = kkt.window_data(sys_, truth[:k + 1], TerminalCost.indicator(
             np.zeros(sys_.n)))
-        assert kkt.measured_sigma(inst) == full
-        assert kkt.measured_sigma(inst, k) == min(full, pinned)
+        for wm in (full, pinned):
+            assert_sigma_near_oracle(wm)
+        # on every preset here the pinned window holds the smaller sigma
+        assert kkt.sigma_min(pinned) < kkt.sigma_min(full)
+        assert kkt.measured_sigma(inst) == kkt.sigma_min(full)
+        assert kkt.measured_sigma(inst, k) == kkt.sigma_min(pinned)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), K=st.integers(1, 40),
+           terminal=st.sampled_from(["quadratic", "indicator"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sigma_matches_dense_svd(self, n, m, K, terminal, seed):
+        _, wm = tracking_window(T=max(K, 2), seed=seed, terminal=terminal,
+                                K=K, n=n, m=m)
+        if terminal == "indicator" and K * m < n:
+            # a tall N: fewer than n/m steps cannot reach the pin
+            with pytest.raises(ftocp.SingularKKT, match="unreachable"):
+                kkt.sigma_min(wm)
+            return
+        assert_sigma_near_oracle(wm)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tall_dynamics_blocks_raise(self, k):
+        # the pendulum's pinned window on k < 4 steps has a 4(k + 1) x 5k N
+        # of rank 5k: its saddle matrix is singular, though the smallest
+        # singular value of N is positive (6.6e-5 at k = 3)
+        inst = presets.pendulum(T=12)
+        with pytest.raises(ftocp.SingularKKT,
+                           match="pinned terminal unreachable from step 0"):
+            kkt.measured_sigma(inst, k)
+        assert kkt.measured_sigma(inst, 4) > 0.0
 
     def test_block_profile_dominated_by_closed_form(self):
         inst, wm = tracking_window(T=12, seed=5)
