@@ -4,11 +4,14 @@ Two problem classes are supported exactly:
 
 - time-varying linear dynamics with quadratic costs: one backward Riccati
   pass (``continuation_law``) gives the optimal affine feedback of a batch
-  of windows, each with a quadratic, zero or pinned terminal, and a batched
+  of windows, each with a quadratic, zero or pinned terminal, a batched
   forward rollout (``trajectories(xs)``) gives their solutions, multipliers
-  and KKT residuals.  Windows shorter than the longest are padded past
-  their last step with steps that hold the state, and read bitwise as if
-  built alone.  A single window is a batch of one;
+  and KKT residuals, and ``first_action_adjoint()`` the adjoint of their
+  first actions.  Only this module reads a law's lifted arrays; others
+  read its state blocks ``loop`` and ``feedback``.  Windows shorter than
+  the longest are padded past their last step with steps that hold the
+  state, and read bitwise as if built alone.  A single window is a batch
+  of one;
 - the constrained scalar stock chain: one backward pass (``chain_law``)
   over the knots of the derivatives of its value functions, then a rollout
   read on Python floats.  The chain laws of one system share their backward
@@ -127,15 +130,6 @@ def _solve_each(M: Array, rhs: Array) -> tuple[Array, list]:
         return np.linalg.solve(M, rhs), singular
 
 
-def _inverse_nu_blocks(P: Array, n: int) -> tuple[Array, list]:
-    """Inverses of the nu-blocks S of a stack of lifted P, and the indices
-    of the singular ones."""
-    S = P[:, n + 1:, n + 1:]
-    eye = np.empty_like(S)
-    eye[:] = np.eye(n)
-    return _solve_each(S, eye)
-
-
 # ---------------------------------------------------------------------------
 # continuation law (backward Riccati pass)
 # ---------------------------------------------------------------------------
@@ -183,6 +177,16 @@ class ContinuationLaw:
     @property
     def pinned(self) -> bool:
         return self.data.terminal.kind == "indicator"
+
+    @property
+    def loop(self) -> Array:
+        """Phi_t = A_t + B_t K_t: a view of closed_loop's (x, x)-block."""
+        return self.closed_loop[..., :self.data.n, :self.data.n]
+
+    @property
+    def feedback(self) -> Array:
+        """K_t: a view of the x-columns of G, read-only like it."""
+        return self.G[..., :self.data.n]
 
     def action(self, t: int, x: Array, w: int = 0) -> Array:
         """Optimal action of window w at offset t from state x.  A pin's
@@ -244,37 +248,37 @@ class ContinuationLaw:
 
     def _rollout(self, xs: Array) -> tuple[Array, Array]:
         """Lifted optimal states s_0 .. s_T and actions u_0 .. u_{T-1} of
-        every window, as ``trajectories`` reads xs.
+        every window, as ``trajectories`` reads xs, by x_{t+1} = Phi_t x_t +
+        c_t, with the shift c_t the (x, 1)-block of the closed loop.
 
-        A pin's multiplier nu adds the actions v_i = G_i[:, n+1:] nu to the
-        unpinned closed loop (the (x, 1)-blocks), which move x_T by
-        sum_i P_{i+1}[nu, :n] B_i v_i.  nu solves S nu = -r for the nu-block
-        S of P_0 and the miss r of the unpinned rollout.  S has about the
-        squared condition number of the reachability map, so one step of
-        iterative refinement follows, against the miss that the actions v
-        predict.  The states are rolled out from v rather than from the
-        lifted (x, 1, nu): a large nu would cancel digits there.  A rollout
-        that misses its pin raises SingularKKT naming the earliest such
-        window, with the miss of its first sample that misses.
+        A pin's multiplier nu adds the actions v_i = G_i[:, n+1:] nu, and
+        B_i v_i to the shifts c_i, which move x_T by sum_i P_{i+1}[nu, :n]
+        B_i v_i.  nu solves S nu = -r for the nu-block S of P_0 and the miss
+        r of the unpinned rollout.  S has about the squared condition number
+        of the reachability map, so one step of iterative refinement
+        follows, against the miss that the actions v predict.  The states
+        are rolled out from v rather than from the lifted (x, 1, nu): a
+        large nu would cancel digits there.  A rollout that misses its pin
+        raises SingularKKT naming the earliest such window, with the miss of
+        its first sample that misses.
         """
         wm, n, K = self.data, self.data.n, self.T
         lifted = np.zeros(xs.shape[:-1] + (K + 1, self.P.shape[-1]))
         lifted[..., n] = 1.0
         lifted[..., 0, :n] = xs
-        if not self.pinned:
-            for i in range(K):
-                lifted[..., i + 1, :] = _mv(self.closed_loop[:, i],
-                                            lifted[..., i, :])
-            return lifted, _mv(self.G, lifted[..., :-1, :])
-        lifted[..., n + 1:] = self._nu(lifted[..., 0, :n + 1])[..., None, :]
-        v = _mv(self.G[..., n + 1:], lifted[..., :-1, n + 1:])
-        loop = self.closed_loop[..., :n, :n]
-        shift = self.closed_loop[..., :n, n] + _mv(wm.B, v)
-        states = lifted[..., :n]
+        shift = self.closed_loop[..., :n, n]
+        if self.pinned:
+            nu = self._nu(lifted[..., 0, :n + 1])
+            lifted[..., n + 1:] = nu[..., None, :]
+            v = _mv(self.G[..., n + 1:], lifted[..., :-1, n + 1:])
+            shift = shift + _mv(wm.B, v)
+        loop, states = self.loop, lifted[..., :n]
         for i in range(K):
             states[..., i + 1, :] = (_mv(loop[:, i], states[..., i, :])
                                      + shift[..., i, :])
-        actions = _mv(self.G[..., :n + 1], lifted[..., :-1, :n + 1]) + v
+        actions = _mv(self.G[..., :n + 1], lifted[..., :-1, :n + 1])
+        if not self.pinned:
+            return lifted, actions
         target = wm.terminal.target
         miss = np.linalg.norm(states[..., -1, :] - target, axis=-1)
         tol = 1e-6 * (1.0 + np.linalg.norm(target, axis=-1)
@@ -288,7 +292,47 @@ class ContinuationLaw:
                 i: f"pinned terminal unreachable from step {t1[i]}: "
                    f"the rollout misses it by {miss[first[i], i]:.3g}"
                 for i in np.flatnonzero(bad.any(axis=0))})
-        return lifted, actions
+        return lifted, actions + v
+
+    def first_action_adjoint(self):
+        """lam = H^{-1} e_{u_0} for the saddle matrix H of every window,
+        one column per component of the first action.
+
+        lam is the solution of the window with zero affine data (w, xbar,
+        pin target), zero initial state and the linear cost -u_0[j].  After
+        the first step that is the law's homogeneous continuation, so no
+        second Riccati pass runs: the first step is one solve with
+        R + B'P B of that step (the "kick", the action of the unit cost),
+        and, as in _rollout, a pin's multiplier nu adds the actions
+        G_t[:, n+1:] nu, chosen to cancel the kick's terminal miss
+        P_1[nu, :n] B kick through the inverse of the nu-block of P_0.
+
+        Returns, with the window axis first, y (K+1, n, m) and v (K, m, m)
+        by offset, eta (K, n, m), the multipliers of the dynamics rows into
+        offsets 1..K (the initial pin carries no parameter), and nu (n, m),
+        or None without a pin.  The kick is defined wherever the law is:
+        its backward pass solved with the same matrix.
+        """
+        wm, P, K = self.data, self.P, self.T
+        if not K:
+            raise ValueError("a law of no step has no first action")
+        n, m, B, B0 = wm.n, wm.m, wm.B, wm.B[:, 0]
+        kick = np.linalg.inv(wm.R[:, 0]
+                             + B0.swapaxes(-1, -2) @ P[:, 1, :n, :n] @ B0)
+        extra = np.zeros((self.W, K, m, m))   # actions beyond the feedback
+        nu = None
+        if self.pinned:
+            nu = -self.S_inv @ (P[:, 1, n + 1:, :n] @ B0 @ kick)
+            extra += self.G[..., n + 1:] @ nu[:, None]
+        extra[:, 0] += kick
+        y = np.zeros((self.W, K + 1, n, m))
+        for t in range(K):
+            y[:, t + 1] = self.loop[:, t] @ y[:, t] + B[:, t] @ extra[:, t]
+        v = self.feedback @ y[:, :-1] + extra
+        eta = -P[:, 1:, :n, :n] @ y[:, 1:]
+        if nu is not None:
+            eta -= P[:, 1:, :n, n + 1:] @ nu[:, None]
+        return y, v, eta, nu
 
     def trajectories(self, xs: Array) -> tuple[Array, Array, Array]:
         """Optimal states, actions and saddle multipliers of the windows,
@@ -373,10 +417,6 @@ def _padded_steps(system, params: Sequence, t1: Array, live: Array,
     ``system.step_data`` call, which reads a padded step at the first step
     of the longest window."""
     offsets = np.arange(live.shape[1])
-    if live.all():
-        return _assembly.WindowMatrices.stack(
-            system, t1[:, None] + offsets,
-            np.asarray(params, float)[:, :len(offsets)], terminal)
     K = live.sum(axis=1)
     first = np.cumsum(K + 1) - (K + 1)   # row of each window's parameters
     j = int(K.argmax())
@@ -458,7 +498,8 @@ def continuation_law(system, params: Sequence, terminal: TerminalCost,
             failed.setdefault(i, f"non-finite gain at step {t1[i] + last}")
     S_inv = PB = None
     if pin:
-        S_inv, singular = _inverse_nu_blocks(P[:, 0], n)
+        S = P[:, 0, n + 1:, n + 1:]     # the nu-block of P_0
+        S_inv, singular = _solve_each(S, np.broadcast_to(np.eye(n), S.shape))
         # fewer than n actions cannot steer n states to a pin
         for i in [*singular, *np.flatnonzero(K * m < n)]:
             failed.setdefault(i, f"pinned terminal unreachable from step "

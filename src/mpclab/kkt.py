@@ -1,6 +1,6 @@
 """Saddle-matrix analysis: blocks of the permuted saddle matrix read from a
 window's step data, inverse block-decay profiles, closed-form decay
-constants, and empirical sensitivity envelopes.
+constants, and empirical sensitivity envelopes from a law's adjoint lam.
 
 The saddle matrix of a window of length K is H = [[M, N'], [N, 0]], with
 the cost block M and the dynamics block N over the variables (y_0, v_0,
@@ -391,48 +391,6 @@ def _terminal_data(terminal: TerminalCost) -> tuple[Array, ...]:
     return terminal.P, terminal.xbar
 
 
-def _first_action_adjoint(law: ftocp.ContinuationLaw):
-    """lam = H^{-1} e_{u_0} for the saddle matrix H of every window of a
-    law, one column per component of the first action.
-
-    lam is the solution of the window with zero affine data (w, xbar, pin
-    target), zero initial state and the linear cost -u_0[j].  After the
-    first step that is the law's homogeneous continuation, so no second
-    Riccati pass runs: the first step is one solve with R + B'P B of that
-    step (the "kick", the action of the unit cost), and a pin's multiplier
-    nu cancels the kick's terminal miss P[nu, x] B kick through the inverse
-    of the nu-block of P_0.
-
-    Returns, with the window axis first, y (K+1, n, m) and v (K, m, m) by
-    offset, eta (K, n, m), the multipliers of the dynamics rows into
-    offsets 1..K (the initial pin carries no parameter), and nu (n, m), or
-    None without a pin.  The kick is defined wherever the law is: its
-    backward pass solved with the same matrix.
-    """
-    n, m, K = law.data.n, law.data.m, law.T
-    if not K:
-        raise ValueError("a law of no step has no first action")
-    B, P, G = law.data.B, law.P, law.G
-    B0 = B[:, 0]
-    kick = np.linalg.inv(law.data.R[:, 0]
-                         + B0.swapaxes(-1, -2) @ P[:, 1, :n, :n] @ B0)
-    extra = np.zeros((law.W, K, m, m))   # actions beyond the state feedback
-    nu = None
-    if law.pinned:
-        nu = -law.S_inv @ (P[:, 1, n + 1:, :n] @ B0 @ kick)
-        extra += G[..., n + 1:] @ nu[:, None]
-    extra[:, 0] += kick
-    y = np.zeros((law.W, K + 1, n, m))
-    loop = law.closed_loop[..., :n, :n]
-    for t in range(K):
-        y[:, t + 1] = loop[:, t] @ y[:, t] + B[:, t] @ extra[:, t]
-    v = G[..., :n] @ y[:, :-1] + extra
-    eta = -P[:, 1:, :n, :n] @ y[:, 1:]
-    if nu is not None:
-        eta -= P[:, 1:, :n, n + 1:] @ nu[:, None]
-    return y, v, eta, nu
-
-
 def _terminal_slopes(instance: Instance, terminal_rule,
                      t2: Array) -> list[Array]:
     """Slopes of the terminal data (see ``_terminal_data``) that
@@ -453,18 +411,19 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
 
     By the implicit-function theorem on the saddle system H chi = b of a
     window, du_0/dxi = -lam'(dH/dxi chi - db/dxi) with H lam = e_{u_0}, so
-    the windows cost the law, read at every state by batched rollouts, and
-    one batched adjoint.  The parameter of offset tau < K enters only the
-    rows of step tau (the stationarity in y_tau and v_tau and the dynamics
-    row to tau + 1), and the last one only the terminal rows, so each
-    offset is one contraction of the slopes of its own data with lam and
-    chi(z): ``step_slopes`` are those of ``_step_data_slopes`` and
-    ``terminal_slopes`` those of ``_terminal_slopes`` for the windows' last
-    steps, stacked by window (or one row that every window shares).  A
-    pinned window's last offset takes the larger of the norms through the
-    rule's target slope and of lam's pin component, the Jacobian in the
-    target itself.  Every sample is read by one batched rollout; the
-    earliest window that misses its pin raises SingularKKT.
+    the windows cost the law, read at every state by batched rollouts and
+    once for lam (``first_action_adjoint``).  The parameter of offset
+    tau < K enters only the rows of step tau (the stationarity in y_tau and
+    v_tau and the dynamics row to tau + 1), and the last one only the
+    terminal rows, so each offset is one contraction of the slopes of its
+    own data with lam and chi(z): ``step_slopes`` are those of
+    ``_step_data_slopes`` and ``terminal_slopes`` those of
+    ``_terminal_slopes`` for the windows' last steps, stacked by window (or
+    one row that every window shares).  A pinned window's last offset
+    takes the larger of the norms through the rule's target slope and of
+    lam's pin component, the Jacobian in the target itself.  Every sample
+    is read by one batched rollout; the earliest window that misses its pin
+    raises SingularKKT.
 
     The law may be padded (``suffix`` of an array of offsets), on the
     invariant that every padded window ends at T, the last step of
@@ -474,7 +433,7 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
     """
     wm, K, T = law.data, law.T, len(step_slopes[0])
     states, v, duals = law.trajectories(zs)
-    lam_y, lam_v, lam_eta, lam_nu = _first_action_adjoint(law)
+    lam_y, lam_v, lam_eta, lam_nu = law.first_action_adjoint()
     y, eta = states[..., :-1, :], duals[..., 1:, :]
     steps = law.t1[:, None] + np.arange(K)
     own = np.minimum(steps, T - 1)   # masked below where padded
@@ -531,8 +490,7 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
     memory stays O(T).
     """
     n, T = law.data.n, law.T
-    closed = law.closed_loop[0, :, :n, :n]
-    gains = law.G[0, :, :, :n]
+    closed, gains = law.loop[0], law.feedback[0]
     norms = np.zeros(T + 1)
     Phi = np.broadcast_to(np.eye(n), (T + 1, n, n))
     first, held, phis, gain_phis = 0, 0, [], []   # offsets first..h
@@ -590,19 +548,19 @@ def measure_gain_tables(instance: Instance, k: int,
     each window's first action at the states of ``_state_samples`` around
     the hindsight optimum x* of ``engine.solve_opt`` (the tables record
     R = max_t(||x*_t||, 1)), by implicit differentiation of the window's
-    saddle system (see ``_window_action_jacobians``), with the slopes of
-    the step data taken once per step and those of the terminals once per
-    group of laws, by central differences of the system's maps.  The laws
-    come from at most two backward passes: the T - k full windows
-    [t, t + k] are one batch of ``ftocp.window_laws``, and the k tail
-    windows [t, T] are ``suffix(ts)`` of the instance's truth law for
-    consecutive offsets ts, in padded batches of at most _STACK_CAP steps
-    (windows x offsets) each: one batch at k = 8 and T = 24.  A window
-    that reaches T has the true step data and the instance's terminal cost
-    under every rule, so the tails share one terminal slope, taken at T.
-    A failing window raises as the windows would one at a time: the full
-    windows before the batch's failing one are rolled out, and their pins
-    checked, before its failure is raised.
+    saddle system with the adjoint lam read from each law (see
+    ``_window_action_jacobians``), with the slopes of the step data taken
+    once per step and those of the terminals once per group of laws, by
+    central differences of the system's maps.  The laws come from at most
+    two backward passes: the T - k full windows [t, t + k] are one batch of
+    ``ftocp.window_laws``, and the k tail windows [t, T] are ``suffix(ts)``
+    of the instance's truth law for consecutive offsets ts, in padded
+    batches of at most _STACK_CAP steps (windows x offsets) each: one batch
+    at k = 8 and T = 24.  A window that reaches T has the true step data and
+    the instance's terminal cost under every rule, so the tails share one
+    terminal slope, taken at T.  A failing window raises as the windows
+    would one at a time: the full windows before the batch's failing one are
+    rolled out, and their pins checked, before its failure is raised.
     For the disturbance family the first action is affine in the
     parameters, so the Jacobians bound any realized deviation by the
     triangle inequality (basis "exact").  The other families put the

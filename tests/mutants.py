@@ -36,6 +36,8 @@ ASSUMPTIONS = "tests/test_model.py::TestValidateAssumptions"
 CHECK = "tests/test_checks.py::TestCheck"
 PROFILE = "tests/test_kkt.py::TestMeasuredQuantities::"
 NORMS = "tests/test_kkt.py::TestSpectralNorms::"
+ADJOINT = ("tests/test_continuation.py::"
+           "test_first_action_adjoint_solves_the_saddle_system")
 
 MUTANTS = [
     # the regret inequality forced to hold, and its bound widened 10x
@@ -120,6 +122,16 @@ MUTANTS = [
     # measured_sigma drops the minimum over the pinned window
     ("kkt.py", "if k is not None and k < sys.T:", "if False:",
      [PROFILE + "test_measured_sigma_matches_dense_svd"]),
+    # the first-action adjoint drops its pin correction
+    ("ftocp.py", "extra += self.G[..., n + 1:] @ nu[:, None]", "pass",
+     [ADJOINT]),
+    # the adjoint's kick read at P_0 instead of P_1
+    ("ftocp.py", "B0.swapaxes(-1, -2) @ P[:, 1, :n, :n] @ B0",
+     "B0.swapaxes(-1, -2) @ P[:, 0, :n, :n] @ B0", [ADJOINT]),
+    # the rollout's pin actions no longer move the states
+    ("ftocp.py", "shift = shift + _mv(wm.B, v)", "shift = shift",
+     ["tests/test_continuation.py::"
+      "test_pendulum_pinned_windows_match_oracle"]),
 ]
 
 

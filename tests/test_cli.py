@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -733,7 +734,11 @@ class TestLibrarySurface:
                          "pipeline_admission_check", "AdmissionReport"],
                 model: ["_rho_offsets"], model.ParamBox: ["sample"],
                 # a pinned law is read from its first step alone
-                ftocp.ContinuationLaw: ["_S_inv"]}
+                ftocp.ContinuationLaw: ["_S_inv"],
+                # the adjoint is a method of the law, and the nu-block
+                # inverse is inlined in its one caller
+                kkt: ["_first_action_adjoint"],
+                ftocp: ["_inverse_nu_blocks"]}
         present = [f"{owner.__name__}.{name}"
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
@@ -747,7 +752,7 @@ class TestLibrarySurface:
                 (kkt.measure_gain_tables, ["instance", "k", "terminal_rule"]),
                 (kkt._window_action_jacobians, ["law", "zs", "step_slopes",
                                                 "terminal_slopes"]),
-                (kkt._first_action_adjoint, ["law"]),
+                (ftocp.ContinuationLaw.first_action_adjoint, ["self"]),
                 (kkt.loglinear_fit, ["x", "y"]),
                 (presets.inventory_counterexample_suite, ["ps", "eps"]),
                 # laws are read from their first step; action is the one
@@ -808,6 +813,20 @@ class TestLibrarySurface:
         imports = [node for node in ast.walk(ast.parse(
             inspect.getsource(model))) if isinstance(node, ast.ImportFrom)]
         assert [node.module for node in imports if node.level > 0] == []
+
+    def test_only_ftocp_reads_the_lifted_law(self):
+        # the lifted (x, 1, nu) arrays of a ContinuationLaw are read in
+        # ftocp alone; other modules read its state-block views loop and
+        # feedback, and first_action_adjoint.  P is not in the list:
+        # TerminalCost.P has the same name
+        lifted = {"closed_loop", "G", "S_inv", "PB"}
+        src = pathlib.Path(mpclab.__file__).parent
+        reads = [f"{path.name}:{node.lineno}: {node.attr}"
+                 for path in sorted(src.glob("*.py"))
+                 if path.name != "ftocp.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in lifted]
+        assert reads == []
 
     def test_no_closed_form_gain_tables(self):
         # the closed-form sensitivity path fed no verdict and rested on an

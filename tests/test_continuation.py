@@ -6,10 +6,10 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from mpclab import engine, ftocp, kkt, presets
+from mpclab import _assembly, engine, ftocp, kkt, presets
 from mpclab.engine import TerminalRule
 from mpclab.ftocp import SingularKKT
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
@@ -91,6 +91,14 @@ def test_law_matches_oracle_on_a_nearly_unreachable_pin():
     check_law_against_oracle(3, 1, "indicator", 3750305333, 15, 2, 10)
 
 
+def random_terminal(rng, n, kind):
+    return {"quadratic": lambda: TerminalCost.quadratic(_spd(rng, n),
+                                                        rng.normal(size=n)),
+            "zero": lambda: TerminalCost.zero(n),
+            "indicator": lambda: TerminalCost.indicator(
+                rng.normal(size=n))}[kind]()
+
+
 def check_law_against_oracle(n, m, kind, seed, T, t1, t):
     """The law of a random window on steps t1 .. T, read at offset t, against
     the oracle.  A pinned law is read from its first step alone, so its
@@ -98,11 +106,7 @@ def check_law_against_oracle(n, m, kind, seed, T, t1, t):
     rng = np.random.default_rng(seed)
     system = random_system(rng, n, m, T)
     params = [np.zeros(1)] * (T - t1 + 1)
-    terminal = {"quadratic": lambda: TerminalCost.quadratic(
-                    _spd(rng, n), rng.normal(size=n)),
-                "zero": lambda: TerminalCost.zero(n),
-                "indicator": lambda: TerminalCost.indicator(
-                    rng.normal(size=n))}[kind]()
+    terminal = random_terminal(rng, n, kind)
     x = rng.normal(size=n)
     law = ftocp.continuation_law(system, [params], terminal, [t1])
     if law.pinned:
@@ -496,3 +500,89 @@ def test_pin_unreachable_in_fewer_steps_than_n_over_m():
                                    starts[i:i + 1])
     ftocp.continuation_law(sys_, [params[i] for i in (0, 1, 3)], pins[:3],
                            [0, 1, 3])
+
+
+# the adjoint's residual, relative to ||H|| ||lam_j||: on random windows it
+# stays near 1 eps without a pin, while the pin's solve with the nu-block
+# S of P_0, whose condition is about the square of the reachability map's,
+# reached 4.7e3 eps on 3e4 pinned windows of two states, two actions and
+# one step
+ADJOINT_RTOL = 1e4 * np.finfo(float).eps
+
+
+def assert_adjoint_solves_saddle_system(lam, wm):
+    """lam = (y, v, eta, nu), the first-action adjoint of one window read on
+    its own K = wm.K offsets, solves H lam_j = e_{u_0, j} for every column
+    j, with H the dense saddle matrix of the oracle's assembly of wm.
+
+    H's variables are (y_0, v_0, ..., y_{K-1}, v_{K-1}, y_K) and its
+    multipliers (eta_0, ..., eta_K): eta_0 that of the initial pin, eta_t
+    that of the dynamics row into offset t, which is the law's eta[t - 1].
+    The adjoint omits eta_0; it is taken from the stationarity row of y_0,
+    eta_0 = A_0' eta_1 since y_0 = 0, and every other row is checked.  A
+    pinned ("hat") window has no y_K: its last dynamics row ends at the
+    pin, so the law's eta_K is that row's multiplier, and it is -nu."""
+    y, v, eta, nu = lam
+    K, n, m = wm.K, wm.n, wm.m
+    hat = wm.terminal.kind == "indicator"
+    assert y.shape == (K + 1, n, m) and v.shape == (K, m, m)
+    assert eta.shape == (K, n, m) and (nu is None) == (not hat)
+    primal = [a for t in range(K) for a in (y[t], v[t])]
+    if hat:
+        np.testing.assert_array_equal(eta[-1], -nu)
+    else:
+        primal.append(y[K])
+    chi = np.concatenate(primal + [wm.A[0].T @ eta[0], *eta])
+    asm = oracles.saddle_assembly(wm)
+    H = oracles.saddle_matrix(asm.M, asm.N)
+    e = np.zeros_like(chi)
+    e[n + np.arange(m), np.arange(m)] = 1.0     # v_0 follows y_0
+    residual = np.linalg.norm(H @ chi - e, axis=0)
+    scale = np.linalg.norm(H, 2) * np.linalg.norm(chi, axis=0)
+    assert (residual <= ADJOINT_RTOL * scale).all(), residual / scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 2), K=st.integers(1, 8),
+       kind=st.sampled_from(["quadratic", "zero", "indicator"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2, m=1, K=5, kind="indicator", seed=0)
+@example(n=3, m=2, K=4, kind="quadratic", seed=1)
+def test_first_action_adjoint_solves_the_saddle_system(n, m, K, kind, seed):
+    # a pin needs K m >= n steps, or the saddle matrix is singular
+    assume(kind != "indicator" or K * m >= n)
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, n, m, max(K, 2))
+    params = [np.zeros(1)] * (K + 1)
+    terminal = random_terminal(rng, n, kind)
+    law = ftocp.continuation_law(system, [params], terminal, [0])
+    lam = [None if a is None else a[0] for a in law.first_action_adjoint()]
+    assert_adjoint_solves_saddle_system(
+        lam, kkt.window_data(system, params, terminal))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 2),
+       kind=st.sampled_from(["quadratic", "zero"]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_padded_suffix_adjoints_solve_their_saddle_systems(n, m, kind, seed,
+                                                           data):
+    # the tails of a law from an array of offsets are one padded batch;
+    # each tail's adjoint, read on its own offsets, solves the saddle
+    # system of its own window, assembled from the system's step data
+    T = data.draw(st.integers(2, 8), label="T")
+    ts = data.draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=5),
+                   label="ts")
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, n, m, T)
+    terminal = random_terminal(rng, n, kind)
+    law = ftocp.continuation_law(system, [[np.zeros(1)] * (T + 1)], terminal,
+                                 [0])
+    y, v, eta, nu = law.suffix(np.array(ts)).first_action_adjoint()
+    assert nu is None
+    for j, t in enumerate(ts):
+        K = T - t
+        wm = _assembly.WindowMatrices.stack(
+            system, t + np.arange(K), np.zeros((K, 1)), terminal)
+        assert_adjoint_solves_saddle_system(
+            (y[j, :K + 1], v[j, :K], eta[j, :K], None), wm)
