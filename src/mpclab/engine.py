@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ftocp
 from .model import (Instance, PredictionStream, TerminalCost, _read_only,
-                    per_instance)
+                    _row_norms, per_instance)
 
 Array = np.ndarray
 
@@ -120,14 +120,14 @@ class TrajectoryRecord:
 
     @property
     def max_state_norm(self) -> float:
-        return float(max(np.linalg.norm(x) for x in self.states))
+        return float(_row_norms(self.states).max())
 
     def dynamics_residual(self, instance: Instance) -> float:
         A, B, w, *_ = instance.system.step_data(np.arange(self.T),
                                                 instance.truth[:self.T])
         nxt = (A @ self.states[:-1, :, None] + B @ self.actions[:, :, None]
                )[..., 0] + w
-        return max(float(np.linalg.norm(r)) for r in self.states[1:] - nxt)
+        return float(_row_norms(self.states[1:] - nxt).max())
 
 
 @per_instance
@@ -186,7 +186,7 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
     A, B, w, *_ = sys.step_data(np.arange(T), instance.truth[:T])
     states = np.zeros((T + 1, sys.n))
     actions = np.zeros((T, sys.m))
-    errors = np.zeros(T)
+    clairvoyant = np.zeros((T, sys.m))
     states[0] = np.atleast_1d(instance.x0)
     built = len(laws.windows)
     for t in range(built):
@@ -196,13 +196,13 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
             raise ftocp.Infeasible(f"window at step {t} infeasible: {exc}",
                                    step=t) from exc
         actions[t] = u
-        errors[t] = float(np.linalg.norm(u - law.action(t, states[t])))
+        clairvoyant[t] = law.action(t, states[t])
         states[t + 1] = A[t] @ states[t] + B[t] @ u + w[t]
     kkt_residual_max = laws.kkt_residual_max(states[:built])
     if laws.failure is not None:   # after the pins of the windows before it
         raise laws.failure
-    distances = np.array([float(np.linalg.norm(states[t] - opt.states[t]))
-                          for t in range(T + 1)])
+    errors = _row_norms(actions - clairvoyant)
+    distances = _row_norms(states - opt.states)
     stage, total = ftocp.stage_costs(sys, 0, instance.truth,
                                      instance.terminal_cost(), states, actions)
     return TrajectoryRecord(states, actions, errors, distances, stage, total,

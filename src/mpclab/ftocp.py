@@ -225,7 +225,8 @@ class ContinuationLaw:
         w, live = w[:, None], src[:, :-1] < self.T
         own = np.minimum(src[:, :-1], self.T - 1)   # replaced where padded
         data = _hold_steps(dataclasses.replace(wm, **{
-            f: getattr(wm, f)[w, own] for f in _STEP_FIELDS}), live)
+            f: _read_only(getattr(wm, f)[w, own]) for f in _STEP_FIELDS}),
+            live)
         live = live[..., None, None]
         d = self.P.shape[-1]
         return ContinuationLaw(
@@ -236,15 +237,23 @@ class ContinuationLaw:
 
     def _nu(self, s: Array, w=slice(None)) -> Array:
         """Pin multipliers of the windows w from the states s = (x, 1) at
-        offset 0: the solve with S and its refinement step (see _rollout).
-        The miss is summed over the offsets in order, so that the zero terms
-        of a padded window's steps leave it bitwise unchanged."""
+        offset 0 (see _rollout)."""
+        n = self.data.n
+        return self._pin_solve(self.P[w, 0, n + 1:, :n + 1] @ s[..., None],
+                               w)[..., 0]
+
+    def _pin_solve(self, r: Array, w=slice(None)) -> Array:
+        """The pin multipliers nu (..., W, n, c) of the windows w that
+        cancel the terminal misses r (..., W, n, c): nu = -S^{-1} r, then
+        one refinement step against the miss r + sum_t PB_t v_t that the
+        actions v_t = G_t[:, n+1:] nu predict (see _rollout).  The miss is
+        summed over the offsets in order, so that the zero terms of a
+        padded window's steps leave it bitwise unchanged."""
         n, S_inv = self.data.n, self.S_inv[w]
-        r = self.P[w, 0, n + 1:, :n + 1] @ s[..., None]
         nu = -S_inv @ r
         v = self.G[w, :, :, n + 1:] @ nu[..., None, :, :]
         miss = r + np.cumsum(self.PB[w] @ v, axis=-3)[..., -1, :, :]
-        return (nu - S_inv @ miss)[..., 0]
+        return nu - S_inv @ miss
 
     def _rollout(self, xs: Array) -> tuple[Array, Array]:
         """Lifted optimal states s_0 .. s_T and actions u_0 .. u_{T-1} of
@@ -305,7 +314,7 @@ class ContinuationLaw:
         R + B'P B of that step (the "kick", the action of the unit cost),
         and, as in _rollout, a pin's multiplier nu adds the actions
         G_t[:, n+1:] nu, chosen to cancel the kick's terminal miss
-        P_1[nu, :n] B kick through the inverse of the nu-block of P_0.
+        P_1[nu, :n] B kick by the refined solve of _pin_solve.
 
         Returns, with the window axis first, y (K+1, n, m) and v (K, m, m)
         by offset, eta (K, n, m), the multipliers of the dynamics rows into
@@ -322,7 +331,7 @@ class ContinuationLaw:
         extra = np.zeros((self.W, K, m, m))   # actions beyond the feedback
         nu = None
         if self.pinned:
-            nu = -self.S_inv @ (P[:, 1, n + 1:, :n] @ B0 @ kick)
+            nu = self._pin_solve(P[:, 1, n + 1:, :n] @ B0 @ kick)
             extra += self.G[..., n + 1:] @ nu[:, None]
         extra[:, 0] += kick
         y = np.zeros((self.W, K + 1, n, m))
@@ -400,30 +409,33 @@ def _hold_steps(wm: _assembly.WindowMatrices,
                 live: Array) -> _assembly.WindowMatrices:
     """The step data wm with the step A = I, B = 0, w = 0, Q = 0, R = I,
     xbar = 0, which holds the state and takes no action at no cost,
-    wherever ``live`` (W, T) is False; the arrays are read-only."""
-    n, m = wm.n, wm.m
-    pad = dict(A=np.eye(n), B=np.zeros((n, m)), w=np.zeros(n),
-               Q=np.zeros((n, n)), R=np.eye(m), xbar=np.zeros(n))
-    return dataclasses.replace(wm, **{
-        f: _read_only(np.where(live[(...,) + (None,) * a.ndim],
-                               getattr(wm, f), a))
-        for f, a in pad.items()})
+    written at the steps where ``live`` (W, T) is False, into read-only
+    copies of wm's arrays.  With no such step, wm is returned as it is."""
+    held = np.nonzero(~live)    # (window, offset) of each held step
+    if not held[0].size:
+        return wm
+    fields = {}
+    for f, hold in zip(_STEP_FIELDS, (np.eye(wm.n), 0.0, 0.0, 0.0,
+                                      np.eye(wm.m), 0.0)):
+        fields[f] = np.array(getattr(wm, f))
+        fields[f][held] = hold
+        _read_only(fields[f])
+    return dataclasses.replace(wm, **fields)
 
 
 def _padded_steps(system, params: Sequence, t1: Array, live: Array,
                   terminal: TerminalCost) -> _assembly.WindowMatrices:
     """Step data of a batch of windows, stacked to the longest and held
     (``_hold_steps``) where ``live`` (W, T) is False.  One stacked
-    ``system.step_data`` call, which reads a padded step at the first step
-    of the longest window."""
-    offsets = np.arange(live.shape[1])
+    ``system.step_data`` call, which reads a padded step on the window's
+    last parameter, at the step after its last one clipped to the
+    system's last step."""
     K = live.sum(axis=1)
+    own = np.minimum(np.arange(live.shape[1]), K[:, None])
     first = np.cumsum(K + 1) - (K + 1)   # row of each window's parameters
-    j = int(K.argmax())
-    xis = np.concatenate(params, dtype=float)[
-        np.where(live, first[:, None] + offsets, first[j])]
+    xis = np.concatenate(params, dtype=float)[first[:, None] + own]
     return _hold_steps(_assembly.WindowMatrices.stack(
-        system, np.where(live, t1[:, None] + offsets, t1[j]), xis, terminal),
+        system, np.minimum(t1[:, None] + own, system.T - 1), xis, terminal),
         live)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import engine, ftocp
 from ._assembly import WindowMatrices
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    ModelError, TerminalCost, _read_only)
+                    ModelError, TerminalCost, _read_only, _row_norms)
 
 Array = np.ndarray
 
@@ -148,15 +148,30 @@ def _spectral_norms(mats: Array) -> Array:
     """Spectral norm of each matrix of a stack with any leading axes: the
     square root of the largest eigenvalue of the Gram M M' of the matrix
     divided by its largest entry, times that entry, so that matrices whose
-    squares would underflow or overflow keep their norms.  A matrix's norm
-    does not depend on the stack it sits in.  Raises FloatingPointError on
-    a non-finite entry, which eigvalsh would turn into a silent NaN."""
+    squares would underflow or overflow keep their norms.  The Gram is
+    taken on the smaller side (M'M for a tall M).  Where that side has at
+    most two rows x and y, the eigenvalue is the closed form
+    (a + c)/2 + hypot((a - c)/2, b) of a = x.x, c = y.y and b = x.y, a
+    missing y being zero (which gives a exactly); wider Grams take one
+    ``eigvalsh`` call for the stack.  A matrix's norm does not depend on
+    the stack it sits in.  Raises FloatingPointError on a non-finite entry,
+    which eigvalsh would turn into a silent NaN."""
     if not np.isfinite(mats).all():
         raise FloatingPointError("non-finite matrix entry in a spectral norm")
+    if mats.shape[-2] > mats.shape[-1]:
+        # contiguous rows, so that the row sums below round as in any stack
+        mats = np.ascontiguousarray(mats.swapaxes(-1, -2))
     top = np.abs(mats).max(axis=(-2, -1), keepdims=True)
     mats = mats / np.where(top > 0.0, top, 1.0)
-    gram = mats @ mats.swapaxes(-1, -2)
-    return top[..., 0, 0] * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    if mats.shape[-2] > 2:
+        gram = mats @ mats.swapaxes(-1, -2)
+        return top[..., 0, 0] * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    x = mats[..., 0, :]
+    y = mats[..., 1, :] if mats.shape[-2] == 2 else np.zeros_like(x)
+    a, c, b = (np.einsum("...j,...j->...", p, q)
+               for p, q in ((x, x), (y, y), (x, y)))
+    return top[..., 0, 0] * np.sqrt(0.5 * (a + c)
+                                    + np.hypot(0.5 * (a - c), b))
 
 
 def decay_profile(wm: WindowMatrices):
@@ -525,12 +540,10 @@ def _state_samples(instance: Instance, opt_states: Array, R: float) -> Array:
     if isinstance(sys, DisturbanceOnlySystem):
         return np.zeros((1, sys.T, sys.n))
     zs = np.zeros((2, sys.T, sys.n))
-    rng = np.random.default_rng(instance.seed)
-    for t in range(sys.T):
-        zs[1, t] = opt_states[t]
-        if np.linalg.norm(zs[1, t]) <= 1e-12:
-            d = rng.normal(size=sys.n)
-            zs[1, t] += d * (R / max(np.linalg.norm(d), 1e-12))
+    zs[1] = opt_states[:sys.T]
+    small = np.flatnonzero(_row_norms(zs[1]) <= 1e-12)
+    d = np.random.default_rng(instance.seed).normal(size=(small.size, sys.n))
+    zs[1, small] += d * (R / np.maximum(_row_norms(d), 1e-12))[:, None]
     return zs
 
 
@@ -602,8 +615,7 @@ def measure_gain_tables(instance: Instance, k: int,
         jac[:, ts, :T - t + 1] = _window_action_jacobians(
             law.suffix(ts), zs[:, ts], step_slopes, tail_slopes)
         t = ts[-1] + 1
-    # one np.linalg.norm per state: a batched norm rounds differently
-    scale = np.array([[np.linalg.norm(z) for z in zt] for zt in zs[1:]])
+    scale = _row_norms(zs[1:])
     gp = jac[0].max(axis=0)
     gs = (np.maximum(0.0, jac[1:] - jac[0])
           / scale.reshape(-1, T, 1)).max(axis=(0, 1), initial=0.0)

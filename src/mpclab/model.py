@@ -51,6 +51,16 @@ def _read_only(a: Array) -> Array:
     return a
 
 
+def _row_norms(X: Array) -> Array:
+    """Euclidean norm of each row (last axis) of X, any leading axes: the
+    square root of the row's dot product, one stacked ``@`` on C-contiguous
+    rows.  That is the BLAS ddot ``np.linalg.norm`` takes of a contiguous
+    vector, so each norm equals np.linalg.norm of its row bitwise; a
+    strided ddot can round differently, hence the copy of other layouts."""
+    X = np.ascontiguousarray(X, float)
+    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
+
+
 class PredictionStream:
     """Forecasts of future parameters with exactly prescribed error magnitudes.
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import ftocp
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    LinearQuadraticSystem, ModelError, ParamBox, TerminalCost)
+                    LinearQuadraticSystem, ModelError, ParamBox, TerminalCost,
+                    _row_norms)
 
 Array = np.ndarray
 
@@ -24,9 +25,13 @@ def _scaled(rng: np.random.Generator, count: int, shape,
     return M * (norm / np.linalg.norm(M, 2, axis=(-2, -1)))[:, None, None]
 
 
-def _unit_vec(rng: np.random.Generator, d: int) -> Array:
-    v = rng.normal(size=d)
-    return v / np.linalg.norm(v)
+def _unit_vecs(rng: np.random.Generator, count: int, d: int) -> Array:
+    """``count`` unit vectors of dimension d, as rows: one normal draw of
+    shape (count, d), which reads the generator as ``count`` draws of d
+    would, each row divided by its norm (bitwise that of
+    ``np.linalg.norm``, see ``_row_norms``)."""
+    V = rng.normal(size=(count, d))
+    return V / _row_norms(V)[:, None]
 
 
 def _random_spd(rng: np.random.Generator, count: int, d: int, lo: float,
@@ -73,10 +78,10 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
     Qs = _random_spd(rng, T, n, 0.5, 2.0)
     Rs = _random_spd(rng, T, m, 0.5, 2.0)
     PT = _random_spd(rng, 1, n, 0.5, 2.0)[0]
-    wd = np.array([_unit_vec(rng, n) for _ in range(T)])
-    xd = np.array([_unit_vec(rng, n) for _ in range(T)])
+    wd = _unit_vecs(rng, T, n)
+    xd = _unit_vecs(rng, T, n)
     truth = rng.uniform(0.0, 1.0, size=(T + 1, 1))
-    x0 = 0.3 * _unit_vec(rng, n)
+    x0 = 0.3 * _unit_vecs(rng, 1, n)[0]
     return Instance(system, truth, x0, seed=seed)
 
 
@@ -92,7 +97,7 @@ def disturbance(T: int = 60, seed: int = 0) -> Instance:
     As = np.array([0.7 * np.array([[np.cos(th), -np.sin(th)],
                                    [np.sin(th), np.cos(th)]])
                    for th in thetas])
-    dirs = np.array([_unit_vec(rng, 2) for _ in range(T)])
+    dirs = _unit_vecs(rng, T, 2)
     eye2 = np.broadcast_to(np.eye(2), (T, 2, 2))
 
     system = DisturbanceOnlySystem(

@@ -112,9 +112,13 @@ MUTANTS = [
     ("kkt.py",
      'raise FloatingPointError("non-finite matrix entry in a spectral norm")',
      "pass", [NORMS + "test_non_finite_entry_raises"]),
-    # the smallest eigenvalue of the Gram taken instead of the largest
+    # the smallest eigenvalue of the Gram taken instead of the largest, by
+    # eigvalsh for Grams of more than two rows and in the closed form of
+    # the others
     ("kkt.py", "np.linalg.eigvalsh(gram)[..., -1]",
      "np.linalg.eigvalsh(gram)[..., 0]", [NORMS + "test_matches_svd_norm"]),
+    ("kkt.py", "+ np.hypot(0.5 * (a - c), b)", "- np.hypot(0.5 * (a - c), b)",
+     [NORMS + "test_matches_svd_norm"]),
     # sigma_min takes the largest singular value instead of the smallest
     ("kkt.py", "np.linalg.svd(R, compute_uv=False).min()",
      "np.linalg.svd(R, compute_uv=False).max()",
@@ -125,6 +129,9 @@ MUTANTS = [
     # the first-action adjoint drops its pin correction
     ("ftocp.py", "extra += self.G[..., n + 1:] @ nu[:, None]", "pass",
      [ADJOINT]),
+    # the pin multiplier's refinement step dropped, in the adjoint and the
+    # rollout alike
+    ("ftocp.py", "return nu - S_inv @ miss", "return nu", [ADJOINT]),
     # the adjoint's kick read at P_0 instead of P_1
     ("ftocp.py", "B0.swapaxes(-1, -2) @ P[:, 1, :n, :n] @ B0",
      "B0.swapaxes(-1, -2) @ P[:, 0, :n, :n] @ B0", [ADJOINT]),

@@ -329,14 +329,33 @@ class TestSpectralNorms:
     @given(lead=st.lists(st.integers(0, 3), max_size=3),
            rows=st.integers(1, 6), cols=st.integers(1, 6),
            scale=st.sampled_from([1e-200, 1.0, 1e200]),
-           zeros=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
-    @example(lead=[4], rows=3, cols=2, scale=1.0, zeros=0.0, seed=0)
-    def test_matches_svd_norm(self, lead, rows, cols, scale, zeros, seed):
+           zeros=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           zero_row=st.booleans())
+    @example(lead=[4], rows=3, cols=2, scale=1.0, zeros=0.0, seed=0,
+             zero_row=False)
+    # a tall tile, whose Gram is taken on its two columns
+    @example(lead=[3], rows=6, cols=2, scale=1.0, zeros=0.0, seed=1,
+             zero_row=False)
+    @example(lead=[5], rows=1, cols=1, scale=1e-200, zeros=0.0, seed=2,
+             zero_row=False)
+    # a zero second row: the closed form's largest eigenvalue is a itself
+    @example(lead=[3], rows=2, cols=6, scale=1e200, zeros=0.0, seed=3,
+             zero_row=True)
+    @example(lead=[2, 3], rows=2, cols=5, scale=1e-200, zeros=0.0, seed=4,
+             zero_row=False)
+    # Grams wider than two rows take eigvalsh
+    @example(lead=[4], rows=4, cols=5, scale=1e200, zeros=0.0, seed=5,
+             zero_row=False)
+    def test_matches_svd_norm(self, lead, rows, cols, scale, zeros, seed,
+                              zero_row):
         # at 1e-200 and 1e200 the squares of the entries under- and
-        # overflow; a share of the matrices is zero
+        # overflow; a share of the matrices is zero, and with zero_row the
+        # last row of every matrix
         rng = np.random.default_rng(seed)
         mats = rng.normal(size=(*lead, rows, cols)) * scale
         mats[rng.random(lead) < zeros] = 0.0
+        if zero_row:
+            mats[..., -1, :] = 0.0
         got = kkt._spectral_norms(mats)
         assert got.shape == tuple(lead)
         want = np.linalg.norm(mats, 2, axis=(-2, -1))

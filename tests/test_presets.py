@@ -96,6 +96,35 @@ def test_stacked_step_data_matches_per_entry_reference(name, shape, k, W,
             assert np.array_equal(g[idx], w), (idx, g[idx], w)
 
 
+@pytest.mark.parametrize("T", [8, 20, 24, 80, 96])
+@pytest.mark.parametrize("name", sorted(presets.PRESETS))
+def test_instances_match_one_draw_per_vector(name, T):
+    # a preset draws each stack of unit vectors in one call and normalizes
+    # the rows together; every instance equals, bitwise, the per-entry
+    # reference, which draws and normalizes one vector at a time
+    # (tracking-rand also with one and three states)
+    for seed in range(16):
+        inst, reference, truth = reference_step_data(name, T, seed)
+        cases = [(inst, reference, truth, None)]
+        if name == "tracking-rand":
+            cases = []
+            for n in (1, 2, 3):
+                step_data, truth, x0, _ = oracles.tracking_rand_data(
+                    T, seed, n, 1)
+                cases.append((presets.tracking_rand(T=T, seed=seed, n=n),
+                              step_data, truth, x0))
+        for inst, reference, truth, x0 in cases:
+            if truth is not None:
+                assert np.array_equal(inst.truth, truth), seed
+            if x0 is not None:
+                assert np.array_equal(inst.x0, x0), seed
+            got = inst.system.step_data(np.arange(T), inst.truth[:T])
+            for t in range(T):
+                for g, w in zip(got, reference(t, inst.truth[t]),
+                                strict=True):
+                    assert np.array_equal(g[t], w), (seed, t)
+
+
 class TestTrackingRand:
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (1, 1)])
     @pytest.mark.parametrize("T", [2, 8, 24, 96])
