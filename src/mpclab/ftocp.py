@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _assembly
 from .model import (Instance, InventorySystem, TerminalCost, _read_only,
-                    per_instance)
+                    _row_norms, per_instance)
 
 Array = np.ndarray
 
@@ -151,10 +151,11 @@ class ContinuationLaw:
     constant along the window.  Then the stage cost, the dynamics and the
     terminal data (2 nu'(x_T - target) for a pin) are quadratic and linear
     in s, the cost-to-go from offset t is s'P_t s, the optimal action is
-    u_t = G_t s_t and the optimal lifted state follows
-    s_{t+1} = closed_loop_t s_t.  For a pin, nu maximizes s'P_t s, which is
-    a solve with the n x n nu-block S of P_0, refined once (see _rollout).
-    The multipliers of the saddle system of the window are
+    u_t = G_t s_t = K_t x_t + k_t (+ the nu-columns' actions), and the
+    optimal state follows x_{t+1} = Phi_t x_t + c_t with Phi_t = A_t +
+    B_t K_t and c_t = w_t + B_t k_t.  For a pin, nu maximizes s'P_t s,
+    which is a solve with the n x n nu-block S of P_0, refined once (see
+    _rollout).  The multipliers of the saddle system of the window are
     eta_t = -(P_t s_t)[:n].
     """
 
@@ -162,7 +163,6 @@ class ContinuationLaw:
     data: _assembly.WindowMatrices   # step data by offset, and the terminal
     P: Array            # (W, T+1, d, d)
     G: Array            # (W, T, m, d)
-    closed_loop: Array  # (W, T, d, d)
     S_inv: Array | None = None   # (W, n, n): S^{-1} at offset 0, for a pin
     PB: Array | None = None      # (W, T, n, m): P_{t+1}[nu, :n] B_t, for a pin
 
@@ -180,8 +180,9 @@ class ContinuationLaw:
 
     @property
     def loop(self) -> Array:
-        """Phi_t = A_t + B_t K_t: a view of closed_loop's (x, x)-block."""
-        return self.closed_loop[..., :self.data.n, :self.data.n]
+        """Phi_t = A_t + B_t K_t, computed from the step data and the
+        gains on each read (not a view), read-only."""
+        return _read_only(self.data.A + self.data.B @ self.feedback)
 
     @property
     def feedback(self) -> Array:
@@ -209,10 +210,10 @@ class ContinuationLaw:
         window w_j of this law from offset t_j, so a law of one window
         gives one tail per offset.  Those of different lengths are padded
         past T exactly as ``continuation_law`` pads a batch (holding steps,
-        P the terminal P, zero gains and the lifted closed loop the
-        identity), and each reads bitwise as its own suffix on its own
-        offsets.  A pin's multiplier is solved at offset 0 alone, so a
-        pinned law raises ValueError."""
+        P the terminal P and zero gains, so Phi = I and c = 0 there), and
+        each reads bitwise as its own suffix on its own offsets.  A pin's
+        multiplier is solved at offset 0 alone, so a pinned law raises
+        ValueError."""
         if self.pinned:
             raise ValueError("a pinned law is read from its first step")
         ts = np.asarray(t)
@@ -227,13 +228,10 @@ class ContinuationLaw:
         data = _hold_steps(dataclasses.replace(wm, **{
             f: _read_only(getattr(wm, f)[w, own]) for f in _STEP_FIELDS}),
             live)
-        live = live[..., None, None]
-        d = self.P.shape[-1]
         return ContinuationLaw(
             _read_only(self.t1[w[:, 0]] + ts), data,
             _read_only(self.P[w, np.minimum(src, self.T)]),
-            _read_only(np.where(live, self.G[w, own], 0.0)),
-            _read_only(np.where(live, self.closed_loop[w, own], np.eye(d))))
+            _read_only(np.where(live[..., None, None], self.G[w, own], 0.0)))
 
     def _nu(self, s: Array, w=slice(None)) -> Array:
         """Pin multipliers of the windows w from the states s = (x, 1) at
@@ -258,7 +256,7 @@ class ContinuationLaw:
     def _rollout(self, xs: Array) -> tuple[Array, Array]:
         """Lifted optimal states s_0 .. s_T and actions u_0 .. u_{T-1} of
         every window, as ``trajectories`` reads xs, by x_{t+1} = Phi_t x_t +
-        c_t, with the shift c_t the (x, 1)-block of the closed loop.
+        c_t, with the shift c_t = w_t + B_t k_t, k_t the 1-column of G_t.
 
         A pin's multiplier nu adds the actions v_i = G_i[:, n+1:] nu, and
         B_i v_i to the shifts c_i, which move x_T by sum_i P_{i+1}[nu, :n]
@@ -275,7 +273,7 @@ class ContinuationLaw:
         lifted = np.zeros(xs.shape[:-1] + (K + 1, self.P.shape[-1]))
         lifted[..., n] = 1.0
         lifted[..., 0, :n] = xs
-        shift = self.closed_loop[..., :n, n]
+        shift = wm.w + _mv(wm.B, self.G[..., n])
         if self.pinned:
             nu = self._nu(lifted[..., 0, :n + 1])
             lifted[..., n + 1:] = nu[..., None, :]
@@ -289,9 +287,8 @@ class ContinuationLaw:
         if not self.pinned:
             return lifted, actions
         target = wm.terminal.target
-        miss = np.linalg.norm(states[..., -1, :] - target, axis=-1)
-        tol = 1e-6 * (1.0 + np.linalg.norm(target, axis=-1)
-                      + np.linalg.norm(xs, axis=-1))
+        miss = _row_norms(states[..., -1, :] - target)
+        tol = 1e-6 * (1.0 + _row_norms(target) + _row_norms(xs))
         bad = ~(miss <= tol)
         if bad.any():   # as (samples, windows)
             miss, bad = (a.reshape(-1, a.shape[-1]) for a in (miss, bad))
@@ -334,9 +331,9 @@ class ContinuationLaw:
             nu = self._pin_solve(P[:, 1, n + 1:, :n] @ B0 @ kick)
             extra += self.G[..., n + 1:] @ nu[:, None]
         extra[:, 0] += kick
-        y = np.zeros((self.W, K + 1, n, m))
+        y, loop = np.zeros((self.W, K + 1, n, m)), self.loop
         for t in range(K):
-            y[:, t + 1] = self.loop[:, t] @ y[:, t] + B[:, t] @ extra[:, t]
+            y[:, t + 1] = loop[:, t] @ y[:, t] + B[:, t] @ extra[:, t]
         v = self.feedback @ y[:, :-1] + extra
         eta = -P[:, 1:, :n, :n] @ y[:, 1:]
         if nu is not None:
@@ -519,9 +516,7 @@ def continuation_law(system, params: Sequence, terminal: TerminalCost,
         S_inv, PB = _read_only(S_inv), _read_only(P[:, 1:, n + 1:, :n] @ wm.B)
     if failed:
         raise _failure(t1, failed)
-    closed_loop = F[..., :d] + F[..., d:] @ G
-    return ContinuationLaw(t1, wm, *map(_read_only, (P, G, closed_loop)),
-                           S_inv, PB)
+    return ContinuationLaw(t1, wm, _read_only(P), _read_only(G), S_inv, PB)
 
 
 # ---------------------------------------------------------------------------

@@ -496,8 +496,8 @@ def _init_state_jacobians(law: ftocp.ContinuationLaw) -> Array:
 
     The continuation is affine in z, so the Jacobians are the closed-loop
     transition products Phi_h(t) = (A + BK)_{t+h-1} ... (A + BK)_t and
-    K_{t+h} Phi_h(t), the state blocks of the law's lifted closed loop and
-    gains.  Each offset is one batched product over every start t,
+    K_{t+h} Phi_h(t), read from the law's loop Phi_t = A_t + B_t K_t and
+    its gains K_t.  Each offset is one batched product over every start t,
     Phi_{h+1} = (A + BK)_{h..T-1} Phi_h(0..T-h-1).  The norms of the Phi
     of consecutive offsets, and those of the K Phi, are taken by one
     ``_spectral_norms`` call per stack of at most _STACK_CAP matrices (or

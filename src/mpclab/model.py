@@ -100,7 +100,7 @@ class PredictionStream:
         ts, taus = np.nonzero(valid)   # t-major
         rng = np.random.default_rng(seed)
         directions = rng.normal(size=(ts.size, p))
-        norms = np.linalg.norm(directions, axis=1)
+        norms = _row_norms(directions)
         # redraws come after the batch, so only a near-zero draw (which has
         # probability about 1e-12) departs from one draw at a time
         for i in np.flatnonzero(norms <= 1e-12):
@@ -451,8 +451,8 @@ def validate_assumptions(system: LinearQuadraticSystem, ts,
     tol = 1e-9
     norms = {"A_bound": (np.linalg.norm(A, 2, axis=(-2, -1)), bb.a),
              "B_bound": (np.linalg.norm(B, 2, axis=(-2, -1)), bb.b),
-             "w_bound": (np.linalg.norm(w, axis=-1), bb.D_w),
-             "xbar_bound": (np.linalg.norm(xbar, axis=-1), bb.D_xbar)}
+             "w_bound": (_row_norms(w), bb.D_w),
+             "xbar_bound": (_row_norms(xbar), bb.D_xbar)}
     return (Check("cost_lower", bb.mu - tol, eigs.min(initial=np.inf)),
             Check("cost_upper", eigs.max(initial=-np.inf), bb.ell + tol),
             *(Check(name, v.max(initial=0.0), limit + tol)

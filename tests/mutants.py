@@ -36,6 +36,8 @@ ASSUMPTIONS = "tests/test_model.py::TestValidateAssumptions"
 CHECK = "tests/test_checks.py::TestCheck"
 PROFILE = "tests/test_kkt.py::TestMeasuredQuantities::"
 NORMS = "tests/test_kkt.py::TestSpectralNorms::"
+QUADRATIC = ("tests/test_ftocp.py::TestQuadraticSolver::"
+             "test_quadratic_terminal_matches_oracle")
 ADJOINT = ("tests/test_continuation.py::"
            "test_first_action_adjoint_solves_the_saddle_system")
 
@@ -53,8 +55,8 @@ MUTANTS = [
      ["tests/test_cli.py::TestCertifications::"
       "test_certify_decay_near_its_slack"]),
     # the pin-miss tolerance of a rollout 1e-6 -> 1e-2
-    ("ftocp.py", "tol = 1e-6 * (1.0 + np.linalg.norm(target, axis=-1)",
-     "tol = 1e-2 * (1.0 + np.linalg.norm(target, axis=-1)",
+    ("ftocp.py", "tol = 1e-6 * (1.0 + _row_norms(target)",
+     "tol = 1e-2 * (1.0 + _row_norms(target)",
      ["tests/test_continuation.py::"
       "test_pin_missed_by_a_multiple_of_the_tolerance"]),
     # a dropped factor in the regret constant c
@@ -139,6 +141,12 @@ MUTANTS = [
     ("ftocp.py", "shift = shift + _mv(wm.B, v)", "shift = shift",
      ["tests/test_continuation.py::"
       "test_pendulum_pinned_windows_match_oracle"]),
+    # the rollout's shift c_t = w_t + B_t k_t drops w_t
+    ("ftocp.py", "shift = wm.w + _mv(wm.B, self.G[..., n])",
+     "shift = _mv(wm.B, self.G[..., n])", [QUADRATIC]),
+    # the closed loop Phi_t = A_t + B_t K_t drops its feedback
+    ("ftocp.py", "_read_only(self.data.A + self.data.B @ self.feedback)",
+     "_read_only(self.data.A + 0.0)", [QUADRATIC]),
 ]
 
 

@@ -828,6 +828,12 @@ class TestLibrarySurface:
                  if isinstance(node, ast.Attribute) and node.attr in lifted]
         assert reads == []
 
+    def test_continuation_law_stores_its_data_and_riccati_solution(self):
+        # Phi_t and c_t are computed from A, B, w and G where ftocp reads
+        # them; the law stores no lifted closed loop
+        fields = [f.name for f in dataclasses.fields(ftocp.ContinuationLaw)]
+        assert fields == ["t1", "data", "P", "G", "S_inv", "PB"]
+
     def test_no_closed_form_gain_tables(self):
         # the closed-form sensitivity path fed no verdict and rested on an
         # unsound sigma_lo; the decay constants keep the four fields that

@@ -436,8 +436,7 @@ def test_padded_suffixes_equal_separate_suffixes(name, seed, data):
         assert tails.t1[i] == alone.t1[0] == t
         assert tails.P[i, :K + 1].tobytes() == alone.P[0].tobytes()
         assert tails.G[i, :K].tobytes() == alone.G[0].tobytes()
-        assert (tails.closed_loop[i, :K].tobytes()
-                == alone.closed_loop[0].tobytes())
+        assert tails.loop[i, :K].tobytes() == alone.loop[0].tobytes()
         got = (states[:, i, :K + 1], actions[:, i, :K], duals[:, i, :K + 1])
         for g, w in zip(got, alone.trajectories(xs[:, i:i + 1]),
                         strict=True):
@@ -452,6 +451,34 @@ def test_padded_suffixes_equal_separate_suffixes(name, seed, data):
                                                 *slopes)[:, 0]
             assert jac[:, i, :K + 1].tobytes() == want.tobytes()
             assert not jac[:, i, K + 1:].any()
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("name", LQ_PRESETS)
+def test_padded_offsets_read_the_identity_loop(name, pinned):
+    # Phi_t = A_t + B_t K_t is computed from the step data and the gains;
+    # a padded offset holds its state (A = I, B = 0, a zero gain), so it
+    # reads Phi = I bitwise, in a mixed-length batch and in a batch of
+    # tails from several offsets alike, and the computed loop is read-only
+    inst = padding_instance(name)
+    sys_, n = inst.system, inst.system.n
+    starts, lengths = [0, 2, 5], [-(-n // sys_.m), 7, 10]
+    params = [inst.truth[t:t + K + 1] for t, K in zip(starts, lengths)]
+    terminal = (TerminalCost.indicator(np.zeros((3, n))) if pinned else
+                sys_.terminal_cost(np.array([p[-1] for p in params])))
+    batch = ftocp.continuation_law(sys_, params, terminal, starts)
+    laws = [(batch, lengths)]
+    if not pinned:
+        ts = np.array([0, 3, 9, inst.T])
+        laws.append((ftocp.truth_law(inst).suffix(ts), inst.T - ts))
+    for law, own in laws:
+        loop = law.loop
+        assert not loop.flags.writeable
+        assert loop.shape == (law.W, law.T, n, n)
+        assert sum(K < law.T for K in own) >= 2   # padded windows
+        for i, K in enumerate(own):
+            held = np.broadcast_to(np.eye(n), (law.T - K, n, n))
+            assert loop[i, K:].tobytes() == held.tobytes()
 
 
 @pytest.mark.parametrize("scale,misses", [(2.0, True), (0.5, False)])

@@ -453,8 +453,8 @@ class TestPerInstance:
         with pytest.raises(ValueError):
             law.G[0, 0, 0, 0] = 1.0
         padded = law.suffix(np.array([3, 5]))
-        for a in (law.t1, law.P, law.G, law.closed_loop, law.suffix(3).G,
-                  padded.t1, padded.P, padded.G, padded.closed_loop,
+        for a in (law.t1, law.P, law.G, law.loop, law.suffix(3).G,
+                  padded.t1, padded.P, padded.G, padded.loop,
                   *(getattr(padded.data, f)
                     for f in ("A", "B", "w", "Q", "R", "xbar"))):
             assert not a.flags.writeable

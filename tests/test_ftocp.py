@@ -511,7 +511,7 @@ def test_suffix_is_the_law_of_its_window(name):
         tail = law.suffix(t)
         alone = ftocp.window_law(inst.system, inst.truth[t:],
                                  inst.terminal_cost(), t)
-        for field in ("t1", "P", "G", "closed_loop"):
+        for field in ("t1", "P", "G", "loop"):
             assert same_bits(getattr(tail, field), getattr(alone, field)), t
         got, want = (a.solution(opt.states[t]) for a in (tail, alone))
         for field in ("states", "actions", "duals", "kkt_residual"):

@@ -407,8 +407,7 @@ def test_constants_artifact_names_the_basis(tmp_path, name, mode, basis):
 def test_init_state_gains_match_per_start_products(name):
     law = ftocp.truth_law(presets.build_preset(name, T=240))
     n = law.data.n
-    want = oracles.init_state_gains(law.closed_loop[0, :, :n, :n],
-                                    law.G[0, :, :, :n])
+    want = oracles.init_state_gains(law.loop[0], law.G[0, :, :, :n])
     got = kkt._init_state_jacobians(law)
     assert np.abs(got - want).max() <= 1e-12 * want.max()
     # the stacked norms (240 offsets, split by the cap) are those of one
@@ -421,7 +420,7 @@ def per_offset_init_gains(law):
     per stack and offset: the same closed-loop products, normed offset by
     offset."""
     n, T = law.data.n, law.T
-    closed = law.closed_loop[0, :, :n, :n]
+    closed = law.loop[0]
     gains = law.G[0, :, :, :n]
     norms = np.empty(T + 1)
     Phi = np.broadcast_to(np.eye(n), (T + 1, n, n))

@@ -97,7 +97,7 @@ class TestPredictionStream:
     def test_two_parameters_match_oracle(self, rho):
         truth = np.random.default_rng(2).uniform(-1.0, 1.0, size=(10, 2))
         stream = PredictionStream(truth, 4, rho_arg(RHOS[rho], 9, 4), seed=3)
-        assert_matches_oracle(stream, truth, 4, RHOS[rho], 3, atol=1e-15)
+        assert_matches_oracle(stream, truth, 4, RHOS[rho], 3)
 
     def test_zero_schedule_is_bitwise_exact(self):
         base = np.array([[0.3 * t] for t in range(6)])
