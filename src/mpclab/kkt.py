@@ -84,6 +84,23 @@ def _dynamics_blocks(wm: WindowMatrices) -> Array:
     return N.reshape((K + 1) * n, (K + 1) * (n + m))[:, :cols]
 
 
+def _gram_blocks(wm: WindowMatrices) -> Array:
+    """Dense N N' of ``_dynamics_blocks``, block tridiagonal by step and
+    read from A and B with no N formed: block (0, 0) is I, block
+    (t+1, t+1) is I + A_t A_t' + B_t B_t' and block (t+1, t) is -A_t.  A pin
+    drops y_K, so the last diagonal block has no I."""
+    K, n = wm.K, wm.n
+    A = wm.A
+    G = np.zeros((K + 1, n, K + 1, n))
+    t = np.arange(K)
+    G[t + 1, :, t + 1] = A @ A.swapaxes(-1, -2) + wm.B @ wm.B.swapaxes(-1, -2)
+    G[t + 1, :, t] = -A
+    G[t, :, t + 1] = -A.swapaxes(-1, -2)
+    t = np.arange(K if wm.terminal.kind == "indicator" else K + 1)
+    G[t, :, t] += np.eye(n)
+    return G.reshape((K + 1) * n, (K + 1) * n)
+
+
 # ---------------------------------------------------------------------------
 # decay fits
 # ---------------------------------------------------------------------------
@@ -297,26 +314,56 @@ def tracking_decay_constants(bounds: Bounds,
 def sigma_min(wm: WindowMatrices) -> float:
     """sigma_min of the dynamics blocks N of a window.  N holds only A and
     B, so every window with a quadratic terminal on the same steps gives
-    the same value.
+    the same value.  N is r x c; a pinned window with K m < n has a tall N,
+    r > c, and a singular saddle matrix: it raises SingularKKT, as
+    ``ftocp.continuation_law`` does for that window (``window_data``'s
+    windows start at step 0).
 
-    N is r x c with r <= c: N' = QR gives sigma(N) = sigma(R) for the
-    square r x r triangle R of one QR of N', whose SVD replaces that of
-    the wide N (Chan 1982).  A pinned window with K m < n has a tall N,
-    more rows than columns, and a singular saddle matrix: it raises
-    SingularKKT, as ``ftocp.continuation_law`` does for that window
-    (``window_data``'s windows start at step 0)."""
-    N = _dynamics_blocks(wm)
-    if N.shape[0] > N.shape[1]:
+    Two routes, chosen by the conditioning kappa = ||N|| / sigma of N:
+
+    - Gram: sigma^2 and ||N||^2 are the extreme eigenvalues of the r x r
+      Gram N N' (``_gram_blocks``), from one symmetric eigensolve, about
+      half the flops of the QR route.  Forming N N' and the eigensolve
+      perturb it by about r eps ||N||^2 (Weyl; r is a generous constant
+      for the at most n + m + 1 products of an entry and the Householder
+      reduction), so sigma^2 moves by that much and sigma by
+      r eps ||N||^2 / (2 sigma) to first order.  The QR route is held to
+      10 max(r, c) eps ||N||, and the Gram route is taken only where its
+      error fits that allowance: kappa <= 20 c / r, read off the same
+      eigenvalues as lam_max <= (20 c / r)^2 lam_min with lam_min > 0.
+      Near that threshold the computed kappa is within about r eps kappa^2
+      relative of the exact one, so no window past it by more than that
+      takes this route.
+    - QR: otherwise, and on a non-finite Gram (NaN or inf in the steps,
+      or overflow in the products; eigvalsh may return NaNs anywhere in
+      its order, so lam alone cannot tell), N' = QR gives
+      sigma(N) = sigma(R) for the square r x r triangle R of one QR of N',
+      whose SVD replaces that of the wide N (Chan 1982).  It does not
+      square kappa, so it is the accurate route on ill-conditioned windows
+      (pendulum's and grid's)."""
+    K, n, m = wm.K, wm.n, wm.m
+    r = (K + 1) * n
+    c = K * (n + m) + (0 if wm.terminal.kind == "indicator" else n)
+    if r > c:
         raise ftocp.SingularKKT("pinned terminal unreachable from step 0")
-    R = np.linalg.qr(N.T, mode="r")
+    gram = _gram_blocks(wm)
+    if np.isfinite(gram).all():
+        lam = np.linalg.eigvalsh(gram)
+        if lam[0] > 0.0 and lam[-1] <= (20.0 * c / r) ** 2 * lam[0]:
+            return math.sqrt(lam[0])
+    del gram   # freed before N and its QR copy are formed
+    R = np.linalg.qr(_dynamics_blocks(wm).T, mode="r")
     return float(np.linalg.svd(R, compute_uv=False).min())
 
 
 def measured_sigma(instance: Instance, k: int | None = None) -> float:
     """sigma_min of the dynamics blocks of the full window and, when k is
     given, of the pinned-terminal window on the steps 0 .. k, minimized over
-    both.  A pinned window with k m < n raises SingularKKT (see
-    ``sigma_min``)."""
+    both.  Each window takes its own route (see ``sigma_min``): the Gram
+    eigensolve where kappa(N) <= 20 c / r, as on the windows of the
+    tracking-rand and disturbance presets at their default seeds, the QR
+    triangle otherwise, as on pendulum's and grid's.  A pinned window with
+    k m < n raises SingularKKT."""
     sys, truth = instance.system, instance.truth
     smin = sigma_min(window_data(sys, truth, TerminalCost.zero(sys.n)))
     if k is not None and k < sys.T:

@@ -222,12 +222,17 @@ class LinearQuadraticSystem:
 
     def step_data(self, ts, xis):
         """(A, B, w, Q, R, xbar) of the steps ts at the parameters xis,
-        stacked as the class docstring says, as read-only arrays."""
+        stacked as the class docstring says, as read-only arrays: an array
+        the map returns short of its shape is broadcast to it, and one of
+        full shape is given as a read-only view, which leaves the map's own
+        array writeable at a fraction of the cost of ``np.broadcast_to``."""
         ts = np.asarray(ts)
         n, m = self.n, self.m
         shapes = ((n, n), (n, m), (n,), (n, n), (m, m), (n,))
-        return tuple(np.broadcast_to(a, ts.shape + s) for a, s in
-                     zip(self._step_data(ts, np.asarray(xis, float)), shapes))
+        data = self._step_data(ts, np.asarray(xis, float))
+        return tuple(_read_only(a.view()) if a.shape == ts.shape + s
+                     else np.broadcast_to(a, ts.shape + s)
+                     for a, s in zip(map(np.asarray, data), shapes))
 
     def terminal_cost(self, xi: Array) -> TerminalCost:
         """Terminal cost of the final parameters xi, stacked as above."""

@@ -121,10 +121,18 @@ MUTANTS = [
      "np.linalg.eigvalsh(gram)[..., 0]", [NORMS + "test_matches_svd_norm"]),
     ("kkt.py", "+ np.hypot(0.5 * (a - c), b)", "- np.hypot(0.5 * (a - c), b)",
      [NORMS + "test_matches_svd_norm"]),
-    # sigma_min takes the largest singular value instead of the smallest
+    # sigma_min's QR route takes the largest singular value instead of the
+    # smallest (pendulum's and grid's windows take that route)
     ("kkt.py", "np.linalg.svd(R, compute_uv=False).min()",
      "np.linalg.svd(R, compute_uv=False).max()",
+     [PROFILE + "test_measured_sigma_matches_dense_svd"]),
+    # sigma_min's Gram route takes the largest eigenvalue
+    ("kkt.py", "return math.sqrt(lam[0])", "return math.sqrt(lam[-1])",
      [PROFILE + "test_sigma_matches_dense_svd"]),
+    # sigma_min always takes the Gram route, however ill-conditioned N is
+    ("kkt.py",
+     "if lam[0] > 0.0 and lam[-1] <= (20.0 * c / r) ** 2 * lam[0]:",
+     "if True:", [PROFILE + "test_measured_sigma_matches_dense_svd"]),
     # measured_sigma drops the minimum over the pinned window
     ("kkt.py", "if k is not None and k < sys.T:", "if False:",
      [PROFILE + "test_measured_sigma_matches_dense_svd"]),

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
+from mpclab._assembly import WindowMatrices
 from mpclab.model import Bounds, TerminalCost
 
 
@@ -62,6 +63,15 @@ def assert_sigma_near_oracle(wm):
     want = np.linalg.svd(N, compute_uv=False).min()
     allowance = 10 * max(N.shape) * np.finfo(float).eps * np.linalg.norm(N, 2)
     assert abs(kkt.sigma_min(wm) - want) <= allowance
+
+
+def count_qr(monkeypatch):
+    """A list that grows by one at each np.linalg.qr call: the QR route of
+    kkt.sigma_min."""
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+    return calls
 
 
 def assert_bitwise(got, want):
@@ -158,6 +168,21 @@ class TestAssemblyStructure:
                                       "pendulum", "grid"])
     def test_preset_tiles_match_oracle_bitwise(self, name, terminal):
         check_tiles_against_oracle(preset_window(name, 40, terminal))
+
+    @pytest.mark.parametrize("terminal", ["quadratic", "indicator"])
+    @pytest.mark.parametrize("name", ["tracking-rand", "disturbance",
+                                      "pendulum", "grid"])
+    def test_preset_gram_matches_dense_product(self, name, terminal):
+        # an entry of N N' sums at most 2n + m nonzero products, so the
+        # blocks and the dense product are each within gamma |N||N|' of the
+        # exact Gram, gamma = p u / (1 - p u) with p = 2n + m (Higham 2002,
+        # sec. 3.5)
+        wm = preset_window(name, 40, terminal)
+        N = oracles.saddle_assembly(wm).N
+        p, u = 2 * wm.n + wm.m, np.finfo(float).eps / 2
+        gamma = p * u / (1 - p * u)
+        gap = np.abs(kkt._gram_blocks(wm) - N @ N.T)
+        assert np.all(gap <= 2 * gamma * (np.abs(N) @ np.abs(N).T))
 
 
 class TestClosedFormConstants:
@@ -406,6 +431,47 @@ class TestMeasuredQuantities:
                 kkt.sigma_min(wm)
             return
         assert_sigma_near_oracle(wm)
+
+    def test_well_conditioned_windows_take_the_gram_route(self,
+                                                          monkeypatch):
+        # the full window of certify-decay at T=96 and both windows of
+        # constants at T=24, k=8: kappa(N) is 4.2, 3.5 and 7.0 against
+        # thresholds of 29.9, 29.6 and 26.7
+        inst, short = presets.tracking_rand(T=96), presets.tracking_rand(T=24)
+        wm = kkt.window_data(inst.system, inst.truth, inst.terminal_cost())
+        calls = count_qr(monkeypatch)
+        kkt.sigma_min(wm)
+        kkt.measured_sigma(short, k=8)
+        assert calls == []
+
+    @pytest.mark.parametrize("name, k", [("pendulum", 5), ("grid", 4)])
+    def test_ill_conditioned_windows_take_the_qr_route(self, monkeypatch,
+                                                       name, k):
+        # kappa(N) is 1.3e6 and 250 on these pinned windows
+        inst = presets.build_preset(name, T=24)
+        wm = kkt.window_data(inst.system, inst.truth[:k + 1],
+                             TerminalCost.indicator(np.zeros(inst.system.n)))
+        calls = count_qr(monkeypatch)
+        kkt.sigma_min(wm)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta, lo, hi, qr_calls",
+                             [(0.0572, 0.99, 1.0, 0), (0.0570, 1.0, 1.01, 1)])
+    def test_windows_at_the_route_threshold(self, monkeypatch, beta, lo, hi,
+                                            qr_calls):
+        # a pinned integrator x_{t+1} = x_t + beta u_t on ten steps: N is
+        # 11 x 20, the Gram route ends at kappa = 20 * 20 / 11, and kappa
+        # grows like 2 / beta; just under the threshold the Gram route
+        # stays within the QR route's allowance
+        K, one = 10, np.ones((10, 1, 1))
+        wm = WindowMatrices(one, beta * one, np.zeros((K, 1)), one, one,
+                            np.zeros((K, 1)),
+                            TerminalCost.indicator(np.zeros(1)), 1, 1)
+        sv = np.linalg.svd(oracles.saddle_assembly(wm).N, compute_uv=False)
+        assert lo < sv[0] / sv[-1] / (20 * 20 / 11) < hi
+        calls = count_qr(monkeypatch)
+        assert_sigma_near_oracle(wm)
+        assert len(calls) == qr_calls
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_tall_dynamics_blocks_raise(self, k):

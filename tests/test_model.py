@@ -438,6 +438,33 @@ class TestSystemFamilies:
         assert np.array_equal(sys_.pin_target(3, xi), np.zeros(2))
         assert sys_.bounds.L_A == 0.0 and sys_.bounds.D_xbar == 0.0
 
+    def test_step_data_read_only_and_the_maps_arrays_untouched(self):
+        # A and w come back at full shape (read-only views), B and Q short
+        # of it (broadcast); the map's own arrays stay writeable
+        A, w = np.arange(12.0).reshape(3, 2, 2), np.ones((3, 2))
+        B, Q = np.ones((2, 1)), np.eye(2)
+        sys_ = LinearQuadraticSystem(
+            2, 1, 4,
+            step_data=lambda ts, xis: (A, B, w, Q, np.eye(1), 0.0),
+            terminal=lambda xi: (np.eye(2), np.zeros(2)),
+            bounds=Bounds(mu=1.0, ell=1.0, a=1.0, b=1.0),
+            param_box=ParamBox(np.zeros(1), np.ones(1)))
+        data = sys_.step_data(np.arange(3), np.zeros((3, 1)))
+        before = [a.copy() for a in (A, B, w, Q)]
+        shapes = [(2, 2), (2, 1), (2,), (2, 2), (1, 1), (2,)]
+        for got, own, shape in zip(data, (A, B, w, Q, np.eye(1), 0.0),
+                                   shapes):
+            assert got.shape == (3,) + shape
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0.0
+            want = np.broadcast_to(own, (3,) + shape)
+            assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(data[0], A) and np.shares_memory(data[2], w)
+        for own, old in zip((A, B, w, Q), before):
+            assert own.flags.writeable
+            assert np.array_equal(own, old)
+
     def test_lipschitz_dynamics_is_row_norm_bound(self):
         sys_ = const_system(a=0.6, b=0.8)
         assert sys_.lipschitz_dynamics() == pytest.approx(np.hypot(0.6, 0.8))
