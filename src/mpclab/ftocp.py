@@ -14,10 +14,12 @@ Two problem classes are supported exactly:
   of one;
 - the constrained scalar stock chain: one backward pass (``chain_law``)
   over the knots of the derivatives of its value functions, then a rollout
-  read on Python floats.  The chain laws of one system share their backward
-  steps: each step with the bits of one computed before is read from it,
-  so the windows of a run, the truth law and the sweeps of an instance
-  compute each distinct step once, while the system lives.
+  read on Python floats.  The chain laws of one system share their work:
+  a window with the bits of one built before reuses its pieces and its
+  solutions, and a backward step with the bits of one computed before is
+  read from it, so the windows of a run, the truth law and the sweeps of
+  an instance build each distinct window, solve it from each distinct
+  start and compute each distinct step once, while the system lives.
 
 A law is read from its first step (``solution(x)``); ``action(t, x)`` is
 the one read at an offset t, which a pinned continuation law answers at 0
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import struct
 import weakref
 from typing import Sequence
@@ -531,7 +534,9 @@ class ChainLaw:
     piecewise quadratic where the pin is reachable, so pieces[t] = (knots,
     slope, intercept) gives V_t' = slope[j] x + intercept[j] between
     knots[j] and knots[j + 1]; V_t' may jump at a knot, and the end knots
-    bound dom V_t."""
+    bound dom V_t.  ``solutions`` holds the solutions of the window by the
+    bits of their start state; the laws of one system's equal windows
+    share it (see ``chain_law``)."""
 
     system: InventorySystem
     t1: int
@@ -539,6 +544,7 @@ class ChainLaw:
     targets: tuple      # r_t by offset
     pin: float
     pieces: tuple       # (knots, slope, intercept) by offset; None at 0
+    solutions: dict = dataclasses.field(compare=False, repr=False)
 
     W = 1               # windows held
 
@@ -553,13 +559,27 @@ class ChainLaw:
 
     def solution(self, x: Array) -> FtocpSolution:
         """Optimal solution of the window from x, with the multipliers of
-        its dynamics rows and its KKT residual, all read on floats."""
-        states = self._rollout(0, self._check(0, x), self.T)
-        actions = self._actions(states)
-        duals = self._duals(states, actions)
-        return FtocpSolution(*(np.array(a)[:, None]
-                               for a in (states, actions, duals)),
-                             self._kkt_residual(states, actions, duals))
+        its dynamics rows and its KKT residual, all read on floats, in
+        read-only arrays.  A start the window cannot leave feasibly raises
+        Infeasible at this law's step and is not stored.  Otherwise the
+        solution is read from ``solutions`` by the bits of the start, or
+        solved and stored there: it is a function of the system, the
+        targets, the pin and those bits alone, so a stored one is bitwise
+        what a fresh solve computes."""
+        z = self._check(0, x)
+        key = struct.pack("d", z)
+        sol = self.solutions.get(key)
+        if sol is None:
+            states = self._rollout(0, z, self.T)
+            actions = self._actions(states)
+            duals = self._duals(states, actions)
+            # one read-only column, cut into the three
+            col = _read_only(np.array([*states, *actions, *duals]))[:, None]
+            K = len(actions)
+            sol = self.solutions[key] = FtocpSolution(
+                col[:K + 1], col[K + 1:2 * K + 1], col[2 * K + 1:],
+                self._kkt_residual(states, actions, duals))
+        return sol
 
     def _actions(self, states: list) -> list:
         """The actions between consecutive states, clipped to the action
@@ -643,7 +663,8 @@ class ChainLaw:
         rows += [x - min(max(x + (e2 - e1 - d), sys.x_lo), sys.x_hi)
                  for x, d, e1, e2 in zip(states[1:-1], dev[1:-1], eta[1:],
                                          eta[2:])]
-        return float(np.linalg.norm(rows))
+        rows = np.array(rows)
+        return math.sqrt(rows.dot(rows))    # bitwise np.linalg.norm(rows)
 
 
 def _descent(knots, slope, icpt, gam: float, x: float):
@@ -703,27 +724,44 @@ def _chain_step(system: InventorySystem, nxt, r: float):
     return (lo,) + ends, slopes, icpts
 
 
-# the backward steps of each system's chain laws, keyed by the bits of their
-# inputs (equal values may differ in the sign of a zero): a system's laws
-# share every step they have in common (the windows of a run that end at one
-# step share their pin and the tail of their targets), and the steps die
-# with the system
-_CHAIN_STEPS = weakref.WeakKeyDictionary()
+# the chain windows of each system and their backward steps, keyed by the
+# bits of their inputs (equal values may differ in the sign of a zero):
+# ``windows`` maps the targets and pin of a window to its pieces and its
+# solutions, ``steps`` the next pieces and target of a step to its pieces.
+# A system's laws share every window and every step they have in common (the
+# windows of a run that end at one step share their pin and the tail of their
+# targets), and the memo dies with the system
+_CHAIN_MEMO = weakref.WeakKeyDictionary()   # system -> (windows, steps)
 
 
 def chain_law(system: InventorySystem, params: Sequence[Array],
               terminal: TerminalCost, t1: int = 0) -> ChainLaw:
     """One backward pass over the steps t1 .. t1 + T of the stock chain,
     where T = len(params) - 1 and params[i] is the target of step t1 + i.
-    A step whose next pieces and target have the bits of one taken before
-    by a law of this system is read from that one, which is what a fresh
-    pass computes: ``_chain_step`` is a function of those bits alone."""
+    A window whose targets and pin have the bits of one built before by a
+    law of this system shares that one's pieces and ``solutions``; t1 only
+    labels the errors of its checks.  In a new window, a step whose next
+    pieces and target have the bits of one taken before is read from that
+    one.  Either is what a fresh pass computes: ``_chain_step`` is a
+    function of those bits alone."""
     if terminal.kind != "indicator":
         raise ValueError("chain solver requires a pinned terminal state")
     targets = tuple(np.reshape(np.asarray(params, float),
                                (len(params), -1))[:, 0].tolist())
     pin = float(terminal.target[0])
-    steps = _CHAIN_STEPS.setdefault(system, {})
+    windows, steps = _CHAIN_MEMO.setdefault(system, ({}, {}))
+    key = struct.pack(f"{len(targets) + 1}d", *targets, pin)
+    if key not in windows:
+        windows[key] = _chain_pieces(system, steps, targets, pin), {}
+    pieces, solutions = windows[key]
+    return ChainLaw(system, t1, len(targets) - 1, targets, pin, pieces,
+                    solutions)
+
+
+def _chain_pieces(system: InventorySystem, steps: dict, targets: tuple,
+                  pin: float) -> tuple:
+    """The pieces of a chain window by offset (None at 0), from the pin
+    backwards, each step read from ``steps`` or computed into it."""
     pieces = [None] * (len(targets) - 1) + [((pin,), (), ())]
     for t in range(len(targets) - 2, 0, -1):
         knots, slope, icpt = pieces[t + 1]
@@ -732,7 +770,7 @@ def chain_law(system: InventorySystem, params: Sequence[Array],
         if key not in steps:
             steps[key] = _chain_step(system, pieces[t + 1], targets[t])
         pieces[t] = steps[key]
-    return ChainLaw(system, t1, len(targets) - 1, targets, pin, tuple(pieces))
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ PROFILE = "tests/test_kkt.py::TestMeasuredQuantities::"
 NORMS = "tests/test_kkt.py::TestSpectralNorms::"
 QUADRATIC = ("tests/test_ftocp.py::TestQuadraticSolver::"
              "test_quadratic_terminal_matches_oracle")
+CHAIN_MEMO = ("tests/test_ftocp.py::TestChainSolver::"
+              "test_memo_keys_windows_by_pin_and_solutions_by_start")
 ADJOINT = ("tests/test_continuation.py::"
            "test_first_action_adjoint_solves_the_saddle_system")
 
@@ -152,6 +154,12 @@ MUTANTS = [
     # the rollout's shift c_t = w_t + B_t k_t drops w_t
     ("ftocp.py", "shift = wm.w + _mv(wm.B, self.G[..., n])",
      "shift = _mv(wm.B, self.G[..., n])", [QUADRATIC]),
+    # a chain window keyed without its pin, and a chain solution without
+    # its start state: one system's laws then read another window's
+    # pieces, or another start's solution
+    ("ftocp.py", 'struct.pack(f"{len(targets) + 1}d", *targets, pin)',
+     'struct.pack(f"{len(targets)}d", *targets)', [CHAIN_MEMO]),
+    ("ftocp.py", 'key = struct.pack("d", z)', 'key = b""', [CHAIN_MEMO]),
     # the closed loop Phi_t = A_t + B_t K_t drops its feedback
     ("ftocp.py", "_read_only(self.data.A + self.data.B @ self.feedback)",
      "_read_only(self.data.A + 0.0)", [QUADRATIC]),

@@ -259,24 +259,32 @@ class TestSweeps:
 
     def test_chain_sweep_computes_each_backward_step_once(
             self, runner, tmp_path, monkeypatch):
-        # the 570 backward steps of this sweep's chain laws (truth, windows,
-        # optimum) hold 22 distinct inputs: each is computed once per call,
-        # and no step carries over from one call to the next
-        calls = []
-        step = ftocp._chain_step
+        # this sweep builds 145 chain laws (truth, windows, optimum) and
+        # solves 145 windows; they hold 29 distinct windows, 52 distinct
+        # (window, start) pairs and, in their 570 backward steps, 22
+        # distinct inputs: each is built, solved or computed once per call,
+        # and nothing carries over from one call to the next
+        calls = {"_chain_step": 0, "_chain_pieces": 0, "_duals": 0}
 
-        def counted(*args):
-            calls.append(args[2])
-            return step(*args)
-        monkeypatch.setattr(ftocp, "_chain_step", counted)
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+        counted(ftocp, "_chain_step")
+        counted(ftocp, "_chain_pieces")
+        counted(ftocp.ChainLaw, "_duals")
         args = ["sweep-horizon", "--preset", "inventory-two-sided", "--T",
                 "16", "--k", "10", "--out"]
         outputs = []
         for run in ("first", "second"):
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             res = runner.invoke(cli.main, args + [str(tmp_path / run)])
             assert res.exit_code == 0, res.output
-            assert len(calls) == 22
+            assert calls == {"_chain_step": 22, "_chain_pieces": 29,
+                             "_duals": 52}
             outputs.append([read(tmp_path / run / name) for name in
                             ("sweep_horizon.csv", "sweep_horizon.json")])
         assert outputs[0] == outputs[1]

@@ -305,6 +305,51 @@ class TestChainSolver:
                       law._duals(states, actions)):
             assert law._kkt_residual(states, actions, duals) > 1e-9
 
+    def test_memo_keys_windows_by_pin_and_solutions_by_start(self):
+        # one system solves a window under two pins, and under one of them
+        # from two starts: each solution is bitwise that of a fresh system
+        targets = ALTERNATING(6)
+        params = [np.array([v]) for v in targets]
+        shared = InventorySystem(T=6, targets=targets)
+        for pin, z in ((-0.4, 0.1), (0.4, 0.1), (0.4, -0.3)):
+            term, x = TerminalCost.indicator([pin]), np.array([z])
+            got = ftocp.chain_law(shared, params, term).solution(x)
+            want = ftocp.chain_law(InventorySystem(T=6, targets=targets),
+                                   params, term).solution(x)
+            for field in ("states", "actions", "duals", "kkt_residual"):
+                assert bits(getattr(got, field)) == bits(getattr(want, field))
+
+    def test_stored_solution_is_read_only(self):
+        targets = ALTERNATING(6)
+        law = ftocp.chain_law(InventorySystem(T=6, targets=targets),
+                              [np.array([v]) for v in targets],
+                              TerminalCost.indicator([-0.4]))
+        sol = law.solution(np.array([0.1]))
+        assert law.solution(np.array([0.1])) is sol
+        for a in (sol.states, sol.actions, sol.duals):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_infeasible_start_raises_at_each_laws_step(self):
+        # the laws of one window at steps 2 and 5 share its solutions; an
+        # infeasible start raises at each law's own step and is not stored,
+        # so a feasible start still solves, as on a fresh system
+        targets = ALTERNATING(3)
+        params = [np.array([v]) for v in targets]
+        pin = TerminalCost.indicator([0.0])
+        system = InventorySystem(T=8, targets=ALTERNATING(8))
+        laws = [ftocp.chain_law(system, params, pin, t1) for t1 in (2, 5)]
+        assert laws[0].solutions is laws[1].solutions
+        for law in laws:
+            with pytest.raises(Infeasible) as ei:
+                law.solution(np.array([-1.5]))
+            assert ei.value.step == law.t1
+        assert not laws[0].solutions
+        sol = laws[1].solution(np.array([0.1]))
+        fresh = ftocp.chain_law(InventorySystem(T=8, targets=ALTERNATING(8)),
+                                params, pin, 5).solution(np.array([0.1]))
+        assert bits(sol.states) == bits(fresh.states)
+
     def test_requires_pinned_terminal(self):
         system = InventorySystem(T=3, targets=np.zeros(4))
         with pytest.raises(ValueError):
@@ -342,16 +387,20 @@ def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
     params = [np.array([v]) for v in targets]
     pin = TerminalCost.indicator([target])
     # other windows fill the memo of one system first: the window's tails,
-    # which share all its steps, and windows on other targets and pins
+    # which share all its steps, and windows on other targets and pins;
+    # then the window itself is solved from z, so that its second law reads
+    # the stored solution
     for j in range(1, K):
         ftocp.window_law(filled, params[j:], pin)
     ftocp.window_law(filled, params[::-1], pin)
     ftocp.window_law(filled, params, TerminalCost.indicator([z]))
+    stored = ftocp.window_law(filled, params, pin).solution(np.array([z]))
     law = ftocp.window_law(fresh, params, pin)
     shared = ftocp.window_law(filled, params, pin)
     assert shared.pieces == law.pieces
     sol = law.solution(np.array([z]))
     again = shared.solution(np.array([z]))
+    assert again is stored
     for field in ("states", "actions", "duals", "kkt_residual"):
         assert bits(getattr(again, field)) == bits(getattr(sol, field))
     assert bits(ftocp.stage_costs(filled, 0, params, pin, again.states,
@@ -364,17 +413,22 @@ def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
 
 
 def test_chain_steps_die_with_their_system():
-    # a system's chain laws share their backward steps, which the memo holds
-    # only while the system lives
+    # a system's chain laws share their windows, their solutions and their
+    # backward steps, which the memo holds only while the system lives
     inst = presets.build_preset("inventory-one-sided", T=12)
     regret.sweep_horizon(inst, [2, 4], engine.TerminalRule(
         "predicted_tracking"))
     system = weakref.ref(inst.system)
-    assert ftocp._CHAIN_STEPS[inst.system]
-    del inst
+    windows, steps = ftocp._CHAIN_MEMO[inst.system]
+    assert steps and windows
+    stored = [weakref.ref(sol) for _, solutions in windows.values()
+              for sol in solutions.values()]
+    assert stored
+    del inst, windows, steps
     gc.collect()
     assert system() is None
-    assert all(key() is not None for key in ftocp._CHAIN_STEPS.keyrefs())
+    assert all(sol() is None for sol in stored)
+    assert all(key() is not None for key in ftocp._CHAIN_MEMO.keyrefs())
 
 
 # start states and pins at a state bound or within 1e-12 of one
