@@ -12,7 +12,7 @@ from .kkt import (DecayFit, GainTables, TrackingDecayConstants,
                   decay_profile, measure_gain_tables, sigma_min,
                   tracking_decay_constants, window_data)
 from .engine import TerminalRule, TrajectoryRecord, run_mpc, solve_opt
-from .regret import (SweepResult, aggregate_E, per_step_error_bound_rhs,
+from .regret import (SweepResult, per_step_error_bound_rhs,
                      pipeline_admission_check, regret_inequalities,
                      sweep_horizon, sweep_noise)
 from .presets import (PRESETS, build_instance, build_preset,

@@ -278,7 +278,7 @@ def certify_decay(inst, hdr):
     """Check the closed-form geometric bound on the inverse saddle blocks."""
     sys_ = inst.system
     wm = kkt.window_data(sys_, inst.truth, inst.terminal_cost())
-    norms, maxima, fit = kkt.decay_profile(wm)
+    _, maxima, fit = kkt.decay_profile(wm)
     sigma = kkt.sigma_min(wm)   # the measured sigma of the full window
     consts = kkt.tracking_decay_constants(sys_.bounds, sigma)
     offsets = np.arange(maxima.shape[0])
@@ -309,7 +309,10 @@ def inventory_suite(inst, hdr, p, eps):
     if min(p) < 1:
         raise click.UsageError("need --p >= 1")
     rows = presets.inventory_counterexample_suite(p, eps)
-    worst = max(max(abs(r.diff_minus_eps), r.closed_form_err) for r in rows)
+    worst = float(np.max([[abs(r.diff_minus_eps), r.closed_form_err]
+                          for r in rows]))
+    if not math.isfinite(worst):
+        raise FloatingPointError("closed-form deviation not finite")
     return ({"inventory_suite.csv": _csv_body(
                 ["p", "eps", "h", "diff", "diff_minus_eps",
                  "closed_form_err"],

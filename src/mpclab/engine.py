@@ -76,7 +76,7 @@ class TerminalRule:
         system's parameter box nearest zero.  That is zero wherever the box
         holds it (the tracking, disturbance and stock-chain families); on
         ``grid`` it is the smallest inertia m_lo, since zero inertia divides
-        by zero, and on ``pendulum`` the smallest cart mass M_lo."""
+        by zero, and on ``pendulum`` the smallest cart mass, 0.4."""
         sys = instance.system
         nominal = np.clip(0.0, sys.param_box.lo, sys.param_box.hi)
         params = np.broadcast_to(nominal, instance.truth.shape)

@@ -26,11 +26,14 @@ the one read at an offset t, which a pinned continuation law answers at 0
 alone, and ``suffix(t)`` is an unpinned one's continuation from offset t,
 its tails from an array of offsets read as one padded batch.
 ``window_laws`` builds the laws of every window of a receding-horizon run
-before it starts (each a ``ContinuationLaw`` or a ``ChainLaw``) and is the
-one place that tells the problem classes apart; ``window_law`` is its case
-of one window, and ``truth_law`` gives the optimal continuation under an
-instance's true parameters, once per instance.  ``stage_costs`` prices a
-trajectory of either class.
+before it starts and is the one place that picks the solver by problem
+class: a ``ChainLaw`` for the stock chain, a ``ContinuationLaw`` otherwise.
+``window_law`` is its case of one window, and ``truth_law`` gives the
+optimal continuation under an instance's true parameters, once per
+instance.  ``stage_costs`` prices a trajectory of either class.  Outside
+this module, ``kkt.window_data``, ``kkt.measure_gain_tables``,
+``kkt._state_samples`` and ``model.Instance.terminal_cost`` read the
+family too, for what they compute, not to pick a solver.
 """
 
 from __future__ import annotations
@@ -811,12 +814,13 @@ class WindowLaws:
     def kkt_residual_max(self, starts: Array) -> float:
         """Worst KKT residual of the windows, window t solved from its
         initial state starts[t] by one batched rollout per law.  The
-        earliest window whose rollout misses its pin raises SingularKKT."""
-        worst = 0.0
-        for t, (law, w) in enumerate(self.windows):
-            if w == 0:
-                residuals = law.kkt_residuals(starts[t:t + law.W])
-                worst = max(worst, float(residuals.max()))
+        earliest window whose rollout misses its pin raises SingularKKT,
+        and a residual that is not finite raises FloatingPointError."""
+        residuals = [law.kkt_residuals(starts[t:t + law.W])
+                     for t, (law, w) in enumerate(self.windows) if w == 0]
+        worst = float(np.max(np.concatenate([[0.0], *residuals])))
+        if not math.isfinite(worst):
+            raise FloatingPointError("KKT residual of a window not finite")
         return worst
 
 
@@ -830,9 +834,9 @@ def window_laws(system, windows: Sequence, terminals) -> WindowLaws:
     call and, for linear-quadratic windows, one batched continuation law,
     which pads the windows shorter than the longest (so a run's k windows
     that reach T, of k lengths, are one batch).  The stock chain has one
-    chain law per window.  This is the one place that tells the problem
-    classes apart.  When a batch cannot be built, the windows before its
-    failing one are kept."""
+    chain law per window: this is where the solver is picked by problem
+    class.  When a batch cannot be built, the windows before its failing
+    one are kept."""
     chain = isinstance(system, InventorySystem)
 
     def final(window):

@@ -215,11 +215,12 @@ def decay_profile(wm: WindowMatrices):
     _STACK_CAP tiles (or one offset's) to a stack, and each stack is normed
     by one ``_spectral_norms`` call (as are the diagonal blocks), which
     keeps the norms of far blocks whose squares would underflow; the norms
-    fill the upper triangle and the per-offset maxima once, after the loop,
-    and the lower triangle is mirrored.  A tile's norm does not depend on
-    the stack it sits in, so the outputs do not depend on the cap.
+    are split by offset and the per-offset maxima taken once, after the
+    loop.  A tile's norm does not depend on the stack it sits in, so the
+    outputs do not depend on the cap.
 
-    Returns (norms matrix indexed by block pair, per-offset maxima, DecayFit).
+    Returns (norms by offset, per-offset maxima, DecayFit): entry i of
+    offset o is the norm of G_{i,i+o}, which is that of G_{i+o,i} too.
     Raises SingularKKT when a pivot is singular, or when the blocks miss the
     identity Upsilon G = I by more than 1e-6 in some block row (a saddle
     matrix singular to rounding, such as an unreachable pin), and
@@ -269,12 +270,8 @@ def decay_profile(wm: WindowMatrices):
     offsets = np.arange(nb)
     counts = nb - offsets
     starts = np.cumsum(counts) - counts
-    # entry i of offset o is the block pair (i, i + o)
-    rows = np.arange(len(vals)) - np.repeat(starts, counts)
-    norms = np.zeros((nb, nb))
-    norms[rows, rows + np.repeat(offsets, counts)] = vals
     maxima = np.maximum.reduceat(vals, starts)
-    return np.maximum(norms, norms.T), maxima, fit_decay(offsets, maxima)
+    return np.split(vals, starts[1:]), maxima, fit_decay(offsets, maxima)
 
 
 # ---------------------------------------------------------------------------

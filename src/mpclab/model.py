@@ -186,7 +186,6 @@ class Bounds:
     L_R: float = 0.0
     L_xbar: float = 0.0
     L_w: float = 0.0
-    L_P: float = 0.0
 
 
 class LinearQuadraticSystem:
@@ -265,8 +264,7 @@ class DisturbanceOnlySystem(LinearQuadraticSystem):
                                        R[ts], np.zeros(n)),
             terminal=lambda xi: (P_T, np.zeros(n)),
             bounds=dataclasses.replace(bounds, L_A=0.0, L_B=0.0, L_Q=0.0,
-                                       L_R=0.0, L_xbar=0.0, L_P=0.0,
-                                       D_xbar=0.0),
+                                       L_R=0.0, L_xbar=0.0, D_xbar=0.0),
             param_box=param_box)
 
 

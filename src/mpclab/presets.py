@@ -193,15 +193,12 @@ def _parametric_system(matrices, n: int, m: int, T: int,
         param_box=box)
 
 
-def pendulum_system(M_lo: float = 0.4, M_hi: float = 0.6, T: int = 30,
-                    **phys) -> LinearQuadraticSystem:
-    p = {**PENDULUM_DEFAULTS, **phys}
-    return _parametric_system(lambda M: pendulum_matrices(M, **p), 4, 1, T,
-                              ParamBox(np.array([M_lo]), np.array([M_hi])))
-
-
 def pendulum(T: int = 30, seed: int = 0, M: float = 0.5) -> Instance:
-    system = pendulum_system(T=T)
+    """The cart mass is the parameter, over the box [0.4, 0.6]; the truth
+    is M at every step."""
+    system = _parametric_system(
+        lambda mass: pendulum_matrices(mass, **PENDULUM_DEFAULTS), 4, 1, T,
+        ParamBox(np.array([0.4]), np.array([0.6])))
     truth = np.full((T + 1, 1), M)
     x0 = np.array([0.1, 0.0, 0.05, 0.0])
     return Instance(system, truth, x0, seed=seed)
@@ -240,18 +237,16 @@ def grid_matrices(m_val, *, L: Array, D: Array,
     return np.eye(2 * n) + delta * Ahat, delta * Bhat
 
 
-def grid_system(n_nodes=GRID_DEFAULTS["n_nodes"], delta=GRID_DEFAULTS["delta"],
-                m_lo=GRID_DEFAULTS["m_lo"], m_hi=GRID_DEFAULTS["m_hi"],
-                T: int = 30) -> LinearQuadraticSystem:
-    L = path_laplacian(n_nodes)
-    D = np.eye(n_nodes)
-    return _parametric_system(
-        lambda m_val: grid_matrices(m_val, L=L, D=D, delta=delta),
-        2 * n_nodes, n_nodes, T, ParamBox(np.array([m_lo]), np.array([m_hi])))
-
-
-def grid(T: int = 30, seed: int = 0, n_nodes: int = 3) -> Instance:
-    system = grid_system(n_nodes=n_nodes, T=T)
+def grid(T: int = 30, seed: int = 0,
+         n_nodes: int = GRID_DEFAULTS["n_nodes"]) -> Instance:
+    """The shared inertia is the parameter, over GRID_DEFAULTS' box
+    [m_lo, m_hi]; the truth is drawn uniformly over it from the seed."""
+    d = GRID_DEFAULTS
+    L, D = path_laplacian(n_nodes), np.eye(n_nodes)
+    system = _parametric_system(
+        lambda m_val: grid_matrices(m_val, L=L, D=D, delta=d["delta"]),
+        2 * n_nodes, n_nodes, T,
+        ParamBox(np.array([d["m_lo"]]), np.array([d["m_hi"]])))
     rng = np.random.default_rng(seed)
     truth = rng.uniform(system.param_box.lo, system.param_box.hi,
                         size=(T + 1, 1))

@@ -1,7 +1,7 @@
 """Dynamic-regret accounting: hindsight-optimal baselines, explicit-constant
-regret inequalities, the per-step error bound and its admission check,
-aggregate error budgets, and horizon/noise sweeps.  Every bound reads its
-constants (k, R, C3 and the envelopes) from one ``kkt.GainTables``.
+regret inequalities, the per-step error bound and its admission check, and
+horizon/noise sweeps.  Every bound reads its constants (k, R, C3 and the
+envelopes) from one ``kkt.GainTables``.
 """
 
 from __future__ import annotations
@@ -49,31 +49,6 @@ def regret_inequalities(run: engine.TrajectoryRecord,
             Check("distance", run.distances, rhs + tol))
 
 
-def _rho_offsets(rho_table: Array, k: int) -> Array:
-    """Columns tau = 0..min(k, T) of a (T+1, .) table of forecast-error
-    magnitudes: what a window of length k reads, since no offset past T
-    has a forecast.  A table with fewer columns raises ValueError."""
-    rho_table = np.asarray(rho_table, float)
-    K = min(k, len(rho_table) - 1) + 1
-    if rho_table.ndim != 2 or rho_table.shape[1] < K:
-        raise ValueError("error magnitudes must cover offsets 0..min(k, T)")
-    return rho_table[:, :K]
-
-
-def aggregate_E(rho_table: Array, tables: kkt.GainTables) -> float:
-    """Aggregate forecast-error budget at the window k of the gain tables:
-    sum_{tau<k} (gain_state + gain_param)(tau) P(tau)
-    + (gain_state(k)^2 + gain_param(k)^2) T, where P(tau) = sum_t
-    rho(t, tau)^2 is a column sum of squares of the (T+1, .) table of
-    forecast-error magnitudes (``PredictionStream.rho_table``)."""
-    k, gain_state, gain_param = tables.k, tables.gain_state, tables.gain_param
-    rho = _rho_offsets(rho_table, k)
-    T = rho.shape[0] - 1
-    power = np.sum(rho[:, :k] ** 2, axis=0)
-    acc = (gain_state[:power.size] + gain_param[:power.size]) @ power
-    return float(acc + (gain_state[k] ** 2 + gain_param[k] ** 2) * T)
-
-
 def per_step_error_bound_rhs(rho_table: Array, tables: kkt.GainTables,
                              D_xstar: float) -> Array:
     """Right-hand sides rhs_t, t = 0..T-1, of the per-step error bound of a
@@ -85,13 +60,17 @@ def per_step_error_bound_rhs(rho_table: Array, tables: kkt.GainTables,
     with R, C3 and the envelopes read from the tables, and rho the (T+1, .)
     table of forecast-error magnitudes (``PredictionStream.rho_table``),
     whose offsets beyond T carry no error.  The truncation term applies
-    only while the window is shorter than the remaining horizon.
+    only while the window is shorter than the remaining horizon.  A table
+    with fewer than min(k, T) + 1 columns raises ValueError.
     """
     k, R, C3 = tables.k, tables.R, tables.C3
-    rho = _rho_offsets(rho_table, k)
-    T, K = rho.shape[0] - 1, rho.shape[1]
+    rho = np.asarray(rho_table, float)
+    T = len(rho) - 1
+    K = min(k, T) + 1   # no offset past T has a forecast
+    if rho.ndim != 2 or rho.shape[1] < K:
+        raise ValueError("error magnitudes must cover offsets 0..min(k, T)")
     weights = (R / C3 + D_xstar) * tables.gain_state + tables.gain_param
-    rhs = rho[:T] @ weights[:K]
+    rhs = rho[:T, :K] @ weights[:K]
     rhs[:max(T - k, 0)] += 2.0 * R * weights[k]
     return rhs
 

@@ -445,6 +445,26 @@ class TestCertifications:
         assert (body.splitlines()[2]
                 == "p,eps,h,diff,diff_minus_eps,closed_form_err")
 
+    def test_inventory_suite_non_finite_deviation_exits_3(
+            self, runner, tmp_path, monkeypatch):
+        # a NaN closed form at h = 2 makes that row's closed_form_err NaN,
+        # which a Python max over the row would drop (exit 0 with
+        # worst_deviation=2.78e-17)
+        closed_form = presets.two_sided_closed_form
+
+        def nan_at_h2(p, eps):
+            states = np.array(closed_form(p, eps), float)
+            states[1] = np.nan
+            return states
+
+        monkeypatch.setattr(presets, "two_sided_closed_form", nan_at_h2)
+        res = runner.invoke(cli.main, ["inventory-suite", "--p", "4",
+                                       "--out", str(tmp_path / "nan")])
+        assert res.exit_code == 3, res.output
+        assert res.stderr == ("solver failure: closed-form deviation not "
+                              "finite\n")
+        assert not (tmp_path / "nan").exists()
+
     def test_inventory_suite_eps_out_of_reach(self, runner, tmp_path):
         # a pin of -2/5 - 5 lies below what four steps of at least -0.8
         # reach from 0 inside [-1, 1]: a configuration error naming the
@@ -777,7 +797,6 @@ class TestLibrarySurface:
                 (regret.per_step_error_bound_rhs, ["rho_table", "tables",
                                                    "D_xstar"]),
                 (regret.pipeline_admission_check, ["rhs", "tables", "L_g"]),
-                (regret.aggregate_E, ["rho_table", "tables"]),
                 (regret.regret_inequalities, ["run", "opt", "ell", "L_g",
                                               "tables"])):
             assert list(inspect.signature(fn).parameters) == params, fn
@@ -800,9 +819,10 @@ class TestLibrarySurface:
         assert model.InventorySystem.include_terminal_stage is True
 
     def test_one_answer_per_family_question(self):
-        # a system's family is its class, one function dispatches on it,
-        # instances are built in presets alone, and one function prices a
-        # trajectory
+        # a system's family is its class, one function picks the solver
+        # by it (ftocp.window_laws; kkt's analyses and an instance's
+        # terminal cost read it too), instances are built in presets
+        # alone, and one function prices a trajectory
         for cls in (model.LinearQuadraticSystem, model.DisturbanceOnlySystem,
                     model.InventorySystem):
             assert not hasattr(cls, "kind"), cls

@@ -412,6 +412,24 @@ class TestRunFailures:
                            match="singular R \\+ B'PB at step 8$"):
             engine.run_mpc(inst, stream, 4, TerminalRule("zero"))
 
+    def test_non_finite_residual_raises(self):
+        # the windows from steps 6 .. 9 are one law; a NaN start in it
+        # makes that law's residuals NaN, which a Python max would drop,
+        # leaving the worst residual of the other law (2.5e-16 with the
+        # starts below, 3.6e-17 without this law)
+        inst = presets.disturbance(T=10)
+        rule = TerminalRule("zero")
+        laws = ftocp.window_laws(
+            inst.system, [(t, inst.truth[t:min(t + 4, 10) + 1])
+                          for t in range(10)],
+            lambda t2, xi: rule.build(inst, t2, xi))
+        starts = np.zeros((10, inst.system.n))
+        starts[8:] = 1.0
+        assert 0.0 < laws.kkt_residual_max(starts) < 1e-12
+        starts[8, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="not finite"):
+            laws.kkt_residual_max(starts)
+
 
 class TestPerInstance:
     """The truth law and the hindsight optimum are built once per instance

@@ -148,11 +148,8 @@ class TestPredictionStream:
         rho = stream.rho_table
         k4, k5 = (gain_tables(np.ones(k + 1), np.ones(k + 1)) for k in (4, 5))
         assert regret.per_step_error_bound_rhs(rho, k4, 0.0).shape == (10,)
-        assert regret.aggregate_E(rho, k4) > 0.0
         with pytest.raises(ValueError):
             regret.per_step_error_bound_rhs(rho, k5, 0.0)
-        with pytest.raises(ValueError):
-            regret.aggregate_E(rho, k5)
 
     def test_rescaled_magnitudes_keep_directions(self):
         base = np.zeros((6, 2))

@@ -154,11 +154,6 @@ class TestPendulum:
                 M, **presets.PENDULUM_DEFAULTS)
             assert det == pytest.approx(closed, rel=1e-8)
 
-    def test_point_parameter_box_zero_lipschitz(self):
-        sys = presets.pendulum_system(M_lo=0.5, M_hi=0.5, T=10)
-        assert sys.bounds.L_A == 0.0
-        assert sys.bounds.L_B == 0.0
-
     def test_declared_bounds_validate(self):
         inst = presets.pendulum(T=10)
         assert holds(inst.system, *box_grid(inst.system))

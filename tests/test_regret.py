@@ -1,4 +1,4 @@
-"""Regret accounting, aggregate error budgets, and sweeps."""
+"""Regret accounting and sweeps."""
 
 import dataclasses
 
@@ -125,40 +125,6 @@ class TestRegretInequalities:
         with pytest.raises(ValueError):
             regret.regret_inequalities(opt, opt, 2.0, 1.0,
                                        gain_tables(gain_init=np.ones(3)))
-
-
-class TestAggregateBudget:
-    def test_geometric_closed_form(self):
-        k, T, lam, p0 = 6, 30, 0.4, 0.7
-        gp = lam ** np.arange(k + 1)
-        gs = np.zeros(k + 1)
-        rho = np.zeros((T + 1, k + 1))
-        rho[0] = np.sqrt(p0)   # P(tau) = p0 at every offset
-        E = regret.aggregate_E(rho, gain_tables(gs, gp))
-        expected = p0 * (1 - lam ** k) / (1 - lam) + lam ** (2 * k) * T
-        assert E == pytest.approx(expected, rel=1e-12)
-
-    def test_constant_stream_budget(self):
-        # a constant magnitude c has P(tau) = (T + 1 - tau) c^2 for tau >= 1,
-        # and a window longer than the horizon reads offsets 0..T only
-        T, c = 5, 0.3
-        rng = np.random.default_rng(1)
-        gs, gp = rng.uniform(0.0, 1.0, size=(2, 9))
-        for k in (3, 5, 8):
-            rho = PredictionStream(np.zeros((T + 1, 1)), min(k, T),
-                                   c).rho_table
-            expected = sum((gs[tau] + gp[tau]) * (T + 1 - tau) * c ** 2
-                           for tau in range(1, min(k, T + 1)))
-            expected += (gs[k] ** 2 + gp[k] ** 2) * T
-            assert regret.aggregate_E(
-                rho, gain_tables(gs[:k + 1], gp[:k + 1])) == pytest.approx(
-                    expected, rel=1e-13)
-
-    def test_validation(self):
-        # a magnitude table shorter than the window of the tables
-        with pytest.raises(ValueError):
-            regret.aggregate_E(np.zeros((11, 3)),
-                               gain_tables(np.zeros(5), np.zeros(5)))
 
 
 class TestSweeps:
