@@ -586,11 +586,8 @@ class ChainLaw:
 
     def _actions(self, states: list) -> list:
         """The actions between consecutive states, clipped to the action
-        bounds as np.clip clips them (to u_lo on a tie of signed zeros
-        when there is no upper bound)."""
+        bounds as np.clip clips them."""
         lo, hi = self.system.u_lo, self.system.u_hi
-        if hi is None:
-            return [max(lo, b - a) for a, b in zip(states, states[1:])]
         return [min(max(b - a, lo), hi) for a, b in zip(states, states[1:])]
 
     def _check(self, t: int, x: Array) -> float:
@@ -599,10 +596,10 @@ class ChainLaw:
         only if its straight line is.  Raises Infeasible otherwise."""
         sys, K, step = self.system, self.T - t, self.t1 + t
         z = float(np.atleast_1d(x)[0])
-        u_hi = np.inf if sys.u_hi is None else sys.u_hi
         if K == 0 and abs(z - self.pin) > 1e-9:
             raise Infeasible("empty window cannot move the state", step)
-        if K and not sys.u_lo - 1e-12 <= (self.pin - z) / K <= u_hi + 1e-12:
+        if K and not (sys.u_lo - 1e-12 <= (self.pin - z) / K
+                      <= sys.u_hi + 1e-12):
             raise Infeasible("terminal state unreachable under action bounds",
                              step)
         if K and not (sys.x_lo - 1e-12 <= min(z, self.pin)
@@ -614,10 +611,9 @@ class ChainLaw:
         """Optimal states from offset t to stop: each next state minimizes
         gam (y - x)^2 + V(y) over dom V, clipped to the action bounds."""
         sys, states = self.system, [x]
-        u_hi = np.inf if sys.u_hi is None else sys.u_hi
         for knots, slope, icpt in self.pieces[t + 1:stop + 1]:
             alpha, beta = _descent(knots, slope, icpt, sys.action_weight, x)
-            y = min(max(alpha * x + beta, x + sys.u_lo), x + u_hi)
+            y = min(max(alpha * x + beta, x + sys.u_lo), x + sys.u_hi)
             x = min(max(y, knots[0]), knots[-1])
             states.append(x)
         return states
@@ -637,8 +633,7 @@ class ChainLaw:
             a = lo + dev[s] - (inf if s == 0 or x <= sys.x_lo + tol else 0.0)
             b = hi + dev[s] + (inf if s == 0 or x >= sys.x_hi - tol else 0.0)
             lo = gam * u - (inf if u <= sys.u_lo + tol else 0.0)
-            hi = gam * u + (inf if sys.u_hi is not None
-                            and u >= sys.u_hi - tol else 0.0)
+            hi = gam * u + (inf if u >= sys.u_hi - tol else 0.0)
             lo, hi = min(max(a, lo), hi), max(min(b, hi), lo)
             bands.append((lo, hi))      # interval of eta_{s+1}
         eta = [0.0] * (K + 1)
@@ -656,12 +651,11 @@ class ChainLaw:
         state v, zero iff v is feasible and its multiplier l complementary.
         The entries are floats, taken in this order into one norm."""
         sys, gam, eta = self.system, self.system.action_weight, duals
-        u_hi = np.inf if sys.u_hi is None else sys.u_hi
         dev = [x - r for x, r in zip(states, self.targets)]
         rows = [dev[0] + eta[0] - eta[1]] if len(actions) else []
         rows += [b - a - u for a, b, u in zip(states, states[1:], actions)]
         rows.append(states[-1] - self.pin)
-        rows += [u - min(max(u + (e - gam * u), sys.u_lo), u_hi)
+        rows += [u - min(max(u + (e - gam * u), sys.u_lo), sys.u_hi)
                  for u, e in zip(actions, eta[1:])]
         rows += [x - min(max(x + (e2 - e1 - d), sys.x_lo), sys.x_hi)
                  for x, d, e1, e2 in zip(states[1:-1], dev[1:-1], eta[1:],
@@ -692,8 +686,7 @@ def _chain_step(system: InventorySystem, nxt, r: float):
     knot or domain end b; each interval between candidate breakpoints takes
     the case of its midpoint, and equal adjacent pieces are merged."""
     knots, slope, icpt = nxt
-    gam, u_lo = system.action_weight, system.u_lo
-    u_hi = np.inf if system.u_hi is None else system.u_hi
+    gam, u_lo, u_hi = system.action_weight, system.u_lo, system.u_hi
     lo = max(system.x_lo, knots[0] - u_hi)
     hi = min(system.x_hi, knots[-1] - u_lo)
     if hi <= lo:

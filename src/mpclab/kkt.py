@@ -214,10 +214,10 @@ def decay_profile(wm: WindowMatrices):
     of an n x b tile.  The tiles of consecutive offsets are stacked, at most
     _STACK_CAP tiles (or one offset's) to a stack, and each stack is normed
     by one ``_spectral_norms`` call (as are the diagonal blocks), which
-    keeps the norms of far blocks whose squares would underflow; the norms
-    are split by offset and the per-offset maxima taken once, after the
-    loop.  A tile's norm does not depend on the stack it sits in, so the
-    outputs do not depend on the cap.
+    keeps the norms of far blocks whose squares would underflow, into one
+    array at their offsets' slice; it is split by offset and the per-offset
+    maxima taken once, after the loop.  A tile's norm does not depend on
+    the stack it sits in, so the outputs do not depend on the cap.
 
     Returns (norms by offset, per-offset maxima, DecayFit): entry i of
     offset o is the norm of G_{i,i+o}, which is that of G_{i+o,i} too.
@@ -258,15 +258,16 @@ def decay_profile(wm: WindowMatrices):
     R = np.linalg.qr(C_mu, mode="r")
     step = np.take_along_axis(C_mu, mu_cols[:-1, :, None], axis=1)
     Y = np.take_along_axis(diag, mu_cols[:, :, None], axis=1)[1:]
-    vals, held, tiles = [_spectral_norms(diag)], 0, []
+    vals = np.empty(nb * (nb + 1) // 2)    # the norms, offset by offset
+    vals[:nb] = _spectral_norms(diag)
+    done, held, tiles = nb, 0, []
     for off in range(1, nb):   # Y[i] = Y_{i+1,i+off}
         tiles.append(R[:nb - off] @ Y)
         held += nb - off
         Y = step[1:nb - off] @ Y[1:]
         if off == nb - 1 or held + len(Y) > _STACK_CAP:
-            vals.append(_spectral_norms(np.concatenate(tiles)))
-            held, tiles = 0, []
-    vals = np.concatenate(vals)
+            vals[done:done + held] = _spectral_norms(np.concatenate(tiles))
+            done, held, tiles = done + held, 0, []
     offsets = np.arange(nb)
     counts = nb - offsets
     starts = np.cumsum(counts) - counts

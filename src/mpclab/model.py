@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import numbers
 import weakref
 from typing import Callable
 
@@ -49,6 +50,14 @@ class ParamBox:
 def _read_only(a: Array) -> Array:
     a.flags.writeable = False
     return a
+
+
+def _check_seed(seed) -> None:
+    """Raise ModelError unless the seed is a nonnegative integer: a Python
+    or numpy int, not a bool or a float."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise ModelError(f"seed must be a nonnegative integer, not {seed!r}")
 
 
 def _row_norms(X: Array) -> Array:
@@ -272,20 +281,20 @@ class DisturbanceOnlySystem(LinearQuadraticSystem):
 class InventorySystem:
     """Scalar stock-tracking chain: x_{t+1} = x_t + u_t, x in [-1, 1].
 
-    The action constraint is one-sided (u >= u_lo) when u_hi is None, else
-    two-sided.  The stage cost of the final state enters the reported
-    objective value (``include_terminal_stage``).  ``action_weight``
-    adds a smooth action cost action_weight * u^2 per step (still convex and
-    smooth, strongly convex in the state).  Systems are hashed and compared
-    by identity, so that ``ftocp`` keeps the backward steps of each system's
-    chain laws while the system lives.  The parameter of a step is its
-    target, and the parameter box is the state interval [x_lo, x_hi].
+    The action bounds are u_lo <= u <= u_hi, one-sided when u_hi is +inf.
+    The stage cost of the final state enters the reported objective value
+    (``include_terminal_stage``).  ``action_weight`` adds a smooth action
+    cost action_weight * u^2 per step (still convex and smooth, strongly
+    convex in the state).  Systems are hashed and compared by identity, so
+    that ``ftocp`` keeps the backward steps of each system's chain laws
+    while the system lives.  The parameter of a step is its target, and the
+    parameter box is the state interval [x_lo, x_hi].
     """
 
     T: int
     targets: Array
     u_lo: float = -0.8
-    u_hi: float | None = 0.8
+    u_hi: float = 0.8
     x_lo: float = -1.0
     x_hi: float = 1.0
     action_weight: float = 0.0
@@ -301,7 +310,7 @@ class InventorySystem:
         if targets.shape[0] != self.T + 1:
             raise ModelError("need one target per step 0..T")
         object.__setattr__(self, "targets", targets)
-        if self.u_hi is not None and self.u_hi < self.u_lo:
+        if not self.u_lo <= self.u_hi:
             raise ModelError("empty action interval")
         if self.action_weight < 0:
             raise ModelError("action weight must be nonnegative")
@@ -338,8 +347,9 @@ class Instance:
     ``truth[t]`` is the true parameter of step t, a read-only (T+1, p)
     array built from any sequence of T+1 parameter vectors, which must lie
     in the parameter box of the system; ``x0`` and
-    ``terminal_param`` are read-only copies too.  Instances are hashed and
-    compared by identity: ``dataclasses.replace`` makes a new one.
+    ``terminal_param`` are read-only copies too.  The seed, which draws the
+    forecast streams of a run, is a nonnegative integer.  Instances are
+    hashed and compared by identity: ``dataclasses.replace`` makes a new one.
     """
 
     system: object
@@ -349,6 +359,7 @@ class Instance:
     terminal_param: Array | None = None
 
     def __post_init__(self):
+        _check_seed(self.seed)
         truth = np.array(self.truth, float)
         if truth.ndim != 2 or truth.shape[0] != self.T + 1:
             raise ModelError("need one parameter vector per step 0..T")

@@ -12,7 +12,7 @@ import numpy as np
 from . import ftocp
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     LinearQuadraticSystem, ModelError, ParamBox, TerminalCost,
-                    _row_norms)
+                    _check_seed, _row_norms)
 
 Array = np.ndarray
 
@@ -114,13 +114,9 @@ def disturbance(T: int = 60, seed: int = 0) -> Instance:
 # stock chains
 # ---------------------------------------------------------------------------
 
-def _alternating_targets(T: int) -> Array:
-    return np.array([4.0 / 5.0 if t % 2 else -4.0 / 5.0
-                     for t in range(T + 1)])
-
-
-def _inventory_instance(T: int, u_hi: float | None, seed: int) -> Instance:
-    targets = _alternating_targets(T)
+def _inventory_instance(T: int, u_hi: float, seed: int) -> Instance:
+    targets = np.array([4.0 / 5.0 if t % 2 else -4.0 / 5.0
+                        for t in range(T + 1)])
     system = InventorySystem(T=T, targets=targets, u_lo=-0.8, u_hi=u_hi)
     terminal = np.array([2.0 / 5.0 if T % 2 else -2.0 / 5.0])
     return Instance(system, targets[:, None], np.zeros(1), seed=seed,
@@ -132,7 +128,7 @@ def inventory_two_sided(T: int = 8, seed: int = 0) -> Instance:
 
 
 def inventory_one_sided(T: int = 12, seed: int = 0) -> Instance:
-    return _inventory_instance(T, None, seed)
+    return _inventory_instance(T, np.inf, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +255,6 @@ def grid(T: int = 30, seed: int = 0,
 # stock-chain studies
 # ---------------------------------------------------------------------------
 
-def _chain_window(p: int, u_hi: float | None):
-    targets = _alternating_targets(p)
-    system = InventorySystem(T=p, targets=targets, u_lo=-0.8, u_hi=u_hi)
-    params = [np.array([v]) for v in targets]
-    return system, params
-
-
 def two_sided_closed_form(p: int, eps: float) -> Array:
     """Optimal interior/terminal states of the alternating two-sided chain
     with the perturbed terminal pin: 2/5 + eps at odd steps, -2/5 + eps at
@@ -297,17 +286,17 @@ def inventory_counterexample_suite(ps=(4, 5, 6, 7, 8),
     """
     rows = []
     for p in ps:
-        base = -2.0 / 5.0 if p % 2 == 0 else 2.0 / 5.0
+        inst = inventory_two_sided(T=p)
+        system, base = inst.system, float(inst.terminal_param[0])
         eps_p = 2.0 / (5.0 * (p - 1)) if p % 2 == 0 else 2.0 / (5.0 * p)
         eps_p = eps_p if eps is None else float(eps)
-        system, params = _chain_window(p, u_hi=0.8)
         lo = max(system.x_lo, p * system.u_lo) - base
         hi = min(system.x_hi, p * system.u_hi) - base
         if not lo <= eps_p <= hi:
             raise ModelError(f"eps = {eps_p:.6g} moves the pin of p = {p} out "
                              f"of reach: need {lo:.6g} <= eps <= {hi:.6g}")
         sol0, sol1 = (
-            ftocp.window_law(system, params, TerminalCost.indicator([pin]))
+            ftocp.window_law(system, inst.truth, TerminalCost.indicator([pin]))
             .solution(np.zeros(1)) for pin in (base, base + eps_p))
         closed = two_sided_closed_form(p, eps_p)
         for h in range(1, p + 1):
@@ -335,7 +324,8 @@ def build_instance(desc: dict, T: int | None = None,
                    seed: int | None = None) -> Instance:
     """Construct an instance from a description dict (or file contents):
     ``desc["kind"]`` names the preset and the other keys are its arguments.
-    T and seed override the description when given."""
+    T and seed override the description when given.  The seed is checked
+    first, since a preset may draw from it before its instance checks it."""
     desc = dict(desc)
     if T is not None:
         desc["T"] = T
@@ -345,6 +335,8 @@ def build_instance(desc: dict, T: int | None = None,
     if kind not in PRESETS:
         raise ModelError(f"unknown instance kind {kind!r}; "
                          f"available: {sorted(PRESETS)}")
+    if "seed" in desc:
+        _check_seed(desc["seed"])
     return PRESETS[kind](**desc)
 
 

@@ -104,8 +104,8 @@ def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,
     minimize sum_{t=0}^{p-1} (x_t - targets[t])^2
              + action_weight * sum (x_{t+1} - x_t)^2
     over x_1..x_{p-1} with x_0 = z, x_p = target_terminal,
-    x in [x_lo, x_hi] and u_lo <= x_{t+1} - x_t <= u_hi (u_hi may be None
-    for one-sided).  Returns the full state sequence x_0..x_p.
+    x in [x_lo, x_hi] and u_lo <= x_{t+1} - x_t <= u_hi (u_hi = inf for
+    one-sided).  Returns the full state sequence x_0..x_p.
     """
     targets = np.asarray(targets, float)
     p = targets.shape[0]
@@ -125,7 +125,7 @@ def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,
         return lambda xf: full(xf)[t + 1] - full(xf)[t] - u_lo
 
     cons.extend({"type": "ineq", "fun": make_lo(t)} for t in range(p))
-    if u_hi is not None:
+    if u_hi < np.inf:
         def make_hi(t):
             return lambda xf: u_hi - (full(xf)[t + 1] - full(xf)[t])
 
@@ -149,7 +149,7 @@ def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,
 
 # The stock chain's reads of a primal solution on numpy arrays: the chain
 # law reads them on Python floats and must agree bit for bit.  ``sys`` has
-# the bounds u_lo, u_hi (None when one-sided), x_lo, x_hi and the
+# the bounds u_lo, u_hi (+inf when one-sided), x_lo, x_hi and the
 # action_weight of the chain; ``targets`` are r_s from the first state on.
 
 def chain_actions(sys, states):
@@ -169,8 +169,7 @@ def chain_duals(sys, targets, states, actions):
         a = lo + dev[s] - (inf if s == 0 or x <= sys.x_lo + tol else 0.0)
         b = hi + dev[s] + (inf if s == 0 or x >= sys.x_hi - tol else 0.0)
         lo = gam * u - (inf if u <= sys.u_lo + tol else 0.0)
-        hi = gam * u + (inf if sys.u_hi is not None
-                        and u >= sys.u_hi - tol else 0.0)
+        hi = gam * u + (inf if u >= sys.u_hi - tol else 0.0)
         lo, hi = min(max(a, lo), hi), max(min(b, hi), lo)
         bands.append((lo, hi))
     eta = np.empty(K + 1)
@@ -187,13 +186,12 @@ def chain_kkt_residual(sys, targets, pin, states, actions, duals):
     the natural residuals of the action and state bounds, in this order."""
     eta, x = np.ravel(duals), states[1:-1]
     dev = states - targets
-    u_hi = np.inf if sys.u_hi is None else sys.u_hi
     ell = eta[1:] - sys.action_weight * actions
     m = eta[2:] - eta[1:-1] - dev[1:-1]
     return float(np.linalg.norm(np.concatenate([
         dev[:1] + eta[:1] - eta[1:2], np.diff(states) - actions,
         states[-1:] - pin,
-        actions - np.clip(actions + ell, sys.u_lo, u_hi),
+        actions - np.clip(actions + ell, sys.u_lo, sys.u_hi),
         x - np.clip(x + m, sys.x_lo, sys.x_hi)])))
 
 

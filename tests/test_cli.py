@@ -135,6 +135,36 @@ class TestConfigErrors:
         assert res.exit_code == 2
         assert "horizon T must be >= 1" in res.output
 
+    @pytest.mark.parametrize("args,desc", [
+        (["solve", "--preset", "pendulum", "--seed", "-1"], None),
+        (["mpc", "--preset", "inventory-two-sided", "--seed", "-1",
+          "--noise-scale", "0.1"], None),
+        (["sweep-horizon", "--preset", "inventory-two-sided", "--T", "8",
+          "--k", "4", "--seed", "-1"], None),
+        (["sweep-horizon", "--preset", "pendulum", "--T", "10", "--k", "5",
+          "--seed", "-1"], None),
+        (["constants", "--preset", "pendulum", "--seed", "-3", "--k", "5"],
+         None),
+        # the grid preset draws its truth from the seed
+        (["mpc", "--preset", "grid", "--T", "10", "--seed", "-1"], None),
+        (["certify-decay", "--preset", "pendulum", "--T", "10", "--seed",
+          "-1"], None),
+        (["constants"], {"kind": "pendulum", "T": 10, "seed": 2.5}),
+        (["solve"], {"kind": "disturbance", "T": 10, "seed": True})],
+        ids=["solve", "chain-mpc", "chain-sweep", "sweep", "constants",
+             "grid-mpc", "certify-decay", "file-float", "file-bool"])
+    def test_invalid_seed_exits_2(self, runner, tmp_path, args, desc):
+        # the seed is checked before any generator reads it, on every
+        # command, from an option or from an instance file
+        if desc is not None:
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps(desc))
+            args = args + ["--instance", str(path)]
+        res = runner.invoke(cli.main, args + ["--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert "seed must be a nonnegative integer" in res.output
+        assert not (tmp_path / "out").exists()
+
     def test_chain_of_one_step_runs(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["mpc", "--preset",
                                        "inventory-two-sided", "--T", "1",

@@ -209,6 +209,16 @@ def test_zero_terminal_with_zero_last_action_weight_is_singular():
         engine.solve_opt(inst)
 
 
+def test_solution_reads_a_law_of_one_window():
+    rng = np.random.default_rng(0)
+    system = random_system(rng, 2, 1, 4)
+    params = [np.zeros(1)] * 5
+    law = ftocp.continuation_law(system, [params, params[1:]],
+                                 TerminalCost.zero(2), [0, 1])
+    with pytest.raises(ValueError, match="law of one window"):
+        law.solution(np.zeros(2))
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "zero", "indicator"])
 def test_kkt_residual_matches_dense_saddle_residual(kind):
     rng = np.random.default_rng(4)

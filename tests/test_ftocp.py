@@ -178,12 +178,12 @@ class TestChainSolver:
     def test_one_sided_with_action_cost_matches_oracle(self):
         T = 8
         targets = ALTERNATING(T)
-        system = InventorySystem(T=T, targets=targets, u_hi=None,
+        system = InventorySystem(T=T, targets=targets, u_hi=np.inf,
                                  action_weight=1.5)
         params = [np.array([v]) for v in targets]
         sol = ftocp.window_law(system, params, TerminalCost.indicator(
             [-0.4])).solution(np.array([0.0]))
-        xo = oracles.inventory_oracle(0.0, targets[:T], -0.4, -0.8, None,
+        xo = oracles.inventory_oracle(0.0, targets[:T], -0.4, -0.8, np.inf,
                                       action_weight=1.5)
         assert np.allclose(sol.states[:, 0], xo, atol=1e-6)
 
@@ -257,7 +257,7 @@ class TestChainSolver:
         # action bound is active
         ([0.8, 1.2, 0.7, -0.45, 0.08, 1.08, -1.39, -1.41, -1.5, -1.4, 0.12],
          -1.0, -1.0, [-1.0] * 11, slice(None),
-         {"u_lo": 0.0, "u_hi": None, "action_weight": 2.0}),
+         {"u_lo": 0.0, "u_hi": np.inf, "action_weight": 2.0}),
         # x_1 = -0.65 - 0.2 rounds to -0.8500000000000001, so the state
         # difference to the pin is 0.20000000000000007: the action is u_hi
         ([0.0, -1.0, 0.0], -0.8, -0.65, [-0.8, -0.85, -0.65], 2,
@@ -274,7 +274,7 @@ class TestChainSolver:
                               np.array(states)[on_bounds])
         assert np.allclose(sol.states[:, 0], states, rtol=0.0, atol=1e-15)
         assert np.all(sol.actions >= system.u_lo)
-        assert system.u_hi is None or np.all(sol.actions <= system.u_hi)
+        assert np.all(sol.actions <= system.u_hi)
         assert sol.kkt_residual <= 1e-15
 
     def test_window_ends_on_its_pin(self):
@@ -369,7 +369,7 @@ CHAIN_VALUES = st.one_of(st.sampled_from(TIES), st.floats(-1.0, 1.0))
 
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(2, 8),
-       u_hi=st.one_of(st.none(), st.just(0.8), st.floats(0.2, 1.2)),
+       u_hi=st.one_of(st.just(np.inf), st.just(0.8), st.floats(0.2, 1.2)),
        action_weight=st.sampled_from([0.0, 0.5, 2.0]),
        z=CHAIN_VALUES, target=CHAIN_VALUES, data=st.data())
 def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
@@ -377,7 +377,7 @@ def test_chain_solver_matches_oracle(K, u_hi, action_weight, z, target,
     u_lo = -0.8
     # only windows whose straight line from z to the target is feasible
     step = (target - z) / K
-    assume(step >= u_lo and (u_hi is None or step <= u_hi))
+    assume(u_lo <= step <= u_hi)
     targets = np.array(data.draw(st.lists(
         st.one_of(st.sampled_from(TIES), st.floats(-1.5, 1.5)),
         min_size=K + 1, max_size=K + 1)))
@@ -438,7 +438,7 @@ NEAR_BOUNDS = st.builds(lambda b, d: b + d, st.sampled_from([-1.0, 1.0]),
 
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(1, 8),
-       u_hi=st.one_of(st.none(), st.just(0.8), st.floats(0.2, 1.2)),
+       u_hi=st.one_of(st.just(np.inf), st.just(0.8), st.floats(0.2, 1.2)),
        action_weight=st.sampled_from([0.0, 0.5, 2.0]),
        z=st.one_of(CHAIN_VALUES, NEAR_BOUNDS),
        target=st.one_of(CHAIN_VALUES, NEAR_BOUNDS), data=st.data())
@@ -450,7 +450,7 @@ def test_chain_float_reads_match_numpy_oracles(K, u_hi, action_weight, z,
     # 1e-12 of a state bound, where the multipliers' bound tolerance decides
     u_lo = -0.8
     step = (target - z) / K
-    assume(step >= u_lo - 1e-12 and (u_hi is None or step <= u_hi + 1e-12))
+    assume(u_lo - 1e-12 <= step <= u_hi + 1e-12)
     targets = np.array(data.draw(st.lists(
         st.one_of(st.sampled_from(TIES), st.floats(-1.5, 1.5)),
         min_size=K + 1, max_size=K + 1)))

@@ -173,6 +173,11 @@ class TestPredictionStream:
             with pytest.raises(ModelError):
                 PredictionStream(base, 4, rho, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_horizon_below_one_rejected(self, k):
+        with pytest.raises(ModelError, match="horizon k must be >= 1"):
+            PredictionStream(np.zeros((11, 1)), k, 0.1, seed=0)
+
     @pytest.mark.parametrize("shape", [(11, 4), (10, 5), (11, 5, 1), (5,)])
     def test_table_of_other_shape_rejected(self, shape):
         with pytest.raises(ModelError):
@@ -357,6 +362,39 @@ class TestInstances:
         with pytest.raises(ModelError):
             InventorySystem(T=2, targets=np.zeros(3), action_weight=-1.0)
 
+    @pytest.mark.parametrize("u_lo,u_hi", [(0.5, 0.4), (-0.8, np.nan)])
+    def test_inventory_rejects_empty_action_interval(self, u_lo, u_hi):
+        with pytest.raises(ModelError, match="empty action interval"):
+            InventorySystem(T=2, targets=np.zeros(3), u_lo=u_lo, u_hi=u_hi)
+
+    def test_inventory_absent_upper_bound_is_inf(self):
+        # a one-sided chain has u_hi = +inf, and None is no bound
+        sys_ = presets.build_preset("inventory-one-sided").system
+        assert sys_.u_hi == np.inf
+        with pytest.raises(TypeError):
+            InventorySystem(T=2, targets=np.zeros(3), u_hi=None)
+
+    def test_chain_terminal_needs_a_pin(self):
+        inst = Instance(InventorySystem(T=2, targets=np.zeros(3)),
+                        np.zeros((3, 1)), np.zeros(1))
+        with pytest.raises(ModelError, match="needs a terminal target"):
+            inst.terminal_cost()
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, np.float64(1.0),
+                                      None, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ModelError, match="seed must be a nonnegative"):
+            Instance(const_system(T=4), np.zeros((5, 1)), np.zeros(1),
+                     seed=seed)
+        with pytest.raises(ModelError, match="seed must be a nonnegative"):
+            build_instance({"kind": "tracking-rand", "T": 4, "seed": seed})
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2 ** 70])
+    def test_python_and_numpy_int_seeds_accepted(self, seed):
+        inst = Instance(const_system(T=4), np.zeros((5, 1)), np.zeros(1),
+                        seed=seed)
+        assert inst.seed == seed
+
     def test_chain_truth_must_lie_in_the_state_interval(self):
         # a stock chain's parameters are its targets, and its parameter box
         # is the state interval, which holds the presets' targets
@@ -465,6 +503,10 @@ class TestSystemFamilies:
     def test_lipschitz_dynamics_is_row_norm_bound(self):
         sys_ = const_system(a=0.6, b=0.8)
         assert sys_.lipschitz_dynamics() == pytest.approx(np.hypot(0.6, 0.8))
+
+    def test_chain_lipschitz_dynamics_is_norm_of_one_one(self):
+        sys_ = presets.build_preset("inventory-two-sided").system
+        assert sys_.lipschitz_dynamics() == np.sqrt(2.0)
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ModelError):

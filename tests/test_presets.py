@@ -27,7 +27,7 @@ def inventory_sensitivity_profile(p, one_sided):
     """
     targets = np.where(np.arange(p + 1) % 2, 0.8, -0.8)
     system = InventorySystem(T=p, targets=targets, u_lo=-0.8,
-                             u_hi=None if one_sided else 0.8,
+                             u_hi=np.inf if one_sided else 0.8,
                              action_weight=2.0 if one_sided else 0.0)
     params = [np.array([v]) for v in targets]
     base = -2.0 / 5.0 if p % 2 == 0 else 2.0 / 5.0
