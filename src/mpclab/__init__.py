@@ -11,7 +11,7 @@ from .ftocp import (ChainLaw, ContinuationLaw, FtocpSolution, Infeasible,
 from .kkt import (DecayFit, GainTables, TrackingDecayConstants,
                   decay_profile, measure_gain_tables, sigma_min,
                   tracking_decay_constants, window_data)
-from .engine import TerminalRule, TrajectoryRecord, run_mpc, solve_opt
+from .engine import TrajectoryRecord, run_mpc, solve_opt, window_terminal
 from .regret import (SweepResult, per_step_error_bound_rhs,
                      pipeline_admission_check, regret_inequalities,
                      sweep_horizon, sweep_noise)

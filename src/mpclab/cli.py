@@ -72,12 +72,6 @@ def _load(preset: str | None, instance_file: str | None, T: int | None,
         raise click.UsageError(str(exc)) from exc
 
 
-# the terminal rule of every command: pin each window to the forecast
-# reference point of its step data (the origin for the disturbance family,
-# where it is the "zero" rule)
-_DEFAULT_RULE = engine.TerminalRule("predicted_tracking")
-
-
 # Artifact format: CSV and text artifacts open with "# " header lines, JSON
 # carries them under "_headers"; floats are written at full precision.
 
@@ -235,7 +229,7 @@ def mpc(inst, hdr, k, noise_scale):
     """Run the receding-horizon controller and report regret."""
     stream = PredictionStream(inst.truth, k, noise_scale, seed=inst.seed)
     opt = engine.solve_opt(inst)
-    run = engine.run_mpc(inst, stream, k, _DEFAULT_RULE)
+    run = engine.run_mpc(inst, stream, k)
     regret_ = run.total_cost - opt.total_cost
     return ({"mpc_trajectory.csv": _trajectory_body(run, hdr),
              "mpc_report.json": _json_body(
@@ -256,7 +250,7 @@ def sweep_horizon(inst, hdr, k_max):
     ks = list(range(k_min, min(k_max, inst.T) + 1))
     if not ks:
         raise click.UsageError("sweep range is empty")
-    res = regret.sweep_horizon(inst, ks, _DEFAULT_RULE)
+    res = regret.sweep_horizon(inst, ks)
     return _sweep_artifacts("sweep_horizon", res, hdr), _fit_text(res), ()
 
 
@@ -268,7 +262,7 @@ def sweep_noise(inst, hdr, k, noise_scale):
     """Regret as a function of the forecast-noise scale."""
     scales = [noise_scale * f for f in
               (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)]
-    res = regret.sweep_noise(inst, scales, k, _DEFAULT_RULE)
+    res = regret.sweep_noise(inst, scales, k)
     return (_sweep_artifacts("sweep_noise", res, hdr),
             f"loglog_{_fit_text(res)}", ())
 
@@ -329,7 +323,7 @@ def constants(inst, hdr, k, mode):
     """Report the decay/sensitivity constants of an instance."""
     sigma = kkt.measured_sigma(inst, k)
     consts = kkt.tracking_decay_constants(inst.system.bounds, sigma)
-    tables = kkt.measure_gain_tables(inst, k, _DEFAULT_RULE)
+    tables = kkt.measure_gain_tables(inst, k)
     values = {"mode": mode, "sigma": sigma,
               "sigma_lo": consts.sigma_lo, "sigma_hi": consts.sigma_hi,
               "decay_rate": consts.decay_rate,

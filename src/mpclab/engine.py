@@ -2,11 +2,11 @@
 rollout on the true dynamics, and per-step errors (bounded in ``regret``).
 
 The controller is the same for every problem class.  All forecasts are
-drawn before a run and no terminal rule depends on the state, so
-``ftocp.window_laws`` builds the law of every window before the closed loop
-starts: for linear-quadratic windows, one terminal-rule call and one
-batched Riccati pass for the windows that stop short of the final step and
-one for the k windows that reach it, padded to the longest.  The loop only
+drawn before a run and no window's cap (``window_terminal``) depends on the
+state, so ``ftocp.window_laws`` builds the law of every window before the
+closed loop starts: for linear-quadratic windows, one cap and one batched
+Riccati pass for the windows that stop short of the final step and one for
+the k windows that reach it, padded to the longest.  The loop only
 applies each window's first action to the realized state, and one batched
 rollout per batch afterwards checks the pins and gives the KKT residuals.
 The instance's ``ftocp.truth_law`` gives the optimal continuation that the
@@ -29,73 +29,23 @@ from .model import (Instance, PredictionStream, TerminalCost, _read_only,
 Array = np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
-class TerminalRule:
-    """How the controller caps each window.  A rule is an immutable value:
-    running it on any instance leaves it unchanged.
-
-    kinds:
-      - "zero": pin the window's final state to the origin;
-      - "predicted_tracking": pin it to the forecast reference point
-        (``pin_target`` of the system: the origin for the disturbance
-        family, where this is the "zero" rule, and clipped to the stock
-        chain's state interval);
-      - "reference": pin it to the state of step t2 of a given trajectory,
-        ``reference_states``, with one row per step 0..T of the instance it
-        runs on (``TerminalRule.reference(instance)`` gives the instance's
-        nominal trajectory: the solve of the full horizon under the
-        admissible parameter nearest zero);
-      - "true": always use the instance's own terminal cost.
-
-    Whenever the window reaches the final step, the instance's terminal cost
-    is used regardless of kind (with the forecast terminal parameter).
-    ``build(instance, t2, xi)`` caps the windows ending at the steps t2 (an
-    int or an int array) with last parameters xi, ``t2.shape + (p,)``, in
-    one terminal stacked by window; they all reach the final step or none.
-    """
-
-    kind: str = "zero"
-    reference_states: Array | None = None
-
-    KINDS = ("zero", "predicted_tracking", "reference", "true")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown terminal rule {self.kind!r}")
-        if self.kind == "reference":
-            if self.reference_states is None:
-                raise ValueError("the reference rule needs reference states")
-            states = np.array(self.reference_states, float)
-            states.flags.writeable = False
-            object.__setattr__(self, "reference_states", states)
-
-    @staticmethod
-    def reference(instance: Instance) -> "TerminalRule":
-        """The "reference" rule of the instance's nominal trajectory: the
-        full-horizon solve with every parameter at the point of the
-        system's parameter box nearest zero.  That is zero wherever the box
-        holds it (the tracking, disturbance and stock-chain families); on
-        ``grid`` it is the smallest inertia m_lo, since zero inertia divides
-        by zero, and on ``pendulum`` the smallest cart mass, 0.4."""
-        sys = instance.system
-        nominal = np.clip(0.0, sys.param_box.lo, sys.param_box.hi)
-        params = np.broadcast_to(nominal, instance.truth.shape)
-        law = ftocp.window_law(sys, params, instance.terminal_cost(params[-1]))
-        return TerminalRule("reference", law.solution(instance.x0).states)
-
-    def build(self, instance: Instance, t2, xi: Array) -> TerminalCost:
-        sys, t2 = instance.system, np.asarray(t2)
-        final = t2 == sys.T
-        if final.any() != final.all():
-            raise ValueError("the windows of one build must all reach the "
-                             "final step or all stop short of it")
-        if final.all() or self.kind == "true":
-            return instance.terminal_cost(xi)
-        if self.kind == "zero":
-            return TerminalCost.indicator(np.zeros(t2.shape + (sys.n,)))
-        if self.kind == "predicted_tracking":
-            return TerminalCost.indicator(sys.pin_target(t2, xi))
-        return TerminalCost.indicator(self.reference_states[t2])
+def window_terminal(instance: Instance, t2, xi: Array) -> TerminalCost:
+    """The cap of the windows ending at the steps t2 (an int or an int
+    array) with last parameters xi, ``t2.shape + (p,)``, in one terminal
+    stacked by window.  Windows that reach the final step get the
+    instance's own terminal cost, at the forecast terminal parameter; the
+    others pin their final state to the forecast reference point,
+    ``pin_target`` of the system (the origin for the disturbance family,
+    and clipped to the stock chain's state interval).  The windows must all
+    reach the final step or all stop short of it."""
+    sys, t2 = instance.system, np.asarray(t2)
+    final = t2 == sys.T
+    if final.any() != final.all():
+        raise ValueError("the windows of one cap must all reach the final "
+                         "step or all stop short of it")
+    if final.all():
+        return instance.terminal_cost(xi)
+    return TerminalCost.indicator(sys.pin_target(t2, xi))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,8 +99,8 @@ def solve_opt(instance: Instance) -> TrajectoryRecord:
     return TrajectoryRecord(*arrays, total, kkt_residual_max=sol.kkt_residual)
 
 
-def run_mpc(instance: Instance, stream: PredictionStream, k: int,
-            rule: TerminalRule) -> TrajectoryRecord:
+def run_mpc(instance: Instance, stream: PredictionStream,
+            k: int) -> TrajectoryRecord:
     """Closed-loop receding-horizon run.
 
     At each step t the controller solves the window [t, min(t+k, T)] on the
@@ -174,14 +124,12 @@ def run_mpc(instance: Instance, stream: PredictionStream, k: int,
         raise ValueError("forecast stream shorter than the window")
     if not np.array_equal(stream.truth, instance.truth):
         raise ValueError("forecast stream built on other true parameters")
-    if rule.kind == "reference" and len(rule.reference_states) != T + 1:
-        raise ValueError("reference states need one row per step 0..T")
     law = ftocp.truth_law(instance)
     opt = solve_opt(instance)
 
     laws = ftocp.window_laws(
         sys, [(t, stream.window(t, min(t + k, T))) for t in range(T)],
-        functools.partial(rule.build, instance))
+        functools.partial(window_terminal, instance))
 
     A, B, w, *_ = sys.step_data(np.arange(T), instance.truth[:T])
     states = np.zeros((T + 1, sys.n))

@@ -822,7 +822,7 @@ def window_laws(system, windows: Sequence, terminals) -> WindowLaws:
     starting at step t, all built before the run starts: the terminals do
     not depend on the state.  ``terminals(t2, xi)`` caps the windows that
     end at the steps t2 (an int array) with last parameters xi, stacked by
-    window (``TerminalRule.build``).  Consecutive windows that all stop
+    window (``engine.window_terminal``).  Consecutive windows that all stop
     short of the final step, or all reach it, are a batch: one terminals
     call and, for linear-quadratic windows, one batched continuation law,
     which pads the windows shorter than the longest (so a run's k windows

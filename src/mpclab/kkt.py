@@ -451,14 +451,13 @@ def _terminal_data(terminal: TerminalCost) -> tuple[Array, ...]:
     return terminal.P, terminal.xbar
 
 
-def _terminal_slopes(instance: Instance, terminal_rule,
-                     t2: Array) -> list[Array]:
-    """Slopes of the terminal data (see ``_terminal_data``) that
-    ``terminal_rule`` builds for the windows ending at the steps t2, in
+def _terminal_slopes(instance: Instance, t2: Array) -> list[Array]:
+    """Slopes of the terminal data (see ``_terminal_data``) of the caps
+    (``engine.window_terminal``) of the windows ending at the steps t2, in
     their last parameters, at the true ones: one batched central
     difference, stacked by window."""
     return _central_slopes(
-        lambda xi: _terminal_data(terminal_rule.build(instance, t2, xi)),
+        lambda xi: _terminal_data(engine.window_terminal(instance, t2, xi)),
         instance.truth[t2])
 
 
@@ -480,7 +479,7 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
     ``_step_data_slopes`` and ``terminal_slopes`` those of
     ``_terminal_slopes`` for the windows' last steps, stacked by window (or
     one row that every window shares).  A pinned window's last offset
-    takes the larger of the norms through the rule's target slope and of
+    takes the larger of the norms through the cap's target slope and of
     lam's pin component, the Jacobian in the target itself.  Every sample
     is read by one batched rollout; the earliest window that misses its pin
     raises SingularKKT.
@@ -597,8 +596,7 @@ def _monotone_envelope(table: Array) -> Array:
     return np.maximum.accumulate(table[::-1])[::-1]
 
 
-def measure_gain_tables(instance: Instance, k: int,
-                        terminal_rule) -> GainTables:
+def measure_gain_tables(instance: Instance, k: int) -> GainTables:
     """Measure sensitivity envelopes on the family of solves the controller
     actually performs.
 
@@ -615,10 +613,10 @@ def measure_gain_tables(instance: Instance, k: int,
     of the instance's truth law for consecutive offsets ts, in padded
     batches of at most _STACK_CAP steps (windows x offsets) each: one batch
     at k = 8 and T = 24.  A window that reaches T has the true step data and
-    the instance's terminal cost under every rule, so the tails share one
-    terminal slope, taken at T.  A failing window raises as the windows
-    would one at a time: the full windows before the batch's failing one are
-    rolled out, and their pins checked, before its failure is raised.
+    the instance's terminal cost, so the tails share one terminal slope,
+    taken at T.  A failing window raises as the windows would one at a
+    time: the full windows before the batch's failing one are rolled out,
+    and their pins checked, before its failure is raised.
     For the disturbance family the first action is affine in the
     parameters, so the Jacobians bound any realized deviation by the
     triangle inequality (basis "exact").  The other families put the
@@ -644,16 +642,16 @@ def measure_gain_tables(instance: Instance, k: int,
     full = max(T - k, 0)
     batch = ftocp.window_laws(
         sys, [(t, truth[t:t + k + 1]) for t in range(full)],
-        functools.partial(terminal_rule.build, instance))
+        functools.partial(engine.window_terminal, instance))
     if batch.windows:
         law_k = batch.windows[0][0]
         jac[:, :law_k.W] = _window_action_jacobians(
             law_k, zs[:, :law_k.W], step_slopes,
-            _terminal_slopes(instance, terminal_rule, law_k.t1 + law_k.T))
+            _terminal_slopes(instance, law_k.t1 + law_k.T))
     if batch.failure is not None:
         raise batch.failure
     law = ftocp.truth_law(instance)
-    tail_slopes = _terminal_slopes(instance, terminal_rule, np.array([T]))
+    tail_slopes = _terminal_slopes(instance, np.array([T]))
     t = full
     while t < T:    # the tails [t, T], as many per call as the cap allows
         ts = np.arange(t, min(T, t + max(1, _STACK_CAP // (T - t))))

@@ -17,6 +17,13 @@ from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
 Array = np.ndarray
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of a preset's draws, from a checked seed: the draws
+    come before the preset's instance checks the seed itself."""
+    _check_seed(seed)
+    return np.random.default_rng(seed)
+
+
 def _scaled(rng: np.random.Generator, count: int, shape,
             norm: float) -> Array:
     """``count`` normal draws of ``shape``, each scaled to spectral norm
@@ -70,7 +77,7 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
         bounds=Bounds(mu=0.5, ell=2.0, a=1.0, b=1.0, D_w=0.1, D_xbar=0.1,
                       L_A=0.2, L_B=0.2, L_xbar=0.2, L_w=0.2),
         param_box=ParamBox(np.array([0.0]), np.array([1.0])))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     A0 = _scaled(rng, T, (n, n), 0.8)
     Ad = _scaled(rng, T, (n, n), 1.0)
     B0 = _scaled(rng, T, (n, m), 0.8)
@@ -92,7 +99,7 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
 def disturbance(T: int = 60, seed: int = 0) -> Instance:
     """Known stable rotation dynamics; only the additive disturbance is
     forecast (scalar parameter in [0, 1])."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=T)
     As = np.array([0.7 * np.array([[np.cos(th), -np.sin(th)],
                                    [np.sin(th), np.cos(th)]])
@@ -243,7 +250,7 @@ def grid(T: int = 30, seed: int = 0,
         lambda m_val: grid_matrices(m_val, L=L, D=D, delta=d["delta"]),
         2 * n_nodes, n_nodes, T,
         ParamBox(np.array([d["m_lo"]]), np.array([d["m_hi"]])))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     truth = rng.uniform(system.param_box.lo, system.param_box.hi,
                         size=(T + 1, 1))
     x0 = np.zeros(2 * n_nodes)
@@ -324,8 +331,7 @@ def build_instance(desc: dict, T: int | None = None,
                    seed: int | None = None) -> Instance:
     """Construct an instance from a description dict (or file contents):
     ``desc["kind"]`` names the preset and the other keys are its arguments.
-    T and seed override the description when given.  The seed is checked
-    first, since a preset may draw from it before its instance checks it."""
+    T and seed override the description when given."""
     desc = dict(desc)
     if T is not None:
         desc["T"] = T
@@ -335,8 +341,6 @@ def build_instance(desc: dict, T: int | None = None,
     if kind not in PRESETS:
         raise ModelError(f"unknown instance kind {kind!r}; "
                          f"available: {sorted(PRESETS)}")
-    if "seed" in desc:
-        _check_seed(desc["seed"])
     return PRESETS[kind](**desc)
 
 

@@ -111,8 +111,7 @@ def _fit_positive(xs: Array, regrets: Array, log_x: bool):
     return kkt.loglinear_fit(x, regrets[mask]) or (None, None)
 
 
-def _sweep_regrets(instance: Instance, points,
-                   rule: engine.TerminalRule) -> tuple[Array, float]:
+def _sweep_regrets(instance: Instance, points) -> tuple[Array, float]:
     """Regret of one closed-loop run per ``(k, rho)`` point against the
     instance's hindsight optimum, and the worst KKT residual of the runs."""
     opt = engine.solve_opt(instance)
@@ -121,32 +120,31 @@ def _sweep_regrets(instance: Instance, points,
     for k, rho in points:
         stream = PredictionStream(instance.truth, min(k, T), rho,
                                   seed=instance.seed)
-        run = engine.run_mpc(instance, stream, k, rule)
+        run = engine.run_mpc(instance, stream, k)
         regrets.append(run.total_cost - opt.total_cost)
         worst = max(worst, run.kkt_residual_max)
     return np.array(regrets, float), worst
 
 
-def sweep_horizon(instance: Instance, k_values: Sequence[int],
-                  rule: engine.TerminalRule) -> SweepResult:
+def sweep_horizon(instance: Instance,
+                  k_values: Sequence[int]) -> SweepResult:
     """Zero-noise regret as a function of the window length.  The forecasts
     equal the truth, so no seed enters."""
     k_values = list(k_values)
-    regrets, worst = _sweep_regrets(instance, [(k, 0.0) for k in k_values],
-                                    rule)
+    regrets, worst = _sweep_regrets(instance, [(k, 0.0) for k in k_values])
     ks = np.asarray(k_values, float)
     slope, r2 = _fit_positive(ks, regrets, log_x=False)
     return SweepResult("k", ks, regrets, slope, r2, worst)
 
 
-def sweep_noise(instance: Instance, scales: Sequence[float], k: int,
-                rule: engine.TerminalRule) -> SweepResult:
+def sweep_noise(instance: Instance, scales: Sequence[float],
+                k: int) -> SweepResult:
     """Regret as a function of the forecast-noise scale at fixed window
     length: each scale is the error magnitude of every forecast offset
     tau >= 1, and the forecasts are drawn from the instance's seed.  The
     fit is over the positive scales."""
     scales = list(scales)
-    regrets, worst = _sweep_regrets(instance, [(k, s) for s in scales], rule)
+    regrets, worst = _sweep_regrets(instance, [(k, s) for s in scales])
     xs = np.asarray(scales, float)
     keep = xs > 0
     slope, r2 = _fit_positive(xs[keep], regrets[keep], log_x=True)

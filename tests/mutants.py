@@ -40,6 +40,7 @@ QUADRATIC = ("tests/test_ftocp.py::TestQuadraticSolver::"
              "test_quadratic_terminal_matches_oracle")
 CHAIN_MEMO = ("tests/test_ftocp.py::TestChainSolver::"
               "test_memo_keys_windows_by_pin_and_solutions_by_start")
+CAP = "tests/test_engine.py::TestTerminalRule::"
 ADJOINT = ("tests/test_continuation.py::"
            "test_first_action_adjoint_solves_the_saddle_system")
 
@@ -168,6 +169,17 @@ MUTANTS = [
      "for r in rows)",
      ["tests/test_cli.py::TestCertifications::"
       "test_inventory_suite_non_finite_deviation_exits_3"]),
+    # a window short of T pinned to the origin instead of its forecast
+    # reference point (the same pin on disturbance, pendulum and grid)
+    ("engine.py", "return TerminalCost.indicator(sys.pin_target(t2, xi))",
+     "return TerminalCost.indicator(np.zeros(t2.shape + (sys.n,)))",
+     [CAP + "test_predicted_tracking_pins_forecast_reference"]),
+    # windows that reach T pinned instead of given the instance's terminal
+    ("engine.py", "        return instance.terminal_cost(xi)\n",
+     "        return TerminalCost.indicator(sys.pin_target(t2, xi))\n",
+     [CAP + "test_final_window_uses_instance_terminal",
+      "tests/test_engine.py::TestRunMpc::"
+      "test_full_window_zero_noise_recovers_optimum"]),
     # the closed loop Phi_t = A_t + B_t K_t drops its feedback
     ("ftocp.py", "_read_only(self.data.A + self.data.B @ self.feedback)",
      "_read_only(self.data.A + 0.0)", [QUADRATIC]),

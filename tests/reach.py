@@ -62,9 +62,6 @@ ALLOWED = {
         "a declared constant of the paper's pipeline; reached from tests only",
     "model.InventorySystem.lipschitz_dynamics":
         "a declared constant of the paper's pipeline; reached from tests only",
-    "engine.TerminalRule.reference":
-        "the paper's reference terminal rule; every command uses "
-        "predicted_tracking",
     "presets.build_preset":
         "the benchmark's entry point (perfbench/), and the tests'",
 }

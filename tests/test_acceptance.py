@@ -9,7 +9,6 @@ import pytest
 
 import oracles
 from mpclab import engine, kkt, presets, regret
-from mpclab.engine import TerminalRule
 from mpclab.model import PredictionStream
 from test_presets import inventory_sensitivity_profile
 
@@ -40,8 +39,7 @@ def disturbance_pipeline():
     sensitivity envelopes, and admitted noisy closed-loop runs."""
     inst = presets.disturbance(T=60, seed=0)
     opt = engine.solve_opt(inst)
-    rule = TerminalRule("zero")
-    tables = kkt.measure_gain_tables(inst, 8, rule)
+    tables = kkt.measure_gain_tables(inst, 8)
     L_g = inst.system.lipschitz_dynamics()
     runs = []
     for scale in NOISE_SCALES:
@@ -49,7 +47,7 @@ def disturbance_pipeline():
         rhs = regret.per_step_error_bound_rhs(stream.rho_table, tables,
                                               opt.max_state_norm)
         admission = regret.pipeline_admission_check(rhs, tables, L_g)
-        run = engine.run_mpc(inst, stream, 8, rule)
+        run = engine.run_mpc(inst, stream, 8)
         runs.append((scale, rhs, admission, run))
     return inst, opt, L_g, tables, runs
 
@@ -119,7 +117,7 @@ def test_full_horizon_exactness():
             stream = PredictionStream(inst.truth, inst.T, 0.0,
                                       seed=inst.seed)
             opt = engine.solve_opt(inst)
-            run = engine.run_mpc(inst, stream, inst.T, TerminalRule("true"))
+            run = engine.run_mpc(inst, stream, inst.T)
             assert run.total_cost - opt.total_cost <= 1e-7, name
             assert float(run.errors.max(initial=0.0)) <= 1e-8, name
 
@@ -127,7 +125,7 @@ def test_full_horizon_exactness():
 def test_horizon_sweep_geometric_decay():
     with Budget(120.0):
         inst = presets.disturbance(T=60, seed=0)
-        res = regret.sweep_horizon(inst, range(2, 13), TerminalRule("zero"))
+        res = regret.sweep_horizon(inst, range(2, 13))
         assert np.all(np.diff(res.regrets) <= 1e-9)
         assert res.slope < 0.0
         assert res.r2 >= 0.9
@@ -136,8 +134,7 @@ def test_horizon_sweep_geometric_decay():
 def test_noise_sweep_scaling():
     with Budget(120.0):
         inst = presets.disturbance(T=60, seed=0)
-        res = regret.sweep_noise(inst, [0.05, 0.1, 0.2, 0.4], 8,
-                                 TerminalRule("zero"))
+        res = regret.sweep_noise(inst, [0.05, 0.1, 0.2, 0.4], 8)
         assert 0.8 <= res.slope <= 2.2
         assert res.r2 >= 0.9
 

@@ -107,8 +107,8 @@ def noisy_run(name):
     hindsight optimum, gain tables and forecast stream."""
     inst = presets.build_preset(name, T=16)
     stream = PredictionStream(inst.truth, 4, 0.05, seed=inst.seed)
-    tables = kkt.measure_gain_tables(inst, 4, cli._DEFAULT_RULE)
-    run = engine.run_mpc(inst, stream, 4, cli._DEFAULT_RULE)
+    tables = kkt.measure_gain_tables(inst, 4)
+    run = engine.run_mpc(inst, stream, 4)
     return inst, stream, tables, run, engine.solve_opt(inst)
 
 

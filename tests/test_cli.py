@@ -785,7 +785,8 @@ class TestLibrarySurface:
                 model.PredictionStream: ["rho", "power"],
                 # every verdict is a model.Check
                 regret: ["_scaled", "RegretReport", "AdmissionReport"],
-                mpclab: ["RegretReport", "AdmissionReport"],
+                mpclab: ["RegretReport", "AdmissionReport",
+                         "TerminalRule"],
                 # the bounds live in regret, and the assumptions are checked
                 # on given data, with no sampling of the box
                 engine: ["per_step_error_bound_rhs",
@@ -805,9 +806,12 @@ class TestLibrarySurface:
         # and the tables read the hindsight states and the seed from the
         # instance
         for fn, params in (
-                (regret.sweep_noise, ["instance", "scales", "k", "rule"]),
-                (regret.sweep_horizon, ["instance", "k_values", "rule"]),
-                (kkt.measure_gain_tables, ["instance", "k", "terminal_rule"]),
+                # every window is capped by engine.window_terminal
+                (engine.run_mpc, ["instance", "stream", "k"]),
+                (engine.window_terminal, ["instance", "t2", "xi"]),
+                (regret.sweep_noise, ["instance", "scales", "k"]),
+                (regret.sweep_horizon, ["instance", "k_values"]),
+                (kkt.measure_gain_tables, ["instance", "k"]),
                 (kkt._window_action_jacobians, ["law", "zs", "step_slopes",
                                                 "terminal_slopes"]),
                 (ftocp.ContinuationLaw.first_action_adjoint, ["self"]),
@@ -858,14 +862,15 @@ class TestLibrarySurface:
             assert not hasattr(cls, "kind"), cls
         gone = {model: ["build_instance"], ftocp: ["_lq_value"],
                 _assembly.WindowMatrices: ["window"],
-                kkt: ["_smallest_singular_value"], cli: ["_default_rule"],
-                engine: ["_stage_costs_and_total"]}
+                kkt: ["_smallest_singular_value"],
+                cli: ["_default_rule", "_DEFAULT_RULE"],
+                engine: ["_stage_costs_and_total", "TerminalRule"]}
         present = [f"{owner.__name__}.{name}"
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
         assert present == []
         assert mpclab.build_instance is presets.build_instance
-        assert cli._DEFAULT_RULE == engine.TerminalRule("predicted_tracking")
+        assert mpclab.window_terminal is engine.window_terminal
         # model imports nothing of the package, presets included, at any
         # depth of its code
         imports = [node for node in ast.walk(ast.parse(

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from mpclab import _assembly, engine, ftocp, kkt, presets
-from mpclab.engine import TerminalRule
 from mpclab.ftocp import SingularKKT
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
                           PredictionStream, TerminalCost)
@@ -156,7 +155,7 @@ def test_run_errors_match_oracle_continuation():
     params = [inst.truth[s] for s in range(inst.T + 1)]
     terminal = inst.terminal_cost()
     stream = PredictionStream(inst.truth, 3, 0.1, seed=2)
-    run = engine.run_mpc(inst, stream, 3, TerminalRule("predicted_tracking"))
+    run = engine.run_mpc(inst, stream, 3)
     assert np.any(run.errors > 1e-6)
     for t in range(inst.T):
         _, ao, _ = oracle_continuation(sys_, params, terminal, t,
@@ -190,8 +189,7 @@ def test_gain_init_matches_oracle_jacobians():
             want[h] = max(want[h], nrm)
     want = np.maximum.accumulate(want[::-1])[::-1]
     want[0] = max(want[0], 1.0)
-    tables = kkt.measure_gain_tables(inst, 3,
-                                     TerminalRule("predicted_tracking"))
+    tables = kkt.measure_gain_tables(inst, 3)
     assert np.allclose(tables.gain_init, want, rtol=1e-7, atol=0.0)
 
 
@@ -264,11 +262,10 @@ def test_kkt_residual_matches_dense_saddle_residual(kind):
 def test_pendulum_pinned_windows_match_oracle(k):
     inst = presets.pendulum(T=30)
     sys_ = inst.system
-    rule = TerminalRule("predicted_tracking")
     z = np.array([0.1, -0.2, 0.05, 0.3])
     for t in range(0, inst.T - k, 4):
         params = [inst.truth[s] for s in range(t, t + k + 1)]
-        terminal = rule.build(inst, t + k, params[-1])
+        terminal = engine.window_terminal(inst, t + k, params[-1])
         sol = ftocp.window_law(sys_, params, terminal, t).solution(z)
         so, ao, _ = oracle_continuation(sys_, params, terminal, 0, z, t)
         assert rel_err(sol.states, so) <= 1e-9
@@ -292,40 +289,29 @@ RUN_PRESETS = [("tracking-rand", 4), ("disturbance", 4), ("grid", 4),
                ("pendulum", 4)]
 
 
-def run_rules(inst):
-    """Every terminal rule kind; the reference rule follows the hindsight
-    optimum (the nominal trajectory of ``grid`` has zero inertia)."""
-    opt_states, _, _ = oracle_continuation(
-        inst.system, inst.truth, inst.terminal_cost(), 0, inst.x0)
-    return [TerminalRule("zero"), TerminalRule("predicted_tracking"),
-            TerminalRule("reference", opt_states), TerminalRule("true")]
-
-
-def check_run_against_oracle(inst, k, rule):
+def check_run_against_oracle(inst, k):
     """Every committed action of a noisy run equals the oracle's solution of
     its window, on the forecasts and from the realized state, and the run's
     worst KKT residual is at the rounding floor of the windows' multipliers.
     """
     T = inst.T
     stream = PredictionStream(inst.truth, min(k, T), 0.05, seed=5)
-    run = engine.run_mpc(inst, stream, k, rule)
+    run = engine.run_mpc(inst, stream, k)
     dual_max = 0.0
     for t in range(T):
         t2 = min(t + k, T)
         params = stream.window(t, t2)
-        terminal = rule.build(inst, t2, params[-1])
+        terminal = engine.window_terminal(inst, t2, params[-1])
         _, ao, lam = oracle_continuation(inst.system, params, terminal, 0,
                                          run.states[t], t)
-        assert rel_err(run.actions[t], ao[0]) <= 1e-9, (t, rule.kind)
+        assert rel_err(run.actions[t], ao[0]) <= 1e-9, t
         dual_max = max(dual_max, float(np.abs(lam).max()))
     assert 0.0 < run.kkt_residual_max <= max(1e-8, 1e-12 * dual_max)
 
 
 @pytest.mark.parametrize("name,k", RUN_PRESETS)
 def test_batched_run_matches_oracle_windows(name, k):
-    inst = presets.build_preset(name, T=12)
-    for rule in run_rules(inst):
-        check_run_against_oracle(inst, k, rule)
+    check_run_against_oracle(presets.build_preset(name, T=12), k)
 
 
 @pytest.mark.parametrize("name", ["tracking-rand", "disturbance", "grid",
@@ -335,8 +321,7 @@ def test_batched_run_matches_oracle_when_windows_reach_the_end(name,
                                                                shorter):
     # k = T: every window reaches T; k = T - 1: only the first one does not
     inst = presets.build_preset(name, T=8)
-    for rule in run_rules(inst):
-        check_run_against_oracle(inst, inst.T - shorter, rule)
+    check_run_against_oracle(inst, inst.T - shorter)
 
 
 @pytest.mark.parametrize("t,kind", [(0, "predicted_tracking"), (0, "true"),
@@ -349,9 +334,12 @@ def test_sample_rollouts_match_separate_rollouts(t, kind):
     inst = presets.tracking_rand(T=12, seed=4)
     k, starts = 4, np.arange(8)
     t2 = starts + k
+    terminal = (engine.window_terminal(inst, t2, inst.truth[t2])
+                if kind == "predicted_tracking"
+                else inst.terminal_cost(inst.truth[t2]))
     law = ftocp.continuation_law(
-        inst.system, [inst.truth[s:s + k + 1] for s in starts],
-        TerminalRule(kind).build(inst, t2, inst.truth[t2]), starts)
+        inst.system, [inst.truth[s:s + k + 1] for s in starts], terminal,
+        starts)
     assert law.pinned == (kind != "true")
     zs = np.random.default_rng(2).normal(size=(3, len(starts), 2))
     if t:
@@ -434,7 +422,7 @@ def test_padded_suffixes_equal_separate_suffixes(name, seed, data):
     assert tails.T == T - ts.min()
     states, actions, duals = tails.trajectories(xs)
     slopes = (kkt._step_data_slopes(inst),
-              kkt._terminal_slopes(inst, TerminalRule("true"), np.array([T])))
+              kkt._terminal_slopes(inst, np.array([T])))
     if tails.T:
         jac = kkt._window_action_jacobians(tails, xs, *slopes)
     else:           # a batch of no step has no action to differentiate

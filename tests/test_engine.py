@@ -1,6 +1,7 @@
 """Closed-loop controller, per-step error bound, and admission check."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
-from mpclab.engine import TerminalRule
 from mpclab.kkt import GainTables
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ParamBox,
                           PredictionStream, TerminalCost)
@@ -37,107 +37,76 @@ def terminal_bits(term):
 STACK_PRESETS = ["tracking-rand", "disturbance", "pendulum",
                  "inventory-two-sided"]
 
+_window_terminal = engine.window_terminal
+
+
+def origin_pin(instance, t2, xi):
+    """The cap that pins each window short of T to the origin."""
+    if np.any(np.asarray(t2) == instance.T):
+        return _window_terminal(instance, t2, xi)
+    return TerminalCost.indicator(
+        np.zeros(np.shape(t2) + (instance.system.n,)))
+
+
+# the caps a window can take, by the terminal each puts short of T: the
+# origin pin, the instance's own terminal at the forecast (the cap of the
+# windows that reach T), and the forecast reference pin of window_terminal
+WINDOW_CAPS = {
+    "zero": origin_pin,
+    "true": lambda instance, t2, xi: instance.terminal_cost(xi),
+    "predicted_tracking": _window_terminal,
+}
+
 
 class TestTerminalRule:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TerminalRule("nonsense")
-
-    def test_reference_rule_needs_states(self):
-        inst = quiet_instance()
-        with pytest.raises(ValueError):
-            TerminalRule("reference")
-        rule = TerminalRule.reference(inst)
-        assert rule.kind == "reference"
-        assert rule.reference_states.shape == (7, 2)
-        term = rule.build(inst, 3, inst.truth[3])
-        assert term.kind == "indicator"
-        assert np.array_equal(term.target, rule.reference_states[3])
-
-    def test_rule_is_unchanged_by_a_run(self):
-        inst = quiet_instance()
-        states = np.ones((7, 2))
-        rule = TerminalRule("reference", reference_states=states)
-        states[3] = 5.0   # the rule holds its own copy
-        stream = PredictionStream(inst.truth, 3, 0.0)
-        engine.run_mpc(inst, stream, 3, rule)
-        assert np.array_equal(rule.reference_states, np.ones((7, 2)))
-        with pytest.raises(AttributeError):
-            rule.kind = "zero"
-        with pytest.raises(ValueError):
-            rule.reference_states[0] = 0.0
-
-    def test_grid_reference_is_the_solve_at_the_smallest_inertia(self):
-        # zero is outside the grid's inertia box [m_lo, m_hi]
-        inst = presets.grid(T=12)
-        rule = TerminalRule.reference(inst)
-        m_lo = inst.system.param_box.lo
-        data = [inst.system.step_data(t, m_lo) for t in range(inst.T)]
-        term = inst.terminal_cost(m_lo)
-        want, _ = oracles.lq_ocp_oracle(
-            *([d[i] for d in data] for i in range(6)), inst.x0,
-            ("quadratic", term.P, term.xbar))
-        assert np.isfinite(rule.reference_states).all()
-        assert np.abs(rule.reference_states - want).max() <= 1e-9
-
-    def test_reference_is_the_zero_parameter_solve_when_the_box_holds_it(
-            self):
-        inst = presets.tracking_rand(T=12)
-        zero = np.zeros_like(inst.truth)
-        law = ftocp.window_law(inst.system, zero, inst.terminal_cost(zero[-1]))
-        assert np.array_equal(TerminalRule.reference(inst).reference_states,
-                              law.solution(inst.x0).states)
+    """The one cap of every window, ``engine.window_terminal``."""
 
     def test_final_window_uses_instance_terminal(self):
         inst = quiet_instance()
-        rule = TerminalRule("zero")
-        term = rule.build(inst, inst.T, inst.truth[4])
-        assert term.kind == "quadratic"
+        term = engine.window_terminal(inst, inst.T, inst.truth[4])
+        assert terminal_bits(term) == terminal_bits(
+            inst.terminal_cost(inst.truth[4]))
 
     def test_predicted_tracking_pins_forecast_reference(self):
         inst = presets.tracking_rand(T=8, seed=1)
-        rule = TerminalRule("predicted_tracking")
         params = inst.truth[:5]
-        term = rule.build(inst, 4, params[-1])
+        term = engine.window_terminal(inst, 4, params[-1])
         assert term.kind == "indicator"
         assert np.allclose(term.target,
                            inst.system.step_data(4, params[-1])[5])
 
     def test_predicted_tracking_clips_chain_pin_to_state_interval(self):
         inst = presets.inventory_one_sided(T=12)
-        rule = TerminalRule("predicted_tracking")
         params = inst.truth[:5]
-        inside = rule.build(inst, 4, params[-1])
+        inside = engine.window_terminal(inst, 4, params[-1])
         assert np.array_equal(inside.target, params[-1])
         for forecast in (1.3, -1.7):
-            term = rule.build(inst, 4, np.array([forecast]))
+            term = engine.window_terminal(inst, 4, np.array([forecast]))
             assert term.target[0] == np.clip(forecast, -1.0, 1.0)
             # the pin is no farther from the truth than the forecast was
             assert (abs(term.target[0] - params[-1][0])
                     <= abs(forecast - params[-1][0]))
 
     @pytest.mark.parametrize("name", STACK_PRESETS)
-    @pytest.mark.parametrize("kind", TerminalRule.KINDS)
+    @pytest.mark.parametrize("kind", list(WINDOW_CAPS))
     def test_stacked_build_matches_per_window_builds(self, name, kind):
-        # each row of one build over a batch of windows is the build of that
+        # each row of one cap over a batch of windows is the cap of that
         # window alone, bit for bit, for windows short of T and reaching it;
         # the forecasts stray outside the state interval of the chain
         inst = presets.build_preset(name, T=12)
-        rule = (TerminalRule.reference(inst) if kind == "reference"
-                else TerminalRule(kind))
+        cap = WINDOW_CAPS[kind]
         stream = PredictionStream(inst.truth, 4, 0.5, seed=3)
         for t2 in (np.arange(4, 12), np.full(3, 12)):
             xis = stream.forecasts[t2 - 4, 4]   # made four steps before
-            got = rule.build(inst, t2, xis)
+            got = cap(inst, t2, xis)
             for i in range(len(t2)):
-                want = rule.build(inst, int(t2[i]), xis[i])
+                want = cap(inst, int(t2[i]), xis[i])
                 assert terminal_bits(got[i]) == terminal_bits(want), (t2, i)
 
     def test_build_rejects_windows_that_mix_the_final_step(self):
         inst = quiet_instance()
         with pytest.raises(ValueError, match="final step"):
-            TerminalRule("zero").build(inst, np.array([5, 6]),
-                                       inst.truth[5:7])
+            engine.window_terminal(inst, np.array([5, 6]), inst.truth[5:7])
 
     @pytest.mark.parametrize("name", STACK_PRESETS)
     def test_stacked_terminal_cost_matches_per_row_calls(self, name):
@@ -153,16 +122,17 @@ class TestTerminalRule:
     @pytest.mark.parametrize("T,k,noise", [(80, 8, 0.2), (60, 8, 0.0),
                                            (20, 4, 0.3)])
     def test_disturbance_runs_alike_under_zero_and_predicted_tracking(
-            self, T, k, noise):
-        # the disturbance family's reference point is the origin, so
-        # pinning each window to it is the "zero" rule, bit for bit: this is
-        # what lets every CLI command run the one rule predicted_tracking
+            self, monkeypatch, T, k, noise):
+        # the disturbance family's reference point is the origin, so the
+        # cap of each window short of T is the origin pin, bit for bit:
+        # runs and gain tables read alike with that pin in its place
         inst = presets.disturbance(T=T, seed=1)
         stream = PredictionStream(inst.truth, k, noise, seed=1)
-        runs, tables = zip(*(
-            (engine.run_mpc(inst, stream, k, TerminalRule(kind)),
-             kkt.measure_gain_tables(inst, k, TerminalRule(kind)))
-            for kind in ("zero", "predicted_tracking")))
+        runs, tables = [], []
+        for terminal in (origin_pin, _window_terminal):
+            monkeypatch.setattr(engine, "window_terminal", terminal)
+            runs.append(engine.run_mpc(inst, stream, k))
+            tables.append(kkt.measure_gain_tables(inst, k))
         for name in ("states", "actions", "errors", "distances",
                      "stage_costs", "total_cost", "kkt_residual_max"):
             a, b = (np.asarray(getattr(run, name)) for run in runs)
@@ -177,7 +147,7 @@ class TestRunMpc:
     def test_quiet_system_stays_at_origin(self):
         inst = quiet_instance(T=6)
         stream = PredictionStream(inst.truth, 3, 0.0)
-        run = engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
+        run = engine.run_mpc(inst, stream, 3)
         assert np.all(run.states == 0.0)
         assert np.all(run.errors == 0.0)
         assert run.total_cost == 0.0
@@ -186,15 +156,14 @@ class TestRunMpc:
         inst = presets.tracking_rand(T=10, seed=6)
         stream = PredictionStream(inst.truth, 10, 0.0)
         opt = engine.solve_opt(inst)
-        run = engine.run_mpc(inst, stream, 10, TerminalRule("true"))
+        run = engine.run_mpc(inst, stream, 10)
         assert float(run.errors.max()) <= 1e-8
         assert run.total_cost - opt.total_cost <= 1e-7
 
     def test_dynamics_residual_and_total_cost(self):
         inst = presets.tracking_rand(T=10, seed=6)
         stream = PredictionStream(inst.truth, 4, 0.1, seed=1)
-        run = engine.run_mpc(inst, stream, 4,
-                             TerminalRule("predicted_tracking"))
+        run = engine.run_mpc(inst, stream, 4)
         assert run.dynamics_residual(inst) <= 1e-9
         total = float(run.stage_costs.sum())
         total += inst.terminal_cost().value(run.states[-1])
@@ -205,7 +174,7 @@ class TestRunMpc:
         runs = []
         for _ in range(2):
             stream = PredictionStream(inst.truth, 4, 0.2, seed=7)
-            runs.append(engine.run_mpc(inst, stream, 4, TerminalRule("zero")))
+            runs.append(engine.run_mpc(inst, stream, 4))
         assert np.array_equal(runs[0].states, runs[1].states)
         assert np.array_equal(runs[0].actions, runs[1].actions)
         assert np.array_equal(runs[0].errors, runs[1].errors)
@@ -222,12 +191,11 @@ class TestRunMpc:
         inst = presets.build_preset(name, T=T)
         stream = PredictionStream(inst.truth, min(k, T), noise,
                                   seed=inst.seed)
-        rule = TerminalRule("predicted_tracking")
-        run = engine.run_mpc(inst, stream, k, rule)
+        run = engine.run_mpc(inst, stream, k)
         laws = ftocp.window_laws(
             inst.system, [(t, stream.window(t, min(t + k, T)))
                           for t in range(T)],
-            lambda t2, xi: rule.build(inst, t2, xi))
+            functools.partial(engine.window_terminal, inst))
         assert laws.failure is None and len(laws.windows) == T
         for t, (law, w) in enumerate(laws.windows):
             if w == 0:
@@ -244,7 +212,6 @@ class TestRunMpc:
         # of each window's law built alone, bit for bit
         inst = presets.build_preset(name, T=T)
         stream = PredictionStream(inst.truth, k, 0.1, seed=inst.seed)
-        rule = TerminalRule("predicted_tracking")
         engine.solve_opt(inst)
         calls = []
         build = ftocp.continuation_law
@@ -254,14 +221,15 @@ class TestRunMpc:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(ftocp, "continuation_law", counted)
-        run = engine.run_mpc(inst, stream, k, rule)
+        run = engine.run_mpc(inst, stream, k)
         assert len(calls) == laws
         monkeypatch.undo()
         for t in range(T):
             t2 = min(t + k, T)
             params = stream.window(t, t2)
             law = ftocp.window_law(inst.system, params,
-                                   rule.build(inst, t2, params[-1]), t)
+                                   engine.window_terminal(inst, t2,
+                                                          params[-1]), t)
             assert (law.action(0, run.states[t]).tobytes()
                     == run.actions[t].tobytes()), t
 
@@ -269,9 +237,9 @@ class TestRunMpc:
         inst = quiet_instance(T=6)
         stream = PredictionStream(inst.truth, 2, 0.0)
         with pytest.raises(ValueError):
-            engine.run_mpc(inst, stream, 0, TerminalRule("zero"))
+            engine.run_mpc(inst, stream, 0)
         with pytest.raises(ValueError):
-            engine.run_mpc(inst, stream, 5, TerminalRule("zero"))
+            engine.run_mpc(inst, stream, 5)
 
     def test_stream_of_another_instance_rejected(self):
         # a zero-noise stream drawn around another instance's parameters
@@ -280,15 +248,15 @@ class TestRunMpc:
         other = presets.disturbance(T=20, seed=2)
         stream = PredictionStream(other.truth, 3, 0.0)
         with pytest.raises(ValueError, match="true parameters"):
-            engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
+            engine.run_mpc(inst, stream, 3)
         own = PredictionStream(inst.truth, 3, 0.0)
-        engine.run_mpc(inst, own, 3, TerminalRule("zero"))
+        engine.run_mpc(inst, own, 3)
 
     def test_infeasible_run_reports_step(self):
         inst = presets.inventory_two_sided(T=8)
         stream = PredictionStream(inst.truth, 1, 0.0)
         with pytest.raises(ftocp.Infeasible) as ei:
-            engine.run_mpc(inst, stream, 1, TerminalRule("predicted_tracking"))
+            engine.run_mpc(inst, stream, 1)
         assert ei.value.step is not None
 
 
@@ -325,27 +293,20 @@ def dead_step_system(sys_, step, off=None):
                       R=np.zeros((sys_.m, sys_.m)))
 
 
-def pin_at_step_5(T):
-    states = np.zeros((T + 1, 4))
-    states[5] = [0.3, 0.0, -0.1, 0.2]
-    return TerminalRule("reference", states)
-
-
 class TestRunFailures:
     """A window that cannot be solved fails the run, naming its step as the
     window alone would; with several, the earliest fails first."""
 
     def test_unreachable_pin_names_its_window(self):
         # k = 2 steps of one action cannot move the 4 pendulum states to a
-        # given target, so every pinned window fails when it is built, the
-        # windows from t = 0, 1, 2 too, although the resting state meets
-        # their pins (the window from t = 3 is pinned to the target of step
-        # 5); the earliest is named
+        # given target, so every pinned window fails when it is built,
+        # although the resting state meets its pin, the origin; the
+        # earliest is named
         inst = pendulum_at_rest()
         stream = PredictionStream(inst.truth, 2, 0.1, seed=1)
         with pytest.raises(ftocp.SingularKKT,
                            match="^pinned terminal unreachable from step 0$"):
-            engine.run_mpc(inst, stream, 2, pin_at_step_5(inst.T))
+            engine.run_mpc(inst, stream, 2)
 
     def test_singular_step_names_the_step(self):
         base = quiet_instance(T=10)
@@ -354,7 +315,7 @@ class TestRunFailures:
         stream = PredictionStream(inst.truth, 3, 0.1, seed=1)
         with pytest.raises(ftocp.SingularKKT,
                            match="singular R \\+ B'PB at step 5$"):
-            engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
+            engine.run_mpc(inst, stream, 3)
         # the windows' own batch: the step is dead only on forecasts, so
         # the truth law builds and the windows from steps 3 and 4 fail
         inst = Instance(dead_step_system(base.system, 5, base.truth[5]),
@@ -362,7 +323,7 @@ class TestRunFailures:
         ftocp.truth_law(inst)
         with pytest.raises(ftocp.SingularKKT,
                            match="singular R \\+ B'PB at step 5$"):
-            engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
+            engine.run_mpc(inst, stream, 3)
 
     def test_non_finite_gain_names_its_step(self):
         # an infinite cost at step 6 reaches the gain of step 5
@@ -377,7 +338,7 @@ class TestRunFailures:
             with pytest.raises(ftocp.SingularKKT,
                                match="non-finite gain at step 5$"), \
                     np.errstate(invalid="ignore"):
-                engine.run_mpc(inst, stream, 3, TerminalRule("zero"))
+                engine.run_mpc(inst, stream, 3)
         ftocp.truth_law(inst)
 
     def test_batch_names_its_earliest_failing_window(self):
@@ -405,12 +366,13 @@ class TestRunFailures:
         stream = PredictionStream(inst.truth, 2, 0.1, seed=1)
         with pytest.raises(ftocp.SingularKKT,
                            match="unreachable from step 0$"):
-            engine.run_mpc(inst, stream, 2, pin_at_step_5(inst.T))
-        # without the pin, the dead step fails the run
+            engine.run_mpc(inst, stream, 2)
+        # with windows long enough to reach their pins, the dead step fails
+        # the run
         stream = PredictionStream(inst.truth, 4, 0.1, seed=1)
         with pytest.raises(ftocp.SingularKKT,
                            match="singular R \\+ B'PB at step 8$"):
-            engine.run_mpc(inst, stream, 4, TerminalRule("zero"))
+            engine.run_mpc(inst, stream, 4)
 
     def test_non_finite_residual_raises(self):
         # the windows from steps 6 .. 9 are one law; a NaN start in it
@@ -418,11 +380,10 @@ class TestRunFailures:
         # leaving the worst residual of the other law (2.5e-16 with the
         # starts below, 3.6e-17 without this law)
         inst = presets.disturbance(T=10)
-        rule = TerminalRule("zero")
         laws = ftocp.window_laws(
             inst.system, [(t, inst.truth[t:min(t + 4, 10) + 1])
                           for t in range(10)],
-            lambda t2, xi: rule.build(inst, t2, xi))
+            functools.partial(engine.window_terminal, inst))
         starts = np.zeros((10, inst.system.n))
         starts[8:] = 1.0
         assert 0.0 < laws.kkt_residual_max(starts) < 1e-12
@@ -451,7 +412,7 @@ class TestPerInstance:
         assert np.array_equal(own.states, want.states)
         assert not np.allclose(own.states, opt.states)
         stream = PredictionStream(moved.truth, 4, 0.1, seed=1)
-        run = engine.run_mpc(moved, stream, 4, TerminalRule("zero"))
+        run = engine.run_mpc(moved, stream, 4)
         assert run.distances[0] == 0.0
         assert np.allclose(run.distances,
                            np.linalg.norm(run.states - want.states, axis=1),
@@ -590,7 +551,7 @@ class TestCsvExport:
     def test_trajectory_csv_shape(self):
         inst = quiet_instance(T=4)
         stream = PredictionStream(inst.truth, 2, 0.0)
-        run = engine.run_mpc(inst, stream, 2, TerminalRule("zero"))
+        run = engine.run_mpc(inst, stream, 2)
         text = cli._trajectory_body(run, ["command=test"])
         lines = text.strip().split("\n")
         assert lines[0] == "# command=test"

@@ -416,8 +416,7 @@ def test_chain_steps_die_with_their_system():
     # a system's chain laws share their windows, their solutions and their
     # backward steps, which the memo holds only while the system lives
     inst = presets.build_preset("inventory-one-sided", T=12)
-    regret.sweep_horizon(inst, [2, 4], engine.TerminalRule(
-        "predicted_tracking"))
+    regret.sweep_horizon(inst, [2, 4])
     system = weakref.ref(inst.system)
     windows, steps = ftocp._CHAIN_MEMO[inst.system]
     assert steps and windows
@@ -541,7 +540,7 @@ class TestClairvoyant:
     def test_chain_full_horizon_controller_is_exact(self, name):
         inst = presets.build_preset(name)
         stream = PredictionStream(inst.truth, inst.T, 0.0)
-        run = engine.run_mpc(inst, stream, inst.T, engine.TerminalRule("true"))
+        run = engine.run_mpc(inst, stream, inst.T)
         assert np.array_equal(run.errors, np.zeros(inst.T))
         assert run.total_cost == pytest.approx(
             engine.solve_opt(inst).total_cost, rel=1e-12)

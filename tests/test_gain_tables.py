@@ -2,6 +2,7 @@
 system) versus finite differences of the independent null-space oracle."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
-from mpclab.engine import TerminalRule
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ModelError,
                           ParamBox, TerminalCost)
 from test_continuation import oracle_continuation
@@ -27,17 +27,19 @@ FD_STEP = 1e-4
 WINDOW = {"tracking-rand": 4, "disturbance": 4, "pendulum": 5, "grid": 3}
 
 
-def oracle_window_norms(inst, rule, t, t2, z):
+def oracle_window_norms(inst, t, t2, z, cap=None):
     """Spectral norms by offset of the oracle's first-action Jacobian with
-    respect to the window parameters (the last one through the terminal
-    rule), the pin's target column folded into the last offset."""
+    respect to the window parameters (the last one through the cap
+    ``cap(t2, xi)``, by default ``engine.window_terminal``), the pin's
+    target column folded into the last offset."""
     sys_ = inst.system
+    cap = cap or functools.partial(engine.window_terminal, inst)
     params = [inst.truth[s] for s in range(t, t2 + 1)]
     splits = np.cumsum([p.shape[0] for p in params])[:-1]
 
     def first_action(flat, target=None):
         ps = np.split(flat, splits)
-        term = (rule.build(inst, t2, ps[-1]) if target is None
+        term = (cap(t2, ps[-1]) if target is None
                 else TerminalCost.indicator(target))
         return oracle_continuation(sys_, ps, term, 0, z, t)[1][0]
 
@@ -45,7 +47,7 @@ def oracle_window_norms(inst, rule, t, t2, z):
     J = oracles.fd_jacobian(first_action, flat, step=FD_STEP)
     out = np.array([np.linalg.norm(col, 2)
                     for col in np.split(J, splits, axis=1)])
-    term = rule.build(inst, t2, params[-1])
+    term = cap(t2, params[-1])
     if term.kind == "indicator":
         J_tgt = oracles.fd_jacobian(lambda v: first_action(flat, v),
                                     term.target, step=FD_STEP)
@@ -59,19 +61,25 @@ def oracle_states(inst):
                                inst.x0)[0]
 
 
-def window_batch(inst, rule, starts, k):
-    """The law of the batch of windows [t, t + k], t in starts, capped as
-    ``rule`` caps them."""
+def window_batch(inst, starts, k, cap=None):
+    """The law of the batch of windows [t, t + k], t in starts, capped by
+    ``cap(t2, xi)``, by default ``engine.window_terminal``."""
+    cap = cap or functools.partial(engine.window_terminal, inst)
     t2 = np.asarray(starts) + k
     return ftocp.continuation_law(
         inst.system, [inst.truth[t:t + k + 1] for t in starts],
-        rule.build(inst, t2, inst.truth[t2]), starts)
+        cap(t2, inst.truth[t2]), starts)
 
 
-def law_jacobians(inst, rule, law, zs):
+def law_jacobians(inst, law, zs, cap=None):
+    """``kkt._window_action_jacobians`` of a law, with the slopes of its
+    caps ``cap(t2, xi)``, by default ``engine.window_terminal``'s."""
+    t2 = law.t1 + law.T
+    slopes = (kkt._terminal_slopes(inst, t2) if cap is None else
+              kkt._central_slopes(lambda xi: kkt._terminal_data(cap(t2, xi)),
+                                  inst.truth[t2]))
     return kkt._window_action_jacobians(
-        law, np.asarray(zs), kkt._step_data_slopes(inst),
-        kkt._terminal_slopes(inst, rule, law.t1 + law.T))
+        law, np.asarray(zs), kkt._step_data_slopes(inst), slopes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,13 +88,18 @@ def law_jacobians(inst, rule, law, zs):
                                  "tail"]),
        t=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
 def test_window_jacobians_match_oracle(name, terminal, t, seed):
+    # "pinned" and "tail" windows are capped as every command caps them;
+    # "zero-pinned" and "quadratic" windows short of T are pinned to the
+    # origin or take the instance's own terminal cost
     T = 12
     k = WINDOW[name]
     inst = presets.build_preset(name, T=T)
-    rule = TerminalRule({"pinned": "predicted_tracking", "zero-pinned": "zero",
-                         "quadratic": "true", "tail": "zero"}[terminal])
+    n = inst.system.n
+    cap = {"zero-pinned": lambda t2, xi: TerminalCost.indicator(
+               np.zeros(np.shape(t2) + (n,))),
+           "quadratic": lambda t2, xi: inst.terminal_cost(xi)}.get(terminal)
     rng = np.random.default_rng(seed)
-    zs = [np.zeros(inst.system.n), rng.normal(size=inst.system.n)]
+    zs = [np.zeros(n), rng.normal(size=n)]
     if terminal == "tail":
         # the window [t, T] that reaches T, the suffix of the truth law
         t = T - k + t % k
@@ -95,10 +108,10 @@ def test_window_jacobians_match_oracle(name, terminal, t, seed):
     else:
         # a batch of one window [t, t + k] short of T
         t2 = t + k
-        law = window_batch(inst, rule, [t], k)
-    got = law_jacobians(inst, rule, law, np.array(zs)[:, None])[:, 0]
+        law = window_batch(inst, [t], k, cap)
+    got = law_jacobians(inst, law, np.array(zs)[:, None], cap)[:, 0]
     for row, z in zip(got, zs):
-        want = oracle_window_norms(inst, rule, t, t2, z)
+        want = oracle_window_norms(inst, t, t2, z, cap)
         assert np.abs(row - want).max() <= 1e-6 * np.abs(want).max()
 
 
@@ -194,39 +207,33 @@ def test_window_jacobians_match_oracle_when_every_map_varies(t, seed):
     # with the quadratic terminal, the suffix of the truth law from 5
     T, k = 9, 4
     inst = all_maps_instance(T, seed)
-    rule = TerminalRule("predicted_tracking")
     if t < T - k:
         starts = list(range(t, min(t + 3, T - k)))
-        law = window_batch(inst, rule, starts, k)
+        law = window_batch(inst, starts, k)
     else:
         starts = [t]
         law = ftocp.truth_law(inst).suffix(t)
     zs = np.random.default_rng(seed).normal(size=(2, len(starts), 2))
     zs[0] = 0.0
-    got = law_jacobians(inst, rule, law, zs)
+    got = law_jacobians(inst, law, zs)
     for i, s in enumerate(starts):
         for j in range(len(zs)):
-            want = oracle_window_norms(inst, rule, s, min(s + k, T),
-                                       zs[j, i])
+            want = oracle_window_norms(inst, s, min(s + k, T), zs[j, i])
             assert np.abs(got[j, i] - want).max() <= 1e-6 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("name,k,rule_kind", [
-    *(pytest.param(name, k, None, id=name) for name, k in WINDOW.items()),
+@pytest.mark.parametrize("name,k", [
+    *(pytest.param(name, k, id=name) for name, k in WINDOW.items()),
     # every window reaches T: all are read from the truth law, no batch
-    pytest.param("tracking-rand", 10, None, id="k=T"),
-    pytest.param("disturbance", 1, None, id="k=1"),
-    # full windows with quadratic caps, which are not tail windows
-    pytest.param("grid", 3, "true", id="true-rule")])
-def test_tables_match_oracle_finite_difference_tables(name, k, rule_kind):
+    pytest.param("tracking-rand", 10, id="k=T"),
+    pytest.param("disturbance", 1, id="k=1")])
+def test_tables_match_oracle_finite_difference_tables(name, k):
     # the reference is the finite-difference construction of the tables:
     # per window, central differences of the oracle's first action at z = 0
     # and at the hindsight-optimal state (at z = 0 alone for the
     # disturbance family, whose Jacobian does not depend on the state)
     T = 10
     inst = presets.build_preset(name, T=T)
-    rule = (cli._DEFAULT_RULE if rule_kind is None
-            else TerminalRule(rule_kind))
     opt_states = oracle_states(inst)
     gp, gs = np.zeros(k + 1), np.zeros(k + 1)
     for t in range(T):
@@ -234,7 +241,7 @@ def test_tables_match_oracle_finite_difference_tables(name, k, rule_kind):
         zs = [np.zeros(inst.system.n)]
         if name != "disturbance":
             zs.append(opt_states[t])
-        rows = [oracle_window_norms(inst, rule, t, t2, z) for z in zs]
+        rows = [oracle_window_norms(inst, t, t2, z) for z in zs]
         width = t2 - t + 1
         gp[:width] = np.maximum(gp[:width], rows[0])
         for z, row in zip(zs[1:], rows[1:]):
@@ -242,7 +249,7 @@ def test_tables_match_oracle_finite_difference_tables(name, k, rule_kind):
                                     / np.linalg.norm(z))
     gp = np.maximum.accumulate(gp[::-1])[::-1]
     gs = np.maximum.accumulate(gs[::-1])[::-1]
-    tables = kkt.measure_gain_tables(inst, k, rule)
+    tables = kkt.measure_gain_tables(inst, k)
     assert np.abs(tables.gain_param - gp).max() <= 1e-6 * gp.max()
     assert np.abs(tables.gain_state - gs).max() <= 1e-6 * gs.max()
 
@@ -259,7 +266,7 @@ def test_one_law_per_window(monkeypatch):
     inst = presets.tracking_rand(T=24)
     engine.solve_opt(inst)
     calls.clear()
-    kkt.measure_gain_tables(inst, 8, TerminalRule("predicted_tracking"))
+    kkt.measure_gain_tables(inst, 8)
     # the batch of the full windows; the truth law that the tail windows
     # are read from was built once, by the hindsight optimum
     assert len(calls) == 1
@@ -270,13 +277,13 @@ def test_one_terminal_slope_per_law_group(monkeypatch, tmp_path):
     # differentiates them once; the tail windows, which all end at T on
     # the true parameter, share one more difference (p = 1: two builds each)
     calls = []
-    build = TerminalRule.build
+    build = engine.window_terminal
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return build(self, *args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(TerminalRule, "build", counted)
+    monkeypatch.setattr(engine, "window_terminal", counted)
     res = CliRunner().invoke(cli.main, [
         "constants", "--preset", "tracking-rand", "--T", "24", "--k", "8",
         "--out", str(tmp_path)])
@@ -286,8 +293,7 @@ def test_one_terminal_slope_per_law_group(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("measure", [
     engine.solve_opt,
-    lambda inst: kkt.measure_gain_tables(
-        inst, 4, TerminalRule("predicted_tracking"))],
+    lambda inst: kkt.measure_gain_tables(inst, 4)],
     ids=["solve_opt", "measure_gain_tables"])
 def test_non_finite_hindsight_optimum_is_a_solver_failure(measure):
     # the unstable mode x_0 = 10^t is uncontrolled and costs nothing, so the
@@ -317,22 +323,19 @@ def test_state_samples_off_a_zero_optimum_follow_the_instance_seed():
     inst = dataclasses.replace(base, truth=np.full((13, 1), 0.5),
                                x0=np.zeros(2))
     assert np.all(engine.solve_opt(inst).states == 0.0)
-    rule = TerminalRule("predicted_tracking")
-    tables = kkt.measure_gain_tables(inst, 3, rule)
+    tables = kkt.measure_gain_tables(inst, 3)
     assert tables.R == 1.0
     assert np.all(np.isfinite(tables.gain_state))
     assert tables.gain_state[0] > 0.0
-    again = kkt.measure_gain_tables(dataclasses.replace(inst), 3, rule)
+    again = kkt.measure_gain_tables(dataclasses.replace(inst), 3)
     assert again.gain_state.tobytes() == tables.gain_state.tobytes()
-    other = kkt.measure_gain_tables(dataclasses.replace(inst, seed=5), 3,
-                                    rule)
+    other = kkt.measure_gain_tables(dataclasses.replace(inst, seed=5), 3)
     assert other.gain_state.tobytes() != tables.gain_state.tobytes()
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
 def test_state_radius_must_be_finite_and_positive(R):
-    tables = kkt.measure_gain_tables(presets.tracking_rand(T=8), 3,
-                                     TerminalRule("predicted_tracking"))
+    tables = kkt.measure_gain_tables(presets.tracking_rand(T=8), 3)
     with pytest.raises(ValueError, match="need a finite R > 0"):
         dataclasses.replace(tables, R=R)
 
@@ -358,34 +361,32 @@ def test_window_length_must_be_positive(k):
     # k = 0 used to raise SingularKKT from an unreachable pin, and k = -1
     # an IndexError
     with pytest.raises(ValueError, match="window length k must be >= 1"):
-        kkt.measure_gain_tables(presets.tracking_rand(T=8), k,
-                                TerminalRule("predicted_tracking"))
+        kkt.measure_gain_tables(presets.tracking_rand(T=8), k)
 
 
 @pytest.mark.parametrize("k", [9, 12])
 def test_window_length_must_not_exceed_horizon(k):
     # k = 12 used to return tables with k = 12 and 9 entries of gain_init
     with pytest.raises(ValueError, match="<= T = 8"):
-        kkt.measure_gain_tables(presets.tracking_rand(T=8), k,
-                                TerminalRule("predicted_tracking"))
+        kkt.measure_gain_tables(presets.tracking_rand(T=8), k)
 
 
 def test_chain_has_no_gain_tables():
     inst = presets.inventory_two_sided(T=6)
     with pytest.raises(ModelError, match="linear-quadratic system"):
-        kkt.measure_gain_tables(inst, 2, TerminalRule("predicted_tracking"))
+        kkt.measure_gain_tables(inst, 2)
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_tail_windows_are_the_instances_own(k):
-    # under the "true" rule only the tail windows [t, T] contain the dead
-    # step 9; they are read from the instance's truth law, which the
-    # hindsight optimum builds first and which fails there
+    # only the tail windows [t, T] contain the dead step 9; they are read
+    # from the instance's truth law, which the hindsight optimum builds
+    # first and which fails there, before any pinned window is built
     base = presets.tracking_rand(T=10)
     inst = dataclasses.replace(base, system=dead_step_system(base.system, 9))
     with pytest.raises(ftocp.SingularKKT,
                        match="singular R \\+ B'PB at step 9$"):
-        kkt.measure_gain_tables(inst, k, TerminalRule("true"))
+        kkt.measure_gain_tables(inst, k)
 
 
 @pytest.mark.parametrize("name,mode,basis", [
@@ -433,7 +434,7 @@ def per_offset_init_gains(law):
     return norms
 
 
-def per_tail_tables(inst, k, rule):
+def per_tail_tables(inst, k):
     """``kkt.measure_gain_tables`` with one Jacobian call per tail window
     [t, T] on the scalar suffix of the truth law, and ``gain_init`` normed
     offset by offset."""
@@ -445,12 +446,12 @@ def per_tail_tables(inst, k, rule):
     jac = np.zeros(zs.shape[:2] + (k + 1,))
     full = max(T - k, 0)
     if full:
-        law = window_batch(inst, rule, np.arange(full), k)
+        law = window_batch(inst, np.arange(full), k)
         jac[:, :full] = kkt._window_action_jacobians(
             law, zs[:, :full], step_slopes,
-            kkt._terminal_slopes(inst, rule, law.t1 + law.T))
+            kkt._terminal_slopes(inst, law.t1 + law.T))
     law = ftocp.truth_law(inst)
-    tail_slopes = kkt._terminal_slopes(inst, rule, law.t1 + law.T)
+    tail_slopes = kkt._terminal_slopes(inst, law.t1 + law.T)
     for t in range(full, T):
         jac[:, t, :T - t + 1] = kkt._window_action_jacobians(
             law.suffix(t), zs[:, t:t + 1], step_slopes, tail_slopes)[:, 0]
@@ -476,8 +477,7 @@ def test_tables_equal_per_tail_tables(name, all_tails):
     else:
         inst, k = presets.build_preset(name, T=T), WINDOW[name]
     k = T if all_tails else k
-    rule = cli._DEFAULT_RULE
-    want = per_tail_tables(inst, k, rule)
+    want = per_tail_tables(inst, k)
     jacobians = kkt._window_action_jacobians
     for cap in (kkt._STACK_CAP, 20):
         steps = []
@@ -489,7 +489,7 @@ def test_tables_equal_per_tail_tables(name, all_tails):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kkt, "_STACK_CAP", cap)
             mp.setattr(kkt, "_window_action_jacobians", counted)
-            tables = kkt.measure_gain_tables(inst, k, rule)
+            tables = kkt.measure_gain_tables(inst, k)
         got = (tables.gain_state, tables.gain_param, tables.gain_init)
         for g, w in zip(got, want, strict=True):
             assert g.tobytes() == w.tobytes()
@@ -523,7 +523,7 @@ def test_failing_window_is_the_earliest():
     # the earliest is named
     inst = presets.tracking_rand(T=6, seed=0)
     with pytest.raises(ftocp.SingularKKT) as ei:
-        kkt.measure_gain_tables(inst, 1, TerminalRule("predicted_tracking"))
+        kkt.measure_gain_tables(inst, 1)
     assert str(ei.value) == "pinned terminal unreachable from step 0"
     assert ei.value.window == 0
 

@@ -645,7 +645,7 @@ class TestMeasuredQuantities:
 
     def test_disturbance_state_envelope_identically_zero(self):
         inst = presets.disturbance(T=12, seed=0)
-        tables = kkt.measure_gain_tables(inst, 4, engine.TerminalRule("zero"))
+        tables = kkt.measure_gain_tables(inst, 4)
         assert np.all(tables.gain_state == 0.0)
         assert np.all(np.diff(tables.gain_param) <= 1e-15)  # non-increasing
         assert tables.C3 >= 1.0
@@ -657,18 +657,18 @@ class TestMeasuredQuantities:
         # samples (the pin's last offset sits at a fixed place and would
         # mask the trend)
         inst = presets.tracking_rand(T=15, seed=3)
-        k, rule = 6, engine.TerminalRule("zero")
+        k = 6
         opt = engine.solve_opt(inst)
         starts = np.arange(inst.T - k)
         t2 = starts + k
         law = ftocp.continuation_law(
             inst.system, [inst.truth[t:t + k + 1] for t in starts],
-            rule.build(inst, t2, inst.truth[t2]), starts)
+            engine.window_terminal(inst, t2, inst.truth[t2]), starts)
         zs = kkt._state_samples(inst, opt.states,
                                 max(opt.max_state_norm, 1.0))[:, starts]
         jac = kkt._window_action_jacobians(
             law, zs, kkt._step_data_slopes(inst),
-            kkt._terminal_slopes(inst, rule, t2))[..., :k]
+            kkt._terminal_slopes(inst, t2))[..., :k]
         gp = jac[0].max(axis=0)
         gs = (np.maximum(0.0, jac[1:] - jac[0])
               / np.linalg.norm(zs[1:], axis=-1)[..., None]).max(axis=(0, 1))

@@ -248,6 +248,15 @@ class TestRegistry:
         with pytest.raises(ModelError):
             presets.build_preset("no-such-preset")
 
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_preset_rejects_a_bad_seed(self, name, seed):
+        # called directly, without build_instance: a preset that draws
+        # checks the seed before numpy reads it, which would raise its own
+        # ValueError or TypeError, or take True for 1
+        with pytest.raises(ModelError, match="seed must be a nonnegative"):
+            presets.PRESETS[name](T=6, seed=seed)
+
     def test_disturbance_validates(self):
         inst = presets.disturbance(T=15)
         assert holds(inst.system, *box_grid(inst.system))

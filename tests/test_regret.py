@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from mpclab import engine, kkt, presets, regret
-from mpclab.engine import TerminalRule
 from mpclab.model import PredictionStream
 from test_engine import gain_tables
 
@@ -45,7 +44,7 @@ class TestRegretInequalities:
         inst = presets.tracking_rand(T=8, seed=2)
         opt = engine.solve_opt(inst)
         stream = PredictionStream(inst.truth, 8, 0.0)
-        run = engine.run_mpc(inst, stream, 8, TerminalRule("true"))
+        run = engine.run_mpc(inst, stream, 8)
         checks = regret.regret_inequalities(
             run, opt, ell=2.0, L_g=inst.system.lipschitz_dynamics(),
             tables=gain_tables(gain_init=np.ones(9)))
@@ -130,56 +129,22 @@ class TestRegretInequalities:
 class TestSweeps:
     def test_horizon_sweep_nonincreasing(self):
         inst = presets.disturbance(T=20, seed=0)
-        res = regret.sweep_horizon(inst, range(2, 7), TerminalRule("zero"))
+        res = regret.sweep_horizon(inst, range(2, 7))
         assert np.all(np.diff(res.regrets) <= 1e-9)
         assert res.slope < 0.0
-
-    def test_horizon_sweep_keeps_caller_reference(self):
-        inst = presets.disturbance(T=15, seed=1)
+        # each point is the regret of one zero-noise run at its k, and the
+        # sweep's worst KKT residual is the worst of those runs
         opt = engine.solve_opt(inst)
-        # pinning each window to the hindsight states reproduces them (zero
-        # regret); a constant target does not
-        for states, zero in ((opt.states, True),
-                             (np.full_like(opt.states, 0.5), False)):
-            rule = TerminalRule("reference", reference_states=states)
-            res = regret.sweep_horizon(inst, [3, 5], rule)
-            residuals = []
-            for k, got in zip((3, 5), res.regrets):
-                stream = PredictionStream(inst.truth, k, 0.0, seed=inst.seed)
-                run = engine.run_mpc(inst, stream, k, TerminalRule(
-                    "reference", reference_states=states))
-                assert got == pytest.approx(run.total_cost - opt.total_cost,
-                                            rel=1e-12, abs=1e-15)
-                assert (abs(got) <= 1e-12) == zero
-                residuals.append(run.kkt_residual_max)
-            assert res.kkt_residual_max == max(residuals)
-
-    def test_reference_rule_belongs_to_its_instance(self):
-        # a reference rule holds the nominal trajectory of the instance it
-        # was built for, so a rule used on one instance cannot leak into a
-        # sweep on another
-        insts = [presets.disturbance(T=15, seed=s) for s in (1, 2)]
-        rules = [TerminalRule.reference(inst) for inst in insts]
-        for inst, rule in zip(insts, rules):
-            sys_ = inst.system
-            zero = np.zeros_like(inst.truth)
-            data = [sys_.step_data(t, zero[t]) for t in range(inst.T)]
-            term = inst.terminal_cost(zero[-1])
-            nominal, _ = oracles.lq_ocp_oracle(
-                *([d[i] for d in data] for i in range(6)), inst.x0,
-                ("quadratic", term.P, term.xbar))
-            assert np.allclose(rule.reference_states, nominal, atol=1e-9)
-        regrets = [regret.sweep_horizon(inst, [3], rule).regrets[0]
-                   for inst, rule in zip(insts, rules)]
-        assert regrets[1] == pytest.approx(2.30e-3, rel=2e-3)
-        with pytest.raises(ValueError):
-            regret.sweep_horizon(presets.disturbance(T=20, seed=2), [3],
-                                 rules[0])
+        runs = [engine.run_mpc(inst, PredictionStream(inst.truth, k, 0.0), k)
+                for k in range(2, 7)]
+        assert res.regrets.tolist() == [run.total_cost - opt.total_cost
+                                        for run in runs]
+        assert res.kkt_residual_max == max(run.kkt_residual_max
+                                           for run in runs)
 
     def test_noise_sweep_monotone(self):
         inst = presets.disturbance(T=20, seed=0)
-        res = regret.sweep_noise(inst, [0.1, 0.2, 0.4], 5,
-                                 TerminalRule("zero"))
+        res = regret.sweep_noise(inst, [0.1, 0.2, 0.4], 5)
         assert np.all(np.diff(res.regrets) > 0.0)
         assert res.slope > 0.0
         # the fit is in the log of the scale
@@ -193,6 +158,6 @@ class TestSweeps:
                                         np.array(regrets), log_x=True) == (
                 None, None)
         inst = presets.disturbance(T=20, seed=0)
-        res = regret.sweep_noise(inst, [0.0, 0.2], 5, TerminalRule("zero"))
+        res = regret.sweep_noise(inst, [0.0, 0.2], 5)
         assert res.regrets[1] > regret.REGRET_FLOOR
         assert (res.slope, res.r2) == (None, None)
