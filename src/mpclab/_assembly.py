@@ -23,7 +23,9 @@ class WindowMatrices:
     A (K, n, n), B (K, n, m), w (K, n), Q (K, n, n), R (K, m, m),
     xbar (K, n).  A batch of windows puts a window axis in front of every
     array, its terminal's arrays included.  The arrays are those of the
-    system's ``step_data`` and may be read-only broadcast views."""
+    system's ``step_data``, ``WindowMatrices(*system.step_data(steps,
+    params), terminal)``, and may be read-only broadcast views; K, n and m
+    are read off their shapes."""
 
     A: Array
     B: Array
@@ -32,18 +34,7 @@ class WindowMatrices:
     R: Array
     xbar: Array
     terminal: TerminalCost
-    n: int
-    m: int
 
-    @classmethod
-    def stack(cls, system, steps: Array, params: Array,
-              terminal: TerminalCost) -> "WindowMatrices":
-        """Step data of every entry of ``steps``, on the parameter of the
-        same index in ``params``; each array carries the shape of ``steps``
-        in front.  One stacked ``system.step_data`` call."""
-        return cls(*system.step_data(steps, params), terminal, system.n,
-                   system.m)
-
-    @property
-    def K(self) -> int:
-        return self.A.shape[-3]
+    K = property(lambda self: self.A.shape[-3])
+    n = property(lambda self: self.A.shape[-1])
+    m = property(lambda self: self.B.shape[-1])

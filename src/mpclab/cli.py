@@ -11,9 +11,11 @@ prints its stdout line.  A body returns the ``Check`` of each inequality
 it tests; when one fails, the artifacts and stdout are written first, and
 then stderr names the first failed check before the command exits 4.
 
-Exit codes: 0 success; 2 configuration error (also a ModelError raised by a
-body, such as an analysis the family does not admit); 3 solver failure;
-4 certification failure (a tested inequality did not hold).
+Exit codes: 0 success; 2 configuration error, such as a count that is not
+an integer in range (``"T": true`` or ``"n": 1.5`` in an instance file, or
+``--k 0``), a number that does not parse to a finite float, or a ModelError
+raised by a body (an analysis the family does not admit, say); 3 solver
+failure; 4 certification failure (a tested inequality did not hold).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import click
 import numpy as np
 
 from . import engine, ftocp, kkt, presets, regret
-from .model import Check, Instance, ModelError, PredictionStream, config_hash
+from .model import (Check, Instance, ModelError, PredictionStream,
+                    _check_count, config_hash)
 
 EXIT_SOLVER = 3
 EXIT_CERT = 4
@@ -40,7 +43,7 @@ def parse_number(text: str) -> float:
     """Parse a decimal or an exact fraction like 2/35."""
     try:
         return float(fractions.Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise click.UsageError(f"cannot parse number {text!r}") from exc
 
 
@@ -179,8 +182,8 @@ def _command(name: str, *options, load: bool = True):
                                          ("preset", "instance", "T", "seed")))
                     if hashed["instance"] is not None:
                         hashed["instance"] = desc
-                    if "k" in opts and not 1 <= opts["k"] <= inst.T:
-                        raise click.UsageError("need 1 <= k <= T")
+                    if "k" in opts:
+                        _check_count("window length k", opts["k"], 1, inst.T)
                 if opts.get("noise_scale", 0.0) < 0:
                     raise click.UsageError("need --noise-scale >= 0")
                 headers = [f"command={name}",
@@ -300,8 +303,8 @@ def certify_decay(inst, hdr):
           load=False)
 def inventory_suite(inst, hdr, p, eps):
     """Terminal-perturbation response table for the alternating chain."""
-    if min(p) < 1:
-        raise click.UsageError("need --p >= 1")
+    for length in p:
+        _check_count("chain length p", length, 1)
     rows = presets.inventory_counterexample_suite(p, eps)
     worst = float(np.max([[abs(r.diff_minus_eps), r.closed_form_err]
                           for r in rows]))

@@ -23,8 +23,8 @@ import functools
 import numpy as np
 
 from . import ftocp
-from .model import (Instance, PredictionStream, TerminalCost, _read_only,
-                    _row_norms, per_instance)
+from .model import (Instance, PredictionStream, TerminalCost, _check_count,
+                    _read_only, _row_norms, per_instance)
 
 Array = np.ndarray
 
@@ -115,9 +115,10 @@ def run_mpc(instance: Instance, stream: PredictionStream,
     that cannot be solved (SingularKKT) fails the run; when several cannot,
     the earliest is named.  The stream must be drawn around the instance's
     own true parameters, so that its error magnitudes are the realized ones.
+    Raises ModelError unless k is an integer >= 1, and ValueError for a
+    stream shorter than the window or drawn around other parameters.
     """
-    if k < 1:
-        raise ValueError("window length k must be >= 1")
+    _check_count("window length k", k, 1)
     sys = instance.system
     T = sys.T
     if stream.k < min(k, T):

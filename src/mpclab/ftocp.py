@@ -48,8 +48,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _assembly
-from .model import (Instance, InventorySystem, TerminalCost, _read_only,
-                    _row_norms, per_instance)
+from .model import (Instance, InventorySystem, TerminalCost, _check_count,
+                    _read_only, _row_norms, per_instance)
 
 Array = np.ndarray
 
@@ -437,9 +437,9 @@ def _padded_steps(system, params: Sequence, t1: Array, live: Array,
     own = np.minimum(np.arange(live.shape[1]), K[:, None])
     first = np.cumsum(K + 1) - (K + 1)   # row of each window's parameters
     xis = np.concatenate(params, dtype=float)[first[:, None] + own]
-    return _hold_steps(_assembly.WindowMatrices.stack(
-        system, np.minimum(t1[:, None] + own, system.T - 1), xis, terminal),
-        live)
+    steps = np.minimum(t1[:, None] + own, system.T - 1)
+    return _hold_steps(_assembly.WindowMatrices(
+        *system.step_data(steps, xis), terminal), live)
 
 
 def continuation_law(system, params: Sequence, terminal: TerminalCost,
@@ -778,9 +778,9 @@ def window_law(system, params: Sequence[Array], terminal: TerminalCost,
     """The law of one window: the steps t1 .. t1 + T, T = len(params) - 1,
     where params[i] parameterizes step t1 + i (the last one the terminal
     data) and ``terminal`` caps the window: the one window of
-    ``window_laws``, whose failure it raises."""
-    if t1 < 0:
-        raise ValueError("a window must start at a step >= 0")
+    ``window_laws``, whose failure it raises.  Raises ModelError unless t1
+    is an integer >= 0, and ValueError for an empty ``params``."""
+    _check_count("window start t1", t1, 0)
     if len(params) == 0:
         raise ValueError("a window needs one parameter vector per step")
     laws = window_laws(system, [(t1, params)], lambda t2, xi: terminal[None])

@@ -22,7 +22,8 @@ import numpy as np
 from . import engine, ftocp
 from ._assembly import WindowMatrices
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
-                    ModelError, TerminalCost, _read_only, _row_norms)
+                    ModelError, TerminalCost, _check_count, _read_only,
+                    _row_norms)
 
 Array = np.ndarray
 
@@ -36,8 +37,8 @@ def window_data(system, params, terminal: TerminalCost) -> WindowMatrices:
         raise ModelError("saddle-matrix analysis needs a linear-quadratic "
                          "system")
     params = np.asarray(params, float)
-    K = len(params) - 1
-    return WindowMatrices.stack(system, np.arange(K), params[:K], terminal)
+    steps = np.arange(len(params) - 1)
+    return WindowMatrices(*system.step_data(steps, params[:-1]), terminal)
 
 
 def _saddle_tiles(wm: WindowMatrices) -> tuple[Array, Array, Array]:
@@ -624,13 +625,12 @@ def measure_gain_tables(instance: Instance, k: int) -> GainTables:
     Jacobians are its local slope at the true parameters (basis "local").
     The gain_init table is exact: the products of the closed-loop matrices
     A_t + B_t K_t of the truth law, normed in stacked calls (see
-    ``_init_state_jacobians``).  Raises ValueError for k < 1 or k > T,
-    ModelError for the stock chain, and FloatingPointError when the
+    ``_init_state_jacobians``).  Raises ModelError unless k is an integer
+    in 1..T, and for the stock chain, and FloatingPointError when the
     hindsight optimum or a Jacobian is not finite.
     """
     sys, truth = instance.system, instance.truth
-    if not 1 <= k <= sys.T:
-        raise ValueError(f"window length k must be >= 1 and <= T = {sys.T}")
+    _check_count("window length k", k, 1, sys.T)
     if isinstance(sys, InventorySystem):
         raise ModelError("gain tables need a linear-quadratic system")
     opt = engine.solve_opt(instance)

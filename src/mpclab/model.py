@@ -24,7 +24,8 @@ Array = np.ndarray
 
 
 class ModelError(ValueError):
-    """Raised for inconsistent instance descriptions."""
+    """Raised for inconsistent instance descriptions and arguments, such as
+    a count that is not an integer in range."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +53,17 @@ def _read_only(a: Array) -> Array:
     return a
 
 
-def _check_seed(seed) -> None:
-    """Raise ModelError unless the seed is a nonnegative integer: a Python
-    or numpy int, not a bool or a float."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or seed < 0):
-        raise ModelError(f"seed must be a nonnegative integer, not {seed!r}")
+def _check_count(name: str, value, least: int, most: int | None = None):
+    """Raise ModelError unless ``value`` is an integer in least..most (no
+    upper end when ``most`` is None): a Python or numpy int, not a bool or
+    a float.  The one check of a horizon, a dimension, a window or a seed;
+    a plain int skips the slow abstract-class test (it runs per window)."""
+    if ((type(value) is not int and (isinstance(value, bool) or not
+                                     isinstance(value, numbers.Integral)))
+            or value < least or (most is not None and value > most)):
+        upper = "" if most is None else f" and <= {most}"
+        raise ModelError(f"{name} must be an integer >= {least}{upper}, "
+                         f"not {value!r}")
 
 
 def _row_norms(X: Array) -> Array:
@@ -89,8 +95,7 @@ class PredictionStream:
     """
 
     def __init__(self, base: Array, k: int, rho: Array | float, seed: int = 0):
-        if k < 1:
-            raise ModelError("forecast horizon k must be >= 1")
+        _check_count("forecast horizon k", k, 1)
         base = np.array(base, float)
         T, p = base.shape[0] - 1, base.shape[1]
         self.truth = _read_only(base)
@@ -123,12 +128,8 @@ class PredictionStream:
 
     def window(self, t: int, t2: int) -> Array:
         """Forecasts xi_{t..t2} made at step t (inclusive of both ends)."""
-        if t < 0 or t2 < t:
-            raise ModelError("forecast window must satisfy 0 <= t <= t2")
-        if t2 > self.T:
-            raise ModelError("forecast beyond the final step")
-        if t2 - t > self.k:
-            raise ModelError("forecast beyond the horizon k")
+        _check_count("forecast step t", t, 0, self.T)
+        _check_count("forecast window end t2", t2, t, min(self.T, t + self.k))
         return self.forecasts[t, :t2 - t + 1]
 
 
@@ -218,10 +219,9 @@ class LinearQuadraticSystem:
                  step_data: Callable[[Array, Array], tuple],
                  terminal: Callable[[Array], tuple[Array, Array]],
                  bounds: Bounds, param_box: ParamBox):
-        if T < 2:
-            raise ModelError("horizon T must be >= 2")
-        if n < 1 or m < 1:
-            raise ModelError("need at least one state and one action")
+        _check_count("horizon T", T, 2)
+        _check_count("state dimension n", n, 1)
+        _check_count("action dimension m", m, 1)
         self.n, self.m, self.T = n, m, T
         self._step_data = step_data
         self.terminal = terminal
@@ -304,8 +304,7 @@ class InventorySystem:
     m = 1
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ModelError("horizon T must be >= 1")
+        _check_count("horizon T", self.T, 1)
         targets = np.asarray(self.targets, float)
         if targets.shape[0] != self.T + 1:
             raise ModelError("need one target per step 0..T")
@@ -359,7 +358,7 @@ class Instance:
     terminal_param: Array | None = None
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        _check_count("seed", self.seed, 0)
         truth = np.array(self.truth, float)
         if truth.ndim != 2 or truth.shape[0] != self.T + 1:
             raise ModelError("need one parameter vector per step 0..T")

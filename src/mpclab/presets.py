@@ -12,7 +12,7 @@ import numpy as np
 from . import ftocp
 from .model import (Bounds, DisturbanceOnlySystem, Instance, InventorySystem,
                     LinearQuadraticSystem, ModelError, ParamBox, TerminalCost,
-                    _check_seed, _row_norms)
+                    _check_count, _row_norms)
 
 Array = np.ndarray
 
@@ -20,7 +20,7 @@ Array = np.ndarray
 def _rng(seed) -> np.random.Generator:
     """The generator of a preset's draws, from a checked seed: the draws
     come before the preset's instance checks the seed itself."""
-    _check_seed(seed)
+    _check_count("seed", seed, 0)
     return np.random.default_rng(seed)
 
 

@@ -43,6 +43,7 @@ CHAIN_MEMO = ("tests/test_ftocp.py::TestChainSolver::"
 CAP = "tests/test_engine.py::TestTerminalRule::"
 ADJOINT = ("tests/test_continuation.py::"
            "test_first_action_adjoint_solves_the_saddle_system")
+EXIT_CODES = "tests/test_cli.py::TestConfigErrors::"
 
 MUTANTS = [
     # the regret inequality forced to hold, and its bound widened 10x
@@ -183,6 +184,14 @@ MUTANTS = [
     # the closed loop Phi_t = A_t + B_t K_t drops its feedback
     ("ftocp.py", "_read_only(self.data.A + self.data.B @ self.feedback)",
      "_read_only(self.data.A + 0.0)", [QUADRATIC]),
+    # the exit-code contract of every command: a bool taken for a count,
+    # and a number beyond the float range left to overflow
+    ("model.py", "isinstance(value, bool) or not", "not",
+     [EXIT_CODES + "test_count_that_is_not_an_integer_exits_2",
+      "tests/test_cli.py::"
+      "test_every_instance_file_exits_with_a_documented_code"]),
+    ("cli.py", "ZeroDivisionError, OverflowError)", "ZeroDivisionError)",
+     [EXIT_CODES + "test_number_beyond_the_float_range_exits_2"]),
 ]
 
 

@@ -6,7 +6,8 @@ imported (so functions that run at import count as reached), it runs
 - the ``mpclab`` command lines of README.md;
 - the commands of ``tests/compare_commands.txt``, which the CI step that
   compares a change's artifacts with its base commit runs too;
-- the solver-failure examples of ``EXIT_3`` below, which must exit 3;
+- the configuration-error examples of ``EXIT_2`` below, which must exit
+  2, and the solver-failure examples of ``EXIT_3``, which must exit 3;
 
 each with ``--out`` in a temporary directory.  It then prints every function
 defined in ``src/mpclab`` (methods and nested functions included, lambdas
@@ -18,8 +19,8 @@ installed:
     python tests/reach.py
 
 The exit status is 1 when a function outside ``ALLOWED`` is unreached, when
-an entry of ``ALLOWED`` is stale or names no function, or when an ``EXIT_3``
-example does not exit 3.
+an entry of ``ALLOWED`` is stale or names no function, or when an ``EXIT_2``
+or ``EXIT_3`` example exits with another code.
 
 Standard library only.  Pytest does not collect this file: it is not named
 ``test_*.py``.
@@ -40,6 +41,8 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mpclab"
 
+EXIT_2 = ["inventory-suite --eps 1e400",
+          "mpc --preset disturbance --T 4 --k 0"]
 EXIT_3 = ["mpc --preset pendulum --T 8 --k 2",
           "mpc --preset inventory-one-sided --T 3 --k 1"]
 
@@ -98,6 +101,7 @@ def commands() -> list[tuple[str, str]]:
     compare = (ROOT / "tests" / "compare_commands.txt").read_text()
     return ([("README", line) for line in readme]
             + [("compare", line) for line in compare.splitlines() if line]
+            + [("exit-2", line) for line in EXIT_2]
             + [("exit-3", line) for line in EXIT_3])
 
 
@@ -141,10 +145,10 @@ def main() -> int:
     names = set(functions.values())
     unreached = sorted(name for key, name in functions.items()
                        if key not in reached)
-    wrong = [line for (source, line), code in codes.items()
-             if source == "exit-3" and code != 3]
-    for line in wrong:
-        print(f"expected exit 3: {line} (exit {codes['exit-3', line]})")
+    wrong = [(source, line, code) for (source, line), code in codes.items()
+             if source in ("exit-2", "exit-3") and code != int(source[-1])]
+    for source, line, code in wrong:
+        print(f"expected {source.replace('-', ' ')}: {line} (exit {code})")
     unknown = sorted(set(ALLOWED) - names)
     for name in unknown:
         print(f"allowed but not defined: {name}")

@@ -9,10 +9,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import mpclab
 from mpclab import _assembly, cli, engine, ftocp, kkt, model, presets, regret
@@ -111,6 +113,17 @@ class TestConfigErrors:
                                        "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["inventory-suite", "--eps", "1e400"],
+        ["mpc", "--preset", "disturbance", "--noise-scale", "1e400"],
+        ["mpc", "--preset", "disturbance", "--noise-scale", "-1e400"]])
+    def test_number_beyond_the_float_range_exits_2(self, runner, tmp_path,
+                                                   args):
+        # the exact fraction parses, and its float() overflows
+        res = runner.invoke(cli.main, args + ["--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert f"cannot parse number {args[-1]!r}" in res.output
+
     @pytest.mark.parametrize("command", ["mpc", "sweep-noise"])
     def test_negative_noise_scale(self, runner, tmp_path, command):
         res = runner.invoke(cli.main, [command, "--preset", "disturbance",
@@ -124,7 +137,7 @@ class TestConfigErrors:
         res = runner.invoke(cli.main, ["inventory-suite", "--p", "4",
                                        "--p", "0", "--out", str(tmp_path)])
         assert res.exit_code == 2
-        assert "need --p >= 1" in res.output
+        assert "chain length p must be an integer >= 1, not 0" in res.output
 
     @pytest.mark.parametrize("preset", ["inventory-two-sided",
                                         "inventory-one-sided"])
@@ -133,7 +146,7 @@ class TestConfigErrors:
         res = runner.invoke(cli.main, ["solve", "--preset", preset, "--T", T,
                                        "--out", str(tmp_path)])
         assert res.exit_code == 2
-        assert "horizon T must be >= 1" in res.output
+        assert "horizon T must be an integer >= 1" in res.output
 
     @pytest.mark.parametrize("args,desc", [
         (["solve", "--preset", "pendulum", "--seed", "-1"], None),
@@ -162,7 +175,7 @@ class TestConfigErrors:
             args = args + ["--instance", str(path)]
         res = runner.invoke(cli.main, args + ["--out", str(tmp_path / "out")])
         assert res.exit_code == 2, res.output
-        assert "seed must be a nonnegative integer" in res.output
+        assert "seed must be an integer >= 0" in res.output
         assert not (tmp_path / "out").exists()
 
     def test_chain_of_one_step_runs(self, runner, tmp_path):
@@ -184,6 +197,59 @@ class TestConfigErrors:
         assert ("saddle-matrix analysis needs a linear-quadratic system"
                 in res.output)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("desc", [
+        # a chain of horizon True used to index its truth by a bool, and
+        # its chain law died on the resulting array with a TypeError
+        {"kind": "inventory-two-sided", "T": True},
+        {"kind": "inventory-one-sided", "T": True},
+        {"kind": "tracking-rand", "T": 24.0},
+        {"kind": "tracking-rand", "n": 1.5}])
+    def test_count_that_is_not_an_integer_exits_2(self, runner, tmp_path,
+                                                  desc):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(desc))
+        res = runner.invoke(cli.main, ["mpc", "--instance", str(path), "--k",
+                                       "1", "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert "must be an integer" in res.output
+
+
+# the values an instance file's keyword takes in the exit-code property test
+ODD_VALUES = st.sampled_from([-1, 0, 1, 3, True, False, 2.0, 2.5, "3", None,
+                              [3], float("nan")])
+
+
+@st.composite
+def instance_descriptions(draw):
+    """A preset kind, with a subset of the preset's keywords set to odd
+    values, and T always set: to an integer in 1..6 or an odd value."""
+    kind = draw(st.sampled_from(sorted(presets.PRESETS)))
+    names = sorted(set(inspect.signature(presets.PRESETS[kind]).parameters)
+                   - {"T"})
+    desc = {"kind": kind,
+            "T": draw(st.one_of(st.integers(1, 6), ODD_VALUES))}
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        desc[name] = draw(ODD_VALUES)
+    return desc
+
+
+@settings(max_examples=30, deadline=None)
+@given(desc=instance_descriptions(),
+       args=st.sampled_from([["mpc", "--k", "1"], ["solve"],
+                             ["sweep-noise", "--k", "1"], ["certify-decay"],
+                             ["constants", "--k", "1"]]))
+@example(desc={"kind": "inventory-two-sided", "T": True},
+         args=["mpc", "--k", "1"])
+def test_every_instance_file_exits_with_a_documented_code(desc, args):
+    # click reads an uncaught exception as exit 1, which no failure of a
+    # command is documented to give
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "inst.json"
+        path.write_text(json.dumps(desc))
+        res = CliRunner().invoke(cli.main, args + [
+            "--instance", str(path), "--out", str(pathlib.Path(tmp) / "out")])
+    assert res.exit_code in (0, 2, 3, 4), (res.output, res.exception)
 
 
 class TestSolverFailures:
@@ -860,8 +926,9 @@ class TestLibrarySurface:
         for cls in (model.LinearQuadraticSystem, model.DisturbanceOnlySystem,
                     model.InventorySystem):
             assert not hasattr(cls, "kind"), cls
-        gone = {model: ["build_instance"], ftocp: ["_lq_value"],
-                _assembly.WindowMatrices: ["window"],
+        gone = {model: ["build_instance", "_check_seed"],
+                ftocp: ["_lq_value"],
+                _assembly.WindowMatrices: ["window", "stack"],
                 kkt: ["_smallest_singular_value"],
                 cli: ["_default_rule", "_DEFAULT_RULE"],
                 engine: ["_stage_costs_and_total", "TerminalRule"]}
@@ -869,6 +936,9 @@ class TestLibrarySurface:
                    for owner, names in gone.items() for name in names
                    if hasattr(owner, name)]
         assert present == []
+        # a window's sizes are read off its arrays
+        assert [f.name for f in dataclasses.fields(_assembly.WindowMatrices)
+                ] == ["A", "B", "w", "Q", "R", "xbar", "terminal"]
         assert mpclab.build_instance is presets.build_instance
         assert mpclab.window_terminal is engine.window_terminal
         # model imports nothing of the package, presets included, at any

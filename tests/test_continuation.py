@@ -611,7 +611,7 @@ def test_padded_suffix_adjoints_solve_their_saddle_systems(n, m, kind, seed,
     assert nu is None
     for j, t in enumerate(ts):
         K = T - t
-        wm = _assembly.WindowMatrices.stack(
-            system, t + np.arange(K), np.zeros((K, 1)), terminal)
+        wm = _assembly.WindowMatrices(
+            *system.step_data(t + np.arange(K), np.zeros((K, 1))), terminal)
         assert_adjoint_solves_saddle_system(
             (y[j, :K + 1], v[j, :K], eta[j, :K], None), wm)

@@ -475,7 +475,7 @@ class TestMeasuredQuantities:
         K, one = 10, np.ones((10, 1, 1))
         wm = WindowMatrices(one, beta * one, np.zeros((K, 1)), one, one,
                             np.zeros((K, 1)),
-                            TerminalCost.indicator(np.zeros(1)), 1, 1)
+                            TerminalCost.indicator(np.zeros(1)))
         sv = np.linalg.svd(oracles.saddle_assembly(wm).N, compute_uv=False)
         assert lo < sv[0] / sv[-1] / (20 * 20 / 11) < hi
         calls = count_qr(monkeypatch)

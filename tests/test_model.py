@@ -175,7 +175,7 @@ class TestPredictionStream:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_horizon_below_one_rejected(self, k):
-        with pytest.raises(ModelError, match="horizon k must be >= 1"):
+        with pytest.raises(ModelError, match="forecast horizon k must be an integer >= 1"):
             PredictionStream(np.zeros((11, 1)), k, 0.1, seed=0)
 
     @pytest.mark.parametrize("shape", [(11, 4), (10, 5), (11, 5, 1), (5,)])
@@ -355,7 +355,7 @@ class TestInstances:
     @pytest.mark.parametrize("T", [0, -1])
     def test_inventory_needs_a_step(self, T):
         # T + 1 targets would pass the count check, but no window can act
-        with pytest.raises(ModelError, match="horizon T must be >= 1"):
+        with pytest.raises(ModelError, match="horizon T must be an integer >= 1"):
             InventorySystem(T=T, targets=np.zeros(max(T + 1, 0)))
 
     def test_inventory_rejects_negative_action_weight(self):
@@ -383,10 +383,10 @@ class TestInstances:
     @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, np.float64(1.0),
                                       None, "3"])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
-        with pytest.raises(ModelError, match="seed must be a nonnegative"):
+        with pytest.raises(ModelError, match="seed must be an integer >= 0"):
             Instance(const_system(T=4), np.zeros((5, 1)), np.zeros(1),
                      seed=seed)
-        with pytest.raises(ModelError, match="seed must be a nonnegative"):
+        with pytest.raises(ModelError, match="seed must be an integer >= 0"):
             build_instance({"kind": "tracking-rand", "T": 4, "seed": seed})
 
     @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2 ** 70])

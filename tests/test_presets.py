@@ -254,7 +254,7 @@ class TestRegistry:
         # called directly, without build_instance: a preset that draws
         # checks the seed before numpy reads it, which would raise its own
         # ValueError or TypeError, or take True for 1
-        with pytest.raises(ModelError, match="seed must be a nonnegative"):
+        with pytest.raises(ModelError, match="seed must be an integer >= 0"):
             presets.PRESETS[name](T=6, seed=seed)
 
     def test_disturbance_validates(self):
