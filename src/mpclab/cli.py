@@ -114,20 +114,23 @@ def _trajectory_body(rec: engine.TrajectoryRecord, headers: list[str]) -> str:
     n, m = rec.states.shape[1], rec.actions.shape[1]
     columns = (["t"] + [f"x{i}" for i in range(n)]
                + [f"u{i}" for i in range(m)] + ["e", "dist_opt", "stage_cost"])
-    rows = []
-    for t in range(rec.T + 1):
-        acted = t < rec.T
-        rows.append([t, *rec.states[t],
-                     *(rec.actions[t] if acted else [None] * m),
-                     rec.errors[t] if acted else None, rec.distances[t],
-                     rec.stage_costs[t] if t < len(rec.stage_costs) else None])
+    # Python floats: .17g writes them as it writes numpy's, only faster
+    states, actions, errors, distances, stage = (
+        a.tolist() for a in (rec.states, rec.actions, rec.errors,
+                             rec.distances, rec.stage_costs))
+    actions.append([None] * m)
+    errors.append(None)
+    stage += [None] * (rec.T + 1 - len(stage))
+    rows = [[t, *x, *u, e, dist, cost] for t, (x, u, e, dist, cost)
+            in enumerate(zip(states, actions, errors, distances, stage))]
     return _csv_body(columns, rows, headers)
 
 
 def _sweep_artifacts(stem: str, res: regret.SweepResult,
                      headers: list[str]) -> dict:
     return {f"{stem}.csv": _csv_body([res.variable, "regret"],
-                                     zip(res.values, res.regrets), headers),
+                                     zip(res.values.tolist(),
+                                         res.regrets.tolist()), headers),
             f"{stem}.json": _json_body(
                 {"slope": res.slope, "r2": res.r2,
                  "kkt_residual_max": res.kkt_residual_max}, headers)}
@@ -284,7 +287,7 @@ def certify_decay(inst, hdr):
     worst = float(np.max(maxima / np.maximum(theory, 1e-300)))
     return ({"decay_profile.csv": _csv_body(
                 ["offset", "max_block_norm", "theory_bound"],
-                zip(offsets, maxima, theory), hdr),
+                zip(offsets.tolist(), maxima.tolist(), theory.tolist()), hdr),
              "decay_constants.txt": _key_value_body(
                 {"sigma": sigma, "sigma_lo": consts.sigma_lo,
                  "sigma_hi": consts.sigma_hi, "decay_rate": consts.decay_rate,

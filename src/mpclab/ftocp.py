@@ -159,10 +159,14 @@ class ContinuationLaw:
     in s, the cost-to-go from offset t is s'P_t s, the optimal action is
     u_t = G_t s_t = K_t x_t + k_t (+ the nu-columns' actions), and the
     optimal state follows x_{t+1} = Phi_t x_t + c_t with Phi_t = A_t +
-    B_t K_t and c_t = w_t + B_t k_t.  For a pin, nu maximizes s'P_t s,
-    which is a solve with the n x n nu-block S of P_0, refined once (see
-    _rollout).  The multipliers of the saddle system of the window are
-    eta_t = -(P_t s_t)[:n].
+    B_t K_t and c_t = w_t + B_t k_t.  For a pin, nu maximizes s'P_0 s over
+    nu: nu = -S^{-1} r for the n x n nu-block S of P_0 and the unpinned
+    miss r = P_0[nu, :n+1] (x, 1), refined once (see _pin_solve).  So nu
+    is affine in the start, nu = N (x, 1), and the refined map N is solved
+    once, when the law is built (see _nu_map); the first action and the
+    rollout both read nu from it.  A window of an ill-conditioned pin
+    (``unmapped``) solves nu from r on each read instead.  The multipliers
+    of the saddle system of the window are eta_t = -(P_t s_t)[:n].
     """
 
     t1: Array           # (W,) first step of each window
@@ -171,6 +175,8 @@ class ContinuationLaw:
     G: Array            # (W, T, m, d)
     S_inv: Array | None = None   # (W, n, n): S^{-1} at offset 0, for a pin
     PB: Array | None = None      # (W, T, n, m): P_{t+1}[nu, :n] B_t, for a pin
+    nu_map: Array | None = None  # (W, n, n+1): nu = N (x, 1), for a pin
+    unmapped: Array | None = None  # (W,): nu solved from r instead, for a pin
 
     @property
     def W(self) -> int:
@@ -197,11 +203,11 @@ class ContinuationLaw:
 
     def action(self, t: int, x: Array, w: int = 0) -> Array:
         """Optimal action of window w at offset t from state x.  A pin's
-        multiplier is solved from x as in _rollout, at offset 0 alone: a
-        pinned law raises ValueError at t > 0.  Only the rollouts
+        multiplier is read from x by _nu, as in _rollout, at offset 0
+        alone: a pinned law raises ValueError at t > 0.  Only the rollouts
         (``trajectories`` and its readers) check that the pin is met."""
         n = self.data.n
-        s = np.append(x, 1.0)
+        s = np.concatenate((x, (1.0,)))
         u = self.G[w, t, :, :n + 1] @ s
         if self.pinned:
             if t:
@@ -240,38 +246,28 @@ class ContinuationLaw:
             _read_only(np.where(live[..., None, None], self.G[w, own], 0.0)))
 
     def _nu(self, s: Array, w=slice(None)) -> Array:
-        """Pin multipliers of the windows w from the states s = (x, 1) at
-        offset 0 (see _rollout)."""
-        n = self.data.n
-        return self._pin_solve(self.P[w, 0, n + 1:, :n + 1] @ s[..., None],
-                               w)[..., 0]
-
-    def _pin_solve(self, r: Array, w=slice(None)) -> Array:
-        """The pin multipliers nu (..., W, n, c) of the windows w that
-        cancel the terminal misses r (..., W, n, c): nu = -S^{-1} r, then
-        one refinement step against the miss r + sum_t PB_t v_t that the
-        actions v_t = G_t[:, n+1:] nu predict (see _rollout).  The miss is
-        summed over the offsets in order, so that the zero terms of a
-        padded window's steps leave it bitwise unchanged."""
-        n, S_inv = self.data.n, self.S_inv[w]
-        nu = -S_inv @ r
-        v = self.G[w, :, :, n + 1:] @ nu[..., None, :, :]
-        miss = r + np.cumsum(self.PB[w] @ v, axis=-3)[..., -1, :, :]
-        return nu - S_inv @ miss
+        """Pin multipliers (..., W, n) of the windows w from their starts
+        s = (x, 1), (..., W, n+1): N s for the map N (``nu_map``), or, in
+        the windows ``unmapped``, solved from the unpinned miss r = P_0[nu,
+        :n+1] s."""
+        nu = _mv(self.nu_map[w], s)
+        solved = self.unmapped[w]
+        if solved.any():
+            n = self.data.n
+            r = self.P[w, 0, n + 1:, :n + 1] @ s[..., None]
+            nu = np.where(solved[..., None], _pin_solve(
+                self.S_inv[w], self.PB[w], self.G[w], r)[..., 0], nu)
+        return nu
 
     def _rollout(self, xs: Array) -> tuple[Array, Array]:
         """Lifted optimal states s_0 .. s_T and actions u_0 .. u_{T-1} of
         every window, as ``trajectories`` reads xs, by x_{t+1} = Phi_t x_t +
         c_t, with the shift c_t = w_t + B_t k_t, k_t the 1-column of G_t.
 
-        A pin's multiplier nu adds the actions v_i = G_i[:, n+1:] nu, and
-        B_i v_i to the shifts c_i, which move x_T by sum_i P_{i+1}[nu, :n]
-        B_i v_i.  nu solves S nu = -r for the nu-block S of P_0 and the miss
-        r of the unpinned rollout.  S has about the squared condition number
-        of the reachability map, so one step of iterative refinement
-        follows, against the miss that the actions v predict.  The states
-        are rolled out from v rather than from the lifted (x, 1, nu): a
-        large nu would cancel digits there.  A rollout that misses its pin
+        A pin's multiplier nu (read from x by _nu) adds the actions v_i =
+        G_i[:, n+1:] nu, and B_i v_i to the shifts c_i.  The states are
+        rolled out from v rather than from the lifted (x, 1, nu): a large
+        nu would cancel digits there.  A rollout that misses its pin
         raises SingularKKT naming the earliest such window, with the miss of
         its first sample that misses.
         """
@@ -334,7 +330,8 @@ class ContinuationLaw:
         extra = np.zeros((self.W, K, m, m))   # actions beyond the feedback
         nu = None
         if self.pinned:
-            nu = self._pin_solve(P[:, 1, n + 1:, :n] @ B0 @ kick)
+            nu = _pin_solve(self.S_inv, self.PB, self.G,
+                            P[:, 1, n + 1:, :n] @ B0 @ kick)
             extra += self.G[..., n + 1:] @ nu[:, None]
         extra[:, 0] += kick
         y, loop = np.zeros((self.W, K + 1, n, m)), self.loop
@@ -391,6 +388,51 @@ class ContinuationLaw:
         r_dyn = states[..., 1:, :] - _mv(A, y) - _mv(B, actions) - wm.w
         return np.sqrt(sum(np.sum(r * r, axis=(-2, -1))
                            for r in (r_y, r_v, r_T, r_dyn)))
+
+
+def _pin_solve(S_inv: Array, PB: Array, G: Array, r: Array) -> Array:
+    """The pin multipliers nu (..., n, c) that cancel the terminal misses r
+    (..., n, c) of pinned windows, whose S^{-1} (..., n, n), PB (..., T, n,
+    m) and G (..., T, m, d) are as in ContinuationLaw, leading window axes
+    broadcasting.  A pin's multiplier adds the actions v_t = G_t[:, n+1:]
+    nu, which move x_T by sum_t P_{t+1}[nu, :n] B_t v_t = sum_t PB_t v_t,
+    so nu solves S nu = -r for the nu-block S of P_0.  S has about the
+    squared condition number of the reachability map, so nu = -S^{-1} r
+    takes one step of iterative refinement against the miss r + sum_t PB_t
+    v_t that its actions predict.  The miss is summed over the offsets in
+    order, so that the zero terms of a padded window's steps leave it
+    bitwise unchanged."""
+    n = S_inv.shape[-1]
+    nu = -S_inv @ r
+    v = G[..., n + 1:] @ nu[..., None, :, :]
+    miss = r + np.cumsum(PB @ v, axis=-3)[..., -1, :, :]
+    return nu - S_inv @ miss
+
+
+PIN_TERMS_MAX = 10.0    # |terms| / |map| of a mapped window's first action
+
+
+def _nu_map(S_inv: Array, PB: Array, G: Array,
+            P0: Array) -> tuple[Array, Array]:
+    """The refined map N (W, n, n+1) of pinned windows, nu = N (x, 1): the
+    columns of the unpinned miss r = P_0[nu, :n+1] (x, 1) solved at once
+    by _pin_solve, and the windows that read nu from r instead (W,).  N (x,
+    1) sums n + 1 products whose rounding no refinement sees, so an
+    ill-conditioned pin, whose first action F (x, 1), F = G_0[:, :n+1] +
+    G_0[:, n+1:] N, is a small difference of far larger terms, would lose
+    digits to it that the solve from r keeps (errors of 6e-10 relative
+    against 5e-13 on the pendulum's 4-step windows).  Such a window is
+    unmapped: its terms |G_0[:, :n+1]| + |G_0[:, n+1:]| |N| exceed |F| more
+    than PIN_TERMS_MAX times (max norms).  The pendulum's windows of 4 to
+    12 steps reach 1.6e2 to 2.5e4; the other presets stay below 5."""
+    n = S_inv.shape[-1]
+    N = _pin_solve(S_inv, PB, G, P0[:, n + 1:, :n + 1])
+    G0 = G[:, 0]
+    F = G0[..., :n + 1] + G0[..., n + 1:] @ N
+    terms = np.abs(G0[..., :n + 1]) + np.abs(G0[..., n + 1:]) @ np.abs(N)
+    unmapped = ~(terms.max(axis=(-2, -1))
+                 <= PIN_TERMS_MAX * np.abs(F).max(axis=(-2, -1)))
+    return _read_only(N), _read_only(unmapped)
 
 
 def _lifted_cost(Q: Array, xbar: Array, d: int) -> Array:
@@ -511,7 +553,7 @@ def continuation_law(system, params: Sequence, terminal: TerminalCost,
         for i in np.flatnonzero(~finite.all(axis=1)):
             last = int(np.flatnonzero(~finite[i]).max())
             failed.setdefault(i, f"non-finite gain at step {t1[i] + last}")
-    S_inv = PB = None
+    S_inv = PB = N = unmapped = None
     if pin:
         S = P[:, 0, n + 1:, n + 1:]     # the nu-block of P_0
         S_inv, singular = _solve_each(S, np.broadcast_to(np.eye(n), S.shape))
@@ -522,7 +564,10 @@ def continuation_law(system, params: Sequence, terminal: TerminalCost,
         S_inv, PB = _read_only(S_inv), _read_only(P[:, 1:, n + 1:, :n] @ wm.B)
     if failed:
         raise _failure(t1, failed)
-    return ContinuationLaw(t1, wm, _read_only(P), _read_only(G), S_inv, PB)
+    if pin:
+        N, unmapped = _nu_map(S_inv, PB, G, P[:, 0])
+    return ContinuationLaw(t1, wm, _read_only(P), _read_only(G), S_inv, PB,
+                           N, unmapped)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,9 @@ def tracking_rand(T: int = 40, seed: int = 7, n: int = 2,
 
 def disturbance(T: int = 60, seed: int = 0) -> Instance:
     """Known stable rotation dynamics; only the additive disturbance is
-    forecast (scalar parameter in [0, 1])."""
+    forecast (scalar parameter in [0, 1]).  The horizon is checked before
+    the draws it sizes."""
+    _check_count("horizon T", T, 2)
     rng = _rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=T)
     As = np.array([0.7 * np.array([[np.cos(th), -np.sin(th)],
@@ -122,6 +124,9 @@ def disturbance(T: int = 60, seed: int = 0) -> Instance:
 # ---------------------------------------------------------------------------
 
 def _inventory_instance(T: int, u_hi: float, seed: int) -> Instance:
+    """The alternating chain of T steps, its horizon checked before the
+    targets it counts."""
+    _check_count("horizon T", T, 1)
     targets = np.array([4.0 / 5.0 if t % 2 else -4.0 / 5.0
                         for t in range(T + 1)])
     system = InventorySystem(T=T, targets=targets, u_lo=-0.8, u_hi=u_hi)
@@ -243,7 +248,9 @@ def grid_matrices(m_val, *, L: Array, D: Array,
 def grid(T: int = 30, seed: int = 0,
          n_nodes: int = GRID_DEFAULTS["n_nodes"]) -> Instance:
     """The shared inertia is the parameter, over GRID_DEFAULTS' box
-    [m_lo, m_hi]; the truth is drawn uniformly over it from the seed."""
+    [m_lo, m_hi]; the truth is drawn uniformly over it from the seed.  The
+    node count is checked before the Laplacian it sizes."""
+    _check_count("node count n_nodes", n_nodes, 1)
     d = GRID_DEFAULTS
     L, D = path_laplacian(n_nodes), np.eye(n_nodes)
     system = _parametric_system(

@@ -44,6 +44,12 @@ CAP = "tests/test_engine.py::TestTerminalRule::"
 ADJOINT = ("tests/test_continuation.py::"
            "test_first_action_adjoint_solves_the_saddle_system")
 EXIT_CODES = "tests/test_cli.py::TestConfigErrors::"
+EXACT = ("tests/test_continuation.py::"
+         "test_committed_actions_match_the_exact_oracle")
+FIRST_ACTION = ("tests/test_continuation.py::"
+                "test_pinned_first_action_is_the_first_of_the_rollout")
+PIN_MAP = ("tests/test_continuation.py::"
+           "test_pin_map_cancels_its_miss_to_rounding")
 
 MUTANTS = [
     # the regret inequality forced to hold, and its bound widened 10x
@@ -145,6 +151,13 @@ MUTANTS = [
     # the adjoint's kick read at P_0 instead of P_1
     ("ftocp.py", "B0.swapaxes(-1, -2) @ P[:, 1, :n, :n] @ B0",
      "B0.swapaxes(-1, -2) @ P[:, 0, :n, :n] @ B0", [ADJOINT]),
+    # the pin's multiplier map built without its refinement, or from the
+    # rows of P at offset 1, and kept for the pendulum's ill-conditioned pins
+    ("ftocp.py", "N = _pin_solve(S_inv, PB, G, P0[:, n + 1:, :n + 1])",
+     "N = -S_inv @ P0[:, n + 1:, :n + 1]", [PIN_MAP]),
+    ("ftocp.py", "N, unmapped = _nu_map(S_inv, PB, G, P[:, 0])",
+     "N, unmapped = _nu_map(S_inv, PB, G, P[:, 1])", [PIN_MAP, FIRST_ACTION]),
+    ("ftocp.py", "PIN_TERMS_MAX = 10.0", "PIN_TERMS_MAX = 1e6", [EXACT]),
     # the rollout's pin actions no longer move the states
     ("ftocp.py", "shift = shift + _mv(wm.B, v)", "shift = shift",
      ["tests/test_continuation.py::"

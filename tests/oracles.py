@@ -8,6 +8,7 @@ against these oracles rather than against hand-typed numbers.  Nothing here
 imports the library.
 """
 
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +96,85 @@ def lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal, duals=False):
     if duals:
         return states, actions, lam.reshape(-1, n)
     return states, actions
+
+
+EXACT_SIZE_MAX = 25     # K (n + m) of the largest window solved exactly
+
+
+def exact(a):
+    """The float array a as an object array of the Fractions it equals."""
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, float))
+
+
+def _exact_solve(M, b):
+    """x with M x = b for an invertible square object array M of Fractions,
+    by Gauss-Jordan elimination on the first nonzero pivot of each column.
+    Every step is exact, so no pivot order is more accurate than another."""
+    n = len(b)
+    rows = [list(M[i]) + [b[i]] for i in range(n)]
+    for j in range(n):
+        p = next((i for i in range(j, n) if rows[i][j] != 0), None)
+        if p is None:
+            raise ZeroDivisionError("singular saddle system")
+        rows[j], rows[p] = rows[p], rows[j]
+        pivot = rows[j]
+        inv = 1 / pivot[j]
+        pivot[j:] = [v * inv for v in pivot[j:]]
+        for i in range(n):
+            f = rows[i][j]
+            if i != j and f:
+                rows[i][j:] = [v - f * pv for v, pv in zip(rows[i][j:],
+                                                           pivot[j:])]
+    return np.array([r[n] for r in rows], dtype=object)
+
+
+def exact_lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal):
+    """The windowed linear-quadratic problem of ``lq_ocp_oracle``, solved
+    exactly: every float of the data is read as the rational it equals,
+    and the window's saddle system is solved in ``fractions.Fraction``
+    with no rounding at all.  The states are eliminated first, x_t = c_t +
+    M_t u an exact affine function of the stacked actions u, which leaves
+    the saddle system of u and the pin's multiplier (or the normal
+    equations of u without a pin): K m + n unknowns, or K m.  Returns the
+    states (K+1, n) and actions (K, m) as object arrays of Fractions.
+    Refuses a window with K (n + m) > EXACT_SIZE_MAX, whose rationals
+    would grow too long for a test."""
+    K, n, m = len(As), len(z), np.shape(Bs[0])[1]
+    if K * (n + m) > EXACT_SIZE_MAX:
+        raise ValueError(f"window of K (n + m) = {K * (n + m)} is too large "
+                         f"for the exact oracle")
+    As, Bs, ws, Qs, Rs, xbars = (
+        [exact(d) for d in data] for data in (As, Bs, ws, Qs, Rs, xbars))
+    zero = Fraction(0)
+    c, M = exact(z), np.full((n, K * m), zero, dtype=object)
+    H = np.full((K * m, K * m), zero, dtype=object)
+    g = np.full(K * m, zero, dtype=object)
+    cs, Ms = [c], [M]
+    for t in range(K):
+        dev = c - xbars[t]
+        H += M.T.dot(Qs[t]).dot(M)
+        g += M.T.dot(Qs[t].dot(dev))
+        H[t * m:(t + 1) * m, t * m:(t + 1) * m] += Rs[t]
+        c = As[t].dot(c) + ws[t]
+        M = As[t].dot(M)
+        M[:, t * m:(t + 1) * m] += Bs[t]
+        cs.append(c)
+        Ms.append(M)
+    if terminal[0] == "indicator":
+        E = M
+        top = np.concatenate([H, E.T], axis=1)
+        bottom = np.concatenate([E, np.full((n, n), zero, dtype=object)],
+                                axis=1)
+        rhs = np.concatenate([-g, exact(terminal[1]) - c])
+        u = _exact_solve(np.concatenate([top, bottom]), rhs)[:K * m]
+    else:
+        if terminal[0] == "quadratic":
+            PT, xT = exact(terminal[1]), exact(terminal[2])
+            H = H + M.T.dot(PT).dot(M)
+            g = g + M.T.dot(PT.dot(c - xT))
+        u = _exact_solve(H, -g)
+    states = np.array([cs[t] + Ms[t].dot(u) for t in range(K + 1)])
+    return states, u.reshape(K, m)
 
 
 def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,

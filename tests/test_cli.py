@@ -952,7 +952,7 @@ class TestLibrarySurface:
         # ftocp alone; other modules read its state-block views loop and
         # feedback, and first_action_adjoint.  P is not in the list:
         # TerminalCost.P has the same name
-        lifted = {"closed_loop", "G", "S_inv", "PB"}
+        lifted = {"closed_loop", "G", "S_inv", "PB", "nu_map", "unmapped"}
         src = pathlib.Path(mpclab.__file__).parent
         reads = [f"{path.name}:{node.lineno}: {node.attr}"
                  for path in sorted(src.glob("*.py"))
@@ -963,9 +963,12 @@ class TestLibrarySurface:
 
     def test_continuation_law_stores_its_data_and_riccati_solution(self):
         # Phi_t and c_t are computed from A, B, w and G where ftocp reads
-        # them; the law stores no lifted closed loop
+        # them; the law stores no lifted closed loop.  A pin's multiplier
+        # map is solved once, with the law, and so is the choice of the
+        # windows that solve nu on each read instead
         fields = [f.name for f in dataclasses.fields(ftocp.ContinuationLaw)]
-        assert fields == ["t1", "data", "P", "G", "S_inv", "PB"]
+        assert fields == ["t1", "data", "P", "G", "S_inv", "PB", "nu_map",
+                          "unmapped"]
 
     def test_no_closed_form_gain_tables(self):
         # the closed-form sensitivity path fed no verdict and rested on an

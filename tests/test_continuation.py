@@ -3,6 +3,7 @@ null-space oracle, on random instances and through the controller."""
 
 import dataclasses
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,6 +274,91 @@ def test_pendulum_pinned_windows_match_oracle(k):
         assert rel_err(sol.states[-1], terminal.target) <= 1e-9
 
 
+def pinned_windows(name, T, k, noise):
+    """The realized states of a run and the laws of its windows, of which
+    those that stop short of T are one pinned batch."""
+    inst = presets.build_preset(name, T=T)
+    stream = PredictionStream(inst.truth, k, noise, seed=inst.seed)
+    laws = ftocp.window_laws(
+        inst.system, [(t, stream.window(t, min(t + k, T))) for t in range(T)],
+        functools.partial(engine.window_terminal, inst))
+    return inst, stream, engine.run_mpc(inst, stream, k).states, laws
+
+
+@pytest.mark.parametrize("name,k", [("pendulum", 4), ("pendulum", 5),
+                                    ("tracking-rand", 6)])
+def test_committed_actions_match_the_exact_oracle(name, k):
+    # the committed first action of every pinned window of a run, against
+    # its window solved in exact rationals from the same data and state.
+    # The ill-conditioned pin tests ask 1e-9 of a whole solution; a first
+    # action is held to 1e-12 (pendulum's k-step windows reach actions of
+    # 3e4 from states of 0.1).  Read through a map N (x, 1), the
+    # pendulum's would miss it by 1e-10, so its windows are unmapped
+    inst, stream, states, laws = pinned_windows(name, 20, k, 0.0)
+    for t in range(inst.T - k):
+        params = stream.window(t, t + k)
+        data = inst.system.step_data(t + np.arange(k), params[:k])
+        target = engine.window_terminal(inst, t + k, params[-1]).target
+        _, exact = oracles.exact_lq_ocp_oracle(*data, states[t],
+                                               ("indicator", target))
+        got = laws.action(t, states[t])
+        err = max(abs(Fraction(a) - e)
+                  for a, e in zip(got.tolist(), exact[0]))
+        assert err <= 1e-12 * max(1, *map(abs, exact[0])), t
+
+
+@pytest.mark.parametrize("name,T,k", [("tracking-rand", 40, 12),
+                                      ("grid", 12, 3)])
+def test_pin_map_cancels_its_miss_to_rounding(name, T, k):
+    # each column j of the map cancels its column of the unpinned miss:
+    # R + sum_t PB_t G_t[:, n+1:] N = 0, evaluated exactly, to within an
+    # eps of the terms' magnitudes.  Its refinement step takes the worst
+    # entry from about 5 eps (-S^{-1} R alone) to about eps / 2
+    law = pinned_windows(name, T, k, 0.05)[3].windows[0][0]
+    n, N = law.data.n, law.nu_map
+    R = law.P[:, 0, n + 1:, :n + 1]
+    G_nu = law.G[..., n + 1:]
+    for w in range(law.W):
+        miss = oracles.exact(R[w]) + sum(
+            oracles.exact(PB).dot(oracles.exact(G)).dot(oracles.exact(N[w]))
+            for PB, G in zip(law.PB[w], G_nu[w]))
+        terms = np.abs(R[w]) + sum(np.abs(PB) @ np.abs(G) @ np.abs(N[w])
+                                   for PB, G in zip(law.PB[w], G_nu[w]))
+        assert np.all(np.abs(miss).astype(float)
+                      <= 2 * np.finfo(float).eps * terms), w
+
+
+@pytest.mark.parametrize("name", ["tracking-rand", "disturbance",
+                                  "pendulum", "grid"])
+def test_ill_conditioned_pins_are_unmapped(name):
+    # the pendulum's first actions are small differences of terms 2e2 to
+    # 3e4 times larger, so its nu is solved from r on each read
+    law = pinned_windows(name, 20, 5, 0.05)[3].windows[0][0]
+    assert law.pinned and law.W == 15
+    assert list(law.unmapped) == [name == "pendulum"] * law.W
+
+
+@pytest.mark.parametrize("n,m,kind", [(2, 1, "indicator"), (3, 2, "zero"),
+                                      (2, 2, "quadratic")])
+def test_exact_oracle_matches_the_null_space_oracle(n, m, kind):
+    rng = np.random.default_rng(n + 10 * m)
+    K = 4
+    system = random_system(rng, n, m, K)
+    data = system.step_data(np.arange(K), np.zeros((K, 1)))
+    terminal = {"indicator": ("indicator", rng.normal(size=n)),
+                "zero": ("zero",),
+                "quadratic": ("quadratic", _spd(rng, n),
+                              rng.normal(size=n))}[kind]
+    z = rng.normal(size=n)
+    states, actions = oracles.exact_lq_ocp_oracle(*data, z, terminal)
+    so, ao = oracles.lq_ocp_oracle(*data, z, terminal)
+    assert rel_err(states.astype(float), so) <= 1e-9
+    assert rel_err(actions.astype(float), ao) <= 1e-9
+    with pytest.raises(ValueError, match="too large"):
+        oracles.exact_lq_ocp_oracle(*[np.repeat(d, 4, axis=0) for d in data],
+                                    z, terminal)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_unreachable_pinned_window_raises(k):
     # the pendulum has n = 4 states and m = 1 action: k < 4 steps cannot
@@ -352,6 +438,24 @@ def test_sample_rollouts_match_separate_rollouts(t, kind):
 
 
 LQ_PRESETS = ["tracking-rand", "disturbance", "pendulum", "grid"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(LQ_PRESETS), data=st.data())
+def test_pinned_first_action_is_the_first_of_the_rollout(name, data):
+    # from any states, the first action a pinned law reads is the first
+    # action of its rollout bit for bit, whether nu is read from its map
+    # N (x, 1) or, for the pendulum's pins, solved from r
+    _, _, _, laws = pinned_windows(name, 16, 6, 0.05)
+    law = laws.windows[0][0]
+    assert law.pinned and law.W == 10
+    n = law.data.n
+    xs = np.array(data.draw(st.lists(
+        st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+        min_size=law.W, max_size=law.W), label="xs"))
+    _, actions, _ = law.trajectories(xs)
+    for w in range(law.W):
+        assert law.action(0, xs[w], w).tobytes() == actions[w, 0].tobytes()
 
 
 @functools.cache

@@ -439,7 +439,7 @@ class TestPerInstance:
             assert not a.flags.writeable
         pinned = ftocp.window_law(inst.system, inst.truth[:4],
                                   TerminalCost.indicator(np.zeros(2)))
-        for a in (pinned.S_inv, pinned.PB):
+        for a in (pinned.S_inv, pinned.PB, pinned.nu_map, pinned.unmapped):
             assert not a.flags.writeable
 
 

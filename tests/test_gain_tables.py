@@ -529,10 +529,10 @@ def test_failing_window_is_the_earliest():
 
 
 def test_rollout_failure_names_the_earliest_window():
-    # a law whose pin multipliers are solved with a wrong S^{-1} misses
-    # each pin, except from the state z*_i where the unpinned rollout
-    # already meets it (r = 0, so nu = 0), and by an amount that depends
-    # on the state
+    # a law whose pin multipliers are read from a wrong map N misses each
+    # pin, except from the state z*_i where the unpinned rollout already
+    # meets it (r = 0, so nu = 0), and by an amount that depends on the
+    # state
     inst = presets.tracking_rand(T=8, seed=0)
     starts = np.arange(3)
     law = ftocp.continuation_law(
@@ -540,7 +540,7 @@ def test_rollout_failure_names_the_earliest_window():
         TerminalCost.indicator(np.zeros((3, 2))), starts)
     P0 = law.P[:, 0, 3:]
     meets = np.linalg.solve(P0[..., :2], -P0[..., 2:3])[..., 0]
-    law = dataclasses.replace(law, S_inv=1.5 * law.S_inv)
+    law = dataclasses.replace(law, nu_map=1.5 * law.nu_map)
     # sample j misses the pins of the windows misses[j]
     misses = [[], [2], [1, 2], [1]]
     zs = np.array([meets] * len(misses))

@@ -257,6 +257,21 @@ class TestRegistry:
         with pytest.raises(ModelError, match="seed must be an integer >= 0"):
             presets.PRESETS[name](T=6, seed=seed)
 
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    @pytest.mark.parametrize("T", [-1, 2.5, True])
+    def test_preset_rejects_a_bad_horizon(self, name, T):
+        # a preset that sizes its draws or targets by T checks it first, so
+        # the error names the horizon rather than numpy's shape or type
+        with pytest.raises(ModelError, match="horizon T must be an integer "
+                                             ">= [12], not "):
+            presets.PRESETS[name](T=T, seed=0)
+
+    @pytest.mark.parametrize("n_nodes", [-1, 0, 2.5, True])
+    def test_grid_rejects_a_bad_node_count(self, n_nodes):
+        with pytest.raises(ModelError, match="node count n_nodes must be an "
+                                             "integer >= 1, not "):
+            presets.grid(T=4, n_nodes=n_nodes)
+
     def test_disturbance_validates(self):
         inst = presets.disturbance(T=15)
         assert holds(inst.system, *box_grid(inst.system))
