@@ -23,11 +23,11 @@ Two problem classes are supported exactly:
 
 A law is read from its first step (``solution(x)``); ``action(t, x)`` is
 the one read at an offset t, which a pinned continuation law answers at 0
-alone, and ``suffix(t)`` is an unpinned one's continuation from offset t,
-its tails from an array of offsets read as one padded batch.
-``window_laws`` builds the laws of every window of a receding-horizon run
-before it starts and is the one place that picks the solver by problem
-class: a ``ChainLaw`` for the stock chain, a ``ContinuationLaw`` otherwise.
+alone.  ``window_laws`` builds the laws of every window of a
+receding-horizon run before it starts, those ``engine.run_mpc`` reads and
+those ``kkt.measure_gain_tables`` differentiates alike, and is the one
+place that picks the solver by problem class: a ``ChainLaw`` for the stock
+chain, a ``ContinuationLaw`` otherwise.
 ``window_law`` is its case of one window, and ``truth_law`` gives the
 optimal continuation under an instance's true parameters, once per
 instance.  ``stage_costs`` prices a trajectory of either class.  Outside
@@ -214,36 +214,6 @@ class ContinuationLaw:
                 raise ValueError("a pinned law is read from its first step")
             u += self.G[w, 0, :, n + 1:] @ self._nu(s, w)
         return u
-
-    def suffix(self, t) -> "ContinuationLaw":
-        """The continuation of every window from offset t: the law of the
-        windows [t1 + t, t1 + T].  The offsets t (an int or an int array)
-        broadcast against the window axis: window j of the result is
-        window w_j of this law from offset t_j, so a law of one window
-        gives one tail per offset.  Those of different lengths are padded
-        past T exactly as ``continuation_law`` pads a batch (holding steps,
-        P the terminal P and zero gains, so Phi = I and c = 0 there), and
-        each reads bitwise as its own suffix on its own offsets.  A pin's
-        multiplier is solved at offset 0 alone, so a pinned law raises
-        ValueError."""
-        if self.pinned:
-            raise ValueError("a pinned law is read from its first step")
-        ts = np.asarray(t)
-        outside = ts[(ts < 0) | (ts > self.T)]
-        if outside.size:
-            raise ValueError(f"offset {outside[0]} outside the window")
-        wm = self.data
-        ts, w = np.broadcast_arrays(ts, np.arange(self.W))
-        src = ts[:, None] + np.arange(self.T - ts.min(initial=self.T) + 1)
-        w, live = w[:, None], src[:, :-1] < self.T
-        own = np.minimum(src[:, :-1], self.T - 1)   # replaced where padded
-        data = _hold_steps(dataclasses.replace(wm, **{
-            f: _read_only(getattr(wm, f)[w, own]) for f in _STEP_FIELDS}),
-            live)
-        return ContinuationLaw(
-            _read_only(self.t1[w[:, 0]] + ts), data,
-            _read_only(self.P[w, np.minimum(src, self.T)]),
-            _read_only(np.where(live[..., None, None], self.G[w, own], 0.0)))
 
     def _nu(self, s: Array, w=slice(None)) -> Array:
         """Pin multipliers (..., W, n) of the windows w from their starts
@@ -447,41 +417,30 @@ def _lifted_cost(Q: Array, xbar: Array, d: int) -> Array:
     return C
 
 
-_STEP_FIELDS = ("A", "B", "w", "Q", "R", "xbar")
-
-
-def _hold_steps(wm: _assembly.WindowMatrices,
-                live: Array) -> _assembly.WindowMatrices:
-    """The step data wm with the step A = I, B = 0, w = 0, Q = 0, R = I,
-    xbar = 0, which holds the state and takes no action at no cost,
-    written at the steps where ``live`` (W, T) is False, into read-only
-    copies of wm's arrays.  With no such step, wm is returned as it is."""
-    held = np.nonzero(~live)    # (window, offset) of each held step
-    if not held[0].size:
-        return wm
-    fields = {}
-    for f, hold in zip(_STEP_FIELDS, (np.eye(wm.n), 0.0, 0.0, 0.0,
-                                      np.eye(wm.m), 0.0)):
-        fields[f] = np.array(getattr(wm, f))
-        fields[f][held] = hold
-        _read_only(fields[f])
-    return dataclasses.replace(wm, **fields)
-
-
 def _padded_steps(system, params: Sequence, t1: Array, live: Array,
                   terminal: TerminalCost) -> _assembly.WindowMatrices:
-    """Step data of a batch of windows, stacked to the longest and held
-    (``_hold_steps``) where ``live`` (W, T) is False.  One stacked
-    ``system.step_data`` call, which reads a padded step on the window's
-    last parameter, at the step after its last one clipped to the
-    system's last step."""
+    """Step data of a batch of windows, stacked to the longest.  One
+    stacked ``system.step_data`` call, which reads a padded step on the
+    window's last parameter, at the step after its last one clipped to the
+    system's last step.  Where ``live`` (W, T) is False, the step A = I,
+    B = 0, w = 0, Q = 0, R = I, xbar = 0, which holds the state and takes
+    no action at no cost, is written into read-only copies of the arrays."""
     K = live.sum(axis=1)
     own = np.minimum(np.arange(live.shape[1]), K[:, None])
     first = np.cumsum(K + 1) - (K + 1)   # row of each window's parameters
     xis = np.concatenate(params, dtype=float)[first[:, None] + own]
     steps = np.minimum(t1[:, None] + own, system.T - 1)
-    return _hold_steps(_assembly.WindowMatrices(
-        *system.step_data(steps, xis), terminal), live)
+    wm = _assembly.WindowMatrices(*system.step_data(steps, xis), terminal)
+    held = np.nonzero(~live)    # (window, offset) of each held step
+    if not held[0].size:
+        return wm
+    fields = {}
+    for f, hold in zip(("A", "B", "w", "Q", "R", "xbar"),
+                       (np.eye(wm.n), 0.0, 0.0, 0.0, np.eye(wm.m), 0.0)):
+        fields[f] = np.array(getattr(wm, f))
+        fields[f][held] = hold
+        _read_only(fields[f])
+    return dataclasses.replace(wm, **fields)
 
 
 def continuation_law(system, params: Sequence, terminal: TerminalCost,

@@ -485,11 +485,11 @@ def _window_action_jacobians(law: ftocp.ContinuationLaw, zs: Array,
     is read by one batched rollout; the earliest window that misses its pin
     raises SingularKKT.
 
-    The law may be padded (``suffix`` of an array of offsets), on the
-    invariant that every padded window ends at T, the last step of
-    ``step_slopes``: window i then has its own K_i = min(K, T - t1_i)
-    offsets, its terminal entry is read at K_i, and its entries past K_i
-    are 0.
+    The law may be padded (a batch of tail windows [t, T] of several
+    lengths), on the invariant that every padded window ends at T, the last
+    step of ``step_slopes``: window i then has its own K_i = min(K, T -
+    t1_i) offsets, its terminal entry is read at K_i, and its entries past
+    K_i are 0.
     """
     wm, K, T = law.data, law.T, len(step_slopes[0])
     states, v, duals = law.trajectories(zs)
@@ -607,17 +607,17 @@ def measure_gain_tables(instance: Instance, k: int) -> GainTables:
     R = max_t(||x*_t||, 1)), by implicit differentiation of the window's
     saddle system with the adjoint lam read from each law (see
     ``_window_action_jacobians``), with the slopes of the step data taken
-    once per step and those of the terminals once per group of laws, by
-    central differences of the system's maps.  The laws come from at most
-    two backward passes: the T - k full windows [t, t + k] are one batch of
-    ``ftocp.window_laws``, and the k tail windows [t, T] are ``suffix(ts)``
-    of the instance's truth law for consecutive offsets ts, in padded
-    batches of at most _STACK_CAP steps (windows x offsets) each: one batch
-    at k = 8 and T = 24.  A window that reaches T has the true step data and
-    the instance's terminal cost, so the tails share one terminal slope,
-    taken at T.  A failing window raises as the windows would one at a
-    time: the full windows before the batch's failing one are rolled out,
-    and their pins checked, before its failure is raised.
+    once per step and those of the terminals once per batch of laws, by
+    central differences of the system's maps.  Every law comes from
+    ``ftocp.window_laws``, which builds the windows of ``engine.run_mpc``,
+    here over the run's windows (t, truth[t:t + k + 1]), t = 0 .. T - 1:
+    the T - k full windows [t, t + k] are one batch, and the k tail windows
+    [t, T] come in padded batches of at most _STACK_CAP steps (windows x
+    offsets) each: one batch at k = 8 and T = 24.  Each batch's cap slopes
+    are taken at the steps min(t1 + K, T) where its windows end.  A failing
+    window raises as the windows would one at a time: the windows of its
+    batch before it are rolled out, and their pins checked, before its
+    failure is raised.
     For the disturbance family the first action is affine in the
     parameters, so the Jacobians bound any realized deviation by the
     triangle inequality (basis "exact").  The other families put the
@@ -639,30 +639,25 @@ def measure_gain_tables(instance: Instance, k: int) -> GainTables:
     step_slopes = _step_data_slopes(instance)
     zs = _state_samples(instance, opt.states, R)
     jac = np.zeros(zs.shape[:2] + (k + 1,))   # zero beyond a tail's width
-    full = max(T - k, 0)
-    batch = ftocp.window_laws(
-        sys, [(t, truth[t:t + k + 1]) for t in range(full)],
-        functools.partial(engine.window_terminal, instance))
-    if batch.windows:
-        law_k = batch.windows[0][0]
-        jac[:, :law_k.W] = _window_action_jacobians(
-            law_k, zs[:, :law_k.W], step_slopes,
-            _terminal_slopes(instance, law_k.t1 + law_k.T))
-    if batch.failure is not None:
-        raise batch.failure
-    law = ftocp.truth_law(instance)
-    tail_slopes = _terminal_slopes(instance, np.array([T]))
-    t = full
-    while t < T:    # the tails [t, T], as many per call as the cap allows
-        ts = np.arange(t, min(T, t + max(1, _STACK_CAP // (T - t))))
-        jac[:, ts, :T - t + 1] = _window_action_jacobians(
-            law.suffix(ts), zs[:, ts], step_slopes, tail_slopes)
-        t = ts[-1] + 1
+    windows = [(t, truth[t:t + k + 1]) for t in range(T)]
+    terminals = functools.partial(engine.window_terminal, instance)
+    full, t = max(T - k, 0), 0
+    while t < T:    # the full windows, then as many tails as the cap allows
+        stop = full if t < full else min(T, t + max(1, _STACK_CAP // (T - t)))
+        batch = ftocp.window_laws(sys, windows[t:stop], terminals)
+        if batch.windows:
+            law = batch.windows[0][0]
+            jac[:, law.t1, :law.T + 1] = _window_action_jacobians(
+                law, zs[:, law.t1], step_slopes,
+                _terminal_slopes(instance, np.minimum(law.t1 + law.T, T)))
+        if batch.failure is not None:
+            raise batch.failure
+        t = stop
     scale = _row_norms(zs[1:])
     gp = jac[0].max(axis=0)
     gs = (np.maximum(0.0, jac[1:] - jac[0])
           / scale.reshape(-1, T, 1)).max(axis=(0, 1), initial=0.0)
-    gi = _init_state_jacobians(law)
+    gi = _init_state_jacobians(ftocp.truth_law(instance))
     gi[0] = max(gi[0], 1.0)
     return GainTables(_monotone_envelope(gs), _monotone_envelope(gp),
                       _monotone_envelope(gi),

@@ -50,6 +50,9 @@ FIRST_ACTION = ("tests/test_continuation.py::"
                 "test_pinned_first_action_is_the_first_of_the_rollout")
 PIN_MAP = ("tests/test_continuation.py::"
            "test_pin_map_cancels_its_miss_to_rounding")
+TABLE_LAWS = ("tests/test_gain_tables.py::"
+              "test_tables_differentiate_the_laws_run_mpc_builds")
+TAIL_TABLES = "tests/test_gain_tables.py::test_tables_equal_per_tail_tables"
 
 MUTANTS = [
     # the regret inequality forced to hold, and its bound widened 10x
@@ -197,6 +200,14 @@ MUTANTS = [
     # the closed loop Phi_t = A_t + B_t K_t drops its feedback
     ("ftocp.py", "_read_only(self.data.A + self.data.B @ self.feedback)",
      "_read_only(self.data.A + 0.0)", [QUADRATIC]),
+    # the gain tables' windows cut one parameter short, which pins every
+    # tail, and each batch's Jacobians taken at the state samples of the
+    # windows one step before its own
+    ("kkt.py", "windows = [(t, truth[t:t + k + 1]) for t in range(T)]",
+     "windows = [(t, truth[t:t + k]) for t in range(T)]",
+     [TABLE_LAWS]),
+    ("kkt.py", "law, zs[:, law.t1], step_slopes,",
+     "law, zs[:, law.t1 - 1], step_slopes,", [TAIL_TABLES]),
     # the exit-code contract of every command: a bool taken for a count,
     # and a number beyond the float range left to overflow
     ("model.py", "isinstance(value, bool) or not", "not",

@@ -177,6 +177,102 @@ def exact_lq_ocp_oracle(As, Bs, ws, Qs, Rs, xbars, z, terminal):
     return states, u.reshape(K, m)
 
 
+EXACT_RUN_SIZE_MAX = 100    # T (n + m) of the largest run taken exactly
+
+
+class ExactRiccati(NamedTuple):
+    """The optimal continuation of a linear-quadratic instance under its
+    true parameters, in Fractions, by step t: V_t(x) = x'P_t x + 2 p_t'x +
+    c_t is the least cost of the steps t .. T from x, u = K_t x + k_t is
+    the optimal action and H_t = R_t + B_t'P_{t+1}B_t the curvature of the
+    cost in it."""
+    P: list
+    p: list
+    c: list
+    K: list
+    k: list
+    H: list
+
+
+class ExactRegret(NamedTuple):
+    """An action sequence's exact states x_0 .. x_T, its cost, the optimum
+    V_0(x_0), the regret (cost - optimum) and the terms d_t'H_t d_t of
+    d_t = u_t - (K_t x_t + k_t)."""
+    states: np.ndarray
+    cost: Fraction
+    optimum: Fraction
+    regret: Fraction
+    terms: list
+
+
+def _exact_run_data(instance):
+    """A, B, w, Q, R, xbar (stacked by step) and the terminal's P and xbar
+    of an instance's true parameters, as exact rationals.  The costs read
+    only the symmetric parts of Q_t, R_t and P_T, so those are taken.  The
+    instance is read through ``system.step_data``, ``truth`` and
+    ``terminal_cost()`` alone.  Refuses a run with T (n + m) >
+    EXACT_RUN_SIZE_MAX, whose rationals would grow too long for a test."""
+    sys_, T = instance.system, instance.T
+    n, m = sys_.n, sys_.m
+    if T * (n + m) > EXACT_RUN_SIZE_MAX:
+        raise ValueError(f"run of T (n + m) = {T * (n + m)} is too large "
+                         f"for the exact oracle")
+    shapes = ((n, n), (n, m), (n,), (n, n), (m, m), (n,))
+    data = [exact(np.broadcast_to(d, (T,) + shape)) for d, shape in
+            zip(sys_.step_data(np.arange(T), instance.truth[:T]), shapes)]
+    term = instance.terminal_cost()
+    data += [exact(term.P), exact(term.xbar)]
+    for i in (3, 4, 6):   # Q, R, P_T
+        data[i] = (data[i] + data[i].swapaxes(-1, -2)) / 2
+    return data
+
+
+def exact_riccati(instance):
+    """The truth law of a linear-quadratic instance, computed exactly
+    (``ExactRiccati``) by the backward Riccati recursion with its affine
+    terms, from the symmetric parts of Q_t, R_t and P_T."""
+    A, B, w, Q, R, xbar, PT, xT = _exact_run_data(instance)
+    T = instance.T
+    P, p, c = [None] * T + [PT], [None] * T + [-PT.dot(xT)], [None] * T + [
+        xT.dot(PT.dot(xT))]
+    K, k, H = [None] * T, [None] * T, [None] * T
+    for t in reversed(range(T)):
+        PA = P[t + 1].dot(A[t])
+        Pw = P[t + 1].dot(w[t]) + p[t + 1]
+        BPA, BPw = B[t].T.dot(PA), B[t].T.dot(Pw)
+        H[t] = R[t] + B[t].T.dot(P[t + 1]).dot(B[t])
+        K[t] = -np.array([_exact_solve(H[t], col) for col in BPA.T]).T
+        k[t] = -_exact_solve(H[t], BPw)
+        P[t] = Q[t] + A[t].T.dot(PA) + BPA.T.dot(K[t])
+        p[t] = -Q[t].dot(xbar[t]) + A[t].T.dot(Pw) + BPA.T.dot(k[t])
+        c[t] = (xbar[t].dot(Q[t].dot(xbar[t])) + w[t].dot(P[t + 1].dot(w[t]))
+                + 2 * p[t + 1].dot(w[t]) + c[t + 1] + BPw.dot(k[t]))
+    return ExactRiccati(P, p, c, K, k, H)
+
+
+def exact_regret(instance, actions):
+    """The exact regret of the actions (T, m) of a linear-quadratic
+    instance from its x_0 (``ExactRegret``): every float read as the
+    rational it equals, the states rolled out exactly on the true
+    dynamics, and the optimum and the terms from ``exact_riccati``."""
+    A, B, w, Q, R, xbar, PT, xT = _exact_run_data(instance)
+    law = exact_riccati(instance)
+    u = exact(actions).reshape(instance.T, -1)
+    x = x0 = exact(np.atleast_1d(instance.x0))
+    states, terms, cost = [x], [], Fraction(0)
+    for t in range(instance.T):
+        d = u[t] - law.K[t].dot(x) - law.k[t]
+        terms.append(d.dot(law.H[t].dot(d)))
+        e = x - xbar[t]
+        cost += e.dot(Q[t].dot(e)) + u[t].dot(R[t].dot(u[t]))
+        x = A[t].dot(x) + B[t].dot(u[t]) + w[t]
+        states.append(x)
+    cost += (x - xT).dot(PT.dot(x - xT))
+    optimum = x0.dot(law.P[0].dot(x0)) + 2 * law.p[0].dot(x0) + law.c[0]
+    return ExactRegret(np.array(states), cost, optimum, cost - optimum,
+                       terms)
+
+
 def inventory_oracle(z, targets, target_terminal, u_lo, u_hi,
                      x_lo=-1.0, x_hi=1.0, action_weight=0.0):
     """SLSQP oracle for the scalar chain problem.

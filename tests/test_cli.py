@@ -623,8 +623,8 @@ class TestCertifications:
 
     def test_constants_measured_mode_builds_each_law_once(
             self, runner, tmp_path, monkeypatch):
-        # the truth law, and one batch of the full windows [t, t + k],
-        # t < T - k; the tail windows [t, T] are suffixes of the truth law
+        # the truth law, one batch of the full windows [t, t + k], t < T -
+        # k, and one padded batch of the tail windows [t, T]
         built = []
         law = ftocp.continuation_law
 
@@ -638,8 +638,8 @@ class TestCertifications:
                                        "--k", "8", "--mode", "measured",
                                        "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        assert len(built) == 2
-        assert [len(args[3]) for args in built] == [1, 24 - 8]
+        assert len(built) == 3
+        assert [len(args[3]) for args in built] == [1, 24 - 8, 8]
 
     def test_constants_measured_mode(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["constants", "--preset",
@@ -884,9 +884,8 @@ class TestLibrarySurface:
                 (kkt.loglinear_fit, ["x", "y"]),
                 (presets.inventory_counterexample_suite, ["ps", "eps"]),
                 # laws are read from their first step; action is the one
-                # read at an offset, suffix the continuation from one
+                # read at an offset
                 (ftocp.ContinuationLaw.action, ["self", "t", "x", "w"]),
-                (ftocp.ContinuationLaw.suffix, ["self", "t"]),
                 (ftocp.ContinuationLaw.trajectories, ["self", "xs"]),
                 (ftocp.ContinuationLaw.solution, ["self", "x"]),
                 (ftocp.ContinuationLaw.kkt_residuals, ["self", "xs"]),

@@ -100,20 +100,18 @@ def random_terminal(rng, n, kind):
 
 
 def check_law_against_oracle(n, m, kind, seed, T, t1, t):
-    """The law of a random window on steps t1 .. T, read at offset t, against
-    the oracle.  A pinned law is read from its first step alone, so its
-    window [t1 + t, T] is built on its own."""
+    """The law of a random window on steps t1 .. T, read at offset t, and
+    the law of its window [t1 + t, T] built on its own, against the oracle.
+    A pinned law is read from its first step alone, so the window's own law
+    stands in for it there."""
     rng = np.random.default_rng(seed)
     system = random_system(rng, n, m, T)
     params = [np.zeros(1)] * (T - t1 + 1)
     terminal = random_terminal(rng, n, kind)
     x = rng.normal(size=n)
     law = ftocp.continuation_law(system, [params], terminal, [t1])
-    if law.pinned:
-        law = ftocp.continuation_law(system, [params[t:]], terminal, [t1 + t])
-        tail, t_read = law, 0
-    else:
-        tail, t_read = law.suffix(t), t
+    tail = ftocp.continuation_law(system, [params[t:]], terminal, [t1 + t])
+    law, t_read = (tail, 0) if law.pinned else (law, t)
     sol = tail.solution(x)
     so, ao, lam = oracle_continuation(system, params, terminal, t, x, t1)
     assert rel_err(sol.states, so) <= 1e-9
@@ -415,8 +413,8 @@ def test_batched_run_matches_oracle_when_windows_reach_the_end(name,
 def test_sample_rollouts_match_separate_rollouts(t, kind):
     # rollouts of a batch from Z samples of initial states at once are the
     # Z rollouts taken one sample at a time, bit for bit, on a pinned and
-    # a quadratic batch, and on the suffix of the quadratic one (a pinned
-    # batch is read from its first step alone)
+    # a quadratic batch, and on the quadratic batch of the same windows
+    # from their offset t
     inst = presets.tracking_rand(T=12, seed=4)
     k, starts = 4, np.arange(8)
     t2 = starts + k
@@ -424,12 +422,10 @@ def test_sample_rollouts_match_separate_rollouts(t, kind):
                 if kind == "predicted_tracking"
                 else inst.terminal_cost(inst.truth[t2]))
     law = ftocp.continuation_law(
-        inst.system, [inst.truth[s:s + k + 1] for s in starts], terminal,
-        starts)
+        inst.system, [inst.truth[s + t:s + k + 1] for s in starts], terminal,
+        starts + t)
     assert law.pinned == (kind != "true")
     zs = np.random.default_rng(2).normal(size=(3, len(starts), 2))
-    if t:
-        law = law.suffix(t)
     got = law.trajectories(zs)
     for j, z in enumerate(zs):
         for g, w in zip(got, law.trajectories(z), strict=True):
@@ -510,31 +506,39 @@ def test_padded_laws_equal_separate_laws(name, pinned, seed, data):
 @given(name=st.sampled_from(LQ_PRESETS), seed=st.integers(0, 2 ** 32 - 1),
        data=st.data())
 def test_padded_suffixes_equal_separate_suffixes(name, seed, data):
-    # the tails of a law from an array of offsets (repeats and any order
-    # allowed) are one padded batch; on each tail's own offsets it reads
-    # bitwise as the scalar suffix from its offset, and so do its gain
-    # Jacobians, whose entries past its own last offset are 0
+    # the tail windows [t, T] of a run from any offsets (repeats and any
+    # order allowed), capped as every command caps them, are one padded
+    # batch of ``ftocp.window_laws``; on each tail's own offsets it reads
+    # bitwise as the tail's law built alone, and so do its gain Jacobians,
+    # whose entries past its own last offset are 0
     T = data.draw(st.integers(2, 16), label="T")
     inst = padding_instance(name, T)
     sys_ = inst.system
-    law = ftocp.truth_law(inst)
     ts = np.array(data.draw(st.lists(st.integers(0, T), min_size=1,
                                      max_size=6), label="ts"))
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(2, len(ts), sys_.n))
-    tails = law.suffix(ts)
+    laws = ftocp.window_laws(sys_, [(t, inst.truth[t:]) for t in ts],
+                             functools.partial(engine.window_terminal, inst))
+    tails = laws.windows[0][0]
+    assert laws.failure is None
+    assert laws.windows == tuple((tails, w) for w in range(len(ts)))
     assert tails.T == T - ts.min()
     states, actions, duals = tails.trajectories(xs)
-    slopes = (kkt._step_data_slopes(inst),
-              kkt._terminal_slopes(inst, np.array([T])))
+    step_slopes = kkt._step_data_slopes(inst)
+    cap_slopes = [kkt._terminal_slopes(inst, np.full(W, T)) for W in
+                  (len(ts), 1)]
     if tails.T:
-        jac = kkt._window_action_jacobians(tails, xs, *slopes)
+        jac = kkt._window_action_jacobians(tails, xs, step_slopes,
+                                           cap_slopes[0])
     else:           # a batch of no step has no action to differentiate
         with pytest.raises(ValueError, match="has no first action"):
-            kkt._window_action_jacobians(tails, xs, *slopes)
+            kkt._window_action_jacobians(tails, xs, step_slopes,
+                                         cap_slopes[0])
     for i, t in enumerate(ts):
         K = T - t
-        alone = law.suffix(int(t))
+        alone = ftocp.window_law(sys_, inst.truth[t:], inst.terminal_cost(),
+                                 int(t))
         assert tails.t1[i] == alone.t1[0] == t
         assert tails.P[i, :K + 1].tobytes() == alone.P[0].tobytes()
         assert tails.G[i, :K].tobytes() == alone.G[0].tobytes()
@@ -549,8 +553,8 @@ def test_padded_suffixes_equal_separate_suffixes(name, seed, data):
                                         tails.T + 1 - K, axis=1))
         assert not actions[:, i, K:].any()
         if K:
-            want = kkt._window_action_jacobians(alone, xs[:, i:i + 1],
-                                                *slopes)[:, 0]
+            want = kkt._window_action_jacobians(
+                alone, xs[:, i:i + 1], step_slopes, cap_slopes[1])[:, 0]
             assert jac[:, i, :K + 1].tobytes() == want.tobytes()
             assert not jac[:, i, K + 1:].any()
 
@@ -560,8 +564,9 @@ def test_padded_suffixes_equal_separate_suffixes(name, seed, data):
 def test_padded_offsets_read_the_identity_loop(name, pinned):
     # Phi_t = A_t + B_t K_t is computed from the step data and the gains;
     # a padded offset holds its state (A = I, B = 0, a zero gain), so it
-    # reads Phi = I bitwise, in a mixed-length batch and in a batch of
-    # tails from several offsets alike, and the computed loop is read-only
+    # reads Phi = I bitwise, in a mixed-length batch and in a batch of the
+    # tails [t, T] from several offsets alike, and the computed loop is
+    # read-only
     inst = padding_instance(name)
     sys_, n = inst.system, inst.system.n
     starts, lengths = [0, 2, 5], [-(-n // sys_.m), 7, 10]
@@ -572,7 +577,9 @@ def test_padded_offsets_read_the_identity_loop(name, pinned):
     laws = [(batch, lengths)]
     if not pinned:
         ts = np.array([0, 3, 9, inst.T])
-        laws.append((ftocp.truth_law(inst).suffix(ts), inst.T - ts))
+        tails = ftocp.continuation_law(sys_, [inst.truth[t:] for t in ts],
+                                       inst.terminal_cost(), ts)
+        laws.append((tails, inst.T - ts))
     for law, own in laws:
         loop = law.loop
         assert not loop.flags.writeable
@@ -700,18 +707,18 @@ def test_first_action_adjoint_solves_the_saddle_system(n, m, K, kind, seed):
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_padded_suffix_adjoints_solve_their_saddle_systems(n, m, kind, seed,
                                                            data):
-    # the tails of a law from an array of offsets are one padded batch;
-    # each tail's adjoint, read on its own offsets, solves the saddle
-    # system of its own window, assembled from the system's step data
+    # the tails [t, T] from an array of offsets are one padded batch; each
+    # tail's adjoint, read on its own offsets, solves the saddle system of
+    # its own window, assembled from the system's step data
     T = data.draw(st.integers(2, 8), label="T")
     ts = data.draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=5),
                    label="ts")
     rng = np.random.default_rng(seed)
     system = random_system(rng, n, m, T)
     terminal = random_terminal(rng, n, kind)
-    law = ftocp.continuation_law(system, [[np.zeros(1)] * (T + 1)], terminal,
-                                 [0])
-    y, v, eta, nu = law.suffix(np.array(ts)).first_action_adjoint()
+    law = ftocp.continuation_law(
+        system, [[np.zeros(1)] * (T - t + 1) for t in ts], terminal, ts)
+    y, v, eta, nu = law.first_action_adjoint()
     assert nu is None
     for j, t in enumerate(ts):
         K = T - t

@@ -431,8 +431,11 @@ class TestPerInstance:
         law = ftocp.truth_law(inst)
         with pytest.raises(ValueError):
             law.G[0, 0, 0, 0] = 1.0
-        padded = law.suffix(np.array([3, 5]))
-        for a in (law.t1, law.P, law.G, law.loop, law.suffix(3).G,
+        # and so is a padded batch: the tails [3, 8] and [5, 8]
+        padded = ftocp.continuation_law(
+            inst.system, [inst.truth[3:], inst.truth[5:]],
+            inst.terminal_cost(), [3, 5])
+        for a in (law.t1, law.P, law.G, law.loop,
                   padded.t1, padded.P, padded.G, padded.loop,
                   *(getattr(padded.data, f)
                     for f in ("A", "B", "w", "Q", "R", "xbar"))):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from mpclab import cli, engine, ftocp, kkt, presets
 from mpclab.model import (Bounds, Instance, LinearQuadraticSystem, ModelError,
-                          ParamBox, TerminalCost)
+                          ParamBox, PredictionStream, TerminalCost)
 from test_continuation import oracle_continuation
 from test_engine import dead_step_system, terminal_bits
 from test_presets import reference_step_data
@@ -101,10 +101,11 @@ def test_window_jacobians_match_oracle(name, terminal, t, seed):
     rng = np.random.default_rng(seed)
     zs = [np.zeros(n), rng.normal(size=n)]
     if terminal == "tail":
-        # the window [t, T] that reaches T, the suffix of the truth law
+        # the window [t, T] that reaches T, with the instance's terminal
         t = T - k + t % k
         t2 = T
-        law = ftocp.truth_law(inst).suffix(t)
+        law = ftocp.window_law(inst.system, inst.truth[t:],
+                               inst.terminal_cost(), t)
     else:
         # a batch of one window [t, t + k] short of T
         t2 = t + k
@@ -204,7 +205,7 @@ def test_step_slopes_match_oracle_jacobian(name):
 def test_window_jacobians_match_oracle_when_every_map_varies(t, seed):
     # t < 5: the batch of the windows [s, s + 4] for s = t .. min(t + 2, 4),
     # each from its own states; t = 5: the window [5, 9] that reaches T,
-    # with the quadratic terminal, the suffix of the truth law from 5
+    # with the instance's quadratic terminal
     T, k = 9, 4
     inst = all_maps_instance(T, seed)
     if t < T - k:
@@ -212,7 +213,8 @@ def test_window_jacobians_match_oracle_when_every_map_varies(t, seed):
         law = window_batch(inst, starts, k)
     else:
         starts = [t]
-        law = ftocp.truth_law(inst).suffix(t)
+        law = ftocp.window_law(inst.system, inst.truth[t:],
+                               inst.terminal_cost(), t)
     zs = np.random.default_rng(seed).normal(size=(2, len(starts), 2))
     zs[0] = 0.0
     got = law_jacobians(inst, law, zs)
@@ -267,15 +269,14 @@ def test_one_law_per_window(monkeypatch):
     engine.solve_opt(inst)
     calls.clear()
     kkt.measure_gain_tables(inst, 8)
-    # the batch of the full windows; the truth law that the tail windows
-    # are read from was built once, by the hindsight optimum
-    assert len(calls) == 1
+    # the batch of the 16 full windows and that of the 8 tails; the truth
+    # law, read for gain_init, was built once, by the hindsight optimum
+    assert len(calls) == 2
 
 
 def test_one_terminal_slope_per_law_group(monkeypatch, tmp_path):
-    # the batch of full windows builds its terminals once and
-    # differentiates them once; the tail windows, which all end at T on
-    # the true parameter, share one more difference (p = 1: two builds each)
+    # each batch of windows, the full ones and the tails, builds its
+    # terminals once and differentiates them once (p = 1: two builds)
     calls = []
     build = engine.window_terminal
 
@@ -288,7 +289,7 @@ def test_one_terminal_slope_per_law_group(monkeypatch, tmp_path):
         "constants", "--preset", "tracking-rand", "--T", "24", "--k", "8",
         "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
-    assert len(calls) <= 5
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("measure", [
@@ -436,8 +437,8 @@ def per_offset_init_gains(law):
 
 def per_tail_tables(inst, k):
     """``kkt.measure_gain_tables`` with one Jacobian call per tail window
-    [t, T] on the scalar suffix of the truth law, and ``gain_init`` normed
-    offset by offset."""
+    [t, T] on that window's own ``ftocp.window_law``, and ``gain_init``
+    normed offset by offset."""
     T = inst.T
     opt = engine.solve_opt(inst)
     R = max(opt.max_state_norm, 1.0)
@@ -450,15 +451,16 @@ def per_tail_tables(inst, k):
         jac[:, :full] = kkt._window_action_jacobians(
             law, zs[:, :full], step_slopes,
             kkt._terminal_slopes(inst, law.t1 + law.T))
-    law = ftocp.truth_law(inst)
-    tail_slopes = kkt._terminal_slopes(inst, law.t1 + law.T)
+    tail_slopes = kkt._terminal_slopes(inst, np.array([T]))
     for t in range(full, T):
+        tail = ftocp.window_law(inst.system, inst.truth[t:],
+                                inst.terminal_cost(), t)
         jac[:, t, :T - t + 1] = kkt._window_action_jacobians(
-            law.suffix(t), zs[:, t:t + 1], step_slopes, tail_slopes)[:, 0]
+            tail, zs[:, t:t + 1], step_slopes, tail_slopes)[:, 0]
     scale = np.array([[np.linalg.norm(z) for z in zt] for zt in zs[1:]])
     gs = (np.maximum(0.0, jac[1:] - jac[0])
           / scale.reshape(-1, T, 1)).max(axis=(0, 1), initial=0.0)
-    gi = per_offset_init_gains(law)
+    gi = per_offset_init_gains(ftocp.truth_law(inst))
     gi[0] = max(gi[0], 1.0)
     return [kkt._monotone_envelope(a) for a in (gs, jac[0].max(axis=0), gi)]
 
@@ -468,7 +470,7 @@ def per_tail_tables(inst, k):
 @pytest.mark.parametrize("all_tails", [False, True], ids=["k<T", "k=T"])
 def test_tables_equal_per_tail_tables(name, all_tails):
     # the tails as padded batches (under a cap that splits them, too) give
-    # the tables of one scalar suffix per tail, bit for bit; the all-maps
+    # the tables of one law per tail, built alone, bit for bit; the all-maps
     # instance's terminal varies with its parameter, so each tail's
     # terminal entry must sit at its own last offset
     T = 12
@@ -498,6 +500,46 @@ def test_tables_equal_per_tail_tables(name, all_tails):
         assert all(W * K <= cap or W == 1 for W, K in tails)
         assert sum(W for W, _ in tails) == k
         assert len(tails) == 1 or cap < kkt._STACK_CAP
+
+
+@pytest.mark.parametrize("name", ["tracking-rand", "pendulum", "grid"])
+@pytest.mark.parametrize("k", [4, 8, None], ids=["k=4", "k=8", "k=T"])
+def test_tables_differentiate_the_laws_run_mpc_builds(name, k, monkeypatch):
+    # the laws the gain tables differentiate are, window by window, those
+    # a zero-noise run solves: both come from ftocp.window_laws, and window
+    # t of each side has the same P and G on its own offsets, bit for bit,
+    # whether the tails are one batch or split by a small cap
+    T = 16
+    inst = presets.build_preset(name, T=T)
+    k = k or T
+    engine.solve_opt(inst)    # the truth law, built before the capture
+    built = []
+    build = ftocp.window_laws
+
+    def captured(*args, **kwargs):
+        laws = build(*args, **kwargs)
+        built[-1].extend(laws.windows)
+        return laws
+
+    monkeypatch.setattr(ftocp, "window_laws", captured)
+    built.append([])
+    engine.run_mpc(inst, PredictionStream(inst.truth, k, 0.0), k)
+    for cap in (kkt._STACK_CAP, 8):
+        monkeypatch.setattr(kkt, "_STACK_CAP", cap)
+        built.append([])
+        kkt.measure_gain_tables(inst, k)
+    run, *tables = built
+    assert len(run) == T
+    for side in tables:
+        assert len(side) == T
+        for t, ((a, i), (b, j)) in enumerate(zip(run, side)):
+            K = min(k, T - t)
+            assert a.t1[i] == b.t1[j] == t
+            assert a.P[i, :K + 1].tobytes() == b.P[j, :K + 1].tobytes(), t
+            assert a.G[i, :K].tobytes() == b.G[j, :K].tobytes(), t
+    # a cap of 8 steps splits the tails into batches
+    assert len({id(law) for law, _ in tables[1]}) > len(
+        {id(law) for law, _ in tables[0]})
 
 
 def test_two_jacobian_calls_at_k_8(monkeypatch, tmp_path):

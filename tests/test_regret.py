@@ -1,9 +1,11 @@
 """Regret accounting and sweeps."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st, target
 
 import oracles
 from mpclab import engine, kkt, presets, regret
@@ -37,6 +39,50 @@ class TestSolveOpt:
         obj = float(np.sum((xo[:8] - targets[:8]) ** 2))
         extra = (terminal - targets[8]) ** 2
         assert opt.total_cost == pytest.approx(obj + extra, abs=1e-6)
+
+
+@st.composite
+def exact_instances(draw):
+    """A small linear-quadratic instance the exact oracles take: tracking
+    with n <= 3 and m <= 2, the disturbance family or the pendulum, at
+    T <= 12."""
+    name = draw(st.sampled_from(["tracking-rand", "disturbance",
+                                 "pendulum"]), label="name")
+    T = draw(st.integers(2, 12), label="T")
+    seed = draw(st.integers(0, 2 ** 16), label="seed")
+    if name == "tracking-rand":
+        return presets.tracking_rand(T=T, seed=seed,
+                                     n=draw(st.integers(1, 3), label="n"),
+                                     m=draw(st.integers(1, 2), label="m"))
+    return presets.build_preset(name, T=T, seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=exact_instances(), data=st.data())
+def test_regret_is_exactly_the_sum_of_its_terms(inst, data):
+    # computed in Fractions, the regret of any action sequence is the sum
+    # of the nonnegative terms d_t'H_t d_t, with no difference at all; the
+    # library's hindsight cost is within 1e-12 relative of the optimum
+    T, m = inst.T, inst.system.m
+    actions = np.reshape(data.draw(st.lists(
+        st.floats(-10.0, 10.0, allow_subnormal=False), min_size=T * m,
+        max_size=T * m), label="actions"), (T, m))
+    ex = oracles.exact_regret(inst, actions)
+    assert ex.regret == sum(ex.terms)
+    assert all(term >= 0 for term in ex.terms)
+    miss = abs(Fraction(engine.solve_opt(inst).total_cost) - ex.optimum)
+    if ex.optimum:
+        target(float(miss / abs(ex.optimum)),
+               label="hindsight cost, relative to the exact optimum")
+    assert miss <= Fraction(1e-12) * abs(ex.optimum)
+
+
+def test_exact_run_oracles_refuse_a_long_run():
+    inst = presets.tracking_rand(T=34)     # T (n + m) = 102
+    for oracle in (oracles.exact_riccati,
+                   lambda inst: oracles.exact_regret(inst, np.zeros(34))):
+        with pytest.raises(ValueError, match="too large"):
+            oracle(inst)
 
 
 class TestRegretInequalities:
